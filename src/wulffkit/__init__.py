@@ -6,7 +6,7 @@ first variation of anisotropic perimeter, and the volume-vs-curvature
 integral inequality with its Wulff-union equality classifier.
 """
 
-from .duality import DualNorm, WulffSample, conjugate, grad_conjugate, wulff_sample
+from .duality import DualNorm, WulffSample, wulff_sample
 from .errors import (
     DegeneratePointError,
     DomainError,
@@ -28,9 +28,6 @@ from .integrand import (
     QuadraticNorm,
     WeightedSum,
     estimate_ellipticity,
-    evaluate,
-    gradient,
-    hessian,
 )
 from .hypersurface import (
     Ellipsoid,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, SceneError, WulffkitError
 from .scene import load_scene
-from .suites import SUITE_ORDER, run_suite
+from .suites import SUITE_ORDER, RunCache, run_suite
 
 __all__ = ["main", "run"]
 
@@ -43,18 +42,8 @@ def _jsonable(obj):
     return obj
 
 
-def _apply_threads_cap():
-    """Best-effort worker cap from WULFFKIT_THREADS (BLAS pools honor these)."""
-    cap = os.environ.get("WULFFKIT_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-    return int(cap) if cap else None
-
-
 def run(command: str, scene_path, out_dir, seed=None, resolution=None, grid=None) -> int:
     """Execute ``command`` on a scene file; write report.json and CSVs."""
-    threads = _apply_threads_cap()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if command not in COMMANDS:
@@ -62,6 +51,8 @@ def run(command: str, scene_path, out_dir, seed=None, resolution=None, grid=None
 
     scene = load_scene(scene_path)
     if seed is not None:
+        if int(seed) < 0:
+            raise InputError(f"seed must be a non-negative integer, got {seed}")
         scene = replace(scene, seed=int(seed))
     if resolution is not None:
         scene = replace(scene, resolution=resolution)
@@ -72,13 +63,11 @@ def run(command: str, scene_path, out_dir, seed=None, resolution=None, grid=None
         )
 
     requested = [s for s in SUITE_ORDER if s in scene.suites] if command == "all" else [command]
+    cache = RunCache(scene)
     results = []
     exit_code = 0
     for name in requested:
-        result = run_suite(name, scene, out)
-        if command == "all" and result.skipped:
-            results.append(result)
-            continue
+        result = run_suite(name, cache, out)
         results.append(result)
         if not result.passed and exit_code == 0:
             exit_code = 2 + SUITE_ORDER.index(name)
@@ -90,7 +79,6 @@ def run(command: str, scene_path, out_dir, seed=None, resolution=None, grid=None
         "seed": scene.seed,
         "rng": "numpy-default-pcg64",
         "resolution": _jsonable(scene.resolution),
-        "threads": threads,
         "suites": [
             {
                 "name": r.name,

@@ -27,6 +27,7 @@ __all__ = [
     "f_mean_curvature",
     "CurvatureTable",
     "curvature_table",
+    "curvature_csv",
     "UmbilicityReport",
     "umbilicity_classify",
 ]
@@ -181,6 +182,7 @@ def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> Cu
 
 
 def curvature_csv(table: CurvatureTable, quad: SurfaceQuadrature, path):
+    """Write node coordinates, principal curvatures and H, one row per node."""
     d = quad.dim
     header = ",".join(
         [f"x{i+1}" for i in range(d)]
@@ -212,27 +214,23 @@ class UmbilicityReport:
 
 
 def umbilicity_classify(
-    body: StarBody,
-    f: Integrand,
     quad: SurfaceQuadrature,
-    tol_umb: Optional[float] = None,
+    table: CurvatureTable,
+    f: Integrand,
     tol_fit: float = 1e-3,
 ) -> UmbilicityReport:
     """Classify a boundary as a Wulff ball via constant anisotropic curvature.
 
     lambda is the area-weighted mean of (sum kappa_i)/n; nodes must all have
-    every curvature within tol_umb of lambda to count as umbilical, after
-    which the affine relation grad F(nu(x)) = lambda x + c is fitted and its
-    worst deviation reported as the dispersion.
+    every curvature within tol_umb = 1e-3 |lambda| of lambda to count as
+    umbilical, after which the affine relation grad F(nu(x)) = lambda x + c
+    is fitted and its worst deviation reported as the dispersion.
     """
-    table = curvature_table(body, f, quad)
-    n = quad.dim - 1
     wsum = quad.weights.sum()
     lam = float((quad.weights * table.kappa.mean(axis=1)).sum() / wsum)
     residuals = np.abs(table.kappa - lam).max(axis=1)
     max_res = float(residuals.max())
-    if tol_umb is None:
-        tol_umb = 1e-3 * max(abs(lam), 1e-30)
+    tol_umb = 1e-3 * max(abs(lam), 1e-30)
 
     if max_res > tol_umb:
         return UmbilicityReport(

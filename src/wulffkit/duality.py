@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, InputError, SolverError
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm
 
-__all__ = ["DualNorm", "WulffSample", "conjugate", "grad_conjugate", "wulff_sample"]
+__all__ = ["DualNorm", "WulffSample", "wulff_sample"]
 
 _TABLE_SIZE = 8192
 
@@ -55,28 +55,30 @@ class DualNorm:
     # -- exact evaluation ---------------------------------------------------
 
     def value(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        if np.all(w == 0.0):
-            return 0.0
-        return float(self.batch_value(w[None, :])[0])
+        return float(self.batch_value(np.asarray(w, dtype=float)[None, :])[0])
 
     def grad(self, w):
-        w = np.asarray(w, dtype=float)
-        if np.all(w == 0.0):
-            raise DomainError("conjugate norm is not differentiable at the origin")
-        return self.batch_grad(w[None, :])[0]
+        return self.batch_grad(np.asarray(w, dtype=float)[None, :])[0]
 
     def batch_value(self, W):
+        """F* row by row; F*(0) = 0 by homogeneity."""
         W = np.asarray(W, dtype=float)
         if isinstance(self.base, EuclideanNorm):
             return np.linalg.norm(W, axis=1)
         if isinstance(self.base, QuadraticNorm):
             return np.sqrt(np.einsum("ni,ij,nj->n", W, self.base.inverse, W))
+        zero = ~W.any(axis=1)
+        if zero.any():
+            out = np.zeros(len(W))
+            out[~zero] = self.batch_value(W[~zero])
+            return out
         v = self._polar_minimize(W)
         return self.base.value(v)
 
     def batch_grad(self, W):
         W = np.asarray(W, dtype=float)
+        if not W.any(axis=1).all():
+            raise DomainError("conjugate norm is not differentiable at the origin")
         if isinstance(self.base, EuclideanNorm):
             return W / np.linalg.norm(W, axis=1)[:, None]
         if isinstance(self.base, QuadraticNorm):
@@ -226,16 +228,6 @@ class DualNorm:
             # scale so that F(v) grad F(v) = w holds at the maximizer
             out[k] = u * (w @ u)
         return out
-
-
-def conjugate(dual: DualNorm, w) -> float:
-    """F*(w) = sup { w.u : F(u) <= 1 }."""
-    return dual.value(w)
-
-
-def grad_conjugate(dual: DualNorm, w):
-    """grad F*(w); the maximizer of w.u over {F = 1}, extended 0-homogeneously."""
-    return dual.grad(w)
 
 
 @dataclass(frozen=True, eq=False)

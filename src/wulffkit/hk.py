@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curvature import UmbilicityReport, curvature_table, umbilicity_classify
+from .curvature import CurvatureTable, UmbilicityReport, umbilicity_classify
 from .errors import HypothesisViolationError, InputError
-from .hypersurface import StarBody, sample_surface, volume
+from .hypersurface import SurfaceQuadrature, volume
 from .integrand import Integrand
 
 __all__ = [
@@ -52,20 +52,19 @@ class HKReport:
     tol_eq: float
 
 
-def check_disjoint(bodies: Sequence[StarBody], resolution) -> None:
-    """Pairwise bounding-sphere separation test; overlap is an input error."""
-    spheres = []
-    for b in bodies:
-        quad = sample_surface(b, resolution)
-        radius = float(np.linalg.norm(quad.points - b.center, axis=1).max())
-        spheres.append((b.center, radius))
-    for i in range(len(spheres)):
-        for j in range(i + 1, len(spheres)):
-            ci, ri = spheres[i]
-            cj, rj = spheres[j]
-            if np.linalg.norm(ci - cj) <= ri + rj:
+def check_disjoint(sampled: Sequence[tuple]) -> None:
+    """Reject a scene where some boundary node of one body lies in another.
+
+    ``sampled`` holds (body, quadrature, curvature table) triples, as for
+    ``hk_evaluate``; every node of each body must have phi > 0 under every
+    other body, which also catches a body nested inside another.
+    """
+    for i, (_, quad, _) in enumerate(sampled):
+        for j, (other, _, _) in enumerate(sampled):
+            if i != j and np.any(other.phi(quad.points) <= 0):
                 raise InputError(
-                    f"bodies {i} and {j} are not disjoint (bounding spheres touch)"
+                    f"bodies {i} and {j} are not disjoint (a boundary node of {i} "
+                    f"lies in {j})"
                 )
 
 
@@ -95,10 +94,10 @@ def _mr_from_table(table, quad, f: Integrand):
     return float((fnu * quad.weights[ok] * inner).sum()), excluded
 
 
-def montiel_ros_integral(body: StarBody, f: Integrand, resolution) -> float:
+def montiel_ros_integral(
+    quad: SurfaceQuadrature, table: CurvatureTable, f: Integrand
+) -> float:
     """Boundary-integrated tube volume bound; warns on excluded nodes."""
-    quad = sample_surface(body, resolution)
-    table = curvature_table(body, f, quad)
     value, excluded = _mr_from_table(table, quad, f)
     if excluded:
         warnings.warn(
@@ -108,25 +107,26 @@ def montiel_ros_integral(body: StarBody, f: Integrand, resolution) -> float:
 
 
 def hk_evaluate(
-    bodies: Sequence[StarBody],
+    sampled: Sequence[tuple],
     f: Integrand,
-    resolution,
     tol_eq: float = 1e-3,
     tol_fit: float = 1e-3,
 ) -> HKReport:
     """Evaluate the volume vs curvature-integral ratio over disjoint bodies.
 
+    ``sampled`` holds one (body, quadrature, curvature table) triple per
+    body, the table computed with ``f`` on that quadrature.
     ratio = vol / (n/(n+1) * sum F(nu)/H w); the verdict is "equality" when
     |ratio - 1| <= tol_eq and "strict" otherwise.  Any node with H <= 0
     violates the positivity hypothesis and raises.
     """
-    if not bodies:
+    if not sampled:
         raise InputError("empty scene")
-    dims = {b.dim for b in bodies}
+    dims = {quad.dim for _, quad, _ in sampled}
     if len(dims) != 1 or next(iter(dims)) != f.dim:
         raise InputError("bodies and integrand must share one dimension")
-    if len(bodies) > 1:
-        check_disjoint(bodies, resolution)
+    if len(sampled) > 1:
+        check_disjoint(sampled)
     n = f.dim - 1
 
     vol = 0.0
@@ -135,9 +135,7 @@ def hk_evaluate(
     mr_excluded = 0
     h_min, h_max = np.inf, -np.inf
     umb = []
-    for k, body in enumerate(bodies):
-        quad = sample_surface(body, resolution)
-        table = curvature_table(body, f, quad)
+    for k, (_, quad, table) in enumerate(sampled):
         if np.any(table.mean <= 0):
             i = int(np.argmin(table.mean))
             raise HypothesisViolationError(
@@ -145,13 +143,13 @@ def hk_evaluate(
             )
         h_min = min(h_min, float(table.mean.min()))
         h_max = max(h_max, float(table.mean.max()))
-        vol += volume(body, resolution)
+        vol += volume(quad)
         fnu = f.value(quad.normals)
         integral += float((fnu / table.mean * quad.weights).sum())
         mr_val, mr_exc = _mr_from_table(table, quad, f)
         mr_total += mr_val
         mr_excluded += mr_exc
-        umb.append(umbilicity_classify(body, f, quad, tol_fit=tol_fit))
+        umb.append(umbilicity_classify(quad, table, f, tol_fit=tol_fit))
 
     ratio = vol / (n / (n + 1) * integral)
     dispersions = [u.dispersion for u in umb if u.dispersion is not None]

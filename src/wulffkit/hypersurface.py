@@ -331,13 +331,12 @@ def sample_surface(body: StarBody, resolution) -> SurfaceQuadrature:
     )
 
 
-def volume(body: StarBody, resolution, rel_tol: float = 1e-6) -> float:
+def volume(q: SurfaceQuadrature, rel_tol: float = 1e-6) -> float:
     """Enclosed volume via the radial formula, cross-checked by divergence theorem.
 
     The two quadratures must agree to ``rel_tol`` relative; the radial value
     is returned.
     """
-    q = sample_surface(body, resolution)
     v_rad, v_div = _volume_pair(q)
     if abs(v_div - v_rad) > rel_tol * abs(v_rad):
         raise QuadratureInconsistencyError(

@@ -23,9 +23,6 @@ __all__ = [
     "QuadraticNorm",
     "WeightedSum",
     "EllipticityReport",
-    "evaluate",
-    "gradient",
-    "hessian",
     "estimate_ellipticity",
 ]
 
@@ -176,24 +173,6 @@ class WeightedSum(Integrand):
 
     def hess(self, x):
         return sum(w * f.hess(x) for w, f in self.terms)
-
-
-def evaluate(f: Integrand, x) -> float:
-    """F(x); returns 0 at the origin by homogeneity."""
-    x_arr = np.asarray(x, dtype=float)
-    if x_arr.ndim == 1 and np.all(x_arr == 0.0):
-        return 0.0
-    return f.value(x)
-
-
-def gradient(f: Integrand, x):
-    """grad F(x); domain error at the origin where F is not differentiable."""
-    return f.grad(x)
-
-
-def hessian(f: Integrand, x):
-    """D^2 F(x); annihilates x and scales as 1/lambda under x -> lambda x."""
-    return f.hess(x)
 
 
 @dataclass(frozen=True)

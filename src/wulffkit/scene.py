@@ -11,18 +11,18 @@ import numpy as np
 
 from .distance import GridSpec
 from .duality import DualNorm
-from .errors import SceneError
+from .errors import InputError, SceneError
 from .hypersurface import Ellipsoid, StarBody, Superellipse, WulffBody
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm, WeightedSum
 
-__all__ = ["Scene", "load_scene", "parse_scene", "DEFAULT_TOLERANCES"]
+__all__ = ["Scene", "load_scene", "parse_scene", "DEFAULT_TOLERANCES", "SUITE_ORDER"]
 
-SUITE_NAMES = ("dual", "wulff", "curv", "hk", "mr", "steiner", "reach", "var")
+# canonical suite order; the CLI exit code 2 + index names the first failure
+SUITE_ORDER = ("dual", "wulff", "curv", "hk", "mr", "steiner", "reach", "var")
 
 DEFAULT_TOLERANCES = {
     "tol_eq": 1e-3,
     "tol_fit": 1e-3,
-    "tol_umb": None,
     "tol_r": 0.02,
     "eps_cluster": 1e-3,
     "tol_unique": None,
@@ -49,19 +49,48 @@ class Scene:
     def dim(self) -> int:
         return self.integrand.dim
 
-    def body_map(self):
-        return dict(self.bodies)
-
 
 def _require(mapping, key, where):
+    if not isinstance(mapping, dict):
+        raise SceneError(f"{where}: expected an object")
     if key not in mapping:
         raise SceneError(f"{where}: missing required field {key!r}")
     return mapping[key]
 
 
+def _section(raw, key, default):
+    """An optional object or list field of the scene root, of the default's kind."""
+    value = raw.get(key, default)
+    if isinstance(default, dict) and not isinstance(value, dict):
+        raise SceneError(f"{key}: expected an object")
+    if isinstance(default, list) and not isinstance(value, (list, tuple)):
+        raise SceneError(f"{key}: expected a list")
+    return value
+
+
+def _convert(kind, value, where):
+    """kind(value) for a scalar field, or a SceneError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SceneError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _array(value, where):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise SceneError(f"{where}: expected an array of numbers") from None
+
+
+def _resolution(value, where):
+    """One node count, or one per sphere-grid axis (a hashable tuple)."""
+    if isinstance(value, list):
+        return tuple(_convert(int, v, where) for v in value)
+    return _convert(int, value, where)
+
+
 def _parse_integrand(spec, where="integrand") -> Integrand:
-    if not isinstance(spec, dict):
-        raise SceneError(f"{where}: expected an object")
     family = _require(spec, "family", where)
     try:
         if family == "euclidean":
@@ -88,11 +117,9 @@ def _parse_integrand(spec, where="integrand") -> Integrand:
 
 def _parse_body(spec, dual: DualNorm, index: int) -> tuple:
     where = f"bodies[{index}]"
-    if not isinstance(spec, dict):
-        raise SceneError(f"{where}: expected an object")
     kind = _require(spec, "kind", where)
     body_id = str(spec.get("id", f"body{index}"))
-    center = np.asarray(_require(spec, "center", where), dtype=float)
+    center = _array(_require(spec, "center", where), f"{where}.center")
     try:
         if kind == "wulff":
             body: StarBody = WulffBody(
@@ -125,7 +152,7 @@ def parse_scene(raw: dict) -> Scene:
     dual = DualNorm(integrand)
 
     bodies = []
-    for k, spec in enumerate(raw.get("bodies", [])):
+    for k, spec in enumerate(_section(raw, "bodies", [])):
         bodies.append(_parse_body(spec, dual, k))
     ids = [b[0] for b in bodies]
     if len(set(ids)) != len(ids):
@@ -134,51 +161,59 @@ def parse_scene(raw: dict) -> Scene:
         if body.dim != integrand.dim:
             raise SceneError(f"bodies[{body_id}]: dimension differs from the integrand")
 
-    resolution = raw.get("resolution", 4096 if integrand.dim == 2 else [64, 128])
-    if isinstance(resolution, list):
-        resolution = tuple(int(v) for v in resolution)
-    else:
-        resolution = int(resolution)
+    resolution = _resolution(
+        raw.get("resolution", 4096 if integrand.dim == 2 else [64, 128]), "resolution"
+    )
 
     grid = None
     if "grid" in raw:
         gspec = raw["grid"]
-        bounds = np.asarray(_require(gspec, "bounds", "grid"), dtype=float)
+        bounds = _array(_require(gspec, "bounds", "grid"), "grid.bounds")
         if bounds.ndim != 2 or bounds.shape[1] != 2:
             raise SceneError("grid.bounds: expected [[lo, hi], ...] per axis")
-        cells = gspec.get("cells", 256)
-        grid = GridSpec(lo=bounds[:, 0], hi=bounds[:, 1], cells=cells)
+        try:
+            grid = GridSpec(lo=bounds[:, 0], hi=bounds[:, 1], cells=gspec.get("cells", 256))
+        except (InputError, TypeError, ValueError) as exc:
+            raise SceneError(f"grid: {exc}") from None
         if grid.dim != integrand.dim:
             raise SceneError("grid: dimension differs from the integrand")
 
-    suites = tuple(raw.get("suites", SUITE_NAMES))
+    suites = tuple(_section(raw, "suites", list(SUITE_ORDER)))
     for s in suites:
-        if s not in SUITE_NAMES:
+        if s not in SUITE_ORDER:
             raise SceneError(f"suites: unknown suite {s!r}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, value in raw.get("tolerances", {}).items():
+    for key, value in _section(raw, "tolerances", {}).items():
         if key not in DEFAULT_TOLERANCES:
             raise SceneError(f"tolerances: unknown key {key!r}")
-        tolerances[key] = value
+        optional = DEFAULT_TOLERANCES[key] is None and value is None
+        tolerances[key] = None if optional else _convert(float, value, f"tolerances.{key}")
 
     steiner = dict(DEFAULT_STEINER)
-    for key, value in raw.get("steiner", {}).items():
+    for key, value in _section(raw, "steiner", {}).items():
         if key not in ("lo_frac", "hi_frac", "samples", "reference_radius", "source_resolution"):
             raise SceneError(f"steiner: unknown key {key!r}")
+        if key == "source_resolution":
+            value = _resolution(value, "steiner.source_resolution")
+        elif value is not None or key != "reference_radius":
+            value = _convert(int if key == "samples" else float, value, f"steiner.{key}")
         steiner[key] = value
 
-    hk_c = raw.get("hk", {}).get("c")
+    hk_c = _section(raw, "hk", {}).get("c")
+    seed = _convert(int, raw.get("seed", 0), "seed")
+    if seed < 0:
+        raise SceneError(f"seed: expected a non-negative integer, got {seed}")
     return Scene(
         integrand=integrand,
         dual=dual,
         bodies=tuple(bodies),
         resolution=resolution,
         grid=grid,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         suites=suites,
         tolerances=tolerances,
-        hk_c=None if hk_c is None else float(hk_c),
+        hk_c=None if hk_c is None else _convert(float, hk_c, "hk.c"),
         steiner=steiner,
     )
 

@@ -20,10 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import curvature_table
+from .curvature import CurvatureTable
 from .distance import DistanceField
 from .errors import InputError, TruncationError
-from .hypersurface import StarBody, sample_surface
+from .hypersurface import SurfaceQuadrature
 from .integrand import Integrand
 
 __all__ = [
@@ -118,7 +118,10 @@ def fit_polynomial(curve: TubeCurve, degree: int) -> SteinerFit:
 
 
 def claim5_coefficients(
-    body: StarBody, f: Integrand, resolution, i_max: Optional[int] = None
+    quad: SurfaceQuadrature,
+    table: CurvatureTable,
+    f: Integrand,
+    i_max: Optional[int] = None,
 ) -> np.ndarray:
     """Tube coefficients of the inward tube of a smooth body from boundary data.
 
@@ -126,14 +129,12 @@ def claim5_coefficients(
     boundary quadrature, i = 1..d; matches the cell-counted fit for
     complements of smooth convex bodies.
     """
-    d = body.dim
+    d = quad.dim
     n = d - 1
     if i_max is None:
         i_max = d
     if not 1 <= i_max <= d:
         raise InputError(f"i_max must lie in [1, {d}]")
-    quad = sample_surface(body, resolution)
-    table = curvature_table(body, f, quad)
     fnu = f.value(quad.normals)
     out = np.empty(i_max)
     for i in range(1, i_max + 1):

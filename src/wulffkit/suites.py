@@ -16,13 +16,13 @@ import numpy as np
 
 from . import distance as dist
 from . import steiner as st
-from .curvature import curvature_table, umbilicity_classify
+from .curvature import curvature_csv, curvature_table, umbilicity_classify
 from .duality import wulff_sample
 from .errors import WulffkitError
 from .hk import equality_classifier, hk_evaluate, montiel_ros_integral
 from .hypersurface import WulffBody, perimeter_F, sample_surface, volume
 from .integrand import EuclideanNorm
-from .scene import Scene
+from .scene import SUITE_ORDER, Scene
 from .variation import (
     PolynomialField,
     criticality_residual,
@@ -30,9 +30,7 @@ from .variation import (
     flow_energy_derivative,
 )
 
-__all__ = ["SUITE_ORDER", "run_suite", "SuiteResult"]
-
-SUITE_ORDER = ("dual", "wulff", "curv", "hk", "mr", "steiner", "reach", "var")
+__all__ = ["SUITE_ORDER", "run_suite", "SuiteResult", "RunCache"]
 
 VERIFIES = {
     "dual": "conjugate-norm-duality-identities",
@@ -74,6 +72,38 @@ class SuiteResult:
         return self.skipped or all(c["passed"] for c in self.checks)
 
 
+class RunCache:
+    """Boundary samples and distance fields of one run's scene, each built once.
+
+    A run creates one, passes it to every suite and drops it when it returns.
+    """
+
+    def __init__(self, scene: Scene):
+        self.scene = scene
+        self._built = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def sampled(self, body):
+        """(body, quadrature, curvature table) at the scene resolution."""
+
+        def build():
+            quad = sample_surface(body, self.scene.resolution)
+            return body, quad, curvature_table(body, self.scene.integrand, quad)
+
+        return self._once(body, build)
+
+    def complement_field(self, body, f, source_resolution):
+        """Distance field under ``f`` to the closure of the outside of ``body``."""
+        return self._once(
+            (body, f, source_resolution),
+            lambda: _complement_field(self.scene, body, f, source_resolution),
+        )
+
+
 def _rng(scene: Scene, salt: int):
     return np.random.default_rng([scene.seed, salt])
 
@@ -88,7 +118,7 @@ def _wulff_bodies(scene: Scene):
     return [(bid, b) for bid, b in scene.bodies if isinstance(b, WulffBody)]
 
 
-def suite_dual(scene: Scene, out: Path) -> SuiteResult:
+def suite_dual(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("dual", VERIFIES["dual"])
     f = scene.integrand
     dual = scene.dual
@@ -144,7 +174,7 @@ def suite_dual(scene: Scene, out: Path) -> SuiteResult:
     return res
 
 
-def suite_wulff(scene: Scene, out: Path) -> SuiteResult:
+def suite_wulff(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("wulff", VERIFIES["wulff"])
     dual = scene.dual
     bodies = _wulff_bodies(scene) or [
@@ -172,13 +202,12 @@ def suite_wulff(scene: Scene, out: Path) -> SuiteResult:
     return res
 
 
-def suite_curv(scene: Scene, out: Path) -> SuiteResult:
+def suite_curv(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("curv", VERIFIES["curv"])
     f, dual = scene.integrand, scene.dual
     kappa_tol = 1e-4 if scene.dim == 2 else 1e-3
     for bid, body in scene.bodies:
-        quad = sample_surface(body, scene.resolution)
-        table = curvature_table(body, f, quad)
+        _, quad, table = cache.sampled(body)
         res.check(
             f"trace_vs_eigensum[{bid}]",
             np.abs(table.kappa.sum(axis=1) - table.mean).max()
@@ -191,7 +220,7 @@ def suite_curv(scene: Scene, out: Path) -> SuiteResult:
             np.abs(dual.batch_value(eta) - 1.0).max(),
             1e-8,
         )
-        umb = umbilicity_classify(body, f, quad, tol_fit=scene.tolerances["tol_fit"])
+        umb = umbilicity_classify(quad, table, f, tol_fit=scene.tolerances["tol_fit"])
         res.metrics[f"umbilicity[{bid}]"] = {
             "verdict": umb.verdict,
             "lambda": umb.lam,
@@ -216,31 +245,18 @@ def suite_curv(scene: Scene, out: Path) -> SuiteResult:
                 abs(umb.radius - body.radius),
                 1e-3,
             )
-        header = ",".join(
-            [f"x{i+1}" for i in range(scene.dim)]
-            + [f"kappaF{i+1}" for i in range(scene.dim - 1)]
-            + ["H"]
-        )
-        np.savetxt(
-            out / f"curv_{bid}.csv",
-            np.hstack([quad.points, table.kappa, table.mean[:, None]]),
-            delimiter=",",
-            header=header,
-            comments="",
-        )
+        curvature_csv(table, quad, out / f"curv_{bid}.csv")
     return res
 
 
-def suite_hk(scene: Scene, out: Path) -> SuiteResult:
+def suite_hk(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("hk", VERIFIES["hk"])
-    bodies = [b for _, b in scene.bodies]
-    if not bodies:
+    if not scene.bodies:
         res.skipped, res.skip_reason = True, "no bodies in scene"
         return res
     report = hk_evaluate(
-        bodies,
+        [cache.sampled(body) for _, body in scene.bodies],
         scene.integrand,
-        scene.resolution,
         tol_eq=scene.tolerances["tol_eq"],
         tol_fit=scene.tolerances["tol_fit"],
     )
@@ -272,18 +288,17 @@ def suite_hk(scene: Scene, out: Path) -> SuiteResult:
     return res
 
 
-def suite_mr(scene: Scene, out: Path) -> SuiteResult:
+def suite_mr(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("mr", VERIFIES["mr"])
     f = scene.integrand
     n = scene.dim - 1
     for bid, body in scene.bodies:
-        quad = sample_surface(body, scene.resolution)
-        table = curvature_table(body, f, quad)
+        _, quad, table = cache.sampled(body)
         if np.any(table.mean <= 0):
             res.skipped, res.skip_reason = True, f"body {bid} has H <= 0 nodes"
             return res
-        mr = montiel_ros_integral(body, f, scene.resolution)
-        vol = volume(body, scene.resolution)
+        mr = montiel_ros_integral(quad, table, f)
+        vol = volume(quad)
         rhs = n / (n + 1) * float((f.value(quad.normals) / table.mean * quad.weights).sum())
         res.check(f"volume_below_tube_integral[{bid}]", vol / mr, 1.0 + 1e-3)
         res.check(f"tube_integral_below_rhs[{bid}]", mr / rhs, 1.0 + 1e-3)
@@ -317,15 +332,15 @@ def _steiner_source_resolution(scene: Scene, body) -> object:
     return max(need, 512)
 
 
-def suite_steiner(scene: Scene, out: Path) -> SuiteResult:
+def suite_steiner(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("steiner", VERIFIES["steiner"])
     if scene.grid is None:
         res.skipped, res.skip_reason = True, "scene has no grid"
         return res
     f = scene.integrand
     for bid, body in scene.bodies:
-        field_ = _complement_field(
-            scene, body, f, _steiner_source_resolution(scene, body)
+        field_ = cache.complement_field(
+            body, f, _steiner_source_resolution(scene, body)
         )
         reach = dist.estimate_reach_F(field_)
         r_ref = scene.steiner.get("reference_radius") or 0.95 * reach
@@ -337,7 +352,8 @@ def suite_steiner(scene: Scene, out: Path) -> SuiteResult:
         )
         curve = st.tube_volumes(field_, t)
         fit = st.fit_polynomial(curve, scene.dim)
-        reference = st.claim5_coefficients(body, f, scene.resolution)
+        _, quad, table = cache.sampled(body)
+        reference = st.claim5_coefficients(quad, table, f)
         verdict = st.positive_reach_test(
             fit, scene.tolerances["steiner_residual"], reference
         )
@@ -364,7 +380,7 @@ def suite_steiner(scene: Scene, out: Path) -> SuiteResult:
     return res
 
 
-def suite_reach(scene: Scene, out: Path) -> SuiteResult:
+def suite_reach(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("reach", VERIFIES["reach"])
     if scene.grid is None:
         res.skipped, res.skip_reason = True, "scene has no grid"
@@ -374,8 +390,8 @@ def suite_reach(scene: Scene, out: Path) -> SuiteResult:
     h = scene.grid.h
     for bid, body in scene.bodies:
         source_res = _steiner_source_resolution(scene, body)
-        field_f = _complement_field(scene, body, f, source_res)
-        field_e = _complement_field(scene, body, euclid, source_res)
+        field_f = cache.complement_field(body, f, source_res)
+        field_e = cache.complement_field(body, euclid, source_res)
         cmp_ = dist.reach_comparison(field_e, field_f, scene.dual)
         res.flag(f"rolling_ball_bound[{bid}]", cmp_.ok)
         if isinstance(body, WulffBody):
@@ -393,17 +409,16 @@ def suite_reach(scene: Scene, out: Path) -> SuiteResult:
     return res
 
 
-def suite_var(scene: Scene, out: Path) -> SuiteResult:
+def suite_var(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("var", VERIFIES["var"])
     f = scene.integrand
     rng = _rng(scene, 7)
     rows = []
     for bid, body in scene.bodies:
-        quad = sample_surface(body, scene.resolution)
+        _, quad, table = cache.sampled(body)
         p = perimeter_F(quad, f)
         diameter = 2.0 * float(quad.rho.max())
         h = 1e-4 * diameter
-        table = curvature_table(body, f, quad)
 
         g0 = PolynomialField.constant(np.ones(scene.dim))
         res.check(f"translation_invariance[{bid}]", abs(first_variation(quad, f, g0)), 1e-12 * p)
@@ -419,7 +434,7 @@ def suite_var(scene: Scene, out: Path) -> SuiteResult:
         for k in range(10):
             g = PolynomialField.random(rng, scene.dim, scale=0.4)
             fv = first_variation(quad, f, g)
-            flow = flow_energy_derivative(body, f, g, h, scene.resolution)
+            flow = flow_energy_derivative(quad, f, g, h)
             worst_consistency = max(
                 worst_consistency, abs(fv - flow) / (1.0 + abs(fv))
             )
@@ -427,7 +442,7 @@ def suite_var(scene: Scene, out: Path) -> SuiteResult:
                 (table.mean * np.einsum("ni,ni->n", g(quad.points), quad.normals) * quad.weights).sum()
             )
             worst_pairing = max(worst_pairing, abs(fv - paired) / max(p, abs(fv)))
-            crit = criticality_residual(body, f, g, scene.resolution)
+            crit = criticality_residual(quad, f, g)
             rows.append((f"{bid}:{k}", crit.residual))
             if isinstance(body, WulffBody):
                 res.check(f"wulff_criticality[{bid}:{k}]", abs(crit.residual), 1e-3 * p)
@@ -453,8 +468,9 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, scene: Scene, out: Path) -> SuiteResult:
+def run_suite(name: str, cache: RunCache, out: Path) -> SuiteResult:
+    """Run one suite on the scene of ``cache``, the run's shared RunCache."""
     if name not in _SUITES:
         raise WulffkitError(f"unknown suite {name!r}")
     out.mkdir(parents=True, exist_ok=True)
-    return _SUITES[name](scene, out)
+    return _SUITES[name](cache.scene, out, cache)

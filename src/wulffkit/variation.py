@@ -26,13 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, StepTooLargeError
-from .hypersurface import (
-    StarBody,
-    SurfaceQuadrature,
-    perimeter_F,
-    sample_surface,
-    volume,
-)
+from .hypersurface import SurfaceQuadrature, perimeter_F, volume
 from .curvature import tangent_frames
 from .integrand import Integrand
 
@@ -163,7 +157,7 @@ def _pushed_energy_volume(q, f, g, t):
 
 
 def flow_energy_derivative(
-    body: StarBody, f: Integrand, g: PolynomialField, h: float, resolution
+    quad: SurfaceQuadrature, f: Integrand, g: PolynomialField, h: float
 ) -> float:
     """Central difference of the pushed surface energy at t = 0.
 
@@ -172,7 +166,6 @@ def flow_energy_derivative(
     below 1e-3 of the body diameter so the difference is in the O(h^2)
     regime.
     """
-    quad = sample_surface(body, resolution)
     diameter = 2.0 * float(quad.rho.max())
     if h > 1e-3 * diameter:
         raise InputError(f"step {h} too large for body diameter {diameter}")
@@ -194,10 +187,9 @@ class CriticalityResult:
 
 
 def criticality_residual(
-    body: StarBody,
+    quad: SurfaceQuadrature,
     f: Integrand,
     g: PolynomialField,
-    resolution,
     h: Optional[float] = None,
 ) -> CriticalityResult:
     """(n+1) dP - n (P/V) dV, plus the rescaled volume-preserving residual.
@@ -207,11 +199,9 @@ def criticality_residual(
     energy of the rescaled flow by central differences; both residuals
     vanish for Wulff shapes.
     """
-    d = body.dim
-    n = d - 1
-    quad = sample_surface(body, resolution)
+    n = quad.dim - 1
     p = perimeter_F(quad, f)
-    v = volume(body, resolution)
+    v = volume(quad)
     fv = first_variation(quad, f, g)
     dv = volume_derivative(quad, g)
     residual = (n + 1) * fv - n * (p / v) * dv

@@ -37,6 +37,7 @@ from wulffkit import (
 from wulffkit.cli import run
 
 from oracles import ellipse_hk_ratio
+from sampling import quad_table, sampled
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -101,11 +102,14 @@ def test_criterion_2_wulff_constant_curvature():
 
 
 def test_criterion_3_hk_equality_and_chain():
-    single = hk_evaluate([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096)
+    single = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096), Q2)
     union = hk_evaluate(
-        [WulffBody(DQ, np.array([-2.8, 0.0]), 1.0), WulffBody(DQ, np.array([2.8, 0.0]), 1.3)],
+        sampled(
+            [WulffBody(DQ, np.array([-2.8, 0.0]), 1.0), WulffBody(DQ, np.array([2.8, 0.0]), 1.3)],
+            Q2,
+            4096,
+        ),
         Q2,
-        4096,
     )
     gaps = []
     for rep in (single, union):
@@ -122,7 +126,7 @@ def test_criterion_3_hk_equality_and_chain():
 
 def test_criterion_4_hk_strictness():
     ellipse = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
-    rep = hk_evaluate([ellipse], E2, 4096)
+    rep = hk_evaluate(sampled([ellipse], E2, 4096), E2)
     oracle = ellipse_hk_ratio(2.0, 1.0)
     assert rep.ratio <= 1.0 - 0.01
     assert abs(rep.ratio - oracle) <= 1e-3
@@ -145,7 +149,7 @@ def test_criterion_5_steiner_fits():
         field = build_field(src, f, grid)
         curve = tube_volumes(field, default_t_grid(1.0, 0.05, 0.9, 40))
         fit = fit_polynomial(curve, 2)
-        ref = claim5_coefficients(body, f, 4096)
+        ref = claim5_coefficients(*quad_table(body, f, 4096), f)
         agreement = np.abs(fit.coefficients - ref) / np.abs(ref).max()
         assert fit.residual <= 1e-2
         assert agreement.max() <= 0.02
@@ -208,7 +212,7 @@ def test_criterion_7_variation():
         for _ in range(10):
             g = PolynomialField.random(rng, 2, 0.4)
             fv = first_variation(quad, f, g)
-            flow = flow_energy_derivative(body, f, g, h, 4096)
+            flow = flow_energy_derivative(quad, f, g, h)
             worst = max(worst, abs(fv - flow))
     assert worst <= 1e-4
 
@@ -217,12 +221,12 @@ def test_criterion_7_variation():
     worst_crit = 0.0
     for _ in range(10):
         g = PolynomialField.random(rng, 2, 0.5)
-        res = criticality_residual(wulff, Q2, g, 4096)
+        res = criticality_residual(qw, Q2, g)
         worst_crit = max(worst_crit, abs(res.residual))
     assert worst_crit <= 1e-3 * p_f
 
     shear = PolynomialField.linear(np.diag([1.0, -1.0]))
-    shear_res = criticality_residual(ellipse, E2, shear, 4096)
+    shear_res = criticality_residual(sample_surface(ellipse, 4096), E2, shear)
     assert abs(shear_res.residual) > 0.1
     _report(
         "7 variation",

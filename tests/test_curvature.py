@@ -18,6 +18,7 @@ from wulffkit import (
 )
 
 from oracles import eig_product, ellipse_curvature
+from sampling import quad_table
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -130,7 +131,7 @@ def test_eta_field_on_conjugate_sphere():
 
 def test_umbilicity_recovers_offset_wulff():
     body = WulffBody(DQ, np.array([1.0, 2.0]), 1.5)
-    rep = umbilicity_classify(body, Q2, sample_surface(body, 2048))
+    rep = umbilicity_classify(*quad_table(body, Q2, 2048), Q2)
     assert rep.verdict == "wulff"
     assert rep.center == pytest.approx([1.0, 2.0], abs=1e-4)
     assert rep.radius == pytest.approx(1.5, abs=1e-4)
@@ -138,14 +139,14 @@ def test_umbilicity_recovers_offset_wulff():
 
 def test_umbilicity_euclidean_sphere():
     ball = Ellipsoid(np.eye(2) / 4.0, np.zeros(2))
-    rep = umbilicity_classify(ball, E2, sample_surface(ball, 2048))
+    rep = umbilicity_classify(*quad_table(ball, E2, 2048), E2)
     assert rep.verdict == "wulff"
     assert rep.center == pytest.approx([0.0, 0.0], abs=1e-10)
     assert rep.radius == pytest.approx(2.0, abs=1e-10)
 
 
 def test_umbilicity_rejects_ellipse():
-    rep = umbilicity_classify(ELLIPSE, E2, sample_surface(ELLIPSE, 2048))
+    rep = umbilicity_classify(*quad_table(ELLIPSE, E2, 2048), E2)
     assert rep.verdict == "not-umbilical"
     assert rep.center is None
 
@@ -153,7 +154,7 @@ def test_umbilicity_rejects_ellipse():
 def test_umbilicity_hyperplane_like_for_vanishing_curvature():
     # a nearly flat boundary: umbilical with |lambda| below the resolvable floor
     huge = Ellipsoid(np.eye(2) / 1e24, np.zeros(2))
-    rep = umbilicity_classify(huge, E2, sample_surface(huge, 256))
+    rep = umbilicity_classify(*quad_table(huge, E2, 256), E2)
     assert rep.verdict == "hyperplane-like"
     assert rep.radius is None
 

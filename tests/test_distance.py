@@ -9,6 +9,7 @@ from wulffkit import (
     InputError,
     QuadraticNorm,
     SourceSet,
+    WeightedSum,
     WulffBody,
     boundary_source,
     build_field,
@@ -205,6 +206,17 @@ def test_reach_comparison_wulff(wulff_field):
     assert cmp_.rho == pytest.approx(0.5, rel=1e-4)
     assert cmp_.ok
     assert cmp_.reach_euclidean >= cmp_.rho * cmp_.reach_anisotropic - cmp_.slack
+
+
+def test_weighted_sum_field_with_cell_centre_on_body_centre():
+    # odd cell counts on bounds symmetric about the centre put a cell centre
+    # exactly on it, where the complement membership test evaluates F*(0)
+    w2 = WeightedSum(((0.5, E2), (1.0, Q2)))
+    body = WulffBody(DualNorm(w2), np.zeros(2), 1.0)
+    src = boundary_source([body], 1024, region="complement")
+    grid = GridSpec(lo=[-3.125, -2.125], hi=[3.125, 2.125], cells=[25, 17])
+    field = build_field(src, w2, grid)
+    assert field.delta_at([0.0, 0.0]) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_sparse_source_rejected():

@@ -9,8 +9,6 @@ from wulffkit import (
     QuadraticNorm,
     SolverError,
     WeightedSum,
-    conjugate,
-    grad_conjugate,
     wulff_sample,
 )
 
@@ -30,9 +28,9 @@ def unit_points(f, n, seed=0):
 
 
 def test_conjugate_examples():
-    assert conjugate(DE, [3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
-    assert conjugate(DQ, [1.0, 0.0]) == pytest.approx(0.5, abs=1e-12)
-    assert conjugate(DE, [0.0, 0.0]) == 0.0
+    assert DE.value([3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
+    assert DQ.value([1.0, 0.0]) == pytest.approx(0.5, abs=1e-12)
+    assert DE.value([0.0, 0.0]) == 0.0
 
 
 def test_conjugate_against_brute_force():
@@ -40,7 +38,7 @@ def test_conjugate_against_brute_force():
     w = np.array([1.0, 0.0])
     assert brute_conjugate(Q2.value, w) == pytest.approx(0.5, abs=1e-9)
     for wv in ([0.3, -1.2], [2.0, 0.7]):
-        assert conjugate(DW, wv) == pytest.approx(
+        assert DW.value(wv) == pytest.approx(
             golden_conjugate(W2.value, wv), rel=1e-10
         )
 
@@ -55,8 +53,8 @@ def test_conjugate_of_gradient_is_one():
 
 
 def test_grad_conjugate_examples():
-    assert grad_conjugate(DE, [0.0, 2.0]) == pytest.approx([0.0, 1.0], abs=1e-12)
-    assert grad_conjugate(DQ, [1.0, 0.0]) == pytest.approx([0.5, 0.0], abs=1e-12)
+    assert DE.grad([0.0, 2.0]) == pytest.approx([0.0, 1.0], abs=1e-12)
+    assert DQ.grad([1.0, 0.0]) == pytest.approx([0.5, 0.0], abs=1e-12)
     # closed form cross-checked against the iterative ascent path
     ascent = DQ._polar_minimize(np.array([[1.0, 0.0]]))
     assert Q2.value(ascent[0]) == pytest.approx(0.5, abs=1e-10)
@@ -65,7 +63,17 @@ def test_grad_conjugate_examples():
 
 def test_grad_conjugate_at_origin():
     with pytest.raises(DomainError):
-        grad_conjugate(DQ, [0.0, 0.0])
+        DQ.grad([0.0, 0.0])
+
+
+def test_iterative_conjugate_vanishes_at_origin():
+    # F*(0) = 0 on the Newton path too; only the gradient is undefined there
+    vals = DW.batch_value(np.array([[0.0, 0.0], [0.3, -1.2]]))
+    assert vals[0] == 0.0
+    assert vals[1] == pytest.approx(golden_conjugate(W2.value, [0.3, -1.2]), rel=1e-10)
+    assert DW.value([0.0, 0.0]) == 0.0
+    with pytest.raises(DomainError):
+        DW.batch_grad(np.array([[0.3, -1.2], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("dual,f", [(DE, E2), (DQ, Q2), (DW, W2)])

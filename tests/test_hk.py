@@ -20,6 +20,7 @@ from wulffkit import (
 from wulffkit.curvature import UmbilicityReport, curvature_table
 
 from oracles import ellipse_hk_ratio
+from sampling import quad_table, sampled
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -78,7 +79,7 @@ class Flower(StarBody):
 
 
 def test_hk_single_wulff_equality():
-    rep = hk_evaluate([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096)
+    rep = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096), Q2)
     assert abs(rep.ratio - 1.0) <= 1e-3
     assert rep.verdict == "equality"
     assert rep.h_min == pytest.approx(1.0, abs=1e-10)
@@ -86,12 +87,12 @@ def test_hk_single_wulff_equality():
 
 def test_hk_euclidean_ball():
     ball = Ellipsoid(np.eye(2) / 4.0, np.zeros(2))
-    rep = hk_evaluate([ball], E2, 4096)
+    rep = hk_evaluate(sampled([ball], E2, 4096), E2)
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hk_ellipse_strict_matches_oracle():
-    rep = hk_evaluate([ELLIPSE], E2, 4096)
+    rep = hk_evaluate(sampled([ELLIPSE], E2, 4096), E2)
     oracle = ellipse_hk_ratio(2.0, 1.0)
     assert oracle == pytest.approx(32.0 / 59.0, abs=1e-12)
     assert rep.ratio == pytest.approx(oracle, abs=1e-3)
@@ -106,7 +107,7 @@ def test_hk_chain_inequalities():
         ([Ellipsoid(np.diag([0.25, 1.0, 1.0]), np.zeros(3))], E3),
     ):
         res = 4096 if f.dim == 2 else (64, 128)
-        rep = hk_evaluate(bodies, f, res)
+        rep = hk_evaluate(sampled(bodies, f, res), f)
         rhs = (f.dim - 1) / f.dim * rep.integral
         assert rep.vol <= rep.mr_integral * (1 + 1e-3)
         assert rep.mr_integral <= rhs * (1 + 1e-3)
@@ -114,34 +115,36 @@ def test_hk_chain_inequalities():
 
 def test_montiel_ros_wulff_is_volume():
     body = WulffBody(DQ, np.zeros(2), 1.0)
-    assert montiel_ros_integral(body, Q2, 4096) == pytest.approx(2 * np.pi, rel=1e-10)
+    assert montiel_ros_integral(*quad_table(body, Q2, 4096), Q2) == pytest.approx(
+        2 * np.pi, rel=1e-10
+    )
     ball = Ellipsoid(np.eye(3) / 4.0, np.zeros(3))
-    assert montiel_ros_integral(ball, E3, (64, 128)) == pytest.approx(
+    assert montiel_ros_integral(*quad_table(ball, E3, (64, 128)), E3) == pytest.approx(
         4.0 / 3.0 * np.pi * 8.0, rel=1e-10
     )
 
 
 def test_montiel_ros_ellipse_strict():
-    mr = montiel_ros_integral(ELLIPSE, E2, 4096)
+    mr = montiel_ros_integral(*quad_table(ELLIPSE, E2, 4096), E2)
     assert mr > 2 * np.pi
     # n = 1 makes the per-node mean inequality an identity: mr equals the rhs
-    rep = hk_evaluate([ELLIPSE], E2, 4096)
+    rep = hk_evaluate(sampled([ELLIPSE], E2, 4096), E2)
     assert mr == pytest.approx(0.5 * rep.integral, rel=1e-12)
 
 
 def test_am_gm_tightness_on_umbilical_nodes():
     body = WulffBody(DualNorm(QuadraticNorm(np.diag([4.0, 1.0, 1.0]))), np.zeros(3), 1.5)
     f = QuadraticNorm(np.diag([4.0, 1.0, 1.0]))
-    rep = hk_evaluate([body], f, (64, 128))
+    rep = hk_evaluate(sampled([body], f, (64, 128)), f)
     rhs = 2.0 / 3.0 * rep.integral
     assert abs(rep.mr_integral - rhs) <= 1e-6 * rhs
 
 
 def test_ratio_scale_equivariance():
-    base = hk_evaluate([ELLIPSE], E2, 4096).ratio
+    base = hk_evaluate(sampled([ELLIPSE], E2, 4096), E2).ratio
     for lam in (0.5, 2.0):
         scaled = Ellipsoid(np.diag([0.25, 1.0]) / lam**2, np.zeros(2))
-        rep = hk_evaluate([scaled], E2, 4096)
+        rep = hk_evaluate(sampled([scaled], E2, 4096), E2)
         assert rep.ratio == pytest.approx(base, abs=1e-6)
 
 
@@ -150,7 +153,7 @@ def test_two_wulff_union_classification():
         WulffBody(DQ, np.array([-2.8, 0.0]), 1.0),
         WulffBody(DQ, np.array([2.8, 0.0]), 1.0),
     ]
-    rep = hk_evaluate(bodies, Q2, 4096)
+    rep = hk_evaluate(sampled(bodies, Q2, 4096), Q2)
     assert abs(rep.ratio - 1.0) <= 1e-3
     verdict = equality_classifier(rep, rep.umbilicity, c=rep.h_max)
     assert verdict.verdict == "wulff-union"
@@ -164,7 +167,7 @@ def test_unequal_radii_still_wulff_union():
         WulffBody(DQ, np.array([-3.0, 0.0]), 1.0),
         WulffBody(DQ, np.array([3.0, 0.0]), 1.4),
     ]
-    rep = hk_evaluate(bodies, Q2, 4096)
+    rep = hk_evaluate(sampled(bodies, Q2, 4096), Q2)
     verdict = equality_classifier(rep, rep.umbilicity, c=1.0)
     assert verdict.verdict == "wulff-union"
     assert not verdict.equal_radii
@@ -172,14 +175,14 @@ def test_unequal_radii_still_wulff_union():
 
 
 def test_ellipse_classified_strict():
-    rep = hk_evaluate([ELLIPSE], E2, 4096)
+    rep = hk_evaluate(sampled([ELLIPSE], E2, 4096), E2)
     verdict = equality_classifier(rep, rep.umbilicity, c=rep.h_max)
     assert verdict.verdict == "strict"
     assert verdict.failing_condition == "ratio"
 
 
 def test_radius_bound_failure_named():
-    rep = hk_evaluate([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096)
+    rep = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096), Q2)
     synthetic = (
         UmbilicityReport(
             lam=2.0, center=np.zeros(2), radius=0.5, dispersion=0.0,
@@ -195,7 +198,7 @@ def test_radius_bound_failure_named():
 
 
 def test_classifier_requires_c_above_h_max():
-    rep = hk_evaluate([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096)
+    rep = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096), Q2)
     with pytest.raises(InputError):
         equality_classifier(rep, rep.umbilicity, c=0.5 * rep.h_max)
 
@@ -206,7 +209,28 @@ def test_overlapping_bodies_rejected():
         WulffBody(DQ, np.array([1.0, 0.0]), 1.0),
     ]
     with pytest.raises(InputError):
-        hk_evaluate(bodies, Q2, 1024)
+        hk_evaluate(sampled(bodies, Q2, 1024), Q2)
+
+
+def test_elongated_disjoint_bodies_accepted():
+    # bounding circles (radius 2) overlap, yet min phi_b on the boundary of a is 0.5
+    bodies = [
+        WulffBody(DQ, np.array([0.0, 0.0]), 1.0),
+        WulffBody(DQ, np.array([0.0, 2.5]), 1.0),
+    ]
+    rep = hk_evaluate(sampled(bodies, Q2, 1024), Q2)
+    assert rep.verdict == "equality"
+    verdict = equality_classifier(rep, rep.umbilicity, c=rep.h_max)
+    assert verdict.verdict == "wulff-union"
+
+
+def test_nested_bodies_rejected():
+    bodies = [
+        WulffBody(DQ, np.array([0.0, 0.0]), 2.0),
+        WulffBody(DQ, np.array([0.1, 0.0]), 0.5),
+    ]
+    with pytest.raises(InputError, match="not disjoint"):
+        hk_evaluate(sampled(bodies, Q2, 1024), Q2)
 
 
 def test_negative_curvature_violates_hypothesis():
@@ -215,7 +239,7 @@ def test_negative_curvature_violates_hypothesis():
     table = curvature_table(flower, E2, q)
     assert table.mean.min() < 0  # the dents are genuinely concave
     with pytest.raises(HypothesisViolationError):
-        hk_evaluate([flower], E2, 1024)
+        hk_evaluate(sampled([flower], E2, 1024), E2)
 
 
 def test_montiel_ros_warns_on_excluded_nodes():
@@ -223,7 +247,7 @@ def test_montiel_ros_warns_on_excluded_nodes():
     flower = Flower(0.35)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        montiel_ros_integral(flower, E2, 1024)
+        montiel_ros_integral(*quad_table(flower, E2, 1024), E2)
     assert any("excluded" in str(w.message) for w in caught)
 
 

@@ -54,11 +54,11 @@ def test_normals_point_outward():
 
 
 def test_volume_examples():
-    assert volume(UNIT_DISK, 4096) == pytest.approx(np.pi, abs=1e-8)
-    assert volume(ELLIPSE, 4096) == pytest.approx(2 * np.pi, abs=1e-8)
+    assert volume(sample_surface(UNIT_DISK, 4096)) == pytest.approx(np.pi, abs=1e-8)
+    assert volume(sample_surface(ELLIPSE, 4096)) == pytest.approx(2 * np.pi, abs=1e-8)
     for r in (0.5, 1.0, 2.0):
         body = WulffBody(DQ, np.zeros(2), r)
-        assert volume(body, 4096) == pytest.approx(2 * np.pi * r**2, rel=1e-12)
+        assert volume(sample_surface(body, 4096)) == pytest.approx(2 * np.pi * r**2, rel=1e-12)
 
 
 def test_volume_formulas_agree_for_offset_bodies():
@@ -100,7 +100,7 @@ def test_wulff_volume_identity():
         dual = DualNorm(f)
         body = WulffBody(dual, np.zeros(f.dim), 1.3)
         q = sample_surface(body, res)
-        vol = volume(body, res)
+        vol = volume(q)
         assert vol == pytest.approx(1.3 * perimeter_F(q, f) / f.dim, rel=1e-6)
 
 
@@ -112,11 +112,16 @@ def test_weighted_sum_wulff_sampling():
     assert np.abs(dual.batch_value(q.points - body.center) - 0.8).max() < 1e-9
 
 
+def test_weighted_sum_wulff_phi_at_center():
+    body = WulffBody(DualNorm(WeightedSum(((0.5, E2), (1.0, Q2)))), np.array([0.2, -0.1]), 0.8)
+    assert body.phi(body.center) == -0.8
+
+
 def test_quadrature_convergence_rate():
     # halving the angular step cuts the volume error by >= 3.5x
     body = Ellipsoid(np.diag([1.0 / 4.0, 1.0, 1.0 / 2.25]), np.zeros(3))
     exact = 4.0 / 3.0 * np.pi * 2.0 * 1.0 * 1.5
-    errs = [abs(volume(body, r) - exact) for r in ((32, 64), (64, 128))]
+    errs = [abs(volume(sample_surface(body, r)) - exact) for r in ((32, 64), (64, 128))]
     assert errs[0] / errs[1] >= 3.5
 
 

@@ -10,9 +10,6 @@ from wulffkit import (
     QuadraticNorm,
     WeightedSum,
     estimate_ellipticity,
-    evaluate,
-    gradient,
-    hessian,
 )
 
 from oracles import fd_jacobian
@@ -30,16 +27,16 @@ def random_points(f, n, seed=0):
 
 
 def test_evaluate_examples():
-    assert evaluate(E2, [3.0, 4.0]) == pytest.approx(5.0, abs=1e-15)
-    assert evaluate(Q2, [1.0, 0.0]) == pytest.approx(2.0, abs=1e-15)
-    assert evaluate(E2, [0.0, 0.0]) == 0.0
+    assert E2.value([3.0, 4.0]) == pytest.approx(5.0, abs=1e-15)
+    assert Q2.value([1.0, 0.0]) == pytest.approx(2.0, abs=1e-15)
+    assert E2.value([0.0, 0.0]) == 0.0
 
 
 def test_evaluate_rejects_nonfinite():
     with pytest.raises(InputError):
-        evaluate(E2, [np.nan, 1.0])
+        E2.value([np.nan, 1.0])
     with pytest.raises(InputError):
-        evaluate(Q2, [np.inf, 0.0])
+        Q2.value([np.inf, 0.0])
 
 
 @pytest.mark.parametrize("f", FAMILIES)
@@ -59,12 +56,12 @@ def test_homogeneity_hypothesis(x1, x2, lam):
     x = np.array([x1, x2])
     if np.linalg.norm(x) < 1e-3:
         return
-    assert evaluate(Q2, lam * x) == pytest.approx(abs(lam) * evaluate(Q2, x), rel=1e-12, abs=1e-12)
+    assert Q2.value(lam * x) == pytest.approx(abs(lam) * Q2.value(x), rel=1e-12, abs=1e-12)
 
 
 def test_gradient_examples():
-    assert gradient(E2, [3.0, 4.0]) == pytest.approx([0.6, 0.8], abs=1e-15)
-    assert gradient(Q2, [1.0, 0.0]) == pytest.approx([2.0, 0.0], abs=1e-15)
+    assert E2.grad([3.0, 4.0]) == pytest.approx([0.6, 0.8], abs=1e-15)
+    assert Q2.grad([1.0, 0.0]) == pytest.approx([2.0, 0.0], abs=1e-15)
 
 
 @pytest.mark.parametrize("f", FAMILIES)
@@ -77,14 +74,14 @@ def test_euler_relation(f):
 
 def test_gradient_at_origin_is_domain_error():
     with pytest.raises(DomainError):
-        gradient(E2, [0.0, 0.0])
+        E2.grad([0.0, 0.0])
     with pytest.raises(DomainError):
-        hessian(Q2, [0.0, 0.0])
+        Q2.hess([0.0, 0.0])
 
 
 def test_hessian_examples():
-    assert hessian(E2, [1.0, 0.0]) == pytest.approx(np.array([[0.0, 0.0], [0.0, 1.0]]), abs=1e-15)
-    assert hessian(Q2, [1.0, 0.0]) == pytest.approx(np.array([[0.0, 0.0], [0.0, 0.5]]), abs=1e-15)
+    assert E2.hess([1.0, 0.0]) == pytest.approx(np.array([[0.0, 0.0], [0.0, 1.0]]), abs=1e-15)
+    assert Q2.hess([1.0, 0.0]) == pytest.approx(np.array([[0.0, 0.0], [0.0, 0.5]]), abs=1e-15)
 
 
 @pytest.mark.parametrize("f", [Q2, W2])
@@ -92,7 +89,7 @@ def test_hessian_matches_finite_difference_gradient(f):
     # closed form cross-checked against central differences with step 1e-5
     x = np.array([0.7, -1.3])[: f.dim]
     fd = fd_jacobian(lambda y: f.grad(y), x, h=1e-5)
-    assert np.abs(hessian(f, x) - 0.5 * (fd + fd.T)).max() < 1e-9
+    assert np.abs(f.hess(x) - 0.5 * (fd + fd.T)).max() < 1e-9
 
 
 @pytest.mark.parametrize("f", FAMILIES)

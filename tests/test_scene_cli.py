@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from wulffkit import SceneError, load_scene, parse_scene
 from wulffkit.cli import main, run
@@ -42,6 +44,118 @@ def test_parse_errors_name_the_field():
         parse_scene(
             {"integrand": {"family": "euclidean", "dimension": 2}, "tolerances": {"nope": 1}}
         )
+
+
+BASE = {
+    "integrand": {"family": "quadratic", "matrix": [[4.0, 0.0], [0.0, 1.0]]},
+    "bodies": [{"id": "w", "kind": "wulff", "center": [0.0, 0.0], "radius": 1.0}],
+    "resolution": 512,
+    "grid": {"bounds": [[-2.0, 2.0], [-1.5, 1.5]], "cells": [40, 30]},
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("resolution",), "abc"),
+        (("resolution",), [64, "x"]),
+        (("bodies", 0, "center"), ["a", 0.0]),
+        (("grid", "cells"), "z"),
+        (("grid", "bounds"), [[0, "q"], [0, 1]]),
+        (("seed",), "q"),
+        (("seed",), -1),
+        (("hk",), {"c": "q"}),
+        (("tolerances",), {"tol_eq": "x"}),
+        (("steiner",), {"samples": "many"}),
+        (("bodies",), 5),
+    ],
+)
+def test_bad_field_values_are_scene_errors(path, value):
+    raw = json.loads(json.dumps(BASE))
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SceneError, match=str(path[0])):
+        parse_scene(raw)
+
+
+JSON = hst.recursive(
+    hst.none()
+    | hst.booleans()
+    | hst.integers(-(10**6), 10**6)
+    | hst.floats(allow_nan=False, allow_infinity=False)
+    | hst.text(max_size=6),
+    lambda inner: hst.lists(inner, max_size=4)
+    | hst.dictionaries(hst.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _maybe(valid):
+    return hst.one_of(hst.just(valid), JSON)
+
+
+def _fields(keys):
+    return hst.dictionaries(hst.sampled_from(keys), JSON, max_size=3)
+
+
+SCENES_ANY = hst.one_of(
+    JSON,
+    hst.fixed_dictionaries(
+        {"integrand": _maybe(BASE["integrand"])},
+        optional={
+            "bodies": hst.lists(
+                hst.fixed_dictionaries(
+                    {
+                        "kind": _maybe("wulff"),
+                        "center": _maybe([0.0, 0.0]),
+                        "radius": _maybe(1.0),
+                    },
+                    optional={"id": JSON, "matrix": JSON, "semi_axes": JSON, "exponent": JSON},
+                ),
+                max_size=2,
+            )
+            | JSON,
+            "resolution": _maybe(512),
+            "grid": hst.fixed_dictionaries(
+                {"bounds": _maybe(BASE["grid"]["bounds"])}, optional={"cells": _maybe([40, 30])}
+            )
+            | JSON,
+            "seed": _maybe(3),
+            "suites": _maybe(["dual", "hk"]),
+            "tolerances": _fields(["tol_eq", "tol_fit", "tol_r", "eps_cluster", "tol_unique"])
+            | JSON,
+            "steiner": _fields(["lo_frac", "samples", "reference_radius", "source_resolution"])
+            | JSON,
+            "hk": _maybe({"c": 1.0}),
+        },
+    ),
+)
+
+
+@given(SCENES_ANY)
+@settings(max_examples=300, deadline=None)
+def test_any_json_scene_parses_or_raises_scene_error(raw):
+    try:
+        parse_scene(raw)
+    except SceneError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "field,override,argv",
+    [("resolution", {"resolution": "abc"}, []), ("seed", {}, ["--seed", "-1"])],
+)
+def test_bad_scene_value_exits_1_without_traceback(tmp_path, capsys, field, override, argv):
+    scene = tmp_path / "bad.json"
+    scene.write_text(json.dumps({**BASE, **override}))
+    code = main(["all", "--scene", str(scene), "--out", str(tmp_path / "out"), *argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
 
 
 def test_malformed_json_reports_line(tmp_path):
@@ -157,18 +271,6 @@ def test_weighted_sum_scene(tmp_path):
     umb = report["suites"][0]["metrics"]["umbilicity[w]"]
     assert umb["verdict"] == "wulff"
     assert umb["radius"] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_threads_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("WULFFKIT_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    out = tmp_path / "out"
-    run("dual", SCENES / "wulff_d2.json", out)
-    report = json.loads((out / "report.json").read_text())
-    assert report["threads"] == 2
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "2"
 
 
 def test_all_skips_grid_suites_without_grid(tmp_path):
