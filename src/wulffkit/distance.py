@@ -314,25 +314,16 @@ def _pairwise_values(dual: DualNorm, sources, centers):
     return dual.batch_value_fast(flat).reshape(len(centers), len(sources))
 
 
-def _loop_predecessors(source: SourceSet):
-    """Index of each sample's predecessor along its loop; open-chain heads
-    point to a sentinel (len) that is never a candidate."""
-    n = len(source.points)
-    prev = np.empty(n, dtype=np.int64)
+def _loop_ends(source: SourceSet):
+    """Loop heads as a mask over the points, and the (head, tail) index pair
+    that closes each closed loop."""
+    heads = np.zeros(len(source.points), dtype=bool)
+    wraps = []
     for (a, b, closed) in source.loops:
-        prev[a:b] = np.arange(a, b) - 1
-        prev[a] = b - 1 if closed else n
-    return prev
-
-
-def _loop_membership(source: SourceSet):
-    n = len(source.points)
-    ids = np.empty(n, dtype=np.int64)
-    sizes = []
-    for k, (a, b, _closed) in enumerate(source.loops):
-        ids[a:b] = k
-        sizes.append(b - a)
-    return ids, sizes
+        heads[a] = True
+        if closed:
+            wraps.append((a, b - 1))
+    return heads, wraps
 
 
 def _blocks(grid: GridSpec, target: int = 640):
@@ -379,8 +370,8 @@ def build_field(
     centers = grid.centers()
     n_cells = len(centers)
     pts = source.points
-    prev_global = _loop_predecessors(source)
-    loop_ids, loop_sizes = _loop_membership(source)
+    heads, wraps = _loop_ends(source)
+    loop_ranges = np.array([(a, b) for (a, b, _c) in source.loops])
     lip = dual.grad_bound()
 
     delta = np.empty(n_cells)
@@ -404,19 +395,19 @@ def build_field(
         win = eps_cluster * m + window_cells * h
         mask = d <= (m + win)[:, None]
         # a single foot shows up as one contiguous run of samples per loop;
-        # several runs (or most of a loop) mean competing feet
-        prev_pos = np.searchsorted(cand, prev_global[cand])
-        prev_pos_c = np.minimum(prev_pos, len(cand) - 1)
-        present = cand[prev_pos_c] == prev_global[cand]
-        mask_prev = np.zeros_like(mask)
-        mask_prev[:, present] = mask[:, prev_pos_c[present]]
-        n_runs = (mask & ~mask_prev).sum(axis=1)
+        # several runs (or most of a loop) mean competing feet.  Candidates
+        # are sorted, so a sample's loop predecessor, when it is a candidate,
+        # sits in the column just left of it (or closes the loop).
+        linked = mask[:, 1:] & mask[:, :-1]
+        linked &= (np.diff(cand) == 1) & ~heads[cand[1:]]
+        n_runs = mask.sum(axis=1) - linked.sum(axis=1)
+        for (head, tail) in wraps:
+            ph, pt = np.searchsorted(cand, (head, tail))
+            if pt < len(cand) and cand[ph] == head and cand[pt] == tail:
+                n_runs -= mask[:, ph] & mask[:, pt]
         cover = np.zeros(len(block), dtype=bool)
-        cand_loops = loop_ids[cand]
-        for li, size in enumerate(loop_sizes):
-            cols = cand_loops == li
-            if cols.any():
-                cover |= mask[:, cols].sum(axis=1) / size >= 0.5
+        for (a, b), (c0, c1) in zip(loop_ranges, np.searchsorted(cand, loop_ranges)):
+            cover |= 2 * mask[:, c0:c1].sum(axis=1) >= b - a
         suspect[cells_idx] = (n_runs >= 2) | cover
 
     gap = np.zeros(n_cells)
@@ -463,37 +454,47 @@ def _resolve_gap(dual, source, x, eps_cluster, window_abs, tol_unique):
         n_in = ((cluster >= lo_i) & (cluster < hi_i)).sum()
         if n_in >= 0.5 * (hi_i - lo_i):
             return _diameter(pts)
-    if len(pts) > 400:
-        diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-        return diag if diag > tol_unique else 0.0
     if _connected(pts, tol_unique):
         return 0.0
     return _diameter(pts)
 
 
+def _sqdist(a, b):
+    """Squared Euclidean distances between the rows of a and b, (len(a), len(b))."""
+    out = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        out += (a[:, None, k] - b[None, :, k]) ** 2
+    return out
+
+
 def _diameter(pts):
+    """Euclidean diameter; the bounding-box diagonal above 400 points."""
     if len(pts) > 400:
         return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.max()))
+    return float(np.sqrt(_sqdist(pts, pts).max()))
 
 
 def _connected(pts, linkage):
-    """Single-linkage connectivity of a small point set at the given scale."""
-    k = len(pts)
-    if k <= 1:
-        return True
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    adj = d2 <= linkage**2
-    seen = np.zeros(k, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        j = stack.pop()
-        nxt = np.nonzero(adj[j] & ~seen)[0]
-        seen[nxt] = True
-        stack.extend(nxt.tolist())
-    return bool(seen.all())
+    """Single-linkage connectivity of a point set at the given scale.
+
+    Consecutive rows within ``linkage`` of each other are joined into runs
+    first (a sampled arc is one run); the search then spreads from the first
+    run to every run with a point within ``linkage`` of a reached one, so it
+    steps over runs rather than points.
+    """
+    link2 = linkage**2
+    step2 = ((pts[1:] - pts[:-1]) ** 2).sum(axis=1)
+    run = np.concatenate(([0], np.cumsum(step2 > link2)))
+    reached = run == 0
+    frontier = reached
+    while not reached.all():
+        rest = np.nonzero(~reached)[0]
+        near = (_sqdist(pts[frontier], pts[rest]) <= link2).any(axis=0)
+        if not near.any():
+            return False
+        frontier = np.isin(run, run[rest[near]])
+        reached = reached | frontier
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,7 +73,8 @@ class SuiteResult:
 
 
 class RunCache:
-    """Boundary samples and distance fields of one run's scene, each built once.
+    """Boundary samples, complement sources and distance fields of one run's
+    scene, each built once.
 
     A run creates one, passes it to every suite and drops it when it returns.
     """
@@ -96,12 +97,28 @@ class RunCache:
 
         return self._once(body, build)
 
-    def complement_field(self, body, f, source_resolution):
+    def complement_source(self, body):
+        """Boundary sample of the closure of the outside of ``body``."""
+
+        def build():
+            resolution = _steiner_source_resolution(self.scene, body)
+            return dist.boundary_source([body], resolution, region="complement")
+
+        return self._once(("source", body), build)
+
+    def complement_field(self, body, f):
         """Distance field under ``f`` to the closure of the outside of ``body``."""
-        return self._once(
-            (body, f, source_resolution),
-            lambda: _complement_field(self.scene, body, f, source_resolution),
-        )
+
+        def build():
+            return dist.build_field(
+                self.complement_source(body),
+                f,
+                self.scene.grid,
+                eps_cluster=self.scene.tolerances["eps_cluster"],
+                tol_unique=self.scene.tolerances["tol_unique"],
+            )
+
+        return self._once((body, f), build)
 
 
 def _rng(scene: Scene, salt: int):
@@ -308,17 +325,6 @@ def suite_mr(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     return res
 
 
-def _complement_field(scene: Scene, body, f, source_resolution):
-    source = dist.boundary_source([body], source_resolution, region="complement")
-    return dist.build_field(
-        source,
-        f,
-        scene.grid,
-        eps_cluster=scene.tolerances["eps_cluster"],
-        tol_unique=scene.tolerances["tol_unique"],
-    )
-
-
 def _steiner_source_resolution(scene: Scene, body) -> object:
     if "source_resolution" in scene.steiner:
         return scene.steiner["source_resolution"]
@@ -339,9 +345,7 @@ def suite_steiner(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         return res
     f = scene.integrand
     for bid, body in scene.bodies:
-        field_ = cache.complement_field(
-            body, f, _steiner_source_resolution(scene, body)
-        )
+        field_ = cache.complement_field(body, f)
         reach = dist.estimate_reach_F(field_)
         r_ref = scene.steiner.get("reference_radius") or 0.95 * reach
         t = st.default_t_grid(
@@ -389,9 +393,8 @@ def suite_reach(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     euclid = EuclideanNorm(scene.dim)
     h = scene.grid.h
     for bid, body in scene.bodies:
-        source_res = _steiner_source_resolution(scene, body)
-        field_f = cache.complement_field(body, f, source_res)
-        field_e = cache.complement_field(body, euclid, source_res)
+        field_f = cache.complement_field(body, f)
+        field_e = cache.complement_field(body, euclid)
         cmp_ = dist.reach_comparison(field_e, field_f, scene.dual)
         res.flag(f"rolling_ball_bound[{bid}]", cmp_.ok)
         if isinstance(body, WulffBody):

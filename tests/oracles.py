@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import integrate
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import pdist, squareform
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -104,3 +107,13 @@ def eig_product(a, b):
     vals = np.linalg.eigvals(a @ b)
     assert np.abs(vals.imag).max() < 1e-12
     return np.sort(vals.real)
+
+
+def single_linkage_connected(pts, tol):
+    """True when the points form one single-linkage cluster at scale tol."""
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) <= 1:
+        return True
+    adj = squareform(pdist(pts, "sqeuclidean") <= tol**2)
+    n_components, _ = connected_components(csr_matrix(adj), directed=False)
+    return n_components == 1

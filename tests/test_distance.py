@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy.spatial.distance import pdist
 
 from wulffkit import (
     DualNorm,
@@ -19,7 +22,9 @@ from wulffkit import (
     reach_comparison,
     segment_source,
 )
-from wulffkit.distance import merge_sources
+from wulffkit.distance import _connected, _diameter, _resolve_gap, merge_sources
+
+from oracles import single_linkage_connected
 
 E2 = EuclideanNorm(2)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
@@ -242,3 +247,87 @@ def test_field_csv(tmp_path, disk_field):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "i,j,delta,gap"
     assert len(lines) == 256 * 256 + 1
+
+
+def test_long_arc_projects_uniquely():
+    # the foot cluster above the middle of a densely sampled segment is one
+    # connected arc of several hundred samples, far longer than tol_unique
+    src = segment_source([-1.0, 0.0], [1.0, 0.0], 3001)
+    grid = GridSpec([-1.5, -0.5], [1.5, 2.5], 300)
+    field = build_field(src, E2, grid)
+    assert field.grid.h == pytest.approx(0.01)
+    assert field.tol_unique == pytest.approx(0.03)
+    for height in (1.5, 2.0, 2.4):
+        res = project(field, [0.0, height])
+        assert not res.ambiguous
+        assert res.gap == 0.0
+
+
+def _field_matches_resolver(field):
+    """Every cell's stored gap equals the per-point resolver at its centre."""
+    centers = field.grid.centers()
+    gaps = field.gap.ravel()
+    member = field.source.membership(centers)
+    assert np.all(gaps[member] == 0.0)
+    for i in np.nonzero(~member)[0]:
+        expected = _resolve_gap(
+            field.dual,
+            field.source,
+            centers[i],
+            field.eps_cluster,
+            field.window_cells * field.grid.h,
+            field.tol_unique,
+        )
+        assert gaps[i] == expected, (i, centers[i], gaps[i], expected)
+
+
+def test_field_gap_matches_resolver_two_disks():
+    disks = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-1.2, 1.2)]
+    src = boundary_source(disks, 1024, region="complement")
+    grid = GridSpec([-2.4, -1.2], [2.4, 1.2], [96, 48])
+    _field_matches_resolver(build_field(src, E2, grid))
+
+
+def test_field_gap_matches_resolver_wulff():
+    body = WulffBody(DQ, np.zeros(2), 1.0)
+    src = boundary_source([body], 1024, region="complement")
+    grid = GridSpec([-1.1, -0.6], [1.1, 0.6], [88, 48])
+    _field_matches_resolver(build_field(src, Q2, grid))
+
+
+def _arcs(seed, n_arcs, per_arc, step):
+    """Sampled circular arcs at random places, each in sampling order."""
+    rng = np.random.default_rng(seed)
+    arcs = []
+    for _ in range(n_arcs):
+        centre = rng.uniform(-1.0, 1.0, 2)
+        radius = rng.uniform(0.2, 1.0)
+        t0 = rng.uniform(0.0, 2 * np.pi)
+        t = t0 + step / radius * np.arange(per_arc)
+        arcs.append(centre + radius * np.stack([np.cos(t), np.sin(t)], axis=1))
+    return np.concatenate(arcs), rng
+
+
+@given(
+    hst.integers(0, 2**32 - 1),
+    hst.integers(1, 3),
+    hst.integers(1, 25),
+    hst.sampled_from([0.4, 0.9, 1.1, 2.5, 12.0]),
+    hst.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_connected_matches_single_linkage_oracle(seed, n_arcs, per_arc, factor, shuffle):
+    step = 0.05
+    pts, rng = _arcs(seed, n_arcs, per_arc, step)
+    if shuffle:
+        pts = pts[rng.permutation(len(pts))]
+    tol = factor * step
+    assert _connected(pts, tol) == single_linkage_connected(pts, tol)
+
+
+@given(hst.integers(0, 2**32 - 1), hst.integers(1, 400), hst.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_diameter_matches_pdist(seed, k, dim):
+    pts = np.random.default_rng(seed).standard_normal((k, dim))
+    expected = np.sqrt(pdist(pts, "sqeuclidean").max()) if k > 1 else 0.0
+    assert _diameter(pts) == expected

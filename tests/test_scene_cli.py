@@ -55,6 +55,33 @@ BASE = {
 }
 
 
+def test_run_cache_samples_each_complement_source_once(monkeypatch):
+    from wulffkit import EuclideanNorm, distance, suites
+
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module in (distance, suites):
+        monkeypatch.setattr(module, "sample_surface", counting(module.sample_surface))
+    monkeypatch.setattr(distance, "boundary_source", counting(distance.boundary_source))
+    scene = parse_scene(BASE)
+    cache = suites.RunCache(scene)
+    _, body = scene.bodies[0]
+    field_f = cache.complement_field(body, scene.integrand)
+    field_e = cache.complement_field(body, EuclideanNorm(2))
+    assert field_f is not field_e
+    assert field_f.source is field_e.source
+    assert cache.complement_field(body, scene.integrand) is field_f
+    # one sample sizes the source, one is the source
+    assert calls == ["sample_surface", "boundary_source", "sample_surface"]
+
+
 @pytest.mark.parametrize(
     "path,value",
     [
