@@ -44,9 +44,6 @@ from .curvature import (
     CurvatureTable,
     UmbilicityReport,
     curvature_table,
-    f_mean_curvature,
-    f_principal_curvatures,
-    shape_operator,
     umbilicity_classify,
 )
 from .distance import (

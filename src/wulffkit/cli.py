@@ -127,7 +127,7 @@ def main(argv=None) -> int:
     except SceneError as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, WulffkitError) as exc:
+    except WulffkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,14 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegeneratePointError, InputError, NonEllipticError
-from .hypersurface import StarBody, SurfaceNode, SurfaceQuadrature, WulffBody
+from .hypersurface import StarBody, SurfaceQuadrature, WulffBody
 from .integrand import Integrand
 
 __all__ = [
     "tangent_frames",
-    "shape_operator",
-    "f_principal_curvatures",
-    "f_mean_curvature",
     "CurvatureTable",
     "curvature_table",
     "curvature_csv",
@@ -100,43 +97,9 @@ def _shape_operators_bulk(body: StarBody, quad: SurfaceQuadrature, frames):
 
 
 def _f_hessian_tangent(f: Integrand, nu, frames):
-    h = f.hess(np.atleast_2d(nu))
+    h = f.hess(nu)
     a = np.einsum("nik,nij,njl->nkl", frames, h, frames)
     return 0.5 * (a + np.transpose(a, (0, 2, 1)))
-
-
-def shape_operator(body: StarBody, node: SurfaceNode):
-    """Euclidean shape operator (n x n) at one quadrature node."""
-    quad = _single_node_quad(node, body)
-    frames = tangent_frames(quad.normals)
-    return _shape_operators_bulk(body, quad, frames)[0]
-
-
-def _single_node_quad(node: SurfaceNode, body: StarBody) -> SurfaceQuadrature:
-    x = node.x[None, :]
-    return SurfaceQuadrature(
-        points=x,
-        normals=node.nu[None, :],
-        weights=np.array([node.w]),
-        omega=node.omega[None, :],
-        rho=np.linalg.norm(x - body.center, axis=1),
-        sigma=np.array([0.0]),
-        center=body.center,
-    )
-
-
-def f_principal_curvatures(f: Integrand, node: SurfaceNode, b):
-    """Sorted eigenvalues of A.B via the symmetric product C.B.C, A = C.C."""
-    frames = tangent_frames(node.nu[None, :])
-    a = _f_hessian_tangent(f, node.nu[None, :], frames)
-    return _kappa_from_ab(a, np.asarray(b, dtype=float)[None])[0]
-
-
-def f_mean_curvature(f: Integrand, node: SurfaceNode, b) -> float:
-    """Anisotropic mean curvature H = trace(A.B) at one node."""
-    frames = tangent_frames(node.nu[None, :])
-    a = _f_hessian_tangent(f, node.nu[None, :], frames)
-    return float(np.einsum("nij,nji->n", a, np.asarray(b, dtype=float)[None])[0])
 
 
 def _kappa_from_ab(a, b):

@@ -10,7 +10,7 @@ never triggers, while genuinely multi-valued projections (two feet across
 a medial axis, or a whole equidistant loop) do.
 
 The cluster window combines the relative tie tolerance ``eps_cluster``
-with an absolute floor of ``window_cells`` grid spacings; the floor is
+with an absolute floor of ``WINDOW_CELLS`` grid spacings; the floor is
 what guarantees every cell within about one cell of the medial axis is
 flagged, making the reach estimate accurate to a couple of grid cells.
 
@@ -22,7 +22,7 @@ cells, <= 1e4 source points); no fast marching.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,6 +46,10 @@ __all__ = [
     "reach_comparison",
     "ReachComparison",
 ]
+
+# absolute floor of the near-minimizer window, in grid spacings
+WINDOW_CELLS = 1.5
+
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
@@ -125,17 +129,6 @@ class SourceSet:
         if len(self.points) == 0:
             raise InputError("empty source sample")
 
-    @classmethod
-    def from_points(cls, points, inside=None, closed=True):
-        points = np.asarray(points, dtype=float)
-        spacing = _max_step(points, closed)
-        return cls(
-            points=points,
-            spacing=spacing,
-            loops=((0, len(points), closed),),
-            inside=inside,
-        )
-
     def membership(self, x):
         if self.inside is None:
             return np.zeros(len(np.atleast_2d(x)), dtype=bool)
@@ -157,7 +150,8 @@ def boundary_source(
     region selects what A is: "complement" (closure of the outside; delta
     measures inward depth), "set" (the closed union itself), or "curve"
     (the boundary alone).  Boundary points falling strictly inside another
-    body are dropped, so overlapping unions keep only the true boundary.
+    body are dropped, so overlapping unions keep only the true boundary;
+    each maximal run of kept points becomes its own open loop.
     """
     if region not in ("complement", "set", "curve"):
         raise InputError(f"unknown region {region!r}")
@@ -168,12 +162,10 @@ def boundary_source(
         for other in bodies:
             if other is not b:
                 keep &= other.phi(pts) > 0
-        if not keep.any():
-            continue
-        pts, closed = _rotate_kept(pts, keep)
-        pieces.append(pts)
-        loops.append((start, start + len(pts), closed))
-        start += len(pts)
+        for run, closed in _kept_runs(pts, keep):
+            pieces.append(run)
+            loops.append((start, start + len(run), closed))
+            start += len(run)
     if not pieces:
         raise InputError("no boundary points survive the union filter")
     points = np.concatenate(pieces)
@@ -199,14 +191,17 @@ def boundary_source(
     return SourceSet(points=points, spacing=spacing, loops=tuple(loops), inside=inside)
 
 
-def _rotate_kept(pts, keep):
-    """Rotate a cyclic sample so the kept points form one consecutive block."""
+def _kept_runs(pts, keep):
+    """Maximal cyclic runs of kept points of a cyclic sample, as (points, closed).
+
+    The sample is rotated to start at its first dropped point, so no run wraps
+    around the end and a body clipped once keeps one run in sampling order.
+    """
     if keep.all():
-        return pts, True
-    shift = int(np.nonzero(~keep)[0][0])
-    order = np.roll(np.arange(len(pts)), -shift)
-    kept = order[keep[order]]
-    return pts[kept], False
+        return [(pts, True)]
+    order = np.roll(np.arange(len(pts)), -int(np.nonzero(~keep)[0][0]))
+    edges = np.nonzero(np.diff(np.concatenate(([False], keep[order], [False]))))[0]
+    return [(pts[order[a:b]], False) for a, b in edges.reshape(-1, 2)]
 
 
 def segment_source(p0, p1, n: int, inside=None) -> SourceSet:
@@ -259,7 +254,6 @@ class DistanceField:
     gap: np.ndarray
     eps_cluster: float
     tol_unique: float
-    window_cells: float
 
     @property
     def f(self) -> Integrand:
@@ -350,7 +344,6 @@ def build_field(
     grid: GridSpec,
     eps_cluster: float = 1e-3,
     tol_unique: Optional[float] = None,
-    window_cells: float = 1.5,
 ) -> DistanceField:
     """Compute delta, nearest-source index, and ambiguity gap on the grid."""
     dual = DualNorm(f)
@@ -386,13 +379,13 @@ def build_field(
         xc = block.mean(axis=0)
         d_center = dual.batch_value_fast(pts - xc)
         mc = float(d_center.min())
-        win_hi = eps_cluster * (mc + lip * radius) + window_cells * h
+        win_hi = eps_cluster * (mc + lip * radius) + WINDOW_CELLS * h
         cand = np.nonzero(d_center <= mc + win_hi + 2.0 * lip * radius + 1e-12)[0]
         d = _pairwise_values(dual, pts[cand], block)
         m = d.min(axis=1)
         delta[cells_idx] = m
         argmin[cells_idx] = cand[d.argmin(axis=1)]
-        win = eps_cluster * m + window_cells * h
+        win = eps_cluster * m + WINDOW_CELLS * h
         mask = d <= (m + win)[:, None]
         # a single foot shows up as one contiguous run of samples per loop;
         # several runs (or most of a loop) mean competing feet.  Candidates
@@ -413,9 +406,8 @@ def build_field(
     gap = np.zeros(n_cells)
     bad = np.nonzero(suspect)[0]
     for i in bad:
-        gap[i] = _resolve_gap(
-            dual, source, centers[i], eps_cluster, window_cells * h, tol_unique
-        )
+        d = dual.batch_value_fast(pts - centers[i])
+        gap[i] = _resolve_gap(d, source, eps_cluster, WINDOW_CELLS * h, tol_unique)
 
     if source.inside is not None:
         member = source.membership(centers)
@@ -432,7 +424,6 @@ def build_field(
         gap=gap.reshape(shape),
         eps_cluster=eps_cluster,
         tol_unique=float(tol_unique),
-        window_cells=window_cells,
     )
 
 
@@ -444,9 +435,9 @@ def _assert_even(dual: DualNorm):
         raise InputError("conjugate norm is not even; the integrand must satisfy F(-x) = F(x)")
 
 
-def _resolve_gap(dual, source, x, eps_cluster, window_abs, tol_unique):
-    """Exact cluster analysis at one point; 0 means a single connected foot."""
-    d = dual.batch_value_fast(source.points - x)
+def _resolve_gap(d, source, eps_cluster, window_abs, tol_unique):
+    """Exact cluster analysis at one point from its distances ``d`` to every
+    source point; 0 means a single connected foot."""
     m = float(d.min())
     cluster = np.nonzero(d <= m + eps_cluster * m + window_abs)[0]
     pts = source.points[cluster]
@@ -522,11 +513,10 @@ def project(field: DistanceField, x, grad_check: bool = True) -> ProjectionResul
     m = float(d.min())
     best = int(d.argmin())
     gap = _resolve_gap(
-        field.dual,
+        d,
         field.source,
-        x,
         field.eps_cluster,
-        field.window_cells * field.grid.h,
+        WINDOW_CELLS * field.grid.h,
         field.tol_unique,
     )
     gap = max(gap, field.gap_at(x))
@@ -594,16 +584,13 @@ class ReachComparison:
 
 
 def reach_comparison(
-    field_euclid: DistanceField,
-    field_aniso: DistanceField,
-    dual: DualNorm,
-    resolution=None,
+    field_euclid: DistanceField, field_aniso: DistanceField
 ) -> ReachComparison:
     """Check reach(A) >= rho * reach^F(A) - 4h.
 
-    rho is the interior rolling-ball radius of the unit Wulff shape: the
-    reciprocal of the largest Euclidean principal curvature over its
-    boundary nodes.
+    rho is the interior rolling-ball radius of the unit Wulff shape of the
+    anisotropic field's norm: the reciprocal of the largest Euclidean
+    principal curvature over its boundary nodes.
     """
     ga, gb = field_euclid.grid, field_aniso.grid
     if ga.cells != gb.cells or not (
@@ -614,8 +601,8 @@ def reach_comparison(
     from .hypersurface import WulffBody
     from .integrand import EuclideanNorm
 
-    if resolution is None:
-        resolution = 2048 if dual.dim == 2 else (64, 128)
+    dual = field_aniso.dual
+    resolution = 2048 if dual.dim == 2 else (64, 128)
     body = WulffBody(dual=dual, center=np.zeros(dual.dim), radius=1.0)
     quad = sample_surface(body, resolution)
     euclid = EuclideanNorm(dual.dim)

@@ -100,21 +100,27 @@ class DualNorm:
             return self.batch_value(W)
         angles, vals = self._direction_table()
         theta = np.mod(np.arctan2(W[:, 1], W[:, 0]), 2 * np.pi)
-        per_dir = np.interp(theta, angles, vals, period=2 * np.pi)
+        per_dir = np.interp(theta, angles, vals)
         return np.linalg.norm(W, axis=1) * per_dir
 
-    def grad_bound(self, samples: int = 512) -> float:
-        """max |grad F*| over sampled directions (a Lipschitz bound for F*)."""
-        u = _unit_directions(self.dim, samples)
+    def grad_bound(self) -> float:
+        """max |grad F*| over 512 sampled directions (a Lipschitz bound for F*)."""
+        u = _unit_directions(self.dim, 512)
         return float(np.linalg.norm(self.batch_grad(u), axis=1).max())
 
     # -- iterative path -----------------------------------------------------
 
     def _direction_table(self):
+        """(angles, F*) at _TABLE_SIZE directions, padded by one node on each
+        side across 0 = 2 pi, as np.interp(..., period=2 pi) pads them."""
         if self._table is None:
             angles = np.linspace(0.0, 2 * np.pi, _TABLE_SIZE, endpoint=False)
             dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            self._table = (angles, self.batch_value(dirs))
+            vals = self.batch_value(dirs)
+            self._table = (
+                np.concatenate((angles[-1:] - 2 * np.pi, angles, angles[:1] + 2 * np.pi)),
+                np.concatenate((vals[-1:], vals, vals[:1])),
+            )
         return self._table
 
     def _polar_minimize(self, W):

@@ -11,7 +11,7 @@ rho^(d-1) sigma / (omega . nu).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "WulffBody",
     "Superellipse",
     "SurfaceQuadrature",
-    "SurfaceNode",
     "sample_surface",
     "volume",
     "perimeter_F",
@@ -246,14 +245,6 @@ def _bisect_newton_radii(body: StarBody, omega, tol=1e-13):
     return t
 
 
-class SurfaceNode(NamedTuple):
-    x: np.ndarray
-    nu: np.ndarray
-    w: float
-    omega: np.ndarray
-    index: int
-
-
 @dataclass(frozen=True, eq=False)
 class SurfaceQuadrature:
     """Oriented boundary sample: points, unit outward normals, area weights.
@@ -277,11 +268,6 @@ class SurfaceQuadrature:
     @property
     def dim(self):
         return self.points.shape[1]
-
-    def node(self, i: int) -> SurfaceNode:
-        return SurfaceNode(
-            self.points[i], self.normals[i], float(self.weights[i]), self.omega[i], i
-        )
 
     def area(self) -> float:
         return float(self.weights.sum())

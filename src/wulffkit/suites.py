@@ -23,12 +23,7 @@ from .hk import equality_classifier, hk_evaluate, montiel_ros_integral
 from .hypersurface import WulffBody, perimeter_F, sample_surface, volume
 from .integrand import EuclideanNorm
 from .scene import SUITE_ORDER, Scene
-from .variation import (
-    PolynomialField,
-    criticality_residual,
-    first_variation,
-    flow_energy_derivative,
-)
+from .variation import PolynomialField, criticality_residual, first_variation
 
 __all__ = ["SUITE_ORDER", "run_suite", "SuiteResult", "RunCache"]
 
@@ -395,7 +390,7 @@ def suite_reach(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     for bid, body in scene.bodies:
         field_f = cache.complement_field(body, f)
         field_e = cache.complement_field(body, euclid)
-        cmp_ = dist.reach_comparison(field_e, field_f, scene.dual)
+        cmp_ = dist.reach_comparison(field_e, field_f)
         res.flag(f"rolling_ball_bound[{bid}]", cmp_.ok)
         if isinstance(body, WulffBody):
             res.check(
@@ -436,16 +431,15 @@ def suite_var(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         worst_pairing = 0.0
         for k in range(10):
             g = PolynomialField.random(rng, scene.dim, scale=0.4)
-            fv = first_variation(quad, f, g)
-            flow = flow_energy_derivative(quad, f, g, h)
+            crit = criticality_residual(quad, f, g, h)
+            fv = crit.first_variation
             worst_consistency = max(
-                worst_consistency, abs(fv - flow) / (1.0 + abs(fv))
+                worst_consistency, abs(fv - crit.flow_derivative) / (1.0 + abs(fv))
             )
             paired = float(
                 (table.mean * np.einsum("ni,ni->n", g(quad.points), quad.normals) * quad.weights).sum()
             )
             worst_pairing = max(worst_pairing, abs(fv - paired) / max(p, abs(fv)))
-            crit = criticality_residual(quad, f, g)
             rows.append((f"{bid}:{k}", crit.residual))
             if isinstance(body, WulffBody):
                 res.check(f"wulff_criticality[{bid}:{k}]", abs(crit.residual), 1e-3 * p)

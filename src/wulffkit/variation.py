@@ -156,6 +156,14 @@ def _pushed_energy_volume(q, f, g, t):
     return energy, vol
 
 
+def _pushed_energies(quad, f, g, h):
+    """(energy, volume) of the quadrature pushed by +h and by -h."""
+    diameter = 2.0 * float(quad.rho.max())
+    if h > 1e-3 * diameter:
+        raise InputError(f"step {h} too large for body diameter {diameter}")
+    return _pushed_energy_volume(quad, f, g, +h), _pushed_energy_volume(quad, f, g, -h)
+
+
 def flow_energy_derivative(
     quad: SurfaceQuadrature, f: Integrand, g: PolynomialField, h: float
 ) -> float:
@@ -166,17 +174,17 @@ def flow_energy_derivative(
     below 1e-3 of the body diameter so the difference is in the O(h^2)
     regime.
     """
-    diameter = 2.0 * float(quad.rho.max())
-    if h > 1e-3 * diameter:
-        raise InputError(f"step {h} too large for body diameter {diameter}")
-    e_plus, _ = _pushed_energy_volume(quad, f, g, +h)
-    e_minus, _ = _pushed_energy_volume(quad, f, g, -h)
+    (e_plus, _), (e_minus, _) = _pushed_energies(quad, f, g, h)
     return (e_plus - e_minus) / (2 * h)
 
 
 @dataclass(frozen=True, eq=False)
 class CriticalityResult:
-    """Volume-constrained criticality residuals for one body and field."""
+    """Volume-constrained criticality residuals for one body and field.
+
+    ``flow_derivative`` is the central difference of the pushed energy, the
+    value of ``flow_energy_derivative`` at the same step.
+    """
 
     residual: float
     rescaled_residual: float
@@ -184,6 +192,7 @@ class CriticalityResult:
     volume: float
     first_variation: float
     volume_derivative: float
+    flow_derivative: float
 
 
 def criticality_residual(
@@ -197,7 +206,8 @@ def criticality_residual(
     The second residual flows by x + t g(x), rescales by
     (V0/V(t))^(1/(n+1)) to restore the volume, and differentiates the
     energy of the rescaled flow by central differences; both residuals
-    vanish for Wulff shapes.
+    vanish for Wulff shapes.  The same two pushes give the flow derivative.
+    h defaults to 1e-4 of the body diameter.
     """
     n = quad.dim - 1
     p = perimeter_F(quad, f)
@@ -208,17 +218,16 @@ def criticality_residual(
 
     if h is None:
         h = 1e-4 * 2.0 * float(quad.rho.max())
-    vals = []
-    for t in (+h, -h):
-        energy, vol_t = _pushed_energy_volume(quad, f, g, t)
-        scale = (v / vol_t) ** (1.0 / (n + 1))
-        vals.append(scale**n * energy)
-    rescaled = (vals[0] - vals[1]) / (2 * h)
+    pushed = _pushed_energies(quad, f, g, h)
+    rescaled = [
+        ((v / vol_t) ** (1.0 / (n + 1))) ** n * energy for energy, vol_t in pushed
+    ]
     return CriticalityResult(
         residual=residual,
-        rescaled_residual=rescaled,
+        rescaled_residual=(rescaled[0] - rescaled[1]) / (2 * h),
         perimeter=p,
         volume=v,
         first_variation=fv,
         volume_derivative=dv,
+        flow_derivative=(pushed[0][0] - pushed[1][0]) / (2 * h),
     )

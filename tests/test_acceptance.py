@@ -182,17 +182,17 @@ def test_criterion_6_reach():
 
     comparisons = []
     field_e = build_field(src, E2, grid)
-    comparisons.append(("wulff", reach_comparison(field_e, field_f, DQ)))
+    comparisons.append(("wulff", reach_comparison(field_e, field_f)))
     disk = Ellipsoid(np.eye(2), np.zeros(2))
     src_d = boundary_source([disk], 2048, region="complement")
     grid_d = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=256)
     fd = build_field(src_d, E2, grid_d)
-    comparisons.append(("disk", reach_comparison(fd, fd, DualNorm(E2))))
+    comparisons.append(("disk", reach_comparison(fd, fd)))
     ellipse = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
     src_e = boundary_source([ellipse], 2048, region="complement")
     fe_f = build_field(src_e, Q2, grid)
     fe_e = build_field(src_e, E2, grid)
-    comparisons.append(("ellipse", reach_comparison(fe_e, fe_f, DQ)))
+    comparisons.append(("ellipse", reach_comparison(fe_e, fe_f)))
     assert all(cmp_.ok for _, cmp_ in comparisons)
     _report(
         "6 reach",

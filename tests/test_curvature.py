@@ -10,10 +10,7 @@ from wulffkit import (
     WeightedSum,
     WulffBody,
     curvature_table,
-    f_mean_curvature,
-    f_principal_curvatures,
     sample_surface,
-    shape_operator,
     umbilicity_classify,
 )
 
@@ -28,31 +25,30 @@ ELLIPSE = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
 
 
 def node_nearest(quad, target):
-    return quad.node(int(np.argmin(np.linalg.norm(quad.points - target, axis=1))))
+    return int(np.argmin(np.linalg.norm(quad.points - target, axis=1)))
 
 
 def test_shape_operator_circle():
     circle = Ellipsoid(np.eye(2) / 4.0, np.zeros(2))  # radius 2
     q = sample_surface(circle, 256)
-    b = shape_operator(circle, q.node(7))
+    b = curvature_table(circle, E2, q).shape_ops[7]
     assert b == pytest.approx(np.array([[0.5]]), abs=1e-12)
 
 
 def test_shape_operator_ellipse_vertices():
     q = sample_surface(ELLIPSE, 8192)
-    node = node_nearest(q, [2.0, 0.0])
-    b = shape_operator(ELLIPSE, node)
-    t = np.arctan2(node.x[1], node.x[0] / 2.0)
-    assert b[0, 0] == pytest.approx(ellipse_curvature(2.0, 1.0, t), rel=1e-6)
-    node = node_nearest(q, [0.0, 1.0])
-    b = shape_operator(ELLIPSE, node)
-    assert b[0, 0] == pytest.approx(0.25, rel=1e-6)
+    table = curvature_table(ELLIPSE, E2, q)
+    i = node_nearest(q, [2.0, 0.0])
+    t = np.arctan2(q.points[i, 1], q.points[i, 0] / 2.0)
+    assert table.shape_ops[i, 0, 0] == pytest.approx(ellipse_curvature(2.0, 1.0, t), rel=1e-6)
+    i = node_nearest(q, [0.0, 1.0])
+    assert table.shape_ops[i, 0, 0] == pytest.approx(0.25, rel=1e-6)
 
 
 def test_shape_operator_sphere():
     ball = Ellipsoid(np.eye(3) / 4.0, np.zeros(3))  # radius 2
     q = sample_surface(ball, (32, 64))
-    b = shape_operator(ball, q.node(11))
+    b = curvature_table(ball, E3, q).shape_ops[11]
     assert b == pytest.approx(0.5 * np.eye(2), abs=1e-12)
 
 
@@ -94,11 +90,9 @@ def test_wulff_constant_curvature_d3():
 def test_principal_curvature_node_api():
     body = WulffBody(DQ, np.zeros(2), 2.0)
     q = sample_surface(body, 256)
-    node = q.node(3)
-    b = shape_operator(body, node)
-    kappa = f_principal_curvatures(Q2, node, b)
-    assert kappa == pytest.approx([0.5], abs=1e-10)
-    assert f_mean_curvature(Q2, node, b) == pytest.approx(0.5, abs=1e-10)
+    table = curvature_table(body, Q2, q)
+    assert table.kappa[3] == pytest.approx([0.5], abs=1e-10)
+    assert table.mean[3] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_euclidean_curvatures_of_ellipse():
@@ -107,9 +101,8 @@ def test_euclidean_curvatures_of_ellipse():
     assert table.kappa.min() == pytest.approx(0.25, rel=1e-4)
     assert table.kappa.max() == pytest.approx(2.0, rel=1e-4)
     # H equals the Euclidean curvature when A is the tangent identity
-    node = node_nearest(q, [2.0, 0.0])
-    b = shape_operator(ELLIPSE, node)
-    assert f_mean_curvature(E2, node, b) == pytest.approx(b[0, 0], rel=1e-12)
+    i = node_nearest(q, [2.0, 0.0])
+    assert table.mean[i] == pytest.approx(table.shape_ops[i, 0, 0], rel=1e-12)
 
 
 def test_trace_equals_eigenvalue_sum():
@@ -183,14 +176,3 @@ def test_curvature_vectors():
     hf = table.unit_density_mean_vector(q.normals, Q2)
     assert np.allclose(hf * Q2.value(q.normals)[:, None], hbar, atol=1e-14)
 
-
-def test_bulk_matches_per_node():
-    q = sample_surface(ELLIPSE, 256)
-    table = curvature_table(ELLIPSE, Q2, q)
-    for i in (0, 17, 100):
-        node = q.node(i)
-        b = shape_operator(ELLIPSE, node)
-        assert b == pytest.approx(table.shape_ops[i], abs=1e-12)
-        assert f_principal_curvatures(Q2, node, b) == pytest.approx(
-            table.kappa[i], abs=1e-12
-        )

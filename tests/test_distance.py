@@ -22,7 +22,13 @@ from wulffkit import (
     reach_comparison,
     segment_source,
 )
-from wulffkit.distance import _connected, _diameter, _resolve_gap, merge_sources
+from wulffkit.distance import (
+    WINDOW_CELLS,
+    _connected,
+    _diameter,
+    _resolve_gap,
+    merge_sources,
+)
 
 from oracles import single_linkage_connected
 
@@ -196,7 +202,7 @@ def test_reach_two_segments():
 
 
 def test_reach_comparison_euclidean_is_identity(disk_field):
-    cmp_ = reach_comparison(disk_field, disk_field, DualNorm(E2))
+    cmp_ = reach_comparison(disk_field, disk_field)
     assert cmp_.rho == pytest.approx(1.0, abs=1e-10)
     assert cmp_.ok
     assert cmp_.reach_euclidean == cmp_.reach_anisotropic
@@ -206,7 +212,7 @@ def test_reach_comparison_wulff(wulff_field):
     field_f, body = wulff_field
     src = boundary_source([body], 2048, region="complement")
     field_e = build_field(src, E2, field_f.grid)
-    cmp_ = reach_comparison(field_e, field_f, DQ)
+    cmp_ = reach_comparison(field_e, field_f)
     # rolling-ball radius of the diag(4,1) Wulff ellipse is b^2/a = 1/2
     assert cmp_.rho == pytest.approx(0.5, rel=1e-4)
     assert cmp_.ok
@@ -263,6 +269,35 @@ def test_long_arc_projects_uniquely():
         assert res.gap == 0.0
 
 
+def test_project_scans_the_source_once(disk_field, monkeypatch):
+    calls = []
+    fast = DualNorm.batch_value_fast
+
+    def counted(self, W):
+        calls.append(len(W))
+        return fast(self, W)
+
+    monkeypatch.setattr(DualNorm, "batch_value_fast", counted)
+    project(disk_field, [0.5, 0.0], grad_check=False)
+    assert calls == [len(disk_field.source.points)]
+
+
+def test_body_clipped_twice_splits_into_runs():
+    # the middle disk overlaps both neighbours, so two arcs of it survive;
+    # each must be its own loop, or the jump between them reads as spacing
+    disks = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-1.5, 0.0, 1.5)]
+    src = boundary_source(disks, 1024, region="set")
+    assert len(src.loops) == 4
+    assert src.spacing == pytest.approx(2 * np.pi / 1024, rel=1e-3)
+    grid = GridSpec([-3.0, -1.6], [3.0, 1.6], [300, 160])
+    field = build_field(src, E2, grid)
+    above = project(field, [0.0, 1.5])
+    assert not above.ambiguous
+    assert abs(above.delta - 0.5) <= 2 * grid.h
+    # equidistant from the middle and the right disk: two feet
+    assert project(field, [0.75, 1.2]).ambiguous
+
+
 def _field_matches_resolver(field):
     """Every cell's stored gap equals the per-point resolver at its centre."""
     centers = field.grid.centers()
@@ -271,11 +306,10 @@ def _field_matches_resolver(field):
     assert np.all(gaps[member] == 0.0)
     for i in np.nonzero(~member)[0]:
         expected = _resolve_gap(
-            field.dual,
+            field.dual.batch_value_fast(field.source.points - centers[i]),
             field.source,
-            centers[i],
             field.eps_cluster,
-            field.window_cells * field.grid.h,
+            WINDOW_CELLS * field.grid.h,
             field.tol_unique,
         )
         assert gaps[i] == expected, (i, centers[i], gaps[i], expected)

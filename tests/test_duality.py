@@ -140,6 +140,26 @@ def test_golden_fallback_matches_newton_in_2d():
     assert stunted.value(w) == pytest.approx(DW.value(w), rel=1e-8)
 
 
+def test_padded_direction_table_matches_periodic_interp():
+    # the stored table is pre-padded across 0 = 2 pi; interpolating it must
+    # give exactly what np.interp(..., period=2 pi) gives on the bare table
+    angles = np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)
+    nodes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    vals = DualNorm(W2).batch_value(nodes)
+    edges = np.array(
+        [[1.0, -1e-300], [1.0, 0.0], [1.0, -0.0], [-1.0, 0.0], [-1.0, -0.0],
+         [0.0, 1.0], [0.0, -1.0]]
+    )
+    rows = np.concatenate(
+        [np.random.default_rng(3).standard_normal((2000, 2)), edges, nodes]
+    )
+    theta = np.mod(np.arctan2(rows[:, 1], rows[:, 0]), 2 * np.pi)
+    periodic = np.linalg.norm(rows, axis=1) * np.interp(
+        theta, angles, vals, period=2 * np.pi
+    )
+    assert np.array_equal(DualNorm(W2).batch_value_fast(rows), periodic)
+
+
 def test_wulff_sample_euclidean():
     ws = wulff_sample(DE, [0.0, 0.0], 1.0, 64)
     assert np.abs(np.linalg.norm(ws.points, axis=1) - 1.0).max() < 1e-14

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from wulffkit import (
     curvature_table,
     first_variation,
     flow_energy_derivative,
+    load_scene,
     perimeter_F,
     sample_surface,
     stress_tensor,
@@ -23,6 +27,8 @@ from wulffkit import (
 )
 
 from oracles import ellipse_arc_length, fd_jacobian
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -160,6 +166,36 @@ def test_rescaled_residual_matches_scaled_identity():
     g = PolynomialField.random(rng, 2, 0.5)
     res = criticality_residual(sample_surface(ELLIPSE, 4096), E2, g)
     assert res.rescaled_residual == pytest.approx(res.residual / 2.0, rel=1e-3, abs=1e-7)
+
+
+def test_criticality_reuses_the_flow_pushes():
+    rng = np.random.default_rng(12)
+    for body, f, res in ((ELLIPSE, Q2, 2048), (WULFF, Q2, 1024)):
+        q = sample_surface(body, res)
+        h = 1e-4 * 2 * q.rho.max()
+        for _ in range(3):
+            g = PolynomialField.random(rng, 2, 0.4)
+            crit = criticality_residual(q, f, g, h)
+            assert crit.flow_derivative == flow_energy_derivative(q, f, g, h)
+            assert crit.first_variation == first_variation(q, f, g)
+
+
+def test_var_suite_pushes_each_field_once(tmp_path, monkeypatch):
+    from wulffkit import suites, variation
+
+    calls = []
+    pushed = variation._pushed_energy_volume
+
+    def counted(q, f, g, t):
+        calls.append(t)
+        return pushed(q, f, g, t)
+
+    monkeypatch.setattr(variation, "_pushed_energy_volume", counted)
+    scene = replace(load_scene(SCENES / "ellipse_d2.json"), resolution=512)
+    result = suites.run_suite("var", suites.RunCache(scene), tmp_path)
+    assert not result.skipped
+    # ten random fields per body, each pushed by +h and by -h once
+    assert len(calls) == 2 * 10 * len(scene.bodies)
 
 
 def test_flow_step_guard():
