@@ -1,0 +1,87 @@
+"""Compare two ``wulffkit all`` output trees and print what differs.
+
+    python3 scripts/diff_reports.py OLD NEW
+
+Every file under either tree is matched by its relative path.  In JSON
+files each differing number prints as ``path old new |new - old|``, and any
+other differing value as ``path old new``; every other file is compared by
+its bytes, and a differing one prints as ``file differs``.  Exits 1 if
+anything differs, 0 otherwise.  Needs only the standard library.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def diff_values(old, new, path: str):
+    """Lines for each leaf that differs between two parsed JSON values."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        lines = []
+        for key in sorted(old.keys() | new.keys()):
+            sub = f"{path}.{key}"
+            if key not in new:
+                lines.append(f"{sub} {json.dumps(old[key])} (missing)")
+            elif key not in old:
+                lines.append(f"{sub} (missing) {json.dumps(new[key])}")
+            else:
+                lines += diff_values(old[key], new[key], sub)
+        return lines
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        lines = []
+        for i, (a, b) in enumerate(zip(old, new)):
+            lines += diff_values(a, b, f"{path}[{i}]")
+        return lines
+    if _is_number(old) and _is_number(new):
+        if old == new:
+            return []
+        return [f"{path} {old!r} {new!r} {abs(new - old):.3g}"]
+    if old == new and type(old) is type(new):
+        return []
+    return [f"{path} {json.dumps(old)} {json.dumps(new)}"]
+
+
+def diff_trees(old: Path, new: Path):
+    """Lines for each file of the two trees that differs."""
+    lines = []
+    files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+    files |= {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+    for rel in sorted(files):
+        a, b = old / rel, new / rel
+        if not a.is_file() or not b.is_file():
+            lines.append(f"{rel} only in {'NEW' if b.is_file() else 'OLD'}")
+        elif a.read_bytes() == b.read_bytes():
+            continue
+        elif rel.suffix == ".json":
+            values = diff_values(json.loads(a.read_text()), json.loads(b.read_text()), str(rel))
+            # equal values in other formatting still differ
+            lines += values or [f"{rel} differs"]
+        else:
+            lines.append(f"{rel} differs")
+    return lines
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    old, new = Path(args[0]), Path(args[1])
+    for root in (old, new):
+        if not root.is_dir():
+            print(f"not a directory: {root}", file=sys.stderr)
+            return 2
+    lines = diff_trees(old, new)
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,12 +15,14 @@ what guarantees every cell within about one cell of the medial axis is
 flagged, making the reach estimate accurate to a couple of grid cells.
 
 Nearest-source search is brute force over spatial cell blocks, pruning the
-sources per block with an exact Lipschitz bound (desk scale: <= 1024^2
-cells, <= 1e4 source points); no fast marching.
+sources per coarse block and again per fine tile inside it with an exact
+Lipschitz bound (desk scale: <= 1024^2 cells, <= 1e4 source points); no
+fast marching.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -30,7 +32,7 @@ import numpy as np
 from .duality import DualNorm
 from .errors import InputError
 from .hypersurface import StarBody, sample_surface
-from .integrand import Integrand
+from .integrand import Integrand, QuadraticNorm
 
 __all__ = [
     "GridSpec",
@@ -49,6 +51,10 @@ __all__ = [
 
 # absolute floor of the near-minimizer window, in grid spacings
 WINDOW_CELLS = 1.5
+# cells per coarse pruning block (40 x 40 in d=2) and per fine tile inside it
+# (10 x 10)
+BLOCK_CELLS = 1600
+TILE_CELLS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,9 +275,10 @@ class DistanceField:
     def evaluate_delta(self, x):
         """Fresh brute-force delta at arbitrary points (not grid lookup)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.empty(len(x))
-        for i, xi in enumerate(x):
-            out[i] = float(self.dual.batch_value_fast(self.source.points - xi).min())
+        pts = self.source.points
+        diff = pts[None, :, :] - x[:, None, :]
+        d = self.dual.batch_value_fast(diff.reshape(-1, pts.shape[1]))
+        out = d.reshape(len(x), len(pts)).min(axis=1)
         if self.source.inside is not None:
             out[self.source.membership(x)] = 0.0
         return out
@@ -287,25 +294,26 @@ class DistanceField:
 
 
 def _pairwise_values(dual: DualNorm, sources, centers):
-    """F*(a_j - x_i) for a chunk of cells; (len(centers), len(sources))."""
-    base = dual.base
-    from .integrand import EuclideanNorm, QuadraticNorm
+    """values(cells, cand): F*(a_j - x_i) over cell indices i and source indices
+    j, as a (len(cells), len(cand)) array.
 
-    if isinstance(base, (EuclideanNorm, QuadraticNorm)):
+    Closed forms map the points once, so F*(a - x) = |L^T (a - x)| with
+    L L^T = M^-1 (L = I for Euclidean) becomes a Euclidean distance summed
+    axis by axis: each entry's bits do not depend on how the grid is tiled.
+    """
+    base = dual.base
+    if dual.has_closed_form:
         if isinstance(base, QuadraticNorm):
             l = np.linalg.cholesky(base.inverse)
-            s, c = sources @ l, centers @ l
-        else:
-            s, c = sources, centers
-        d2 = (
-            np.einsum("ni,ni->n", c, c)[:, None]
-            + np.einsum("mi,mi->m", s, s)[None, :]
-            - 2.0 * (c @ s.T)
-        )
-        return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
-    diff = sources[None, :, :] - centers[:, None, :]
-    flat = diff.reshape(-1, diff.shape[-1])
-    return dual.batch_value_fast(flat).reshape(len(centers), len(sources))
+            sources, centers = sources @ l, centers @ l
+        return lambda cells, cand: np.sqrt(_sqdist(centers[cells], sources[cand]))
+
+    def values(cells, cand):
+        diff = sources[None, cand, :] - centers[cells, None, :]
+        flat = diff.reshape(-1, diff.shape[-1])
+        return dual.batch_value_fast(flat).reshape(len(cells), len(cand))
+
+    return values
 
 
 def _loop_ends(source: SourceSet):
@@ -320,22 +328,24 @@ def _loop_ends(source: SourceSet):
     return heads, wraps
 
 
-def _blocks(grid: GridSpec, target: int = 640):
-    """Spatial cell blocks (flat indices, circumradius) covering the grid."""
-    shape = grid.shape
-    dim = len(shape)
-    bs = max(2, int(round(target ** (1.0 / dim))))
-    flat = np.arange(int(np.prod(shape))).reshape(shape)
-    spacing = grid.spacing
-    ranges = [range(0, s, bs) for s in shape]
-    import itertools
+def _blocks(flat, spacing, target: int):
+    """Boxes of about ``target`` cells tiling the array of flat cell indices
+    ``flat``, as (box of flat indices, circumradius)."""
+    side = max(2, int(round(target ** (1.0 / flat.ndim))))
+    for corner in itertools.product(*(range(0, s, side) for s in flat.shape)):
+        box = flat[tuple(slice(c, c + side) for c in corner)]
+        yield box, 0.5 * float(np.linalg.norm(np.asarray(box.shape) * spacing))
 
-    for corner in itertools.product(*ranges):
-        sl = tuple(slice(c, min(c + bs, s)) for c, s in zip(corner, shape))
-        cells = flat[sl].ravel()
-        ext = np.array([min(c + bs, s) - c for c, s in zip(corner, shape)])
-        radius = 0.5 * float(np.linalg.norm(ext * spacing))
-        yield cells, radius
+
+def _candidates(dual, pts, cand, xc, radius, lip, eps_cluster, window_abs):
+    """The sources among ``cand`` that can be near-minimizers of a cell within
+    ``radius`` of ``xc``: F* is ``lip``-Lipschitz, so a near-minimizer a of
+    such a cell has F*(a - xc) <= m + eps (m + lip r) + window + 2 lip r,
+    with m the least F*(a - xc) over ``cand``."""
+    d = dual.batch_value_fast(pts[cand] - xc)
+    m = float(d.min())
+    bound = m + eps_cluster * (m + lip * radius) + window_abs + 2.0 * lip * radius
+    return cand[d <= bound + 1e-12]
 
 
 def build_field(
@@ -366,48 +376,52 @@ def build_field(
     heads, wraps = _loop_ends(source)
     loop_ranges = np.array([(a, b) for (a, b, _c) in source.loops])
     lip = dual.grad_bound()
+    window_abs = WINDOW_CELLS * h
+    values = _pairwise_values(dual, pts, centers)
 
     delta = np.empty(n_cells)
     argmin = np.empty(n_cells, dtype=np.int64)
     suspect = np.zeros(n_cells, dtype=bool)
 
-    # cell-bucketed candidate pruning: per spatial block, only sources whose
-    # distance to the block center clears an exact Lipschitz bound can enter
-    # any cell's near-minimizer cluster
-    for cells_idx, radius in _blocks(grid):
-        block = centers[cells_idx]
-        xc = block.mean(axis=0)
-        d_center = dual.batch_value_fast(pts - xc)
-        mc = float(d_center.min())
-        win_hi = eps_cluster * (mc + lip * radius) + WINDOW_CELLS * h
-        cand = np.nonzero(d_center <= mc + win_hi + 2.0 * lip * radius + 1e-12)[0]
-        d = _pairwise_values(dual, pts[cand], block)
-        m = d.min(axis=1)
-        delta[cells_idx] = m
-        argmin[cells_idx] = cand[d.argmin(axis=1)]
-        win = eps_cluster * m + WINDOW_CELLS * h
-        mask = d <= (m + win)[:, None]
-        # a single foot shows up as one contiguous run of samples per loop;
-        # several runs (or most of a loop) mean competing feet.  Candidates
-        # are sorted, so a sample's loop predecessor, when it is a candidate,
-        # sits in the column just left of it (or closes the loop).
-        linked = mask[:, 1:] & mask[:, :-1]
-        linked &= (np.diff(cand) == 1) & ~heads[cand[1:]]
-        n_runs = mask.sum(axis=1) - linked.sum(axis=1)
-        for (head, tail) in wraps:
-            ph, pt = np.searchsorted(cand, (head, tail))
-            if pt < len(cand) and cand[ph] == head and cand[pt] == tail:
-                n_runs -= mask[:, ph] & mask[:, pt]
-        cover = np.zeros(len(block), dtype=bool)
-        for (a, b), (c0, c1) in zip(loop_ranges, np.searchsorted(cand, loop_ranges)):
-            cover |= 2 * mask[:, c0:c1].sum(axis=1) >= b - a
-        suspect[cells_idx] = (n_runs >= 2) | cover
+    # two-level candidate pruning: each coarse block keeps the sources that
+    # can be near-minimizers of any of its cells, and each fine tile inside
+    # it prunes those again at its own radius; both bounds are exact, so a
+    # tile's sorted candidates hold every near-minimizer of its cells
+    flat = np.arange(n_cells).reshape(grid.shape)
+    every = np.arange(len(pts))
+    for block, radius in _blocks(flat, grid.spacing, BLOCK_CELLS):
+        xc = centers[block.ravel()].mean(axis=0)
+        coarse = _candidates(dual, pts, every, xc, radius, lip, eps_cluster, window_abs)
+        for tile, r_tile in _blocks(block, grid.spacing, TILE_CELLS):
+            cells_idx = tile.ravel()
+            xt = centers[cells_idx].mean(axis=0)
+            cand = _candidates(dual, pts, coarse, xt, r_tile, lip, eps_cluster, window_abs)
+            d = values(cells_idx, cand)
+            m = d.min(axis=1)
+            delta[cells_idx] = m
+            argmin[cells_idx] = cand[d.argmin(axis=1)]
+            mask = d <= (m + (eps_cluster * m + window_abs))[:, None]
+            # a single foot shows up as one contiguous run of samples per
+            # loop; several runs (or most of a loop) mean competing feet.
+            # Candidates are sorted, so a sample's loop predecessor, when it
+            # is a candidate, sits in the column just left of it (or closes
+            # the loop).
+            linked = mask[:, 1:] & mask[:, :-1]
+            linked &= (np.diff(cand) == 1) & ~heads[cand[1:]]
+            n_runs = mask.sum(axis=1) - linked.sum(axis=1)
+            for (head, tail) in wraps:
+                ph, pt = np.searchsorted(cand, (head, tail))
+                if pt < len(cand) and cand[ph] == head and cand[pt] == tail:
+                    n_runs -= mask[:, ph] & mask[:, pt]
+            cover = np.zeros(len(cells_idx), dtype=bool)
+            for (a, b), (c0, c1) in zip(loop_ranges, np.searchsorted(cand, loop_ranges)):
+                cover |= 2 * mask[:, c0:c1].sum(axis=1) >= b - a
+            suspect[cells_idx] = (n_runs >= 2) | cover
 
     gap = np.zeros(n_cells)
-    bad = np.nonzero(suspect)[0]
-    for i in bad:
+    for i in np.nonzero(suspect)[0]:
         d = dual.batch_value_fast(pts - centers[i])
-        gap[i] = _resolve_gap(d, source, eps_cluster, WINDOW_CELLS * h, tol_unique)
+        gap[i] = _resolve_gap(d, source, eps_cluster, window_abs, tol_unique)
 
     if source.inside is not None:
         member = source.membership(centers)
@@ -526,13 +540,10 @@ def project(field: DistanceField, x, grad_check: bool = True) -> ProjectionResul
     dev = None
     if grad_check and not ambiguous and m > 2 * field.grid.h:
         h = field.grid.h
-        grad = np.empty(field.grid.dim)
-        for k in range(field.grid.dim):
-            e = np.zeros(field.grid.dim)
-            e[k] = h
-            grad[k] = (
-                field.evaluate_delta(x + e)[0] - field.evaluate_delta(x - e)[0]
-            ) / (2 * h)
+        # the 2 d shifted points x + h e_k, then x - h e_k, in one evaluation
+        e = h * np.eye(field.grid.dim)
+        shifted = field.evaluate_delta(np.concatenate([x + e, x - e]))
+        grad = (shifted[: len(e)] - shifted[len(e) :]) / (2 * h)
         if np.linalg.norm(grad) > 1e-12:
             rebuilt = x - m * field.f.grad(grad)
             dev = float(np.linalg.norm(rebuilt - foot))

@@ -99,14 +99,32 @@ class DualNorm:
         if self.has_closed_form or self.dim != 2:
             return self.batch_value(W)
         angles, vals = self._direction_table()
-        theta = np.mod(np.arctan2(W[:, 1], W[:, 0]), 2 * np.pi)
-        per_dir = np.interp(theta, angles, vals)
-        return np.linalg.norm(W, axis=1) * per_dir
+        x, y = W[:, 0], W[:, 1]
+        # arctan2 lies in [-pi, pi], where adding 2 pi to the negative angles
+        # gives the bits of np.mod(theta, 2 pi); sqrt(x*x + y*y) gives those
+        # of norm(axis=1)
+        theta = np.arctan2(y, x)
+        theta[theta < 0] += 2 * np.pi
+        return np.sqrt(x * x + y * y) * np.interp(theta, angles, vals)
 
     def grad_bound(self) -> float:
-        """max |grad F*| over 512 sampled directions (a Lipschitz bound for F*)."""
+        """An upper bound on |grad F*|, the Lipschitz constant of F*.
+
+        It is exact for the closed forms.  Otherwise it is max_k F*(u_k) / (1 - c)
+        over the 512-node direction set, whose nodes lie within the angle
+        theta_c of every unit vector w, at chord c = 2 sin(theta_c / 2): the
+        constant L = max_|w|=1 F*(w) satisfies F*(w) <= F*(u_k) + L c.
+        """
+        if isinstance(self.base, EuclideanNorm):
+            return 1.0
+        if isinstance(self.base, QuadraticNorm):
+            return float(np.sqrt(np.linalg.eigvalsh(self.base.inverse).max()))
         u = _unit_directions(self.dim, 512)
-        return float(np.linalg.norm(self.batch_grad(u), axis=1).max())
+        # d=2: angles 2 pi / 512 apart; d=3: 16 rows and 32 columns pi / 16
+        # apart, so a unit vector is within half a row plus half a column
+        theta_c = np.pi / 512 if self.dim == 2 else np.pi / 16
+        chord = 2.0 * np.sin(theta_c / 2.0)
+        return float(self.batch_value(u).max() / (1.0 - chord))
 
     # -- iterative path -----------------------------------------------------
 

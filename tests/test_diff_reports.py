@@ -1,0 +1,47 @@
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "diff_reports.py"
+spec = importlib.util.spec_from_file_location("diff_reports", SCRIPT)
+diff_reports = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(diff_reports)
+
+
+def _tree(root, report, csv):
+    (root / "scene").mkdir(parents=True)
+    (root / "scene" / "report.json").write_text(json.dumps(report, indent=2))
+    (root / "scene" / "field.csv").write_text(csv)
+    return root
+
+
+REPORT = {"suites": [{"name": "reach", "passed": True, "metrics": {"r": 0.5, "n": 3}}]}
+
+
+def test_identical_trees_exit_0(tmp_path, capsys):
+    old = _tree(tmp_path / "old", REPORT, "a,b\n1,2\n")
+    new = _tree(tmp_path / "new", REPORT, "a,b\n1,2\n")
+    assert diff_reports.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_each_difference_is_printed(tmp_path, capsys):
+    changed = {"suites": [{"name": "reach", "passed": False, "metrics": {"r": 0.75, "n": 3}}]}
+    old = _tree(tmp_path / "old", REPORT, "a,b\n1,2\n")
+    new = _tree(tmp_path / "new", changed, "a,b\n1,3\n")
+    (new / "extra.csv").write_text("x\n")
+    assert diff_reports.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "extra.csv only in NEW",
+        "scene/field.csv differs",
+        "scene/report.json.suites[0].metrics.r 0.5 0.75 0.25",
+        "scene/report.json.suites[0].passed true false",
+    ]
+
+
+def test_reformatted_json_differs(tmp_path, capsys):
+    old = _tree(tmp_path / "old", REPORT, "")
+    new = _tree(tmp_path / "new", REPORT, "")
+    (new / "scene" / "report.json").write_text(json.dumps(REPORT))
+    assert diff_reports.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out == "scene/report.json differs\n"

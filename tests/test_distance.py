@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from wulffkit import (
     DualNorm,
@@ -296,6 +296,90 @@ def test_body_clipped_twice_splits_into_runs():
     assert abs(above.delta - 0.5) <= 2 * grid.h
     # equidistant from the middle and the right disk: two feet
     assert project(field, [0.75, 1.2]).ambiguous
+
+
+@pytest.fixture(scope="module", params=["closed loop", "clipped twice"])
+def oracle_source(request):
+    """A source and a grid whose cell counts leave partial coarse blocks and
+    partial fine tiles on both axes."""
+    if request.param == "closed loop":
+        ell = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
+        src = boundary_source([ell], 1024, region="complement")
+        return src, GridSpec([-2.3, -1.3], [2.3, 1.3], [87, 53])
+    disks = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-1.5, 0.0, 1.5)]
+    src = boundary_source(disks, 1024, region="set")
+    return src, GridSpec([-3.0, -1.6], [3.0, 1.6], [87, 53])
+
+
+def _outside(field, delta):
+    """delta with the membership cells zeroed, as the field stores it."""
+    return np.where(field.source.membership(field.grid.centers()), 0.0, delta)
+
+
+def test_euclidean_field_matches_cdist(oracle_source):
+    src, grid = oracle_source
+    field = build_field(src, E2, grid)
+    d = cdist(grid.centers(), src.points)
+    assert np.array_equal(field.delta.ravel(), _outside(field, d.min(axis=1)))
+    assert np.array_equal(field.argmin.ravel(), d.argmin(axis=1))
+
+
+def test_quadratic_field_matches_mahalanobis(oracle_source):
+    src, grid = oracle_source
+    q = QuadraticNorm(np.array([[3.0, 0.8], [0.8, 1.5]]))
+    field = build_field(src, q, grid)
+    d = cdist(grid.centers(), src.points, "mahalanobis", VI=q.inverse)
+    assert np.abs(field.delta.ravel() - _outside(field, d.min(axis=1))).max() <= 1e-12
+
+
+def test_weighted_sum_field_matches_per_cell_scan(oracle_source):
+    src, grid = oracle_source
+    field = build_field(src, WeightedSum(((0.5, E2), (1.0, Q2))), grid)
+    scans = [field.dual.batch_value_fast(src.points - x) for x in grid.centers()]
+    assert np.array_equal(field.delta.ravel(), _outside(field, [d.min() for d in scans]))
+    assert np.array_equal(field.argmin.ravel(), [d.argmin() for d in scans])
+
+
+@pytest.fixture(scope="module")
+def weighted_field():
+    w2 = WeightedSum(((0.5, E2), (1.0, Q2)))
+    body = WulffBody(DualNorm(w2), np.zeros(2), 1.0)
+    src = boundary_source([body], 1024, region="complement")
+    return build_field(src, w2, GridSpec([-1.3, -0.8], [1.3, 0.8], [65, 40]))
+
+
+QUERIES = ([0.3, 0.1], [-0.2, -0.15], [0.1, 0.2])
+
+
+def test_project_solves_membership_once(weighted_field, monkeypatch):
+    calls = {"batch_value": 0, "batch_value_fast": 0}
+    for name in calls:
+        def counted(self, W, _name=name, _method=getattr(DualNorm, name)):
+            calls[_name] += 1
+            return _method(self, W)
+
+        monkeypatch.setattr(DualNorm, name, counted)
+    res = project(weighted_field, QUERIES[0])
+    assert res.grad_check_dev is not None
+    # one scan for the foot, one for the 2 d shifted points, one F* solve
+    # for their membership
+    assert calls == {"batch_value": 1, "batch_value_fast": 2}
+
+
+def test_project_grad_check_matches_per_axis_reference(weighted_field):
+    field = weighted_field
+    pts, h = field.source.points, field.grid.h
+
+    def delta(p):
+        if field.source.membership(p)[0]:
+            return 0.0
+        return field.dual.batch_value_fast(pts - p).min()
+
+    for x in np.array(QUERIES):
+        grad = np.array([(delta(x + e) - delta(x - e)) / (2 * h) for e in h * np.eye(2)])
+        res = project(field, x)
+        rebuilt = x - res.delta * field.f.grad(grad)
+        assert res.grad_check_dev == np.linalg.norm(rebuilt - pts[res.foot_index])
 
 
 def _field_matches_resolver(field):

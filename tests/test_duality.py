@@ -160,6 +160,30 @@ def test_padded_direction_table_matches_periodic_interp():
     assert np.array_equal(DualNorm(W2).batch_value_fast(rows), periodic)
 
 
+def _half_step_quadratic(lam):
+    """diag(lam, 1) turned by half the 2 pi / 512 step of the sampled
+    directions, so the extreme direction of F* falls between two samples."""
+    t = np.pi / 512
+    r = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return QuadraticNorm(r @ np.diag([lam, 1.0]) @ r.T)
+
+
+def test_grad_bound_exact_for_rotated_quadratic():
+    q = _half_step_quadratic(0.25)
+    exact = np.sqrt(np.linalg.eigvalsh(q.inverse).max())
+    assert DualNorm(q).grad_bound() >= exact
+    assert DualNorm(q).grad_bound() == pytest.approx(exact, rel=1e-12)
+    assert DE.grad_bound() == 1.0
+
+
+def test_grad_bound_bounds_weighted_sum():
+    # the Lipschitz constant of F* is its maximum on the unit circle
+    dual = DualNorm(WeightedSum(((0.5, E2), (0.5, _half_step_quadratic(4.0)))))
+    t = np.linspace(0.0, 2 * np.pi, 2**16, endpoint=False)
+    lip = dual.batch_value(np.stack([np.cos(t), np.sin(t)], axis=1)).max()
+    assert lip <= dual.grad_bound() <= 1.01 * lip
+
+
 def test_wulff_sample_euclidean():
     ws = wulff_sample(DE, [0.0, 0.0], 1.0, 64)
     assert np.abs(np.linalg.norm(ws.points, axis=1) - 1.0).max() < 1e-14
