@@ -55,6 +55,7 @@ WINDOW_CELLS = 1.5
 # (10 x 10)
 BLOCK_CELLS = 1600
 TILE_CELLS = 100
+DIAMETER_CHUNK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +128,6 @@ class SourceSet:
     """
 
     points: np.ndarray
-    spacing: float
     loops: tuple
     inside: Optional[Callable] = None
 
@@ -135,17 +135,20 @@ class SourceSet:
         if len(self.points) == 0:
             raise InputError("empty source sample")
 
+    @property
+    def spacing(self) -> float:
+        """Longest step between consecutive samples of a loop, with each
+        closed loop's wrap from its last sample back to its first."""
+        steps = [0.0]
+        for (a, b, closed) in self.loops:
+            loop = np.concatenate([self.points[a:b], self.points[a : a + int(closed)]])
+            steps.extend(np.linalg.norm(np.diff(loop, axis=0), axis=1))
+        return float(max(steps))
+
     def membership(self, x):
         if self.inside is None:
             return np.zeros(len(np.atleast_2d(x)), dtype=bool)
         return np.asarray(self.inside(np.atleast_2d(x)), dtype=bool)
-
-
-def _max_step(points, closed):
-    steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    if closed and len(points) > 2:
-        steps = np.append(steps, np.linalg.norm(points[0] - points[-1]))
-    return float(steps.max()) if len(steps) else 0.0
 
 
 def boundary_source(
@@ -175,9 +178,6 @@ def boundary_source(
     if not pieces:
         raise InputError("no boundary points survive the union filter")
     points = np.concatenate(pieces)
-    spacing = max(
-        _max_step(points[a:b], closed) for (a, b, closed) in loops
-    )
 
     inside = None
     if region == "complement":
@@ -194,7 +194,7 @@ def boundary_source(
             for b in bodies:
                 out |= b.phi(x) <= 0
             return out
-    return SourceSet(points=points, spacing=spacing, loops=tuple(loops), inside=inside)
+    return SourceSet(points=points, loops=tuple(loops), inside=inside)
 
 
 def _kept_runs(pts, keep):
@@ -215,12 +215,7 @@ def segment_source(p0, p1, n: int, inside=None) -> SourceSet:
     p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
     t = np.linspace(0.0, 1.0, n)
     pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    return SourceSet(
-        points=pts,
-        spacing=float(np.linalg.norm(p1 - p0) / (n - 1)),
-        loops=((0, n, False),),
-        inside=inside,
-    )
+    return SourceSet(points=pts, loops=((0, n, False),), inside=inside)
 
 
 def merge_sources(sources: Sequence[SourceSet]) -> SourceSet:
@@ -240,12 +235,7 @@ def merge_sources(sources: Sequence[SourceSet]) -> SourceSet:
             for fn in fns:
                 out |= np.asarray(fn(x), dtype=bool)
             return out
-    return SourceSet(
-        points=pts,
-        spacing=max(s.spacing for s in sources),
-        loops=tuple(loops),
-        inside=inside,
-    )
+    return SourceSet(points=pts, loops=tuple(loops), inside=inside)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,13 +265,14 @@ class DistanceField:
     def evaluate_delta(self, x):
         """Fresh brute-force delta at arbitrary points (not grid lookup)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        return np.where(self.source.membership(x), 0.0, self._nearest(x))
+
+    def _nearest(self, x):
+        """Least F*(a - x) over the source points a, per row of x, ignoring A."""
         pts = self.source.points
         diff = pts[None, :, :] - x[:, None, :]
         d = self.dual.batch_value_fast(diff.reshape(-1, pts.shape[1]))
-        out = d.reshape(len(x), len(pts)).min(axis=1)
-        if self.source.inside is not None:
-            out[self.source.membership(x)] = 0.0
-        return out
+        return d.reshape(len(x), len(pts)).min(axis=1)
 
     def to_csv(self, path):
         shape = self.grid.shape
@@ -316,16 +307,44 @@ def _pairwise_values(dual: DualNorm, sources, centers):
     return values
 
 
-def _loop_ends(source: SourceSet):
-    """Loop heads as a mask over the points, and the (head, tail) index pair
-    that closes each closed loop."""
-    heads = np.zeros(len(source.points), dtype=bool)
-    wraps = []
-    for (a, b, closed) in source.loops:
-        heads[a] = True
-        if closed:
-            wraps.append((a, b - 1))
-    return heads, wraps
+def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
+    """The near-minimizer cluster analysis, as ``resolve(d, cand)``.
+
+    ``d`` holds F* from a block of points (rows) to the sorted source indices
+    ``cand`` (columns), which include every near-minimizer of every row.
+    ``resolve`` returns each row's minimum m, its argmin as a source index,
+    and its gap: 0, or the Euclidean diameter of its cluster (the sources
+    within m + eps_cluster m + window_abs) when that covers half a loop or
+    more or is not one single-linkage component at scale ``tol_unique``.
+    Samples consecutive on a loop lie within ``source.spacing <= tol_unique``,
+    so only clusters of several runs or half a loop are resolved point by
+    point.
+    """
+    ranges = np.array([(a, b) for (a, b, _c) in source.loops])
+
+    def resolve(d, cand):
+        m = d.min(axis=1)
+        mask = d <= (m + (eps_cluster * m + window_abs))[:, None]
+        n_runs = np.zeros(len(d), dtype=np.int64)
+        cover = np.zeros(len(d), dtype=bool)
+        # candidates are sorted, so a loop's candidates are one slice of
+        # columns and samples consecutive on it sit in adjacent columns; a
+        # closed loop's last sample also precedes its first
+        for (a, b, closed), (c0, c1) in zip(source.loops, np.searchsorted(cand, ranges)):
+            near, step = mask[:, c0:c1], np.diff(cand[c0:c1]) == 1
+            n_near = near.sum(axis=1)
+            n_runs += n_near - (near[:, 1:] & near[:, :-1] & step).sum(axis=1)
+            if closed and c1 - c0 > 1 and cand[c0] == a and cand[c1 - 1] == b - 1:
+                n_runs -= near[:, 0] & near[:, -1]
+            cover |= 2 * n_near >= b - a
+        gap = np.zeros(len(d))
+        for r in np.nonzero((n_runs >= 2) | cover)[0]:
+            cluster = source.points[cand[mask[r]]]
+            if cover[r] or not _connected(cluster, tol_unique):
+                gap[r] = _diameter(cluster)
+        return m, cand[d.argmin(axis=1)], gap
+
+    return resolve
 
 
 def _blocks(flat, spacing, target: int):
@@ -369,19 +388,20 @@ def build_field(
         )
     if tol_unique is None:
         tol_unique = 3.0 * max(source.spacing, h)
+    if tol_unique < source.spacing:
+        raise InputError(f"tol_unique {tol_unique:.3g} is below source spacing {source.spacing:.3g}")
 
     centers = grid.centers()
     n_cells = len(centers)
     pts = source.points
-    heads, wraps = _loop_ends(source)
-    loop_ranges = np.array([(a, b) for (a, b, _c) in source.loops])
     lip = dual.grad_bound()
     window_abs = WINDOW_CELLS * h
     values = _pairwise_values(dual, pts, centers)
+    resolve = _cluster_analysis(source, eps_cluster, window_abs, tol_unique)
 
     delta = np.empty(n_cells)
     argmin = np.empty(n_cells, dtype=np.int64)
-    suspect = np.zeros(n_cells, dtype=bool)
+    gap = np.empty(n_cells)
 
     # two-level candidate pruning: each coarse block keeps the sources that
     # can be near-minimizers of any of its cells, and each fine tile inside
@@ -397,31 +417,7 @@ def build_field(
             xt = centers[cells_idx].mean(axis=0)
             cand = _candidates(dual, pts, coarse, xt, r_tile, lip, eps_cluster, window_abs)
             d = values(cells_idx, cand)
-            m = d.min(axis=1)
-            delta[cells_idx] = m
-            argmin[cells_idx] = cand[d.argmin(axis=1)]
-            mask = d <= (m + (eps_cluster * m + window_abs))[:, None]
-            # a single foot shows up as one contiguous run of samples per
-            # loop; several runs (or most of a loop) mean competing feet.
-            # Candidates are sorted, so a sample's loop predecessor, when it
-            # is a candidate, sits in the column just left of it (or closes
-            # the loop).
-            linked = mask[:, 1:] & mask[:, :-1]
-            linked &= (np.diff(cand) == 1) & ~heads[cand[1:]]
-            n_runs = mask.sum(axis=1) - linked.sum(axis=1)
-            for (head, tail) in wraps:
-                ph, pt = np.searchsorted(cand, (head, tail))
-                if pt < len(cand) and cand[ph] == head and cand[pt] == tail:
-                    n_runs -= mask[:, ph] & mask[:, pt]
-            cover = np.zeros(len(cells_idx), dtype=bool)
-            for (a, b), (c0, c1) in zip(loop_ranges, np.searchsorted(cand, loop_ranges)):
-                cover |= 2 * mask[:, c0:c1].sum(axis=1) >= b - a
-            suspect[cells_idx] = (n_runs >= 2) | cover
-
-    gap = np.zeros(n_cells)
-    for i in np.nonzero(suspect)[0]:
-        d = dual.batch_value_fast(pts - centers[i])
-        gap[i] = _resolve_gap(d, source, eps_cluster, window_abs, tol_unique)
+            delta[cells_idx], argmin[cells_idx], gap[cells_idx] = resolve(d, cand)
 
     if source.inside is not None:
         member = source.membership(centers)
@@ -449,21 +445,6 @@ def _assert_even(dual: DualNorm):
         raise InputError("conjugate norm is not even; the integrand must satisfy F(-x) = F(x)")
 
 
-def _resolve_gap(d, source, eps_cluster, window_abs, tol_unique):
-    """Exact cluster analysis at one point from its distances ``d`` to every
-    source point; 0 means a single connected foot."""
-    m = float(d.min())
-    cluster = np.nonzero(d <= m + eps_cluster * m + window_abs)[0]
-    pts = source.points[cluster]
-    for (lo_i, hi_i, _closed) in source.loops:
-        n_in = ((cluster >= lo_i) & (cluster < hi_i)).sum()
-        if n_in >= 0.5 * (hi_i - lo_i):
-            return _diameter(pts)
-    if _connected(pts, tol_unique):
-        return 0.0
-    return _diameter(pts)
-
-
 def _sqdist(a, b):
     """Squared Euclidean distances between the rows of a and b, (len(a), len(b))."""
     out = (a[:, None, 0] - b[None, :, 0]) ** 2
@@ -473,10 +454,31 @@ def _sqdist(a, b):
 
 
 def _diameter(pts):
-    """Euclidean diameter; the bounding-box diagonal above 400 points."""
-    if len(pts) > 400:
-        return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    return float(np.sqrt(_sqdist(pts, pts).max()))
+    """Euclidean diameter: the square root of the largest ``_sqdist`` entry.
+
+    Chunk pairs of DIAMETER_CHUNK rows are compared in decreasing order of a
+    bound from their bounding boxes until no bound exceeds the best entry
+    found.  The bound rounds as ``_sqdist`` does, on coordinates at least as
+    far apart, so it bounds every entry of its block; memory stays at one
+    block.
+    """
+    starts = np.arange(0, len(pts), DIAMETER_CHUNK)
+    lo, hi = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+    reach = np.maximum(hi[:, None] - lo[None], hi[None] - lo[:, None])
+    bound = reach[..., 0] ** 2
+    for k in range(1, pts.shape[1]):
+        bound += reach[..., k] ** 2
+    # each unordered pair once: the pairs below the diagonal repeat those above
+    bound = np.triu(bound)
+    best = 0.0
+    for p in np.argsort(-bound, axis=None, kind="stable"):
+        i, j = divmod(int(p), len(starts))
+        if bound[i, j] <= best:
+            break
+        a, b = starts[i], starts[j]
+        block = _sqdist(pts[a : a + DIAMETER_CHUNK], pts[b : b + DIAMETER_CHUNK])
+        best = max(best, float(block.max()))
+    return float(np.sqrt(best))
 
 
 def _connected(pts, linkage):
@@ -519,37 +521,39 @@ def project(field: DistanceField, x, grad_check: bool = True) -> ProjectionResul
 
     The cross-check reconstructs the foot as x - delta * grad F(grad delta)
     with grad delta from central differences at grid spacing; its deviation
-    from the direct argmin is reported (expected <= 5h for unique feet).
+    from the direct argmin is reported (expected <= 5h for unique feet).  A
+    query in A gets delta 0 and gap 0, as the field stores, and no
+    cross-check; its point is still the nearest source sample.
     """
     x = np.asarray(x, dtype=float)
     field.grid.cell_of(x)  # raises if outside the box
-    d = field.dual.batch_value_fast(field.source.points - x)
-    m = float(d.min())
-    best = int(d.argmin())
-    gap = _resolve_gap(
-        d,
-        field.source,
-        field.eps_cluster,
-        WINDOW_CELLS * field.grid.h,
-        field.tol_unique,
-    )
+    source, h = field.source, field.grid.h
+    resolve = _cluster_analysis(source, field.eps_cluster, WINDOW_CELLS * h, field.tol_unique)
+    d = field.dual.batch_value_fast(source.points - x)
+    (m,), (best,), (gap,) = resolve(d[None], np.arange(len(d)))
     gap = max(gap, field.gap_at(x))
     ambiguous = gap > field.tol_unique
-    foot = field.source.points[best]
+    cross_check = grad_check and not ambiguous and m > 2 * h
+
+    # x, then for the cross-check the 2 d shifted points x + h e_k and
+    # x - h e_k, in one membership call
+    e = h * np.eye(field.grid.dim)
+    probes = np.concatenate([x[None], x + e, x - e]) if cross_check else x[None]
+    member = source.membership(probes)
+    if member[0]:
+        m = gap = 0.0
+        ambiguous = cross_check = False
 
     dev = None
-    if grad_check and not ambiguous and m > 2 * field.grid.h:
-        h = field.grid.h
-        # the 2 d shifted points x + h e_k, then x - h e_k, in one evaluation
-        e = h * np.eye(field.grid.dim)
-        shifted = field.evaluate_delta(np.concatenate([x + e, x - e]))
+    if cross_check:
+        shifted = np.where(member[1:], 0.0, field._nearest(probes[1:]))
         grad = (shifted[: len(e)] - shifted[len(e) :]) / (2 * h)
         if np.linalg.norm(grad) > 1e-12:
             rebuilt = x - m * field.f.grad(grad)
-            dev = float(np.linalg.norm(rebuilt - foot))
+            dev = float(np.linalg.norm(rebuilt - source.points[best]))
     return ProjectionResult(
-        point=foot, delta=m, gap=gap, ambiguous=ambiguous,
-        foot_index=best, grad_check_dev=dev,
+        point=source.points[best], delta=float(m), gap=float(gap),
+        ambiguous=bool(ambiguous), foot_index=int(best), grad_check_dev=dev,
     )
 
 

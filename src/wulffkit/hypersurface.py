@@ -317,14 +317,14 @@ def sample_surface(body: StarBody, resolution) -> SurfaceQuadrature:
     )
 
 
-def volume(q: SurfaceQuadrature, rel_tol: float = 1e-6) -> float:
+def volume(q: SurfaceQuadrature) -> float:
     """Enclosed volume via the radial formula, cross-checked by divergence theorem.
 
-    The two quadratures must agree to ``rel_tol`` relative; the radial value
-    is returned.
+    The two quadratures must agree to 1e-6 relative; the radial value is
+    returned.
     """
     v_rad, v_div = _volume_pair(q)
-    if abs(v_div - v_rad) > rel_tol * abs(v_rad):
+    if abs(v_div - v_rad) > 1e-6 * abs(v_rad):
         raise QuadratureInconsistencyError(
             f"volume formulas disagree: radial {v_rad!r} vs divergence {v_div!r}"
         )

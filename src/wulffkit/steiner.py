@@ -121,7 +121,6 @@ def claim5_coefficients(
     quad: SurfaceQuadrature,
     table: CurvatureTable,
     f: Integrand,
-    i_max: Optional[int] = None,
 ) -> np.ndarray:
     """Tube coefficients of the inward tube of a smooth body from boundary data.
 
@@ -131,13 +130,9 @@ def claim5_coefficients(
     """
     d = quad.dim
     n = d - 1
-    if i_max is None:
-        i_max = d
-    if not 1 <= i_max <= d:
-        raise InputError(f"i_max must lie in [1, {d}]")
     fnu = f.value(quad.normals)
-    out = np.empty(i_max)
-    for i in range(1, i_max + 1):
+    out = np.empty(d)
+    for i in range(1, d + 1):
         weight = (-1.0 / n) ** (i - 1) * math.factorial(n) / (
             math.factorial(i) * math.factorial(n - i + 1)
         )

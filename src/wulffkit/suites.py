@@ -48,9 +48,9 @@ class SuiteResult:
     skipped: bool = False
     skip_reason: str = ""
 
-    def check(self, name: str, value: float, tol: float, two_sided: bool = False):
+    def check(self, name: str, value: float, tol: float):
         value = float(value)
-        passed = abs(value) <= tol if two_sided else value <= tol
+        passed = value <= tol
         self.checks.append(
             {"name": name, "value": value, "tol": float(tol), "passed": bool(passed)}
         )

@@ -45,29 +45,39 @@ def brute_conjugate(f_value, w, n=200_000):
 
 
 def golden_conjugate(f_value, w, tol=1e-14):
-    """max w.u over {F(u) = 1} by bracketing plus golden-section (d=2)."""
+    """max w.u over {F(u) = 1} by bracketing plus golden-section (d=2).
+
+    ``w`` is one vector or a stack of them; a stack runs in lockstep, with
+    one ``f_value`` call over all its points per golden step.
+    """
     w = np.asarray(w, dtype=float)
+    ws = np.atleast_2d(w)
 
     def s(theta):
-        u = np.array([np.cos(theta), np.sin(theta)])
-        return float(w @ (u / f_value(u[None, :])[0]))
+        """w.u / F(u) for u at the angles theta, one row of angles per point."""
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        f = f_value(u.reshape(-1, 2)).reshape(theta.shape)
+        return np.einsum("ni,nki->nk", ws, u / f[..., None])
 
     coarse = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
-    best = max(coarse, key=s)
+    best = coarse[s(np.tile(coarse, (len(ws), 1))).argmax(axis=1)]
     a, b = best - 2 * np.pi / 1024, best + 2 * np.pi / 1024
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = s(c), s(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = s(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = s(c)
-    return s(0.5 * (a + b))
+    fc, fd = s(c[:, None])[:, 0], s(d[:, None])[:, 0]
+    while np.any(b - a > tol):
+        live = b - a > tol
+        up = live & (fc < fd)
+        down = live & ~up
+        a, c, fc = np.where(up, c, a), np.where(up, d, c), np.where(up, fd, fc)
+        b, d, fd = np.where(down, d, b), np.where(down, c, d), np.where(down, fc, fd)
+        d = np.where(up, a + invphi * (b - a), d)
+        c = np.where(down, b - invphi * (b - a), c)
+        probe = s(np.where(up, d, c)[:, None])[:, 0]
+        fd = np.where(up, probe, fd)
+        fc = np.where(down, probe, fc)
+    out = s(0.5 * (a + b)[:, None])[:, 0]
+    return float(out[0]) if w.ndim == 1 else out
 
 
 def ellipse_arc_length(a, b):
@@ -117,3 +127,18 @@ def single_linkage_connected(pts, tol):
     adj = squareform(pdist(pts, "sqeuclidean") <= tol**2)
     n_components, _ = connected_components(csr_matrix(adj), directed=False)
     return n_components == 1
+
+
+def resolve_gap(points, loops, d, eps_cluster, window_abs, tol):
+    """Ambiguity gap at one point from its F* values ``d`` to every source
+    point, the loops given as (start, stop, closed) ranges: the Euclidean
+    diameter of the near-minimizer cluster when it covers half a loop or more
+    or is not one single-linkage component at scale tol, else 0."""
+    m = d.min()
+    idx = np.nonzero(d <= m + (eps_cluster * m + window_abs))[0]
+    cluster = points[idx]
+    diameter = np.sqrt(pdist(cluster, "sqeuclidean").max()) if len(idx) > 1 else 0.0
+    for (start, stop, _closed) in loops:
+        if 2 * ((idx >= start) & (idx < stop)).sum() >= stop - start:
+            return diameter
+    return 0.0 if single_linkage_connected(cluster, tol) else diameter

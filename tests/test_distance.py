@@ -26,11 +26,10 @@ from wulffkit.distance import (
     WINDOW_CELLS,
     _connected,
     _diameter,
-    _resolve_gap,
     merge_sources,
 )
 
-from oracles import single_linkage_connected
+from oracles import resolve_gap, single_linkage_connected
 
 E2 = EuclideanNorm(2)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
@@ -237,9 +236,28 @@ def test_sparse_source_rejected():
         build_field(src, E2, grid)
 
 
+def test_tol_unique_below_spacing_rejected():
+    # below the spacing, two consecutive samples of one foot arc need not be
+    # linked, and the per-loop run screen would call a split arc connected
+    src = boundary_source([UNIT_DISK], 1024, region="complement")
+    grid = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=128)
+    with pytest.raises(InputError):
+        build_field(src, E2, grid, tol_unique=src.spacing / 2)
+    assert build_field(src, E2, grid, tol_unique=src.spacing).tol_unique == src.spacing
+
+
+def test_source_spacing_includes_the_wrap():
+    # a closed loop's longest step may be the one from its last sample back
+    # to its first; an open loop has no such step
+    pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.2, 0.5]])
+    assert SourceSet(points=pts, loops=((0, 4, False),)).spacing == 0.5
+    closed = SourceSet(points=pts, loops=((0, 4, True),)).spacing
+    assert closed == pytest.approx(np.hypot(0.2, 0.5))
+
+
 def test_empty_source_rejected():
     with pytest.raises(InputError):
-        SourceSet(points=np.zeros((0, 2)), spacing=0.0, loops=())
+        SourceSet(points=np.zeros((0, 2)), loops=())
 
 
 def test_point_outside_grid_rejected(disk_field):
@@ -362,8 +380,39 @@ def test_project_solves_membership_once(weighted_field, monkeypatch):
     res = project(weighted_field, QUERIES[0])
     assert res.grad_check_dev is not None
     # one scan for the foot, one for the 2 d shifted points, one F* solve
-    # for their membership
+    # for the membership of x and the shifted points together
     assert calls == {"batch_value": 1, "batch_value_fast": 2}
+
+
+def test_project_in_A_returns_the_stored_zero(monkeypatch):
+    # (1.2, 1.2) lies outside the Wulff ball, so in its complement A
+    body = WulffBody(DQ, np.zeros(2), 1.0)
+    src = boundary_source([body], 1024, region="complement")
+    probes = []
+
+    def inside(x):
+        probes.append(len(x))
+        return src.inside(x)
+
+    counted = SourceSet(points=src.points, loops=src.loops, inside=inside)
+    field = build_field(counted, Q2, GridSpec([-1.5, -1.5], [1.5, 1.5], 150))
+    scans = []
+    fast = DualNorm.batch_value_fast
+
+    def scan(self, W):
+        scans.append(len(W))
+        return fast(self, W)
+
+    monkeypatch.setattr(DualNorm, "batch_value_fast", scan)
+    probes.clear()
+    x = [1.2, 1.2]
+    res = project(field, x)
+    assert res.delta == 0.0 == field.delta_at(x)
+    assert res.gap == 0.0 and not res.ambiguous
+    assert res.grad_check_dev is None
+    # one membership call, and no scan beyond the foot's
+    assert len(probes) == 1
+    assert scans == [len(src.points)]
 
 
 def test_project_grad_check_matches_per_axis_reference(weighted_field):
@@ -389,9 +438,10 @@ def _field_matches_resolver(field):
     member = field.source.membership(centers)
     assert np.all(gaps[member] == 0.0)
     for i in np.nonzero(~member)[0]:
-        expected = _resolve_gap(
+        expected = resolve_gap(
+            field.source.points,
+            field.source.loops,
             field.dual.batch_value_fast(field.source.points - centers[i]),
-            field.source,
             field.eps_cluster,
             WINDOW_CELLS * field.grid.h,
             field.tol_unique,
@@ -443,9 +493,18 @@ def test_connected_matches_single_linkage_oracle(seed, n_arcs, per_arc, factor, 
     assert _connected(pts, tol) == single_linkage_connected(pts, tol)
 
 
-@given(hst.integers(0, 2**32 - 1), hst.integers(1, 400), hst.sampled_from([2, 3]))
+@given(hst.integers(0, 2**32 - 1), hst.integers(1, 1500), hst.sampled_from([2, 3]))
 @settings(max_examples=60, deadline=None)
 def test_diameter_matches_pdist(seed, k, dim):
     pts = np.random.default_rng(seed).standard_normal((k, dim))
     expected = np.sqrt(pdist(pts, "sqeuclidean").max()) if k > 1 else 0.0
     assert _diameter(pts) == expected
+
+
+@pytest.mark.parametrize("n", [2048, 4099])
+def test_diameter_of_dense_circle_matches_pdist(n):
+    # nearly every chunk pair's box bound lies close to the diameter here
+    rng = np.random.default_rng(n)
+    t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+    pts = np.stack([np.cos(t), np.sin(t)], axis=1) * (1.0 + 1e-9 * rng.standard_normal((n, 1)))
+    assert _diameter(pts) == np.sqrt(pdist(pts, "sqeuclidean").max())

@@ -109,9 +109,8 @@ def test_double_conjugation():
     assert np.abs(dde.batch_value(x) - E2.value(x)).max() <= 1e-8 * E2.value(x).min()
     # weighted sum: golden-section oracle on the conjugate unit circle
     fstar = lambda v: DW.batch_value(np.atleast_2d(v))
-    for xi in x[:25]:
-        bi = golden_conjugate(fstar, xi)
-        assert bi == pytest.approx(W2.value(xi), rel=1e-8)
+    bi = golden_conjugate(fstar, x[:25])
+    assert bi == pytest.approx(W2.value(x[:25]), rel=1e-8)
 
 
 def test_strict_convexity_probe():

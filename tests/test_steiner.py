@@ -210,5 +210,3 @@ def test_fit_needs_enough_samples(disk_field_512):
         fit_polynomial(curve, 2)
     with pytest.raises(InputError):
         fit_polynomial(curve, 0)
-    with pytest.raises(InputError):
-        claim5_coefficients(*quad_table(UNIT_DISK, E2, 2048), E2, i_max=5)
