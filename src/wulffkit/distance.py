@@ -170,7 +170,7 @@ def boundary_source(
         keep = np.ones(len(pts), dtype=bool)
         for other in bodies:
             if other is not b:
-                keep &= other.phi(pts) > 0
+                keep &= other.sign(pts) > 0
         for run, closed in _kept_runs(pts, keep):
             pieces.append(run)
             loops.append((start, start + len(run), closed))
@@ -185,14 +185,14 @@ def boundary_source(
             x = np.atleast_2d(x)
             out = np.ones(len(x), dtype=bool)
             for b in bodies:
-                out &= b.phi(x) >= 0
+                out &= b.sign(x) >= 0
             return out
     elif region == "set":
         def inside(x, bodies=tuple(bodies)):
             x = np.atleast_2d(x)
             out = np.zeros(len(x), dtype=bool)
             for b in bodies:
-                out |= b.phi(x) <= 0
+                out |= b.sign(x) <= 0
             return out
     return SourceSet(points=points, loops=tuple(loops), inside=inside)
 
@@ -265,11 +265,10 @@ class DistanceField:
     def evaluate_delta(self, x):
         """Fresh brute-force delta at arbitrary points (not grid lookup)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.where(self.source.membership(x), 0.0, self._nearest(x))
+        return np.where(self.source.membership(x), 0.0, self._nearest(x, self.source.points))
 
-    def _nearest(self, x):
-        """Least F*(a - x) over the source points a, per row of x, ignoring A."""
-        pts = self.source.points
+    def _nearest(self, x, pts):
+        """Least F*(a - x) over the points a of ``pts``, per row of x, ignoring A."""
         diff = pts[None, :, :] - x[:, None, :]
         d = self.dual.batch_value_fast(diff.reshape(-1, pts.shape[1]))
         return d.reshape(len(x), len(pts)).min(axis=1)
@@ -546,7 +545,10 @@ def project(field: DistanceField, x, grad_check: bool = True) -> ProjectionResul
 
     dev = None
     if cross_check:
-        shifted = np.where(member[1:], 0.0, field._nearest(probes[1:]))
+        # F* is lip-Lipschitz, so a nearest source a of a shifted point y has
+        # F*(a - x) <= F*(a - y) + lip h <= F*(best - y) + lip h <= m + 2 lip h
+        near = d <= m + 2.0 * field.dual.grad_bound() * h + 1e-12
+        shifted = np.where(member[1:], 0.0, field._nearest(probes[1:], source.points[near]))
         grad = (shifted[: len(e)] - shifted[len(e) :]) / (2 * h)
         if np.linalg.norm(grad) > 1e-12:
             rebuilt = x - m * field.f.grad(grad)
@@ -573,7 +575,7 @@ def direction_check(field: DistanceField, body: StarBody, f: Integrand, xs) -> f
         a = res.point
         g = body.grad_phi(a)
         nu = g / np.linalg.norm(g)
-        side = 1.0 if float(body.phi(x)) > 0 else -1.0
+        side = 1.0 if body.sign(x) > 0 else -1.0
         lhs = (x - a) / field.dual.value(x - a)
         worst = max(worst, float(np.linalg.norm(lhs - f.grad(side * nu))))
     return worst

@@ -61,7 +61,7 @@ def check_disjoint(sampled: Sequence[tuple]) -> None:
     """
     for i, (_, quad, _) in enumerate(sampled):
         for j, (other, _, _) in enumerate(sampled):
-            if i != j and np.any(other.phi(quad.points) <= 0):
+            if i != j and np.any(other.sign(quad.points) <= 0):
                 raise InputError(
                     f"bodies {i} and {j} are not disjoint (a boundary node of {i} "
                     f"lies in {j})"

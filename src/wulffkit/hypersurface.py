@@ -59,8 +59,9 @@ class StarBody:
     def bounding_radius(self) -> float:
         raise NotImplementedError
 
-    def inside(self, x):
-        return self.phi(x) < 0.0
+    def sign(self, x):
+        """The sign of phi: -1 inside the body, 0 on its boundary, 1 outside."""
+        return np.sign(self.phi(x))
 
     def ray_radii(self, omega):
         """Boundary radius along each unit ray from the center."""
@@ -140,15 +141,33 @@ class WulffBody(StarBody):
         g = self.dual.batch_grad(x - self.center)
         return g[0] if single else g
 
-    def bounding_radius(self) -> float:
-        return self._grad_bound()
+    def sign(self, x):
+        """``np.sign(self.phi(x))``; in d=2 without a closed form, a row is
+        decided from ``DualNorm.batch_bracket`` and only the rest are solved.
 
-    def _grad_bound(self) -> float:
-        u = np.random.default_rng(0).standard_normal((512, self.dim))
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        return self.radius * float(
-            np.linalg.norm(self.dual.base.grad(u), axis=1).max()
-        )
+        The solve stops at v with |w' - w| <= tol |w|, where w' = F(v) grad F(v)
+        and F(v) = F*(w'); so its phi is within L tol |w| of the exact one, with
+        L = ``grad_bound()`` and tol <= max(tolerance, 1e-9) after the golden
+        fallback.  A row whose bracket clears the radius by more than the
+        margin 10 tol L |w| (1e-8 L |w| by default; the bracket already holds
+        its own rounding) therefore gets the sign the solve would give, and
+        never raises ``SolverError``.
+        """
+        dual = self.dual
+        if dual.has_closed_form or self.dim != 2:
+            return super().sign(x)
+        x, single = _batch(x, 2)
+        w = x - self.center
+        lo, hi = dual.batch_bracket(w)
+        slope = 10.0 * max(dual.tolerance, 1e-9) * dual.grad_bound()
+        margin = slope * np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2)
+        out = np.zeros(len(w))
+        out[lo - self.radius > margin] = 1.0
+        out[self.radius - hi > margin] = -1.0
+        open_rows = out == 0.0
+        if open_rows.any():
+            out[open_rows] = np.sign(dual.batch_value(w[open_rows]) - self.radius)
+        return out[0] if single else out
 
     def ray_radii(self, omega):
         # F* is 1-homogeneous, so phi(c + t w) = t F*(w) - r has the exact

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import integrate
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import pdist, squareform
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import pdist
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -121,12 +120,13 @@ def eig_product(a, b):
 
 def single_linkage_connected(pts, tol):
     """True when the points form one single-linkage cluster at scale tol."""
-    pts = np.asarray(pts, dtype=float)
-    if len(pts) <= 1:
-        return True
-    adj = squareform(pdist(pts, "sqeuclidean") <= tol**2)
-    n_components, _ = connected_components(csr_matrix(adj), directed=False)
-    return n_components == 1
+    return _linked(pdist(np.asarray(pts, dtype=float), "sqeuclidean"), tol)
+
+
+def _linked(sq, tol):
+    """True when the condensed squared distances ``sq`` link their points into
+    one single-linkage cluster at scale tol: every merge height is <= tol^2."""
+    return len(sq) == 0 or linkage(sq, "single")[:, 2].max() <= tol**2
 
 
 def resolve_gap(points, loops, d, eps_cluster, window_abs, tol):
@@ -136,9 +136,9 @@ def resolve_gap(points, loops, d, eps_cluster, window_abs, tol):
     or is not one single-linkage component at scale tol, else 0."""
     m = d.min()
     idx = np.nonzero(d <= m + (eps_cluster * m + window_abs))[0]
-    cluster = points[idx]
-    diameter = np.sqrt(pdist(cluster, "sqeuclidean").max()) if len(idx) > 1 else 0.0
+    sq = pdist(points[idx], "sqeuclidean")
+    diameter = np.sqrt(sq.max()) if len(sq) else 0.0
     for (start, stop, _closed) in loops:
         if 2 * ((idx >= start) & (idx < stop)).sum() >= stop - start:
             return diameter
-    return 0.0 if single_linkage_connected(cluster, tol) else diameter
+    return 0.0 if _linked(sq, tol) else diameter

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from wulffkit import (
     DomainError,
     DualNorm,
     EuclideanNorm,
     InputError,
+    Integrand,
     QuadraticNorm,
     SolverError,
     WeightedSum,
+    WulffBody,
     wulff_sample,
 )
 
@@ -181,6 +185,90 @@ def test_grad_bound_bounds_weighted_sum():
     t = np.linspace(0.0, 2 * np.pi, 2**16, endpoint=False)
     lip = dual.batch_value(np.stack([np.cos(t), np.sin(t)], axis=1)).max()
     assert lip <= dual.grad_bound() <= 1.01 * lip
+
+
+def _rim(body, n, rng):
+    """n boundary points of a Wulff body along random rays."""
+    t = rng.uniform(0.0, 2 * np.pi, n)
+    omega = np.stack([np.cos(t), np.sin(t)], axis=1)
+    return body.center + body.ray_radii(omega)[:, None] * omega
+
+
+@given(
+    hst.floats(0.05, 2.0),
+    hst.floats(-3.0, 3.0),
+    hst.floats(0.0, np.pi),
+    hst.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_bracket_decides_the_sign_of_phi(a, log_lam, turn, seed):
+    r = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    f = WeightedSum(((a, E2), (1.0, QuadraticNorm(r @ np.diag([np.exp(log_lam), 1.0]) @ r.T))))
+    rng = np.random.default_rng(seed)
+    body = WulffBody(DualNorm(f), rng.uniform(-1.0, 1.0, 2), rng.uniform(0.2, 2.0))
+    rim = _rim(body, 40, rng)
+    # 32 points log-uniformly 1e-13 to 1e-2 relative off the boundary, on
+    # both sides, 8 anywhere out to three radii, and the centre
+    off = np.concatenate([
+        1.0 + rng.choice([-1.0, 1.0], 32) * 10.0 ** rng.uniform(-13.0, -2.0, 32),
+        rng.uniform(0.0, 3.0, 8),
+    ])
+    x = np.concatenate([body.center + off[:, None] * (rim - body.center), body.center[None]])
+    assert np.array_equal(body.sign(x), np.sign(body.phi(x)))
+    w = x - body.center
+    lo, hi = body.dual.batch_bracket(w)
+    exact = golden_conjugate(f.value, w)
+    assert np.all(lo <= exact) and np.all(exact <= hi)
+
+
+def test_bracket_solves_only_undecided_rows(monkeypatch):
+    body = WulffBody(DW, np.array([0.3, -0.2]), 1.2)
+    rim = _rim(body, 12, np.random.default_rng(3))
+    rel = rim - body.center
+    # within 1e-12 of the solved boundary, well inside the 1e-8 L |w| margin
+    near = body.center + rel * (1.0 + 1e-12 * np.tile([-1.0, 1.0], 6))[:, None]
+    far = body.center + np.concatenate([0.5 * rel, 2.0 * rel])
+    x = np.concatenate([far[:6], near, far[6:]])
+    expected = np.sign(body.phi(x))
+    body.dual.grad_bound()
+    rows = []
+    solve = DualNorm.batch_value
+
+    def counted(self, W):
+        rows.append(len(W))
+        return solve(self, W)
+
+    monkeypatch.setattr(DualNorm, "batch_value", counted)
+    assert np.array_equal(body.sign(x), expected)
+    assert rows == [len(near)]
+
+
+def test_bracket_needs_two_dimensions():
+    with pytest.raises(InputError):
+        DualNorm(EuclideanNorm(3)).batch_bracket(np.ones((2, 3)))
+
+
+class _MaxNorm(Integrand):
+    """F(x) = max |x_i|, whose unit ball is a square: not strictly convex."""
+
+    dim = 2
+
+    def value(self, x):
+        return np.abs(x).max(axis=-1)
+
+    def grad(self, x):
+        rows = np.arange(len(x))
+        i = np.abs(x).argmax(axis=1)
+        g = np.zeros_like(x)
+        g[rows, i] = np.sign(x[rows, i])
+        return g
+
+
+def test_bracket_refuses_a_ball_that_is_not_strictly_convex():
+    # the gradients repeat along each side of the square, so their angles
+    # do not increase and the cones of the bracket do not exist
+    with pytest.raises(DomainError):
+        DualNorm(_MaxNorm()).batch_bracket(np.ones((1, 2)))
 
 
 def test_wulff_sample_euclidean():
