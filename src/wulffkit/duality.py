@@ -28,8 +28,7 @@ from .integrand import EuclideanNorm, Integrand, QuadraticNorm
 __all__ = ["DualNorm", "WulffSample", "wulff_sample"]
 
 _TABLE_SIZE = 8192
-_BRACKET_SIZE = 1024
-# rounding allowance of batch_bracket, relative to |w| max_k max(|p_k|, |q_k|)
+# rounding allowance of batch_bracket, relative to |w| grad_bound()
 _BRACKET_ROUNDING = 1e-12
 
 
@@ -39,15 +38,14 @@ class DualNorm:
 
     ``tolerance`` is relative; iterates stop once |F(v) grad F(v) - w|
     drops below tolerance * |w|.  Evaluations are pure; the lazily built
-    tables and ``grad_bound`` are idempotent caches, so concurrent use is
-    safe.
+    d=2 Wulff polygon and ``grad_bound`` are idempotent caches, so concurrent
+    use is safe.
     """
 
     base: Integrand
     max_iterations: int = 60
     tolerance: float = 1e-10
-    _table: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _bracket: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _poly: Optional[tuple] = field(default=None, repr=False, compare=False)
     _lip: Optional[float] = field(default=None, repr=False, compare=False)
 
     @property
@@ -95,29 +93,28 @@ class DualNorm:
         return v / self.base.value(v)[:, None]
 
     def batch_value_fast(self, W):
-        """Vectorized F* for bulk grids; interpolates a direction table in d=2.
+        """Vectorized F* for bulk grids; the gauge of an inscribed Wulff polygon
+        in d=2.
 
-        Table interpolation error is O((2 pi / table size)^2), far below the
-        grid tolerances of the distance module.  Closed-form families and
-        dimensions >= 3 evaluate exactly.
+        Without a closed form, d=2 rows take hi of ``batch_bracket`` without
+        its rounding allowance: w.q_k in the cone [g_k, g_{k+1}] of w, the
+        gauge of the polygon with vertices g_k = grad F(u_k) at 8192 unit
+        directions.  The polygon lies in the Wulff shape, so the value is an
+        upper bound on F*, 0 <= fast - F* <= about 7.4e-8 F* on weighted sums
+        up to rounding, and ``grad_bound()`` is its Lipschitz constant.
+        Closed-form families and dimensions >= 3 evaluate exactly.
         """
         W = np.asarray(W, dtype=float)
         if self.has_closed_form or self.dim != 2:
             return self.batch_value(W)
-        angles, vals = self._direction_table()
-        x, y = W[:, 0], W[:, 1]
-        # arctan2 lies in [-pi, pi], where adding 2 pi to the negative angles
-        # gives the bits of np.mod(theta, 2 pi); sqrt(x*x + y*y) gives those
-        # of norm(axis=1)
-        theta = np.arctan2(y, x)
-        theta[theta < 0] += 2 * np.pi
-        return np.sqrt(x * x + y * y) * np.interp(theta, angles, vals)
+        return self._gauge(W)[1]
 
     def batch_bracket(self, W):
         """(lo, hi) with lo <= F*(w) <= hi row by row, from closed forms only (d=2).
 
-        A table holds, at 1024 unit directions u_k in angular order,
-        g_k = grad F(u_k) and p_k = u_k / F(u_k).  Both bounds are exact:
+        A table holds, at 8192 unit directions u_k in angular order (spaced
+        as ``_polygon`` says), g_k = grad F(u_k) and p_k = u_k / F(u_k).
+        Both bounds are exact:
 
         - F*(w) = sup { w.p : F(p) <= 1 } and F(p_k) = 1, so F*(w) >= w.p_k;
           lo is the larger of w.p_k and w.p_{k+1}.
@@ -127,91 +124,120 @@ class DualNorm:
           cone [g_k, g_{k+1}]: w = alpha g_k + beta g_{k+1} with alpha,
           beta >= 0.  F* is convex and 1-homogeneous, so
           F*(w) <= alpha F*(g_k) + beta F*(g_{k+1}) = alpha + beta = hi.
-          The table stores q_k with q_k.g_k = q_k.g_{k+1} = 1, so hi = w.q_k.
+          The table stores q_k with q_k.g_k = q_k.g_{k+1} = 1, so hi = w.q_k,
+          the gauge of the polygon with vertices g_k (``batch_value_fast``).
 
         Rounding: q_k is formed from the chord g_{k+1} - g_k and from
         g_k x (g_{k+1} - g_k), which has no cancellation, so the table's
         identities hold to a few ulps; lo and hi are two-term dot products with
         |p_k| and |q_k| at most about L, the Lipschitz constant of F*; a row
         within rounding of a cone's edge may take the neighbouring cone, whose
-        hi agrees there to O(u L |w|).  Against an independent golden-section
-        F* on random weighted sums the unwidened bounds are off by at most
-        about 6 u L |w| (u = 2^-53).  Both are widened by
-        1e-12 |w| max_k max(|p_k|, |q_k|), over a thousand times that.  The
-        bracket is O(1024^-2) F*(w) wide: about 1e-5 to 1e-4 on weighted sums.
+        hi agrees there to O(u L |w|).  Both bounds are widened by
+        1e-12 |w| grad_bound(), thousands of times that: grad_bound() is at
+        least L, which bounds every |p_k| as the p_k lie on the F-unit
+        sphere, and within about 1e-7 relative of max_k |q_k|.  The bracket is
+        O(8192^-2) F*(w) wide: about 1e-7 on weighted sums.
         """
         W = np.asarray(W, dtype=float)
         if self.dim != 2:
             raise InputError("the conjugate bracket is two-dimensional")
-        gamma, p, q, scale = self._bracket_table()
+        k, hi = self._gauge(W)
+        k = k.clip(0, _TABLE_SIZE - 1)
+        _gamma, _cone, p, _q = self._polygon()
         x, y = W[:, 0], W[:, 1]
-        psi = gamma[0] + np.mod(np.arctan2(y, x) - gamma[0], 2 * np.pi)
-        k = np.clip(np.searchsorted(gamma, psi, side="right") - 1, 0, _BRACKET_SIZE - 1)
-        k1 = (k + 1) % _BRACKET_SIZE
-        lo = np.maximum(x * p[k, 0] + y * p[k, 1], x * p[k1, 0] + y * p[k1, 1])
-        hi = x * q[k, 0] + y * q[k, 1]
-        slack = scale * np.sqrt(x * x + y * y)
+        lo = np.maximum(x * p[0, k] + y * p[1, k], x * p[0, k + 1] + y * p[1, k + 1])
+        slack = _BRACKET_ROUNDING * self.grad_bound() * np.sqrt(x * x + y * y)
         return lo - slack, hi + slack
 
     def grad_bound(self) -> float:
         """An upper bound on |grad F*|, the Lipschitz constant of F*; cached.
 
-        It is exact for the closed forms.  Otherwise it is max_k F*(u_k) / (1 - c)
-        over the 512-node direction set, whose nodes lie within the angle
-        theta_c of every unit vector w, at chord c = 2 sin(theta_c / 2): the
-        constant L = max_|w|=1 F*(w) satisfies F*(w) <= F*(u_k) + L c.
+        It is exact for the closed forms.  In d=2 otherwise it is max_k |q_k|,
+        the Lipschitz constant of ``batch_value_fast``: the inscribed polygon's
+        gauge is max_k w.q_k, at least F*, so its largest value on the unit
+        circle is at least L = max_|w|=1 F*(w).  In d=3 it is
+        max_k F*(u_k) / (1 - c) over 512 lat-long directions, whose nodes lie
+        within pi / 16 of every unit vector w, at chord c = 2 sin(pi / 32):
+        F*(w) <= F*(u_k) + L c.
         """
         if self._lip is None:
             if isinstance(self.base, EuclideanNorm):
                 self._lip = 1.0
             elif isinstance(self.base, QuadraticNorm):
                 self._lip = float(np.sqrt(np.linalg.eigvalsh(self.base.inverse).max()))
+            elif self.dim == 2:
+                self._lip = float(np.hypot(*self._polygon()[3]).max())
             else:
-                u = _unit_directions(self.dim, 512)
-                # d=2: angles 2 pi / 512 apart; d=3: 16 rows and 32 columns
-                # pi / 16 apart, so a unit vector is within half a row plus
-                # half a column
-                theta_c = np.pi / 512 if self.dim == 2 else np.pi / 16
-                chord = 2.0 * np.sin(theta_c / 2.0)
-                self._lip = float(self.batch_value(u).max() / (1.0 - chord))
+                # 16 rows and 32 columns pi / 16 apart, so a unit vector is
+                # within half a row plus half a column
+                chord = 2.0 * np.sin(np.pi / 32)
+                self._lip = float(self.batch_value(_unit_directions(3, 512)).max() / (1.0 - chord))
         return self._lip
 
-    # -- iterative path -----------------------------------------------------
+    # -- d=2 Wulff polygon --------------------------------------------------
 
-    def _direction_table(self):
-        """(angles, F*) at _TABLE_SIZE directions, padded by one node on each
-        side across 0 = 2 pi, as np.interp(..., period=2 pi) pads them."""
-        if self._table is None:
-            angles = np.linspace(0.0, 2 * np.pi, _TABLE_SIZE, endpoint=False)
-            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            vals = self.batch_value(dirs)
-            self._table = (
-                np.concatenate((angles[-1:] - 2 * np.pi, angles, angles[:1] + 2 * np.pi)),
-                np.concatenate((vals[-1:], vals, vals[:1])),
-            )
-        return self._table
+    def _polygon(self):
+        """(gamma, cone, p, q) at _TABLE_SIZE + 1 directions u_k, the last one
+        u_0 again after a full turn: the unwrapped angles of the g_k, their
+        indices k for ``_gauge``, the p_k, and the q_k of the _TABLE_SIZE
+        cones.  p and q hold one coordinate per row, so each gather reads a
+        contiguous array.
 
-    def _bracket_table(self):
-        """(gamma, p, q, scale) for ``batch_bracket``: the unwrapped angles of
-        the g_k with gamma_0 + 2 pi appended, the p_k, the q_k, and the
-        rounding allowance per unit |w|."""
-        if self._bracket is None:
-            u = _unit_directions(2, _BRACKET_SIZE)
+        With g(t) = grad F(u(t)), |g'| is the radius of curvature of the Wulff
+        boundary at the normal u(t), so the chord from g(t) to g(t + dt) lies
+        within |g'| dt^2 / 8 of it, and the gauge errs there by that over the
+        support value F(u(t)).  The u_k are spaced in angle at the density
+        sqrt(|g'| / F), measured from the chords of uniform angles, so every
+        chord errs by about the same amount: (2 pi / _TABLE_SIZE)^2 / 8 =
+        7.4e-8 on an ellipse of any aspect ratio, and no more on weighted sums.
+        """
+        if self._poly is None:
+            t = np.linspace(0.0, 2 * np.pi, _TABLE_SIZE + 1)
+            u = np.stack([np.cos(t), np.sin(t)], axis=1)
+            chord = np.linalg.norm(np.diff(self.base.grad(u), axis=0), axis=1)
+            arc = np.append(0.0, np.cumsum(np.sqrt(chord / self.base.value(u[:-1]))))
+            t = np.interp(np.linspace(0.0, arc[-1], _TABLE_SIZE + 1), arc, t)
+            # u_N = u(2 pi) closes the polygon and is the sentinel p_N
+            u = np.stack([np.cos(t), np.sin(t)], axis=1)
             g = self.base.grad(u)
-            p = u / self.base.value(u)[:, None]
+            p = np.ascontiguousarray((u / self.base.value(u)[:, None]).T)
             gamma = np.unwrap(np.arctan2(g[:, 1], g[:, 0]))
-            gamma = np.append(gamma, gamma[0] + 2 * np.pi)
             if not np.all(np.diff(gamma) > 0):
                 raise DomainError("the F-ball is not strictly convex")
             # q_k is normal to the chord c from g_k to g_{k+1}, scaled so that
             # q_k.g_k = q_k.g_{k+1} = 1; g_k x c equals g_k x g_{k+1} without
             # its cancellation
-            c = np.roll(g, -1, axis=0) - g
-            q = np.stack([c[:, 1], -c[:, 0]], axis=1)
-            q /= (g[:, 0] * c[:, 1] - g[:, 1] * c[:, 0])[:, None]
-            size = max(np.linalg.norm(p, axis=1).max(), np.linalg.norm(q, axis=1).max())
-            self._bracket = (gamma, p, q, _BRACKET_ROUNDING * float(size))
-        return self._bracket
+            c = np.diff(g, axis=0)
+            q = np.stack([c[:, 1], -c[:, 0]])
+            q /= g[:-1, 0] * c[:, 1] - g[:-1, 1] * c[:, 0]
+            self._poly = (gamma, np.arange(_TABLE_SIZE + 1, dtype=float), p, q)
+        return self._poly
+
+    def _gauge(self, W):
+        """(k, w.q_k) per row w of W, k the index of the cone [g_k, g_{k+1}]
+        that holds w, unclipped.
+
+        The angle of w is moved into [gamma_0, gamma_0 + 2 pi); np.interp of
+        the cone index is then k plus the fraction of the way to gamma_{k+1},
+        truncated to k, and its guessed search follows the ordered neighbour
+        queries of a grid tile.  Angles rounded past either end clamp to an
+        end cone.
+        """
+        gamma, cone, _p, q = self._polygon()
+        x, y = W[:, 0], W[:, 1]
+        psi = np.arctan2(y, x)
+        psi[psi < gamma[0]] += 2 * np.pi
+        k = np.interp(psi, gamma, cone).astype(np.intp)
+        # the gathers clip k: gamma_N ends cone N - 1, and a NaN row, cast to
+        # an arbitrary index, keeps a NaN value; hi takes over the buffer of
+        # psi and the product the buffer of its gather, so at most three
+        # arrays of len(W) rows are live at once
+        hi = np.multiply(x, q[0].take(k, mode="clip"), out=psi)
+        t = q[1].take(k, mode="clip")
+        hi += np.multiply(y, t, out=t)
+        return k, hi
+
+    # -- iterative path -----------------------------------------------------
 
     def _polar_minimize(self, W):
         """Newton minimization of F(v)^2/2 - w.v, one row per input vector."""

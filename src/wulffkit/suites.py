@@ -171,6 +171,10 @@ def suite_dual(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
             header=",".join([f"w{i+1}" for i in range(f.dim)] + ["Fstar", "Fstar_iterative"]),
             comments="",
         )
+    elif f.dim == 2:
+        # the inscribed Wulff polygon of the distance layer against Newton
+        ratio = dual.batch_value_fast(dirs) / dual.batch_value(dirs)
+        res.check("polygon_vs_newton", np.abs(ratio - 1.0).max(), 1e-6)
 
     pairs = _random_points(rng, f.dim, 400).reshape(-1, 2, f.dim)
     a, b = pairs[:, 0], pairs[:, 1]

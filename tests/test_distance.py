@@ -384,6 +384,24 @@ def test_project_solves_membership_once(weighted_field, monkeypatch):
     assert calls == {"batch_value": 0, "batch_value_fast": 2}
 
 
+def test_weighted_sum_field_solves_no_table(monkeypatch):
+    # the Wulff polygon behind batch_value_fast and grad_bound is closed form,
+    # so a field's only Newton rows are the 2 x 8 of its evenness probe
+    w2 = WeightedSum(((0.5, E2), (1.0, Q2)))
+    body = WulffBody(DualNorm(w2), np.zeros(2), 1.0)
+    src = boundary_source([body], 1024, region="complement")
+    rows = []
+    solve = DualNorm.batch_value
+
+    def counted(self, W):
+        rows.append(len(W))
+        return solve(self, W)
+
+    monkeypatch.setattr(DualNorm, "batch_value", counted)
+    build_field(src, w2, GridSpec([-1.3, -0.8], [1.3, 0.8], [65, 40]))
+    assert rows == [8, 8]
+
+
 def test_project_in_A_returns_the_stored_zero(monkeypatch):
     # (1.2, 1.2) lies outside the Wulff ball, so in its complement A
     body = WulffBody(DQ, np.zeros(2), 1.0)

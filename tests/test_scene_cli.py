@@ -274,30 +274,44 @@ def test_bad_command_rejected(tmp_path, capsys):
         main(["mystery", "--scene", "x", "--out", str(tmp_path)])
 
 
+WEIGHTED_SCENE = {
+    "integrand": {
+        "family": "weighted-sum",
+        "terms": [
+            {"weight": 0.5, "integrand": {"family": "euclidean", "dimension": 2}},
+            {"weight": 1.0, "integrand": {"family": "quadratic", "matrix": [[4, 0], [0, 1]]}},
+        ],
+    },
+    "bodies": [{"id": "w", "kind": "wulff", "center": [0.0, 0.0], "radius": 1.0}],
+    "resolution": 512,
+    "seed": 3,
+}
+
+
 def test_weighted_sum_scene(tmp_path):
     scene = tmp_path / "ws.json"
-    scene.write_text(
-        json.dumps(
-            {
-                "integrand": {
-                    "family": "weighted-sum",
-                    "terms": [
-                        {"weight": 0.5, "integrand": {"family": "euclidean", "dimension": 2}},
-                        {"weight": 1.0, "integrand": {"family": "quadratic", "matrix": [[4, 0], [0, 1]]}},
-                    ],
-                },
-                "bodies": [{"id": "w", "kind": "wulff", "center": [0.0, 0.0], "radius": 1.0}],
-                "resolution": 512,
-                "seed": 3,
-            }
-        )
-    )
+    scene.write_text(json.dumps(WEIGHTED_SCENE))
     out = tmp_path / "out"
     assert run("curv", scene, out) == 0
     report = json.loads((out / "report.json").read_text())
     umb = report["suites"][0]["metrics"]["umbilicity[w]"]
     assert umb["verdict"] == "wulff"
     assert umb["radius"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_dual_suite_pairs_the_polygon_with_newton(tmp_path):
+    # only integrands without a closed form run the polygon check
+    scene = tmp_path / "ws.json"
+    scene.write_text(json.dumps(WEIGHTED_SCENE))
+    checks = {}
+    for path in (scene, SCENES / "wulff_d2.json"):
+        out = tmp_path / path.stem
+        assert run("dual", path, out) == 0
+        report = json.loads((out / "report.json").read_text())
+        checks[path.stem] = {c["name"]: c for c in report["suites"][0]["checks"]}
+    polygon = checks["ws"]["polygon_vs_newton"]
+    assert polygon["passed"] and 0.0 < polygon["value"] <= 1e-6
+    assert "polygon_vs_newton" not in checks["wulff_d2"]
 
 
 def test_all_skips_grid_suites_without_grid(tmp_path):
