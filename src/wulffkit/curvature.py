@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegeneratePointError, InputError, NonEllipticError
-from .hypersurface import StarBody, SurfaceQuadrature, WulffBody
+from .hypersurface import StarBody, SurfaceQuadrature, WulffBody, tangent_frames
 from .integrand import Integrand
 
 __all__ = [
@@ -28,24 +28,6 @@ __all__ = [
     "UmbilicityReport",
     "umbilicity_classify",
 ]
-
-
-def tangent_frames(nu):
-    """Orthonormal tangent frames (N, d, n) oriented so the frame + normal
-    is right-handed (d=3: tau1 x tau2 = nu; d=2: tau = rot90(nu))."""
-    nu = np.atleast_2d(np.asarray(nu, dtype=float))
-    n_nodes, d = nu.shape
-    if d == 2:
-        tau = np.stack([-nu[:, 1], nu[:, 0]], axis=1)
-        return tau[:, :, None]
-    if d == 3:
-        seed = np.zeros((n_nodes, 3))
-        seed[np.arange(n_nodes), np.argmin(np.abs(nu), axis=1)] = 1.0
-        t1 = seed - np.einsum("ni,ni->n", seed, nu)[:, None] * nu
-        t1 /= np.linalg.norm(t1, axis=1)[:, None]
-        t2 = np.cross(nu, t1)
-        return np.stack([t1, t2], axis=2)
-    raise InputError(f"unsupported dimension {d}")
 
 
 def _sqrt_spd(a):
@@ -136,7 +118,7 @@ class CurvatureTable:
 
 def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> CurvatureTable:
     """Vectorized curvature pass over all quadrature nodes."""
-    frames = tangent_frames(quad.normals)
+    frames = quad.frames
     b = _shape_operators_bulk(body, quad, frames)
     a = _f_hessian_tangent(f, quad.normals, frames)
     kappa = _kappa_from_ab(a, b)

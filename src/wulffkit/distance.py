@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .duality import DualNorm
+from .duality import DualNorm, dual_norm_of
 from .errors import InputError
 from .hypersurface import StarBody, sample_surface
 from .integrand import Integrand, QuadraticNorm
@@ -110,6 +110,9 @@ class GridSpec:
 
     def cell_of(self, x):
         x = np.asarray(x, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(x))
+        if len(bad):
+            raise InputError(f"non-finite coordinate x[{bad[0]}] = {x[bad[0]]}")
         idx = np.floor((x - self.lo) / self.spacing).astype(int)
         if np.any(idx < 0) or np.any(idx >= np.asarray(self.cells)):
             raise InputError("point outside the grid box")
@@ -374,7 +377,7 @@ def build_field(
     tol_unique: Optional[float] = None,
 ) -> DistanceField:
     """Compute delta, nearest-source index, and ambiguity gap on the grid."""
-    dual = DualNorm(f)
+    dual = dual_norm_of(f)
     _assert_even(dual)
     if grid.dim != f.dim:
         raise InputError("grid and integrand dimensions differ")

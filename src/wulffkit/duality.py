@@ -17,6 +17,7 @@ path is cross-checked against them in the test suite.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import DomainError, InputError, SolverError
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm
 
-__all__ = ["DualNorm", "WulffSample", "wulff_sample"]
+__all__ = ["DualNorm", "dual_norm_of", "WulffSample", "wulff_sample"]
 
 _TABLE_SIZE = 8192
 # rounding allowance of batch_bracket, relative to |w| grad_bound()
@@ -350,6 +351,23 @@ class DualNorm:
             # scale so that F(v) grad F(v) = w holds at the maximizer
             out[k] = u * (w @ u)
         return out
+
+
+_LIVE_DUALS = weakref.WeakValueDictionary()
+
+
+def dual_norm_of(f: Integrand) -> DualNorm:
+    """The live default ``DualNorm`` of the integrand object f, or a new one.
+
+    Sharing it builds the lazily cached d=2 Wulff polygon and ``grad_bound``
+    once per integrand object.  Entries are keyed by id(f) and live only as
+    long as their DualNorm, whose ``base`` holds f, so an id is never reused
+    while its entry exists.
+    """
+    dual = _LIVE_DUALS.get(id(f))
+    if dual is None:
+        dual = _LIVE_DUALS[id(f)] = DualNorm(f)
+    return dual
 
 
 @dataclass(frozen=True, eq=False)

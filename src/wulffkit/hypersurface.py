@@ -11,6 +11,7 @@ rho^(d-1) sigma / (omega . nu).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -264,6 +265,24 @@ def _bisect_newton_radii(body: StarBody, omega, tol=1e-13):
     return t
 
 
+def tangent_frames(nu):
+    """Orthonormal tangent frames (N, d, n) oriented so the frame + normal
+    is right-handed (d=3: tau1 x tau2 = nu; d=2: tau = rot90(nu))."""
+    nu = np.atleast_2d(np.asarray(nu, dtype=float))
+    n_nodes, d = nu.shape
+    if d == 2:
+        tau = np.stack([-nu[:, 1], nu[:, 0]], axis=1)
+        return tau[:, :, None]
+    if d == 3:
+        seed = np.zeros((n_nodes, 3))
+        seed[np.arange(n_nodes), np.argmin(np.abs(nu), axis=1)] = 1.0
+        t1 = seed - np.einsum("ni,ni->n", seed, nu)[:, None] * nu
+        t1 /= np.linalg.norm(t1, axis=1)[:, None]
+        t2 = np.cross(nu, t1)
+        return np.stack([t1, t2], axis=2)
+    raise InputError(f"unsupported dimension {d}")
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceQuadrature:
     """Oriented boundary sample: points, unit outward normals, area weights.
@@ -290,6 +309,12 @@ class SurfaceQuadrature:
 
     def area(self) -> float:
         return float(self.weights.sum())
+
+    @cached_property
+    def frames(self):
+        """``tangent_frames(normals)``, built once and shared by the curvature
+        table and the variation pass of this quadrature."""
+        return tangent_frames(self.normals)
 
     def to_csv(self, path):
         d = self.dim

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .distance import GridSpec
-from .duality import DualNorm
+from .duality import DualNorm, dual_norm_of
 from .errors import InputError, SceneError
 from .hypersurface import Ellipsoid, StarBody, Superellipse, WulffBody
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm, WeightedSum
@@ -149,7 +149,7 @@ def parse_scene(raw: dict) -> Scene:
     if not isinstance(raw, dict):
         raise SceneError("scene root must be an object")
     integrand = _parse_integrand(_require(raw, "integrand", "scene"))
-    dual = DualNorm(integrand)
+    dual = dual_norm_of(integrand)
 
     bodies = []
     for k, spec in enumerate(_section(raw, "bodies", [])):

@@ -21,13 +21,12 @@ are exact and quadrature is the only error source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError, StepTooLargeError
 from .hypersurface import SurfaceQuadrature, perimeter_F, volume
-from .curvature import tangent_frames
 from .integrand import Integrand
 
 __all__ = [
@@ -46,7 +45,8 @@ class PolynomialField:
     """g(x) = const + lin x + quad(x, x) with the quadratic part symmetric.
 
     quad[i, j, k] multiplies x_j x_k in component i; it is symmetrized on
-    construction so Dg is exactly lin + 2 quad(., x).
+    construction so Dg is exactly lin + 2 quad(., x).  g and Dg are one
+    matmul each against the monomials (1, x, x x) of the points.
     """
 
     const: np.ndarray
@@ -93,16 +93,37 @@ class PolynomialField:
         )
 
     def __call__(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return (
-            self.const[None, :]
-            + x @ self.lin.T
-            + np.einsum("ijk,nj,nk->ni", self.quad, x, x)
-        )
+        return self._values(_monomials(x))
 
     def jacobian(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.lin[None, :, :] + 2.0 * np.einsum("ijk,nk->nij", self.quad, x)
+        return self._jacobians(_monomials(x))
+
+    def _values(self, mono):
+        """g at the points whose ``_monomials`` are ``mono``: one matmul."""
+        d = self.dim
+        coefs = np.vstack([self.const, self.lin.T, self.quad.reshape(d, d * d).T])
+        return mono @ coefs
+
+    def _jacobians(self, mono):
+        """Dg = lin + 2 quad(., x), (N, d, d), from the (1, x) columns of mono."""
+        d = self.dim
+        coefs = np.vstack([self.lin.reshape(1, -1), 2.0 * self.quad.reshape(d * d, d).T])
+        return (mono[:, : 1 + d] @ coefs).reshape(-1, d, d)
+
+
+def _monomials(x):
+    """Columns 1, x_j and x_j x_k of every point: an (N, 1 + d + d*d) view.
+
+    It is built column-major so that the products run along the nodes.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n_pts, d = x.shape
+    m = np.empty((1 + d + d * d, n_pts))
+    m[0] = 1.0
+    xt = m[1 : 1 + d]
+    xt[...] = x.T
+    np.multiply(xt[:, None, :], xt[None, :, :], out=m[1 + d :].reshape(d, d, n_pts))
+    return m.T
 
 
 def stress_tensor(f: Integrand, nu):
@@ -114,54 +135,68 @@ def stress_tensor(f: Integrand, nu):
     return fv[:, None, None] * np.eye(d)[None] - nu[:, :, None] * g[:, None, :]
 
 
+def _weighted_stress(q: SurfaceQuadrature, f: Integrand):
+    """w B_F(nu) at every node, flattened to one row of d*d entries."""
+    return (stress_tensor(f, q.normals) * q.weights[:, None, None]).reshape(len(q), -1)
+
+
+def _first_variation(dg, stress) -> float:
+    return float(np.einsum("ni,ni->", dg.reshape(len(dg), -1), stress))
+
+
+def _flux(q: SurfaceQuadrature, gx):
+    """g(x).nu at every node."""
+    return np.einsum("ni,ni->n", gx, q.normals)
+
+
 def first_variation(q: SurfaceQuadrature, f: Integrand, g: PolynomialField) -> float:
     """sum over nodes of <Dg(x), B_F(nu)> w (entrywise matrix pairing)."""
     if len(q) == 0:
         raise InputError("empty quadrature")
-    dg = g.jacobian(q.points)
-    bf = stress_tensor(f, q.normals)
-    return float((np.einsum("nij,nij->n", dg, bf) * q.weights).sum())
+    return _first_variation(g._jacobians(_monomials(q.points)), _weighted_stress(q, f))
 
 
 def volume_derivative(q: SurfaceQuadrature, g: PolynomialField) -> float:
     """Flux of g through the boundary: sum (g(x).nu) w."""
-    return float((np.einsum("ni,ni->n", g(q.points), q.normals) * q.weights).sum())
+    return float((_flux(q, g(q.points)) * q.weights).sum())
 
 
-def _push_quadrature(q: SurfaceQuadrature, g: PolynomialField, t: float):
-    """Transport nodes, frames, weights, and normals along x -> x + t g(x)."""
-    x = q.points + t * g(q.points)
-    jac = np.eye(q.dim)[None] + t * g.jacobian(q.points)
-    frames = tangent_frames(q.normals)
-    pushed = np.einsum("nij,njk->nik", jac, frames)
+def _field_terms(q: SurfaceQuadrature, mono, g: PolynomialField):
+    """g(x), Dg(x) and Dg(x) frames at the nodes, each evaluated once."""
+    dg = g._jacobians(mono)
+    return g._values(mono), dg, dg @ q.frames
+
+
+def _pushed_energy_volume(q: SurfaceQuadrature, f: Integrand, gx, dg_frames, t: float):
+    """(energy, volume) of q pushed along x -> x + t g(x).
+
+    Nodes move by t g(x) and tangent frames by I + t Dg.  The pushed area
+    vector a (the rotated tangent for d=2, the cross product of the frame
+    for d=3) is the pushed normal times the tangential Jacobian, so with F
+    one-homogeneous the pushed energy density F(nu_t) w |a| is F(a) w.
+    """
+    x = q.points + t * gx
+    pushed = q.frames + t * dg_frames
     if q.dim == 2:
-        tau = pushed[:, :, 0]
-        stretch = np.linalg.norm(tau, axis=1)
-        if np.any(stretch < 1e-12):
-            raise StepTooLargeError("pushed tangent degenerated; reduce the step")
-        nu = np.stack([tau[:, 1], -tau[:, 0]], axis=1) / stretch[:, None]
+        a = np.stack([pushed[:, 1, 0], -pushed[:, 0, 0]], axis=1)
     else:
-        cr = np.cross(pushed[:, :, 0], pushed[:, :, 1])
-        stretch = np.linalg.norm(cr, axis=1)
-        if np.any(stretch < 1e-12):
-            raise StepTooLargeError("pushed frame degenerated; reduce the step")
-        nu = cr / stretch[:, None]
-    return x, nu, q.weights * stretch
-
-
-def _pushed_energy_volume(q, f, g, t):
-    x, nu, w = _push_quadrature(q, g, t)
-    energy = float((f.value(nu) * w).sum())
-    vol = float((np.einsum("ni,ni->n", x, nu) * w).sum() / q.dim)
+        a = np.cross(pushed[:, :, 0], pushed[:, :, 1])
+    if np.any(np.einsum("ni,ni->n", a, a) < 1e-24):
+        raise StepTooLargeError("pushed frame degenerated; reduce the step")
+    energy = float((f.value(a) * q.weights).sum())
+    vol = float((np.einsum("ni,ni->n", x, a) * q.weights).sum() / q.dim)
     return energy, vol
 
 
-def _pushed_energies(quad, f, g, h):
+def _pushed_energies(q, f, gx, dg_frames, h):
     """(energy, volume) of the quadrature pushed by +h and by -h."""
-    diameter = 2.0 * float(quad.rho.max())
+    return [_pushed_energy_volume(q, f, gx, dg_frames, t) for t in (+h, -h)]
+
+
+def _check_step(q: SurfaceQuadrature, h: float):
+    diameter = 2.0 * float(q.rho.max())
     if h > 1e-3 * diameter:
         raise InputError(f"step {h} too large for body diameter {diameter}")
-    return _pushed_energy_volume(quad, f, g, +h), _pushed_energy_volume(quad, f, g, -h)
 
 
 def flow_energy_derivative(
@@ -174,7 +209,9 @@ def flow_energy_derivative(
     below 1e-3 of the body diameter so the difference is in the O(h^2)
     regime.
     """
-    (e_plus, _), (e_minus, _) = _pushed_energies(quad, f, g, h)
+    _check_step(quad, h)
+    gx, _, dg_frames = _field_terms(quad, _monomials(quad.points), g)
+    (e_plus, _), (e_minus, _) = _pushed_energies(quad, f, gx, dg_frames, h)
     return (e_plus - e_minus) / (2 * h)
 
 
@@ -183,7 +220,8 @@ class CriticalityResult:
     """Volume-constrained criticality residuals for one body and field.
 
     ``flow_derivative`` is the central difference of the pushed energy, the
-    value of ``flow_energy_derivative`` at the same step.
+    value of ``flow_energy_derivative`` at the same step.  ``flux`` is
+    g(x).nu at every node; its weighted sum is ``volume_derivative``.
     """
 
     residual: float
@@ -193,41 +231,57 @@ class CriticalityResult:
     first_variation: float
     volume_derivative: float
     flow_derivative: float
+    flux: np.ndarray
 
 
 def criticality_residual(
     quad: SurfaceQuadrature,
     f: Integrand,
-    g: PolynomialField,
+    fields: Sequence[PolynomialField],
     h: Optional[float] = None,
-) -> CriticalityResult:
-    """(n+1) dP - n (P/V) dV, plus the rescaled volume-preserving residual.
+) -> List[CriticalityResult]:
+    """(n+1) dP - n (P/V) dV, plus the rescaled volume-preserving residual,
+    for each of a body's fields.
 
     The second residual flows by x + t g(x), rescales by
     (V0/V(t))^(1/(n+1)) to restore the volume, and differentiates the
     energy of the rescaled flow by central differences; both residuals
     vanish for Wulff shapes.  The same two pushes give the flow derivative.
     h defaults to 1e-4 of the body diameter.
+
+    P, V, w B_F(nu), the node monomials and the tangent frames are computed
+    once for the body; g(x), Dg(x) and Dg(x) frames once per field, shared
+    by dP, dV and both pushes.  Each result equals the one-field
+    ``first_variation``, ``volume_derivative`` and ``flow_energy_derivative``.
     """
     n = quad.dim - 1
     p = perimeter_F(quad, f)
     v = volume(quad)
-    fv = first_variation(quad, f, g)
-    dv = volume_derivative(quad, g)
-    residual = (n + 1) * fv - n * (p / v) * dv
-
     if h is None:
         h = 1e-4 * 2.0 * float(quad.rho.max())
-    pushed = _pushed_energies(quad, f, g, h)
-    rescaled = [
-        ((v / vol_t) ** (1.0 / (n + 1))) ** n * energy for energy, vol_t in pushed
-    ]
-    return CriticalityResult(
-        residual=residual,
-        rescaled_residual=(rescaled[0] - rescaled[1]) / (2 * h),
-        perimeter=p,
-        volume=v,
-        first_variation=fv,
-        volume_derivative=dv,
-        flow_derivative=(pushed[0][0] - pushed[1][0]) / (2 * h),
-    )
+    _check_step(quad, h)
+    mono = _monomials(quad.points)
+    stress = _weighted_stress(quad, f)
+    results = []
+    for g in fields:
+        gx, dg, dg_frames = _field_terms(quad, mono, g)
+        fv = _first_variation(dg, stress)
+        flux = _flux(quad, gx)
+        dv = float((flux * quad.weights).sum())
+        pushed = _pushed_energies(quad, f, gx, dg_frames, h)
+        rescaled = [
+            ((v / vol_t) ** (1.0 / (n + 1))) ** n * energy for energy, vol_t in pushed
+        ]
+        results.append(
+            CriticalityResult(
+                residual=(n + 1) * fv - n * (p / v) * dv,
+                rescaled_residual=(rescaled[0] - rescaled[1]) / (2 * h),
+                perimeter=p,
+                volume=v,
+                first_variation=fv,
+                volume_derivative=dv,
+                flow_derivative=(pushed[0][0] - pushed[1][0]) / (2 * h),
+                flux=flux,
+            )
+        )
+    return results

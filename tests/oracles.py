@@ -35,6 +35,20 @@ def fd_jacobian(fn, x, h=1e-6):
     return np.stack(cols, axis=1)
 
 
+def polynomial_field(const, lin, quad, x):
+    """const_i + sum_j lin_ij x_j + sum_jk quad_ijk x_j x_k, by explicit sums."""
+    d = len(const)
+    out = np.empty(d)
+    for i in range(d):
+        total = const[i]
+        for j in range(d):
+            total += lin[i][j] * x[j]
+            for k in range(d):
+                total += quad[i][j][k] * x[j] * x[k]
+        out[i] = total
+    return out
+
+
 def brute_conjugate(f_value, w, n=200_000):
     """max w.u over {F(u) = 1} by dense sampling of the plane of w (d=2)."""
     theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)

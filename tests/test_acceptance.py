@@ -218,15 +218,12 @@ def test_criterion_7_variation():
 
     qw = sample_surface(wulff, 4096)
     p_f = perimeter_F(qw, Q2)
-    worst_crit = 0.0
-    for _ in range(10):
-        g = PolynomialField.random(rng, 2, 0.5)
-        res = criticality_residual(qw, Q2, g)
-        worst_crit = max(worst_crit, abs(res.residual))
+    fields = [PolynomialField.random(rng, 2, 0.5) for _ in range(10)]
+    worst_crit = max(abs(res.residual) for res in criticality_residual(qw, Q2, fields))
     assert worst_crit <= 1e-3 * p_f
 
     shear = PolynomialField.linear(np.diag([1.0, -1.0]))
-    shear_res = criticality_residual(sample_surface(ellipse, 4096), E2, shear)
+    [shear_res] = criticality_residual(sample_surface(ellipse, 4096), E2, [shear])
     assert abs(shear_res.residual) > 0.1
     _report(
         "7 variation",

@@ -176,3 +176,14 @@ def test_curvature_vectors():
     hf = table.unit_density_mean_vector(q.normals, Q2)
     assert np.allclose(hf * Q2.value(q.normals)[:, None], hbar, atol=1e-14)
 
+
+
+def test_table_frames_are_the_quadrature_frames():
+    # one frame array per quadrature, shared with the variation pass
+    from wulffkit.curvature import tangent_frames
+
+    body = Ellipsoid(np.diag([0.25, 1.0, 0.5]), np.zeros(3))
+    q = sample_surface(body, (32, 64))
+    table = curvature_table(body, E3, q)
+    assert table.frames is q.frames
+    assert np.array_equal(q.frames, tangent_frames(q.normals))

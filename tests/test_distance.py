@@ -17,6 +17,7 @@ from wulffkit import (
     boundary_source,
     build_field,
     direction_check,
+    parse_scene,
     estimate_reach_F,
     project,
     reach_comparison,
@@ -265,6 +266,15 @@ def test_point_outside_grid_rejected(disk_field):
         project(disk_field, [5.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_names_the_coordinate(disk_field, bad):
+    # a NaN must not be cast to a cell index and called "outside the grid box"
+    with pytest.raises(InputError, match=r"non-finite coordinate x\[1\]"):
+        project(disk_field, [0.2, bad])
+    with pytest.raises(InputError, match="non-finite"):
+        disk_field.delta_at([bad, 0.0])
+
+
 def test_field_csv(tmp_path, disk_field):
     path = tmp_path / "field.csv"
     disk_field.to_csv(path)
@@ -400,6 +410,36 @@ def test_weighted_sum_field_solves_no_table(monkeypatch):
     monkeypatch.setattr(DualNorm, "batch_value", counted)
     build_field(src, w2, GridSpec([-1.3, -0.8], [1.3, 0.8], [65, 40]))
     assert rows == [8, 8]
+
+
+def test_one_wulff_polygon_per_integrand(monkeypatch):
+    # a scene's body membership and every field under the scene's integrand
+    # share the integrand's one DualNorm, so its Wulff polygon is built once
+    builds = []
+    polygon = DualNorm._polygon
+
+    def counted(self):
+        if self._poly is None:
+            builds.append(self.base)
+        return polygon(self)
+
+    monkeypatch.setattr(DualNorm, "_polygon", counted)
+    scene = parse_scene(
+        {
+            "integrand": {
+                "family": "weighted-sum",
+                "terms": [
+                    {"weight": 0.5, "integrand": {"family": "euclidean", "dimension": 2}},
+                    {"weight": 1.0, "integrand": {"family": "quadratic", "matrix": [[4, 0], [0, 1]]}},
+                ],
+            },
+            "bodies": [{"id": "w", "kind": "wulff", "center": [0.0, 0.0], "radius": 1.0}],
+        }
+    )
+    src = boundary_source([scene.bodies[0][1]], 1024, region="complement")
+    for _ in range(2):
+        build_field(src, scene.integrand, GridSpec([-1.3, -0.8], [1.3, 0.8], [65, 40]))
+    assert builds == [scene.integrand]
 
 
 def test_project_in_A_returns_the_stored_zero(monkeypatch):

@@ -26,7 +26,7 @@ from wulffkit import (
     volume_derivative,
 )
 
-from oracles import ellipse_arc_length, fd_jacobian
+from oracles import ellipse_arc_length, fd_jacobian, polynomial_field
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -57,6 +57,23 @@ def test_field_jacobian_matches_finite_differences():
     for x in ([0.3, -0.7], [1.4, 0.2]):
         fd = fd_jacobian(lambda y: g(y[None, :])[0], np.asarray(x), h=1e-6)
         assert g.jacobian(np.asarray(x)[None, :])[0] == pytest.approx(fd, abs=1e-8)
+    g3 = PolynomialField.random(rng, 3, 1.0)
+    pts = rng.standard_normal((4, 3))
+    jac = g3.jacobian(pts)
+    for x, j in zip(pts, jac):
+        fd = fd_jacobian(lambda y: g3(y[None, :])[0], x, h=1e-6)
+        assert j == pytest.approx(fd, abs=1e-8)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_field_value_matches_explicit_sums(d):
+    rng = np.random.default_rng(2)
+    const, lin, quad = (rng.standard_normal((d,) * k) for k in (1, 2, 3))
+    g = PolynomialField(const, lin, quad)  # quad is symmetrized on construction
+    pts = 2.0 * rng.standard_normal((6, d))
+    expected = np.array([polynomial_field(const, lin, quad, x) for x in pts])
+    assert g(pts) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+    assert g(pts[0]) == pytest.approx(expected[:1], rel=1e-13, abs=1e-13)
 
 
 def test_constant_field_gives_zero():
@@ -130,9 +147,8 @@ def test_wulff_criticality():
     rng = np.random.default_rng(9)
     q = sample_surface(WULFF, 4096)
     p = perimeter_F(q, Q2)
-    for _ in range(10):
-        g = PolynomialField.random(rng, 2, 0.5)
-        res = criticality_residual(q, Q2, g)
+    fields = [PolynomialField.random(rng, 2, 0.5) for _ in range(10)]
+    for res in criticality_residual(q, Q2, fields):
         assert abs(res.residual) <= 1e-3 * p
         assert abs(res.rescaled_residual) <= 1e-3 * p
 
@@ -142,15 +158,14 @@ def test_euclidean_ball_criticality():
     rng = np.random.default_rng(10)
     q = sample_surface(ball, 4096)
     p = perimeter_F(q, E2)
-    for _ in range(5):
-        g = PolynomialField.random(rng, 2, 0.5)
-        res = criticality_residual(q, E2, g)
+    fields = [PolynomialField.random(rng, 2, 0.5) for _ in range(5)]
+    for res in criticality_residual(q, E2, fields):
         assert abs(res.residual) <= 1e-3 * p
 
 
 def test_ellipse_shear_not_critical():
     shear = PolynomialField.linear(np.diag([1.0, -1.0]))
-    res = criticality_residual(sample_surface(ELLIPSE, 4096), E2, shear)
+    [res] = criticality_residual(sample_surface(ELLIPSE, 4096), E2, [shear])
     assert abs(res.residual) > 0.1
     # finite-difference oracle on the flowed ellipse: axes (2(1+t), (1-t))
     h = 1e-5
@@ -164,20 +179,26 @@ def test_rescaled_residual_matches_scaled_identity():
     # d/dt [ (V0/V(t))^{n/(n+1)} P(t) ] = residual / (n+1)
     rng = np.random.default_rng(11)
     g = PolynomialField.random(rng, 2, 0.5)
-    res = criticality_residual(sample_surface(ELLIPSE, 4096), E2, g)
+    [res] = criticality_residual(sample_surface(ELLIPSE, 4096), E2, [g])
     assert res.rescaled_residual == pytest.approx(res.residual / 2.0, rel=1e-3, abs=1e-7)
 
 
 def test_criticality_reuses_the_flow_pushes():
+    # the per-body pass gives, field by field, exactly the one-field routes
     rng = np.random.default_rng(12)
-    for body, f, res in ((ELLIPSE, Q2, 2048), (WULFF, Q2, 1024)):
+    ellipsoid = Ellipsoid(np.diag([0.25, 1.0, 1.0]), np.zeros(3))
+    for body, f, res in (
+        (ELLIPSE, Q2, 2048),
+        (WULFF, Q2, 1024),
+        (ellipsoid, QuadraticNorm(np.diag([4.0, 1.0, 2.0])), (64, 128)),
+    ):
         q = sample_surface(body, res)
         h = 1e-4 * 2 * q.rho.max()
-        for _ in range(3):
-            g = PolynomialField.random(rng, 2, 0.4)
-            crit = criticality_residual(q, f, g, h)
+        fields = [PolynomialField.random(rng, body.dim, 0.4) for _ in range(3)]
+        for g, crit in zip(fields, criticality_residual(q, f, fields, h), strict=True):
             assert crit.flow_derivative == flow_energy_derivative(q, f, g, h)
             assert crit.first_variation == first_variation(q, f, g)
+            assert crit.volume_derivative == volume_derivative(q, g)
 
 
 def test_var_suite_pushes_each_field_once(tmp_path, monkeypatch):
@@ -186,9 +207,9 @@ def test_var_suite_pushes_each_field_once(tmp_path, monkeypatch):
     calls = []
     pushed = variation._pushed_energy_volume
 
-    def counted(q, f, g, t):
+    def counted(q, f, gx, dg_frames, t):
         calls.append(t)
-        return pushed(q, f, g, t)
+        return pushed(q, f, gx, dg_frames, t)
 
     monkeypatch.setattr(variation, "_pushed_energy_volume", counted)
     scene = replace(load_scene(SCENES / "ellipse_d2.json"), resolution=512)
@@ -205,12 +226,11 @@ def test_flow_step_guard():
 
 
 def test_degenerate_push_rejected():
-    from wulffkit.variation import _push_quadrature
-
+    # t Dg = -I exactly (powers of two), so the +h push collapses every frame
     q = sample_surface(ELLIPSE, 256)
-    collapse = PolynomialField.linear(-np.eye(2))
+    collapse = PolynomialField.linear(-1024.0 * np.eye(2))
     with pytest.raises(StepTooLargeError):
-        _push_quadrature(q, collapse, 1.0)
+        flow_energy_derivative(q, E2, collapse, 1.0 / 1024)
 
 
 def test_field_shape_validation():
