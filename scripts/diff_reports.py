@@ -4,14 +4,19 @@
 
 Every file under either tree is matched by its relative path.  In JSON
 files each differing number prints as ``path old new |new - old|``, and any
-other differing value as ``path old new``; every other file is compared by
-its bytes, and a differing one prints as ``file differs``.  Exits 1 if
-anything differs, 0 otherwise.  Needs only the standard library.
+other differing value as ``path old new``.  In CSV files with the same header
+and row count, each column with differing numbers prints as
+``file:column n_cells max|new - old|``.  Every other file is compared by its
+bytes, and a differing one prints as ``file differs``.  Exits 1 if anything
+differs, 0 otherwise.  Needs only the standard library.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,6 +52,41 @@ def diff_values(old, new, path: str):
     return [f"{path} {json.dumps(old)} {json.dumps(new)}"]
 
 
+def _float(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def diff_csv(old: str, new: str, rel: str):
+    """A line per column whose numbers differ between two CSV texts with the
+    same header and row count, else no lines; None when the header or row
+    count differs or a differing cell is not a number on both sides."""
+    a, b = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
+    if len(a) != len(b) or a[0] != b[0]:
+        return None
+    counts, worst = [0] * len(a[0]), [0.0] * len(a[0])
+    for row_a, row_b in zip(a[1:], b[1:]):
+        if len(row_a) != len(a[0]) or len(row_b) != len(a[0]):
+            return None
+        for k, (x, y) in enumerate(zip(row_a, row_b)):
+            if x == y:
+                continue
+            fx, fy = _float(x), _float(y)
+            if fx is None or fy is None:
+                return None
+            if fx == fy or math.isnan(fx) and math.isnan(fy):
+                continue
+            delta = abs(fy - fx)
+            counts[k] += 1
+            # a NaN on one side is as far off as a difference gets
+            worst[k] = max(worst[k], math.inf if math.isnan(delta) else delta)
+    return [
+        f"{rel}:{name} {n} {d:.3g}" for name, n, d in zip(a[0], counts, worst) if n
+    ]
+
+
 def diff_trees(old: Path, new: Path):
     """Lines for each file of the two trees that differs."""
     lines = []
@@ -61,6 +101,9 @@ def diff_trees(old: Path, new: Path):
         elif rel.suffix == ".json":
             values = diff_values(json.loads(a.read_text()), json.loads(b.read_text()), str(rel))
             # equal values in other formatting still differ
+            lines += values or [f"{rel} differs"]
+        elif rel.suffix == ".csv":
+            values = diff_csv(a.read_text(), b.read_text(), str(rel))
             lines += values or [f"{rel} differs"]
         else:
             lines.append(f"{rel} differs")

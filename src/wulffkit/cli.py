@@ -26,20 +26,11 @@ SCHEMA_VERSION = "1.0"
 COMMANDS = SUITE_ORDER + ("all",)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+def _tolist(obj):
+    """``json.dumps`` hook: numpy scalars and arrays as plain Python values."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def run(command: str, scene_path, out_dir, seed=None, resolution=None, grid=None) -> int:
@@ -78,7 +69,7 @@ def run(command: str, scene_path, out_dir, seed=None, resolution=None, grid=None
         "scene": Path(scene_path).name,
         "seed": scene.seed,
         "rng": "numpy-default-pcg64",
-        "resolution": _jsonable(scene.resolution),
+        "resolution": scene.resolution,
         "suites": [
             {
                 "name": r.name,
@@ -86,14 +77,15 @@ def run(command: str, scene_path, out_dir, seed=None, resolution=None, grid=None
                 "passed": r.passed,
                 "skipped": r.skipped,
                 "skip_reason": r.skip_reason,
-                "checks": _jsonable(r.checks),
-                "metrics": _jsonable(r.metrics),
+                "checks": r.checks,
+                "metrics": r.metrics,
             }
             for r in results
         ],
         "exit_code": exit_code,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(report, indent=2, sort_keys=True, default=_tolist)
+    (out / "report.json").write_text(text + "\n")
     return exit_code
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "tangent_frames",
     "CurvatureTable",
     "curvature_table",
-    "curvature_csv",
     "UmbilicityReport",
     "umbilicity_classify",
 ]
@@ -124,18 +123,6 @@ def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> Cu
     kappa = _kappa_from_ab(a, b)
     mean = np.einsum("nij,nji->n", a, b)
     return CurvatureTable(frames=frames, shape_ops=b, f_hessians=a, kappa=kappa, mean=mean)
-
-
-def curvature_csv(table: CurvatureTable, quad: SurfaceQuadrature, path):
-    """Write node coordinates, principal curvatures and H, one row per node."""
-    d = quad.dim
-    header = ",".join(
-        [f"x{i+1}" for i in range(d)]
-        + [f"kappaF{i+1}" for i in range(d - 1)]
-        + ["H"]
-    )
-    data = np.hstack([quad.points, table.kappa, table.mean[:, None]])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,13 +1,13 @@
 """Anisotropic distance fields, nearest-point projections, and reach estimates.
 
 The field stores, per grid cell, the distance delta(x) = min_a F*(a - x)
-to a dense boundary sample of a closed set A, the index of the nearest
-sample point, and an ambiguity ``gap``.  The gap is the Euclidean diameter
-of the near-minimizer cluster whenever that cluster is spatially split:
-cluster points are grouped by single-linkage at the source sampling scale
-(``tol_unique``), so the contiguous arc of samples around a unique foot
-never triggers, while genuinely multi-valued projections (two feet across
-a medial axis, or a whole equidistant loop) do.
+to a dense boundary sample of a closed set A and an ambiguity ``gap``;
+``project`` finds the nearest sample point of one query.  The gap is the
+Euclidean diameter of the near-minimizer cluster whenever that cluster is
+spatially split: cluster points are grouped by single-linkage at the source
+sampling scale (``tol_unique``), so the contiguous arc of samples around a
+unique foot never triggers, while genuinely multi-valued projections (two
+feet across a medial axis, or a whole equidistant loop) do.
 
 The cluster window combines the relative tie tolerance ``eps_cluster``
 with an absolute floor of ``WINDOW_CELLS`` grid spacings; the floor is
@@ -167,6 +167,9 @@ def boundary_source(
     """
     if region not in ("complement", "set", "curve"):
         raise InputError(f"unknown region {region!r}")
+    for b in bodies:
+        if b.dim != 2:
+            raise InputError(f"sources are sampled curves: got a body with d={b.dim}")
     pieces, loops, start = [], [], 0
     for b in bodies:
         pts = sample_surface(b, resolution).points
@@ -243,13 +246,12 @@ def merge_sources(sources: Sequence[SourceSet]) -> SourceSet:
 
 @dataclass(frozen=True, eq=False)
 class DistanceField:
-    """Grid of anisotropic distances with nearest-source indices and gaps."""
+    """Grid of anisotropic distances and ambiguity gaps."""
 
     grid: GridSpec
     source: SourceSet
     dual: DualNorm
     delta: np.ndarray
-    argmin: np.ndarray
     gap: np.ndarray
     eps_cluster: float
     tol_unique: float
@@ -275,15 +277,6 @@ class DistanceField:
         diff = pts[None, :, :] - x[:, None, :]
         d = self.dual.batch_value_fast(diff.reshape(-1, pts.shape[1]))
         return d.reshape(len(x), len(pts)).min(axis=1)
-
-    def to_csv(self, path):
-        shape = self.grid.shape
-        idx = np.indices(shape).reshape(len(shape), -1).T
-        header = ",".join(["i", "j", "k"][: len(shape)] + ["delta", "gap"])
-        data = np.hstack(
-            [idx, self.delta.reshape(-1, 1), self.gap.reshape(-1, 1)]
-        )
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
 def _pairwise_values(dual: DualNorm, sources, centers):
@@ -376,7 +369,7 @@ def build_field(
     eps_cluster: float = 1e-3,
     tol_unique: Optional[float] = None,
 ) -> DistanceField:
-    """Compute delta, nearest-source index, and ambiguity gap on the grid."""
+    """Compute delta and the ambiguity gap on the grid."""
     dual = dual_norm_of(f)
     _assert_even(dual)
     if grid.dim != f.dim:
@@ -402,7 +395,6 @@ def build_field(
     resolve = _cluster_analysis(source, eps_cluster, window_abs, tol_unique)
 
     delta = np.empty(n_cells)
-    argmin = np.empty(n_cells, dtype=np.int64)
     gap = np.empty(n_cells)
 
     # two-level candidate pruning: each coarse block keeps the sources that
@@ -419,7 +411,7 @@ def build_field(
             xt = centers[cells_idx].mean(axis=0)
             cand = _candidates(dual, pts, coarse, xt, r_tile, lip, eps_cluster, window_abs)
             d = values(cells_idx, cand)
-            delta[cells_idx], argmin[cells_idx], gap[cells_idx] = resolve(d, cand)
+            delta[cells_idx], _, gap[cells_idx] = resolve(d, cand)
 
     if source.inside is not None:
         member = source.membership(centers)
@@ -432,7 +424,6 @@ def build_field(
         source=source,
         dual=dual,
         delta=delta.reshape(shape),
-        argmin=argmin.reshape(shape),
         gap=gap.reshape(shape),
         eps_cluster=eps_cluster,
         tol_unique=float(tol_unique),

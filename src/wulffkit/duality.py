@@ -385,14 +385,6 @@ class WulffSample:
     normals: np.ndarray
     resolution: int
 
-    def to_csv(self, path):
-        data = np.hstack([self.points, self.normals])
-        header = ",".join(
-            [f"x{i+1}" for i in range(self.points.shape[1])]
-            + [f"nu{i+1}" for i in range(self.points.shape[1])]
-        )
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 def _unit_directions(dim, resolution):
     """Node grid on the Euclidean sphere: uniform angles (d=2) or

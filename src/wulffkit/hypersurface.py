@@ -316,14 +316,6 @@ class SurfaceQuadrature:
         table and the variation pass of this quadrature."""
         return tangent_frames(self.normals)
 
-    def to_csv(self, path):
-        d = self.dim
-        header = ",".join(
-            [f"x{i+1}" for i in range(d)] + [f"nu{i+1}" for i in range(d)] + ["w"]
-        )
-        data = np.hstack([self.points, self.normals, self.weights[:, None]])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 def sample_surface(body: StarBody, resolution) -> SurfaceQuadrature:
     """Boundary quadrature of a star body over a full sphere grid."""

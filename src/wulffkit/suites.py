@@ -16,13 +16,14 @@ import numpy as np
 
 from . import distance as dist
 from . import steiner as st
-from .curvature import curvature_csv, curvature_table, umbilicity_classify
+from .curvature import curvature_table, umbilicity_classify
 from .duality import wulff_sample
 from .errors import WulffkitError
 from .hk import equality_classifier, hk_evaluate, montiel_ros_integral
 from .hypersurface import WulffBody, perimeter_F, sample_surface, volume
 from .integrand import EuclideanNorm
 from .scene import SUITE_ORDER, Scene
+from .table import write_csv
 from .variation import PolynomialField, criticality_residual, first_variation
 
 __all__ = ["SUITE_ORDER", "run_suite", "SuiteResult", "RunCache"]
@@ -96,7 +97,9 @@ class RunCache:
         """Boundary sample of the closure of the outside of ``body``."""
 
         def build():
-            resolution = _steiner_source_resolution(self.scene, body)
+            resolution = self.scene.steiner.get("source_resolution")
+            if resolution is None:
+                resolution = _steiner_source_resolution(self.scene, self.sampled(body)[1])
             return dist.boundary_source([body], resolution, region="complement")
 
         return self._once(("source", body), build)
@@ -164,13 +167,7 @@ def suite_dual(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         res.check(
             "iterative_vs_closed_form", np.abs(iterative - closed).max(), 1e-6
         )
-        np.savetxt(
-            out / "dual.csv",
-            np.hstack([dirs, closed[:, None], iterative[:, None]]),
-            delimiter=",",
-            header=",".join([f"w{i+1}" for i in range(f.dim)] + ["Fstar", "Fstar_iterative"]),
-            comments="",
-        )
+        write_csv(out / "dual.csv", w=dirs, Fstar=closed, Fstar_iterative=iterative)
     elif f.dim == 2:
         # the inscribed Wulff polygon of the distance layer against Newton
         ratio = dual.batch_value_fast(dirs) / dual.batch_value(dirs)
@@ -211,7 +208,7 @@ def suite_wulff(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         ).max()
         worst_radius = max(worst_radius, float(r_err))
         worst_gauss = max(worst_gauss, float(g_err))
-        ws.to_csv(out / f"wulff_{bid}.csv")
+        write_csv(out / f"wulff_{bid}.csv", x=ws.points, nu=ws.normals)
     res.check("boundary_on_conjugate_sphere", worst_radius, 1e-10 * max(1.0, r_max))
     res.check("gauss_map_inversion", worst_gauss, 1e-8)
     res.metrics["bodies"] = [bid for bid, _ in bodies]
@@ -261,7 +258,7 @@ def suite_curv(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
                 abs(umb.radius - body.radius),
                 1e-3,
             )
-        curvature_csv(table, quad, out / f"curv_{bid}.csv")
+        write_csv(out / f"curv_{bid}.csv", x=quad.points, kappaF=table.kappa, H=table.mean)
     return res
 
 
@@ -324,23 +321,28 @@ def suite_mr(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     return res
 
 
-def _steiner_source_resolution(scene: Scene, body) -> object:
-    if "source_resolution" in scene.steiner:
-        return scene.steiner["source_resolution"]
-    if scene.dim != 2:
-        return scene.resolution
-    # boundary sampling must stay denser than the grid spacing
-    length = perimeter_F(
-        sample_surface(body, 512), EuclideanNorm(2)
-    )
+def _steiner_source_resolution(scene: Scene, quad) -> int:
+    """Nodes of a complement source denser than the grid spacing, from the
+    Euclidean length of the boundary quadrature ``quad``."""
+    length = perimeter_F(quad, EuclideanNorm(2))
     need = int(2 ** np.ceil(np.log2(max(64, 1.5 * length / scene.grid.h))))
     return max(need, 512)
 
 
+def _no_field(scene: Scene) -> str:
+    """Why the scene has no distance fields, or "" if it has them."""
+    if scene.grid is None:
+        return "scene has no grid"
+    if scene.dim != 2:
+        return f"sources are sampled curves; scene has d={scene.dim}"
+    return ""
+
+
 def suite_steiner(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("steiner", VERIFIES["steiner"])
-    if scene.grid is None:
-        res.skipped, res.skip_reason = True, "scene has no grid"
+    res.skip_reason = _no_field(scene)
+    if res.skip_reason:
+        res.skipped = True
         return res
     f = scene.integrand
     for bid, body in scene.bodies:
@@ -373,20 +375,15 @@ def suite_steiner(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
             "reach_estimate": reach,
             "verdict": verdict.verdict,
         }
-        np.savetxt(
-            out / f"steiner_{bid}.csv",
-            np.stack([curve.t, curve.volume], axis=1),
-            delimiter=",",
-            header="t,volume",
-            comments="",
-        )
+        write_csv(out / f"steiner_{bid}.csv", t=curve.t, volume=curve.volume)
     return res
 
 
 def suite_reach(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("reach", VERIFIES["reach"])
-    if scene.grid is None:
-        res.skipped, res.skip_reason = True, "scene has no grid"
+    res.skip_reason = _no_field(scene)
+    if res.skip_reason:
+        res.skipped = True
         return res
     f = scene.integrand
     euclid = EuclideanNorm(scene.dim)

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "diff_reports.py"
 spec = importlib.util.spec_from_file_location("diff_reports", SCRIPT)
 diff_reports = importlib.util.module_from_spec(spec)
@@ -33,10 +35,32 @@ def test_each_difference_is_printed(tmp_path, capsys):
     assert diff_reports.main([str(old), str(new)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "extra.csv only in NEW",
-        "scene/field.csv differs",
+        "scene/field.csv:b 1 1",
         "scene/report.json.suites[0].metrics.r 0.5 0.75 0.25",
         "scene/report.json.suites[0].passed true false",
     ]
+
+
+def test_csv_columns_compare_by_value(tmp_path, capsys):
+    old = _tree(tmp_path / "old", REPORT, "x,y,z\n1.0,2,nan\n3,4,5\n")
+    new = _tree(tmp_path / "new", REPORT, "x,y,z\n1.0,2.5,1\n3,4.25,5\n")
+    assert diff_reports.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "scene/field.csv:y 2 0.5",
+        "scene/field.csv:z 1 inf",
+    ]
+
+
+@pytest.mark.parametrize(
+    "new_csv",
+    ["a,c\n1,2\n", "a,b\n1,2\n3,4\n", "a,b\n1,x\n", "a,b\n1.0,2\n"],
+    ids=["header", "row count", "not a number", "same values"],
+)
+def test_csv_that_cannot_compare_by_value_differs(tmp_path, capsys, new_csv):
+    old = _tree(tmp_path / "old", REPORT, "a,b\n1,2\n")
+    new = _tree(tmp_path / "new", REPORT, new_csv)
+    assert diff_reports.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out == "scene/field.csv differs\n"
 
 
 def test_reformatted_json_differs(tmp_path, capsys):

@@ -340,10 +340,3 @@ def test_wulff_sample_validation():
         wulff_sample(DQ, [0.0, 0.0, 0.0], 1.0, 64)
 
 
-def test_wulff_sample_csv(tmp_path):
-    ws = wulff_sample(DQ, [0.0, 0.0], 1.0, 32)
-    path = tmp_path / "w.csv"
-    ws.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,nu1,nu2"
-    assert len(lines) == 33

@@ -153,10 +153,3 @@ def test_node_accessor_and_concat():
     assert both.area() == pytest.approx(2 * q.area())
 
 
-def test_quadrature_csv(tmp_path):
-    q = sample_surface(UNIT_DISK, 64)
-    path = tmp_path / "q.csv"
-    q.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,nu1,nu2,w"
-    assert len(lines) == 65

@@ -1,12 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from wulffkit import SceneError, load_scene, parse_scene
-from wulffkit.cli import main, run
+from wulffkit import SceneError, load_scene, parse_scene, sample_surface
+from wulffkit.cli import _tolist, main, run
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -78,8 +79,26 @@ def test_run_cache_samples_each_complement_source_once(monkeypatch):
     assert field_f is not field_e
     assert field_f.source is field_e.source
     assert cache.complement_field(body, scene.integrand) is field_f
-    # one sample sizes the source, one is the source
+    # the run's quadrature sizes the source, one more sample is the source
     assert calls == ["sample_surface", "boundary_source", "sample_surface"]
+
+
+def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
+    from wulffkit import suites
+
+    scene = parse_scene(BASE)
+    cache = suites.RunCache(scene)
+    _, body = scene.bodies[0]
+    cache.sampled(body)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_surface(*args)
+
+    monkeypatch.setattr(suites, "sample_surface", counted)
+    cache.complement_field(body, scene.integrand)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -321,3 +340,49 @@ def test_all_skips_grid_suites_without_grid(tmp_path):
     names = {s["name"]: s for s in report["suites"]}
     assert "steiner" not in names and "reach" not in names  # deselected by scene
     assert all(s["passed"] for s in report["suites"])
+
+
+def test_d3_scene_with_grid_skips_field_suites(tmp_path):
+    # distance sources are sampled curves, so a 3D grid must not end the run
+    # in a "source sample too sparse" refusal measured across the lat-long seam
+    raw = json.loads((SCENES / "wulff_d3.json").read_text())
+    raw["grid"] = {"bounds": [[-1.3, 1.3]] * 3, "cells": 16}
+    raw["suites"] = raw["suites"] + ["steiner", "reach"]
+    scene = tmp_path / "d3_grid.json"
+    scene.write_text(json.dumps(raw))
+    assert run("all", scene, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    names = {s["name"]: s for s in report["suites"]}
+    for name in ("steiner", "reach"):
+        assert names[name]["skipped"]
+        assert names[name]["skip_reason"] == "sources are sampled curves; scene has d=3"
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, default=_tolist)
+
+
+def test_report_encoding_of_numpy_values_matches_python():
+    numpy_values = {
+        "bool": np.bool_(True),
+        "int": np.int64(-3),
+        "float": np.float64(0.1),
+        "single": np.float32(0.5),
+        "special": [np.float64(np.nan), np.float64(-np.inf), np.float64(-0.0)],
+        "array": np.array([[1.0, 2.5], [3.0, 1e-310]]),
+        "tuple": (np.int32(1), (np.float64(2.0), np.bool_(False))),
+        "nested": {"r": [np.arange(3), {"x": np.float64(7.25)}]},
+    }
+    plain = {
+        "bool": True,
+        "int": -3,
+        "float": 0.1,
+        "single": 0.5,
+        "special": [float("nan"), float("-inf"), -0.0],
+        "array": [[1.0, 2.5], [3.0, 1e-310]],
+        "tuple": [1, [2.0, False]],
+        "nested": {"r": [[0, 1, 2], {"x": 7.25}]},
+    }
+    assert _dumps(numpy_values) == _dumps(plain)
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        _dumps({"x": object()})
