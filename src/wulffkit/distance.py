@@ -17,7 +17,8 @@ flagged, making the reach estimate accurate to a couple of grid cells.
 Nearest-source search is brute force over spatial cell blocks, pruning the
 sources per coarse block and again per fine tile inside it with an exact
 Lipschitz bound (desk scale: <= 1024^2 cells, <= 1e4 source points); no
-fast marching.
+fast marching.  Cells in A are never scanned: membership is one call on all
+cell centres, made before the scan, and delta and the gap are 0 there.
 """
 
 from __future__ import annotations
@@ -307,10 +308,10 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
 
     ``d`` holds F* from a block of points (rows) to the sorted source indices
     ``cand`` (columns), which include every near-minimizer of every row.
-    ``resolve`` returns each row's minimum m, its argmin as a source index,
-    and its gap: 0, or the Euclidean diameter of its cluster (the sources
-    within m + eps_cluster m + window_abs) when that covers half a loop or
-    more or is not one single-linkage component at scale ``tol_unique``.
+    ``resolve`` returns each row's minimum m and its gap: 0, or the Euclidean
+    diameter of its cluster (the sources within m + eps_cluster m +
+    window_abs) when that covers half a loop or more or is not one
+    single-linkage component at scale ``tol_unique``.
     Samples consecutive on a loop lie within ``source.spacing <= tol_unique``,
     so only clusters of several runs or half a loop are resolved point by
     point.
@@ -337,7 +338,7 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
             cluster = source.points[cand[mask[r]]]
             if cover[r] or not _connected(cluster, tol_unique):
                 gap[r] = _diameter(cluster)
-        return m, cand[d.argmin(axis=1)], gap
+        return m, gap
 
     return resolve
 
@@ -369,7 +370,14 @@ def build_field(
     eps_cluster: float = 1e-3,
     tol_unique: Optional[float] = None,
 ) -> DistanceField:
-    """Compute delta and the ambiguity gap on the grid."""
+    """Compute delta and the ambiguity gap on the grid.
+
+    Membership in A is one call on all cell centres, made before the scan;
+    delta and the gap are 0 on A, and only the cells outside it are scanned.
+    A coarse block with every cell in A is skipped with its candidate search,
+    and a fine tile scans its cells outside A against the candidates of the
+    whole tile, which hold every near-minimizer of each of them.
+    """
     dual = dual_norm_of(f)
     _assert_even(dual)
     if grid.dim != f.dim:
@@ -394,29 +402,31 @@ def build_field(
     values = _pairwise_values(dual, pts, centers)
     resolve = _cluster_analysis(source, eps_cluster, window_abs, tol_unique)
 
-    delta = np.empty(n_cells)
-    gap = np.empty(n_cells)
+    member = source.membership(centers)
+    delta = np.zeros(n_cells)
+    gap = np.zeros(n_cells)
 
     # two-level candidate pruning: each coarse block keeps the sources that
     # can be near-minimizers of any of its cells, and each fine tile inside
     # it prunes those again at its own radius; both bounds are exact, so a
-    # tile's sorted candidates hold every near-minimizer of its cells
+    # tile's sorted candidates hold every near-minimizer of its cells, and
+    # each row's results depend only on its own near-minimizers, so scanning
+    # a tile's cells outside A alone leaves their bits as a full scan would
     flat = np.arange(n_cells).reshape(grid.shape)
     every = np.arange(len(pts))
     for block, radius in _blocks(flat, grid.spacing, BLOCK_CELLS):
+        if member[block].all():
+            continue
         xc = centers[block.ravel()].mean(axis=0)
         coarse = _candidates(dual, pts, every, xc, radius, lip, eps_cluster, window_abs)
         for tile, r_tile in _blocks(block, grid.spacing, TILE_CELLS):
             cells_idx = tile.ravel()
+            outside = cells_idx[~member[cells_idx]]
+            if len(outside) == 0:
+                continue
             xt = centers[cells_idx].mean(axis=0)
             cand = _candidates(dual, pts, coarse, xt, r_tile, lip, eps_cluster, window_abs)
-            d = values(cells_idx, cand)
-            delta[cells_idx], _, gap[cells_idx] = resolve(d, cand)
-
-    if source.inside is not None:
-        member = source.membership(centers)
-        delta[member] = 0.0
-        gap[member] = 0.0
+            delta[outside], gap[outside] = resolve(values(outside, cand), cand)
 
     shape = grid.shape
     return DistanceField(
@@ -523,7 +533,8 @@ def project(field: DistanceField, x, grad_check: bool = True) -> ProjectionResul
     source, h = field.source, field.grid.h
     resolve = _cluster_analysis(source, field.eps_cluster, WINDOW_CELLS * h, field.tol_unique)
     d = field.dual.batch_value_fast(source.points - x)
-    (m,), (best,), (gap,) = resolve(d[None], np.arange(len(d)))
+    (m,), (gap,) = resolve(d[None], np.arange(len(d)))
+    best = int(d.argmin())
     gap = max(gap, field.gap_at(x))
     ambiguous = gap > field.tol_unique
     cross_check = grad_check and not ambiguous and m > 2 * h

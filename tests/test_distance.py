@@ -23,6 +23,7 @@ from wulffkit import (
     reach_comparison,
     segment_source,
 )
+from wulffkit import distance
 from wulffkit.distance import (
     WINDOW_CELLS,
     _connected,
@@ -564,3 +565,83 @@ def test_diameter_of_dense_circle_matches_pdist(n):
     t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
     pts = np.stack([np.cos(t), np.sin(t)], axis=1) * (1.0 + 1e-9 * rng.standard_normal((n, 1)))
     assert _diameter(pts) == np.sqrt(pdist(pts, "sqeuclidean").max())
+
+
+QN = QuadraticNorm(np.array([[3.0, 0.8], [0.8, 1.5]]))
+FIELD_INTEGRANDS = {"E2": E2, "quadratic": QN, "weighted sum": WeightedSum(((0.5, E2), (1.0, QN)))}
+TWO_DISKS = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-0.8, 0.8)]
+# partial coarse blocks and fine tiles on both axes
+SKIP_GRID = GridSpec([-2.3, -1.5], [2.3, 1.5], [97, 63])
+
+
+def _scan_everywhere(src, f, grid):
+    """build_field with no membership, then delta and gap zeroed on A."""
+    plain = build_field(SourceSet(points=src.points, loops=src.loops), f, grid)
+    member = src.membership(grid.centers()).reshape(grid.shape)
+    return np.where(member, 0.0, plain.delta), np.where(member, 0.0, plain.gap)
+
+
+def _skip_cases():
+    for region in ("complement", "set", "curve"):
+        for name in FIELD_INTEGRANDS:
+            yield pytest.param(region, name, id=f"{region}-{name}")
+    yield pytest.param("wulff", "weighted sum", id="wulff-complement-weighted sum")
+
+
+@pytest.mark.parametrize("region, name", list(_skip_cases()))
+def test_skipping_A_keeps_every_bit(region, name):
+    f = FIELD_INTEGRANDS[name]
+    if region == "wulff":
+        body = WulffBody(DualNorm(f), np.zeros(2), 1.0)
+        src = boundary_source([body], 1024, region="complement")
+    else:
+        src = boundary_source(TWO_DISKS, 1024, region=region)
+    field = build_field(src, f, SKIP_GRID)
+    delta, gap = _scan_everywhere(src, f, SKIP_GRID)
+    assert np.array_equal(field.delta, delta)
+    assert np.array_equal(field.gap, gap)
+    # the cluster analysis is exercised on both sides of every comparison
+    assert field.gap.any()
+    if region != "curve":
+        assert 0 < src.membership(SKIP_GRID.centers()).sum() < field.delta.size
+
+
+def _count_scans(monkeypatch):
+    """Rows given to the pairwise distances, and calls of the candidate search."""
+    work = {"rows": 0, "candidates": 0}
+    pairwise, candidates = distance._pairwise_values, distance._candidates
+
+    def counted_pairwise(*args):
+        values = pairwise(*args)
+
+        def counted(cells, cand):
+            work["rows"] += len(cells)
+            return values(cells, cand)
+
+        return counted
+
+    def counted_candidates(*args):
+        work["candidates"] += 1
+        return candidates(*args)
+
+    monkeypatch.setattr(distance, "_pairwise_values", counted_pairwise)
+    monkeypatch.setattr(distance, "_candidates", counted_candidates)
+    return work
+
+
+def test_field_scans_only_cells_outside_A(monkeypatch):
+    work = _count_scans(monkeypatch)
+    src = boundary_source(TWO_DISKS, 1024, region="complement")
+    build_field(src, E2, SKIP_GRID)
+    assert work["rows"] == np.count_nonzero(~src.membership(SKIP_GRID.centers()))
+
+
+def test_field_of_all_A_scans_nothing(monkeypatch):
+    work = _count_scans(monkeypatch)
+    src = boundary_source(TWO_DISKS, 1024, region="curve")
+    everywhere = SourceSet(
+        points=src.points, loops=src.loops, inside=lambda x: np.ones(len(x), dtype=bool)
+    )
+    field = build_field(everywhere, E2, SKIP_GRID)
+    assert work == {"rows": 0, "candidates": 0}
+    assert not field.delta.any() and not field.gap.any()
