@@ -1,0 +1,129 @@
+"""Run the benchmark in alternating pairs from two checkouts and summarize them.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...]
+                                   --seeds A-B > pairs.json
+
+For each seed from A to B, and each workload, ``perfbench/run.py --trace 0``
+runs once from each checkout for the ``run_seconds`` of the change's
+``BENCHMARK.json``, one run at a time: the parent first on odd seeds, the
+change first on even ones.  Each run's metrics go to standard error as it
+ends.  Standard output gets one JSON object with ``command``, ``method``, a
+per-workload ``summary`` and the ``runs``, in the layout of the
+``BENCH_*.json`` files.  Per metric the summary gives the parent's and the
+change's linear-percentile quartiles, the ratio of their medians, the
+parent's interquartile range, and how many pairs the change was lower or
+higher on; a tie counts for neither side.  Needs only the standard library
+and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+COMMAND = "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {seconds} --trace 0"
+METHOD = (
+    "parent commit and change run from separate checkouts, one run at a time; pairs "
+    "alternate which side runs first (odd seeds parent first); seeds {seeds}; quartiles "
+    "are numpy linear percentiles; a tie counts for neither side"
+)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result line of one benchmark run from ``checkout``."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(
+            f"{checkout}: {workload} seed {seed} exited {proc.returncode}: "
+            f"{proc.stderr.strip()[-2000:]}"
+        )
+    return json.loads(lines[-1])
+
+
+def _quartiles(values):
+    return [round(float(q), 4) for q in np.percentile(values, [25, 50, 75])]
+
+
+def summarize(runs) -> dict:
+    """Per workload: pair count, seeds, and per metric the quartiles, median
+    ratio, parent IQR and the pairs the change was lower or higher on; plus
+    the failed and attempted operations of each side."""
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        by_seed = {}
+        for r in runs:
+            if r["workload"] == workload:
+                by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
+        seeds = sorted(s for s, sides in by_seed.items() if len(sides) == 2)
+        parent = [by_seed[s]["parent"] for s in seeds]
+        change = [by_seed[s]["change"] for s in seeds]
+        row = {"pairs": len(seeds), "seeds": seeds}
+        for metric in parent[0]["metrics"] if parent else ():
+            p = np.array([r["metrics"][metric]["value"] for r in parent])
+            c = np.array([r["metrics"][metric]["value"] for r in change])
+            pq, cq = _quartiles(p), _quartiles(c)
+            row[metric] = {
+                "parent_q1_median_q3": pq,
+                "change_q1_median_q3": cq,
+                "median_ratio": round(float(np.median(c) / np.median(p)), 3),
+                "parent_iqr": round(pq[2] - pq[0], 4),
+                "change_lower": int((c < p).sum()),
+                "change_higher": int((c > p).sum()),
+                "ties": int((c == p).sum()),
+            }
+        for key in ("failed", "attempted"):
+            row[key] = {
+                "parent": sum(r[key] for r in parent),
+                "change": sum(r[key] for r in change),
+            }
+        summary[workload] = row
+    return summary
+
+
+def _seed_range(text: str):
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", type=_seed_range, required=True, help="A-B, inclusive")
+    args = parser.parse_args(argv)
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    runs = []
+    for seed in args.seeds:
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for workload in args.workload:
+            for side in order:
+                result = run_once(sides[side], workload, seed, seconds)
+                runs.append({"side": side, "workload": workload, "seed": seed, "result": result})
+                print(f"{workload} seed {seed} {side}: "
+                      f"{json.dumps({k: v['value'] for k, v in result['metrics'].items()})}",
+                      file=sys.stderr)
+    out = {
+        "command": COMMAND.format(seconds=seconds),
+        "method": METHOD.format(seeds=f"{args.seeds.start}-{args.seeds.stop - 1}"),
+        "summary": summarize(runs),
+        "runs": runs,
+    }
+    print(json.dumps(out, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -63,7 +63,7 @@ def _shape_operators_bulk(body: StarBody, quad: SurfaceQuadrature, frames):
         # Gauss map of a Wulff boundary inverts in closed form: x(u) = c + r
         # grad F(u), so Dnu restricted to the tangent is (r D2F(nu)|tan)^-1.
         h = body.dual.base.hess(nu)
-        a_tan = np.einsum("nik,nij,njl->nkl", frames, h, frames)
+        a_tan = np.swapaxes(frames, 1, 2) @ h @ frames
         if np.any(_min_eig_spd(a_tan) <= 0):
             raise NonEllipticError("tangential Hessian not positive definite")
         b = np.linalg.inv(a_tan) / body.radius
@@ -73,13 +73,13 @@ def _shape_operators_bulk(body: StarBody, quad: SurfaceQuadrature, frames):
     if np.any(gnorm < 1e-12):
         raise DegeneratePointError("vanishing implicit gradient at a node")
     h = body.hess_phi(quad.points) / gnorm[:, None, None]
-    b = np.einsum("nik,nij,njl->nkl", frames, h, frames)
+    b = np.swapaxes(frames, 1, 2) @ h @ frames
     return 0.5 * (b + np.transpose(b, (0, 2, 1)))
 
 
 def _f_hessian_tangent(f: Integrand, nu, frames):
     h = f.hess(nu)
-    a = np.einsum("nik,nij,njl->nkl", frames, h, frames)
+    a = np.swapaxes(frames, 1, 2) @ h @ frames
     return 0.5 * (a + np.transpose(a, (0, 2, 1)))
 
 
@@ -87,7 +87,7 @@ def _kappa_from_ab(a, b):
     if np.any(_min_eig_spd(a) <= 1e-14 * np.abs(a).max()):
         raise NonEllipticError("tangential Hessian not positive definite")
     c = _sqrt_spd(a)
-    sym = np.einsum("nij,njk,nkl->nil", c, b, c)
+    sym = c @ b @ c
     return _eigvalsh_small(sym)
 
 

@@ -345,11 +345,16 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
 
 def _blocks(flat, spacing, target: int):
     """Boxes of about ``target`` cells tiling the array of flat cell indices
-    ``flat``, as (box of flat indices, circumradius)."""
+    ``flat``, as (box of flat indices, circumradius); boxes of one shape share
+    one radius."""
     side = max(2, int(round(target ** (1.0 / flat.ndim))))
+    radii = {}
     for corner in itertools.product(*(range(0, s, side) for s in flat.shape)):
         box = flat[tuple(slice(c, c + side) for c in corner)]
-        yield box, 0.5 * float(np.linalg.norm(np.asarray(box.shape) * spacing))
+        radius = radii.get(box.shape)
+        if radius is None:
+            radius = radii[box.shape] = 0.5 * float(np.linalg.norm(np.asarray(box.shape) * spacing))
+        yield box, radius
 
 
 def _candidates(dual, pts, cand, xc, radius, lip, eps_cluster, window_abs):

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InputError, SolverError
-from .integrand import EuclideanNorm, Integrand, QuadraticNorm
+from .integrand import EuclideanNorm, Integrand, QuadraticNorm, _quadratic_form
 
 __all__ = ["DualNorm", "dual_norm_of", "WulffSample", "wulff_sample"]
 
@@ -71,7 +71,7 @@ class DualNorm:
         if isinstance(self.base, EuclideanNorm):
             return np.linalg.norm(W, axis=1)
         if isinstance(self.base, QuadraticNorm):
-            return np.sqrt(np.einsum("ni,ij,nj->n", W, self.base.inverse, W))
+            return np.sqrt(_quadratic_form(W, self.base.inverse))
         zero = ~W.any(axis=1)
         if zero.any():
             out = np.zeros(len(W))
@@ -92,6 +92,23 @@ class DualNorm:
             return mw / f[:, None]
         v = self._polar_minimize(W)
         return v / self.base.value(v)[:, None]
+
+    def batch_value_grad(self, W):
+        """(F*(w), grad F*(w)) row by row, from one solve per row.
+
+        The minimizer v of the polar problem gives both: F*(w) = F(v) and
+        grad F*(w) = v / F(v), so each value equals ``batch_value`` and each
+        gradient ``batch_grad`` bit for bit.  Closed forms make those two
+        calls.  Rows must be nonzero.
+        """
+        W = np.asarray(W, dtype=float)
+        if self.has_closed_form:
+            return self.batch_value(W), self.batch_grad(W)
+        if not W.any(axis=1).all():
+            raise DomainError("conjugate norm is not differentiable at the origin")
+        v = self._polar_minimize(W)
+        fv = self.base.value(v)
+        return fv, v / fv[:, None]
 
     def batch_value_fast(self, W):
         """Vectorized F* for bulk grids; the gauge of an inscribed Wulff polygon
@@ -243,10 +260,10 @@ class DualNorm:
     def _polar_minimize(self, W):
         """Newton minimization of F(v)^2/2 - w.v, one row per input vector."""
         W = np.atleast_2d(np.asarray(W, dtype=float))
-        if np.any(np.linalg.norm(W, axis=1) == 0.0):
+        nw = np.linalg.norm(W, axis=1)
+        if np.any(nw == 0.0):
             raise InputError("conjugate evaluation requires nonzero vectors")
         f = self.base
-        nw = np.linalg.norm(W, axis=1)
         what = W / nw[:, None]
         scale = f.value(what) * np.linalg.norm(f.grad(what), axis=1)
         v = what * (nw / scale)[:, None]

@@ -22,7 +22,7 @@ from .errors import (
     QuadratureInconsistencyError,
     StarShapeError,
 )
-from .integrand import Integrand, _check_spd
+from .integrand import Integrand, _check_spd, _quadratic_form
 from .spheregrid import sphere_quadrature
 
 __all__ = [
@@ -68,6 +68,12 @@ class StarBody:
         """Boundary radius along each unit ray from the center."""
         return _bisect_newton_radii(self, np.asarray(omega, dtype=float))
 
+    def ray_boundary(self, omega):
+        """(rho, grad phi(c + rho omega)): the boundary radius along each unit
+        ray and the gradient of phi where the ray meets the boundary."""
+        rho = self.ray_radii(omega)
+        return rho, self.grad_phi(self.center[None, :] + rho[:, None] * omega)
+
 
 def _batch(x, dim):
     x = np.asarray(x, dtype=float)
@@ -98,7 +104,7 @@ class Ellipsoid(StarBody):
     def phi(self, x):
         x, single = _batch(x, self.dim)
         u = x - self.center
-        v = np.einsum("ni,ij,nj->n", u, self.matrix, u) - 1.0
+        v = _quadratic_form(u, self.matrix) - 1.0
         return v[0] if single else v
 
     def grad_phi(self, x):
@@ -143,25 +149,38 @@ class WulffBody(StarBody):
         return g[0] if single else g
 
     def sign(self, x):
-        """``np.sign(self.phi(x))``; in d=2 without a closed form, a row is
-        decided from ``DualNorm.batch_bracket`` and only the rest are solved.
+        """``np.sign(self.phi(x))``; without a closed form, a row is decided
+        from an exact bracket lo <= F*(w) <= hi and only the rest are solved.
+
+        In d=2 the bracket is ``DualNorm.batch_bracket``.  In d=3 it is
+        |w|^2 / F(w) <= F*(w) <= L |w|: p = w / F(w) has F(p) = 1, so
+        F*(w) >= w.p, and F* is L-Lipschitz with F*(0) = 0, L = ``grad_bound()``.
+        lo is 0 where F(w) is 0, so the centre, w = 0, raises no 0/0.
 
         The solve stops at v with |w' - w| <= tol |w|, where w' = F(v) grad F(v)
         and F(v) = F*(w'); so its phi is within L tol |w| of the exact one, with
-        L = ``grad_bound()`` and tol <= max(tolerance, 1e-9) after the golden
-        fallback.  A row whose bracket clears the radius by more than the
-        margin 10 tol L |w| (1e-8 L |w| by default; the bracket already holds
-        its own rounding) therefore gets the sign the solve would give, and
-        never raises ``SolverError``.
+        tol <= max(tolerance, 1e-9) after the golden fallback.  A row whose
+        bracket clears the radius by more than the margin 10 tol L |w|
+        (1e-8 L |w| by default, far above the rounding of either bracket)
+        therefore gets the sign the solve would give, and never raises
+        ``SolverError``.
         """
         dual = self.dual
-        if dual.has_closed_form or self.dim != 2:
+        # grad_bound covers d = 2 and d = 3
+        if dual.has_closed_form or self.dim > 3:
             return super().sign(x)
-        x, single = _batch(x, 2)
+        x, single = _batch(x, self.dim)
         w = x - self.center
-        lo, hi = dual.batch_bracket(w)
-        slope = 10.0 * max(dual.tolerance, 1e-9) * dual.grad_bound()
-        margin = slope * np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2)
+        lip = dual.grad_bound()
+        sq = (w * w).sum(axis=1)
+        norm = np.sqrt(sq)
+        if self.dim == 2:
+            lo, hi = dual.batch_bracket(w)
+        else:
+            fw = dual.base.value(w)
+            lo = np.divide(sq, fw, out=np.zeros(len(w)), where=fw > 0.0)
+            hi = lip * norm
+        margin = 10.0 * max(dual.tolerance, 1e-9) * lip * norm
         out = np.zeros(len(w))
         out[lo - self.radius > margin] = 1.0
         out[self.radius - hi > margin] = -1.0
@@ -175,6 +194,14 @@ class WulffBody(StarBody):
         # root t = r / F*(w); no iteration needed.
         omega = np.asarray(omega, dtype=float)
         return self.radius / self.dual.batch_value(omega)
+
+    def ray_boundary(self, omega):
+        """Without a closed form, one solve per ray: grad F* is 0-homogeneous,
+        so grad phi(c + rho w) = grad F*(w)."""
+        if self.dual.has_closed_form:
+            return super().ray_boundary(omega)
+        value, grad = self.dual.batch_value_grad(np.asarray(omega, dtype=float))
+        return self.radius / value, grad
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,13 +354,14 @@ def sample_surface(body: StarBody, resolution) -> SurfaceQuadrature:
             if isinstance(resolution, (int, np.integer))
             else tuple(int(v) for v in resolution)
         )
+        if len(res) != 2:
+            raise InputError("d=3 surface sampling needs one count or a pair of counts")
         if res[0] < 32 or res[1] < 64:
             raise InputError("d=3 surface sampling needs at least a 32x64 grid")
         resolution = res
     omega, sigma = sphere_quadrature(body.dim, resolution)
-    rho = body.ray_radii(omega)
+    rho, g = body.ray_boundary(omega)
     x = body.center[None, :] + rho[:, None] * omega
-    g = body.grad_phi(x)
     gnorm = np.linalg.norm(g, axis=1)
     if np.any(gnorm < 1e-12):
         raise StarShapeError("vanishing boundary gradient")

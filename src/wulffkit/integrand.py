@@ -40,6 +40,13 @@ def _as_batch(x, dim):
     return x, single
 
 
+def _quadratic_form(x, m):
+    """x_n' M x_n for every row x_n of x; one (N, d) temporary."""
+    y = x @ m
+    y *= x
+    return y.sum(axis=1)
+
+
 def _check_spd(m, name="matrix"):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -122,7 +129,7 @@ class QuadraticNorm(Integrand):
 
     def value(self, x):
         x, single = _as_batch(x, self.dim)
-        v = np.sqrt(np.einsum("ni,ij,nj->n", x, self.matrix, x))
+        v = np.sqrt(_quadratic_form(x, self.matrix))
         return v[0] if single else v
 
     def grad(self, x):

@@ -83,11 +83,22 @@ def _array(value, where):
         raise SceneError(f"{where}: expected an array of numbers") from None
 
 
-def _resolution(value, where):
-    """One node count, or one per sphere-grid axis (a hashable tuple)."""
-    if isinstance(value, list):
-        return tuple(_convert(int, v, where) for v in value)
-    return _convert(int, value, where)
+def _count(value, where):
+    """A whole number as an int, or a SceneError naming the field."""
+    count = _convert(int, value, where)
+    if isinstance(value, float) and value != count:
+        raise SceneError(f"{where}: expected an integer, got {value!r}")
+    return count
+
+
+def _resolution(value, where, dim):
+    """One node count, or in d=3 one per sphere-grid axis (a hashable tuple)."""
+    if not isinstance(value, list):
+        return _count(value, where)
+    if dim != 3 or len(value) != 2:
+        expected = "an integer or a list of two" if dim == 3 else "an integer"
+        raise SceneError(f"{where}: expected {expected} in d={dim}, got {value!r}")
+    return tuple(_count(v, where) for v in value)
 
 
 def _parse_integrand(spec, where="integrand") -> Integrand:
@@ -162,7 +173,9 @@ def parse_scene(raw: dict) -> Scene:
             raise SceneError(f"bodies[{body_id}]: dimension differs from the integrand")
 
     resolution = _resolution(
-        raw.get("resolution", 4096 if integrand.dim == 2 else [64, 128]), "resolution"
+        raw.get("resolution", 4096 if integrand.dim == 2 else [64, 128]),
+        "resolution",
+        integrand.dim,
     )
 
     grid = None
@@ -195,7 +208,7 @@ def parse_scene(raw: dict) -> Scene:
         if key not in ("lo_frac", "hi_frac", "samples", "reference_radius", "source_resolution"):
             raise SceneError(f"steiner: unknown key {key!r}")
         if key == "source_resolution":
-            value = _resolution(value, "steiner.source_resolution")
+            value = _resolution(value, "steiner.source_resolution", integrand.dim)
         elif value is not None or key != "reference_radius":
             value = _convert(int if key == "samples" else float, value, f"steiner.{key}")
         steiner[key] = value

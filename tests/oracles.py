@@ -132,6 +132,31 @@ def eig_product(a, b):
     return np.sort(vals.real)
 
 
+def congruence(p, m):
+    """p_n' m_n p_n at every node n, by explicit sums over the indices."""
+    n_nodes, d, k = p.shape
+    out = np.zeros((n_nodes, k, k))
+    for n in range(n_nodes):
+        pn, mn = p[n].tolist(), m[n].tolist()
+        for a in range(k):
+            for b in range(k):
+                out[n, a, b] = sum(
+                    pn[i][a] * mn[i][j] * pn[j][b] for i in range(d) for j in range(d)
+                )
+    return out
+
+
+def sandwich_eigenvalues(a, b):
+    """Sorted eigenvalues of C B C per node, C the SPD square root of A from
+    a per-node eigendecomposition."""
+    out = []
+    for an, bn in zip(a, b):
+        lam, vec = np.linalg.eigh(an)
+        c = (vec * np.sqrt(lam)) @ vec.T
+        out.append(np.linalg.eigvalsh(congruence(c[None], bn[None])[0]))
+    return np.array(out)
+
+
 def single_linkage_connected(pts, tol):
     """True when the points form one single-linkage cluster at scale tol."""
     return _linked(pdist(np.asarray(pts, dtype=float), "sqeuclidean"), tol)

@@ -14,7 +14,7 @@ from wulffkit import (
     umbilicity_classify,
 )
 
-from oracles import eig_product, ellipse_curvature
+from oracles import congruence, eig_product, ellipse_curvature, sandwich_eigenvalues
 from sampling import quad_table
 
 E2 = EuclideanNorm(2)
@@ -187,3 +187,31 @@ def test_table_frames_are_the_quadrature_frames():
     table = curvature_table(body, E3, q)
     assert table.frames is q.frames
     assert np.array_equal(q.frames, tangent_frames(q.normals))
+
+
+def _sym(a):
+    return 0.5 * (a + np.transpose(a, (0, 2, 1)))
+
+
+def test_curvature_table_matches_per_node_oracle():
+    # the batched tangential Hessians, shape operators and principal
+    # curvatures against explicit per-node sums, on 3D bodies whose normals
+    # are far from the axes
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    f = WeightedSum(((0.4, E3), (1.0, QuadraticNorm(q @ np.diag([3.0, 1.0, 0.5]) @ q.T))))
+    wulff = WulffBody(DualNorm(f), np.array([0.2, -0.1, 0.3]), 1.3)
+    ellipsoid = Ellipsoid(q.T @ np.diag([0.25, 1.0, 0.5]) @ q, np.array([1.0, 0.5, -2.0]))
+    for body in (wulff, ellipsoid):
+        quad = sample_surface(body, (32, 64))
+        table = curvature_table(body, f, quad)
+        a = _sym(congruence(quad.frames, f.hess(quad.normals)))
+        if body is wulff:
+            b = _sym(np.linalg.inv(congruence(quad.frames, f.hess(quad.normals))) / body.radius)
+        else:
+            g = np.linalg.norm(body.grad_phi(quad.points), axis=1)
+            b = _sym(congruence(quad.frames, body.hess_phi(quad.points) / g[:, None, None]))
+        assert np.abs(table.f_hessians - a).max() <= 1e-13 * np.abs(a).max()
+        assert np.abs(table.shape_ops - b).max() <= 1e-13 * np.abs(b).max()
+        kappa = sandwich_eigenvalues(a, b)
+        assert np.abs(table.kappa - kappa).max() <= 1e-13 * np.abs(kappa).max()

@@ -645,3 +645,15 @@ def test_field_of_all_A_scans_nothing(monkeypatch):
     field = build_field(everywhere, E2, SKIP_GRID)
     assert work == {"rows": 0, "candidates": 0}
     assert not field.delta.any() and not field.gap.any()
+
+
+def test_block_radii_are_the_per_box_circumradii():
+    # sides 23 x 17 are not multiples of the box side, so the boxes on the
+    # far edges are smaller; a radius shared by one shape is each box's own
+    flat = np.arange(23 * 17).reshape(23, 17)
+    spacing = np.array([0.3, 0.07])
+    boxes = list(distance._blocks(flat, spacing, 25))
+    assert len({box.shape for box, _ in boxes}) == 4
+    assert sum(box.size for box, _ in boxes) == flat.size
+    for box, radius in boxes:
+        assert radius == 0.5 * float(np.linalg.norm(np.asarray(box.shape) * spacing))

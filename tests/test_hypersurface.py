@@ -16,6 +16,8 @@ from wulffkit import (
     volume,
 )
 
+from wulffkit.spheregrid import sphere_quadrature
+
 from oracles import ellipse_arc_length
 
 E2 = EuclideanNorm(2)
@@ -153,3 +155,48 @@ def test_node_accessor_and_concat():
     assert both.area() == pytest.approx(2 * q.area())
 
 
+
+
+def _ray_boundary_by_two_calls(body, omega):
+    rho = body.ray_radii(omega)
+    return rho, body.grad_phi(body.center + rho[:, None] * omega)
+
+
+def test_ray_boundary_solves_once_per_weighted_sum_node():
+    # ray_radii solves F*(w) and grad_phi solves again at c + rho w; one solve
+    # gives both, to the solver's rounding
+    rng = np.random.default_rng(11)
+    for dim, resolution in ((2, 256), (3, (32, 64))):
+        m = np.diag([4.0, 1.0, 2.0][:dim])
+        body = WulffBody(
+            DualNorm(WeightedSum(((0.5, EuclideanNorm(dim)), (1.0, QuadraticNorm(m))))),
+            rng.uniform(-1.0, 1.0, dim),
+            1.3,
+        )
+        omega = sphere_quadrature(dim, resolution)[0]
+        rho, g = body.ray_boundary(omega)
+        rho2, g2 = _ray_boundary_by_two_calls(body, omega)
+        assert np.abs(rho / rho2 - 1.0).max() <= 1e-12
+        assert (np.linalg.norm(g - g2, axis=1) / np.linalg.norm(g2, axis=1)).max() <= 1e-12
+
+
+def test_ray_boundary_of_closed_forms_is_bit_for_bit():
+    omega2 = sphere_quadrature(2, 256)[0]
+    omega3 = sphere_quadrature(3, (32, 64))[0]
+    bodies = [
+        (WulffBody(DQ, np.array([0.3, -0.4]), 1.5), omega2),
+        (WulffBody(DualNorm(E3), np.array([0.1, 0.2, -0.3]), 0.7), omega3),
+        (ELLIPSE, omega2),
+        (Ellipsoid(np.diag([0.25, 1.0, 0.5]), np.array([1.0, 0.0, 0.5])), omega3),
+    ]
+    for body, omega in bodies:
+        rho, g = body.ray_boundary(omega)
+        rho2, g2 = _ray_boundary_by_two_calls(body, omega)
+        assert np.array_equal(rho, rho2) and np.array_equal(g, g2)
+
+
+def test_d3_resolution_must_be_one_count_or_a_pair():
+    ball = Ellipsoid(np.eye(3), np.zeros(3))
+    for bad in ((32,), (32, 64, 64), [64]):
+        with pytest.raises(InputError):
+            sample_surface(ball, bad)

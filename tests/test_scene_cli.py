@@ -127,6 +127,49 @@ def test_bad_field_values_are_scene_errors(path, value):
         parse_scene(raw)
 
 
+D3 = json.loads((SCENES / "wulff_d3.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "base,override,field",
+    [
+        (D3, {"resolution": [32]}, "resolution"),
+        (D3, {"resolution": [32, 64, 64]}, "resolution"),
+        (D3, {"resolution": 100.5}, "resolution"),
+        (D3, {"resolution": [64, 128.5]}, "resolution"),
+        (BASE, {"resolution": 512.5}, "resolution"),
+        (BASE, {"resolution": [512, 512]}, "resolution"),
+        (BASE, {"steiner": {"source_resolution": 100.5}}, "steiner.source_resolution"),
+        (BASE, {"steiner": {"source_resolution": [512, 512]}}, "steiner.source_resolution"),
+    ],
+    ids=[
+        "d3-one-axis",
+        "d3-three-axes",
+        "d3-fraction",
+        "d3-fraction-in-pair",
+        "d2-fraction",
+        "d2-pair",
+        "source-fraction",
+        "source-pair",
+    ],
+)
+def test_resolution_refusals_name_the_field(base, override, field):
+    with pytest.raises(SceneError, match=field):
+        parse_scene({**base, **override})
+
+
+def test_whole_float_resolution_is_a_count():
+    assert parse_scene({**BASE, "resolution": 512.0}).resolution == 512
+    assert parse_scene({**D3, "resolution": [64.0, 128]}).resolution == (64, 128)
+
+
+def test_d3_resolution_of_one_axis_is_a_scene_error_in_all(tmp_path):
+    scene = tmp_path / "short.json"
+    scene.write_text(json.dumps({**D3, "resolution": [32]}))
+    with pytest.raises(SceneError, match="resolution"):
+        run("all", scene, tmp_path / "out")
+
+
 JSON = hst.recursive(
     hst.none()
     | hst.booleans()
