@@ -6,8 +6,10 @@ Every file under either tree is matched by its relative path.  In JSON
 files each differing number prints as ``path old new |new - old|``, and any
 other differing value as ``path old new``.  In CSV files with the same header
 and row count, each column with differing numbers prints as
-``file:column n_cells max|new - old|``.  Every other file is compared by its
-bytes, and a differing one prints as ``file differs``.  Exits 1 if anything
+``file:column n_cells max|new - old|``; a changed header prints as
+``file: header OLD -> NEW`` and a changed count of data rows as
+``file: rows A -> B``.  Every other file is compared by its bytes, and a
+differing one prints as ``file differs``.  Exits 1 if anything
 differs, 0 otherwise.  Needs only the standard library.
 """
 
@@ -59,13 +61,23 @@ def _float(cell):
         return None
 
 
+def _header(rows) -> str:
+    return ",".join(rows[0]) if rows else "(empty)"
+
+
 def diff_csv(old: str, new: str, rel: str):
     """A line per column whose numbers differ between two CSV texts with the
-    same header and row count, else no lines; None when the header or row
-    count differs or a differing cell is not a number on both sides."""
+    same header and row count, else no lines; a line for the header and one
+    for the row count where those differ; None when a differing cell is not
+    a number on both sides."""
     a, b = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
-    if len(a) != len(b) or a[0] != b[0]:
-        return None
+    shape = []
+    if a[:1] != b[:1]:
+        shape.append(f"{rel}: header {_header(a)} -> {_header(b)}")
+    if len(a) != len(b):
+        shape.append(f"{rel}: rows {max(len(a) - 1, 0)} -> {max(len(b) - 1, 0)}")
+    if shape:
+        return shape
     counts, worst = [0] * len(a[0]), [0.0] * len(a[0])
     for row_a, row_b in zip(a[1:], b[1:]):
         if len(row_a) != len(a[0]) or len(row_b) != len(a[0]):

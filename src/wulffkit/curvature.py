@@ -16,9 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneratePointError, InputError, NonEllipticError
-from .hypersurface import StarBody, SurfaceQuadrature, WulffBody, tangent_frames
-from .integrand import Integrand
+from .errors import DegeneratePointError, NonEllipticError
+from .hypersurface import StarBody, SurfaceQuadrature, WulffBody
+from .integrand import Integrand, tangential_hessian
+from .spheregrid import tangent_frames
 
 __all__ = [
     "tangent_frames",
@@ -58,12 +59,10 @@ def _min_eig_spd(a):
 
 def _shape_operators_bulk(body: StarBody, quad: SurfaceQuadrature, frames):
     """Euclidean shape operators (N, n, n) in the given tangent frames."""
-    nu = quad.normals
     if isinstance(body, WulffBody):
         # Gauss map of a Wulff boundary inverts in closed form: x(u) = c + r
         # grad F(u), so Dnu restricted to the tangent is (r D2F(nu)|tan)^-1.
-        h = body.dual.base.hess(nu)
-        a_tan = np.swapaxes(frames, 1, 2) @ h @ frames
+        a_tan = tangential_hessian(body.dual.base, quad.normals, frames)
         if np.any(_min_eig_spd(a_tan) <= 0):
             raise NonEllipticError("tangential Hessian not positive definite")
         b = np.linalg.inv(a_tan) / body.radius
@@ -75,12 +74,6 @@ def _shape_operators_bulk(body: StarBody, quad: SurfaceQuadrature, frames):
     h = body.hess_phi(quad.points) / gnorm[:, None, None]
     b = np.swapaxes(frames, 1, 2) @ h @ frames
     return 0.5 * (b + np.transpose(b, (0, 2, 1)))
-
-
-def _f_hessian_tangent(f: Integrand, nu, frames):
-    h = f.hess(nu)
-    a = np.swapaxes(frames, 1, 2) @ h @ frames
-    return 0.5 * (a + np.transpose(a, (0, 2, 1)))
 
 
 def _kappa_from_ab(a, b):
@@ -119,7 +112,7 @@ def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> Cu
     """Vectorized curvature pass over all quadrature nodes."""
     frames = quad.frames
     b = _shape_operators_bulk(body, quad, frames)
-    a = _f_hessian_tangent(f, quad.normals, frames)
+    a = tangential_hessian(f, quad.normals, frames)
     kappa = _kappa_from_ab(a, b)
     mean = np.einsum("nij,nji->n", a, b)
     return CurvatureTable(frames=frames, shape_ops=b, f_hessians=a, kappa=kappa, mean=mean)

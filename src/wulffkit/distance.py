@@ -33,7 +33,8 @@ import numpy as np
 from .duality import DualNorm, dual_norm_of
 from .errors import InputError
 from .hypersurface import StarBody, sample_surface
-from .integrand import Integrand, QuadraticNorm
+from .integrand import Integrand, QuadraticNorm, tangential_hessian
+from .spheregrid import sphere_quadrature, tangent_frames
 
 __all__ = [
     "GridSpec",
@@ -616,25 +617,18 @@ def reach_comparison(
     """Check reach(A) >= rho * reach^F(A) - 4h.
 
     rho is the interior rolling-ball radius of the unit Wulff shape of the
-    anisotropic field's norm: the reciprocal of the largest Euclidean
-    principal curvature over its boundary nodes.
+    anisotropic field's norm F, its least radius of curvature: the least
+    eigenvalue of the tangential Hessian of F, minimized over the unit
+    normals of a sphere grid.
     """
     ga, gb = field_euclid.grid, field_aniso.grid
     if ga.cells != gb.cells or not (
         np.allclose(ga.lo, gb.lo) and np.allclose(ga.hi, gb.hi)
     ):
         raise InputError("reach comparison requires a shared grid")
-    from .curvature import curvature_table
-    from .hypersurface import WulffBody
-    from .integrand import EuclideanNorm
-
-    dual = field_aniso.dual
-    resolution = 2048 if dual.dim == 2 else (64, 128)
-    body = WulffBody(dual=dual, center=np.zeros(dual.dim), radius=1.0)
-    quad = sample_surface(body, resolution)
-    euclid = EuclideanNorm(dual.dim)
-    table = curvature_table(body, euclid, quad)
-    rho = 1.0 / float(table.kappa.max())
+    f = field_aniso.dual.base
+    nu = sphere_quadrature(f.dim, 2048 if f.dim == 2 else (64, 128))[0]
+    rho = float(np.linalg.eigvalsh(tangential_hessian(f, nu, tangent_frames(nu)))[:, 0].min())
     r_e = estimate_reach_F(field_euclid)
     r_f = estimate_reach_F(field_aniso)
     slack = 4.0 * field_euclid.grid.h

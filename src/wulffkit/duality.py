@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, SolverError
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm, _quadratic_form
+from .spheregrid import latlong_quadrature, sphere_quadrature
 
 __all__ = ["DualNorm", "dual_norm_of", "WulffSample", "wulff_sample"]
 
@@ -174,9 +175,10 @@ class DualNorm:
         the Lipschitz constant of ``batch_value_fast``: the inscribed polygon's
         gauge is max_k w.q_k, at least F*, so its largest value on the unit
         circle is at least L = max_|w|=1 F*(w).  In d=3 it is
-        max_k F*(u_k) / (1 - c) over 512 lat-long directions, whose nodes lie
-        within pi / 16 of every unit vector w, at chord c = 2 sin(pi / 32):
-        F*(w) <= F*(u_k) + L c.
+        max_k F*(u_k) / (1 - c) over the 512 cell centres u_k of a 16 x 32
+        lat-long grid: a unit vector w is within pi / 32 in theta and pi / 32
+        in phi of the centre of its cell, so within chord c = 2 sin(pi / 32)
+        of it, and F*(w) <= F*(u_k) + L c.
         """
         if self._lip is None:
             if isinstance(self.base, EuclideanNorm):
@@ -186,10 +188,9 @@ class DualNorm:
             elif self.dim == 2:
                 self._lip = float(np.hypot(*self._polygon()[3]).max())
             else:
-                # 16 rows and 32 columns pi / 16 apart, so a unit vector is
-                # within half a row plus half a column
                 chord = 2.0 * np.sin(np.pi / 32)
-                self._lip = float(self.batch_value(_unit_directions(3, 512)).max() / (1.0 - chord))
+                centres = latlong_quadrature(16, 32)[0]
+                self._lip = float(self.batch_value(centres).max() / (1.0 - chord))
         return self._lip
 
     # -- d=2 Wulff polygon --------------------------------------------------
@@ -403,37 +404,15 @@ class WulffSample:
     resolution: int
 
 
-def _unit_directions(dim, resolution):
-    """Node grid on the Euclidean sphere: uniform angles (d=2) or
-    latitude-longitude rows with the poles collapsed to single nodes (d=3)."""
-    if dim == 2:
-        theta = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if dim == 3:
-        n_lat = max(2, int(round(np.sqrt(resolution / 2.0))))
-        n_long = 2 * n_lat
-        theta = np.linspace(0.0, np.pi, n_lat + 1)[1:-1]
-        phi = np.linspace(0.0, 2 * np.pi, n_long, endpoint=False)
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        dirs = np.stack(
-            [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-        ).reshape(-1, 3)
-        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-        return np.concatenate([poles, dirs], axis=0)
-    raise InputError(f"unsupported dimension {dim}")
-
-
-def wulff_sample(dual: DualNorm, center, r: float, resolution: int) -> WulffSample:
-    """Sample the boundary of the F*-ball B(center, r) with exact normals."""
+def wulff_sample(dual: DualNorm, center, r: float, resolution) -> WulffSample:
+    """Sample the boundary of the F*-ball B(center, r) with exact normals, one
+    node per direction of ``sphere_quadrature(d, resolution)``."""
     if r <= 0:
         raise InputError("Wulff radius must be positive")
     center = np.asarray(center, dtype=float)
     if center.shape != (dual.dim,):
         raise InputError(f"center must be a {dual.dim}-vector")
-    min_res = 16 if dual.dim == 2 else 256
-    if resolution < min_res:
-        raise InputError(f"resolution must be >= {min_res} in dimension {dual.dim}")
-    nu = _unit_directions(dual.dim, resolution)
+    nu = sphere_quadrature(dual.dim, resolution)[0]
     points = center[None, :] + r * dual.base.grad(nu)
     return WulffSample(
         center=center, radius=float(r), points=points, normals=nu, resolution=len(nu)

@@ -23,7 +23,7 @@ from .errors import (
     StarShapeError,
 )
 from .integrand import Integrand, _check_spd, _quadratic_form
-from .spheregrid import sphere_quadrature
+from .spheregrid import grid_counts, sphere_quadrature, tangent_frames
 
 __all__ = [
     "StarBody",
@@ -119,6 +119,10 @@ class Ellipsoid(StarBody):
 
     def bounding_radius(self) -> float:
         return 1.0 / np.sqrt(np.linalg.eigvalsh(self.matrix).min())
+
+    def ray_radii(self, omega):
+        # phi(c + t w) = t^2 w'Qw - 1 has the exact root t = 1 / sqrt(w'Qw)
+        return 1.0 / np.sqrt(_quadratic_form(np.asarray(omega, dtype=float), self.matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,24 +296,6 @@ def _bisect_newton_radii(body: StarBody, omega, tol=1e-13):
     return t
 
 
-def tangent_frames(nu):
-    """Orthonormal tangent frames (N, d, n) oriented so the frame + normal
-    is right-handed (d=3: tau1 x tau2 = nu; d=2: tau = rot90(nu))."""
-    nu = np.atleast_2d(np.asarray(nu, dtype=float))
-    n_nodes, d = nu.shape
-    if d == 2:
-        tau = np.stack([-nu[:, 1], nu[:, 0]], axis=1)
-        return tau[:, :, None]
-    if d == 3:
-        seed = np.zeros((n_nodes, 3))
-        seed[np.arange(n_nodes), np.argmin(np.abs(nu), axis=1)] = 1.0
-        t1 = seed - np.einsum("ni,ni->n", seed, nu)[:, None] * nu
-        t1 /= np.linalg.norm(t1, axis=1)[:, None]
-        t2 = np.cross(nu, t1)
-        return np.stack([t1, t2], axis=2)
-    raise InputError(f"unsupported dimension {d}")
-
-
 @dataclass(frozen=True, eq=False)
 class SurfaceQuadrature:
     """Oriented boundary sample: points, unit outward normals, area weights.
@@ -346,19 +332,11 @@ class SurfaceQuadrature:
 
 def sample_surface(body: StarBody, resolution) -> SurfaceQuadrature:
     """Boundary quadrature of a star body over a full sphere grid."""
-    if body.dim == 2 and isinstance(resolution, (int, np.integer)) and resolution < 64:
+    counts = grid_counts(body.dim, resolution)
+    if body.dim == 2 and counts[0] < 64:
         raise InputError("d=2 surface sampling needs resolution >= 64")
-    if body.dim == 3:
-        res = (
-            (int(resolution), 2 * int(resolution))
-            if isinstance(resolution, (int, np.integer))
-            else tuple(int(v) for v in resolution)
-        )
-        if len(res) != 2:
-            raise InputError("d=3 surface sampling needs one count or a pair of counts")
-        if res[0] < 32 or res[1] < 64:
-            raise InputError("d=3 surface sampling needs at least a 32x64 grid")
-        resolution = res
+    if body.dim == 3 and (counts[0] < 32 or counts[1] < 64):
+        raise InputError("d=3 surface sampling needs at least a 32x64 grid")
     omega, sigma = sphere_quadrature(body.dim, resolution)
     rho, g = body.ray_boundary(omega)
     x = body.center[None, :] + rho[:, None] * omega

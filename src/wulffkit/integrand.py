@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
+from .spheregrid import tangent_frames
 
 __all__ = [
     "Integrand",
@@ -24,6 +25,7 @@ __all__ = [
     "WeightedSum",
     "EllipticityReport",
     "estimate_ellipticity",
+    "tangential_hessian",
 ]
 
 
@@ -182,13 +184,26 @@ class WeightedSum(Integrand):
         return sum(w * f.hess(x) for w, f in self.terms)
 
 
+def tangential_hessian(f: Integrand, u, frames):
+    """frames' D^2F(u) frames per row, symmetrized: D^2F at the unit vectors u
+    restricted to their tangent planes, (N, n, n) in the given tangent frames.
+
+    Its least eigenvalue at u is the Wulff shape's least radius of curvature
+    at the boundary point of normal u.
+    """
+    a = np.swapaxes(frames, 1, 2) @ f.hess(u) @ frames
+    return 0.5 * (a + np.swapaxes(a, 1, 2))
+
+
 @dataclass(frozen=True)
 class EllipticityReport:
-    """Sampled lower bound on the ellipticity constant and upper bound on C(F).
+    """Sampled estimates of the ellipticity constant gamma and of C(F).
 
-    ``gamma_estimate`` is the minimum over probed unit pairs (u, v) with
-    v perpendicular to u of the tangential Hessian quadratic form; a value
-    <= 0 flags the integrand as non-elliptic (reported, not raised).
+    ``gamma_estimate`` is the least eigenvalue of the tangential Hessian
+    minimized over the probed unit vectors u, so it is at least gamma and
+    approaches it from above; ``cf_estimate`` is likewise at most C(F).  A
+    ``gamma_estimate`` <= 0 flags the integrand as non-elliptic (reported,
+    not raised).
     """
 
     gamma_estimate: float
@@ -209,7 +224,8 @@ def _unit_sphere_probes(dim, samples, rng):
 
 
 def estimate_ellipticity(f: Integrand, samples: int = 2000, seed: int = 0) -> EllipticityReport:
-    """Probe gamma = min <(v,v), D^2F(u)> over unit u, unit v ⟂ u, and bound C(F).
+    """Probe gamma, the least eigenvalue of D^2F(u) on the tangent plane of u
+    minimized over unit u, and estimate C(F).
 
     C(F) is the maximum of 1/gamma, the spread sup F / inf F over sphere
     samples, and the largest Hessian operator norm over sphere samples.
@@ -218,22 +234,10 @@ def estimate_ellipticity(f: Integrand, samples: int = 2000, seed: int = 0) -> El
         raise InputError("ellipticity probing needs at least 100 samples")
     rng = np.random.default_rng(seed)
     u = _unit_sphere_probes(f.dim, samples, rng)
-    h = f.hess(u)
-
-    # tangential probe directions: random vector projected off u, plus in d=2
-    # the exact rotate-by-90 tangent (the only tangent direction up to sign)
-    v = rng.standard_normal(u.shape)
-    v -= np.einsum("ni,ni->n", v, u)[:, None] * u
-    norms = np.linalg.norm(v, axis=1)
-    good = norms > 1e-12
-    vals = np.einsum("ni,nij,nj->n", v[good], h[good], v[good]) / norms[good] ** 2
-    if f.dim == 2:
-        t = np.stack([-u[:, 1], u[:, 0]], axis=1)
-        vals = np.concatenate([vals, np.einsum("ni,nij,nj->n", t, h, t)])
-    gamma = float(vals.min())
+    gamma = float(np.linalg.eigvalsh(tangential_hessian(f, u, tangent_frames(u)))[:, 0].min())
 
     fvals = f.value(u)
     spread = float(fvals.max() / fvals.min())
-    hnorm = float(np.linalg.norm(h, ord=2, axis=(1, 2)).max())
+    hnorm = float(np.linalg.norm(f.hess(u), ord=2, axis=(1, 2)).max())
     cf = max(1.0 / gamma if gamma > 0 else np.inf, spread, hnorm)
     return EllipticityReport(gamma_estimate=gamma, cf_estimate=cf, sample_count=len(u))

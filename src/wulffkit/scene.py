@@ -14,6 +14,7 @@ from .duality import DualNorm, dual_norm_of
 from .errors import InputError, SceneError
 from .hypersurface import Ellipsoid, StarBody, Superellipse, WulffBody
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm, WeightedSum
+from .spheregrid import grid_counts
 
 __all__ = ["Scene", "load_scene", "parse_scene", "DEFAULT_TOLERANCES", "SUITE_ORDER"]
 
@@ -92,13 +93,17 @@ def _count(value, where):
 
 
 def _resolution(value, where, dim):
-    """One node count, or in d=3 one per sphere-grid axis (a hashable tuple)."""
-    if not isinstance(value, list):
-        return _count(value, where)
-    if dim != 3 or len(value) != 2:
-        expected = "an integer or a list of two" if dim == 3 else "an integer"
-        raise SceneError(f"{where}: expected {expected} in d={dim}, got {value!r}")
-    return tuple(_count(v, where) for v in value)
+    """One node count, or a list of counts as a hashable tuple, that
+    ``grid_counts`` accepts in dimension ``dim``."""
+    if isinstance(value, list):
+        value = tuple(_count(v, where) for v in value)
+    else:
+        value = _count(value, where)
+    try:
+        grid_counts(dim, value)
+    except InputError as exc:
+        raise SceneError(f"{where}: {exc}") from None
+    return value
 
 
 def _parse_integrand(spec, where="integrand") -> Integrand:

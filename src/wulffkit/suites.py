@@ -23,6 +23,7 @@ from .hk import equality_classifier, hk_evaluate, montiel_ros_integral
 from .hypersurface import WulffBody, perimeter_F, sample_surface, volume
 from .integrand import EuclideanNorm
 from .scene import SUITE_ORDER, Scene
+from .spheregrid import circle_quadrature
 from .table import write_csv
 from .variation import PolynomialField, criticality_residual, first_variation
 
@@ -155,9 +156,8 @@ def suite_dual(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         1e-8,
     )
 
-    theta = np.arange(360) * (2 * np.pi / 360)
     if f.dim == 2:
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        dirs = circle_quadrature(360)[0]
     else:
         dirs = _random_points(_rng(scene, 11), f.dim, 360)
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -193,11 +193,12 @@ def suite_wulff(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     bodies = _wulff_bodies(scene) or [
         ("unit", WulffBody(dual=dual, center=np.zeros(scene.dim), radius=1.0))
     ]
-    resolution = scene.resolution if scene.dim == 2 else 4096
+    # a fixed 3D grid: each node costs a conjugate solve
+    resolution = scene.resolution if scene.dim == 2 else (44, 88)
     worst_radius, worst_gauss = 0.0, 0.0
     r_max = max(body.radius for _, body in bodies)
     for bid, body in bodies:
-        ws = wulff_sample(dual, body.center, body.radius, int(np.prod(np.atleast_1d(resolution))))
+        ws = wulff_sample(dual, body.center, body.radius, resolution)
         r_err = np.abs(
             dual.batch_value(ws.points - body.center) - body.radius
         ).max()

@@ -2,7 +2,10 @@
 
 Everything here deliberately avoids the library's own code paths: brute
 enumeration, adaptive quadrature, finite differences, and dense parameter
-scans.  Oracles stay independent of the implementations they check.
+scans.  Oracles stay independent of the implementations they check.  The
+one exception is ``rolling_ball_by_wulff_sample``, a second route through
+the library's boundary sampler and curvature table to a radius that the
+library itself reads off D^2F on a sphere grid.
 """
 
 from __future__ import annotations
@@ -110,6 +113,17 @@ def ellipse_hk_ratio(a, b):
     integrand = lambda t: (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 2 / (a * b)
     val, _ = integrate.quad(integrand, 0.0, 2 * np.pi, limit=200)
     return (np.pi * a * b) / (0.5 * val)
+
+
+def rolling_ball_by_wulff_sample(f, resolution):
+    """Least radius of curvature of the unit Wulff shape {F* <= 1}: sample its
+    boundary with Newton ray solves, then take 1 / max kappa of its Euclidean
+    curvature table."""
+    from wulffkit import DualNorm, EuclideanNorm, WulffBody, curvature_table, sample_surface
+
+    body = WulffBody(DualNorm(f), np.zeros(f.dim), 1.0)
+    quad = sample_surface(body, resolution)
+    return 1.0 / float(curvature_table(body, EuclideanNorm(f.dim), quad).kappa.max())
 
 
 def disk_inward_tube_area(R, t):

@@ -52,15 +52,34 @@ def test_csv_columns_compare_by_value(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "new_csv",
-    ["a,c\n1,2\n", "a,b\n1,2\n3,4\n", "a,b\n1,x\n", "a,b\n1.0,2\n"],
+    "new_csv, expected",
+    [
+        ("a,c\n1,2\n", "scene/field.csv: header a,b -> a,c\n"),
+        ("a,b\n1,2\n3,4\n", "scene/field.csv: rows 1 -> 2\n"),
+        ("a,b\n1,x\n", "scene/field.csv differs\n"),
+        ("a,b\n1.0,2\n", "scene/field.csv differs\n"),
+    ],
     ids=["header", "row count", "not a number", "same values"],
 )
-def test_csv_that_cannot_compare_by_value_differs(tmp_path, capsys, new_csv):
+def test_csv_that_cannot_compare_by_value_differs(tmp_path, capsys, new_csv, expected):
     old = _tree(tmp_path / "old", REPORT, "a,b\n1,2\n")
     new = _tree(tmp_path / "new", REPORT, new_csv)
     assert diff_reports.main([str(old), str(new)]) == 1
-    assert capsys.readouterr().out == "scene/field.csv differs\n"
+    assert capsys.readouterr().out == expected
+
+
+def test_csv_shape_change_prints_header_and_rows(tmp_path, capsys):
+    old = _tree(tmp_path / "old", REPORT, "x1,x2\n1,2\n3,4\n5,6\n")
+    new = _tree(tmp_path / "new", REPORT, "x1,x2,nu1\n1,2,0\n")
+    (new / "empty.csv").write_text("")
+    (old / "empty.csv").write_text("a\n1\n")
+    assert diff_reports.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "empty.csv: header a -> (empty)",
+        "empty.csv: rows 1 -> 0",
+        "scene/field.csv: header x1,x2 -> x1,x2,nu1",
+        "scene/field.csv: rows 3 -> 1",
+    ]
 
 
 def test_reformatted_json_differs(tmp_path, capsys):

@@ -31,7 +31,7 @@ from wulffkit.distance import (
     merge_sources,
 )
 
-from oracles import resolve_gap, single_linkage_connected
+from oracles import resolve_gap, rolling_ball_by_wulff_sample, single_linkage_connected
 
 E2 = EuclideanNorm(2)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
@@ -218,6 +218,40 @@ def test_reach_comparison_wulff(wulff_field):
     assert cmp_.rho == pytest.approx(0.5, rel=1e-4)
     assert cmp_.ok
     assert cmp_.reach_euclidean >= cmp_.rho * cmp_.reach_anisotropic - cmp_.slack
+
+
+def _small_reach_comparison(f):
+    src = boundary_source([UNIT_DISK], 256, region="complement")
+    grid = GridSpec(lo=[-1.2, -1.2], hi=[1.2, 1.2], cells=24)
+    return reach_comparison(build_field(src, E2, grid), build_field(src, f, grid))
+
+
+def _rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.diag([4.0, 1.0]),
+        _rotation(0.7) @ np.diag([0.3, 2.5]) @ _rotation(0.7).T,
+        _rotation(-1.9) @ np.diag([1.0, 1.6]) @ _rotation(-1.9).T,
+    ],
+    ids=["diag", "rotated", "mild"],
+)
+def test_rolling_ball_radius_of_quadratic_norm(m):
+    # the Wulff shape x'M^-1 x <= 1 is an ellipse with semi-axes sqrt(lambda_i)
+    # of M, so its least radius of curvature is b^2 / a = lambda_min / sqrt(lambda_max)
+    lam = np.linalg.eigvalsh(m)
+    rho = _small_reach_comparison(QuadraticNorm(0.5 * (m + m.T))).rho
+    assert rho == pytest.approx(lam[0] / np.sqrt(lam[-1]), rel=1e-5)
+
+
+def test_rolling_ball_radius_of_weighted_sum_matches_wulff_sample():
+    w2 = WeightedSum(((0.3, E2), (1.0, QuadraticNorm(np.array([[3.0, 1.0], [1.0, 1.5]])))))
+    rho = _small_reach_comparison(w2).rho
+    assert rho == pytest.approx(rolling_ball_by_wulff_sample(w2, 8192), rel=1e-5)
 
 
 def test_weighted_sum_field_with_cell_centre_on_body_centre():

@@ -16,6 +16,7 @@ from wulffkit import (
     volume,
 )
 
+from wulffkit.hypersurface import _bisect_newton_radii
 from wulffkit.spheregrid import sphere_quadrature
 
 from oracles import ellipse_arc_length
@@ -197,6 +198,20 @@ def test_ray_boundary_of_closed_forms_is_bit_for_bit():
 
 def test_d3_resolution_must_be_one_count_or_a_pair():
     ball = Ellipsoid(np.eye(3), np.zeros(3))
-    for bad in ((32,), (32, 64, 64), [64]):
+    for bad in ((32,), (32, 64, 64), [64], "ab", (32.5, 64), 64.5, (32, True)):
         with pytest.raises(InputError):
             sample_surface(ball, bad)
+    with pytest.raises(InputError):
+        sphere_quadrature(3, (32,))
+
+
+def test_ellipsoid_ray_radii_match_bisection():
+    # the closed form t = 1 / sqrt(w'Qw) against the generic bracketing solve
+    rng = np.random.default_rng(3)
+    for dim, resolution in ((2, 2048), (3, (96, 192))):
+        rot = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        q = rot @ np.diag(rng.uniform(0.2, 4.0, dim)) @ rot.T
+        body = Ellipsoid(0.5 * (q + q.T), rng.uniform(-2.0, 2.0, dim))
+        omega = sphere_quadrature(dim, resolution)[0]
+        rho = body.ray_radii(omega)
+        assert np.abs(rho / _bisect_newton_radii(body, omega) - 1.0).max() <= 1e-14

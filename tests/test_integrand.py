@@ -143,6 +143,16 @@ def test_ellipticity_brute_force_oracle():
     assert rep.gamma_estimate == pytest.approx(brute, rel=1e-3)
 
 
+def test_ellipticity_is_the_least_tangential_eigenvalue_in_3d():
+    # at u = +-e1 the tangent plane holds e2 and e3, where D^2 of 0.4|x| is 1
+    # and D^2 of sqrt(x'Mx) is diag(1, 2) / sqrt(3); the probes include +-e1
+    f = WeightedSum(
+        ((0.4, EuclideanNorm(3)), (0.6, QuadraticNorm(np.diag([3.0, 1.0, 2.0]))))
+    )
+    rep = estimate_ellipticity(f, 2000, seed=0)
+    assert rep.gamma_estimate == pytest.approx(0.4 + 0.6 / np.sqrt(3.0), abs=1e-12)
+
+
 def test_ellipticity_needs_samples():
     with pytest.raises(InputError):
         estimate_ellipticity(E2, 50)
