@@ -76,8 +76,9 @@ class GridSpec:
             cells = cells * len(lo)
         if len(lo) != len(hi) or len(lo) != len(cells):
             raise InputError("grid bounds/cells dimension mismatch")
-        if np.any(hi <= lo) or any(c < 4 for c in cells):
-            raise InputError("grid box must be nonempty with at least 4 cells per axis")
+        # NaN widths and infinite ones fail both comparisons
+        if not np.all((0.0 < hi - lo) & (hi - lo < np.inf)) or any(c < 4 for c in cells):
+            raise InputError("grid box must be finite, nonempty and at least 4 cells per axis")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "cells", cells)

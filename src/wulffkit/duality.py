@@ -10,11 +10,12 @@ on the strictly convex problem
 
 whose unique minimizer v* satisfies F(v*) = F*(w) and v*/F(v*) = grad F*(w).
 This is the gradient-alignment fixed point F(v) grad F(v) = w solved with
-second-order steps; a golden-section search on the unit circle provides a
-d=2 fallback, and in higher dimensions rows the line search leaves stalled
-close to the optimum get a few undamped Newton steps.  Closed forms are
-preferred in production; the iterative path is cross-checked against them
-in the test suite.
+second-order steps.  Rows the line search leaves above the tolerance get a
+few undamped Newton steps from inside the basin: in d=2 from the vertex of
+the Wulff polygon whose cone holds w, in higher dimensions from the stalled
+iterate when it is close to the optimum.  Closed forms are preferred in
+production; the iterative path is cross-checked against them and against a
+golden-section oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InputError, SolverError
-from .integrand import EuclideanNorm, Integrand, QuadraticNorm, _quadratic_form
+from .integrand import EuclideanNorm, Integrand, QuadraticNorm
+from .integrand import _as_batch, _center, _quadratic_form
 from .spheregrid import latlong_quadrature, sphere_quadrature
 
 __all__ = ["DualNorm", "dual_norm_of", "WulffSample", "wulff_sample"]
@@ -262,7 +264,7 @@ class DualNorm:
 
     def _polar_minimize(self, W):
         """Newton minimization of F(v)^2/2 - w.v, one row per input vector."""
-        W = np.atleast_2d(np.asarray(W, dtype=float))
+        W = _as_batch(W, self.dim)[0]
         nw = np.linalg.norm(W, axis=1)
         if np.any(nw == 0.0):
             raise InputError("conjugate evaluation requires nonzero vectors")
@@ -315,21 +317,23 @@ class DualNorm:
         bad = gap > self.tolerance
         if bad.any():
             if self.dim == 2:
-                # golden section localizes the flat maximum only to sqrt(eps)
-                # in angle; the polish finishes it from inside the basin
-                v[bad] = self._newton_polish(W[bad], self._golden_fallback(W[bad]))
-                tol = max(self.tolerance, 1e-9)
+                # w lies in the cone [g_k, g_{k+1}] of the Wulff polygon, so
+                # its maximizer on the F-unit circle lies between p_k and
+                # p_{k+1}, and v = (w.p_k) p_k starts within one cone of v*
+                w = W[bad]
+                k = self._gauge(w)[0].clip(0, _TABLE_SIZE - 1)
+                p = self._polygon()[2][:, k].T
+                v[bad] = self._newton_polish(w, p * (w * p).sum(axis=1)[:, None])
             else:
                 # strongly anisotropic sums stall the damped line search at
                 # relative gaps up to a few 1e-6; undamped steps are trusted
                 # only below 1e-4, so rows further off still raise below
                 near = bad & (gap < 1e-4)
                 v[near] = self._newton_polish(W[near], v[near])
-                tol = self.tolerance
             fv = f.value(v)
             res = fv[:, None] * f.grad(v) - W
             gap = np.linalg.norm(res, axis=1) / nw
-            bad = gap > tol
+            bad = gap > self.tolerance
         if bad.any():
             i = int(np.argmax(gap))
             raise SolverError(
@@ -349,41 +353,6 @@ class DualNorm:
             hess = fv[:, None, None] * f.hess(v) + g[:, :, None] * g[:, None, :]
             v = v + np.linalg.solve(hess, -res[..., None])[..., 0]
         return v
-
-    def _golden_fallback(self, W):
-        """Maximize w.u over the F-unit circle by grid bracketing + golden section."""
-        f = self.base
-        thetas = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        units = dirs / f.value(dirs)[:, None]
-        out = np.empty_like(W)
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        for k, w in enumerate(W):
-            best = int(np.argmax(units @ w))
-            a = thetas[best] - 2 * np.pi / 720
-            b = thetas[best] + 2 * np.pi / 720
-
-            def s(theta, w=w):
-                u = np.array([np.cos(theta), np.sin(theta)])
-                return float(w @ (u / f.value(u)))
-
-            c, d = b - invphi * (b - a), a + invphi * (b - a)
-            fc, fd = s(c), s(d)
-            while b - a > 1e-14:
-                if fc < fd:
-                    a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
-                    fd = s(d)
-                else:
-                    b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
-                    fc = s(c)
-            theta = 0.5 * (a + b)
-            u = np.array([np.cos(theta), np.sin(theta)])
-            u /= f.value(u)
-            # scale so that F(v) grad F(v) = w holds at the maximizer
-            out[k] = u * (w @ u)
-        return out
 
 
 _LIVE_DUALS = weakref.WeakValueDictionary()
@@ -422,11 +391,9 @@ class WulffSample:
 def wulff_sample(dual: DualNorm, center, r: float, resolution) -> WulffSample:
     """Sample the boundary of the F*-ball B(center, r) with exact normals, one
     node per direction of ``sphere_quadrature(d, resolution)``."""
-    if r <= 0:
-        raise InputError("Wulff radius must be positive")
-    center = np.asarray(center, dtype=float)
-    if center.shape != (dual.dim,):
-        raise InputError(f"center must be a {dual.dim}-vector")
+    if not 0.0 < r < np.inf:
+        raise InputError("Wulff radius must be positive and finite")
+    center = _center(center, dual.dim, "Wulff")
     nu = sphere_quadrature(dual.dim, resolution)[0]
     points = center[None, :] + r * dual.base.grad(nu)
     return WulffSample(

@@ -22,7 +22,7 @@ from .errors import (
     QuadratureInconsistencyError,
     StarShapeError,
 )
-from .integrand import Integrand, _check_spd, _quadratic_form
+from .integrand import Integrand, _as_batch, _center, _check_spd, _quadratic_form
 from .spheregrid import grid_counts, sphere_quadrature, tangent_frames
 
 __all__ = [
@@ -75,16 +75,6 @@ class StarBody:
         return rho, self.grad_phi(self.center[None, :] + rho[:, None] * omega)
 
 
-def _batch(x, dim):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != dim:
-        raise InputError(f"expected {dim}-vectors, got shape {x.shape}")
-    return x, single
-
-
 @dataclass(frozen=True, eq=False)
 class Ellipsoid(StarBody):
     """phi(x) = (x-c)'Q(x-c) - 1 with Q symmetric positive definite."""
@@ -95,25 +85,22 @@ class Ellipsoid(StarBody):
 
     def __post_init__(self):
         q = _check_spd(self.matrix, "ellipsoid matrix")
-        c = np.asarray(self.center, dtype=float)
-        if c.shape != (q.shape[0],):
-            raise InputError("ellipsoid center dimension mismatch")
         object.__setattr__(self, "matrix", q)
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _center(self.center, len(q), "ellipsoid"))
 
     def phi(self, x):
-        x, single = _batch(x, self.dim)
+        x, single = _as_batch(x, self.dim)
         u = x - self.center
         v = _quadratic_form(u, self.matrix) - 1.0
         return v[0] if single else v
 
     def grad_phi(self, x):
-        x, single = _batch(x, self.dim)
+        x, single = _as_batch(x, self.dim)
         g = 2.0 * (x - self.center) @ self.matrix
         return g[0] if single else g
 
     def hess_phi(self, x):
-        x, single = _batch(x, self.dim)
+        x, single = _as_batch(x, self.dim)
         h = np.broadcast_to(2.0 * self.matrix, (len(x), self.dim, self.dim))
         return h[0] if single else h
 
@@ -135,20 +122,17 @@ class WulffBody(StarBody):
     kind = "wulff"
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise InputError("Wulff radius must be positive")
-        c = np.asarray(self.center, dtype=float)
-        if c.shape != (self.dual.dim,):
-            raise InputError("Wulff center dimension mismatch")
-        object.__setattr__(self, "center", c)
+        if not 0.0 < self.radius < np.inf:
+            raise InputError("Wulff radius must be positive and finite")
+        object.__setattr__(self, "center", _center(self.center, self.dual.dim, "Wulff"))
 
     def phi(self, x):
-        x, single = _batch(x, self.dim)
+        x, single = _as_batch(x, self.dim)
         v = self.dual.batch_value(x - self.center) - self.radius
         return v[0] if single else v
 
     def grad_phi(self, x):
-        x, single = _batch(x, self.dim)
+        x, single = _as_batch(x, self.dim)
         g = self.dual.batch_grad(x - self.center)
         return g[0] if single else g
 
@@ -162,18 +146,17 @@ class WulffBody(StarBody):
         lo is 0 where F(w) is 0, so the centre, w = 0, raises no 0/0.
 
         The solve stops at v with |w' - w| <= tol |w|, where w' = F(v) grad F(v)
-        and F(v) = F*(w'); so its phi is within L tol |w| of the exact one, with
-        tol <= max(tolerance, 1e-9) after the golden fallback.  A row whose
-        bracket clears the radius by more than the margin 10 tol L |w|
-        (1e-8 L |w| by default, far above the rounding of either bracket)
-        therefore gets the sign the solve would give, and never raises
-        ``SolverError``.
+        and F(v) = F*(w'), tol the ``tolerance``; so its phi is within
+        L tol |w| of the exact one.  A row whose bracket clears the radius by
+        more than the margin 10 tol L |w| (1e-9 L |w| by default, far above
+        the rounding of either bracket) therefore gets the sign the solve
+        would give, and never raises ``SolverError``.
         """
         dual = self.dual
         # grad_bound covers d = 2 and d = 3
         if dual.has_closed_form or self.dim > 3:
             return super().sign(x)
-        x, single = _batch(x, self.dim)
+        x, single = _as_batch(x, self.dim)
         w = x - self.center
         lip = dual.grad_bound()
         sq = (w * w).sum(axis=1)
@@ -184,7 +167,7 @@ class WulffBody(StarBody):
             fw = dual.base.value(w)
             lo = np.divide(sq, fw, out=np.zeros(len(w)), where=fw > 0.0)
             hi = lip * norm
-        margin = 10.0 * max(dual.tolerance, 1e-9) * lip * norm
+        margin = 10.0 * dual.tolerance * lip * norm
         out = np.zeros(len(w))
         out[lo - self.radius > margin] = 1.0
         out[self.radius - hi > margin] = -1.0
@@ -219,24 +202,21 @@ class Superellipse(StarBody):
 
     def __post_init__(self):
         a, b = (float(v) for v in self.semi_axes)
-        if a <= 0 or b <= 0:
-            raise InputError("superellipse semi-axes must be positive")
-        if self.exponent <= 2:
-            raise InputError("superellipse exponent must exceed 2")
-        c = np.asarray(self.center, dtype=float)
-        if c.shape != (2,):
-            raise InputError("superellipse is two-dimensional")
+        if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+            raise InputError("superellipse semi-axes must be positive and finite")
+        if not 2.0 < self.exponent < np.inf:
+            raise InputError("superellipse exponent must exceed 2 and be finite")
         object.__setattr__(self, "semi_axes", (a, b))
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _center(self.center, 2, "superellipse"))
 
     def phi(self, x):
-        x, single = _batch(x, 2)
+        x, single = _as_batch(x, 2)
         u = (x - self.center) / np.asarray(self.semi_axes)
         v = (np.abs(u) ** self.exponent).sum(axis=1) - 1.0
         return v[0] if single else v
 
     def grad_phi(self, x):
-        x, single = _batch(x, 2)
+        x, single = _as_batch(x, 2)
         ax = np.asarray(self.semi_axes)
         u = (x - self.center) / ax
         p = self.exponent
@@ -244,7 +224,7 @@ class Superellipse(StarBody):
         return g[0] if single else g
 
     def hess_phi(self, x):
-        x, single = _batch(x, 2)
+        x, single = _as_batch(x, 2)
         ax = np.asarray(self.semi_axes)
         u = (x - self.center) / ax
         p = self.exponent

@@ -42,6 +42,16 @@ def _as_batch(x, dim):
     return x, single
 
 
+def _center(center, dim, name):
+    """The centre of a body or ball as a finite float ``dim``-vector, or InputError."""
+    c = np.asarray(center, dtype=float)
+    if c.shape != (dim,):
+        raise InputError(f"{name} center must be a {dim}-vector")
+    if not np.all(np.isfinite(c)):
+        raise InputError(f"{name} center must be finite")
+    return c
+
+
 def _quadratic_form(x, m):
     """x_n' M x_n for every row x_n of x; one (N, d) temporary."""
     y = x @ m
@@ -53,6 +63,8 @@ def _check_spd(m, name="matrix"):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"{name} must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InputError(f"{name} must have finite entries")
     if not np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max())):
         raise InputError(f"{name} must be symmetric")
     sym = 0.5 * (m + m.T)
@@ -166,8 +178,8 @@ class WeightedSum(Integrand):
         dims = {f.dim for _, f in terms}
         if len(dims) != 1:
             raise InputError("all terms must share one ambient dimension")
-        if any(w <= 0 for w, _ in terms):
-            raise InputError("weights must be positive")
+        if not all(0.0 < w < np.inf for w, _ in terms):
+            raise InputError("weights must be positive and finite")
         object.__setattr__(self, "terms", terms)
 
     @property

@@ -70,11 +70,15 @@ def _section(raw, key, default):
 
 
 def _convert(kind, value, where):
-    """kind(value) for a scalar field, or a SceneError naming the field."""
+    """kind(value) for a scalar field, finite if a float, or a SceneError
+    naming the field."""
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise SceneError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+    if kind is float and not np.isfinite(out):
+        raise SceneError(f"{where}: expected a finite number, got {value!r}")
+    return out
 
 
 def _array(value, where):
@@ -92,13 +96,16 @@ def _count(value, where):
     return count
 
 
-def _resolution(value, where, dim):
-    """One node count, or a list of counts as a hashable tuple, that
-    ``grid_counts`` accepts in dimension ``dim``."""
+def _counts(value, where):
+    """One whole number, or a list of them as a hashable tuple."""
     if isinstance(value, list):
-        value = tuple(_count(v, where) for v in value)
-    else:
-        value = _count(value, where)
+        return tuple(_count(v, where) for v in value)
+    return _count(value, where)
+
+
+def _resolution(value, where, dim):
+    """``_counts`` that ``grid_counts`` accepts in dimension ``dim``."""
+    value = _counts(value, where)
     try:
         grid_counts(dim, value)
     except InputError as exc:
@@ -110,7 +117,8 @@ def _parse_integrand(spec, where="integrand") -> Integrand:
     family = _require(spec, "family", where)
     try:
         if family == "euclidean":
-            return EuclideanNorm(int(_require(spec, "dimension", where)))
+            dim = _count(_require(spec, "dimension", where), f"{where}.dimension")
+            return EuclideanNorm(dim)
         if family == "quadratic":
             return QuadraticNorm(np.asarray(_require(spec, "matrix", where), dtype=float))
         if family == "weighted-sum":
@@ -190,7 +198,8 @@ def parse_scene(raw: dict) -> Scene:
         if bounds.ndim != 2 or bounds.shape[1] != 2:
             raise SceneError("grid.bounds: expected [[lo, hi], ...] per axis")
         try:
-            grid = GridSpec(lo=bounds[:, 0], hi=bounds[:, 1], cells=gspec.get("cells", 256))
+            cells = _counts(gspec.get("cells", 256), "grid.cells")
+            grid = GridSpec(lo=bounds[:, 0], hi=bounds[:, 1], cells=cells)
         except (InputError, TypeError, ValueError) as exc:
             raise SceneError(f"grid: {exc}") from None
         if grid.dim != integrand.dim:
@@ -214,12 +223,14 @@ def parse_scene(raw: dict) -> Scene:
             raise SceneError(f"steiner: unknown key {key!r}")
         if key == "source_resolution":
             value = _resolution(value, "steiner.source_resolution", integrand.dim)
+        elif key == "samples":
+            value = _count(value, "steiner.samples")
         elif value is not None or key != "reference_radius":
-            value = _convert(int if key == "samples" else float, value, f"steiner.{key}")
+            value = _convert(float, value, f"steiner.{key}")
         steiner[key] = value
 
     hk_c = _section(raw, "hk", {}).get("c")
-    seed = _convert(int, raw.get("seed", 0), "seed")
+    seed = _count(raw.get("seed", 0), "seed")
     if seed < 0:
         raise SceneError(f"seed: expected a non-negative integer, got {seed}")
     return Scene(

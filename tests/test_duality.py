@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,10 +139,35 @@ def test_solver_error_carries_best_and_gap():
     assert err.value.gap is not None and err.value.gap > 1e-14
 
 
-def test_golden_fallback_matches_newton_in_2d():
+def test_polygon_fallback_matches_newton_in_2d():
     stunted = DualNorm(W2, max_iterations=0, tolerance=1e-14)
     w = np.array([0.9, -0.4])
-    assert stunted.value(w) == pytest.approx(DW.value(w), rel=1e-8)
+    assert stunted.value(w) == pytest.approx(DW.value(w), rel=1e-12)
+
+
+def test_polygon_fallback_meets_the_tolerance_on_every_row():
+    # without damped iterations every row starts from the vertex of its
+    # Wulff-polygon cone; random weighted sums, anisotropy up to e^5 in any
+    # rotation, and |w| over twelve orders of magnitude
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        a = rng.uniform(0.005, 0.995)
+        turn = rng.uniform(0.0, np.pi)
+        r = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        m = r @ np.diag([np.exp(rng.uniform(-5.0, 5.0)), 1.0]) @ r.T
+        f = WeightedSum(((a, E2), (1.0 - a, QuadraticNorm(0.5 * (m + m.T)))))
+        stunted = DualNorm(f, max_iterations=0)
+        w = rng.standard_normal((32, 2)) * np.exp(rng.uniform(-6.0, 6.0, (32, 1)))
+        v = stunted._polar_minimize(w)
+        gap = np.linalg.norm(f.value(v)[:, None] * f.grad(v) - w, axis=1)
+        assert np.all(gap <= stunted.tolerance * np.linalg.norm(w, axis=1))
+        exact = golden_conjugate(f.value, w)
+        assert np.abs(f.value(v) / exact - 1.0).max() <= 1e-10
+
+
+def test_polygon_fallback_refuses_a_ball_that_is_not_strictly_convex():
+    with pytest.raises(DomainError):
+        DualNorm(_MaxNorm(), max_iterations=0).batch_value(np.ones((1, 2)))
 
 
 def _half_step_quadratic(lam):
@@ -238,7 +265,7 @@ def test_bracket_solves_only_undecided_rows(monkeypatch):
     body = WulffBody(DW, np.array([0.3, -0.2]), 1.2)
     rim = _rim(body, 12, np.random.default_rng(3))
     rel = rim - body.center
-    # within 1e-12 of the solved boundary, well inside the 1e-8 L |w| margin
+    # within 1e-12 of the solved boundary, well inside the 1e-9 L |w| margin
     near = body.center + rel * (1.0 + 1e-12 * np.tile([-1.0, 1.0], 6))[:, None]
     far = body.center + np.concatenate([0.5 * rel, 2.0 * rel])
     x = np.concatenate([far[:6], near, far[6:]])
@@ -332,7 +359,7 @@ def test_far_rows_are_never_solved_in_3d(monkeypatch):
     f = _rotated_weighted_sum_3d(0.4, (1.0, -0.5), np.random.default_rng(5))
     body = WulffBody(DualNorm(f), np.array([0.3, -0.2, 0.1]), 1.2)
     rel = _rim_3d(body, 12, np.random.default_rng(6)) - body.center
-    # within 1e-12 of the solved boundary, well inside the 1e-8 L |w| margin
+    # within 1e-12 of the solved boundary, well inside the 1e-9 L |w| margin
     near = body.center + rel * (1.0 + 1e-12 * np.tile([-1.0, 1.0], 6))[:, None]
     far = body.center + np.concatenate([0.3 * rel, 4.0 * rel, np.zeros((1, 3))])
     x = np.concatenate([far[:12], near, far[12:]])
@@ -355,6 +382,11 @@ def test_non_finite_rows_stay_typed_errors_in_3d():
     body = WulffBody(DualNorm(f), np.zeros(3), 1.0)
     with pytest.raises(InputError):
         body.sign(np.array([[np.nan, 0.1, 0.0], [0.3, -0.2, 5.0]]))
+    # the solve refuses the row before it divides by the row norms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            body.dual.batch_value(np.array([[np.inf, 1.0, 0.0]]))
 
 
 def test_one_solve_gives_value_and_gradient_bit_for_bit():

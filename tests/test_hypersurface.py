@@ -148,6 +148,42 @@ def test_body_validation():
         Ellipsoid(np.eye(2), np.zeros(3))
 
 
+def test_bodies_refuse_non_finite_points():
+    # every body reads points through the integrands' validator, so a NaN
+    # point is refused, not given a NaN sign
+    bodies = (
+        UNIT_DISK,
+        Superellipse((1.0, 2.0), 4.0, np.zeros(2)),
+        WulffBody(DualNorm(WeightedSum(((0.5, E2), (1.0, Q2)))), np.zeros(2), 1.0),
+    )
+    for body in bodies:
+        for method in (body.phi, body.grad_phi, body.sign):
+            with pytest.raises(InputError):
+                method(np.array([[np.nan, 0.0]]))
+    with pytest.raises(InputError):
+        UNIT_DISK.sign([np.inf, 0.0])
+    with pytest.raises(InputError):
+        ELLIPSE.hess_phi([[0.5, np.nan]])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Ellipsoid(np.diag([np.inf, 1.0]), np.zeros(2)),
+        lambda: Ellipsoid(np.eye(2), [np.nan, 0.0]),
+        lambda: WulffBody(DQ, np.zeros(2), np.nan),
+        lambda: WulffBody(DQ, np.zeros(2), np.inf),
+        lambda: WulffBody(DQ, [0.0, np.inf], 1.0),
+        lambda: Superellipse((1.0, np.nan), 4.0, np.zeros(2)),
+        lambda: Superellipse((1.0, 1.0), np.inf, np.zeros(2)),
+        lambda: Superellipse((1.0, 1.0), 4.0, [np.nan, 0.0]),
+    ],
+)
+def test_bodies_refuse_non_finite_parameters(make):
+    with pytest.raises(InputError, match="finite"):
+        make()
+
+
 def test_node_accessor_and_concat():
     q = sample_surface(UNIT_DISK, 64)
     both = concat_quadratures([q, q])

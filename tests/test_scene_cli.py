@@ -10,6 +10,7 @@ from wulffkit import SceneError, load_scene, parse_scene, sample_surface
 from wulffkit.cli import _tolist, main, run
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
+NAN, INF = float("nan"), float("inf")
 
 
 def test_parse_wulff_scene():
@@ -115,6 +116,34 @@ def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
         (("tolerances",), {"tol_eq": "x"}),
         (("steiner",), {"samples": "many"}),
         (("bodies",), 5),
+        # non-finite numbers, which Python's json reads as NaN and Infinity
+        (("tolerances",), {"tol_eq": NAN}),
+        (("tolerances",), {"tol_fit": -INF}),
+        (("hk",), {"c": NAN}),
+        (("hk",), {"c": INF}),
+        (("steiner",), {"lo_frac": NAN}),
+        (("steiner",), {"reference_radius": INF}),
+        (("grid", "bounds"), [[-INF, 2.0], [-1.5, 1.5]]),
+        (("grid", "bounds"), [[-2.0, 2.0], [-1.5, NAN]]),
+        (("bodies", 0, "radius"), NAN),
+        (("bodies", 0, "radius"), INF),
+        (("bodies", 0, "center"), [NAN, 0.0]),
+        (("integrand", "matrix"), [[INF, 0.0], [0.0, 1.0]]),
+        (("integrand",), {"family": "weighted-sum", "terms": [
+            {"weight": INF, "integrand": {"family": "euclidean", "dimension": 2}},
+        ]}),
+        (("bodies", 0), {"kind": "ellipsoid", "matrix": [[INF, 0.0], [0.0, 1.0]],
+                         "center": [0.0, 0.0]}),
+        (("bodies", 0), {"kind": "superellipse", "semi_axes": [1.0, 1.0], "exponent": INF,
+                         "center": [0.0, 0.0]}),
+        (("bodies", 0), {"kind": "superellipse", "semi_axes": [NAN, 1.0], "exponent": 4.0,
+                         "center": [0.0, 0.0]}),
+        # whole-number fields given fractions
+        (("integrand",), {"family": "euclidean", "dimension": 2.5}),
+        (("seed",), 1.5),
+        (("steiner",), {"samples": 40.5}),
+        (("grid", "cells"), 100.5),
+        (("grid", "cells"), [40, 30.5]),
     ],
 )
 def test_bad_field_values_are_scene_errors(path, value):
@@ -235,7 +264,11 @@ def test_any_json_scene_parses_or_raises_scene_error(raw):
 
 @pytest.mark.parametrize(
     "field,override,argv",
-    [("resolution", {"resolution": "abc"}, []), ("seed", {}, ["--seed", "-1"])],
+    [
+        ("resolution", {"resolution": "abc"}, []),
+        ("seed", {}, ["--seed", "-1"]),
+        ("grid", {"grid": {"bounds": [[-INF, 2.0], [-1.5, 1.5]], "cells": [40, 30]}}, []),
+    ],
 )
 def test_bad_scene_value_exits_1_without_traceback(tmp_path, capsys, field, override, argv):
     scene = tmp_path / "bad.json"
