@@ -14,11 +14,16 @@ with an absolute floor of ``WINDOW_CELLS`` grid spacings; the floor is
 what guarantees every cell within about one cell of the medial axis is
 flagged, making the reach estimate accurate to a couple of grid cells.
 
-Nearest-source search is brute force over spatial cell blocks, pruning the
-sources per coarse block and again per fine tile inside it with an exact
-Lipschitz bound (desk scale: <= 1024^2 cells, <= 1e4 source points); no
-fast marching.  Cells in A are never scanned: membership is one call on all
-cell centres, made before the scan, and delta and the gap are 0 there.
+Nearest-source search is brute force over spatial cell blocks (desk scale:
+<= 1024^2 cells, <= 1e4 source points); no fast marching.  Each coarse
+block prunes the sources with an exact Lipschitz bound, and each fine tile
+inside it prunes them again.  Euclidean F* and a diagonal M use axis
+tables: the mapped centre coordinates are constant along the other grid
+axes, so a tile keeps one table of squared coordinate differences per axis,
+prunes by their exact box bound, and sums the tables into its distances.  A
+rotated M and weighted sums keep the Lipschitz bound at the tile's radius.
+Cells in A are never scanned: membership is one call on all cell centres,
+made before the scan, and delta and the gap are 0 there.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from .duality import DualNorm, dual_norm_of
 from .errors import InputError
 from .hypersurface import StarBody, sample_surface
-from .integrand import Integrand, QuadraticNorm, tangential_hessian
+from .integrand import Integrand, QuadraticNorm, _whole, tangential_hessian
 from .spheregrid import sphere_quadrature, tangent_frames
 
 __all__ = [
@@ -71,7 +76,9 @@ class GridSpec:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        cells = tuple(int(c) for c in np.atleast_1d(self.cells))
+        cells = tuple(
+            _whole(c, f"grid axis {k} cell count") for k, c in enumerate(np.atleast_1d(self.cells))
+        )
         if len(cells) == 1:
             cells = cells * len(lo)
         if len(lo) != len(hi) or len(lo) != len(cells):
@@ -116,10 +123,11 @@ class GridSpec:
         bad = np.flatnonzero(~np.isfinite(x))
         if len(bad):
             raise InputError(f"non-finite coordinate x[{bad[0]}] = {x[bad[0]]}")
-        idx = np.floor((x - self.lo) / self.spacing).astype(int)
-        if np.any(idx < 0) or np.any(idx >= np.asarray(self.cells)):
+        if np.any(x < self.lo) or np.any(x > self.hi):
             raise InputError("point outside the grid box")
-        return tuple(idx)
+        # the quotient of a point just below hi can round up to the cell count
+        idx = np.floor((x - self.lo) / self.spacing).astype(int)
+        return tuple(np.minimum(idx, np.asarray(self.cells) - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,19 +290,31 @@ class DistanceField:
         return d.reshape(len(x), len(pts)).min(axis=1)
 
 
+def _mapped_points(dual: DualNorm, sources, centers):
+    """The points in coordinates where a closed-form F* is Euclidean, or None.
+
+    F*(a - x) = |L^T (a - x)| with L L^T = M^-1 (L = I for Euclidean), so
+    the points are mapped once, as ``(sources @ L, centers @ L)``.
+    """
+    base = dual.base
+    if not dual.has_closed_form:
+        return None
+    if isinstance(base, QuadraticNorm):
+        l = np.linalg.cholesky(base.inverse)
+        return sources @ l, centers @ l
+    return sources, centers
+
+
 def _pairwise_values(dual: DualNorm, sources, centers):
     """values(cells, cand): F*(a_j - x_i) over cell indices i and source indices
     j, as a (len(cells), len(cand)) array.
 
-    Closed forms map the points once, so F*(a - x) = |L^T (a - x)| with
-    L L^T = M^-1 (L = I for Euclidean) becomes a Euclidean distance summed
+    Closed forms become a Euclidean distance of the mapped points, summed
     axis by axis: each entry's bits do not depend on how the grid is tiled.
     """
-    base = dual.base
-    if dual.has_closed_form:
-        if isinstance(base, QuadraticNorm):
-            l = np.linalg.cholesky(base.inverse)
-            sources, centers = sources @ l, centers @ l
+    mapped = _mapped_points(dual, sources, centers)
+    if mapped is not None:
+        sources, centers = mapped
         return lambda cells, cand: np.sqrt(_sqdist(centers[cells], sources[cand]))
 
     def values(cells, cand):
@@ -303,6 +323,91 @@ def _pairwise_values(dual: DualNorm, sources, centers):
         return dual.batch_value_fast(flat).reshape(len(cells), len(cand))
 
     return values
+
+
+def _axis_lines(mapped, shape):
+    """Per grid axis k, the mapped coordinate k of the cell centres along axis
+    k and of the sources, or None unless every mapped coordinate k is constant
+    along the other grid axes (Euclidean F*, or a diagonal M).
+
+    Then F*(a - x)^2 of the cell with grid index (i_0, ..., i_{d-1}) is the
+    sum over k of (line_k[i_k] - src_k)^2, with the bits of ``_sqdist``.
+    """
+    if mapped is None:
+        return None
+    sources, centers = mapped
+    lines = []
+    for k in range(len(shape)):
+        coord = centers[:, k].reshape(shape)
+        line = coord[tuple(slice(None) if j == k else slice(0, 1) for j in range(len(shape)))]
+        if not (coord == line).all():
+            return None
+        # copies, so that the mapped points need not outlive this call
+        lines.append((line.ravel().copy(), sources[:, k].copy()))
+    return lines
+
+
+def _tile_distances(lines, shape, tile, rows, coarse, eps_cluster, window_abs):
+    """F* from the cells ``rows`` (positions in ``tile.ravel()``) of a box
+    ``tile`` of flat indices into a grid of ``shape`` to the tile's
+    candidates among ``coarse``, and those candidates, as (values, cand).
+
+    Each axis k gives a (side_k, len(coarse)) table t_k of squared coordinate
+    differences.  Source j's F* from any cell of the tile is at least
+    sqrt(sum_k min t_k[:, j]), and each cell's least F* is at most
+    big = min_j sqrt(sum_k max t_k[:, j]); every step is a monotone rounded
+    operation, so each near-minimizer j of each cell has
+    sqrt(sum_k min t_k[:, j]) <= big + (eps_cluster big + window_abs).
+    """
+    corner = np.unravel_index(tile.flat[0], shape)
+    tables = [
+        (line[c : c + n, None] - src[coarse][None]) ** 2
+        for (line, src), c, n in zip(lines, corner, tile.shape)
+    ]
+    lo, hi = tables[0].min(axis=0), tables[0].max(axis=0)
+    for t in tables[1:]:
+        lo += t.min(axis=0)
+        hi += t.max(axis=0)
+    big = np.sqrt(hi.min())
+    keep = np.flatnonzero(np.sqrt(lo) <= big + (eps_cluster * big + window_abs))
+    # the tables summed in axis order, as ``_sqdist`` sums, broadcast over
+    # the tile's cells
+    shaped = [
+        t[:, keep].reshape([n if j == k else 1 for j, n in enumerate(tile.shape)] + [-1])
+        for k, t in enumerate(tables)
+    ]
+    d = shaped[0]
+    for t in shaped[1:]:
+        d = d + t
+    d = d.reshape(tile.size, len(keep))
+    if len(rows) < tile.size:
+        d = d[rows]
+    return np.sqrt(d, out=d), coarse[keep]
+
+
+def _tile_scan(dual: DualNorm, pts, centers, shape, lip, eps_cluster, window_abs):
+    """scan(tile, radius, rows, coarse): F* from the cells ``rows`` (positions
+    in ``tile.ravel()``) of a box ``tile`` of flat cell indices, of
+    circumradius ``radius``, to the tile's candidates among ``coarse``, as
+    (values, cand).
+
+    Euclidean F* and a diagonal M use the axis tables and their box bound;
+    other F* prune with the ``lip``-Lipschitz bound at the tile's radius.
+    """
+    lines = _axis_lines(_mapped_points(dual, pts, centers), shape)
+    if lines is not None:
+        return lambda tile, radius, rows, coarse: _tile_distances(
+            lines, shape, tile, rows, coarse, eps_cluster, window_abs
+        )
+    values = _pairwise_values(dual, pts, centers)
+
+    def scan(tile, radius, rows, coarse):
+        cells = tile.ravel()
+        xt = centers[cells].mean(axis=0)
+        cand = _candidates(dual, pts, coarse, xt, radius, lip, eps_cluster, window_abs)
+        return values(cells[rows], cand), cand
+
+    return scan
 
 
 def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
@@ -406,7 +511,7 @@ def build_field(
     pts = source.points
     lip = dual.grad_bound()
     window_abs = WINDOW_CELLS * h
-    values = _pairwise_values(dual, pts, centers)
+    scan = _tile_scan(dual, pts, centers, grid.shape, lip, eps_cluster, window_abs)
     resolve = _cluster_analysis(source, eps_cluster, window_abs, tol_unique)
 
     member = source.membership(centers)
@@ -415,10 +520,11 @@ def build_field(
 
     # two-level candidate pruning: each coarse block keeps the sources that
     # can be near-minimizers of any of its cells, and each fine tile inside
-    # it prunes those again at its own radius; both bounds are exact, so a
-    # tile's sorted candidates hold every near-minimizer of its cells, and
-    # each row's results depend only on its own near-minimizers, so scanning
-    # a tile's cells outside A alone leaves their bits as a full scan would
+    # it prunes those again, by its axis tables' box bound or else at its own
+    # radius; both bounds are exact, so a tile's sorted candidates hold every
+    # near-minimizer of its cells, and each row's results depend only on its
+    # own near-minimizers, so scanning a tile's cells outside A alone leaves
+    # their bits as a full scan would
     flat = np.arange(n_cells).reshape(grid.shape)
     every = np.arange(len(pts))
     for block, radius in _blocks(flat, grid.spacing, BLOCK_CELLS):
@@ -428,12 +534,11 @@ def build_field(
         coarse = _candidates(dual, pts, every, xc, radius, lip, eps_cluster, window_abs)
         for tile, r_tile in _blocks(block, grid.spacing, TILE_CELLS):
             cells_idx = tile.ravel()
-            outside = cells_idx[~member[cells_idx]]
-            if len(outside) == 0:
+            rows = np.flatnonzero(~member[cells_idx])
+            if len(rows) == 0:
                 continue
-            xt = centers[cells_idx].mean(axis=0)
-            cand = _candidates(dual, pts, coarse, xt, r_tile, lip, eps_cluster, window_abs)
-            delta[outside], gap[outside] = resolve(values(outside, cand), cand)
+            outside = cells_idx[rows]
+            delta[outside], gap[outside] = resolve(*scan(tile, r_tile, rows, coarse))
 
     shape = grid.shape
     return DistanceField(

@@ -52,6 +52,17 @@ def _center(center, dim, name):
     return c
 
 
+def _whole(value, name):
+    """A finite whole number as an int, or InputError naming it."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = np.nan
+    if not (np.isfinite(number) and number == int(number)):
+        raise InputError(f"{name} must be a whole number, got {value}")
+    return int(number)
+
+
 def _quadratic_form(x, m):
     """x_n' M x_n for every row x_n of x; one (N, d) temporary."""
     y = x @ m
@@ -101,8 +112,10 @@ class EuclideanNorm(Integrand):
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2:
+        dim = _whole(self.dim, "ambient dimension")
+        if dim < 2:
             raise InputError("ambient dimension must be >= 2")
+        object.__setattr__(self, "dim", dim)
 
     def value(self, x):
         x, single = _as_batch(x, self.dim)

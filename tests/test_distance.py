@@ -301,6 +301,28 @@ def test_point_outside_grid_rejected(disk_field):
         project(disk_field, [5.0, 0.0])
 
 
+def test_cell_of_keeps_points_inside_the_box():
+    # on the shipped ellipse grid, (x - lo) / spacing of the largest double
+    # below hi rounds up to the cell count; the closed box keeps hi itself
+    grid = GridSpec([-2.3, -1.3], [2.3, 1.3], [460, 260])
+    assert grid.cell_of([np.nextafter(2.3, 0.0), 0.0]) == (459, 130)
+    assert grid.cell_of(grid.hi) == (459, 259)
+    assert grid.cell_of(grid.lo) == (0, 0)
+    for outside in ([np.nextafter(2.3, 3.0), 0.0], [0.0, np.nextafter(-1.3, -2.0)]):
+        with pytest.raises(InputError, match="outside the grid box"):
+            grid.cell_of(outside)
+
+
+@pytest.mark.parametrize(
+    "cells, axis", [(100.5, 0), ([4.9, 5], 0), ([40, np.nan], 1), ([40, np.inf], 1)]
+)
+def test_grid_refuses_non_whole_cell_counts(cells, axis):
+    # int() would truncate a fraction to a smaller grid
+    with pytest.raises(InputError, match=f"grid axis {axis} cell count must be a whole number"):
+        GridSpec(lo=[0, 0], hi=[1, 1], cells=cells)
+    assert GridSpec(lo=[0, 0], hi=[1, 1], cells=[40.0, 30]).cells == (40, 30)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_query_names_the_coordinate(disk_field, bad):
     # a NaN must not be cast to a cell index and called "outside the grid box"
@@ -554,6 +576,14 @@ def test_field_gap_matches_resolver_wulff():
     _field_matches_resolver(build_field(src, Q2, grid))
 
 
+def test_field_gap_matches_resolver_rotated():
+    # a rotated M keeps the Lipschitz tile bound
+    body = WulffBody(DualNorm(QN), np.zeros(2), 1.0)
+    src = boundary_source([body], 1024, region="complement")
+    grid = GridSpec([-2.0, -1.3], [2.0, 1.3], [80, 52])
+    _field_matches_resolver(build_field(src, QN, grid))
+
+
 def _arcs(seed, n_arcs, per_arc, step):
     """Sampled circular arcs at random places, each in sampling order."""
     rng = np.random.default_rng(seed)
@@ -641,16 +671,16 @@ def test_skipping_A_keeps_every_bit(region, name):
 
 
 def _count_scans(monkeypatch):
-    """Rows given to the pairwise distances, and calls of the candidate search."""
+    """Rows that reach the cluster analysis, and calls of the candidate search."""
     work = {"rows": 0, "candidates": 0}
-    pairwise, candidates = distance._pairwise_values, distance._candidates
+    analysis, candidates = distance._cluster_analysis, distance._candidates
 
-    def counted_pairwise(*args):
-        values = pairwise(*args)
+    def counted_analysis(*args):
+        resolve = analysis(*args)
 
-        def counted(cells, cand):
-            work["rows"] += len(cells)
-            return values(cells, cand)
+        def counted(d, cand):
+            work["rows"] += len(d)
+            return resolve(d, cand)
 
         return counted
 
@@ -658,7 +688,7 @@ def _count_scans(monkeypatch):
         work["candidates"] += 1
         return candidates(*args)
 
-    monkeypatch.setattr(distance, "_pairwise_values", counted_pairwise)
+    monkeypatch.setattr(distance, "_cluster_analysis", counted_analysis)
     monkeypatch.setattr(distance, "_candidates", counted_candidates)
     return work
 
@@ -666,8 +696,12 @@ def _count_scans(monkeypatch):
 def test_field_scans_only_cells_outside_A(monkeypatch):
     work = _count_scans(monkeypatch)
     src = boundary_source(TWO_DISKS, 1024, region="complement")
-    build_field(src, E2, SKIP_GRID)
-    assert work["rows"] == np.count_nonzero(~src.membership(SKIP_GRID.centers()))
+    outside = np.count_nonzero(~src.membership(SKIP_GRID.centers()))
+    # the axis tables of E2 and the Lipschitz tile bound of a rotated M
+    for f in (E2, QN):
+        work["rows"] = 0
+        build_field(src, f, SKIP_GRID)
+        assert work["rows"] == outside
 
 
 def test_field_of_all_A_scans_nothing(monkeypatch):
@@ -679,6 +713,85 @@ def test_field_of_all_A_scans_nothing(monkeypatch):
     field = build_field(everywhere, E2, SKIP_GRID)
     assert work == {"rows": 0, "candidates": 0}
     assert not field.delta.any() and not field.gap.any()
+
+
+def _axis_lines_of(f, src, grid):
+    dual = DualNorm(f)
+    return distance._axis_lines(
+        distance._mapped_points(dual, src.points, grid.centers()), grid.shape
+    )
+
+
+def test_axis_tables_only_for_axis_separable_maps():
+    src = boundary_source(TWO_DISKS, 256, region="curve")
+    assert _axis_lines_of(E2, src, SKIP_GRID) is not None
+    assert _axis_lines_of(Q2, src, SKIP_GRID) is not None
+    assert _axis_lines_of(QN, src, SKIP_GRID) is None
+    assert _axis_lines_of(WeightedSum(((0.5, E2), (1.0, Q2))), src, SKIP_GRID) is None
+
+
+def _per_cell_scan(src, field):
+    """delta and gap of each cell outside A from its values to every source,
+    through the field's own closed-form values and cluster analysis."""
+    grid, centers = field.grid, field.grid.centers()
+    values = distance._pairwise_values(field.dual, src.points, centers)
+    resolve = distance._cluster_analysis(
+        src, field.eps_cluster, WINDOW_CELLS * grid.h, field.tol_unique
+    )
+    every = np.arange(len(src.points))
+    delta, gap = np.zeros(len(centers)), np.zeros(len(centers))
+    for i in np.flatnonzero(~src.membership(centers)):
+        (delta[i],), (gap[i],) = resolve(values([i], every), every)
+    return delta.reshape(grid.shape), gap.reshape(grid.shape)
+
+
+@pytest.mark.parametrize("f", [E2, Q2], ids=["E2", "diagonal M"])
+@pytest.mark.parametrize("kind", ["two disks", "wulff"])
+def test_axis_tables_match_the_per_cell_route(kind, f):
+    if kind == "wulff":
+        src = boundary_source([WulffBody(DualNorm(f), np.zeros(2), 1.0)], 1024, region="complement")
+    else:
+        src = boundary_source(TWO_DISKS, 1024, region="complement")
+    assert _axis_lines_of(f, src, SKIP_GRID) is not None
+    field = build_field(src, f, SKIP_GRID)
+    delta, gap = _per_cell_scan(src, field)
+    assert np.array_equal(field.delta, delta)
+    assert np.array_equal(field.gap, gap)
+    assert field.gap.any()
+
+
+@given(
+    hst.integers(0, 2**32 - 1),
+    hst.sampled_from(["E2", "diagonal M"]),
+    hst.integers(1, 12),
+    hst.integers(1, 12),
+    hst.sampled_from([0.0, 1e-3, 0.05]),
+    hst.sampled_from([0.0, 0.5, 1.5]),
+)
+@settings(max_examples=80, deadline=None)
+def test_tile_candidates_hold_every_near_minimizer(seed, name, side0, side1, eps, window_cells):
+    pts, rng = _arcs(seed, 3, 40, 0.05)
+    f = E2 if name == "E2" else QuadraticNorm(np.diag(rng.uniform(0.2, 5.0, 2)))
+    src = SourceSet(points=pts, loops=((0, len(pts), False),))
+    grid = GridSpec(rng.uniform(-2.0, -1.0, 2), rng.uniform(1.0, 2.0, 2), rng.integers(12, 30, 2))
+    lines = _axis_lines_of(f, src, grid)
+    centers = grid.centers()
+    values = distance._pairwise_values(DualNorm(f), pts, centers)
+    window = window_cells * grid.h
+    # a box of cells anywhere in the grid, and some of its cells
+    c0, c1 = rng.integers(0, grid.shape[0] - side0 + 1), rng.integers(0, grid.shape[1] - side1 + 1)
+    tile = np.arange(len(centers)).reshape(grid.shape)[c0 : c0 + side0, c1 : c1 + side1]
+    rows = np.flatnonzero(rng.random(tile.size) < 0.7)
+    if len(rows) == 0:
+        rows = np.arange(tile.size)
+    every = np.arange(len(pts))
+    d, cand = distance._tile_distances(lines, grid.shape, tile, rows, every, eps, window)
+    brute = values(tile.ravel()[rows], every)
+    m = brute.min(axis=1)
+    near = brute <= (m + (eps * m + window))[:, None]
+    assert near[:, np.setdiff1d(every, cand)].sum() == 0
+    # the tile's values carry the bits of the per-cell route
+    assert np.array_equal(d, brute[:, cand])
 
 
 def test_block_radii_are_the_per_box_circumradii():

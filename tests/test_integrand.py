@@ -167,6 +167,14 @@ def test_weighted_sum_validation():
         WeightedSum(((1.0, E2), (1.0, EuclideanNorm(3))))
 
 
+@pytest.mark.parametrize("dim", [2.5, np.nan, np.inf])
+def test_euclidean_dimension_must_be_whole(dim):
+    # a fractional dimension would construct, then refuse every input
+    with pytest.raises(InputError, match="ambient dimension must be a whole number"):
+        EuclideanNorm(dim)
+    assert EuclideanNorm(3.0).dim == 3
+
+
 def test_quadratic_validation():
     with pytest.raises(InputError):
         QuadraticNorm(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
