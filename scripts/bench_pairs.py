@@ -12,8 +12,13 @@ per-workload ``summary`` and the ``runs``, in the layout of the
 ``BENCH_*.json`` files.  Per metric the summary gives the parent's and the
 change's linear-percentile quartiles, the ratio of their medians, the
 parent's interquartile range, and how many pairs the change was lower or
-higher on; a tie counts for neither side.  Needs only the standard library
-and numpy.
+higher on; a tie counts for neither side.  Each metric of the change's
+``BENCHMARK.json`` ``end_to_end`` list also gets the acceptance rule read
+from its ``better`` and ``bound``: ``gain`` when the change is better on at
+least 9 of 10 of the pairs and its median is better than the parent's by more
+than the parent's interquartile range, and ``within_bound`` when its median
+is worse than the parent's by at most ``bound`` times the parent's median.
+Needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -54,10 +59,26 @@ def _quartiles(values):
     return [round(float(q), 4) for q in np.percentile(values, [25, 50, 75])]
 
 
-def summarize(runs) -> dict:
+def _acceptance(p, c, better: str, bound: float) -> dict:
+    """``gain`` and ``within_bound`` of a metric's paired values p (parent)
+    and c (change), for ``better`` "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    q1, median_p, q3 = np.percentile(p, [25, 50, 75])
+    median_c = np.median(c)
+    wins = int((sign * (p - c) > 0).sum())
+    return {
+        "gain": bool(10 * wins >= 9 * len(p) and sign * (median_p - median_c) > q3 - q1),
+        "within_bound": bool(sign * (median_c - median_p) <= bound * abs(median_p)),
+    }
+
+
+def summarize(runs, end_to_end=()) -> dict:
     """Per workload: pair count, seeds, and per metric the quartiles, median
-    ratio, parent IQR and the pairs the change was lower or higher on; plus
-    the failed and attempted operations of each side."""
+    ratio, parent IQR and the pairs the change was lower or higher on, with
+    the acceptance rule of the metrics in ``end_to_end`` (entries of
+    ``BENCHMARK.json``); plus the failed and attempted operations of each
+    side."""
+    rules = {m["name"]: m for m in end_to_end}
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed = {}
@@ -81,6 +102,9 @@ def summarize(runs) -> dict:
                 "change_higher": int((c > p).sum()),
                 "ties": int((c == p).sum()),
             }
+            if metric in rules:
+                rule = rules[metric]
+                row[metric].update(_acceptance(p, c, rule["better"], rule["bound"]))
         for key in ("failed", "attempted"):
             row[key] = {
                 "parent": sum(r[key] for r in parent),
@@ -104,7 +128,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     runs = []
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -118,7 +143,7 @@ def main(argv=None) -> int:
     out = {
         "command": COMMAND.format(seconds=seconds),
         "method": METHOD.format(seeds=f"{args.seeds.start}-{args.seeds.stop - 1}"),
-        "summary": summarize(runs),
+        "summary": summarize(runs, bench.get("end_to_end", ())),
         "runs": runs,
     }
     print(json.dumps(out, indent=1))

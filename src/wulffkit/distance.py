@@ -285,9 +285,17 @@ class DistanceField:
 
     def _nearest(self, x, pts):
         """Least F*(a - x) over the points a of ``pts``, per row of x, ignoring A."""
-        diff = pts[None, :, :] - x[:, None, :]
-        d = self.dual.batch_value_fast(diff.reshape(-1, pts.shape[1]))
+        d = self.dual.batch_value_fast(_differences(pts, x))
         return d.reshape(len(x), len(pts)).min(axis=1)
+
+
+def _differences(src, x):
+    """a - x_i for each row x_i of x and each a of src, one row per pair with
+    i major, column-major, so each coordinate is one contiguous array."""
+    out = np.empty((len(x) * len(src), src.shape[1]), order="F")
+    for k in range(src.shape[1]):
+        np.subtract(src[None, :, k], x[:, k, None], out=out[:, k].reshape(len(x), len(src)))
+    return out
 
 
 def _mapped_points(dual: DualNorm, sources, centers):
@@ -318,9 +326,8 @@ def _pairwise_values(dual: DualNorm, sources, centers):
         return lambda cells, cand: np.sqrt(_sqdist(centers[cells], sources[cand]))
 
     def values(cells, cand):
-        diff = sources[None, cand, :] - centers[cells, None, :]
-        flat = diff.reshape(-1, diff.shape[-1])
-        return dual.batch_value_fast(flat).reshape(len(cells), len(cand))
+        diff = _differences(sources[cand], centers[cells])
+        return dual.batch_value_fast(diff).reshape(len(cells), len(cand))
 
     return values
 
@@ -496,6 +503,8 @@ def build_field(
         raise InputError("grid and integrand dimensions differ")
     if source.points.shape[1] != f.dim:
         raise InputError("source and integrand dimensions differ")
+    if not 0.0 <= eps_cluster < np.inf:
+        raise InputError(f"eps_cluster must be non-negative and finite, got {eps_cluster!r}")
     h = grid.h
     if source.spacing > 1.0001 * h:
         raise InputError(

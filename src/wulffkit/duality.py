@@ -34,6 +34,8 @@ from .spheregrid import latlong_quadrature, sphere_quadrature
 __all__ = ["DualNorm", "dual_norm_of", "WulffSample", "wulff_sample"]
 
 _TABLE_SIZE = 8192
+# buckets of the cone lookup, over [gamma_0, gamma_N)
+_BUCKETS = 2 * _TABLE_SIZE
 # rounding allowance of batch_bracket, relative to |w| grad_bound()
 _BRACKET_ROUNDING = 1e-12
 
@@ -136,7 +138,8 @@ class DualNorm:
         """(lo, hi) with lo <= F*(w) <= hi row by row, from closed forms only (d=2).
 
         A table holds, at 8192 unit directions u_k in angular order (spaced
-        as ``_polygon`` says), g_k = grad F(u_k) and p_k = u_k / F(u_k).
+        as ``_polygon_directions`` says), g_k = grad F(u_k) and
+        p_k = u_k / F(u_k).
         Both bounds are exact:
 
         - F*(w) = sup { w.p : F(p) <= 1 } and F(p_k) = 1, so F*(w) >= w.p_k;
@@ -153,10 +156,11 @@ class DualNorm:
         Rounding: q_k is formed from the chord g_{k+1} - g_k and from
         g_k x (g_{k+1} - g_k), which has no cancellation, so the table's
         identities hold to a few ulps; lo and hi are two-term dot products with
-        |p_k| and |q_k| at most about L, the Lipschitz constant of F*; a row
-        within rounding of a cone's edge may take the neighbouring cone, whose
-        hi agrees there to O(u L |w|).  Both bounds are widened by
-        1e-12 |w| grad_bound(), thousands of times that: grad_bound() is at
+        |p_k| and |q_k| at most about L, the Lipschitz constant of F*; the
+        cone of ``_gauge`` is np.interp's, whose edges lie within a few ulps
+        of the angles of the g_k, so a row within rounding of a cone's edge
+        may take the neighbouring cone, whose hi agrees there to O(u L |w|).
+        Both bounds are widened by 1e-12 |w| grad_bound(), thousands of times that: grad_bound() is at
         least L, which bounds every |p_k| as the p_k lie on the F-unit
         sphere, and within about 1e-7 relative of max_k |q_k|.  The bracket is
         O(8192^-2) F*(w) wide: about 1e-7 on weighted sums.
@@ -166,7 +170,7 @@ class DualNorm:
             raise InputError("the conjugate bracket is two-dimensional")
         k, hi = self._gauge(W)
         k = k.clip(0, _TABLE_SIZE - 1)
-        _gamma, _cone, p, _q = self._polygon()
+        p = self._polygon()[1]
         x, y = W[:, 0], W[:, 1]
         lo = np.maximum(x * p[0, k] + y * p[1, k], x * p[0, k + 1] + y * p[1, k + 1])
         slack = _BRACKET_ROUNDING * self.grad_bound() * np.sqrt(x * x + y * y)
@@ -190,7 +194,7 @@ class DualNorm:
             elif isinstance(self.base, QuadraticNorm):
                 self._lip = float(np.sqrt(np.linalg.eigvalsh(self.base.inverse).max()))
             elif self.dim == 2:
-                self._lip = float(np.hypot(*self._polygon()[3]).max())
+                self._lip = float(np.hypot(*self._polygon()[2]).max())
             else:
                 chord = 2.0 * np.sin(np.pi / 32)
                 centres = latlong_quadrature(16, 32)[0]
@@ -200,28 +204,14 @@ class DualNorm:
     # -- d=2 Wulff polygon --------------------------------------------------
 
     def _polygon(self):
-        """(gamma, cone, p, q) at _TABLE_SIZE + 1 directions u_k, the last one
-        u_0 again after a full turn: the unwrapped angles of the g_k, their
-        indices k for ``_gauge``, the p_k, and the q_k of the _TABLE_SIZE
-        cones.  p and q hold one coordinate per row, so each gather reads a
-        contiguous array.
-
-        With g(t) = grad F(u(t)), |g'| is the radius of curvature of the Wulff
-        boundary at the normal u(t), so the chord from g(t) to g(t + dt) lies
-        within |g'| dt^2 / 8 of it, and the gauge errs there by that over the
-        support value F(u(t)).  The u_k are spaced in angle at the density
-        sqrt(|g'| / F), measured from the chords of uniform angles, so every
-        chord errs by about the same amount: (2 pi / _TABLE_SIZE)^2 / 8 =
-        7.4e-8 on an ellipse of any aspect ratio, and no more on weighted sums.
+        """(edges, p, q, first, steps) of the Wulff polygon with vertices g_k =
+        grad F(u_k) at the _TABLE_SIZE + 1 directions of
+        ``_polygon_directions``: the cone edges and bucket table of
+        ``_cone_edges``, the p_k, and the q_k of the _TABLE_SIZE cones.  p and
+        q hold one coordinate per row, so each gather reads a contiguous array.
         """
         if self._poly is None:
-            t = np.linspace(0.0, 2 * np.pi, _TABLE_SIZE + 1)
-            u = np.stack([np.cos(t), np.sin(t)], axis=1)
-            chord = np.linalg.norm(np.diff(self.base.grad(u), axis=0), axis=1)
-            arc = np.append(0.0, np.cumsum(np.sqrt(chord / self.base.value(u[:-1]))))
-            t = np.interp(np.linspace(0.0, arc[-1], _TABLE_SIZE + 1), arc, t)
-            # u_N = u(2 pi) closes the polygon and is the sentinel p_N
-            u = np.stack([np.cos(t), np.sin(t)], axis=1)
+            u = _polygon_directions(self.base)
             g = self.base.grad(u)
             p = np.ascontiguousarray((u / self.base.value(u)[:, None]).T)
             gamma = np.unwrap(np.arctan2(g[:, 1], g[:, 0]))
@@ -233,32 +223,45 @@ class DualNorm:
             c = np.diff(g, axis=0)
             q = np.stack([c[:, 1], -c[:, 0]])
             q /= g[:-1, 0] * c[:, 1] - g[:-1, 1] * c[:, 0]
-            self._poly = (gamma, np.arange(_TABLE_SIZE + 1, dtype=float), p, q)
+            edges, first, steps = _cone_edges(gamma)
+            self._poly = (edges, p, q, first, steps)
         return self._poly
 
     def _gauge(self, W):
         """(k, w.q_k) per row w of W, k the index of the cone [g_k, g_{k+1}]
         that holds w, unclipped.
 
-        The angle of w is moved into [gamma_0, gamma_0 + 2 pi); np.interp of
-        the cone index is then k plus the fraction of the way to gamma_{k+1},
-        truncated to k, and its guessed search follows the ordered neighbour
-        queries of a grid tile.  Angles rounded past either end clamp to an
-        end cone.
+        The angle of w is moved into [gamma_0, gamma_0 + 2 pi), and ``_cone``
+        finds its cone in constant time: on every row, NaN included, k is
+        np.interp of the cone index over the vertex angles, truncated.  Angles
+        rounded past either end take an end cone.
         """
-        gamma, cone, _p, q = self._polygon()
+        edges, _p, q, _first, _steps = self._polygon()
         x, y = W[:, 0], W[:, 1]
         psi = np.arctan2(y, x)
-        psi[psi < gamma[0]] += 2 * np.pi
-        k = np.interp(psi, gamma, cone).astype(np.intp)
+        psi[psi < edges[0]] += 2 * np.pi
+        k = self._cone(psi)
         # the gathers clip k: gamma_N ends cone N - 1, and a NaN row, cast to
         # an arbitrary index, keeps a NaN value; hi takes over the buffer of
         # psi and the product the buffer of its gather, so at most three
-        # arrays of len(W) rows are live at once
+        # arrays of len(W) rows are live at once, as in ``_cone``
         hi = np.multiply(x, q[0].take(k, mode="clip"), out=psi)
         t = q[1].take(k, mode="clip")
         hi += np.multiply(y, t, out=t)
         return k, hi
+
+    def _cone(self, psi):
+        """The cone k of each wrapped angle psi, with edges_k <= psi <
+        edges_{k+1}: the bucket's first cone, then one compare-and-add per
+        edge the bucket may hold.  A NaN angle keeps its cast to an index, as
+        np.interp's NaN did."""
+        edges, _p, _q, first, steps = self._polygon()
+        k = _bucket(psi, edges)
+        np.copyto(k, first.take(k, mode="clip"), where=psi == psi)
+        after = edges[1:]
+        for _ in range(steps):
+            k += psi >= after.take(k, mode="clip")
+        return k
 
     # -- iterative path -----------------------------------------------------
 
@@ -322,7 +325,7 @@ class DualNorm:
                 # p_{k+1}, and v = (w.p_k) p_k starts within one cone of v*
                 w = W[bad]
                 k = self._gauge(w)[0].clip(0, _TABLE_SIZE - 1)
-                p = self._polygon()[2][:, k].T
+                p = self._polygon()[1][:, k].T
                 v[bad] = self._newton_polish(w, p * (w * p).sum(axis=1)[:, None])
             else:
                 # strongly anisotropic sums stall the damped line search at
@@ -353,6 +356,74 @@ class DualNorm:
             hess = fv[:, None, None] * f.hess(v) + g[:, :, None] * g[:, None, :]
             v = v + np.linalg.solve(hess, -res[..., None])[..., 0]
         return v
+
+
+def _polygon_directions(f: Integrand):
+    """The _TABLE_SIZE + 1 unit directions u_k of the d=2 Wulff polygon of f,
+    the last one u_0 again after a full turn.
+
+    With g(t) = grad F(u(t)), |g'| is the radius of curvature of the Wulff
+    boundary at the normal u(t), so the chord from g(t) to g(t + dt) lies
+    within |g'| dt^2 / 8 of it, and the gauge errs there by that over the
+    support value F(u(t)).  The u_k are spaced in angle at the density
+    sqrt(|g'| / F), measured from the chords of uniform angles, so every
+    chord errs by about the same amount: (2 pi / _TABLE_SIZE)^2 / 8 =
+    7.4e-8 on an ellipse of any aspect ratio, and no more on weighted sums.
+    """
+    t = np.linspace(0.0, 2 * np.pi, _TABLE_SIZE + 1)
+    u = np.stack([np.cos(t), np.sin(t)], axis=1)
+    chord = np.linalg.norm(np.diff(f.grad(u), axis=0), axis=1)
+    arc = np.append(0.0, np.cumsum(np.sqrt(chord / f.value(u[:-1]))))
+    t = np.interp(np.linspace(0.0, arc[-1], _TABLE_SIZE + 1), arc, t)
+    # u_N = u(2 pi) closes the polygon and is the sentinel p_N
+    return np.stack([np.cos(t), np.sin(t)], axis=1)
+
+
+def _cone_edges(gamma):
+    """(edges, first, steps), the cone lookup of ``DualNorm._cone`` for the
+    increasing vertex angles gamma_0, ..., gamma_N.
+
+    The cone of an angle psi is int(np.interp(psi, gamma, [0, ..., N])).
+    That rounds monotonically in psi and is exact at each gamma_k, so the
+    cone is k on [edges_k, edges_{k+1}) with edges_0 = gamma_0 and a sentinel
+    edges_{N+1} = inf, and 0 below gamma_0.  edges_k is gamma_k, except
+    where np.interp already rounds the largest double below gamma_k up to
+    cone k; there it is the least angle of cone k, found by bisection on the
+    ordered bit patterns of the doubles.  ``_bucket`` cuts [edges_0, edges_N) into
+    _BUCKETS parts; first[b] counts the edges_1, ..., edges_N in buckets
+    below b, and steps is the most that any one bucket holds.
+    """
+    n = len(gamma) - 1
+    cone = np.arange(n + 1, dtype=float)
+    below = np.nextafter(gamma[1:], -np.inf)
+    early = 1 + np.flatnonzero(np.interp(below, gamma, cone).astype(np.intp) > cone[:-1])
+    # the cone of lo = gamma_{k-1} is k - 1, that of hi is k
+    lo, hi = _ordered(gamma[early - 1]), _ordered(below[early - 1])
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        up = np.interp(_ordered(mid).view(float), gamma, cone).astype(np.intp) >= early
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    edges = np.append(gamma, np.inf)
+    edges[early] = _ordered(hi).view(float)
+    bucket = _bucket(edges[1:-1], edges).clip(0, _BUCKETS - 1)
+    first = np.searchsorted(bucket, np.arange(_BUCKETS)).astype(np.uint16)
+    return edges, first, int(np.bincount(bucket).max())
+
+
+def _bucket(psi, edges):
+    """The lookup bucket of each angle psi, unclipped: a subtraction, a
+    multiplication and a truncation, each monotone in psi."""
+    t = psi - edges[0]
+    t *= _BUCKETS / (edges[-2] - edges[0])
+    return t.astype(np.intp)
+
+
+def _ordered(bits):
+    """Doubles to int64 keys of the same order, and those keys back to the
+    bit patterns of their doubles (as int64): negative doubles count down
+    from zero."""
+    i = bits.view(np.int64)
+    return np.where(i < 0, np.iinfo(np.int64).min - i, i)
 
 
 _LIVE_DUALS = weakref.WeakValueDictionary()

@@ -214,8 +214,11 @@ def parse_scene(raw: dict) -> Scene:
     for key, value in _section(raw, "tolerances", {}).items():
         if key not in DEFAULT_TOLERANCES:
             raise SceneError(f"tolerances: unknown key {key!r}")
-        optional = DEFAULT_TOLERANCES[key] is None and value is None
-        tolerances[key] = None if optional else _convert(float, value, f"tolerances.{key}")
+        if DEFAULT_TOLERANCES[key] is None and value is None:
+            continue
+        tolerances[key] = _convert(float, value, f"tolerances.{key}")
+        if tolerances[key] < 0.0:
+            raise SceneError(f"tolerances.{key}: expected a non-negative number, got {value!r}")
 
     steiner = dict(DEFAULT_STEINER)
     for key, value in _section(raw, "steiner", {}).items():

@@ -96,6 +96,23 @@ def golden_conjugate(f_value, w, tol=1e-14):
     return float(out[0]) if w.ndim == 1 else out
 
 
+def interp_cone(psi, gamma):
+    """The Wulff-polygon cone of each angle psi by binary search: np.interp
+    of the vertex index over the increasing vertex angles gamma, truncated."""
+    return np.interp(psi, gamma, np.arange(len(gamma), dtype=float)).astype(np.intp)
+
+
+def interp_gauge(w, gamma, q):
+    """(k, w.q_k) per row w of the 2D Wulff-polygon gauge by binary search:
+    the angle of w moved into [gamma_0, gamma_0 + 2 pi), its ``interp_cone``
+    k, and the cone's q_k (k clipped to a cone)."""
+    x, y = w[:, 0], w[:, 1]
+    psi = np.arctan2(y, x)
+    psi[psi < gamma[0]] += 2 * np.pi
+    k = interp_cone(psi, gamma)
+    return k, x * q[0].take(k, mode="clip") + y * q[1].take(k, mode="clip")
+
+
 def ellipse_arc_length(a, b):
     """Perimeter of an axis-aligned ellipse by adaptive quadrature."""
     speed = lambda t: np.sqrt(a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2)

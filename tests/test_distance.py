@@ -282,6 +282,17 @@ def test_tol_unique_below_spacing_rejected():
     assert build_field(src, E2, grid, tol_unique=src.spacing).tol_unique == src.spacing
 
 
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, np.nan, np.inf])
+def test_bad_eps_cluster_rejected(eps):
+    # a negative window leaves a row's cluster empty, and its reduction
+    # raised a raw ValueError
+    src = boundary_source([UNIT_DISK], 1024, region="complement")
+    grid = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=128)
+    with pytest.raises(InputError, match="eps_cluster"):
+        build_field(src, E2, grid, eps_cluster=eps)
+    assert build_field(src, E2, grid, eps_cluster=0.0).eps_cluster == 0.0
+
+
 def test_source_spacing_includes_the_wrap():
     # a closed loop's longest step may be the one from its last sample back
     # to its first; an open loop has no such step

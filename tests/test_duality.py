@@ -18,7 +18,9 @@ from wulffkit import (
     wulff_sample,
 )
 
-from oracles import brute_conjugate, golden_conjugate
+from wulffkit.duality import _bucket, _polygon_directions
+
+from oracles import brute_conjugate, golden_conjugate, interp_cone, interp_gauge
 
 E2 = EuclideanNorm(2)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
@@ -242,8 +244,8 @@ def test_fast_value_is_the_inscribed_polygon_gauge(a, log_lam, turn, seed):
     rng = np.random.default_rng(seed)
     # random rows, the axes on both sides of +-0.0, and rows along the
     # polygon's vertices, the closing one included, where the cone lookup
-    # meets the edges of the cones
-    gamma = dual._polygon()[0]
+    # meets the edges of the cones (the lookup's edges, less their sentinel)
+    gamma = dual._polygon()[0][:-1]
     t = np.append(gamma[rng.integers(0, len(gamma), 16)], gamma[[0, -1]])
     w = np.concatenate([
         rng.standard_normal((40, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (40, 1)),
@@ -259,6 +261,55 @@ def test_fast_value_is_the_inscribed_polygon_gauge(a, log_lam, turn, seed):
     lip = dual.grad_bound()
     step = np.abs(dual.batch_value_fast(x) - dual.batch_value_fast(y))
     assert np.all(step <= lip * np.linalg.norm(x - y, axis=1))
+
+
+@given(
+    hst.floats(0.05, 2.0),
+    hst.floats(-3.0, 3.0),
+    hst.floats(0.0, np.pi),
+    hst.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_cone_lookup_is_the_binary_search(a, log_lam, turn, seed):
+    r = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    f = WeightedSum(((a, E2), (1.0, QuadraticNorm(r @ np.diag([np.exp(log_lam), 1.0]) @ r.T))))
+    dual = DualNorm(f)
+    edges, _p, q, first, steps = dual._polygon()
+    g = f.grad(_polygon_directions(f))
+    gamma = np.unwrap(np.arctan2(g[:, 1], g[:, 0]))
+    # every bucket's edges follow its first cone, at most steps of them
+    k = np.arange(1, len(gamma))
+    b = _bucket(edges[1:-1], edges).clip(0, len(first) - 1)
+    assert np.all((first[b] < k) & (k <= first[b] + steps))
+    # every vertex angle and its neighbours, past both ends, and NaN
+    psi = np.concatenate([
+        gamma,
+        np.nextafter(gamma, -np.inf),
+        np.nextafter(gamma, np.inf),
+        [gamma[0] - 1.0, gamma[-1] + 1.0, np.nan],
+    ])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(dual._cone(psi), interp_cone(psi, gamma))
+    # rows: random, the axes on both sides of +-0.0, along the vertices, a
+    # few ulps below gamma_0, whose wrapped angle rounds to about gamma_N,
+    # and NaN
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([
+        gamma,
+        gamma[0] - np.arange(1, 9) * np.spacing(abs(gamma[0])),
+    ])
+    w = np.concatenate([
+        rng.standard_normal((2000, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (2000, 1)),
+        [[1.0, 0.0], [1.0, -0.0], [-1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [0.0, -1.0]],
+        np.stack([np.cos(t), np.sin(t)], axis=1),
+        g[[0, -1]],
+        [[np.nan, 1.0], [1.0, np.nan]],
+    ])
+    with np.errstate(invalid="ignore"):
+        k, hi = dual._gauge(w)
+        k_search, hi_search = interp_gauge(w, gamma, q)
+    assert np.array_equal(k, k_search)
+    assert np.array_equal(hi, hi_search, equal_nan=True)
 
 
 def test_bracket_solves_only_undecided_rows(monkeypatch):

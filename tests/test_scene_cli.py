@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 
 from wulffkit import SceneError, load_scene, parse_scene, sample_surface
 from wulffkit.cli import _tolist, main, run
+from wulffkit.scene import DEFAULT_TOLERANCES
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 NAN, INF = float("nan"), float("inf")
@@ -156,6 +157,17 @@ def test_bad_field_values_are_scene_errors(path, value):
         parse_scene(raw)
 
 
+@pytest.mark.parametrize("key", sorted(DEFAULT_TOLERANCES))
+def test_negative_tolerances_are_scene_errors(key):
+    # a negative tolerance turned hk's equality verdict strict and made
+    # build_field reduce an empty cluster; zero stays a valid tolerance
+    with pytest.raises(SceneError, match=f"tolerances.{key}"):
+        parse_scene({**BASE, "tolerances": {key: -1}})
+    with pytest.raises(SceneError, match=f"tolerances.{key}"):
+        parse_scene({**BASE, "tolerances": {key: -1e-300}})
+    assert parse_scene({**BASE, "tolerances": {key: 0}}).tolerances[key] == 0.0
+
+
 D3 = json.loads((SCENES / "wulff_d3.json").read_text())
 
 
@@ -268,6 +280,7 @@ def test_any_json_scene_parses_or_raises_scene_error(raw):
         ("resolution", {"resolution": "abc"}, []),
         ("seed", {}, ["--seed", "-1"]),
         ("grid", {"grid": {"bounds": [[-INF, 2.0], [-1.5, 1.5]], "cells": [40, 30]}}, []),
+        ("tolerances.eps_cluster", {"tolerances": {"eps_cluster": -1}}, []),
     ],
 )
 def test_bad_scene_value_exits_1_without_traceback(tmp_path, capsys, field, override, argv):
