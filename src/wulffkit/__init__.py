@@ -71,6 +71,7 @@ from .steiner import (
 )
 from .hk import (
     HKReport,
+    HKRow,
     equality_classifier,
     hk_evaluate,
     montiel_ros_integral,

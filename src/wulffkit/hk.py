@@ -5,27 +5,31 @@ For a body with everywhere positive anisotropic mean curvature H,
     vol <= mr <= n/(n+1) * integral of F(nu)/H over the boundary,
 
 where the middle quantity is the tube (Montiel-Ros) integral obtained by
-integrating the normal-flow Jacobian up to the first focal time.  Equality
-of the outer terms forces every node to be umbilical and the body to be a
-Wulff ball; scenes of disjoint bodies classify as "wulff-union" when the
-ratio is 1 within tolerance, all nodes are umbilical, and every fitted
-radius clears n/c for the supplied curvature bound c.
+integrating the normal-flow Jacobian up to the first focal time.
+``hk_evaluate`` computes the three terms once per body, as one ``HKRow``
+each, and sums the rows in body order for the scene's totals.  One rule
+holds for every caller: a node with H <= 0 violates the hypothesis and
+raises ``HypothesisViolationError``.  Equality of the outer terms forces
+every node to be umbilical and the body to be a Wulff ball; scenes of
+disjoint bodies classify as "wulff-union" when the ratio is 1 within
+tolerance, all nodes are umbilical, and every fitted radius clears n/c for
+the supplied curvature bound c.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .curvature import CurvatureTable, UmbilicityReport, umbilicity_classify
+from .curvature import CurvatureTable, UmbilicityReport
 from .errors import HypothesisViolationError, InputError
 from .hypersurface import SurfaceQuadrature, volume
 from .integrand import Integrand
 
 __all__ = [
+    "HKRow",
     "HKReport",
     "hk_evaluate",
     "montiel_ros_integral",
@@ -36,18 +40,27 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class HKReport:
-    """Volume, curvature integral, their ratio, and the tube-integral chain."""
+class HKRow:
+    """One body's volume, integral of F(nu)/H, tube integral and H range."""
 
+    vol: float
+    integral: float
+    mr_integral: float
+    h_min: float
+    h_max: float
+
+
+@dataclass(frozen=True, eq=False)
+class HKReport:
+    """Per-body rows, their totals, the ratio and its verdict."""
+
+    rows: tuple
     vol: float
     integral: float
     ratio: float
     h_min: float
     h_max: float
     mr_integral: float
-    mr_excluded: int
-    umbilicity: tuple
-    dispersion: Optional[float]
     verdict: str
     tol_eq: float
 
@@ -68,54 +81,42 @@ def check_disjoint(sampled: Sequence[tuple]) -> None:
                 )
 
 
-def _mr_from_table(table, quad, f: Integrand):
+def montiel_ros_integral(
+    quad: SurfaceQuadrature, table: CurvatureTable, f: Integrand
+) -> float:
     """Montiel-Ros tube integral from complement-side principal curvatures.
 
     kappa_Q = -kappa (normal flipped into the body); the inner integral of
     prod(1 + t kappa_Q) runs to the first focal time T = -1/kappa_Q1 and is
-    a degree-(n+1) polynomial evaluated in closed form.  Nodes whose largest
-    curvature is nonpositive have no focal cut and are excluded.
+    a degree-(n+1) polynomial evaluated in closed form.  A node whose
+    largest curvature is nonpositive has no focal cut and raises.
     """
     kq = -table.kappa[:, ::-1]  # sorted ascending again after negation
     kq1 = kq[:, 0]
-    ok = kq1 < 0
-    excluded = int((~ok).sum())
-    t_star = -1.0 / kq1[ok]
+    if np.any(kq1 >= 0):
+        i = int(np.argmax(kq1))
+        raise HypothesisViolationError(
+            f"node {i} at {quad.points[i]} has no positive curvature direction"
+        )
+    t_star = -1.0 / kq1
     n = kq.shape[1]
     if n == 1:
-        inner = t_star + 0.5 * kq1[ok] * t_star**2
+        inner = t_star + 0.5 * kq1 * t_star**2
     elif n == 2:
-        e1 = kq[ok, 0] + kq[ok, 1]
-        e2 = kq[ok, 0] * kq[ok, 1]
+        e1 = kq[:, 0] + kq[:, 1]
+        e2 = kq[:, 0] * kq[:, 1]
         inner = t_star + 0.5 * e1 * t_star**2 + e2 * t_star**3 / 3.0
     else:
         raise InputError("tube integral implemented for n in {1, 2}")
-    fnu = f.value(quad.normals[ok])
-    return float((fnu * quad.weights[ok] * inner).sum()), excluded
+    return float((f.value(quad.normals) * quad.weights * inner).sum())
 
 
-def montiel_ros_integral(
-    quad: SurfaceQuadrature, table: CurvatureTable, f: Integrand
-) -> float:
-    """Boundary-integrated tube volume bound; warns on excluded nodes."""
-    value, excluded = _mr_from_table(table, quad, f)
-    if excluded:
-        warnings.warn(
-            f"{excluded} nodes had no positive curvature direction and were excluded"
-        )
-    return value
-
-
-def hk_evaluate(
-    sampled: Sequence[tuple],
-    f: Integrand,
-    tol_eq: float = 1e-3,
-    tol_fit: float = 1e-3,
-) -> HKReport:
+def hk_evaluate(sampled: Sequence[tuple], f: Integrand, tol_eq: float = 1e-3) -> HKReport:
     """Evaluate the volume vs curvature-integral ratio over disjoint bodies.
 
     ``sampled`` holds one (body, quadrature, curvature table) triple per
-    body, the table computed with ``f`` on that quadrature.
+    body, the table computed with ``f`` on that quadrature; the report
+    holds one row per body in that order.
     ratio = vol / (n/(n+1) * sum F(nu)/H w); the verdict is "equality" when
     |ratio - 1| <= tol_eq and "strict" otherwise.  Any node with H <= 0
     violates the positivity hypothesis and raises.
@@ -129,40 +130,34 @@ def hk_evaluate(
         check_disjoint(sampled)
     n = f.dim - 1
 
-    vol = 0.0
-    integral = 0.0
-    mr_total = 0.0
-    mr_excluded = 0
-    h_min, h_max = np.inf, -np.inf
-    umb = []
+    rows = []
     for k, (_, quad, table) in enumerate(sampled):
         if np.any(table.mean <= 0):
             i = int(np.argmin(table.mean))
             raise HypothesisViolationError(
                 f"body {k} node {i} at {quad.points[i]} has H = {table.mean[i]:.3e} <= 0"
             )
-        h_min = min(h_min, float(table.mean.min()))
-        h_max = max(h_max, float(table.mean.max()))
-        vol += volume(quad)
-        fnu = f.value(quad.normals)
-        integral += float((fnu / table.mean * quad.weights).sum())
-        mr_val, mr_exc = _mr_from_table(table, quad, f)
-        mr_total += mr_val
-        mr_excluded += mr_exc
-        umb.append(umbilicity_classify(quad, table, f, tol_fit=tol_fit))
+        rows.append(
+            HKRow(
+                vol=volume(quad),
+                integral=float((f.value(quad.normals) / table.mean * quad.weights).sum()),
+                mr_integral=montiel_ros_integral(quad, table, f),
+                h_min=float(table.mean.min()),
+                h_max=float(table.mean.max()),
+            )
+        )
 
+    vol = sum(r.vol for r in rows)
+    integral = sum(r.integral for r in rows)
     ratio = vol / (n / (n + 1) * integral)
-    dispersions = [u.dispersion for u in umb if u.dispersion is not None]
     return HKReport(
+        rows=tuple(rows),
         vol=vol,
         integral=integral,
         ratio=ratio,
-        h_min=h_min,
-        h_max=h_max,
-        mr_integral=mr_total,
-        mr_excluded=mr_excluded,
-        umbilicity=tuple(umb),
-        dispersion=max(dispersions) if dispersions else None,
+        h_min=min(r.h_min for r in rows),
+        h_max=max(r.h_max for r in rows),
+        mr_integral=sum(r.mr_integral for r in rows),
         verdict="equality" if abs(ratio - 1.0) <= tol_eq else "strict",
         tol_eq=tol_eq,
     )

@@ -231,8 +231,22 @@ def parse_scene(raw: dict) -> Scene:
         elif value is not None or key != "reference_radius":
             value = _convert(float, value, f"steiner.{key}")
         steiner[key] = value
+    lo, hi, r_ref = steiner["lo_frac"], steiner["hi_frac"], steiner.get("reference_radius")
+    if lo <= 0.0:
+        raise SceneError(f"steiner.lo_frac: expected a positive number, got {lo!r}")
+    if hi <= lo:
+        raise SceneError(f"steiner.hi_frac: expected a number above lo_frac {lo!r}, got {hi!r}")
+    if r_ref is not None and r_ref <= 0.0:
+        raise SceneError(f"steiner.reference_radius: expected a positive number, got {r_ref!r}")
 
-    hk_c = _section(raw, "hk", {}).get("c")
+    hk_c = None
+    for key, value in _section(raw, "hk", {}).items():
+        if key != "c":
+            raise SceneError(f"hk.{key}: unknown key")
+        if value is not None:
+            hk_c = _convert(float, value, "hk.c")
+            if hk_c <= 0.0:
+                raise SceneError(f"hk.c: expected a positive number, got {value!r}")
     seed = _count(raw.get("seed", 0), "seed")
     if seed < 0:
         raise SceneError(f"seed: expected a non-negative integer, got {seed}")
@@ -245,7 +259,7 @@ def parse_scene(raw: dict) -> Scene:
         seed=seed,
         suites=suites,
         tolerances=tolerances,
-        hk_c=None if hk_c is None else _convert(float, hk_c, "hk.c"),
+        hk_c=hk_c,
         steiner=steiner,
     )
 

@@ -7,14 +7,15 @@ weight certifies reach >= r.  Volumes are measured by cell counting on the
 distance field (deterministic, O(h) error), and for smooth bodies the
 coefficients are cross-checked against the closed-form boundary integrals
 
-    c_i = (-1/n)^(i-1) * n! / (i! (n-i+1)!) * integral of F(nu) H^(i-1)
+    c_i = (-1)^(i-1) / i * integral of F(nu) sigma_(i-1)(kappa_F)
 
-over the body boundary (the tube taken inward from the complement).
+over the body boundary (the tube taken inward from the complement), where
+sigma_k is the k-th elementary symmetric polynomial of the anisotropic
+principal curvatures: sigma_0 = 1, sigma_1 = H, sigma_2 = kappa_1 kappa_2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,20 +125,19 @@ def claim5_coefficients(
 ) -> np.ndarray:
     """Tube coefficients of the inward tube of a smooth body from boundary data.
 
-    c_i = (-1/n)^(i-1) n!/(i!(n-i+1)!) * sum F(nu) H^(i-1) w over the
-    boundary quadrature, i = 1..d; matches the cell-counted fit for
-    complements of smooth convex bodies.
+    c_i = (-1)^(i-1)/i * sum F(nu) sigma_(i-1)(kappa_F) w over the boundary
+    quadrature, i = 1..d, with sigma_0 = 1, sigma_1 = H and, in 3D,
+    sigma_2 = kappa_1 kappa_2.  By the anisotropic Gauss-Bonnet identity the
+    top coefficient is (-1)^n |W|.
     """
-    d = quad.dim
-    n = d - 1
     fnu = f.value(quad.normals)
-    out = np.empty(d)
-    for i in range(1, d + 1):
-        weight = (-1.0 / n) ** (i - 1) * math.factorial(n) / (
-            math.factorial(i) * math.factorial(n - i + 1)
-        )
-        out[i - 1] = weight * float((fnu * table.mean ** (i - 1) * quad.weights).sum())
-    return out
+    sigma = (1.0, table.mean, table.kappa.prod(axis=1))
+    return np.array(
+        [
+            (-1) ** i / (i + 1) * float((fnu * sigma[i] * quad.weights).sum())
+            for i in range(quad.dim)
+        ]
+    )
 
 
 @dataclass(frozen=True, eq=False)

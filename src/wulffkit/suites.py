@@ -19,8 +19,8 @@ from . import steiner as st
 from .curvature import curvature_table, umbilicity_classify
 from .duality import wulff_sample
 from .errors import WulffkitError
-from .hk import equality_classifier, hk_evaluate, montiel_ros_integral
-from .hypersurface import WulffBody, perimeter_F, sample_surface, volume
+from .hk import equality_classifier, hk_evaluate
+from .hypersurface import WulffBody, perimeter_F, sample_surface
 from .integrand import EuclideanNorm
 from .scene import SUITE_ORDER, Scene
 from .spheregrid import circle_quadrature
@@ -70,8 +70,9 @@ class SuiteResult:
 
 
 class RunCache:
-    """Boundary samples, complement sources and distance fields of one run's
-    scene, each built once.
+    """Boundary samples, umbilicity fits, the Heintze-Karcher table,
+    complement sources and distance fields of one run's scene, each built
+    once.
 
     A run creates one, passes it to every suite and drops it when it returns.
     """
@@ -93,6 +94,27 @@ class RunCache:
             return body, quad, curvature_table(body, self.scene.integrand, quad)
 
         return self._once(body, build)
+
+    def umbilicity(self, body):
+        """Constant-curvature / Wulff-ball fit of ``body``'s sample."""
+        _, quad, table = self.sampled(body)
+        return self._once(
+            ("umbilicity", body),
+            lambda: umbilicity_classify(
+                quad, table, self.scene.integrand, tol_fit=self.scene.tolerances["tol_fit"]
+            ),
+        )
+
+    def hk(self):
+        """Heintze-Karcher report of the scene's bodies, one row per body."""
+        return self._once(
+            "hk",
+            lambda: hk_evaluate(
+                [self.sampled(body) for _, body in self.scene.bodies],
+                self.scene.integrand,
+                tol_eq=self.scene.tolerances["tol_eq"],
+            ),
+        )
 
     def complement_source(self, body):
         """Boundary sample of the closure of the outside of ``body``."""
@@ -234,7 +256,7 @@ def suite_curv(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
             np.abs(dual.batch_value(eta) - 1.0).max(),
             1e-8,
         )
-        umb = umbilicity_classify(quad, table, f, tol_fit=scene.tolerances["tol_fit"])
+        umb = cache.umbilicity(body)
         res.metrics[f"umbilicity[{bid}]"] = {
             "verdict": umb.verdict,
             "lambda": umb.lam,
@@ -268,20 +290,14 @@ def suite_hk(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     if not scene.bodies:
         res.skipped, res.skip_reason = True, "no bodies in scene"
         return res
-    report = hk_evaluate(
-        [cache.sampled(body) for _, body in scene.bodies],
-        scene.integrand,
-        tol_eq=scene.tolerances["tol_eq"],
-        tol_fit=scene.tolerances["tol_fit"],
-    )
+    report = cache.hk()
     rhs = (scene.dim - 1) / scene.dim * report.integral
     res.check("ratio_at_most_one", report.ratio, 1.0 + 1e-3)
     res.check("volume_below_tube_integral", report.vol / report.mr_integral, 1.0 + 1e-3)
     res.check("tube_integral_below_rhs", report.mr_integral / rhs, 1.0 + 1e-3)
     c = scene.hk_c if scene.hk_c is not None else report.h_max
-    verdict = equality_classifier(
-        report, report.umbilicity, c, tol_r=scene.tolerances["tol_r"]
-    )
+    umbilicity = [cache.umbilicity(body) for _, body in scene.bodies]
+    verdict = equality_classifier(report, umbilicity, c, tol_r=scene.tolerances["tol_r"])
     res.metrics.update(
         {
             "vol": report.vol,
@@ -304,21 +320,18 @@ def suite_hk(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
 
 def suite_mr(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("mr", VERIFIES["mr"])
-    f = scene.integrand
+    if not scene.bodies:
+        res.skipped, res.skip_reason = True, "no bodies in scene"
+        return res
     n = scene.dim - 1
-    for bid, body in scene.bodies:
-        _, quad, table = cache.sampled(body)
-        if np.any(table.mean <= 0):
-            res.skipped, res.skip_reason = True, f"body {bid} has H <= 0 nodes"
-            return res
-        mr = montiel_ros_integral(quad, table, f)
-        vol = volume(quad)
-        rhs = n / (n + 1) * float((f.value(quad.normals) / table.mean * quad.weights).sum())
-        res.check(f"volume_below_tube_integral[{bid}]", vol / mr, 1.0 + 1e-3)
+    for (bid, body), row in zip(scene.bodies, cache.hk().rows):
+        mr = row.mr_integral
+        rhs = n / (n + 1) * row.integral
+        res.check(f"volume_below_tube_integral[{bid}]", row.vol / mr, 1.0 + 1e-3)
         res.check(f"tube_integral_below_rhs[{bid}]", mr / rhs, 1.0 + 1e-3)
         if isinstance(body, WulffBody):
             res.check(f"am_gm_tight_on_wulff[{bid}]", abs(mr - rhs) / rhs, 1e-6)
-        res.metrics[f"mr[{bid}]"] = {"vol": vol, "mr": mr, "rhs": rhs}
+        res.metrics[f"mr[{bid}]"] = {"vol": row.vol, "mr": mr, "rhs": rhs}
     return res
 
 

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -17,10 +15,11 @@ from wulffkit import (
     montiel_ros_integral,
     sample_surface,
 )
+from wulffkit import suites
 from wulffkit.curvature import UmbilicityReport, curvature_table
 
 from oracles import ellipse_hk_ratio
-from sampling import quad_table, sampled
+from sampling import quad_table, sampled, scene, umbilicity
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -153,9 +152,10 @@ def test_two_wulff_union_classification():
         WulffBody(DQ, np.array([-2.8, 0.0]), 1.0),
         WulffBody(DQ, np.array([2.8, 0.0]), 1.0),
     ]
-    rep = hk_evaluate(sampled(bodies, Q2, 4096), Q2)
+    triples = sampled(bodies, Q2, 4096)
+    rep = hk_evaluate(triples, Q2)
     assert abs(rep.ratio - 1.0) <= 1e-3
-    verdict = equality_classifier(rep, rep.umbilicity, c=rep.h_max)
+    verdict = equality_classifier(rep, umbilicity(triples, Q2), c=rep.h_max)
     assert verdict.verdict == "wulff-union"
     assert verdict.equal_radii
     assert verdict.radii == pytest.approx([1.0, 1.0], abs=1e-6)
@@ -167,16 +167,18 @@ def test_unequal_radii_still_wulff_union():
         WulffBody(DQ, np.array([-3.0, 0.0]), 1.0),
         WulffBody(DQ, np.array([3.0, 0.0]), 1.4),
     ]
-    rep = hk_evaluate(sampled(bodies, Q2, 4096), Q2)
-    verdict = equality_classifier(rep, rep.umbilicity, c=1.0)
+    triples = sampled(bodies, Q2, 4096)
+    rep = hk_evaluate(triples, Q2)
+    verdict = equality_classifier(rep, umbilicity(triples, Q2), c=1.0)
     assert verdict.verdict == "wulff-union"
     assert not verdict.equal_radii
     assert verdict.min_radius_bound == pytest.approx(1.0)
 
 
 def test_ellipse_classified_strict():
-    rep = hk_evaluate(sampled([ELLIPSE], E2, 4096), E2)
-    verdict = equality_classifier(rep, rep.umbilicity, c=rep.h_max)
+    triples = sampled([ELLIPSE], E2, 4096)
+    rep = hk_evaluate(triples, E2)
+    verdict = equality_classifier(rep, umbilicity(triples, E2), c=rep.h_max)
     assert verdict.verdict == "strict"
     assert verdict.failing_condition == "ratio"
 
@@ -198,9 +200,10 @@ def test_radius_bound_failure_named():
 
 
 def test_classifier_requires_c_above_h_max():
-    rep = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096), Q2)
+    triples = sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096)
+    rep = hk_evaluate(triples, Q2)
     with pytest.raises(InputError):
-        equality_classifier(rep, rep.umbilicity, c=0.5 * rep.h_max)
+        equality_classifier(rep, umbilicity(triples, Q2), c=0.5 * rep.h_max)
 
 
 def test_overlapping_bodies_rejected():
@@ -218,9 +221,10 @@ def test_elongated_disjoint_bodies_accepted():
         WulffBody(DQ, np.array([0.0, 0.0]), 1.0),
         WulffBody(DQ, np.array([0.0, 2.5]), 1.0),
     ]
-    rep = hk_evaluate(sampled(bodies, Q2, 1024), Q2)
+    triples = sampled(bodies, Q2, 1024)
+    rep = hk_evaluate(triples, Q2)
     assert rep.verdict == "equality"
-    verdict = equality_classifier(rep, rep.umbilicity, c=rep.h_max)
+    verdict = equality_classifier(rep, umbilicity(triples, Q2), c=rep.h_max)
     assert verdict.verdict == "wulff-union"
 
 
@@ -242,13 +246,83 @@ def test_negative_curvature_violates_hypothesis():
         hk_evaluate(sampled([flower], E2, 1024), E2)
 
 
-def test_montiel_ros_warns_on_excluded_nodes():
-    # dent nodes have no positive curvature direction and are excluded
-    flower = Flower(0.35)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        montiel_ros_integral(*quad_table(flower, E2, 1024), E2)
-    assert any("excluded" in str(w.message) for w in caught)
+def test_montiel_ros_raises_without_positive_curvature():
+    # dent nodes have no positive curvature direction, hence no focal cut
+    with pytest.raises(HypothesisViolationError, match="no positive curvature"):
+        montiel_ros_integral(*quad_table(Flower(0.35), E2, 1024), E2)
+
+
+def test_hk_rows_sum_to_the_totals():
+    bodies = [
+        WulffBody(DQ, np.array([-3.0, 0.0]), 1.0),
+        Ellipsoid(np.diag([4.0, 1.0]), np.array([3.0, 0.0])),
+        WulffBody(DQ, np.array([0.0, 3.0]), 0.7),
+    ]
+    triples = sampled(bodies, Q2, 1024)
+    rep = hk_evaluate(triples, Q2)
+    assert len(rep.rows) == 3
+    assert rep.vol == sum(r.vol for r in rep.rows)
+    assert rep.integral == sum(r.integral for r in rep.rows)
+    assert rep.mr_integral == sum(r.mr_integral for r in rep.rows)
+    assert rep.h_min == min(r.h_min for r in rep.rows)
+    assert rep.h_max == max(r.h_max for r in rep.rows)
+    # each row is the body's own one-body report
+    for triple, row in zip(triples, rep.rows):
+        alone = hk_evaluate([triple], Q2)
+        assert (row.vol, row.integral, row.mr_integral) == (
+            alone.vol, alone.integral, alone.mr_integral
+        )
+
+
+def test_mr_suite_metrics_are_the_hk_rows(tmp_path):
+    bodies = [("a", WulffBody(DQ, np.array([-3.0, 0.0]), 1.0)),
+              ("b", Ellipsoid(np.diag([4.0, 1.0]), np.array([3.0, 0.0])))]
+    cache = suites.RunCache(scene(bodies, Q2, 1024))
+    res = suites.run_suite("mr", cache, tmp_path)
+    assert res.passed and not res.skipped
+    for (bid, _), row in zip(bodies, cache.hk().rows):
+        assert res.metrics[f"mr[{bid}]"] == {
+            "vol": row.vol, "mr": row.mr_integral, "rhs": 0.5 * row.integral
+        }
+
+
+def test_curv_hk_and_mr_fit_each_body_once(tmp_path, monkeypatch):
+    calls = []
+    original = suites.umbilicity_classify
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "umbilicity_classify", counted)
+    bodies = [("a", WulffBody(DQ, np.array([-3.0, 0.0]), 1.0)),
+              ("b", WulffBody(DQ, np.array([3.0, 0.0]), 1.3))]
+    cache = suites.RunCache(scene(bodies, Q2, 1024))
+    for name in ("curv", "hk", "mr"):
+        assert suites.run_suite(name, cache, tmp_path).passed
+    assert len(calls) == 2
+    assert cache.umbilicity(bodies[0][1]).verdict == "wulff"
+    assert len(calls) == 2
+
+
+def test_mr_suite_refuses_nonpositive_curvature(tmp_path):
+    cache = suites.RunCache(scene([("f", Flower(0.35))], E2, 1024))
+    with pytest.raises(HypothesisViolationError):
+        suites.run_suite("mr", cache, tmp_path)
+
+
+def test_mr_suite_refuses_overlapping_bodies(tmp_path):
+    bodies = [("a", WulffBody(DQ, np.zeros(2), 1.0)),
+              ("b", WulffBody(DQ, np.array([1.0, 0.0]), 1.0))]
+    with pytest.raises(InputError, match="not disjoint"):
+        suites.run_suite("mr", suites.RunCache(scene(bodies, Q2, 1024)), tmp_path)
+
+
+def test_hk_and_mr_skip_a_scene_without_bodies(tmp_path):
+    cache = suites.RunCache(scene([], Q2, 1024))
+    for name in ("hk", "mr"):
+        res = suites.run_suite(name, cache, tmp_path)
+        assert res.skipped and res.skip_reason == "no bodies in scene"
 
 
 def test_non_star_shaped_rejected():

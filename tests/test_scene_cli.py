@@ -145,6 +145,16 @@ def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
         (("steiner",), {"samples": 40.5}),
         (("grid", "cells"), 100.5),
         (("grid", "cells"), [40, 30.5]),
+        # steiner ranges and the hk section
+        (("steiner",), {"lo_frac": 0.0}),
+        (("steiner",), {"lo_frac": -0.5}),
+        (("steiner",), {"lo_frac": 0.9, "hi_frac": 0.05}),
+        (("steiner",), {"hi_frac": 0.05}),
+        (("steiner",), {"reference_radius": 0.0}),
+        (("steiner",), {"reference_radius": -1.0}),
+        (("hk",), {"cc": 5}),
+        (("hk",), {"c": -1}),
+        (("hk",), {"c": 0}),
     ],
 )
 def test_bad_field_values_are_scene_errors(path, value):
@@ -155,6 +165,26 @@ def test_bad_field_values_are_scene_errors(path, value):
     target[path[-1]] = value
     with pytest.raises(SceneError, match=str(path[0])):
         parse_scene(raw)
+
+
+@pytest.mark.parametrize(
+    "section,value,field",
+    [
+        ("steiner", {"lo_frac": -0.5}, "steiner.lo_frac"),
+        ("steiner", {"lo_frac": 0.9, "hi_frac": 0.05}, "steiner.hi_frac"),
+        ("steiner", {"reference_radius": 0.0}, "steiner.reference_radius"),
+        ("hk", {"cc": 5}, "hk.cc"),
+        ("hk", {"c": -1}, "hk.c"),
+    ],
+)
+def test_steiner_and_hk_refusals_name_the_key(section, value, field):
+    with pytest.raises(SceneError, match=field.replace(".", "\\.")):
+        parse_scene({**BASE, section: value})
+
+
+def test_hk_c_may_be_null():
+    assert parse_scene({**BASE, "hk": {"c": None}}).hk_c is None
+    assert parse_scene({**BASE, "hk": {"c": 2}}).hk_c == 2.0
 
 
 @pytest.mark.parametrize("key", sorted(DEFAULT_TOLERANCES))

@@ -136,6 +136,14 @@ def test_claim5_sphere_matches_inward_shell():
         assert poly == pytest.approx(sphere_inward_shell_volume(R, t), rel=1e-9)
 
 
+def test_claim5_top_coefficient_off_umbilic_3d():
+    # Gauss-Bonnet: the integral of kappa_1 kappa_2 over any convex boundary is
+    # 4 pi, so the cubic coefficient is 4 pi / 3 on an ellipsoid as on a ball
+    ellipsoid = Ellipsoid(np.diag([1 / 2.0**2, 1.0, 1 / 1.5**2]), np.zeros(3))
+    c = claim5_coefficients(*quad_table(ellipsoid, E3, (96, 192)), E3)
+    assert c[2] == pytest.approx(4 * np.pi / 3, rel=1e-4)
+
+
 def test_fit_agrees_with_claim5(disk_field_512, wulff_field_512):
     for field, body, f in (
         (disk_field_512, UNIT_DISK, E2),
