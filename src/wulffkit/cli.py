@@ -1,5 +1,12 @@
 """Batch runner: parse a scene, run verification suites, emit reports.
 
+    wulffkit [COMMAND] --scene PATH --out DIR [--seed N]
+
+COMMAND is one suite or ``all`` (the default), which runs the scene's
+suites.  The scene runs as its file is written; ``--seed`` alone overrides
+a field of it, under the scene file's own seed rule, and the report records
+the seed it ran with.
+
 Exit codes: 0 all executed suites passed; 1 input/scene error; 2-9 first
 failing suite in the canonical order dual, wulff, curv, hk, mr, steiner,
 reach, var.  Reports are deterministic: the same scene and seed produce
@@ -11,13 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, SceneError, WulffkitError
-from .scene import load_scene
+from .scene import load_scene, reseed
 from .suites import SUITE_ORDER, RunCache, run_suite
 
 __all__ = ["main", "run"]
@@ -33,25 +40,18 @@ def _tolist(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def run(command: str, scene_path, out_dir, seed=None, resolution=None, grid=None) -> int:
-    """Execute ``command`` on a scene file; write report.json and CSVs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def run(command: str, scene_path, out_dir, seed=None) -> int:
+    """Execute ``command`` on a scene file; write report.json and CSVs.
+
+    The command and the scene are checked before ``out_dir`` is created.
+    """
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}; expected one of {COMMANDS}")
-
     scene = load_scene(scene_path)
     if seed is not None:
-        if int(seed) < 0:
-            raise InputError(f"seed must be a non-negative integer, got {seed}")
-        scene = replace(scene, seed=int(seed))
-    if resolution is not None:
-        scene = replace(scene, resolution=resolution)
-    if grid is not None and scene.grid is not None:
-        scene = replace(
-            scene,
-            grid=type(scene.grid)(lo=scene.grid.lo, hi=scene.grid.hi, cells=int(grid)),
-        )
+        scene = reseed(scene, seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     requested = [s for s in SUITE_ORDER if s in scene.suites] if command == "all" else [command]
     cache = RunCache(scene)
@@ -70,18 +70,7 @@ def run(command: str, scene_path, out_dir, seed=None, resolution=None, grid=None
         "seed": scene.seed,
         "rng": "numpy-default-pcg64",
         "resolution": scene.resolution,
-        "suites": [
-            {
-                "name": r.name,
-                "verifies": r.verifies,
-                "passed": r.passed,
-                "skipped": r.skipped,
-                "skip_reason": r.skip_reason,
-                "checks": r.checks,
-                "metrics": r.metrics,
-            }
-            for r in results
-        ],
+        "suites": [{**asdict(r), "passed": r.passed} for r in results],
         "exit_code": exit_code,
     }
     text = json.dumps(report, indent=2, sort_keys=True, default=_tolist)
@@ -94,28 +83,14 @@ def main(argv=None) -> int:
         prog="wulffkit",
         description="Run anisotropic-geometry verification suites on a scene file.",
     )
-    parser.add_argument("command", nargs="?", default=None, choices=COMMANDS)
+    parser.add_argument("command", nargs="?", default="all", choices=COMMANDS)
     parser.add_argument("--scene", required=True, help="scene JSON path")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--suite", default=None, choices=COMMANDS, help="alias for command")
     parser.add_argument("--seed", type=int, default=None, help="override the scene seed")
-    parser.add_argument("--resolution", type=int, default=None, help="override resolution")
-    parser.add_argument("--grid", type=int, default=None, help="override grid cell count")
     args = parser.parse_args(argv)
 
-    command = args.command or args.suite or "all"
-    if args.command and args.suite and args.command != args.suite:
-        parser.error("give either a command or --suite, not two different ones")
-
     try:
-        return run(
-            command,
-            args.scene,
-            args.out,
-            seed=args.seed,
-            resolution=args.resolution,
-            grid=args.grid,
-        )
+        return run(args.command, args.scene, args.out, seed=args.seed)
     except SceneError as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,6 @@ made before the scan, and delta and the gap are 0 there.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -729,7 +728,7 @@ class ReachComparison:
 def reach_comparison(
     field_euclid: DistanceField, field_aniso: DistanceField
 ) -> ReachComparison:
-    """Check reach(A) >= rho * reach^F(A) - 4h.
+    """Check reach(A) >= rho * reach^F(A) - 4h; ``ok`` says whether it holds.
 
     rho is the interior rolling-ball radius of the unit Wulff shape of the
     anisotropic field's norm F, its least radius of curvature: the least
@@ -748,10 +747,6 @@ def reach_comparison(
     r_f = estimate_reach_F(field_aniso)
     slack = 4.0 * field_euclid.grid.h
     ok = r_e >= rho * r_f - slack
-    if not ok:
-        warnings.warn(
-            f"rolling-ball reach bound violated: {r_e:.4g} < {rho:.4g}*{r_f:.4g} - {slack:.4g}"
-        )
     return ReachComparison(
         rho=rho, reach_euclidean=r_e, reach_anisotropic=r_f, slack=slack, ok=ok
     )

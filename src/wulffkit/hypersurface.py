@@ -32,6 +32,7 @@ __all__ = [
     "Superellipse",
     "SurfaceQuadrature",
     "sample_surface",
+    "surface_counts",
     "volume",
     "perimeter_F",
     "concat_quadratures",
@@ -310,13 +311,21 @@ class SurfaceQuadrature:
         return tangent_frames(self.normals)
 
 
+def surface_counts(dim: int, resolution) -> tuple:
+    """``grid_counts`` of a resolution that ``sample_surface`` takes: even
+    counts, at least 64 nodes in d=2 and a 32x64 grid in d=3."""
+    counts = grid_counts(dim, resolution)
+    least = (64,) if dim == 2 else (32, 64)
+    if any(n < m or n % 2 for n, m in zip(counts, least)):
+        raise InputError(
+            f"d={dim} surface sampling needs even counts of at least {least}, got {counts}"
+        )
+    return counts
+
+
 def sample_surface(body: StarBody, resolution) -> SurfaceQuadrature:
     """Boundary quadrature of a star body over a full sphere grid."""
-    counts = grid_counts(body.dim, resolution)
-    if body.dim == 2 and counts[0] < 64:
-        raise InputError("d=2 surface sampling needs resolution >= 64")
-    if body.dim == 3 and (counts[0] < 32 or counts[1] < 64):
-        raise InputError("d=3 surface sampling needs at least a 32x64 grid")
+    surface_counts(body.dim, resolution)
     omega, sigma = sphere_quadrature(body.dim, resolution)
     rho, g = body.ray_boundary(omega)
     x = body.center[None, :] + rho[:, None] * omega

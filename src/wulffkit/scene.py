@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -12,11 +12,10 @@ import numpy as np
 from .distance import GridSpec
 from .duality import DualNorm, dual_norm_of
 from .errors import InputError, SceneError
-from .hypersurface import Ellipsoid, StarBody, Superellipse, WulffBody
+from .hypersurface import Ellipsoid, StarBody, Superellipse, WulffBody, surface_counts
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm, WeightedSum
-from .spheregrid import grid_counts
 
-__all__ = ["Scene", "load_scene", "parse_scene", "DEFAULT_TOLERANCES", "SUITE_ORDER"]
+__all__ = ["Scene", "load_scene", "parse_scene", "reseed", "DEFAULT_TOLERANCES", "SUITE_ORDER"]
 
 # canonical suite order; the CLI exit code 2 + index names the first failure
 SUITE_ORDER = ("dual", "wulff", "curv", "hk", "mr", "steiner", "reach", "var")
@@ -104,10 +103,10 @@ def _counts(value, where):
 
 
 def _resolution(value, where, dim):
-    """``_counts`` that ``grid_counts`` accepts in dimension ``dim``."""
+    """``_counts`` that ``sample_surface`` takes in dimension ``dim``."""
     value = _counts(value, where)
     try:
-        grid_counts(dim, value)
+        surface_counts(dim, value)
     except InputError as exc:
         raise SceneError(f"{where}: {exc}") from None
     return value
@@ -169,6 +168,19 @@ def _parse_body(spec, dual: DualNorm, index: int) -> tuple:
     return body_id, body
 
 
+def _seed(value) -> int:
+    seed = _count(value, "seed")
+    if seed < 0:
+        raise SceneError(f"seed: expected a non-negative integer, got {seed}")
+    return seed
+
+
+def reseed(scene: Scene, seed) -> Scene:
+    """``scene`` with another seed, refused as the same seed in its file
+    would be."""
+    return replace(scene, seed=_seed(seed))
+
+
 def parse_scene(raw: dict) -> Scene:
     if not isinstance(raw, dict):
         raise SceneError("scene root must be an object")
@@ -228,6 +240,11 @@ def parse_scene(raw: dict) -> Scene:
             value = _resolution(value, "steiner.source_resolution", integrand.dim)
         elif key == "samples":
             value = _count(value, "steiner.samples")
+            if value < 3 * integrand.dim:
+                raise SceneError(
+                    f"steiner.samples: the degree-{integrand.dim} tube fit needs at least "
+                    f"{3 * integrand.dim}, got {value}"
+                )
         elif value is not None or key != "reference_radius":
             value = _convert(float, value, f"steiner.{key}")
         steiner[key] = value
@@ -247,16 +264,13 @@ def parse_scene(raw: dict) -> Scene:
             hk_c = _convert(float, value, "hk.c")
             if hk_c <= 0.0:
                 raise SceneError(f"hk.c: expected a positive number, got {value!r}")
-    seed = _count(raw.get("seed", 0), "seed")
-    if seed < 0:
-        raise SceneError(f"seed: expected a non-negative integer, got {seed}")
     return Scene(
         integrand=integrand,
         dual=dual,
         bodies=tuple(bodies),
         resolution=resolution,
         grid=grid,
-        seed=seed,
+        seed=_seed(raw.get("seed", 0)),
         suites=suites,
         tolerances=tolerances,
         hk_c=hk_c,

@@ -75,7 +75,7 @@ def tube_volumes(field: DistanceField, t_samples) -> TubeCurve:
     return TubeCurve(t=t, volume=counts * field.grid.cell_volume)
 
 
-def default_t_grid(r: float, lo_frac: float = 0.05, hi_frac: float = 0.95, samples: int = 40):
+def default_t_grid(r: float, lo_frac: float, hi_frac: float, samples: int):
     """Equispaced tube radii in (lo_frac*r, hi_frac*r), avoiding the
     near-zero staircase and boundary truncation."""
     return np.linspace(lo_frac * r, hi_frac * r, samples)

@@ -430,8 +430,6 @@ def suite_var(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     for bid, body in scene.bodies:
         _, quad, table = cache.sampled(body)
         p = perimeter_F(quad, f)
-        diameter = 2.0 * float(quad.rho.max())
-        h = 1e-4 * diameter
 
         g0 = PolynomialField.constant(np.ones(scene.dim))
         res.check(f"translation_invariance[{bid}]", abs(first_variation(quad, f, g0)), 1e-12 * p)
@@ -445,7 +443,7 @@ def suite_var(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         worst_consistency = 0.0
         worst_pairing = 0.0
         fields = [PolynomialField.random(rng, scene.dim, scale=0.4) for _ in range(10)]
-        for k, crit in enumerate(criticality_residual(quad, f, fields, h)):
+        for k, crit in enumerate(criticality_residual(quad, f, fields)):
             fv = crit.first_variation
             worst_consistency = max(
                 worst_consistency, abs(fv - crit.flow_derivative) / (1.0 + abs(fv))

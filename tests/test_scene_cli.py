@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from wulffkit import SceneError, load_scene, parse_scene, sample_surface
+from wulffkit import InputError, SceneError, load_scene, parse_scene, sample_surface
 from wulffkit.cli import _tolist, main, run
 from wulffkit.scene import DEFAULT_TOLERANCES
 
@@ -155,6 +156,11 @@ def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
         (("hk",), {"cc": 5}),
         (("hk",), {"c": -1}),
         (("hk",), {"c": 0}),
+        # fewer tube samples than the degree-d fit takes (3*d)
+        (("steiner",), {"samples": -1}),
+        (("steiner",), {"samples": 0}),
+        (("steiner",), {"samples": 2}),
+        (("steiner",), {"samples": 5}),
     ],
 )
 def test_bad_field_values_are_scene_errors(path, value):
@@ -175,11 +181,19 @@ def test_bad_field_values_are_scene_errors(path, value):
         ("steiner", {"reference_radius": 0.0}, "steiner.reference_radius"),
         ("hk", {"cc": 5}, "hk.cc"),
         ("hk", {"c": -1}, "hk.c"),
+        ("steiner", {"samples": 5}, "steiner.samples"),
     ],
 )
 def test_steiner_and_hk_refusals_name_the_key(section, value, field):
     with pytest.raises(SceneError, match=field.replace(".", "\\.")):
         parse_scene({**BASE, section: value})
+
+
+def test_steiner_samples_go_down_to_the_fit_minimum():
+    assert parse_scene({**BASE, "steiner": {"samples": 6}}).steiner["samples"] == 6
+    with pytest.raises(SceneError, match="steiner\\.samples"):
+        parse_scene({**D3, "steiner": {"samples": 8}})
+    assert parse_scene({**D3, "steiner": {"samples": 9}}).steiner["samples"] == 9
 
 
 def test_hk_c_may_be_null():
@@ -212,6 +226,12 @@ D3 = json.loads((SCENES / "wulff_d3.json").read_text())
         (BASE, {"resolution": [512, 512]}, "resolution"),
         (BASE, {"steiner": {"source_resolution": 100.5}}, "steiner.source_resolution"),
         (BASE, {"steiner": {"source_resolution": [512, 512]}}, "steiner.source_resolution"),
+        # counts the sphere grid takes but surface sampling refuses
+        (BASE, {"resolution": 4097}, "resolution"),
+        (BASE, {"resolution": 32}, "resolution"),
+        (D3, {"resolution": [33, 64]}, "resolution"),
+        (D3, {"resolution": [32, 62]}, "resolution"),
+        (BASE, {"steiner": {"source_resolution": 1023}}, "steiner.source_resolution"),
     ],
     ids=[
         "d3-one-axis",
@@ -222,6 +242,11 @@ D3 = json.loads((SCENES / "wulff_d3.json").read_text())
         "d2-pair",
         "source-fraction",
         "source-pair",
+        "d2-odd",
+        "d2-too-few",
+        "d3-odd-theta",
+        "d3-too-few-phi",
+        "source-odd",
     ],
 )
 def test_resolution_refusals_name_the_field(base, override, field):
@@ -311,6 +336,7 @@ def test_any_json_scene_parses_or_raises_scene_error(raw):
         ("seed", {}, ["--seed", "-1"]),
         ("grid", {"grid": {"bounds": [[-INF, 2.0], [-1.5, 1.5]], "cells": [40, 30]}}, []),
         ("tolerances.eps_cluster", {"tolerances": {"eps_cluster": -1}}, []),
+        ("steiner.samples", {"steiner": {"samples": -1}}, []),
     ],
 )
 def test_bad_scene_value_exits_1_without_traceback(tmp_path, capsys, field, override, argv):
@@ -410,6 +436,28 @@ def test_exit_code_encodes_first_failing_suite(tmp_path):
 def test_bad_command_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["mystery", "--scene", "x", "--out", str(tmp_path)])
+
+
+def test_scene_override_flags_are_usage_errors(tmp_path, capsys):
+    # the scene file is the whole run: only --seed overrides a field of it
+    scene = str(SCENES / "wulff_d2.json")
+    for flag in (["--suite", "dual"], ["--resolution", "512"], ["--grid", "100"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", "--scene", scene, "--out", str(tmp_path / "out"), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert list(inspect.signature(run).parameters) == ["command", "scene_path", "out_dir", "seed"]
+
+
+def test_refused_runs_leave_no_output_directory(tmp_path):
+    with pytest.raises(InputError, match="unknown command"):
+        run("mystery", SCENES / "wulff_d2.json", tmp_path / "a")
+    with pytest.raises(SceneError, match="not found"):
+        run("all", tmp_path / "missing.json", tmp_path / "b")
+    with pytest.raises(SceneError, match="seed"):
+        run("all", SCENES / "wulff_d2.json", tmp_path / "c", seed=1.5)
+    assert list(tmp_path.iterdir()) == []
 
 
 WEIGHTED_SCENE = {
