@@ -16,14 +16,22 @@ flagged, making the reach estimate accurate to a couple of grid cells.
 
 Nearest-source search is brute force over spatial cell blocks (desk scale:
 <= 1024^2 cells, <= 1e4 source points); no fast marching.  Each coarse
-block prunes the sources with an exact Lipschitz bound, and each fine tile
-inside it prunes them again.  Euclidean F* and a diagonal M use axis
-tables: the mapped centre coordinates are constant along the other grid
-axes, so a tile keeps one table of squared coordinate differences per axis,
-prunes by their exact box bound, and sums the tables into its distances.  A
-rotated M and weighted sums keep the Lipschitz bound at the tile's radius.
-Cells in A are never scanned: membership is one call on all cell centres,
-made before the scan, and delta and the gap are 0 there.
+block prunes the sources with an exact bound, and each fine tile inside it
+prunes them again.  Euclidean F* and a diagonal M use axis tables: the
+mapped centre coordinates are constant along the other grid axes and do not
+decrease along their own, so the squared coordinate difference of a source
+over a range of cells is bounded by its values at the range's two end rows.
+One call bounds a block over every source, and one more bounds all of the
+block's tiles over the block's candidates; each tile then sums its
+per-axis tables on its kept sources alone into its distances.  A rotated M
+and weighted sums keep a Lipschitz bound at the block's and the tile's
+radius.  Cells in A are never scanned: membership is one call on all cell
+centres, made before the scan, and delta and the gap are 0 there.
+
+Flagged clusters of one tile are screened together before any linkage
+search: their union is cut into runs of consecutive source indices, and
+when no two runs come within ``tol_unique`` a cluster that meets two runs
+is split without a search of its own.
 """
 
 from __future__ import annotations
@@ -338,6 +346,10 @@ def _axis_lines(mapped, shape):
 
     Then F*(a - x)^2 of the cell with grid index (i_0, ..., i_{d-1}) is the
     sum over k of (line_k[i_k] - src_k)^2, with the bits of ``_sqdist``.
+    Each line_k does not decrease, which ``_box_keep`` needs: the cell
+    centres lo + (i + 0.5) h do not decrease along their axis, and a
+    diagonal M's map multiplies coordinate k by the positive diagonal entry
+    of its Cholesky factor; each step rounds monotonically.
     """
     if mapped is None:
         return None
@@ -353,65 +365,104 @@ def _axis_lines(mapped, shape):
     return lines
 
 
-def _tile_distances(lines, shape, tile, rows, coarse, eps_cluster, window_abs):
-    """F* from the cells ``rows`` (positions in ``tile.ravel()``) of a box
-    ``tile`` of flat indices into a grid of ``shape`` to the tile's
-    candidates among ``coarse``, and those candidates, as (values, cand).
+def _box_keep(lines, starts, stops, cols, eps_cluster, window_abs):
+    """Which of the sources ``cols`` can be near-minimizers of some cell of
+    each box, as a bool array of shape (len(starts[0]), ...,
+    len(starts[d-1]), len(cols)); the boxes are the products of the per-axis
+    cell ranges [starts[k][i], stops[k][i]).
 
-    Each axis k gives a (side_k, len(coarse)) table t_k of squared coordinate
-    differences.  Source j's F* from any cell of the tile is at least
-    sqrt(sum_k min t_k[:, j]), and each cell's least F* is at most
-    big = min_j sqrt(sum_k max t_k[:, j]); every step is a monotone rounded
-    operation, so each near-minimizer j of each cell has
-    sqrt(sum_k min t_k[:, j]) <= big + (eps_cluster big + window_abs).
+    Along axis k the differences line_k[i] - src_k do not decrease with i,
+    and squaring rounds monotonically in their size, so over a range of cells
+    (line_k[i] - src_k)^2 is largest at one of the range's two end rows and
+    least at the nearer one, or 0 when src_k lies inside the range.  Summed
+    over the axes in order, these bound source j's squared F* from every
+    cell of a box below by lo[j] and above by hi[j].  Each cell's least F*
+    is then at most big = min_j sqrt(hi[j]), and every step is a monotone
+    rounded operation, so each near-minimizer j of each cell has
+    sqrt(lo[j]) <= big + (eps_cluster big + window_abs).
     """
+    lo = hi = 0.0
+    for k, ((line, src), start, stop) in enumerate(zip(lines, starts, stops)):
+        first = line[np.asarray(start)][:, None] - src[None, cols]
+        last = line[np.asarray(stop) - 1][:, None] - src[None, cols]
+        shape = [1] * len(lines) + [len(cols)]
+        shape[k] = len(first)
+        # the nearer end row, or 0 inside the range, and the farther one
+        lo = lo + ((np.maximum(first, 0.0) + np.minimum(last, 0.0)) ** 2).reshape(shape)
+        hi = hi + (np.maximum(-first, last) ** 2).reshape(shape)
+    big = np.sqrt(hi.min(axis=-1, keepdims=True))
+    return np.sqrt(lo) <= big + (eps_cluster * big + window_abs)
+
+
+def _tile_distances(lines, shape, tile, rows, cand):
+    """F* from the cells ``rows`` (positions in ``tile.ravel()``) of a box
+    ``tile`` of flat indices into a grid of ``shape`` to the sources
+    ``cand``: one table of squared coordinate differences per axis, summed
+    in axis order as ``_sqdist`` sums, broadcast over the tile's cells, and
+    one ``sqrt``."""
     corner = np.unravel_index(tile.flat[0], shape)
-    tables = [
-        (line[c : c + n, None] - src[coarse][None]) ** 2
-        for (line, src), c, n in zip(lines, corner, tile.shape)
-    ]
-    lo, hi = tables[0].min(axis=0), tables[0].max(axis=0)
-    for t in tables[1:]:
-        lo += t.min(axis=0)
-        hi += t.max(axis=0)
-    big = np.sqrt(hi.min())
-    keep = np.flatnonzero(np.sqrt(lo) <= big + (eps_cluster * big + window_abs))
-    # the tables summed in axis order, as ``_sqdist`` sums, broadcast over
-    # the tile's cells
-    shaped = [
-        t[:, keep].reshape([n if j == k else 1 for j, n in enumerate(tile.shape)] + [-1])
-        for k, t in enumerate(tables)
-    ]
-    d = shaped[0]
-    for t in shaped[1:]:
-        d = d + t
-    d = d.reshape(tile.size, len(keep))
+    d = 0.0
+    for k, ((line, src), c, n) in enumerate(zip(lines, corner, tile.shape)):
+        t = (line[c : c + n, None] - src[None, cand]) ** 2
+        d = d + t.reshape([n if j == k else 1 for j in range(tile.ndim)] + [len(cand)])
+    d = d.reshape(tile.size, len(cand))
     if len(rows) < tile.size:
         d = d[rows]
-    return np.sqrt(d, out=d), coarse[keep]
+    return np.sqrt(d, out=d)
 
 
 def _tile_scan(dual: DualNorm, pts, centers, shape, lip, eps_cluster, window_abs):
-    """scan(tile, radius, rows, coarse): F* from the cells ``rows`` (positions
-    in ``tile.ravel()``) of a box ``tile`` of flat cell indices, of
-    circumradius ``radius``, to the tile's candidates among ``coarse``, as
+    """scan(block, radius) prunes the sources for a coarse block, a box
+    ``block`` of flat cell indices of circumradius ``radius``, and returns
+    tile_scan(tile, radius, rows): F* from the cells ``rows`` (positions in
+    ``tile.ravel()``) of one fine tile of the block, of circumradius
+    ``radius``, to the tile's candidates, and those candidates, as
     (values, cand).
 
-    Euclidean F* and a diagonal M use the axis tables and their box bound;
-    other F* prune with the ``lip``-Lipschitz bound at the tile's radius.
+    Euclidean F* and a diagonal M bound by the end rows of ``_box_keep``:
+    once for the block over every source, and once for all the block's
+    tiles together over the block's candidates.  Other F* prune with the
+    ``lip``-Lipschitz bound of ``_candidates``, at the block's radius and
+    then at each tile's.
     """
+    every = np.arange(len(pts))
     lines = _axis_lines(_mapped_points(dual, pts, centers), shape)
     if lines is not None:
-        return lambda tile, radius, rows, coarse: _tile_distances(
-            lines, shape, tile, rows, coarse, eps_cluster, window_abs
-        )
+        side = _side(len(shape), TILE_CELLS)
+
+        def scan(block, radius):
+            corner = np.array(np.unravel_index(block.flat[0], shape))
+            ends = corner + block.shape
+            # the block itself, one range per axis
+            whole = _box_keep(lines, corner[:, None], ends[:, None], every, eps_cluster, window_abs)
+            coarse = np.flatnonzero(whole)
+            # the tiles of ``_blocks(block, ...)``: per axis, ranges of
+            # ``side`` cells from the block's corner, the last one cut short
+            starts = [np.arange(c, e, side) for c, e in zip(corner, ends)]
+            stops = [np.minimum(s + side, e) for s, e in zip(starts, ends)]
+            keep = _box_keep(lines, starts, stops, coarse, eps_cluster, window_abs)
+
+            def tile_scan(tile, r_tile, rows):
+                at = (np.unravel_index(tile.flat[0], shape) - corner) // side
+                cand = coarse[keep[tuple(at)]]
+                return _tile_distances(lines, shape, tile, rows, cand), cand
+
+            return tile_scan
+
+        return scan
     values = _pairwise_values(dual, pts, centers)
 
-    def scan(tile, radius, rows, coarse):
-        cells = tile.ravel()
-        xt = centers[cells].mean(axis=0)
-        cand = _candidates(dual, pts, coarse, xt, radius, lip, eps_cluster, window_abs)
-        return values(cells[rows], cand), cand
+    def scan(block, radius):
+        xc = centers[block.ravel()].mean(axis=0)
+        coarse = _candidates(dual, pts, every, xc, radius, lip, eps_cluster, window_abs)
+
+        def tile_scan(tile, r_tile, rows):
+            cells = tile.ravel()
+            xt = centers[cells].mean(axis=0)
+            cand = _candidates(dual, pts, coarse, xt, r_tile, lip, eps_cluster, window_abs)
+            return values(cells[rows], cand), cand
+
+        return tile_scan
 
     return scan
 
@@ -427,7 +478,8 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
     single-linkage component at scale ``tol_unique``.
     Samples consecutive on a loop lie within ``source.spacing <= tol_unique``,
     so only clusters of several runs or half a loop are resolved point by
-    point.
+    point, and the clusters of several runs go through ``_linkage_screen``
+    together before any of them is searched alone.
     """
     ranges = np.array([(a, b) for (a, b, _c) in source.loops])
 
@@ -447,20 +499,54 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
                 n_runs -= near[:, 0] & near[:, -1]
             cover |= 2 * n_near >= b - a
         gap = np.zeros(len(d))
-        for r in np.nonzero((n_runs >= 2) | cover)[0]:
+        search = np.flatnonzero((n_runs >= 2) & ~cover)
+        split = cover.copy()
+        if len(search):
+            split[search] = _linkage_screen(source.points, cand, mask[search], tol_unique)
+        for r in np.flatnonzero((n_runs >= 2) | cover):
             cluster = source.points[cand[mask[r]]]
-            if cover[r] or not _connected(cluster, tol_unique):
+            if split[r] or not _connected(cluster, tol_unique):
                 gap[r] = _diameter(cluster)
         return m, gap
 
     return resolve
 
 
+def _linkage_screen(points, cand, near, linkage):
+    """Which rows of ``near`` (cluster masks over the sorted source indices
+    ``cand``) hold a cluster that is not one single-linkage component at
+    scale ``linkage``, as far as one screen of all the rows tells; False
+    leaves a row undecided.
+
+    The union of the clusters is cut into maximal runs of consecutive source
+    indices, and each pair of runs is compared once.  When no pair comes
+    within ``linkage``, a cluster that meets two runs is split, since a path
+    between them would need a link across runs; otherwise every row is left
+    undecided.
+    """
+    none_split = np.zeros(len(near), dtype=bool)
+    cols = np.flatnonzero(near.any(axis=0))
+    idx = cand[cols]
+    starts = np.flatnonzero(np.diff(idx, prepend=-2) != 1)
+    if len(starts) < 2:
+        return none_split
+    link2 = linkage**2
+    for a, b in itertools.combinations(np.split(points[idx], starts[1:]), 2):
+        if not _sqdist(a, b).min() > link2:
+            return none_split
+    return np.logical_or.reduceat(near[:, cols], starts, axis=1).sum(axis=1) >= 2
+
+
+def _side(ndim: int, target: int) -> int:
+    """Side of a cubic box of about ``target`` cells in ``ndim`` dimensions."""
+    return max(2, int(round(target ** (1.0 / ndim))))
+
+
 def _blocks(flat, spacing, target: int):
     """Boxes of about ``target`` cells tiling the array of flat cell indices
     ``flat``, as (box of flat indices, circumradius); boxes of one shape share
     one radius."""
-    side = max(2, int(round(target ** (1.0 / flat.ndim))))
+    side = _side(flat.ndim, target)
     radii = {}
     for corner in itertools.product(*(range(0, s, side) for s in flat.shape)):
         box = flat[tuple(slice(c, c + side) for c in corner)]
@@ -494,7 +580,16 @@ def build_field(
     delta and the gap are 0 on A, and only the cells outside it are scanned.
     A coarse block with every cell in A is skipped with its candidate search,
     and a fine tile scans its cells outside A against the candidates of the
-    whole tile, which hold every near-minimizer of each of them.
+    whole tile, which hold every near-minimizer of each of them.  For
+    Euclidean F* and a diagonal M both levels bound each source by the end
+    rows of the box's cell ranges, all tiles of a block in one call; other
+    F* use a Lipschitz bound at each box's radius.  The clusters flagged in
+    a tile are screened together (``_linkage_screen``), and only the ones
+    the screen leaves undecided run their own linkage search.
+
+    ``eps_cluster`` must be non-negative and finite; ``tol_unique`` (default
+    three times the larger of the source spacing and the grid h) must be
+    finite and at least the source spacing.
     """
     dual = dual_norm_of(f)
     _assert_even(dual)
@@ -511,8 +606,12 @@ def build_field(
         )
     if tol_unique is None:
         tol_unique = 3.0 * max(source.spacing, h)
-    if tol_unique < source.spacing:
-        raise InputError(f"tol_unique {tol_unique:.3g} is below source spacing {source.spacing:.3g}")
+    # NaN fails both comparisons
+    if not source.spacing <= tol_unique < np.inf:
+        raise InputError(
+            f"tol_unique must be finite and at least the source spacing "
+            f"{source.spacing:.3g}, got {tol_unique:.3g}"
+        )
 
     centers = grid.centers()
     n_cells = len(centers)
@@ -528,25 +627,23 @@ def build_field(
 
     # two-level candidate pruning: each coarse block keeps the sources that
     # can be near-minimizers of any of its cells, and each fine tile inside
-    # it prunes those again, by its axis tables' box bound or else at its own
+    # it prunes those again, by the end-row box bound or else at its own
     # radius; both bounds are exact, so a tile's sorted candidates hold every
     # near-minimizer of its cells, and each row's results depend only on its
     # own near-minimizers, so scanning a tile's cells outside A alone leaves
     # their bits as a full scan would
     flat = np.arange(n_cells).reshape(grid.shape)
-    every = np.arange(len(pts))
     for block, radius in _blocks(flat, grid.spacing, BLOCK_CELLS):
         if member[block].all():
             continue
-        xc = centers[block.ravel()].mean(axis=0)
-        coarse = _candidates(dual, pts, every, xc, radius, lip, eps_cluster, window_abs)
+        tile_scan = scan(block, radius)
         for tile, r_tile in _blocks(block, grid.spacing, TILE_CELLS):
             cells_idx = tile.ravel()
             rows = np.flatnonzero(~member[cells_idx])
             if len(rows) == 0:
                 continue
             outside = cells_idx[rows]
-            delta[outside], gap[outside] = resolve(*scan(tile, r_tile, rows, coarse))
+            delta[outside], gap[outside] = resolve(*tile_scan(tile, r_tile, rows))
 
     shape = grid.shape
     return DistanceField(

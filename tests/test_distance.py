@@ -282,6 +282,21 @@ def test_tol_unique_below_spacing_rejected():
     assert build_field(src, E2, grid, tol_unique=src.spacing).tol_unique == src.spacing
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_non_finite_tol_unique_rejected(tol):
+    # NaN failed the spacing check's comparison and inf passed it; either
+    # links every cluster, so an ellipse's medial band had no gap cells and
+    # its reach read about the deepest delta
+    body = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
+    src = boundary_source([body], 1024, region="complement")
+    grid = GridSpec(lo=[-2.3, -1.3], hi=[2.3, 1.3], cells=[230, 130])
+    with pytest.raises(InputError, match="tol_unique"):
+        build_field(src, E2, grid, tol_unique=tol)
+    field = build_field(src, E2, grid)
+    assert np.count_nonzero(field.gap) > 0
+    assert estimate_reach_F(field) < 0.7
+
+
 @pytest.mark.parametrize("eps", [-1.0, -1e-300, np.nan, np.inf])
 def test_bad_eps_cluster_rejected(eps):
     # a negative window leaves a row's cluster empty, and its reduction
@@ -649,6 +664,34 @@ TWO_DISKS = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-0.8, 0.8)]
 SKIP_GRID = GridSpec([-2.3, -1.5], [2.3, 1.5], [97, 63])
 
 
+def _wrapped_ellipse():
+    """An ellipse's closed sample rotated to start at its top vertex, so the
+    wrap from the last sample to the first falls inside the upper foot arc of
+    the cells in the medial band: their index runs are split at the wrap, and
+    the linkage screen finds those runs within linkage."""
+    body = Ellipsoid(np.diag([0.25, 1 / 0.49]), np.zeros(2))
+    src = boundary_source([body], 1024, region="complement")
+    top = int(np.argmax(src.points[:, 1]))
+    return SourceSet(points=np.roll(src.points, -top, axis=0), loops=src.loops, inside=src.inside)
+
+
+def _corner():
+    """Two segments as two open loops, both ending at a right-angle corner:
+    the corner's samples sit in two index runs within linkage, so cells near
+    the corner are linked across them and cells on the bisector further out
+    are split, and ``_connected`` decides both; A is the closed set outside
+    the angle."""
+    legs = [segment_source([-2.0, 0.0], [0.0, 0.0], 100), segment_source([0.0, 1.3], [0.0, 0.0], 80)]
+    src = merge_sources(legs)
+    return SourceSet(
+        points=src.points, loops=src.loops, inside=lambda x: (x[:, 0] >= 0) | (x[:, 1] <= 0)
+    )
+
+
+# sources whose flagged clusters the linkage screen leaves to ``_connected``
+SCREENED = {"wrapped ellipse": _wrapped_ellipse, "corner": _corner}
+
+
 def _scan_everywhere(src, f, grid):
     """build_field with no membership, then delta and gap zeroed on A."""
     plain = build_field(SourceSet(points=src.points, loops=src.loops), f, grid)
@@ -657,7 +700,7 @@ def _scan_everywhere(src, f, grid):
 
 
 def _skip_cases():
-    for region in ("complement", "set", "curve"):
+    for region in ("complement", "set", "curve", *SCREENED):
         for name in FIELD_INTEGRANDS:
             yield pytest.param(region, name, id=f"{region}-{name}")
     yield pytest.param("wulff", "weighted sum", id="wulff-complement-weighted sum")
@@ -669,6 +712,8 @@ def test_skipping_A_keeps_every_bit(region, name):
     if region == "wulff":
         body = WulffBody(DualNorm(f), np.zeros(2), 1.0)
         src = boundary_source([body], 1024, region="complement")
+    elif region in SCREENED:
+        src = SCREENED[region]()
     else:
         src = boundary_source(TWO_DISKS, 1024, region=region)
     field = build_field(src, f, SKIP_GRID)
@@ -708,11 +753,13 @@ def test_field_scans_only_cells_outside_A(monkeypatch):
     work = _count_scans(monkeypatch)
     src = boundary_source(TWO_DISKS, 1024, region="complement")
     outside = np.count_nonzero(~src.membership(SKIP_GRID.centers()))
-    # the axis tables of E2 and the Lipschitz tile bound of a rotated M
+    # the end-row box bound of E2 and the Lipschitz bound of a rotated M;
+    # only the latter searches candidates
     for f in (E2, QN):
-        work["rows"] = 0
+        work["rows"] = work["candidates"] = 0
         build_field(src, f, SKIP_GRID)
         assert work["rows"] == outside
+        assert (work["candidates"] > 0) == (f is QN)
 
 
 def test_field_of_all_A_scans_nothing(monkeypatch):
@@ -757,10 +804,25 @@ def _per_cell_scan(src, field):
 
 
 @pytest.mark.parametrize("f", [E2, Q2], ids=["E2", "diagonal M"])
-@pytest.mark.parametrize("kind", ["two disks", "wulff"])
+@pytest.mark.parametrize(
+    "grid", [SKIP_GRID, GridSpec([-6.1, -3.3], [-2.2, -0.4], [53, 41])], ids=["skip", "negative"]
+)
+def test_axis_lines_do_not_decrease(grid, f):
+    # the end-row box bound of ``_box_keep`` rests on this
+    src = boundary_source(TWO_DISKS, 256, region="curve")
+    lines = _axis_lines_of(f, src, grid)
+    assert len(lines) == 2
+    for line, _src in lines:
+        assert np.all(np.diff(line) >= 0.0)
+
+
+@pytest.mark.parametrize("f", [E2, Q2], ids=["E2", "diagonal M"])
+@pytest.mark.parametrize("kind", ["two disks", "wulff", *SCREENED])
 def test_axis_tables_match_the_per_cell_route(kind, f):
     if kind == "wulff":
         src = boundary_source([WulffBody(DualNorm(f), np.zeros(2), 1.0)], 1024, region="complement")
+    elif kind in SCREENED:
+        src = SCREENED[kind]()
     else:
         src = boundary_source(TWO_DISKS, 1024, region="complement")
     assert _axis_lines_of(f, src, SKIP_GRID) is not None
@@ -774,35 +836,77 @@ def test_axis_tables_match_the_per_cell_route(kind, f):
 @given(
     hst.integers(0, 2**32 - 1),
     hst.sampled_from(["E2", "diagonal M"]),
-    hst.integers(1, 12),
-    hst.integers(1, 12),
+    hst.tuples(hst.integers(1, 16), hst.integers(1, 16)),
+    hst.integers(1, 7),
     hst.sampled_from([0.0, 1e-3, 0.05]),
     hst.sampled_from([0.0, 0.5, 1.5]),
 )
 @settings(max_examples=80, deadline=None)
-def test_tile_candidates_hold_every_near_minimizer(seed, name, side0, side1, eps, window_cells):
+def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, eps, window_cells):
     pts, rng = _arcs(seed, 3, 40, 0.05)
     f = E2 if name == "E2" else QuadraticNorm(np.diag(rng.uniform(0.2, 5.0, 2)))
     src = SourceSet(points=pts, loops=((0, len(pts), False),))
-    grid = GridSpec(rng.uniform(-2.0, -1.0, 2), rng.uniform(1.0, 2.0, 2), rng.integers(12, 30, 2))
+    grid = GridSpec(rng.uniform(-2.0, -1.0, 2), rng.uniform(1.0, 2.0, 2), rng.integers(16, 30, 2))
     lines = _axis_lines_of(f, src, grid)
-    centers = grid.centers()
-    values = distance._pairwise_values(DualNorm(f), pts, centers)
+    values = distance._pairwise_values(DualNorm(f), pts, grid.centers())
     window = window_cells * grid.h
-    # a box of cells anywhere in the grid, and some of its cells
-    c0, c1 = rng.integers(0, grid.shape[0] - side0 + 1), rng.integers(0, grid.shape[1] - side1 + 1)
-    tile = np.arange(len(centers)).reshape(grid.shape)[c0 : c0 + side0, c1 : c1 + side1]
-    rows = np.flatnonzero(rng.random(tile.size) < 0.7)
-    if len(rows) == 0:
-        rows = np.arange(tile.size)
     every = np.arange(len(pts))
-    d, cand = distance._tile_distances(lines, grid.shape, tile, rows, every, eps, window)
-    brute = values(tile.ravel()[rows], every)
-    m = brute.min(axis=1)
-    near = brute <= (m + (eps * m + window))[:, None]
-    assert near[:, np.setdiff1d(every, cand)].sum() == 0
-    # the tile's values carry the bits of the per-cell route
-    assert np.array_equal(d, brute[:, cand])
+
+    def near_outside(cells, cand):
+        brute = values(cells, every)
+        m = brute.min(axis=1)
+        near = brute <= (m + (eps * m + window))[:, None]
+        return near[:, np.setdiff1d(every, cand)].sum(), brute
+
+    # a block anywhere in the grid, bounded over every source
+    corner = [rng.integers(0, n - k + 1) for n, k in zip(grid.shape, sides)]
+    ends = np.add(corner, sides)
+    flat = np.arange(grid.centers().shape[0]).reshape(grid.shape)
+    block = flat[corner[0] : ends[0], corner[1] : ends[1]]
+    whole = distance._box_keep(lines, [[c] for c in corner], ends[:, None], every, eps, window)
+    assert whole.shape == (1, 1, len(every))
+    coarse = np.flatnonzero(whole)
+    assert near_outside(block.ravel(), coarse)[0] == 0
+    # its tiles of ``side`` cells per axis, the last ones cut short, bounded
+    # together over the block's candidates
+    starts = [np.arange(c, e, side) for c, e in zip(corner, ends)]
+    stops = [np.minimum(s + side, e) for s, e in zip(starts, ends)]
+    keep = distance._box_keep(lines, starts, stops, coarse, eps, window)
+    assert keep.shape == (len(starts[0]), len(starts[1]), len(coarse))
+    for i, j in np.ndindex(keep.shape[:2]):
+        tile = flat[starts[0][i] : stops[0][i], starts[1][j] : stops[1][j]]
+        rows = np.flatnonzero(rng.random(tile.size) < 0.7)
+        if len(rows) == 0:
+            rows = np.arange(tile.size)
+        cand = coarse[keep[i, j]]
+        lost, brute = near_outside(tile.ravel()[rows], cand)
+        assert lost == 0
+        # the tile's values carry the bits of the per-cell route
+        d = distance._tile_distances(lines, grid.shape, tile, rows, cand)
+        assert np.array_equal(d, brute[:, cand])
+
+
+@given(
+    hst.integers(0, 2**32 - 1),
+    hst.integers(2, 4),
+    hst.integers(1, 25),
+    hst.sampled_from([0.4, 0.9, 1.1, 2.5, 12.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_linkage_screen_splits_only_split_clusters(seed, n_arcs, per_arc, factor):
+    # rows are random subsets of a few sampled arcs; a row the screen calls
+    # split must be split for the single-linkage oracle
+    step = 0.05
+    pts, rng = _arcs(seed, n_arcs, per_arc, step)
+    cand = np.sort(rng.choice(len(pts) + 50, len(pts), replace=False))
+    points = np.zeros((cand[-1] + 1, 2))
+    points[cand] = pts
+    near = rng.random((6, len(cand))) < rng.uniform(0.2, 1.0)
+    split = distance._linkage_screen(points, cand, near, factor * step)
+    assert split.shape == (len(near),)
+    for row, s in zip(near, split):
+        if s:
+            assert not single_linkage_connected(points[cand[row]], factor * step)
 
 
 def test_block_radii_are_the_per_box_circumradii():
