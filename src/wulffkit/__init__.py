@@ -21,21 +21,13 @@ from .errors import (
     TruncationError,
     WulffkitError,
 )
-from .integrand import (
-    EllipticityReport,
-    EuclideanNorm,
-    Integrand,
-    QuadraticNorm,
-    WeightedSum,
-    estimate_ellipticity,
-)
+from .integrand import EuclideanNorm, Integrand, QuadraticNorm, WeightedSum
 from .hypersurface import (
     Ellipsoid,
     StarBody,
     Superellipse,
     SurfaceQuadrature,
     WulffBody,
-    concat_quadratures,
     perimeter_F,
     sample_surface,
     volume,
@@ -54,11 +46,9 @@ from .distance import (
     SourceSet,
     boundary_source,
     build_field,
-    direction_check,
     estimate_reach_F,
     project,
     reach_comparison,
-    segment_source,
 )
 from .steiner import (
     SteinerFit,

@@ -88,9 +88,8 @@ def _kappa_from_ab(a, b):
 class CurvatureTable:
     """Per-node curvature data over a whole quadrature.
 
-    kappa holds the sorted anisotropic principal curvatures (N, n); H their
-    sum, equal to trace(A.B) at every node.  The curvature vector field is
-    -nu * H and divides by F(nu) for the unit-density mean curvature.
+    kappa holds the sorted anisotropic principal curvatures (N, n); mean
+    holds H, their sum, equal to trace(A.B) at every node.
     """
 
     frames: np.ndarray
@@ -98,14 +97,6 @@ class CurvatureTable:
     f_hessians: np.ndarray
     kappa: np.ndarray
     mean: np.ndarray
-
-    def mean_vector(self, normals):
-        """Curvature vector -nu * H at every node."""
-        return -normals * self.mean[:, None]
-
-    def unit_density_mean_vector(self, normals, f: Integrand):
-        """Curvature vector divided by the energy density F(nu)."""
-        return self.mean_vector(normals) / f.value(normals)[:, None]
 
 
 def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> CurvatureTable:

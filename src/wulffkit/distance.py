@@ -52,12 +52,10 @@ __all__ = [
     "GridSpec",
     "SourceSet",
     "boundary_source",
-    "segment_source",
     "DistanceField",
     "build_field",
     "project",
     "ProjectionResult",
-    "direction_check",
     "estimate_reach_F",
     "reach_comparison",
     "ReachComparison",
@@ -126,7 +124,11 @@ class GridSpec:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def cell_of(self, x):
+        """Grid index of the cell holding the one point x of ``dim`` finite
+        coordinates inside the closed box."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise InputError(f"expected one point of shape ({self.dim},), got shape {x.shape}")
         bad = np.flatnonzero(~np.isfinite(x))
         if len(bad):
             raise InputError(f"non-finite coordinate x[{bad[0]}] = {x[bad[0]]}")
@@ -234,34 +236,6 @@ def _kept_runs(pts, keep):
     return [(pts[order[a:b]], False) for a, b in edges.reshape(-1, 2)]
 
 
-def segment_source(p0, p1, n: int, inside=None) -> SourceSet:
-    """Open polyline sample of the segment [p0, p1] with n points."""
-    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
-    t = np.linspace(0.0, 1.0, n)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    return SourceSet(points=pts, loops=((0, n, False),), inside=inside)
-
-
-def merge_sources(sources: Sequence[SourceSet]) -> SourceSet:
-    """Concatenate source sets; membership is the union of the parts."""
-    pts = np.concatenate([s.points for s in sources])
-    loops, start = [], 0
-    for s in sources:
-        for (a, b, closed) in s.loops:
-            loops.append((start + a, start + b, closed))
-        start += len(s.points)
-    insides = [s.inside for s in sources if s.inside is not None]
-    inside = None
-    if insides:
-        def inside(x, fns=tuple(insides)):
-            x = np.atleast_2d(x)
-            out = np.zeros(len(x), dtype=bool)
-            for fn in fns:
-                out |= np.asarray(fn(x), dtype=bool)
-            return out
-    return SourceSet(points=pts, loops=tuple(loops), inside=inside)
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceField:
     """Grid of anisotropic distances and ambiguity gaps."""
@@ -278,17 +252,8 @@ class DistanceField:
     def f(self) -> Integrand:
         return self.dual.base
 
-    def delta_at(self, x) -> float:
-        """Stored delta of the cell containing x."""
-        return float(self.delta[self.grid.cell_of(x)])
-
     def gap_at(self, x) -> float:
         return float(self.gap[self.grid.cell_of(x)])
-
-    def evaluate_delta(self, x):
-        """Fresh brute-force delta at arbitrary points (not grid lookup)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.where(self.source.membership(x), 0.0, self._nearest(x, self.source.points))
 
     def _nearest(self, x, pts):
         """Least F*(a - x) over the points a of ``pts``, per row of x, ignoring A."""
@@ -736,17 +701,19 @@ class ProjectionResult:
     grad_check_dev: Optional[float]
 
 
-def project(field: DistanceField, x, grad_check: bool = True) -> ProjectionResult:
+def project(field: DistanceField, x) -> ProjectionResult:
     """Nearest source point of x, with the gradient-formula cross-check.
 
-    The cross-check reconstructs the foot as x - delta * grad F(grad delta)
-    with grad delta from central differences at grid spacing; its deviation
-    from the direct argmin is reported (expected <= 5h for unique feet).  A
-    query in A gets delta 0 and gap 0, as the field stores, and no
-    cross-check; its point is still the nearest source sample.
+    The cross-check runs on every query outside A that projects uniquely from
+    more than 2h away.  It reconstructs the foot as x - delta * grad F(grad
+    delta) with grad delta from central differences at grid spacing; its
+    deviation from the direct argmin is reported (expected <= 5h for unique
+    feet).  A query in A gets delta 0 and gap 0, as the field stores, and no
+    cross-check; its point is still the nearest source sample.  x must be one
+    point of ``grid.dim`` finite coordinates in the grid box.
     """
     x = np.asarray(x, dtype=float)
-    field.grid.cell_of(x)  # raises if outside the box
+    field.grid.cell_of(x)  # raises unless x is one finite point in the box
     source, h = field.source, field.grid.h
     resolve = _cluster_analysis(source, field.eps_cluster, WINDOW_CELLS * h, field.tol_unique)
     d = field.dual.batch_value_fast(source.points - x)
@@ -754,7 +721,7 @@ def project(field: DistanceField, x, grad_check: bool = True) -> ProjectionResul
     best = int(d.argmin())
     gap = max(gap, field.gap_at(x))
     ambiguous = gap > field.tol_unique
-    cross_check = grad_check and not ambiguous and m > 2 * h
+    cross_check = not ambiguous and m > 2 * h
 
     # x, then for the cross-check the 2 d shifted points x + h e_k and
     # x - h e_k, in one membership call
@@ -779,28 +746,6 @@ def project(field: DistanceField, x, grad_check: bool = True) -> ProjectionResul
         point=source.points[best], delta=float(m), gap=float(gap),
         ambiguous=bool(ambiguous), foot_index=int(best), grad_check_dev=dev,
     )
-
-
-def direction_check(field: DistanceField, body: StarBody, f: Integrand, xs) -> float:
-    """max over pairs (x, project(x)) of |(x-a)/F*(x-a) - grad F(nu(a))|.
-
-    nu(a) is the boundary normal of A at the foot, oriented toward the side
-    x lies on; this exercises the identity between the anisotropic normal
-    direction of the distance fiber and the image of the normal under grad F.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    worst = 0.0
-    for x in xs:
-        res = project(field, x, grad_check=False)
-        if res.ambiguous:
-            raise InputError("direction check requires uniquely projecting points")
-        a = res.point
-        g = body.grad_phi(a)
-        nu = g / np.linalg.norm(g)
-        side = 1.0 if body.sign(x) > 0 else -1.0
-        lhs = (x - a) / field.dual.value(x - a)
-        worst = max(worst, float(np.linalg.norm(lhs - f.grad(side * nu))))
-    return worst
 
 
 def estimate_reach_F(field: DistanceField) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "surface_counts",
     "volume",
     "perimeter_F",
-    "concat_quadratures",
 ]
 
 
@@ -301,9 +299,6 @@ class SurfaceQuadrature:
     def dim(self):
         return self.points.shape[1]
 
-    def area(self) -> float:
-        return float(self.weights.sum())
-
     @cached_property
     def frames(self):
         """``tangent_frames(normals)``, built once and shared by the curvature
@@ -376,18 +371,3 @@ def perimeter_F(q: SurfaceQuadrature, f: Integrand) -> float:
     if len(q) == 0:
         raise InputError("empty quadrature")
     return float((f.value(q.normals) * q.weights).sum())
-
-
-def concat_quadratures(quads: Sequence[SurfaceQuadrature]) -> SurfaceQuadrature:
-    """Concatenate per-body quadratures of a scene of disjoint bodies."""
-    if not quads:
-        raise InputError("no quadratures to concatenate")
-    return SurfaceQuadrature(
-        points=np.concatenate([q.points for q in quads]),
-        normals=np.concatenate([q.normals for q in quads]),
-        weights=np.concatenate([q.weights for q in quads]),
-        omega=np.concatenate([q.omega for q in quads]),
-        rho=np.concatenate([q.rho for q in quads]),
-        sigma=np.concatenate([q.sigma for q in quads]),
-        center=quads[0].center.copy(),
-    )

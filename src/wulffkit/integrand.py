@@ -16,15 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .spheregrid import tangent_frames
 
 __all__ = [
     "Integrand",
     "EuclideanNorm",
     "QuadraticNorm",
     "WeightedSum",
-    "EllipticityReport",
-    "estimate_ellipticity",
     "tangential_hessian",
 ]
 
@@ -218,51 +215,3 @@ def tangential_hessian(f: Integrand, u, frames):
     """
     a = np.swapaxes(frames, 1, 2) @ f.hess(u) @ frames
     return 0.5 * (a + np.swapaxes(a, 1, 2))
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    """Sampled estimates of the ellipticity constant gamma and of C(F).
-
-    ``gamma_estimate`` is the least eigenvalue of the tangential Hessian
-    minimized over the probed unit vectors u, so it is at least gamma and
-    approaches it from above; ``cf_estimate`` is likewise at most C(F).  A
-    ``gamma_estimate`` <= 0 flags the integrand as non-elliptic (reported,
-    not raised).
-    """
-
-    gamma_estimate: float
-    cf_estimate: float
-    sample_count: int
-
-    @property
-    def elliptic(self) -> bool:
-        return self.gamma_estimate > 0.0
-
-
-def _unit_sphere_probes(dim, samples, rng):
-    """Random unit vectors plus the +-axis directions (extremes often sit there)."""
-    pts = rng.standard_normal((samples, dim))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    axes = np.concatenate([np.eye(dim), -np.eye(dim)], axis=0)
-    return np.concatenate([pts, axes], axis=0)
-
-
-def estimate_ellipticity(f: Integrand, samples: int = 2000, seed: int = 0) -> EllipticityReport:
-    """Probe gamma, the least eigenvalue of D^2F(u) on the tangent plane of u
-    minimized over unit u, and estimate C(F).
-
-    C(F) is the maximum of 1/gamma, the spread sup F / inf F over sphere
-    samples, and the largest Hessian operator norm over sphere samples.
-    """
-    if samples < 100:
-        raise InputError("ellipticity probing needs at least 100 samples")
-    rng = np.random.default_rng(seed)
-    u = _unit_sphere_probes(f.dim, samples, rng)
-    gamma = float(np.linalg.eigvalsh(tangential_hessian(f, u, tangent_frames(u)))[:, 0].min())
-
-    fvals = f.value(u)
-    spread = float(fvals.max() / fvals.min())
-    hnorm = float(np.linalg.norm(f.hess(u), ord=2, axis=(1, 2)).max())
-    cf = max(1.0 / gamma if gamma > 0 else np.inf, spread, hnorm)
-    return EllipticityReport(gamma_estimate=gamma, cf_estimate=cf, sample_count=len(u))

@@ -17,7 +17,6 @@ principal curvatures: sigma_0 = 1, sigma_1 = H, sigma_2 = kappa_1 kappa_2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -146,7 +145,7 @@ class ReachVerdict:
     residual: float
     tol: float
     r: float
-    coefficient_agreement: Optional[np.ndarray]
+    coefficient_agreement: np.ndarray
 
     @property
     def verdict(self) -> str:
@@ -157,20 +156,16 @@ class ReachVerdict:
         )
 
 
-def positive_reach_test(
-    fit: SteinerFit, tol: float, reference: Optional[np.ndarray] = None
-) -> ReachVerdict:
+def positive_reach_test(fit: SteinerFit, tol: float, reference: np.ndarray) -> ReachVerdict:
     """Polynomial tube growth over (0, r) certifies reach >= r.
 
-    ``reference`` (e.g. the smooth-body coefficients) adds a per-degree
-    relative agreement report.
+    ``coefficient_agreement`` is the per-degree deviation of the fit from
+    ``reference`` (the smooth-body coefficients), relative to its largest.
     """
-    agreement = None
-    if reference is not None:
-        reference = np.asarray(reference, dtype=float)
-        k = min(len(reference), fit.degree)
-        scale = np.abs(reference[:k]).max()
-        agreement = np.abs(fit.coefficients[:k] - reference[:k]) / scale
+    reference = np.asarray(reference, dtype=float)
+    k = min(len(reference), fit.degree)
+    scale = np.abs(reference[:k]).max()
+    agreement = np.abs(fit.coefficients[:k] - reference[:k]) / scale
     return ReachVerdict(
         consistent=fit.residual <= tol,
         residual=fit.residual,

@@ -95,9 +95,6 @@ class PolynomialField:
     def __call__(self, x):
         return self._values(_monomials(x))
 
-    def jacobian(self, x):
-        return self._jacobians(_monomials(x))
-
     def _values(self, mono):
         """g at the points whose ``_monomials`` are ``mono``: one matmul."""
         d = self.dim
@@ -149,16 +146,25 @@ def _flux(q: SurfaceQuadrature, gx):
     return np.einsum("ni,ni->n", gx, q.normals)
 
 
+def _node_monomials(q: SurfaceQuadrature, fields):
+    """``_monomials`` of the nodes of q, once each field is checked to have
+    the dimension of q."""
+    for g in fields:
+        if g.dim != q.dim:
+            raise InputError(f"field of dimension {g.dim} on a surface in dimension {q.dim}")
+    return _monomials(q.points)
+
+
 def first_variation(q: SurfaceQuadrature, f: Integrand, g: PolynomialField) -> float:
     """sum over nodes of <Dg(x), B_F(nu)> w (entrywise matrix pairing)."""
     if len(q) == 0:
         raise InputError("empty quadrature")
-    return _first_variation(g._jacobians(_monomials(q.points)), _weighted_stress(q, f))
+    return _first_variation(g._jacobians(_node_monomials(q, [g])), _weighted_stress(q, f))
 
 
 def volume_derivative(q: SurfaceQuadrature, g: PolynomialField) -> float:
     """Flux of g through the boundary: sum (g(x).nu) w."""
-    return float((_flux(q, g(q.points)) * q.weights).sum())
+    return float((_flux(q, g._values(_node_monomials(q, [g]))) * q.weights).sum())
 
 
 def _field_terms(q: SurfaceQuadrature, mono, g: PolynomialField):
@@ -210,7 +216,7 @@ def flow_energy_derivative(
     regime.
     """
     _check_step(quad, h)
-    gx, _, dg_frames = _field_terms(quad, _monomials(quad.points), g)
+    gx, _, dg_frames = _field_terms(quad, _node_monomials(quad, [g]), g)
     (e_plus, _), (e_minus, _) = _pushed_energies(quad, f, gx, dg_frames, h)
     return (e_plus - e_minus) / (2 * h)
 
@@ -260,7 +266,7 @@ def criticality_residual(
     if h is None:
         h = 1e-4 * 2.0 * float(quad.rho.max())
     _check_step(quad, h)
-    mono = _monomials(quad.points)
+    mono = _node_monomials(quad, fields)
     stress = _weighted_stress(quad, f)
     results = []
     for g in fields:

@@ -167,17 +167,6 @@ def test_non_elliptic_rejected():
         _kappa_from_ab(np.array([[[0.0]]]), np.array([[[1.0]]]))
 
 
-def test_curvature_vectors():
-    body = WulffBody(DQ, np.zeros(2), 2.0)
-    q = sample_surface(body, 256)
-    table = curvature_table(body, Q2, q)
-    hbar = table.mean_vector(q.normals)
-    assert np.allclose(hbar, -0.5 * q.normals, atol=1e-12)
-    hf = table.unit_density_mean_vector(q.normals, Q2)
-    assert np.allclose(hf * Q2.value(q.normals)[:, None], hbar, atol=1e-14)
-
-
-
 def test_table_frames_are_the_quadrature_frames():
     # one frame array per quadrature, shared with the variation pass
     from wulffkit.curvature import tangent_frames

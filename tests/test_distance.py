@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,20 +18,13 @@ from wulffkit import (
     WulffBody,
     boundary_source,
     build_field,
-    direction_check,
     parse_scene,
     estimate_reach_F,
     project,
     reach_comparison,
-    segment_source,
 )
 from wulffkit import distance
-from wulffkit.distance import (
-    WINDOW_CELLS,
-    _connected,
-    _diameter,
-    merge_sources,
-)
+from wulffkit.distance import WINDOW_CELLS, _connected, _diameter
 
 from oracles import resolve_gap, rolling_ball_by_wulff_sample, single_linkage_connected
 
@@ -37,6 +32,37 @@ E2 = EuclideanNorm(2)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
 DQ = DualNorm(Q2)
 UNIT_DISK = Ellipsoid(np.eye(2), np.zeros(2))
+
+
+def _segments(*segments, inside=None):
+    """A source of straight segments (p0, p1, n), each sampled at n points
+    from p0 to p1 as its own open loop."""
+    pts, loops, start = [], [], 0
+    for p0, p1, n in segments:
+        p0 = np.asarray(p0, dtype=float)
+        pts.append(p0 + np.linspace(0.0, 1.0, n)[:, None] * (np.asarray(p1) - p0))
+        loops.append((start, start + n, False))
+        start += n
+    return SourceSet(points=np.concatenate(pts), loops=tuple(loops), inside=inside)
+
+
+def _delta_at(field, x):
+    """The stored delta of the cell holding x."""
+    return float(field.delta[field.grid.cell_of(x)])
+
+
+def _direction_deviation(field, body, f, xs):
+    """max over xs of |(x - a)/F*(x - a) - grad F(nu(a))|, with a the foot of
+    x from ``project`` and nu(a) the normal of body at a toward x: the
+    direction of a distance fibre is grad F of the normal at its foot."""
+    worst = 0.0
+    for x in np.atleast_2d(xs):
+        res = project(field, x)
+        assert not res.ambiguous
+        g, side = body.grad_phi(res.point), (1.0 if body.sign(x) > 0 else -1.0)
+        lhs = (x - res.point) / field.dual.value(x - res.point)
+        worst = max(worst, float(np.linalg.norm(lhs - f.grad(side * g / np.linalg.norm(g)))))
+    return worst
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +84,17 @@ def test_delta_to_circle_as_curve():
     src = boundary_source([UNIT_DISK], 2048, region="curve")
     grid = GridSpec(lo=[-2.2, -2.2], hi=[2.2, 2.2], cells=128)
     field = build_field(src, E2, grid)
-    assert field.evaluate_delta([[2.0, 0.0]])[0] == pytest.approx(1.0, abs=1e-5)
-    # outside the curve delta is positive on both sides
-    assert field.evaluate_delta([[0.5, 0.0]])[0] == pytest.approx(0.5, abs=1e-5)
+    # A is the curve alone, so delta is positive on both sides of it, and
+    # within half the sample spacing of the distance to the circle
+    r = np.linalg.norm(grid.centers(), axis=1)
+    assert field.delta.min() > 0
+    assert np.abs(field.delta.ravel() - np.abs(r - 1.0)).max() <= 0.5 * src.spacing
 
 
 def test_delta_zero_on_membership(disk_field):
     # A = complement of the disk: delta vanishes exactly outside
-    assert disk_field.delta_at([1.2, 0.2]) == 0.0
-    assert disk_field.delta_at([0.0, 0.01]) > 0.9
+    assert _delta_at(disk_field, [1.2, 0.2]) == 0.0
+    assert _delta_at(disk_field, [0.0, 0.01]) > 0.9
     assert np.all(disk_field.delta >= 0)
 
 
@@ -76,7 +104,6 @@ def test_delta_from_wulff_center(wulff_field):
     # brute force over the samples is the oracle here
     brute = field.dual.batch_value(field.source.points).min()
     assert brute == pytest.approx(1.0, abs=1e-6)
-    assert field.evaluate_delta([[0.0, 0.0]])[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_project_examples(disk_field):
@@ -133,7 +160,7 @@ def test_fiber_property(disk_field):
         a, d = res.point, res.delta
         for t in (0.25, 0.5, 0.75):
             p = a + t * (np.asarray(xv) - a)
-            assert abs(disk_field.delta_at(p) - t * d) <= 3 * h
+            assert abs(_delta_at(disk_field, p) - t * d) <= 3 * h
 
 
 def test_segment_projection_property(disk_field):
@@ -148,7 +175,7 @@ def test_segment_projection_property(disk_field):
 def test_direction_check_disk(disk_field):
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.5, 0.5, size=(12, 2))
-    dev = direction_check(disk_field, UNIT_DISK, E2, pts)
+    dev = _direction_deviation(disk_field, UNIT_DISK, E2, pts)
     assert dev <= 2 * disk_field.grid.h
 
 
@@ -160,7 +187,7 @@ def test_direction_check_ellipse():
     rng = np.random.default_rng(1)
     theta = rng.uniform(0, 2 * np.pi, 10)
     near = np.stack([2 * np.cos(theta), np.sin(theta)], axis=1) * 0.9
-    dev = direction_check(field, ell, E2, near)
+    dev = _direction_deviation(field, ell, E2, near)
     assert dev <= 5 * field.grid.h
 
 
@@ -169,7 +196,7 @@ def test_direction_check_wulff(wulff_field):
     rng = np.random.default_rng(2)
     theta = rng.uniform(0, 2 * np.pi, 10)
     near = np.stack([2 * np.cos(theta), np.sin(theta)], axis=1) * 0.85
-    dev = direction_check(field, body, Q2, near)
+    dev = _direction_deviation(field, body, Q2, near)
     assert dev <= 5 * field.grid.h
     # the fiber identity a + delta * nu^F = x holds for any tied foot at the center
     res = project(field, [0.0, 0.0])
@@ -191,12 +218,7 @@ def test_reach_wulff(wulff_field):
 
 def test_reach_two_segments():
     s = 0.6
-    src = merge_sources(
-        [
-            segment_source([-1.5, s], [1.5, s], 800),
-            segment_source([-1.5, -s], [1.5, -s], 800),
-        ]
-    )
+    src = _segments(([-1.5, s], [1.5, s], 800), ([-1.5, -s], [1.5, -s], 800))
     grid = GridSpec(lo=[-1.2, -0.58], hi=[1.2, 0.58], cells=[240, 116])
     field = build_field(src, E2, grid)
     assert abs(estimate_reach_F(field) - s) <= 2 * field.grid.h
@@ -262,7 +284,7 @@ def test_weighted_sum_field_with_cell_centre_on_body_centre():
     src = boundary_source([body], 1024, region="complement")
     grid = GridSpec(lo=[-3.125, -2.125], hi=[3.125, 2.125], cells=[25, 17])
     field = build_field(src, w2, grid)
-    assert field.delta_at([0.0, 0.0]) == pytest.approx(1.0, abs=1e-5)
+    assert _delta_at(field, [0.0, 0.0]) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_sparse_source_rejected():
@@ -355,13 +377,23 @@ def test_non_finite_query_names_the_coordinate(disk_field, bad):
     with pytest.raises(InputError, match=r"non-finite coordinate x\[1\]"):
         project(disk_field, [0.2, bad])
     with pytest.raises(InputError, match="non-finite"):
-        disk_field.delta_at([bad, 0.0])
+        disk_field.grid.cell_of([bad, 0.0])
+
+
+@pytest.mark.parametrize("x", [[0.1, 0.2, 0.3], [[0.1, 0.2], [0.3, 0.1]], [[0.1, 0.2]], [0.1], 0.1])
+def test_query_of_the_wrong_shape_is_refused(disk_field, x):
+    # these raised a raw ValueError or TypeError, and [0.1] broadcast to a
+    # 2D cell index before failing later
+    expected = rf"expected one point of shape \(2,\), got shape {re.escape(str(np.shape(x)))}"
+    for query in (lambda: project(disk_field, x), lambda: disk_field.grid.cell_of(x)):
+        with pytest.raises(InputError, match=expected):
+            query()
 
 
 def test_long_arc_projects_uniquely():
     # the foot cluster above the middle of a densely sampled segment is one
     # connected arc of several hundred samples, far longer than tol_unique
-    src = segment_source([-1.0, 0.0], [1.0, 0.0], 3001)
+    src = _segments(([-1.0, 0.0], [1.0, 0.0], 3001))
     grid = GridSpec([-1.5, -0.5], [1.5, 2.5], 300)
     field = build_field(src, E2, grid)
     assert field.grid.h == pytest.approx(0.01)
@@ -381,8 +413,13 @@ def test_project_scans_the_source_once(disk_field, monkeypatch):
         return fast(self, W)
 
     monkeypatch.setattr(DualNorm, "batch_value_fast", counted)
-    project(disk_field, [0.5, 0.0], grad_check=False)
-    assert calls == [len(disk_field.source.points)]
+    res = project(disk_field, [0.5, 0.0])
+    assert res.grad_check_dev is not None
+    # one scan of the whole source for the foot; the cross-check's one call
+    # for its 2 d shifted points covers only the sources near the foot
+    assert len(calls) == 2
+    assert calls[0] == len(disk_field.source.points)
+    assert calls[1] < calls[0]
 
 
 def test_boundary_source_refuses_surfaces():
@@ -546,7 +583,7 @@ def test_project_in_A_returns_the_stored_zero(monkeypatch):
     probes.clear()
     x = [1.2, 1.2]
     res = project(field, x)
-    assert res.delta == 0.0 == field.delta_at(x)
+    assert res.delta == 0.0 == _delta_at(field, x)
     assert res.gap == 0.0 and not res.ambiguous
     assert res.grad_check_dev is None
     # one membership call, and no scan beyond the foot's
@@ -681,10 +718,10 @@ def _corner():
     the corner are linked across them and cells on the bisector further out
     are split, and ``_connected`` decides both; A is the closed set outside
     the angle."""
-    legs = [segment_source([-2.0, 0.0], [0.0, 0.0], 100), segment_source([0.0, 1.3], [0.0, 0.0], 80)]
-    src = merge_sources(legs)
-    return SourceSet(
-        points=src.points, loops=src.loops, inside=lambda x: (x[:, 0] >= 0) | (x[:, 1] <= 0)
+    return _segments(
+        ([-2.0, 0.0], [0.0, 0.0], 100),
+        ([0.0, 1.3], [0.0, 0.0], 80),
+        inside=lambda x: (x[:, 0] >= 0) | (x[:, 1] <= 0),
     )
 
 

@@ -160,9 +160,12 @@ def test_fit_agrees_with_claim5(disk_field_512, wulff_field_512):
 def test_positive_reach_verdicts(disk_field_512):
     curve = tube_volumes(disk_field_512, default_t_grid(0.8, 0.05, 0.9, 40))
     fit = fit_polynomial(curve, 2)
-    good = positive_reach_test(fit, 1e-2)
+    # the inward tube of the unit disk: V(t) = 2 pi t - pi t^2
+    reference = np.array([2 * np.pi, -np.pi])
+    good = positive_reach_test(fit, 1e-2, reference)
     assert good.consistent and good.verdict.startswith("consistent-with-reach")
-    bad = positive_reach_test(fit, 1e-9)
+    assert good.coefficient_agreement.max() <= 0.02
+    bad = positive_reach_test(fit, 1e-9, reference)
     assert not bad.consistent
 
 

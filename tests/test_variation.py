@@ -26,6 +26,8 @@ from wulffkit import (
     volume_derivative,
 )
 
+from wulffkit.variation import _monomials
+
 from oracles import ellipse_arc_length, fd_jacobian, polynomial_field
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -52,14 +54,15 @@ def test_stress_tensor_formula():
 
 
 def test_field_jacobian_matches_finite_differences():
+    # Dg on the monomials of the nodes, as criticality_residual evaluates it
     rng = np.random.default_rng(1)
     g = PolynomialField.random(rng, 2, 1.0)
     for x in ([0.3, -0.7], [1.4, 0.2]):
         fd = fd_jacobian(lambda y: g(y[None, :])[0], np.asarray(x), h=1e-6)
-        assert g.jacobian(np.asarray(x)[None, :])[0] == pytest.approx(fd, abs=1e-8)
+        assert g._jacobians(_monomials(x))[0] == pytest.approx(fd, abs=1e-8)
     g3 = PolynomialField.random(rng, 3, 1.0)
     pts = rng.standard_normal((4, 3))
-    jac = g3.jacobian(pts)
+    jac = g3._jacobians(_monomials(pts))
     for x, j in zip(pts, jac):
         fd = fd_jacobian(lambda y: g3(y[None, :])[0], x, h=1e-6)
         assert j == pytest.approx(fd, abs=1e-8)
@@ -231,6 +234,19 @@ def test_degenerate_push_rejected():
     collapse = PolynomialField.linear(-1024.0 * np.eye(2))
     with pytest.raises(StepTooLargeError):
         flow_energy_derivative(q, E2, collapse, 1.0 / 1024)
+
+
+def test_field_of_another_dimension_is_refused():
+    # a 3D field on a 2D surface raised a raw numpy ValueError
+    q, g = sample_surface(ELLIPSE, 256), PolynomialField.position(3)
+    for route in (
+        lambda: first_variation(q, E2, g),
+        lambda: volume_derivative(q, g),
+        lambda: criticality_residual(q, E2, [g]),
+        lambda: flow_energy_derivative(q, E2, g, 1e-4),
+    ):
+        with pytest.raises(InputError, match="field of dimension 3 on a surface in dimension 2"):
+            route()
 
 
 def test_field_shape_validation():
