@@ -10,12 +10,20 @@ on the strictly convex problem
 
 whose unique minimizer v* satisfies F(v*) = F*(w) and v*/F(v*) = grad F*(w).
 This is the gradient-alignment fixed point F(v) grad F(v) = w solved with
-second-order steps.  Rows the line search leaves above the tolerance get a
-few undamped Newton steps from inside the basin: in d=2 from the vertex of
-the Wulff polygon whose cone holds w, in higher dimensions from the stalled
-iterate when it is close to the optimum.  Closed forms are preferred in
-production; the iterative path is cross-checked against them and against a
-golden-section oracle in the test suite.
+second-order steps.  The solve is one kernel on component-major (d, N)
+arrays, one length-N array per coordinate: the integrand's
+``_value_grad_hess`` gives F, grad F and the d(d+1)/2 upper entries of its
+Hessian in one pass, the Newton matrix F grad^2 F + grad F grad F' is formed
+entry by entry and solved by a Cholesky factorization unrolled over the
+components, and the triple that the line search evaluates at an accepted
+trial point is the next iterate's.  Rows the line search leaves above the
+tolerance get a few undamped steps of the same routine from inside the
+basin: in d=2 from the vertex of the Wulff polygon whose cone holds w, in
+higher dimensions from the stalled iterate when it is close to the optimum.
+Whether a row is solved is decided by its gap measured with the integrand's
+``value`` and ``grad``.  Closed forms are preferred in production; the
+iterative path is cross-checked against them and against a golden-section
+oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, SolverError
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm
-from .integrand import _as_batch, _center, _quadratic_form
+from .integrand import _as_batch, _center, _quadratic_form, _upper_pairs
 from .spheregrid import latlong_quadrature, sphere_quadrature
 
 __all__ = ["DualNorm", "dual_norm_of", "WulffSample", "wulff_sample"]
@@ -44,10 +52,14 @@ _BRACKET_ROUNDING = 1e-12
 class DualNorm:
     """Conjugate-norm evaluator for a base integrand.
 
-    ``tolerance`` is relative; iterates stop once |F(v) grad F(v) - w|
-    drops below tolerance * |w|.  Evaluations are pure; the lazily built
-    d=2 Wulff polygon and ``grad_bound`` are idempotent caches, so concurrent
-    use is safe.
+    ``tolerance`` is relative: a Newton row is solved once |F(v) grad F(v) - w|
+    is at most tolerance * |w|, with F and grad F the integrand's ``value`` and
+    ``grad``; the component-major Newton kernel stops on the same test from
+    its own triple, and every row it returns is measured again with
+    ``value`` and ``grad``.  The ``batch_*`` entry points take (N, dim) arrays
+    of rows and refuse any other shape with an InputError.  Evaluations are
+    pure; the lazily built d=2 Wulff polygon and ``grad_bound`` are idempotent
+    caches, so concurrent use is safe.
     """
 
     base: Integrand
@@ -64,6 +76,16 @@ class DualNorm:
     def has_closed_form(self) -> bool:
         return isinstance(self.base, (EuclideanNorm, QuadraticNorm))
 
+    def _rows(self, W):
+        """W as an (N, dim) float array; any other shape is an InputError
+        that names the expected and the received shape."""
+        W = np.asarray(W, dtype=float)
+        if W.ndim != 2 or W.shape[1] != self.dim:
+            raise InputError(
+                f"expected an (N, {self.dim}) array of rows, got shape {W.shape}"
+            )
+        return W
+
     # -- exact evaluation ---------------------------------------------------
 
     def value(self, w) -> float:
@@ -74,7 +96,7 @@ class DualNorm:
 
     def batch_value(self, W):
         """F* row by row; F*(0) = 0 by homogeneity."""
-        W = np.asarray(W, dtype=float)
+        W = self._rows(W)
         if isinstance(self.base, EuclideanNorm):
             return np.linalg.norm(W, axis=1)
         if isinstance(self.base, QuadraticNorm):
@@ -88,7 +110,7 @@ class DualNorm:
         return self.base.value(v)
 
     def batch_grad(self, W):
-        W = np.asarray(W, dtype=float)
+        W = self._rows(W)
         if not W.any(axis=1).all():
             raise DomainError("conjugate norm is not differentiable at the origin")
         if isinstance(self.base, EuclideanNorm):
@@ -108,7 +130,7 @@ class DualNorm:
         gradient ``batch_grad`` bit for bit.  Closed forms make those two
         calls.  Rows must be nonzero.
         """
-        W = np.asarray(W, dtype=float)
+        W = self._rows(W)
         if self.has_closed_form:
             return self.batch_value(W), self.batch_grad(W)
         if not W.any(axis=1).all():
@@ -129,7 +151,7 @@ class DualNorm:
         up to rounding, and ``grad_bound()`` is its Lipschitz constant.
         Closed-form families and dimensions >= 3 evaluate exactly.
         """
-        W = np.asarray(W, dtype=float)
+        W = self._rows(W)
         if self.has_closed_form or self.dim != 2:
             return self.batch_value(W)
         return self._gauge(W)[1]
@@ -165,9 +187,9 @@ class DualNorm:
         sphere, and within about 1e-7 relative of max_k |q_k|.  The bracket is
         O(8192^-2) F*(w) wide: about 1e-7 on weighted sums.
         """
-        W = np.asarray(W, dtype=float)
         if self.dim != 2:
             raise InputError("the conjugate bracket is two-dimensional")
+        W = self._rows(W)
         k, hi = self._gauge(W)
         k = k.clip(0, _TABLE_SIZE - 1)
         p = self._polygon()[1]
@@ -266,7 +288,15 @@ class DualNorm:
     # -- iterative path -----------------------------------------------------
 
     def _polar_minimize(self, W):
-        """Newton minimization of F(v)^2/2 - w.v, one row per input vector."""
+        """Damped Newton minimization of F(v)^2/2 - w.v, one row v per row w of W.
+
+        The loop works on component-major (d, n) arrays of the rows still
+        above the tolerance; each iteration takes F, grad F and the upper
+        Hessian from one ``_value_grad_hess`` pass, the step from
+        ``_newton_step``, and the next triple from the trial point that the
+        line search accepts.  Every row returned passes the gap measured with
+        ``value`` and ``grad``; otherwise the solve raises SolverError.
+        """
         W = _as_batch(W, self.dim)[0]
         nw = np.linalg.norm(W, axis=1)
         if np.any(nw == 0.0):
@@ -274,45 +304,36 @@ class DualNorm:
         f = self.base
         what = W / nw[:, None]
         scale = f.value(what) * np.linalg.norm(f.grad(what), axis=1)
-        v = what * (nw / scale)[:, None]
+        v = np.ascontiguousarray((what * (nw / scale)[:, None]).T)
 
-        active = np.ones(len(W), dtype=bool)
+        # the rows of W still above the tolerance (None: all of them), with
+        # their iterates x, targets w, norms |w| and the triple at x
+        rows, x, w, norm, triple = None, v, np.ascontiguousarray(W.T), nw, None
         for _ in range(self.max_iterations):
-            fv = f.value(v)
-            g = f.grad(v)
-            res = fv[:, None] * g - W
-            gap = np.linalg.norm(res, axis=1) / nw
-            active = gap > self.tolerance
+            if triple is None:
+                triple = f._value_grad_hess(x)
+            fx, g, h = triple
+            res = g * fx - w
+            active = np.sqrt(_dot(res, res)) / norm > self.tolerance
             if not active.any():
-                return v
-            idx = np.nonzero(active)[0]
-            va, fa, ga = v[idx], fv[idx], g[idx]
-            hess = fa[:, None, None] * f.hess(va) + ga[:, :, None] * ga[:, None, :]
-            step = np.linalg.solve(hess, -res[idx][..., None])[..., 0]
-            psi0 = 0.5 * fa**2 - np.einsum("ni,ni->n", W[idx], va)
-            slope = np.einsum("ni,ni->n", res[idx], step)
-            alpha = np.ones(len(idx))
-            accepted = np.zeros(len(idx), dtype=bool)
-            vnew = va.copy()
-            for _ in range(40):
-                trial = va + alpha[:, None] * step
-                ok = np.linalg.norm(trial, axis=1) > 1e-300
-                psi = np.full(len(idx), np.inf)
-                psi[ok] = 0.5 * f.value(trial[ok]) ** 2 - np.einsum(
-                    "ni,ni->n", W[idx][ok], trial[ok]
+                break
+            if not active.all():
+                keep = np.flatnonzero(active)
+                x, w, norm, fx, g, h, res = (
+                    a.take(keep, axis=-1) for a in (x, w, norm, fx, g, h, res)
                 )
-                # cushion absorbs rounding of psi near the optimum, where the
-                # true decrease falls below eps * |psi|
-                good = (~accepted) & (
-                    psi <= psi0 + 1e-4 * alpha * slope + 1e-15 * (1.0 + np.abs(psi0))
-                )
-                vnew[good] = trial[good]
-                accepted |= good
-                if accepted.all():
-                    break
-                alpha[~accepted] *= 0.5
-            vnew[~accepted] = va[~accepted] + alpha[~accepted, None] * step[~accepted]
-            v[idx] = vnew
+                rows = keep if rows is None else rows[keep]
+            psi0 = 0.5 * fx**2 - _dot(w, x)
+            step = _newton_step(fx, g, h, res)
+            slope = _dot(res, step)
+            # drop this iterate's arrays before the line search makes the next
+            triple = fx = g = h = res = None
+            x, triple = _line_search(f, x, step, w, psi0, slope)
+            if rows is None:
+                v = x
+            else:
+                v[:, rows] = x
+        v = np.ascontiguousarray(v.T)
 
         fv = f.value(v)
         res = fv[:, None] * f.grad(v) - W
@@ -348,14 +369,118 @@ class DualNorm:
         return v
 
     def _newton_polish(self, W, v):
-        """A few undamped Newton steps on F(v) grad F(v) = w from inside the basin."""
+        """Four undamped Newton steps on F(v) grad F(v) = w from inside the
+        basin, for the rows w of W from the rows of v.
+
+        The rows are turned component-major and each step is the damped
+        loop's: one ``_value_grad_hess`` pass, then ``_newton_step``'s
+        Cholesky solve of F grad^2 F + grad F grad F'.  The caller measures
+        the result with ``value`` and ``grad``."""
         f = self.base
+        w, x = np.ascontiguousarray(W.T), np.ascontiguousarray(v.T)
         for _ in range(4):
-            fv, g = f.value(v), f.grad(v)
-            res = fv[:, None] * g - W
-            hess = fv[:, None, None] * f.hess(v) + g[:, :, None] * g[:, None, :]
-            v = v + np.linalg.solve(hess, -res[..., None])[..., 0]
-        return v
+            fx, g, h = f._value_grad_hess(x)
+            x = x + _newton_step(fx, g, h, g * fx - w)
+        return x.T
+
+
+def _dot(a, b):
+    """The dot products of the columns of two (d, n) arrays."""
+    return np.einsum("in,in->n", a, b)
+
+
+def _newton_step(fx, g, h, res):
+    """The Newton step s of F(v)^2/2 - w.v at the columns v of a (d, n) array,
+    from F, grad F and the upper Hessian h of ``_value_grad_hess`` there and
+    the residual res = F grad F - w: the solution of grad^2(F^2/2) s = -res.
+    Overwrites h."""
+    return _cholesky_solve(_squared_hessian(fx, g, h), -res)
+
+
+def _squared_hessian(fx, g, h):
+    """The upper entries of grad^2(F^2/2) = F grad^2 F + grad F grad F', entry
+    by entry in the order of ``_upper_pairs``, formed in place in h."""
+    h *= fx
+    for k, (i, j) in enumerate(_upper_pairs(len(g))):
+        h[k] += g[i] * g[j]
+    return h
+
+
+def _cholesky_solve(a, b):
+    """The solution s of A s = b per column, for symmetric positive definite A
+    given by its upper entries a (d (d + 1) / 2, n) in the order of
+    ``_upper_pairs`` and b (d, n): a Cholesky factorization A = U'U unrolled
+    over the components, then forward and back substitution.  Overwrites a
+    with U, apart from its diagonal, which is kept as 1 / U_jj."""
+    d = len(b)
+    u = dict(zip(_upper_pairs(d), a))
+    inv = []
+    for j in range(d):
+        for i in range(j, d):
+            for m in range(j):
+                u[j, i] -= u[m, j] * u[m, i]
+        inv.append(1.0 / np.sqrt(u[j, j]))
+        for i in range(j + 1, d):
+            u[j, i] *= inv[j]
+    s = np.array(b, dtype=float)
+    for i in range(d):
+        for m in range(i):
+            s[i] -= u[m, i] * s[m]
+        s[i] *= inv[i]
+    for i in reversed(range(d)):
+        for m in range(i + 1, d):
+            s[i] -= u[i, m] * s[m]
+        s[i] *= inv[i]
+    return s
+
+
+def _line_search(f, x, step, w, psi0, slope):
+    """The backtracking line search of ``DualNorm._polar_minimize``: per
+    column, the first trial point x + alpha step, alpha = 1, 1/2, ...,
+    2^-39, that meets the Armijo test on psi(v) = F(v)^2/2 - w.v, else
+    x + 2^-40 step.  Returns the new (d, n) iterates and their
+    ``_value_grad_hess`` triple; an accepted trial keeps the triple its test
+    evaluated.  A trial within 1e-300 of the origin is never accepted.
+    """
+    n = x.shape[1]
+    new = triple = None
+    pending = None  # the columns still searching; None: all of them
+    alpha = 1.0
+    for _ in range(40):
+        cand = pending
+        if cand is None:
+            t = x + step
+        else:
+            t = x[:, cand] + alpha * step[:, cand]
+        ok = np.sqrt(_dot(t, t)) > 1e-300
+        if not ok.all():
+            cand = np.flatnonzero(ok) if cand is None else cand[ok]
+            t = t[:, ok]
+        ft, gt, ht = f._value_grad_hess(t)
+        p0, sl, wt = (a if cand is None else a[..., cand] for a in (psi0, slope, w))
+        psi = 0.5 * ft**2 - _dot(wt, t)
+        # cushion absorbs rounding of psi near the optimum, where the true
+        # decrease falls below eps * |psi|
+        good = psi <= p0 + 1e-4 * alpha * sl + 1e-15 * (1.0 + np.abs(p0))
+        if cand is None and good.all():
+            return t, (ft, gt, ht)
+        if new is None:
+            new, done = np.empty_like(x), np.zeros(n, dtype=bool)
+            triple = (np.empty(n), np.empty_like(x), np.empty((len(ht), n)))
+        took = np.flatnonzero(good) if cand is None else cand[good]
+        new[:, took] = t[:, good]
+        for a, b in zip(triple, (ft, gt, ht)):
+            a[..., took] = b[..., good]
+        done[took] = True
+        pending = np.flatnonzero(~done)
+        if not len(pending):
+            return new, triple
+        alpha *= 0.5
+    t = x[:, pending] + alpha * step[:, pending]
+    new[:, pending] = t
+    for a, b in zip(triple, f._value_grad_hess(t)):
+        a[..., pending] = b
+    return new, triple
 
 
 def _polygon_directions(f: Integrand):

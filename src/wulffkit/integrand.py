@@ -7,7 +7,9 @@ gradient and Hessian exact, which all downstream duality and curvature
 checks rely on.
 
 All evaluation methods broadcast over a leading batch axis: ``x`` may be
-a single d-vector or an (N, d) array.
+a single d-vector or an (N, d) array.  The conjugate solve in
+``wulffkit.duality`` instead takes F, grad F and the Hessian together from
+``_value_grad_hess``, on component-major (d, N) arrays.
 """
 
 from __future__ import annotations
@@ -83,6 +85,24 @@ def _check_spd(m, name="matrix"):
     return sym
 
 
+def _upper_pairs(dim):
+    """(i, j) of the dim (dim + 1) / 2 upper Hessian entries, i <= j, in row order."""
+    return [(i, j) for i in range(dim) for j in range(i, dim)]
+
+
+def _quadratic_norm_hessian(m, g, inv):
+    """The upper entries (M_ij - g_i g_j) / F of the Hessian of F = sqrt(x'Mx)
+    (M = I for |x|), from its component-major gradient g = Mx / F and
+    inv = 1 / F, in the order of ``_upper_pairs``."""
+    pairs = _upper_pairs(len(g))
+    h = np.empty((len(pairs), g.shape[1]))
+    for k, (i, j) in enumerate(pairs):
+        np.multiply(g[i], g[j], out=h[k])
+        np.subtract(m[i, j], h[k], out=h[k])
+    h *= inv
+    return h
+
+
 class Integrand:
     """Base class; subclasses provide value/grad/hess on nonzero vectors."""
 
@@ -96,6 +116,20 @@ class Integrand:
 
     def hess(self, x):
         raise NotImplementedError
+
+    def _value_grad_hess(self, x):
+        """(F, grad F, upper Hessian) at the columns of the component-major
+        (d, N) array x, whose columns the caller has checked finite and
+        nonzero: F of length N, grad F as (d, N), and the entries H_ij,
+        i <= j, of the Hessian as (d (d + 1) / 2, N) in the order of
+        ``_upper_pairs``.  Every array is new, so callers may overwrite them.
+
+        Built here from ``value``, ``grad`` and ``hess``; the closed-form
+        families compute all three in one pass that shares |x| or Mx.
+        """
+        rows = x.T
+        i, j = np.transpose(_upper_pairs(self.dim))
+        return self.value(rows), self.grad(rows).T, self.hess(rows)[:, i, j].T
 
     def _require_nonzero(self, x):
         if np.any(np.linalg.norm(x, axis=-1) == 0.0):
@@ -132,6 +166,12 @@ class EuclideanNorm(Integrand):
         u = x / r[:, None]
         h = (np.eye(self.dim)[None] - u[:, :, None] * u[:, None, :]) / r[:, None, None]
         return h[0] if single else h
+
+    def _value_grad_hess(self, x):
+        r = np.sqrt(np.einsum("in,in->n", x, x))
+        inv = 1.0 / r
+        g = x * inv
+        return r, g, _quadratic_norm_hessian(np.eye(self.dim), g, inv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +214,13 @@ class QuadraticNorm(Integrand):
         )[:, None, None]
         return h[0] if single else h
 
+    def _value_grad_hess(self, x):
+        mx = self.matrix @ x
+        f = np.sqrt(np.einsum("in,in->n", x, mx))
+        inv = 1.0 / f
+        g = np.multiply(mx, inv, out=mx)
+        return f, g, _quadratic_norm_hessian(self.matrix, g, inv)
+
 
 @dataclass(frozen=True, eq=False)
 class WeightedSum(Integrand):
@@ -204,6 +251,20 @@ class WeightedSum(Integrand):
 
     def hess(self, x):
         return sum(w * f.hess(x) for w, f in self.terms)
+
+    def _value_grad_hess(self, x):
+        # term by term in the order of ``value`` and ``grad``: w_0 F_0 + w_1 F_1 + ...
+        total = None
+        for w, f in self.terms:
+            part = f._value_grad_hess(x)
+            for a in part:
+                a *= w
+            if total is None:
+                total = part
+            else:
+                for a, b in zip(total, part):
+                    a += b
+        return total
 
 
 def tangential_hessian(f: Integrand, u, frames):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -18,9 +19,15 @@ from wulffkit import (
     wulff_sample,
 )
 
-from wulffkit.duality import _bucket, _polygon_directions
+from wulffkit.duality import _bucket, _newton_step, _polygon_directions, _squared_hessian
 
-from oracles import brute_conjugate, golden_conjugate, interp_cone, interp_gauge
+from oracles import (
+    brute_conjugate,
+    fd_jacobian,
+    golden_conjugate,
+    interp_cone,
+    interp_gauge,
+)
 
 E2 = EuclideanNorm(2)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
@@ -522,3 +529,87 @@ def test_wulff_sample_validation():
         wulff_sample(DQ, [0.0, 0.0, 0.0], 1.0, 64)
 
 
+W3 = WeightedSum(((0.5, EuclideanNorm(3)), (1.0, QuadraticNorm(np.diag([4.0, 1.0, 2.0])))))
+_ENTRY_POINTS = ["batch_value", "batch_grad", "batch_value_grad", "batch_value_fast", "batch_bracket"]
+
+
+@pytest.mark.parametrize(
+    "f,entry",
+    [(f, entry) for f in (E2, Q2, W2) for entry in _ENTRY_POINTS]
+    + [(W3, entry) for entry in _ENTRY_POINTS[:-1]],
+    ids=lambda p: p if isinstance(p, str) else f"{type(p).__name__}{p.dim}",
+)
+def test_entry_points_refuse_rows_of_the_wrong_dimension(f, entry):
+    # a typed refusal that names both shapes, never a numpy error or a
+    # value read from the first columns
+    dual = DualNorm(f)
+    wrong = f.dim + 1
+    for rows in (np.ones((2, wrong)), np.ones((2, f.dim - 1)), np.ones(f.dim), np.ones((1, 2, f.dim))):
+        expected = re.escape(f"(N, {f.dim})") + ".*" + re.escape(str(rows.shape))
+        with pytest.raises(InputError, match=expected):
+            getattr(dual, entry)(rows)
+    with pytest.raises(InputError):
+        dual.value(np.ones(wrong))
+
+
+def _rotated_anisotropic_matrix(dim, rng):
+    """A random rotation of diag(e^3, e^-3) in 2D, diag(e^3, e^-3, e^t) in 3D."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.sign(np.diag(r))
+    lams = np.exp(np.append([3.0, -3.0], rng.uniform(-3.0, 3.0, dim - 2)))
+    m = q @ np.diag(lams) @ q.T
+    return 0.5 * (m + m.T)
+
+
+@given(hst.sampled_from([2, 3]), hst.floats(0.05, 0.95), hst.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_newton_solve_against_independent_oracles(dim, a, seed):
+    rng = np.random.default_rng(seed)
+    m = _rotated_anisotropic_matrix(dim, rng)
+    f = WeightedSum(((a, EuclideanNorm(dim)), (1.0 - a, QuadraticNorm(m))))
+    w = rng.standard_normal((24, dim)) * 10.0 ** rng.uniform(-6.0, 6.0, (24, 1))
+    dual = DualNorm(f)
+    v = dual._polar_minimize(w)
+    gap = np.linalg.norm(f.value(v)[:, None] * f.grad(v) - w, axis=1)
+    assert np.all(gap <= dual.tolerance * np.linalg.norm(w, axis=1))
+    if dim == 2:
+        assert np.abs(f.value(v) / golden_conjugate(f.value, w) - 1.0).max() <= 1e-10
+    # one term: F* is sqrt(w' M^-1 w)
+    one = WeightedSum(((1.0, QuadraticNorm(m)),))
+    closed = np.sqrt(np.einsum("ni,ni->n", w, np.linalg.solve(m, w.T).T))
+    assert np.abs(one.value(DualNorm(one)._polar_minimize(w)) / closed - 1.0).max() <= 1e-12
+
+
+def _kernel_families(dim):
+    m = _rotated_anisotropic_matrix(dim, np.random.default_rng(dim))
+    e, q = EuclideanNorm(dim), QuadraticNorm(m)
+    return [e, q, WeightedSum(((0.3, e), (0.7, q)))]
+
+
+@pytest.mark.parametrize(
+    "f", _kernel_families(2) + _kernel_families(3), ids=lambda f: f"{type(f).__name__}{f.dim}"
+)
+def test_newton_kernel_derivatives(f):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((40, f.dim))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    fx, g, h = f._value_grad_hess(np.ascontiguousarray(x.T))
+    value, grad = f.value(x), f.grad(x)
+    assert np.all(np.abs(fx - value) <= 1e-15 * value)
+    assert np.all(np.linalg.norm(g.T - grad, axis=1) <= 1e-15 * np.linalg.norm(grad, axis=1))
+    # the base class builds the same triple from value, grad and hess
+    for mine, base in zip((fx, g, h), Integrand._value_grad_hess(f, x.T)):
+        assert np.allclose(mine, base, rtol=0.0, atol=1e-14)
+    # grad^2(F^2/2) = F hess F + grad F grad F', and the Jacobian of F grad F
+    i, j = np.triu_indices(f.dim)
+    a = _squared_hessian(fx, g, h.copy())
+    dense = value[:, None, None] * f.hess(x) + grad[:, :, None] * grad[:, None, :]
+    assert np.abs(a.T - dense[:, i, j]).max() <= 1e-12 * np.abs(dense).max()
+    for row, xn in zip(a.T, x):
+        fd = fd_jacobian(lambda y: f.value(y) * f.grad(y), xn)
+        assert np.abs(row - fd[i, j]).max() <= 1e-6
+    # the Newton step solves grad^2(F^2/2) s = -res
+    res = rng.standard_normal(g.shape)
+    step = _newton_step(fx, g, h.copy(), res)
+    back = np.einsum("nij,jn->in", dense, step)
+    assert np.abs(back + res).max() <= 1e-12 * np.abs(res).max() * np.linalg.cond(dense).max()
