@@ -24,13 +24,19 @@ Whether a row is solved is decided by its gap measured with the integrand's
 ``value`` and ``grad``.  Closed forms are preferred in production; the
 iterative path is cross-checked against them and against a golden-section
 oracle in the test suite.
+
+``DualNorm.batch_bracket`` encloses F* without a solve, in d=2 between the
+Wulff polygon's bounds and in d=3 between |w|^2 / F(w) and L |w|; it is the
+one bracket behind ``WulffBody.sign``.  A ``DualNorm`` depends on F alone:
+the solve's iteration cap and tolerance are class constants, so every
+caller of ``dual_norm_of`` shares one object per integrand.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -50,23 +56,25 @@ _BRACKET_ROUNDING = 1e-12
 
 @dataclass
 class DualNorm:
-    """Conjugate-norm evaluator for a base integrand.
+    """Conjugate-norm evaluator for a base integrand, its only parameter.
 
-    ``tolerance`` is relative: a Newton row is solved once |F(v) grad F(v) - w|
-    is at most tolerance * |w|, with F and grad F the integrand's ``value`` and
-    ``grad``; the component-major Newton kernel stops on the same test from
-    its own triple, and every row it returns is measured again with
-    ``value`` and ``grad``.  The ``batch_*`` entry points take (N, dim) arrays
-    of rows and refuse any other shape with an InputError.  Evaluations are
-    pure; the lazily built d=2 Wulff polygon and ``grad_bound`` are idempotent
-    caches, so concurrent use is safe.
+    The class constants ``max_iterations`` and ``tolerance`` bound the Newton
+    solve.  ``tolerance`` is relative: a Newton row is solved once
+    |F(v) grad F(v) - w| is at most tolerance * |w|, with F and grad F the
+    integrand's ``value`` and ``grad``; the component-major Newton kernel
+    stops on the same test from its own triple, and every row it returns is
+    measured again with ``value`` and ``grad``.  The ``batch_*`` entry points
+    take (N, dim) arrays of rows and refuse any other shape with an
+    InputError.  Evaluations are pure; the lazily built d=2 Wulff polygon and
+    ``grad_bound`` are idempotent caches, so concurrent use is safe.
     """
 
     base: Integrand
-    max_iterations: int = 60
-    tolerance: float = 1e-10
-    _poly: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _lip: Optional[float] = field(default=None, repr=False, compare=False)
+    _poly: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _lip: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+
+    max_iterations: ClassVar[int] = 60
+    tolerance: ClassVar[float] = 1e-10
 
     @property
     def dim(self) -> int:
@@ -87,12 +95,6 @@ class DualNorm:
         return W
 
     # -- exact evaluation ---------------------------------------------------
-
-    def value(self, w) -> float:
-        return float(self.batch_value(np.asarray(w, dtype=float)[None, :])[0])
-
-    def grad(self, w):
-        return self.batch_grad(np.asarray(w, dtype=float)[None, :])[0]
 
     def batch_value(self, W):
         """F* row by row; F*(0) = 0 by homogeneity."""
@@ -157,12 +159,11 @@ class DualNorm:
         return self._gauge(W)[1]
 
     def batch_bracket(self, W):
-        """(lo, hi) with lo <= F*(w) <= hi row by row, from closed forms only (d=2).
+        """(lo, hi) with lo <= F*(w) <= hi row by row, without a solve (d = 2, 3).
 
-        A table holds, at 8192 unit directions u_k in angular order (spaced
-        as ``_polygon_directions`` says), g_k = grad F(u_k) and
-        p_k = u_k / F(u_k).
-        Both bounds are exact:
+        In d=2 a table holds, at 8192 unit directions u_k in angular order
+        (spaced as ``_polygon_directions`` says), g_k = grad F(u_k) and
+        p_k = u_k / F(u_k).  Both bounds are exact:
 
         - F*(w) = sup { w.p : F(p) <= 1 } and F(p_k) = 1, so F*(w) >= w.p_k;
           lo is the larger of w.p_k and w.p_{k+1}.
@@ -175,27 +176,43 @@ class DualNorm:
           The table stores q_k with q_k.g_k = q_k.g_{k+1} = 1, so hi = w.q_k,
           the gauge of the polygon with vertices g_k (``batch_value_fast``).
 
-        Rounding: q_k is formed from the chord g_{k+1} - g_k and from
+        The bracket is O(8192^-2) F*(w) wide: about 1e-7 on weighted sums.
+        In d=3 it is |w|^2 / F(w) <= F*(w) <= L |w|: p = w / F(w) has
+        F(p) = 1, so F*(w) >= w.p, and F* is L-Lipschitz with F*(0) = 0,
+        L = ``grad_bound()``.  lo is 0 where F(w) is 0, so w = 0 raises no
+        0/0.  It is wide near the Wulff sphere but decides points a body's
+        width away.
+
+        Rounding: in d=2, q_k is formed from the chord g_{k+1} - g_k and from
         g_k x (g_{k+1} - g_k), which has no cancellation, so the table's
-        identities hold to a few ulps; lo and hi are two-term dot products with
-        |p_k| and |q_k| at most about L, the Lipschitz constant of F*; the
-        cone of ``_gauge`` is np.interp's, whose edges lie within a few ulps
-        of the angles of the g_k, so a row within rounding of a cone's edge
-        may take the neighbouring cone, whose hi agrees there to O(u L |w|).
-        Both bounds are widened by 1e-12 |w| grad_bound(), thousands of times that: grad_bound() is at
-        least L, which bounds every |p_k| as the p_k lie on the F-unit
-        sphere, and within about 1e-7 relative of max_k |q_k|.  The bracket is
-        O(8192^-2) F*(w) wide: about 1e-7 on weighted sums.
+        identities hold to a few ulps; lo and hi are two-term dot products
+        with |p_k| and |q_k| at most about L; a row within rounding of a
+        cone's edge may take the neighbouring cone, whose hi agrees there to
+        O(u L |w|).  In d=3, lo equals F* where w / F(w) is the maximizer,
+        as along an axis of a diagonal M, and may round above it.  Both
+        bounds are widened by 1e-12 |w| grad_bound(), thousands of times
+        that: grad_bound() is at least L, which bounds every |p_k| as the p_k
+        lie on the F-unit sphere, and within about 1e-7 relative of
+        max_k |q_k|.  Other dimensions are an InputError.
         """
-        if self.dim != 2:
-            raise InputError("the conjugate bracket is two-dimensional")
+        if self.dim not in (2, 3):
+            raise InputError(f"the conjugate bracket needs d = 2 or 3, not d = {self.dim}")
         W = self._rows(W)
-        k, hi = self._gauge(W)
-        k = k.clip(0, _TABLE_SIZE - 1)
-        p = self._polygon()[1]
-        x, y = W[:, 0], W[:, 1]
-        lo = np.maximum(x * p[0, k] + y * p[1, k], x * p[0, k + 1] + y * p[1, k + 1])
-        slack = _BRACKET_ROUNDING * self.grad_bound() * np.sqrt(x * x + y * y)
+        lip = self.grad_bound()
+        if self.dim == 2:
+            k, hi = self._gauge(W)
+            k = k.clip(0, _TABLE_SIZE - 1)
+            p = self._polygon()[1]
+            x, y = W[:, 0], W[:, 1]
+            lo = np.maximum(x * p[0, k] + y * p[1, k], x * p[0, k + 1] + y * p[1, k + 1])
+            norm = np.sqrt(x * x + y * y)
+        else:
+            sq = (W * W).sum(axis=1)
+            norm = np.sqrt(sq)
+            fw = self.base.value(W)
+            lo = np.divide(sq, fw, out=np.zeros(len(W)), where=fw > 0.0)
+            hi = lip * norm
+        slack = _BRACKET_ROUNDING * lip * norm
         return lo - slack, hi + slack
 
     def grad_bound(self) -> float:
@@ -254,17 +271,16 @@ class DualNorm:
         that holds w, unclipped.
 
         The angle of w is moved into [gamma_0, gamma_0 + 2 pi), and ``_cone``
-        finds its cone in constant time: on every row, NaN included, k is
-        np.interp of the cone index over the vertex angles, truncated.  Angles
-        rounded past either end take an end cone.
+        finds its cone in constant time: k is the last vertex angle gamma_k at
+        or below it.  Angles rounded past either end take an end cone.
         """
         edges, _p, q, _first, _steps = self._polygon()
         x, y = W[:, 0], W[:, 1]
         psi = np.arctan2(y, x)
         psi[psi < edges[0]] += 2 * np.pi
         k = self._cone(psi)
-        # the gathers clip k: gamma_N ends cone N - 1, and a NaN row, cast to
-        # an arbitrary index, keeps a NaN value; hi takes over the buffer of
+        # the gathers clip k: gamma_N ends cone N - 1, and a NaN row keeps a
+        # NaN value whichever cone it takes; hi takes over the buffer of
         # psi and the product the buffer of its gather, so at most three
         # arrays of len(W) rows are live at once, as in ``_cone``
         hi = np.multiply(x, q[0].take(k, mode="clip"), out=psi)
@@ -274,12 +290,12 @@ class DualNorm:
 
     def _cone(self, psi):
         """The cone k of each wrapped angle psi, with edges_k <= psi <
-        edges_{k+1}: the bucket's first cone, then one compare-and-add per
-        edge the bucket may hold.  A NaN angle keeps its cast to an index, as
-        np.interp's NaN did."""
+        edges_{k+1}, and 0 below edges_0: the bucket's first cone, then one
+        compare-and-add per edge the bucket may hold.  A NaN angle takes an
+        arbitrary cone."""
         edges, _p, _q, first, steps = self._polygon()
         k = _bucket(psi, edges)
-        np.copyto(k, first.take(k, mode="clip"), where=psi == psi)
+        first.take(k, mode="clip", out=k)
         after = edges[1:]
         for _ in range(steps):
             k += psi >= after.take(k, mode="clip")
@@ -335,9 +351,12 @@ class DualNorm:
                 v[:, rows] = x
         v = np.ascontiguousarray(v.T)
 
-        fv = f.value(v)
-        res = fv[:, None] * f.grad(v) - W
-        gap = np.linalg.norm(res, axis=1) / nw
+        def measured(v):
+            """F(v) and the relative gap |F(v) grad F(v) - w| / |w| per row."""
+            fv = f.value(v)
+            return fv, np.linalg.norm(fv[:, None] * f.grad(v) - W, axis=1) / nw
+
+        fv, gap = measured(v)
         bad = gap > self.tolerance
         if bad.any():
             if self.dim == 2:
@@ -354,9 +373,7 @@ class DualNorm:
                 # only below 1e-4, so rows further off still raise below
                 near = bad & (gap < 1e-4)
                 v[near] = self._newton_polish(W[near], v[near])
-            fv = f.value(v)
-            res = fv[:, None] * f.grad(v) - W
-            gap = np.linalg.norm(res, axis=1) / nw
+            fv, gap = measured(v)
             bad = gap > self.tolerance
         if bad.any():
             i = int(np.argmax(gap))
@@ -508,30 +525,16 @@ def _cone_edges(gamma):
     """(edges, first, steps), the cone lookup of ``DualNorm._cone`` for the
     increasing vertex angles gamma_0, ..., gamma_N.
 
-    The cone of an angle psi is int(np.interp(psi, gamma, [0, ..., N])).
-    That rounds monotonically in psi and is exact at each gamma_k, so the
-    cone is k on [edges_k, edges_{k+1}) with edges_0 = gamma_0 and a sentinel
-    edges_{N+1} = inf, and 0 below gamma_0.  edges_k is gamma_k, except
-    where np.interp already rounds the largest double below gamma_k up to
-    cone k; there it is the least angle of cone k, found by bisection on the
-    ordered bit patterns of the doubles.  ``_bucket`` cuts [edges_0, edges_N) into
-    _BUCKETS parts; first[b] counts the edges_1, ..., edges_N in buckets
-    below b, and steps is the most that any one bucket holds.
+    The edges are the vertex angles and a sentinel edges_{N+1} = inf.
+    ``_bucket`` cuts [edges_0, edges_N) into _BUCKETS parts; first[b] counts
+    the edges_1, ..., edges_N in buckets below b, and steps is the most that
+    any one bucket holds.  The bucket is monotone in the angle, so an angle
+    in bucket b lies above the edges of lower buckets and below those of
+    higher ones.
     """
-    n = len(gamma) - 1
-    cone = np.arange(n + 1, dtype=float)
-    below = np.nextafter(gamma[1:], -np.inf)
-    early = 1 + np.flatnonzero(np.interp(below, gamma, cone).astype(np.intp) > cone[:-1])
-    # the cone of lo = gamma_{k-1} is k - 1, that of hi is k
-    lo, hi = _ordered(gamma[early - 1]), _ordered(below[early - 1])
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2
-        up = np.interp(_ordered(mid).view(float), gamma, cone).astype(np.intp) >= early
-        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     edges = np.append(gamma, np.inf)
-    edges[early] = _ordered(hi).view(float)
     bucket = _bucket(edges[1:-1], edges).clip(0, _BUCKETS - 1)
-    first = np.searchsorted(bucket, np.arange(_BUCKETS)).astype(np.uint16)
+    first = np.searchsorted(bucket, np.arange(_BUCKETS))
     return edges, first, int(np.bincount(bucket).max())
 
 
@@ -541,14 +544,6 @@ def _bucket(psi, edges):
     t = psi - edges[0]
     t *= _BUCKETS / (edges[-2] - edges[0])
     return t.astype(np.intp)
-
-
-def _ordered(bits):
-    """Doubles to int64 keys of the same order, and those keys back to the
-    bit patterns of their doubles (as int64): negative doubles count down
-    from zero."""
-    i = bits.view(np.int64)
-    return np.where(i < 0, np.iinfo(np.int64).min - i, i)
 
 
 _LIVE_DUALS = weakref.WeakValueDictionary()

@@ -13,19 +13,22 @@ raises ``HypothesisViolationError``.  Equality of the outer terms forces
 every node to be umbilical and the body to be a Wulff ball; scenes of
 disjoint bodies classify as "wulff-union" when the ratio is 1 within
 tolerance, all nodes are umbilical, and every fitted radius clears n/c for
-the supplied curvature bound c.
+the supplied curvature bound c.  The union is of disjoint open Wulff shapes,
+so ``check_disjoint`` accepts Wulff balls of one integrand whose closures
+touch, deciding each such pair in closed form from F* of its centres.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .curvature import CurvatureTable, UmbilicityReport
 from .errors import HypothesisViolationError, InputError
-from .hypersurface import SurfaceQuadrature, volume
+from .hypersurface import SurfaceQuadrature, WulffBody, volume
 from .integrand import Integrand
 
 __all__ = [
@@ -66,18 +69,31 @@ class HKReport:
 
 
 def check_disjoint(sampled: Sequence[tuple]) -> None:
-    """Reject a scene where some boundary node of one body lies in another.
+    """Reject a scene where two bodies overlap or one is nested in another.
 
     ``sampled`` holds (body, quadrature, curvature table) triples, as for
-    ``hk_evaluate``; every node of each body must have phi > 0 under every
-    other body, which also catches a body nested inside another.
+    ``hk_evaluate``.  Two Wulff bodies of one integrand are decided in closed
+    form, once per pair as F* is even: their open balls are disjoint exactly
+    when F*(c_i - c_j) >= r_i + r_j, so balls that touch are accepted, and the
+    pair is rejected below (r_i + r_j)(1 - 1e-12).  Of any other pair, every
+    boundary node of each body must have phi > 0 under the other, which also
+    catches a body nested inside another.
     """
-    for i, (_, quad, _) in enumerate(sampled):
-        for j, (other, _, _) in enumerate(sampled):
-            if i != j and np.any(other.sign(quad.points) <= 0):
+    for i, j in combinations(range(len(sampled)), 2):
+        (a, qa, _), (b, qb, _) = sampled[i], sampled[j]
+        if isinstance(a, WulffBody) and isinstance(b, WulffBody) and a.dual.base is b.dual.base:
+            apart = a.dual.batch_value((a.center - b.center)[None, :])[0]
+            if apart < (a.radius + b.radius) * (1.0 - 1e-12):
                 raise InputError(
-                    f"bodies {i} and {j} are not disjoint (a boundary node of {i} "
-                    f"lies in {j})"
+                    f"bodies {i} and {j} are not disjoint (F* of their centres' "
+                    f"difference, {apart:.17g}, is below the sum of their radii)"
+                )
+            continue
+        for k, quad, l, other in ((i, qa, j, b), (j, qb, i, a)):
+            if np.any(other.sign(quad.points) <= 0):
+                raise InputError(
+                    f"bodies {k} and {l} are not disjoint (a boundary node of {k} "
+                    f"lies in {l})"
                 )
 
 

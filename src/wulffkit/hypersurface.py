@@ -137,36 +137,24 @@ class WulffBody(StarBody):
 
     def sign(self, x):
         """``np.sign(self.phi(x))``; without a closed form, a row is decided
-        from an exact bracket lo <= F*(w) <= hi and only the rest are solved.
-
-        In d=2 the bracket is ``DualNorm.batch_bracket``.  In d=3 it is
-        |w|^2 / F(w) <= F*(w) <= L |w|: p = w / F(w) has F(p) = 1, so
-        F*(w) >= w.p, and F* is L-Lipschitz with F*(0) = 0, L = ``grad_bound()``.
-        lo is 0 where F(w) is 0, so the centre, w = 0, raises no 0/0.
+        from the exact bracket lo <= F*(w) <= hi of ``DualNorm.batch_bracket``
+        and only the rest are solved.
 
         The solve stops at v with |w' - w| <= tol |w|, where w' = F(v) grad F(v)
         and F(v) = F*(w'), tol the ``tolerance``; so its phi is within
-        L tol |w| of the exact one.  A row whose bracket clears the radius by
-        more than the margin 10 tol L |w| (1e-9 L |w| by default, far above
-        the rounding of either bracket) therefore gets the sign the solve
-        would give, and never raises ``SolverError``.
+        L tol |w| of the exact one, L = ``grad_bound()``.  A row whose bracket
+        clears the radius by more than the margin 10 tol L |w| (1e-9 L |w|,
+        far above the bracket's rounding allowance) therefore gets the sign
+        the solve would give, and never raises ``SolverError``.
         """
         dual = self.dual
-        # grad_bound covers d = 2 and d = 3
+        # the bracket covers d = 2 and d = 3
         if dual.has_closed_form or self.dim > 3:
             return super().sign(x)
         x, single = _as_batch(x, self.dim)
         w = x - self.center
-        lip = dual.grad_bound()
-        sq = (w * w).sum(axis=1)
-        norm = np.sqrt(sq)
-        if self.dim == 2:
-            lo, hi = dual.batch_bracket(w)
-        else:
-            fw = dual.base.value(w)
-            lo = np.divide(sq, fw, out=np.zeros(len(w)), where=fw > 0.0)
-            hi = lip * norm
-        margin = 10.0 * dual.tolerance * lip * norm
+        lo, hi = dual.batch_bracket(w)
+        margin = 10.0 * dual.tolerance * dual.grad_bound() * np.sqrt((w * w).sum(axis=1))
         out = np.zeros(len(w))
         out[lo - self.radius > margin] = 1.0
         out[self.radius - hi > margin] = -1.0

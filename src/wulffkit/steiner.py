@@ -99,11 +99,18 @@ class SteinerFit:
 
 
 def fit_polynomial(curve: TubeCurve, degree: int) -> SteinerFit:
-    """Fit V(t) = sum_{j=1..degree} c_j t^j; residual is max relative deviation."""
+    """Fit V(t) = sum_{j=1..degree} c_j t^j; residual is max relative deviation.
+
+    A curve with no positive volume has no relative deviation and is refused.
+    """
     if degree < 1:
         raise InputError("polynomial degree must be >= 1")
     if len(curve.t) < 3 * degree:
         raise InputError("need at least 3*degree tube samples")
+    if not np.any(curve.volume > 0):
+        raise InputError(
+            f"the tube volume is 0 up to the largest tube radius {curve.t[-1]:.6g}"
+        )
     design = curve.t[:, None] ** np.arange(1, degree + 1)
     if np.linalg.matrix_rank(design) < degree:
         raise InputError("degenerate t grid: design matrix is rank deficient")

@@ -96,20 +96,21 @@ def golden_conjugate(f_value, w, tol=1e-14):
     return float(out[0]) if w.ndim == 1 else out
 
 
-def interp_cone(psi, gamma):
-    """The Wulff-polygon cone of each angle psi by binary search: np.interp
-    of the vertex index over the increasing vertex angles gamma, truncated."""
-    return np.interp(psi, gamma, np.arange(len(gamma), dtype=float)).astype(np.intp)
+def search_cone(psi, gamma):
+    """The Wulff-polygon cone of each angle psi by binary search over the
+    increasing vertex angles gamma_0, ..., gamma_N: the index of the last
+    gamma_k at or below psi, 0 below gamma_0."""
+    return np.clip(np.searchsorted(gamma, psi, "right") - 1, 0, len(gamma) - 1)
 
 
-def interp_gauge(w, gamma, q):
+def search_gauge(w, gamma, q):
     """(k, w.q_k) per row w of the 2D Wulff-polygon gauge by binary search:
-    the angle of w moved into [gamma_0, gamma_0 + 2 pi), its ``interp_cone``
+    the angle of w moved into [gamma_0, gamma_0 + 2 pi), its ``search_cone``
     k, and the cone's q_k (k clipped to a cone)."""
     x, y = w[:, 0], w[:, 1]
     psi = np.arctan2(y, x)
     psi[psi < gamma[0]] += 2 * np.pi
-    k = interp_cone(psi, gamma)
+    k = search_cone(psi, gamma)
     return k, x * q[0].take(k, mode="clip") + y * q[1].take(k, mode="clip")
 
 

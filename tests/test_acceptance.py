@@ -243,7 +243,15 @@ def test_criterion_8_end_to_end_classification(tmp_path):
         ),
         "ellipse_d2": ("strict", []),
         "superellipse_d2": ("strict", []),
+        "wulff_d3": ("wulff-union", [("w3", [0.0, 0.0, 0.0], 1.0)]),
+        # two Wulff balls whose closures touch on a node of both
+        "tangent_wulff_d2": (
+            "wulff-union",
+            [("w1", [0.0, 0.0], 1.0), ("w2", [3.999995293812345, 0.0030679585677709387], 1.0)],
+        ),
     }
+    # every shipped scene runs end to end
+    assert sorted(expected) == sorted(p.stem for p in SCENES.glob("*.json"))
     summary = []
     for name, (want_verdict, want_bodies) in expected.items():
         out = tmp_path / name
@@ -256,6 +264,9 @@ def test_criterion_8_end_to_end_classification(tmp_path):
         if want_verdict == "strict":
             umb = [v["verdict"] for k, v in metrics["curv"].items() if k.startswith("umbilicity")]
             assert umb == ["not-umbilical"]
+        if want_bodies:
+            equal = len({radius for _, _, radius in want_bodies}) == 1
+            assert metrics["hk"]["equal_radii"] is equal, f"{name}: equal_radii"
         for idx, (bid, center, radius) in enumerate(want_bodies):
             got_c = np.asarray(metrics["hk"]["centers"][idx])
             got_r = metrics["hk"]["radii"][idx]

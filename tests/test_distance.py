@@ -60,7 +60,7 @@ def _direction_deviation(field, body, f, xs):
         res = project(field, x)
         assert not res.ambiguous
         g, side = body.grad_phi(res.point), (1.0 if body.sign(x) > 0 else -1.0)
-        lhs = (x - res.point) / field.dual.value(x - res.point)
+        lhs = (x - res.point) / field.dual.batch_value((x - res.point)[None])[0]
         worst = max(worst, float(np.linalg.norm(lhs - f.grad(side * g / np.linalg.norm(g)))))
     return worst
 
@@ -202,7 +202,7 @@ def test_direction_check_wulff(wulff_field):
     res = project(field, [0.0, 0.0])
     x = np.zeros(2)
     a = res.point
-    nu_f = (x - a) / field.dual.value(x - a)
+    nu_f = (x - a) / field.dual.batch_value((x - a)[None])[0]
     assert a + res.delta * nu_f == pytest.approx(x, abs=1e-12)
 
 

@@ -25,8 +25,8 @@ from oracles import (
     brute_conjugate,
     fd_jacobian,
     golden_conjugate,
-    interp_cone,
-    interp_gauge,
+    search_cone,
+    search_gauge,
 )
 
 E2 = EuclideanNorm(2)
@@ -43,19 +43,18 @@ def unit_points(f, n, seed=0):
 
 
 def test_conjugate_examples():
-    assert DE.value([3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
-    assert DQ.value([1.0, 0.0]) == pytest.approx(0.5, abs=1e-12)
-    assert DE.value([0.0, 0.0]) == 0.0
+    e = DE.batch_value(np.array([[3.0, 4.0], [0.0, 0.0]]))
+    assert e[0] == pytest.approx(5.0, abs=1e-12)
+    assert e[1] == 0.0
+    assert DQ.batch_value(np.array([[1.0, 0.0]]))[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_conjugate_against_brute_force():
     # frozen from dense enumeration over the F-unit circle
     w = np.array([1.0, 0.0])
     assert brute_conjugate(Q2.value, w) == pytest.approx(0.5, abs=1e-9)
-    for wv in ([0.3, -1.2], [2.0, 0.7]):
-        assert DW.value(wv) == pytest.approx(
-            golden_conjugate(W2.value, wv), rel=1e-10
-        )
+    wv = np.array([[0.3, -1.2], [2.0, 0.7]])
+    assert DW.batch_value(wv) == pytest.approx(golden_conjugate(W2.value, wv), rel=1e-10)
 
 
 def test_conjugate_of_gradient_is_one():
@@ -68,8 +67,8 @@ def test_conjugate_of_gradient_is_one():
 
 
 def test_grad_conjugate_examples():
-    assert DE.grad([0.0, 2.0]) == pytest.approx([0.0, 1.0], abs=1e-12)
-    assert DQ.grad([1.0, 0.0]) == pytest.approx([0.5, 0.0], abs=1e-12)
+    assert DE.batch_grad(np.array([[0.0, 2.0]]))[0] == pytest.approx([0.0, 1.0], abs=1e-12)
+    assert DQ.batch_grad(np.array([[1.0, 0.0]]))[0] == pytest.approx([0.5, 0.0], abs=1e-12)
     # closed form cross-checked against the iterative ascent path
     ascent = DQ._polar_minimize(np.array([[1.0, 0.0]]))
     assert Q2.value(ascent[0]) == pytest.approx(0.5, abs=1e-10)
@@ -78,7 +77,7 @@ def test_grad_conjugate_examples():
 
 def test_grad_conjugate_at_origin():
     with pytest.raises(DomainError):
-        DQ.grad([0.0, 0.0])
+        DQ.batch_grad(np.array([[0.0, 0.0]]))
 
 
 def test_iterative_conjugate_vanishes_at_origin():
@@ -86,7 +85,6 @@ def test_iterative_conjugate_vanishes_at_origin():
     vals = DW.batch_value(np.array([[0.0, 0.0], [0.3, -1.2]]))
     assert vals[0] == 0.0
     assert vals[1] == pytest.approx(golden_conjugate(W2.value, [0.3, -1.2]), rel=1e-10)
-    assert DW.value([0.0, 0.0]) == 0.0
     with pytest.raises(DomainError):
         DW.batch_grad(np.array([[0.3, -1.2], [0.0, 0.0]]))
 
@@ -139,33 +137,41 @@ def test_strict_convexity_probe():
         assert np.all(lhs < rhs)
 
 
-def test_solver_error_carries_best_and_gap():
+def _stunt(monkeypatch, tolerance=DualNorm.tolerance):
+    """Every DualNorm skips the damped Newton loop until the test ends."""
+    monkeypatch.setattr(DualNorm, "max_iterations", 0)
+    monkeypatch.setattr(DualNorm, "tolerance", tolerance)
+
+
+def test_solver_error_carries_best_and_gap(monkeypatch):
     w3 = WeightedSum(((1.0, EuclideanNorm(3)), (1.0, QuadraticNorm(np.diag([4.0, 1.0, 1.0])))))
-    stunted = DualNorm(w3, max_iterations=0, tolerance=1e-14)
+    _stunt(monkeypatch, tolerance=1e-14)
     with pytest.raises(SolverError) as err:
-        stunted.value([1.0, 0.2, -0.4])
+        DualNorm(w3).batch_value(np.array([[1.0, 0.2, -0.4]]))
     assert err.value.best is not None
     assert err.value.gap is not None and err.value.gap > 1e-14
 
 
-def test_polygon_fallback_matches_newton_in_2d():
-    stunted = DualNorm(W2, max_iterations=0, tolerance=1e-14)
-    w = np.array([0.9, -0.4])
-    assert stunted.value(w) == pytest.approx(DW.value(w), rel=1e-12)
+def test_polygon_fallback_matches_newton_in_2d(monkeypatch):
+    w = np.array([[0.9, -0.4]])
+    newton = DW.batch_value(w)[0]
+    _stunt(monkeypatch, tolerance=1e-14)
+    assert DualNorm(W2).batch_value(w)[0] == pytest.approx(newton, rel=1e-12)
 
 
-def test_polygon_fallback_meets_the_tolerance_on_every_row():
+def test_polygon_fallback_meets_the_tolerance_on_every_row(monkeypatch):
     # without damped iterations every row starts from the vertex of its
     # Wulff-polygon cone; random weighted sums, anisotropy up to e^5 in any
     # rotation, and |w| over twelve orders of magnitude
     rng = np.random.default_rng(15)
+    _stunt(monkeypatch)
     for _ in range(60):
         a = rng.uniform(0.005, 0.995)
         turn = rng.uniform(0.0, np.pi)
         r = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
         m = r @ np.diag([np.exp(rng.uniform(-5.0, 5.0)), 1.0]) @ r.T
         f = WeightedSum(((a, E2), (1.0 - a, QuadraticNorm(0.5 * (m + m.T)))))
-        stunted = DualNorm(f, max_iterations=0)
+        stunted = DualNorm(f)
         w = rng.standard_normal((32, 2)) * np.exp(rng.uniform(-6.0, 6.0, (32, 1)))
         v = stunted._polar_minimize(w)
         gap = np.linalg.norm(f.value(v)[:, None] * f.grad(v) - w, axis=1)
@@ -174,9 +180,10 @@ def test_polygon_fallback_meets_the_tolerance_on_every_row():
         assert np.abs(f.value(v) / exact - 1.0).max() <= 1e-10
 
 
-def test_polygon_fallback_refuses_a_ball_that_is_not_strictly_convex():
+def test_polygon_fallback_refuses_a_ball_that_is_not_strictly_convex(monkeypatch):
+    _stunt(monkeypatch)
     with pytest.raises(DomainError):
-        DualNorm(_MaxNorm(), max_iterations=0).batch_value(np.ones((1, 2)))
+        DualNorm(_MaxNorm()).batch_value(np.ones((1, 2)))
 
 
 def _half_step_quadratic(lam):
@@ -284,22 +291,21 @@ def test_cone_lookup_is_the_binary_search(a, log_lam, turn, seed):
     edges, _p, q, first, steps = dual._polygon()
     g = f.grad(_polygon_directions(f))
     gamma = np.unwrap(np.arctan2(g[:, 1], g[:, 0]))
+    assert np.array_equal(edges, np.append(gamma, np.inf))
     # every bucket's edges follow its first cone, at most steps of them
     k = np.arange(1, len(gamma))
     b = _bucket(edges[1:-1], edges).clip(0, len(first) - 1)
     assert np.all((first[b] < k) & (k <= first[b] + steps))
-    # every vertex angle and its neighbours, past both ends, and NaN
+    # every vertex angle and its neighbours, and past both ends
     psi = np.concatenate([
         gamma,
         np.nextafter(gamma, -np.inf),
         np.nextafter(gamma, np.inf),
-        [gamma[0] - 1.0, gamma[-1] + 1.0, np.nan],
+        [gamma[0] - 1.0, gamma[-1] + 1.0],
     ])
-    with np.errstate(invalid="ignore"):
-        assert np.array_equal(dual._cone(psi), interp_cone(psi, gamma))
-    # rows: random, the axes on both sides of +-0.0, along the vertices, a
-    # few ulps below gamma_0, whose wrapped angle rounds to about gamma_N,
-    # and NaN
+    assert np.array_equal(dual._cone(psi), search_cone(psi, gamma))
+    # rows: random, the axes on both sides of +-0.0, along the vertices, and
+    # a few ulps below gamma_0, whose wrapped angle rounds to about gamma_N
     rng = np.random.default_rng(seed)
     t = np.concatenate([
         gamma,
@@ -310,13 +316,14 @@ def test_cone_lookup_is_the_binary_search(a, log_lam, turn, seed):
         [[1.0, 0.0], [1.0, -0.0], [-1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [0.0, -1.0]],
         np.stack([np.cos(t), np.sin(t)], axis=1),
         g[[0, -1]],
-        [[np.nan, 1.0], [1.0, np.nan]],
     ])
-    with np.errstate(invalid="ignore"):
-        k, hi = dual._gauge(w)
-        k_search, hi_search = interp_gauge(w, gamma, q)
+    k, hi = dual._gauge(w)
+    k_search, hi_search = search_gauge(w, gamma, q)
     assert np.array_equal(k, k_search)
-    assert np.array_equal(hi, hi_search, equal_nan=True)
+    assert np.array_equal(hi, hi_search)
+    # a NaN row takes some cone, and its gauge is NaN
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(dual._gauge(np.array([[np.nan, 1.0], [1.0, np.nan]]))[1]).all()
 
 
 def test_bracket_solves_only_undecided_rows(monkeypatch):
@@ -413,6 +420,30 @@ def test_bracket_decides_the_sign_of_phi_in_3d(a, log_lams, seed):
     assert np.all(solved <= lip * norm + slack)
 
 
+@given(
+    hst.floats(0.05, 2.0),
+    hst.tuples(hst.floats(-3.0, 3.0), hst.floats(-3.0, 3.0)),
+    hst.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_bracket_holds_the_solved_value_in_3d(a, log_lams, seed):
+    rng = np.random.default_rng(seed)
+    rotated = _rotated_weighted_sum_3d(a, log_lams, rng)
+    m = np.diag(np.exp([log_lams[0], log_lams[1], 0.0]))
+    unrotated = WeightedSum(((a, EuclideanNorm(3)), (1.0, QuadraticNorm(m))))
+    # rows with |w| from 1e-6 to 1e6, and on the axes of the unrotated M,
+    # where w / F(w) is the maximizer and lo is F* up to its widening
+    w = rng.standard_normal((40, 3)) * 10.0 ** rng.uniform(-6.0, 6.0, (40, 1))
+    axes = np.concatenate([np.eye(3), -np.eye(3)]) * 10.0 ** rng.uniform(-6.0, 6.0, (6, 1))
+    for f, rows in ((rotated, w), (unrotated, np.concatenate([w, axes]))):
+        dual = DualNorm(f)
+        lo, hi = dual.batch_bracket(rows)
+        solved = dual.batch_value(rows)
+        assert np.all(lo <= solved) and np.all(solved <= hi)
+    widening = 1e-12 * dual.grad_bound() * np.linalg.norm(axes, axis=1)
+    assert np.all(solved[-6:] - lo[-6:] <= 2.0 * widening)
+
+
 def test_far_rows_are_never_solved_in_3d(monkeypatch):
     f = _rotated_weighted_sum_3d(0.4, (1.0, -0.5), np.random.default_rng(5))
     body = WulffBody(DualNorm(f), np.array([0.3, -0.2, 0.1]), 1.2)
@@ -459,9 +490,9 @@ def test_one_solve_gives_value_and_gradient_bit_for_bit():
             dual.batch_value_grad(np.zeros((1, dual.dim)))
 
 
-def test_bracket_needs_two_dimensions():
-    with pytest.raises(InputError):
-        DualNorm(EuclideanNorm(3)).batch_bracket(np.ones((2, 3)))
+def test_bracket_refuses_four_dimensions():
+    with pytest.raises(InputError, match="d = 2 or 3"):
+        DualNorm(EuclideanNorm(4)).batch_bracket(np.ones((2, 4)))
 
 
 class _MaxNorm(Integrand):
@@ -535,8 +566,7 @@ _ENTRY_POINTS = ["batch_value", "batch_grad", "batch_value_grad", "batch_value_f
 
 @pytest.mark.parametrize(
     "f,entry",
-    [(f, entry) for f in (E2, Q2, W2) for entry in _ENTRY_POINTS]
-    + [(W3, entry) for entry in _ENTRY_POINTS[:-1]],
+    [(f, entry) for f in (E2, Q2, W2, W3) for entry in _ENTRY_POINTS],
     ids=lambda p: p if isinstance(p, str) else f"{type(p).__name__}{p.dim}",
 )
 def test_entry_points_refuse_rows_of_the_wrong_dimension(f, entry):
@@ -548,8 +578,6 @@ def test_entry_points_refuse_rows_of_the_wrong_dimension(f, entry):
         expected = re.escape(f"(N, {f.dim})") + ".*" + re.escape(str(rows.shape))
         with pytest.raises(InputError, match=expected):
             getattr(dual, entry)(rows)
-    with pytest.raises(InputError):
-        dual.value(np.ones(wrong))
 
 
 def _rotated_anisotropic_matrix(dim, rng):

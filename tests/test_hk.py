@@ -9,6 +9,7 @@ from wulffkit import (
     InputError,
     QuadraticNorm,
     StarBody,
+    WeightedSum,
     WulffBody,
     equality_classifier,
     hk_evaluate,
@@ -17,6 +18,8 @@ from wulffkit import (
 )
 from wulffkit import suites
 from wulffkit.curvature import UmbilicityReport, curvature_table
+from wulffkit.hk import check_disjoint
+from wulffkit.spheregrid import sphere_quadrature
 
 from oracles import ellipse_hk_ratio
 from sampling import quad_table, sampled, scene, umbilicity
@@ -235,6 +238,53 @@ def test_nested_bodies_rejected():
     ]
     with pytest.raises(InputError, match="not disjoint"):
         hk_evaluate(sampled(bodies, Q2, 1024), Q2)
+
+
+def _touching_integrand(family, dim):
+    """A quadratic, rotated quadratic or weighted-sum integrand in dimension dim."""
+    lams = np.diag(np.linspace(4.0, 1.0, dim))
+    if family == "quadratic":
+        return QuadraticNorm(lams)
+    q, _ = np.linalg.qr(np.random.default_rng(dim).standard_normal((dim, dim)))
+    m = q @ lams @ q.T
+    turned = QuadraticNorm(0.5 * (m + m.T))
+    if family == "rotated":
+        return turned
+    return WeightedSum(((0.4, EuclideanNorm(dim)), (1.0, turned)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("family", ["quadratic", "rotated", "weighted"])
+def test_touching_wulff_balls_are_disjoint(family, dim):
+    # c_j = c_i + (r_i + r_j) omega_k / F*(omega_k) puts the contact on node
+    # k of body i and, the grid being antipodally symmetric, on a node of
+    # body j, where the node rule reads -1 or 0 from rounding
+    f = _touching_integrand(family, dim)
+    resolution = 1024 if dim == 2 else (32, 64)
+    dual = DualNorm(f)
+    omega = sphere_quadrature(dim, resolution)[0]
+    ri, rj = 1.0, 0.7
+    ci = np.linspace(-0.3, 0.4, dim)
+
+    def pair(cj, rj=rj):
+        bodies = [WulffBody(dual, ci, ri), WulffBody(dual, cj, rj)]
+        return [(b, sample_surface(b, resolution), None) for b in bodies]
+
+    for k in (0, len(omega) // 3, len(omega) - 1):
+        unit = omega[k] / dual.batch_value(omega[k][None])[0]
+        check_disjoint(pair(ci + (ri + rj) * unit))
+        with pytest.raises(InputError, match="not disjoint"):
+            check_disjoint(pair(ci + (ri + rj - 1e-6 * ri) * unit))
+    with pytest.raises(InputError, match="not disjoint"):
+        check_disjoint(pair(ci + 0.1 * unit, rj=0.3))
+
+
+def test_six_decimal_tangent_pair_overlaps():
+    # scenes/tangent_wulff_d2.json rounded to 6 decimals: F* of the centres'
+    # difference is 1.99999985, so the balls overlap
+    bodies = [WulffBody(DQ, np.zeros(2), 1.0), WulffBody(DQ, np.array([3.999995, 0.003068]), 1.0)]
+    with pytest.raises(InputError, match="not disjoint"):
+        check_disjoint([(b, sample_surface(b, 4096), None) for b in bodies])
 
 
 def test_negative_curvature_violates_hypothesis():

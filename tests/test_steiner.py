@@ -9,6 +9,7 @@ from wulffkit import (
     InputError,
     QuadraticNorm,
     TruncationError,
+    TubeCurve,
     WulffBody,
     boundary_source,
     build_field,
@@ -100,6 +101,13 @@ def test_wulff_fit_matches_conjugate_ball_polynomial(wulff_field_512):
     assert fit.residual <= 1e-2
     assert fit.coefficients[0] == pytest.approx(4 * np.pi, rel=5e-3)
     assert fit.coefficients[1] == pytest.approx(-2 * np.pi, rel=2e-2)
+
+
+def test_fit_refuses_a_curve_without_volume():
+    # the relative residual of an all-zero curve was 0/0, a NaN in report.json
+    curve = TubeCurve(t=np.linspace(1e-5, 9e-5, 40), volume=np.zeros(40))
+    with pytest.raises(InputError, match="largest tube radius 9e-05"):
+        fit_polynomial(curve, 2)
 
 
 def test_far_disjoint_disks_coefficients_add():
