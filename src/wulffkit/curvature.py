@@ -126,7 +126,6 @@ class UmbilicityReport:
     verdict: str
     max_residual: float
     tol_umb: float
-    tol_fit: float
 
 
 def umbilicity_classify(
@@ -152,13 +151,13 @@ def umbilicity_classify(
         return UmbilicityReport(
             lam=lam, center=None, radius=None, dispersion=None,
             verdict="not-umbilical", max_residual=max_res,
-            tol_umb=tol_umb, tol_fit=tol_fit,
+            tol_umb=tol_umb,
         )
     if abs(lam) < 1e-10:
         return UmbilicityReport(
             lam=lam, center=None, radius=None, dispersion=None,
             verdict="hyperplane-like", max_residual=max_res,
-            tol_umb=tol_umb, tol_fit=tol_fit,
+            tol_umb=tol_umb,
         )
     eta = f.grad(quad.normals)
     affine = eta - lam * quad.points
@@ -168,5 +167,5 @@ def umbilicity_classify(
     verdict = "wulff" if dispersion <= tol_fit * radius else "umbilical-unresolved"
     return UmbilicityReport(
         lam=lam, center=-c / lam, radius=radius, dispersion=dispersion,
-        verdict=verdict, max_residual=max_res, tol_umb=tol_umb, tol_fit=tol_fit,
+        verdict=verdict, max_residual=max_res, tol_umb=tol_umb,
     )

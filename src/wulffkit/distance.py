@@ -146,8 +146,8 @@ class SourceSet:
     ``loops`` lists (start, stop, closed) index ranges; points inside one
     loop are consecutive along the underlying curve, which is what lets the
     field builder tell one contiguous foot arc from several separated feet.
-    ``inside`` classifies membership in A (delta is zero there); None means
-    A is just the sampled curve.
+    ``inside`` classifies membership in A (delta is zero there) of an (N, 2)
+    array of rows; None means A is just the sampled curve.
     """
 
     points: np.ndarray
@@ -170,8 +170,8 @@ class SourceSet:
 
     def membership(self, x):
         if self.inside is None:
-            return np.zeros(len(np.atleast_2d(x)), dtype=bool)
-        return np.asarray(self.inside(np.atleast_2d(x)), dtype=bool)
+            return np.zeros(len(x), dtype=bool)
+        return np.asarray(self.inside(x), dtype=bool)
 
 
 def boundary_source(
@@ -208,14 +208,12 @@ def boundary_source(
     inside = None
     if region == "complement":
         def inside(x, bodies=tuple(bodies)):
-            x = np.atleast_2d(x)
             out = np.ones(len(x), dtype=bool)
             for b in bodies:
                 out &= b.sign(x) >= 0
             return out
     elif region == "set":
         def inside(x, bodies=tuple(bodies)):
-            x = np.atleast_2d(x)
             out = np.zeros(len(x), dtype=bool)
             for b in bodies:
                 out |= b.sign(x) <= 0
@@ -740,7 +738,7 @@ def project(field: DistanceField, x) -> ProjectionResult:
         shifted = np.where(member[1:], 0.0, field._nearest(probes[1:], source.points[near]))
         grad = (shifted[: len(e)] - shifted[len(e) :]) / (2 * h)
         if np.linalg.norm(grad) > 1e-12:
-            rebuilt = x - m * field.f.grad(grad)
+            rebuilt = x - m * field.f.grad(grad[None])[0]
             dev = float(np.linalg.norm(rebuilt - source.points[best]))
     return ProjectionResult(
         point=source.points[best], delta=float(m), gap=float(gap),

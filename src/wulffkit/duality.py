@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, SolverError
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm
-from .integrand import _as_batch, _center, _quadratic_form, _upper_pairs
+from .integrand import _center, _finite_rows, _quadratic_form, _rows, _upper_pairs
 from .spheregrid import latlong_quadrature, sphere_quadrature
 
 __all__ = ["DualNorm", "dual_norm_of", "WulffSample", "wulff_sample"]
@@ -84,21 +84,11 @@ class DualNorm:
     def has_closed_form(self) -> bool:
         return isinstance(self.base, (EuclideanNorm, QuadraticNorm))
 
-    def _rows(self, W):
-        """W as an (N, dim) float array; any other shape is an InputError
-        that names the expected and the received shape."""
-        W = np.asarray(W, dtype=float)
-        if W.ndim != 2 or W.shape[1] != self.dim:
-            raise InputError(
-                f"expected an (N, {self.dim}) array of rows, got shape {W.shape}"
-            )
-        return W
-
     # -- exact evaluation ---------------------------------------------------
 
     def batch_value(self, W):
         """F* row by row; F*(0) = 0 by homogeneity."""
-        W = self._rows(W)
+        W = _rows(W, self.dim)
         if isinstance(self.base, EuclideanNorm):
             return np.linalg.norm(W, axis=1)
         if isinstance(self.base, QuadraticNorm):
@@ -112,7 +102,7 @@ class DualNorm:
         return self.base.value(v)
 
     def batch_grad(self, W):
-        W = self._rows(W)
+        W = _rows(W, self.dim)
         if not W.any(axis=1).all():
             raise DomainError("conjugate norm is not differentiable at the origin")
         if isinstance(self.base, EuclideanNorm):
@@ -132,7 +122,7 @@ class DualNorm:
         gradient ``batch_grad`` bit for bit.  Closed forms make those two
         calls.  Rows must be nonzero.
         """
-        W = self._rows(W)
+        W = _rows(W, self.dim)
         if self.has_closed_form:
             return self.batch_value(W), self.batch_grad(W)
         if not W.any(axis=1).all():
@@ -153,7 +143,7 @@ class DualNorm:
         up to rounding, and ``grad_bound()`` is its Lipschitz constant.
         Closed-form families and dimensions >= 3 evaluate exactly.
         """
-        W = self._rows(W)
+        W = _rows(W, self.dim)
         if self.has_closed_form or self.dim != 2:
             return self.batch_value(W)
         return self._gauge(W)[1]
@@ -197,7 +187,7 @@ class DualNorm:
         """
         if self.dim not in (2, 3):
             raise InputError(f"the conjugate bracket needs d = 2 or 3, not d = {self.dim}")
-        W = self._rows(W)
+        W = _rows(W, self.dim)
         lip = self.grad_bound()
         if self.dim == 2:
             k, hi = self._gauge(W)
@@ -313,7 +303,7 @@ class DualNorm:
         line search accepts.  Every row returned passes the gap measured with
         ``value`` and ``grad``; otherwise the solve raises SolverError.
         """
-        W = _as_batch(W, self.dim)[0]
+        W = _finite_rows(W, self.dim)
         nw = np.linalg.norm(W, axis=1)
         if np.any(nw == 0.0):
             raise InputError("conjugate evaluation requires nonzero vectors")

@@ -21,7 +21,7 @@ from .errors import (
     QuadratureInconsistencyError,
     StarShapeError,
 )
-from .integrand import Integrand, _as_batch, _center, _check_spd, _quadratic_form
+from .integrand import Integrand, _center, _check_spd, _finite_rows, _quadratic_form
 from .spheregrid import grid_counts, sphere_quadrature, tangent_frames
 
 __all__ = [
@@ -38,10 +38,13 @@ __all__ = [
 
 
 class StarBody:
-    """Implicit body phi < 0, star-shaped around ``center``."""
+    """Implicit body phi < 0, star-shaped around ``center``.
+
+    ``phi``, ``grad_phi``, ``hess_phi`` and ``sign`` take an (N, dim) array
+    of finite rows and refuse anything else with an InputError.
+    """
 
     center: np.ndarray
-    kind: str
 
     @property
     def dim(self) -> int:
@@ -80,7 +83,6 @@ class Ellipsoid(StarBody):
 
     matrix: np.ndarray
     center: np.ndarray
-    kind = "ellipsoid"
 
     def __post_init__(self):
         q = _check_spd(self.matrix, "ellipsoid matrix")
@@ -88,20 +90,15 @@ class Ellipsoid(StarBody):
         object.__setattr__(self, "center", _center(self.center, len(q), "ellipsoid"))
 
     def phi(self, x):
-        x, single = _as_batch(x, self.dim)
-        u = x - self.center
-        v = _quadratic_form(u, self.matrix) - 1.0
-        return v[0] if single else v
+        u = _finite_rows(x, self.dim) - self.center
+        return _quadratic_form(u, self.matrix) - 1.0
 
     def grad_phi(self, x):
-        x, single = _as_batch(x, self.dim)
-        g = 2.0 * (x - self.center) @ self.matrix
-        return g[0] if single else g
+        return 2.0 * (_finite_rows(x, self.dim) - self.center) @ self.matrix
 
     def hess_phi(self, x):
-        x, single = _as_batch(x, self.dim)
-        h = np.broadcast_to(2.0 * self.matrix, (len(x), self.dim, self.dim))
-        return h[0] if single else h
+        n = len(_finite_rows(x, self.dim))
+        return np.broadcast_to(2.0 * self.matrix, (n, self.dim, self.dim))
 
     def bounding_radius(self) -> float:
         return 1.0 / np.sqrt(np.linalg.eigvalsh(self.matrix).min())
@@ -118,7 +115,6 @@ class WulffBody(StarBody):
     dual: DualNorm
     center: np.ndarray
     radius: float
-    kind = "wulff"
 
     def __post_init__(self):
         if not 0.0 < self.radius < np.inf:
@@ -126,14 +122,10 @@ class WulffBody(StarBody):
         object.__setattr__(self, "center", _center(self.center, self.dual.dim, "Wulff"))
 
     def phi(self, x):
-        x, single = _as_batch(x, self.dim)
-        v = self.dual.batch_value(x - self.center) - self.radius
-        return v[0] if single else v
+        return self.dual.batch_value(_finite_rows(x, self.dim) - self.center) - self.radius
 
     def grad_phi(self, x):
-        x, single = _as_batch(x, self.dim)
-        g = self.dual.batch_grad(x - self.center)
-        return g[0] if single else g
+        return self.dual.batch_grad(_finite_rows(x, self.dim) - self.center)
 
     def sign(self, x):
         """``np.sign(self.phi(x))``; without a closed form, a row is decided
@@ -151,8 +143,7 @@ class WulffBody(StarBody):
         # the bracket covers d = 2 and d = 3
         if dual.has_closed_form or self.dim > 3:
             return super().sign(x)
-        x, single = _as_batch(x, self.dim)
-        w = x - self.center
+        w = _finite_rows(x, self.dim) - self.center
         lo, hi = dual.batch_bracket(w)
         margin = 10.0 * dual.tolerance * dual.grad_bound() * np.sqrt((w * w).sum(axis=1))
         out = np.zeros(len(w))
@@ -161,7 +152,7 @@ class WulffBody(StarBody):
         open_rows = out == 0.0
         if open_rows.any():
             out[open_rows] = np.sign(dual.batch_value(w[open_rows]) - self.radius)
-        return out[0] if single else out
+        return out
 
     def ray_radii(self, omega):
         # F* is 1-homogeneous, so phi(c + t w) = t F*(w) - r has the exact
@@ -185,7 +176,6 @@ class Superellipse(StarBody):
     semi_axes: tuple
     exponent: float
     center: np.ndarray
-    kind = "superellipse"
 
     def __post_init__(self):
         a, b = (float(v) for v in self.semi_axes)
@@ -197,29 +187,24 @@ class Superellipse(StarBody):
         object.__setattr__(self, "center", _center(self.center, 2, "superellipse"))
 
     def phi(self, x):
-        x, single = _as_batch(x, 2)
-        u = (x - self.center) / np.asarray(self.semi_axes)
-        v = (np.abs(u) ** self.exponent).sum(axis=1) - 1.0
-        return v[0] if single else v
+        u = (_finite_rows(x, 2) - self.center) / np.asarray(self.semi_axes)
+        return (np.abs(u) ** self.exponent).sum(axis=1) - 1.0
 
     def grad_phi(self, x):
-        x, single = _as_batch(x, 2)
         ax = np.asarray(self.semi_axes)
-        u = (x - self.center) / ax
+        u = (_finite_rows(x, 2) - self.center) / ax
         p = self.exponent
-        g = (p / ax) * np.abs(u) ** (p - 1) * np.sign(u)
-        return g[0] if single else g
+        return (p / ax) * np.abs(u) ** (p - 1) * np.sign(u)
 
     def hess_phi(self, x):
-        x, single = _as_batch(x, 2)
         ax = np.asarray(self.semi_axes)
-        u = (x - self.center) / ax
+        u = (_finite_rows(x, 2) - self.center) / ax
         p = self.exponent
         diag = (p * (p - 1) / ax**2) * np.abs(u) ** (p - 2)
-        h = np.zeros((len(x), 2, 2))
+        h = np.zeros((len(u), 2, 2))
         h[:, 0, 0] = diag[:, 0]
         h[:, 1, 1] = diag[:, 1]
-        return h[0] if single else h
+        return h
 
     def bounding_radius(self) -> float:
         return max(self.semi_axes)
@@ -228,7 +213,7 @@ class Superellipse(StarBody):
 def _bisect_newton_radii(body: StarBody, omega, tol=1e-13):
     """Vectorized bracketing + bisection with Newton polish on t -> phi(c + t w)."""
     c = body.center
-    if float(body.phi(c)) >= 0:
+    if body.phi(c[None])[0] >= 0:
         raise StarShapeError("body center is not interior (phi(center) >= 0)")
     n = len(omega)
     hi = np.full(n, 1.25 * body.bounding_radius())

@@ -6,10 +6,12 @@ weighted sums of the two.  Keeping the families closed-form makes every
 gradient and Hessian exact, which all downstream duality and curvature
 checks rely on.
 
-All evaluation methods broadcast over a leading batch axis: ``x`` may be
-a single d-vector or an (N, d) array.  The conjugate solve in
-``wulffkit.duality`` instead takes F, grad F and the Hessian together from
-``_value_grad_hess``, on component-major (d, N) arrays.
+Every evaluator of F here, of F* in ``wulffkit.duality`` and of the
+implicit functions of ``wulffkit.hypersurface`` takes an (N, d) array of
+rows and returns one result per row; ``_rows`` refuses any other shape.
+The conjugate solve in ``wulffkit.duality`` instead takes F, grad F and the
+Hessian together from ``_value_grad_hess``, on component-major (d, N)
+arrays.
 """
 
 from __future__ import annotations
@@ -28,17 +30,21 @@ __all__ = [
 ]
 
 
-def _as_batch(x, dim):
-    """Validate input and return (x as (N, d) float array, was_single flag)."""
+def _rows(x, dim):
+    """x as an (N, dim) float array; any other shape is an InputError that
+    names the expected and the received shape."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise InputError(f"expected an (N, {dim}) array of rows, got shape {x.shape}")
+    return x
+
+
+def _finite_rows(x, dim):
+    """``_rows`` with every entry finite, else InputError."""
+    x = _rows(x, dim)
     if not np.all(np.isfinite(x)):
         raise InputError("non-finite input components")
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise InputError(f"expected vectors of dimension {dim}, got shape {x.shape}")
-    return x, single
+    return x
 
 
 def _center(center, dim, name):
@@ -132,8 +138,11 @@ class Integrand:
         return self.value(rows), self.grad(rows).T, self.hess(rows)[:, i, j].T
 
     def _require_nonzero(self, x):
-        if np.any(np.linalg.norm(x, axis=-1) == 0.0):
+        """x as finite, nonzero (N, dim) rows, else InputError or DomainError."""
+        x = _finite_rows(x, self.dim)
+        if np.any(np.linalg.norm(x, axis=1) == 0.0):
             raise DomainError("derivative of the integrand is undefined at the origin")
+        return x
 
 
 @dataclass(frozen=True)
@@ -149,23 +158,17 @@ class EuclideanNorm(Integrand):
         object.__setattr__(self, "dim", dim)
 
     def value(self, x):
-        x, single = _as_batch(x, self.dim)
-        v = np.linalg.norm(x, axis=1)
-        return v[0] if single else v
+        return np.linalg.norm(_finite_rows(x, self.dim), axis=1)
 
     def grad(self, x):
-        x, single = _as_batch(x, self.dim)
-        self._require_nonzero(x)
-        g = x / np.linalg.norm(x, axis=1)[:, None]
-        return g[0] if single else g
+        x = self._require_nonzero(x)
+        return x / np.linalg.norm(x, axis=1)[:, None]
 
     def hess(self, x):
-        x, single = _as_batch(x, self.dim)
-        self._require_nonzero(x)
+        x = self._require_nonzero(x)
         r = np.linalg.norm(x, axis=1)
         u = x / r[:, None]
-        h = (np.eye(self.dim)[None] - u[:, :, None] * u[:, None, :]) / r[:, None, None]
-        return h[0] if single else h
+        return (np.eye(self.dim)[None] - u[:, :, None] * u[:, None, :]) / r[:, None, None]
 
     def _value_grad_hess(self, x):
         r = np.sqrt(np.einsum("in,in->n", x, x))
@@ -192,27 +195,21 @@ class QuadraticNorm(Integrand):
         return self.matrix.shape[0]
 
     def value(self, x):
-        x, single = _as_batch(x, self.dim)
-        v = np.sqrt(_quadratic_form(x, self.matrix))
-        return v[0] if single else v
+        return np.sqrt(_quadratic_form(_finite_rows(x, self.dim), self.matrix))
 
     def grad(self, x):
-        x, single = _as_batch(x, self.dim)
-        self._require_nonzero(x)
+        x = self._require_nonzero(x)
         mx = x @ self.matrix
         f = np.sqrt(np.einsum("ni,ni->n", x, mx))
-        g = mx / f[:, None]
-        return g[0] if single else g
+        return mx / f[:, None]
 
     def hess(self, x):
-        x, single = _as_batch(x, self.dim)
-        self._require_nonzero(x)
+        x = self._require_nonzero(x)
         mx = x @ self.matrix
         f = np.sqrt(np.einsum("ni,ni->n", x, mx))
-        h = self.matrix[None] / f[:, None, None] - mx[:, :, None] * mx[:, None, :] / (
+        return self.matrix[None] / f[:, None, None] - mx[:, :, None] * mx[:, None, :] / (
             f**3
         )[:, None, None]
-        return h[0] if single else h
 
     def _value_grad_hess(self, x):
         mx = self.matrix @ x

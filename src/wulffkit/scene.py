@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -70,8 +71,10 @@ def _section(raw, key, default):
 
 def _convert(kind, value, where):
     """kind(value) for a scalar field, finite if a float, or a SceneError
-    naming the field."""
+    naming the field.  A JSON boolean is not a number."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise SceneError(f"{where}: expected {kind.__name__}, got {value!r}") from None
@@ -124,11 +127,9 @@ def _parse_integrand(spec, where="integrand") -> Integrand:
             terms = _require(spec, "terms", where)
             parsed = []
             for k, term in enumerate(terms):
-                w = float(_require(term, "weight", f"{where}.terms[{k}]"))
-                inner = _parse_integrand(
-                    _require(term, "integrand", f"{where}.terms[{k}]"),
-                    f"{where}.terms[{k}].integrand",
-                )
+                at = f"{where}.terms[{k}]"
+                w = _convert(float, _require(term, "weight", at), f"{at}.weight")
+                inner = _parse_integrand(_require(term, "integrand", at), f"{at}.integrand")
                 parsed.append((w, inner))
             return WeightedSum(tuple(parsed))
     except SceneError:
@@ -142,11 +143,16 @@ def _parse_body(spec, dual: DualNorm, index: int) -> tuple:
     where = f"bodies[{index}]"
     kind = _require(spec, "kind", where)
     body_id = str(spec.get("id", f"body{index}"))
+    # ids name output files and CSV fields
+    if not re.fullmatch(r"[A-Za-z0-9_-]+", body_id):
+        raise SceneError(f"{where}.id: expected letters, digits, '_' or '-', got {body_id!r}")
     center = _array(_require(spec, "center", where), f"{where}.center")
     try:
         if kind == "wulff":
             body: StarBody = WulffBody(
-                dual=dual, center=center, radius=float(_require(spec, "radius", where))
+                dual=dual,
+                center=center,
+                radius=_convert(float, _require(spec, "radius", where), f"{where}.radius"),
             )
         elif kind == "ellipsoid":
             body = Ellipsoid(
@@ -156,7 +162,7 @@ def _parse_body(spec, dual: DualNorm, index: int) -> tuple:
         elif kind == "superellipse":
             body = Superellipse(
                 semi_axes=tuple(_require(spec, "semi_axes", where)),
-                exponent=float(_require(spec, "exponent", where)),
+                exponent=_convert(float, _require(spec, "exponent", where), f"{where}.exponent"),
                 center=center,
             )
         else:

@@ -150,7 +150,6 @@ def claim5_coefficients(
 class ReachVerdict:
     consistent: bool
     residual: float
-    tol: float
     r: float
     coefficient_agreement: np.ndarray
 
@@ -176,7 +175,6 @@ def positive_reach_test(fit: SteinerFit, tol: float, reference: np.ndarray) -> R
     return ReachVerdict(
         consistent=fit.residual <= tol,
         residual=fit.residual,
-        tol=tol,
         r=fit.t_range[1],
         coefficient_agreement=agreement,
     )

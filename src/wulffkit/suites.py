@@ -146,8 +146,8 @@ def _rng(scene: Scene, salt: int):
     return np.random.default_rng([scene.seed, salt])
 
 
-def _random_points(rng, dim, count, scale=1.0):
-    pts = rng.standard_normal((count, dim)) * scale
+def _random_points(rng, dim, count):
+    pts = rng.standard_normal((count, dim))
     norms = np.linalg.norm(pts, axis=1)
     return pts[norms > 1e-6]
 

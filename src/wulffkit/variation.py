@@ -232,7 +232,6 @@ class CriticalityResult:
 
     residual: float
     rescaled_residual: float
-    perimeter: float
     volume: float
     first_variation: float
     volume_derivative: float
@@ -282,7 +281,6 @@ def criticality_residual(
             CriticalityResult(
                 residual=(n + 1) * fv - n * (p / v) * dv,
                 rescaled_residual=(rescaled[0] - rescaled[1]) / (2 * h),
-                perimeter=p,
                 volume=v,
                 first_variation=fv,
                 volume_derivative=dv,

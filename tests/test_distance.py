@@ -59,9 +59,11 @@ def _direction_deviation(field, body, f, xs):
     for x in np.atleast_2d(xs):
         res = project(field, x)
         assert not res.ambiguous
-        g, side = body.grad_phi(res.point), (1.0 if body.sign(x) > 0 else -1.0)
+        g = body.grad_phi(res.point[None])[0]
+        side = 1.0 if body.sign(x[None])[0] > 0 else -1.0
         lhs = (x - res.point) / field.dual.batch_value((x - res.point)[None])[0]
-        worst = max(worst, float(np.linalg.norm(lhs - f.grad(side * g / np.linalg.norm(g)))))
+        nu = side * g / np.linalg.norm(g)
+        worst = max(worst, float(np.linalg.norm(lhs - f.grad(nu[None])[0])))
     return worst
 
 
@@ -596,14 +598,14 @@ def test_project_grad_check_matches_per_axis_reference(weighted_field):
     pts, h = field.source.points, field.grid.h
 
     def delta(p):
-        if field.source.membership(p)[0]:
+        if field.source.membership(p[None])[0]:
             return 0.0
         return field.dual.batch_value_fast(pts - p).min()
 
     for x in np.array(QUERIES):
         grad = np.array([(delta(x + e) - delta(x - e)) / (2 * h) for e in h * np.eye(2)])
         res = project(field, x)
-        rebuilt = x - res.delta * field.f.grad(grad)
+        rebuilt = x - res.delta * field.f.grad(grad[None])[0]
         assert res.grad_check_dev == np.linalg.norm(rebuilt - pts[res.foot_index])
 
 

@@ -9,11 +9,13 @@ from hypothesis import strategies as hst
 from wulffkit import (
     DomainError,
     DualNorm,
+    Ellipsoid,
     EuclideanNorm,
     InputError,
     Integrand,
     QuadraticNorm,
     SolverError,
+    Superellipse,
     WeightedSum,
     WulffBody,
     wulff_sample,
@@ -71,8 +73,8 @@ def test_grad_conjugate_examples():
     assert DQ.batch_grad(np.array([[1.0, 0.0]]))[0] == pytest.approx([0.5, 0.0], abs=1e-12)
     # closed form cross-checked against the iterative ascent path
     ascent = DQ._polar_minimize(np.array([[1.0, 0.0]]))
-    assert Q2.value(ascent[0]) == pytest.approx(0.5, abs=1e-10)
-    assert ascent[0] / Q2.value(ascent[0]) == pytest.approx([0.5, 0.0], abs=1e-10)
+    assert Q2.value(ascent)[0] == pytest.approx(0.5, abs=1e-10)
+    assert ascent[0] / Q2.value(ascent)[0] == pytest.approx([0.5, 0.0], abs=1e-10)
 
 
 def test_grad_conjugate_at_origin():
@@ -562,22 +564,37 @@ def test_wulff_sample_validation():
 
 W3 = WeightedSum(((0.5, EuclideanNorm(3)), (1.0, QuadraticNorm(np.diag([4.0, 1.0, 2.0])))))
 _ENTRY_POINTS = ["batch_value", "batch_grad", "batch_value_grad", "batch_value_fast", "batch_bracket"]
+_BODIES = (
+    Ellipsoid(np.diag([4.0, 1.0, 2.0]), np.zeros(3)),
+    Superellipse((1.0, 0.5), 4.0, np.zeros(2)),
+    WulffBody(DQ, np.zeros(2), 1.0),
+    WulffBody(DualNorm(W3), np.zeros(3), 1.0),
+)
 
 
 @pytest.mark.parametrize(
-    "f,entry",
-    [(f, entry) for f in (E2, Q2, W2, W3) for entry in _ENTRY_POINTS],
+    "target,entry",
+    [(f, entry) for f in (E2, Q2, W2, W3) for entry in _ENTRY_POINTS]
+    + [(f, entry) for f in (E2, Q2, W2, W3) for entry in ("value", "grad", "hess")]
+    + [
+        (body, entry)
+        for body in _BODIES
+        for entry in ("phi", "grad_phi", "hess_phi", "sign")
+        # a Wulff body has no hess_phi
+        if not (isinstance(body, WulffBody) and entry == "hess_phi")
+    ],
     ids=lambda p: p if isinstance(p, str) else f"{type(p).__name__}{p.dim}",
 )
-def test_entry_points_refuse_rows_of_the_wrong_dimension(f, entry):
+def test_entry_points_refuse_rows_of_the_wrong_dimension(target, entry):
     # a typed refusal that names both shapes, never a numpy error or a
-    # value read from the first columns
-    dual = DualNorm(f)
-    wrong = f.dim + 1
-    for rows in (np.ones((2, wrong)), np.ones((2, f.dim - 1)), np.ones(f.dim), np.ones((1, 2, f.dim))):
-        expected = re.escape(f"(N, {f.dim})") + ".*" + re.escape(str(rows.shape))
+    # value read from the first columns; the batch_* entry points are those
+    # of DualNorm(target)
+    evaluator = DualNorm(target) if entry in _ENTRY_POINTS else target
+    dim = target.dim
+    for rows in (np.ones((2, dim + 1)), np.ones((2, dim - 1)), np.ones(dim), np.ones((1, 2, dim))):
+        expected = re.escape(f"(N, {dim})") + ".*" + re.escape(str(rows.shape))
         with pytest.raises(InputError, match=expected):
-            getattr(dual, entry)(rows)
+            getattr(evaluator, entry)(rows)
 
 
 def _rotated_anisotropic_matrix(dim, rng):
@@ -634,7 +651,7 @@ def test_newton_kernel_derivatives(f):
     dense = value[:, None, None] * f.hess(x) + grad[:, :, None] * grad[:, None, :]
     assert np.abs(a.T - dense[:, i, j]).max() <= 1e-12 * np.abs(dense).max()
     for row, xn in zip(a.T, x):
-        fd = fd_jacobian(lambda y: f.value(y) * f.grad(y), xn)
+        fd = fd_jacobian(lambda y: f.value(y[None])[0] * f.grad(y[None])[0], xn)
         assert np.abs(row - fd[i, j]).max() <= 1e-6
     # the Newton step solves grad^2(F^2/2) s = -res
     res = rng.standard_normal(g.shape)

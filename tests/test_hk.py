@@ -35,22 +35,19 @@ class Flower(StarBody):
     """Radial test body rho(theta) = 1 + a cos(3 theta); concave at the dents
     for a > 1/10, giving nodes with negative curvature."""
 
-    kind = "flower"
-
     def __init__(self, a):
         self.a = a
         self.center = np.zeros(2)
 
     def _polar(self, x):
-        x = np.atleast_2d(x)
+        x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=1)
         t = np.arctan2(x[:, 1], x[:, 0])
         return x, r, t
 
     def phi(self, x):
         x, r, t = self._polar(x)
-        out = r - (1.0 + self.a * np.cos(3 * t))
-        return out[0] if np.asarray(x).shape[0] == 1 else out
+        return r - (1.0 + self.a * np.cos(3 * t))
 
     def grad_phi(self, x):
         x, r, t = self._polar(x)
@@ -191,7 +188,7 @@ def test_radius_bound_failure_named():
     synthetic = (
         UmbilicityReport(
             lam=2.0, center=np.zeros(2), radius=0.5, dispersion=0.0,
-            verdict="wulff", max_residual=0.0, tol_umb=1e-3, tol_fit=1e-3,
+            verdict="wulff", max_residual=0.0, tol_umb=1e-3,
         ),
     )
     verdict = equality_classifier(rep, synthetic, c=2.0, tol_r=0.02)

@@ -116,7 +116,7 @@ def test_weighted_sum_wulff_sampling():
 
 def test_weighted_sum_wulff_phi_at_center():
     body = WulffBody(DualNorm(WeightedSum(((0.5, E2), (1.0, Q2)))), np.array([0.2, -0.1]), 0.8)
-    assert body.phi(body.center) == -0.8
+    assert body.phi(body.center[None])[0] == -0.8
 
 
 def test_quadrature_convergence_rate():

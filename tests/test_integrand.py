@@ -28,16 +28,16 @@ def random_points(f, n, seed=0):
 
 
 def test_evaluate_examples():
-    assert E2.value([3.0, 4.0]) == pytest.approx(5.0, abs=1e-15)
-    assert Q2.value([1.0, 0.0]) == pytest.approx(2.0, abs=1e-15)
-    assert E2.value([0.0, 0.0]) == 0.0
+    assert E2.value([[3.0, 4.0]])[0] == pytest.approx(5.0, abs=1e-15)
+    assert Q2.value([[1.0, 0.0]])[0] == pytest.approx(2.0, abs=1e-15)
+    assert E2.value([[0.0, 0.0]])[0] == 0.0
 
 
 def test_evaluate_rejects_nonfinite():
     with pytest.raises(InputError):
-        E2.value([np.nan, 1.0])
+        E2.value([[np.nan, 1.0]])
     with pytest.raises(InputError):
-        Q2.value([np.inf, 0.0])
+        Q2.value([[np.inf, 0.0]])
 
 
 @pytest.mark.parametrize("f", FAMILIES)
@@ -54,15 +54,15 @@ def test_homogeneity(f):
 @given(hst.floats(-5, 5), hst.floats(-5, 5), hst.floats(-8, 8))
 @settings(max_examples=200, deadline=None)
 def test_homogeneity_hypothesis(x1, x2, lam):
-    x = np.array([x1, x2])
+    x = np.array([[x1, x2]])
     if np.linalg.norm(x) < 1e-3:
         return
-    assert Q2.value(lam * x) == pytest.approx(abs(lam) * Q2.value(x), rel=1e-12, abs=1e-12)
+    assert Q2.value(lam * x)[0] == pytest.approx(abs(lam) * Q2.value(x)[0], rel=1e-12, abs=1e-12)
 
 
 def test_gradient_examples():
-    assert E2.grad([3.0, 4.0]) == pytest.approx([0.6, 0.8], abs=1e-15)
-    assert Q2.grad([1.0, 0.0]) == pytest.approx([2.0, 0.0], abs=1e-15)
+    assert E2.grad([[3.0, 4.0]])[0] == pytest.approx([0.6, 0.8], abs=1e-15)
+    assert Q2.grad([[1.0, 0.0]])[0] == pytest.approx([2.0, 0.0], abs=1e-15)
 
 
 @pytest.mark.parametrize("f", FAMILIES)
@@ -75,22 +75,22 @@ def test_euler_relation(f):
 
 def test_gradient_at_origin_is_domain_error():
     with pytest.raises(DomainError):
-        E2.grad([0.0, 0.0])
+        E2.grad([[0.0, 0.0]])
     with pytest.raises(DomainError):
-        Q2.hess([0.0, 0.0])
+        Q2.hess([[0.0, 0.0]])
 
 
 def test_hessian_examples():
-    assert E2.hess([1.0, 0.0]) == pytest.approx(np.array([[0.0, 0.0], [0.0, 1.0]]), abs=1e-15)
-    assert Q2.hess([1.0, 0.0]) == pytest.approx(np.array([[0.0, 0.0], [0.0, 0.5]]), abs=1e-15)
+    assert E2.hess([[1.0, 0.0]])[0] == pytest.approx(np.array([[0.0, 0.0], [0.0, 1.0]]), abs=1e-15)
+    assert Q2.hess([[1.0, 0.0]])[0] == pytest.approx(np.array([[0.0, 0.0], [0.0, 0.5]]), abs=1e-15)
 
 
 @pytest.mark.parametrize("f", [Q2, W2])
 def test_hessian_matches_finite_difference_gradient(f):
     # closed form cross-checked against central differences with step 1e-5
     x = np.array([0.7, -1.3])[: f.dim]
-    fd = fd_jacobian(lambda y: f.grad(y), x, h=1e-5)
-    assert np.abs(f.hess(x) - 0.5 * (fd + fd.T)).max() < 1e-9
+    fd = fd_jacobian(lambda y: f.grad(y[None])[0], x, h=1e-5)
+    assert np.abs(f.hess(x[None])[0] - 0.5 * (fd + fd.T)).max() < 1e-9
 
 
 @pytest.mark.parametrize("f", FAMILIES)
@@ -110,8 +110,8 @@ def test_gradient_hessian_fd_order(f):
     x = rng.standard_normal(f.dim) * 1.7
     errs = []
     for h in (1e-3, 1e-4):
-        fd = fd_jacobian(lambda y: f.grad(y), x, h=h)
-        errs.append(np.abs(fd - f.hess(x)).max())
+        fd = fd_jacobian(lambda y: f.grad(y[None])[0], x, h=h)
+        errs.append(np.abs(fd - f.hess(x[None])[0]).max())
     order = np.log10(errs[0] / errs[1])
     assert order >= 1.9
 

@@ -161,6 +161,18 @@ def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
         (("steiner",), {"samples": 0}),
         (("steiner",), {"samples": 2}),
         (("steiner",), {"samples": 5}),
+        # JSON booleans, which Python reads as the integers 1 and 0
+        (("seed",), True),
+        (("tolerances",), {"tol_eq": True}),
+        (("steiner",), {"hi_frac": True}),
+        (("hk",), {"c": True}),
+        (("grid", "cells"), [40, True]),
+        (("bodies", 0, "radius"), True),
+        (("integrand",), {"family": "weighted-sum", "terms": [
+            {"weight": True, "integrand": {"family": "euclidean", "dimension": 2}},
+        ]}),
+        (("bodies", 0, "id"), "a/b"),
+        (("bodies", 0, "id"), "a,b"),
     ],
 )
 def test_bad_field_values_are_scene_errors(path, value):
@@ -337,6 +349,17 @@ def test_any_json_scene_parses_or_raises_scene_error(raw):
         ("grid", {"grid": {"bounds": [[-INF, 2.0], [-1.5, 1.5]], "cells": [40, 30]}}, []),
         ("tolerances.eps_cluster", {"tolerances": {"eps_cluster": -1}}, []),
         ("steiner.samples", {"steiner": {"samples": -1}}, []),
+        # a body id names output files and CSV fields
+        ("bodies[0].id", {"bodies": [{**BASE["bodies"][0], "id": "a/b"}]}, []),
+        ("bodies[0].id", {"bodies": [{**BASE["bodies"][0], "id": "a,b"}]}, []),
+        ("bodies[0].radius", {"bodies": [{**BASE["bodies"][0], "radius": True}]}, []),
+        ("bodies[0].exponent", {"bodies": [
+            {"kind": "superellipse", "semi_axes": [1.0, 1.0], "exponent": "four",
+             "center": [0.0, 0.0]},
+        ]}, []),
+        ("integrand.terms[0].weight", {"integrand": {"family": "weighted-sum", "terms": [
+            {"weight": True, "integrand": {"family": "euclidean", "dimension": 2}},
+        ]}}, []),
     ],
 )
 def test_bad_scene_value_exits_1_without_traceback(tmp_path, capsys, field, override, argv):

@@ -46,8 +46,8 @@ def test_stress_tensor_formula():
     nu /= np.linalg.norm(nu, axis=1)[:, None]
     b = stress_tensor(Q2, nu)
     for k in range(20):
-        fv = Q2.value(nu[k])
-        g = Q2.grad(nu[k])
+        fv = Q2.value(nu[k][None])[0]
+        g = Q2.grad(nu[k][None])[0]
         for u in (np.array([1.0, 0.0]), np.array([0.3, -1.2])):
             direct = fv * u - nu[k] * (u @ g)
             assert b[k] @ u == pytest.approx(direct, rel=1e-14)
