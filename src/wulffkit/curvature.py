@@ -7,6 +7,11 @@ definite for elliptic integrands, so the eigenvalues are computed from the
 symmetric matrix C.B.C with C the SPD square root of A, which keeps them
 real by construction.  Dimensions are small (n = 1 or 2), so square roots
 and eigenvalues use closed forms.
+
+``curvature_table`` is the one boundary table of a body's sample: beside
+the curvatures it holds F(nu), grad F(nu) and the elementary symmetric
+polynomials sigma_k of the curvatures, which the Heintze-Karcher, tube
+(Montiel-Ros), Steiner and umbilicity routines read instead of an integrand.
 """
 
 from __future__ import annotations
@@ -86,27 +91,42 @@ def _kappa_from_ab(a, b):
 
 @dataclass(frozen=True, eq=False)
 class CurvatureTable:
-    """Per-node curvature data over a whole quadrature.
+    """Per-node boundary data of one quadrature under one integrand F.
 
     kappa holds the sorted anisotropic principal curvatures (N, n); mean
-    holds H, their sum, equal to trace(A.B) at every node.
+    holds H, their sum, equal to trace(A.B) at every node.  f_normal holds
+    F(nu) and eta grad F(nu) at the unit normals nu; sigma (N, n+1) holds the
+    elementary symmetric polynomials sigma_0 = 1, sigma_1, ..., sigma_n of
+    the rows of kappa.  Every boundary integral reads these arrays, so F is
+    evaluated at the normals once per table.
     """
 
-    frames: np.ndarray
     shape_ops: np.ndarray
     f_hessians: np.ndarray
     kappa: np.ndarray
     mean: np.ndarray
+    f_normal: np.ndarray
+    eta: np.ndarray
+    sigma: np.ndarray
 
 
 def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> CurvatureTable:
-    """Vectorized curvature pass over all quadrature nodes."""
-    frames = quad.frames
-    b = _shape_operators_bulk(body, quad, frames)
-    a = tangential_hessian(f, quad.normals, frames)
+    """Vectorized curvature pass over all quadrature nodes, in the tangent
+    frames ``quad.frames``."""
+    b = _shape_operators_bulk(body, quad, quad.frames)
+    a = tangential_hessian(f, quad.normals, quad.frames)
     kappa = _kappa_from_ab(a, b)
-    mean = np.einsum("nij,nji->n", a, b)
-    return CurvatureTable(frames=frames, shape_ops=b, f_hessians=a, kappa=kappa, mean=mean)
+    # sigma_0 = 1, sigma_1 = sum of the kappa_i and, for n = 2, sigma_2 = kappa_1 kappa_2
+    sigma = [np.ones(len(kappa)), kappa.sum(axis=1), kappa.prod(axis=1)][: kappa.shape[1] + 1]
+    return CurvatureTable(
+        shape_ops=b,
+        f_hessians=a,
+        kappa=kappa,
+        mean=np.einsum("nij,nji->n", a, b),
+        f_normal=f.value(quad.normals),
+        eta=f.grad(quad.normals),
+        sigma=np.stack(sigma, axis=1),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +151,6 @@ class UmbilicityReport:
 def umbilicity_classify(
     quad: SurfaceQuadrature,
     table: CurvatureTable,
-    f: Integrand,
     tol_fit: float = 1e-3,
 ) -> UmbilicityReport:
     """Classify a boundary as a Wulff ball via constant anisotropic curvature.
@@ -139,7 +158,8 @@ def umbilicity_classify(
     lambda is the area-weighted mean of (sum kappa_i)/n; nodes must all have
     every curvature within tol_umb = 1e-3 |lambda| of lambda to count as
     umbilical, after which the affine relation grad F(nu(x)) = lambda x + c
-    is fitted and its worst deviation reported as the dispersion.
+    is fitted, grad F(nu) read from ``table.eta``, and its worst deviation
+    reported as the dispersion.
     """
     wsum = quad.weights.sum()
     lam = float((quad.weights * table.kappa.mean(axis=1)).sum() / wsum)
@@ -159,8 +179,7 @@ def umbilicity_classify(
             verdict="hyperplane-like", max_residual=max_res,
             tol_umb=tol_umb,
         )
-    eta = f.grad(quad.normals)
-    affine = eta - lam * quad.points
+    affine = table.eta - lam * quad.points
     c = (quad.weights[:, None] * affine).sum(axis=0) / wsum
     dispersion = float(np.linalg.norm(affine - c, axis=1).max())
     radius = 1.0 / abs(lam)

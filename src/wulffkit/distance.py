@@ -45,7 +45,7 @@ import numpy as np
 from .duality import DualNorm, dual_norm_of
 from .errors import InputError
 from .hypersurface import StarBody, sample_surface
-from .integrand import Integrand, QuadraticNorm, _whole, tangential_hessian
+from .integrand import Integrand, QuadraticNorm, _finite_rows, _whole, tangential_hessian
 from .spheregrid import sphere_quadrature, tangent_frames
 
 __all__ = [
@@ -169,6 +169,9 @@ class SourceSet:
         return float(max(steps))
 
     def membership(self, x):
+        """Whether each of the finite (N, 2) rows x lies in A; other input is
+        an InputError in every region."""
+        x = _finite_rows(x, self.points.shape[1])
         if self.inside is None:
             return np.zeros(len(x), dtype=bool)
         return np.asarray(self.inside(x), dtype=bool)

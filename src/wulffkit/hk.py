@@ -5,7 +5,9 @@ For a body with everywhere positive anisotropic mean curvature H,
     vol <= mr <= n/(n+1) * integral of F(nu)/H over the boundary,
 
 where the middle quantity is the tube (Montiel-Ros) integral obtained by
-integrating the normal-flow Jacobian up to the first focal time.
+integrating the normal-flow Jacobian up to the first focal time.  Both
+integrals read F(nu), H and the sigma_k of each body's curvature table, so
+no routine here takes an integrand.
 ``hk_evaluate`` computes the three terms once per body, as one ``HKRow``
 each, and sums the rows in body order for the scene's totals.  One rule
 holds for every caller: a node with H <= 0 violates the hypothesis and
@@ -29,7 +31,6 @@ import numpy as np
 from .curvature import CurvatureTable, UmbilicityReport
 from .errors import HypothesisViolationError, InputError
 from .hypersurface import SurfaceQuadrature, WulffBody, volume
-from .integrand import Integrand
 
 __all__ = [
     "HKRow",
@@ -97,42 +98,34 @@ def check_disjoint(sampled: Sequence[tuple]) -> None:
                 )
 
 
-def montiel_ros_integral(
-    quad: SurfaceQuadrature, table: CurvatureTable, f: Integrand
-) -> float:
-    """Montiel-Ros tube integral from complement-side principal curvatures.
+def montiel_ros_integral(quad: SurfaceQuadrature, table: CurvatureTable) -> float:
+    """Montiel-Ros tube integral from the curvature table.
 
-    kappa_Q = -kappa (normal flipped into the body); the inner integral of
-    prod(1 + t kappa_Q) runs to the first focal time T = -1/kappa_Q1 and is
-    a degree-(n+1) polynomial evaluated in closed form.  A node whose
-    largest curvature is nonpositive has no focal cut and raises.
+    Flowing inward along the normal, the area element at time t scales by
+    prod(1 - t kappa_i) = sum_k (-1)^k sigma_k t^k up to the first focal
+    time T = 1/kappa_max, so the inner integral is
+    sum_k (-1)^k sigma_k T^(k+1)/(k+1), summed in k order, weighted by F(nu).
+    A node whose largest curvature is nonpositive has no focal cut and raises.
     """
-    kq = -table.kappa[:, ::-1]  # sorted ascending again after negation
-    kq1 = kq[:, 0]
-    if np.any(kq1 >= 0):
-        i = int(np.argmax(kq1))
+    k_max = table.kappa[:, -1]
+    if np.any(k_max <= 0):
+        i = int(np.argmin(k_max))
         raise HypothesisViolationError(
             f"node {i} at {quad.points[i]} has no positive curvature direction"
         )
-    t_star = -1.0 / kq1
-    n = kq.shape[1]
-    if n == 1:
-        inner = t_star + 0.5 * kq1 * t_star**2
-    elif n == 2:
-        e1 = kq[:, 0] + kq[:, 1]
-        e2 = kq[:, 0] * kq[:, 1]
-        inner = t_star + 0.5 * e1 * t_star**2 + e2 * t_star**3 / 3.0
-    else:
-        raise InputError("tube integral implemented for n in {1, 2}")
-    return float((f.value(quad.normals) * quad.weights * inner).sum())
+    t_star = 1.0 / k_max
+    inner = 0.0
+    for k in range(table.sigma.shape[1]):
+        inner = inner + (-1) ** k * table.sigma[:, k] * t_star ** (k + 1) / (k + 1)
+    return float((table.f_normal * quad.weights * inner).sum())
 
 
-def hk_evaluate(sampled: Sequence[tuple], f: Integrand, tol_eq: float = 1e-3) -> HKReport:
+def hk_evaluate(sampled: Sequence[tuple], tol_eq: float = 1e-3) -> HKReport:
     """Evaluate the volume vs curvature-integral ratio over disjoint bodies.
 
     ``sampled`` holds one (body, quadrature, curvature table) triple per
-    body, the table computed with ``f`` on that quadrature; the report
-    holds one row per body in that order.
+    body, all tables under one integrand F; F(nu) is read from the table.
+    The report holds one row per body in that order.
     ratio = vol / (n/(n+1) * sum F(nu)/H w); the verdict is "equality" when
     |ratio - 1| <= tol_eq and "strict" otherwise.  Any node with H <= 0
     violates the positivity hypothesis and raises.
@@ -140,11 +133,11 @@ def hk_evaluate(sampled: Sequence[tuple], f: Integrand, tol_eq: float = 1e-3) ->
     if not sampled:
         raise InputError("empty scene")
     dims = {quad.dim for _, quad, _ in sampled}
-    if len(dims) != 1 or next(iter(dims)) != f.dim:
-        raise InputError("bodies and integrand must share one dimension")
+    if len(dims) != 1:
+        raise InputError("bodies must share one dimension")
     if len(sampled) > 1:
         check_disjoint(sampled)
-    n = f.dim - 1
+    n = dims.pop() - 1
 
     rows = []
     for k, (_, quad, table) in enumerate(sampled):
@@ -156,8 +149,8 @@ def hk_evaluate(sampled: Sequence[tuple], f: Integrand, tol_eq: float = 1e-3) ->
         rows.append(
             HKRow(
                 vol=volume(quad),
-                integral=float((f.value(quad.normals) / table.mean * quad.weights).sum()),
-                mr_integral=montiel_ros_integral(quad, table, f),
+                integral=float((table.f_normal / table.mean * quad.weights).sum()),
+                mr_integral=montiel_ros_integral(quad, table),
                 h_min=float(table.mean.min()),
                 h_max=float(table.mean.max()),
             )

@@ -1,7 +1,8 @@
 """Star-shaped implicit bodies and oriented boundary quadratures.
 
 Bodies are level sets {phi = 0} of functions that increase along rays from
-the body center, so every sphere direction meets the boundary exactly once.
+the body center, so every sphere direction meets the boundary exactly once,
+at a radius that every shipped kind gives in closed form.
 Boundary nodes carry the exact implicit normal and a radial-projection area
 weight, which keeps all downstream surface integrals honest: for direction
 omega with sphere weight sigma and ray radius rho, the area element is
@@ -41,7 +42,9 @@ class StarBody:
     """Implicit body phi < 0, star-shaped around ``center``.
 
     ``phi``, ``grad_phi``, ``hess_phi`` and ``sign`` take an (N, dim) array
-    of finite rows and refuse anything else with an InputError.
+    of finite rows and refuse anything else with an InputError.  A subclass
+    also gives ``ray_radii``; ``sample_surface`` refuses a body with a ray
+    radius that is not positive by a StarShapeError.
     """
 
     center: np.ndarray
@@ -59,16 +62,14 @@ class StarBody:
     def hess_phi(self, x):
         raise NotImplementedError
 
-    def bounding_radius(self) -> float:
-        raise NotImplementedError
-
     def sign(self, x):
         """The sign of phi: -1 inside the body, 0 on its boundary, 1 outside."""
         return np.sign(self.phi(x))
 
     def ray_radii(self, omega):
-        """Boundary radius along each unit ray from the center."""
-        return _bisect_newton_radii(self, np.asarray(omega, dtype=float))
+        """Boundary radius along each unit ray from the center: the root
+        t > 0 of phi(c + t w), in closed form for every shipped kind."""
+        raise NotImplementedError
 
     def ray_boundary(self, omega):
         """(rho, grad phi(c + rho omega)): the boundary radius along each unit
@@ -99,9 +100,6 @@ class Ellipsoid(StarBody):
     def hess_phi(self, x):
         n = len(_finite_rows(x, self.dim))
         return np.broadcast_to(2.0 * self.matrix, (n, self.dim, self.dim))
-
-    def bounding_radius(self) -> float:
-        return 1.0 / np.sqrt(np.linalg.eigvalsh(self.matrix).min())
 
     def ray_radii(self, omega):
         # phi(c + t w) = t^2 w'Qw - 1 has the exact root t = 1 / sqrt(w'Qw)
@@ -206,46 +204,14 @@ class Superellipse(StarBody):
         h[:, 1, 1] = diag[:, 1]
         return h
 
-    def bounding_radius(self) -> float:
-        return max(self.semi_axes)
-
-
-def _bisect_newton_radii(body: StarBody, omega, tol=1e-13):
-    """Vectorized bracketing + bisection with Newton polish on t -> phi(c + t w)."""
-    c = body.center
-    if body.phi(c[None])[0] >= 0:
-        raise StarShapeError("body center is not interior (phi(center) >= 0)")
-    n = len(omega)
-    hi = np.full(n, 1.25 * body.bounding_radius())
-    for _ in range(60):
-        outside = body.phi(c[None, :] + hi[:, None] * omega) > 0
-        if outside.all():
-            break
-        hi[~outside] *= 2.0
-    else:
-        raise StarShapeError("could not bracket the boundary along some rays")
-    lo = np.zeros(n)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        pos = body.phi(c[None, :] + mid[:, None] * omega) > 0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    t = 0.5 * (lo + hi)
-    for _ in range(8):
-        x = c[None, :] + t[:, None] * omega
-        val = body.phi(x)
-        with np.errstate(all="ignore"):
-            slope = np.einsum("ni,ni->n", omega, body.grad_phi(x))
-        if not np.all(slope > 0):  # inverted so NaN slopes fail too
-            raise StarShapeError("phi is not radially increasing at the boundary")
-        step = val / slope
-        t = np.clip(t - step, lo, hi)
-        if np.all(np.abs(step) <= tol * np.maximum(t, 1.0)):
-            break
-    val = body.phi(c[None, :] + t[:, None] * omega)
-    if not np.all(np.abs(val) <= 1e-8 * (1.0 + np.abs(slope) * t)):
-        raise StarShapeError("no boundary crossing along some rays")
-    return t
+    def ray_radii(self, omega):
+        # phi(c + t w) = t^p sum |w_i/a_i|^p - 1 has the exact root
+        # t = (sum |w_i/a_i|^p)^(-1/p); the largest |w_i/a_i| is factored
+        # out so that no power underflows at a large exponent
+        u = np.abs(np.asarray(omega, dtype=float)) / np.asarray(self.semi_axes)
+        top = u.max(axis=1)
+        p = self.exponent
+        return 1.0 / (top * ((u / top[:, None]) ** p).sum(axis=1) ** (1.0 / p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,6 +262,8 @@ def sample_surface(body: StarBody, resolution) -> SurfaceQuadrature:
     surface_counts(body.dim, resolution)
     omega, sigma = sphere_quadrature(body.dim, resolution)
     rho, g = body.ray_boundary(omega)
+    if not np.all(rho > 0):  # inverted so NaN radii fail too
+        raise StarShapeError("a ray from the center has no positive boundary radius")
     x = body.center[None, :] + rho[:, None] * omega
     gnorm = np.linalg.norm(g, axis=1)
     if np.any(gnorm < 1e-12):

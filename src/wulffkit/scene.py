@@ -84,7 +84,11 @@ def _convert(kind, value, where):
 
 
 def _array(value, where):
+    """value as a float array, or a SceneError naming the field.  A JSON
+    boolean at any depth is not a number."""
     try:
+        if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).ravel()):
+            raise TypeError
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise SceneError(f"{where}: expected an array of numbers") from None
@@ -122,7 +126,7 @@ def _parse_integrand(spec, where="integrand") -> Integrand:
             dim = _count(_require(spec, "dimension", where), f"{where}.dimension")
             return EuclideanNorm(dim)
         if family == "quadratic":
-            return QuadraticNorm(np.asarray(_require(spec, "matrix", where), dtype=float))
+            return QuadraticNorm(_array(_require(spec, "matrix", where), f"{where}.matrix"))
         if family == "weighted-sum":
             terms = _require(spec, "terms", where)
             parsed = []
@@ -142,10 +146,12 @@ def _parse_integrand(spec, where="integrand") -> Integrand:
 def _parse_body(spec, dual: DualNorm, index: int) -> tuple:
     where = f"bodies[{index}]"
     kind = _require(spec, "kind", where)
-    body_id = str(spec.get("id", f"body{index}"))
+    body_id = spec.get("id", f"body{index}")
     # ids name output files and CSV fields
-    if not re.fullmatch(r"[A-Za-z0-9_-]+", body_id):
-        raise SceneError(f"{where}.id: expected letters, digits, '_' or '-', got {body_id!r}")
+    if not isinstance(body_id, str) or not re.fullmatch(r"[A-Za-z0-9_-]+", body_id):
+        raise SceneError(
+            f"{where}.id: expected a string of letters, digits, '_' or '-', got {body_id!r}"
+        )
     center = _array(_require(spec, "center", where), f"{where}.center")
     try:
         if kind == "wulff":
@@ -156,12 +162,12 @@ def _parse_body(spec, dual: DualNorm, index: int) -> tuple:
             )
         elif kind == "ellipsoid":
             body = Ellipsoid(
-                matrix=np.asarray(_require(spec, "matrix", where), dtype=float),
+                matrix=_array(_require(spec, "matrix", where), f"{where}.matrix"),
                 center=center,
             )
         elif kind == "superellipse":
             body = Superellipse(
-                semi_axes=tuple(_require(spec, "semi_axes", where)),
+                semi_axes=_array(_require(spec, "semi_axes", where), f"{where}.semi_axes"),
                 exponent=_convert(float, _require(spec, "exponent", where), f"{where}.exponent"),
                 center=center,
             )

@@ -11,7 +11,8 @@ coefficients are cross-checked against the closed-form boundary integrals
 
 over the body boundary (the tube taken inward from the complement), where
 sigma_k is the k-th elementary symmetric polynomial of the anisotropic
-principal curvatures: sigma_0 = 1, sigma_1 = H, sigma_2 = kappa_1 kappa_2.
+principal curvatures: sigma_0 = 1, sigma_1 = H, sigma_2 = kappa_1 kappa_2,
+as ``CurvatureTable.sigma`` holds them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .curvature import CurvatureTable
 from .distance import DistanceField
 from .errors import InputError, TruncationError
 from .hypersurface import SurfaceQuadrature
-from .integrand import Integrand
 
 __all__ = [
     "TubeCurve",
@@ -124,23 +124,18 @@ def fit_polynomial(curve: TubeCurve, degree: int) -> SteinerFit:
     )
 
 
-def claim5_coefficients(
-    quad: SurfaceQuadrature,
-    table: CurvatureTable,
-    f: Integrand,
-) -> np.ndarray:
+def claim5_coefficients(quad: SurfaceQuadrature, table: CurvatureTable) -> np.ndarray:
     """Tube coefficients of the inward tube of a smooth body from boundary data.
 
     c_i = (-1)^(i-1)/i * sum F(nu) sigma_(i-1)(kappa_F) w over the boundary
-    quadrature, i = 1..d, with sigma_0 = 1, sigma_1 = H and, in 3D,
-    sigma_2 = kappa_1 kappa_2.  By the anisotropic Gauss-Bonnet identity the
-    top coefficient is (-1)^n |W|.
+    quadrature, i = 1..d, with F(nu) and sigma_k read from the curvature
+    table.  By the anisotropic Gauss-Bonnet identity the top coefficient is
+    (-1)^n |W|.
     """
-    fnu = f.value(quad.normals)
-    sigma = (1.0, table.mean, table.kappa.prod(axis=1))
     return np.array(
         [
-            (-1) ** i / (i + 1) * float((fnu * sigma[i] * quad.weights).sum())
+            (-1) ** i / (i + 1)
+            * float((table.f_normal * table.sigma[:, i] * quad.weights).sum())
             for i in range(quad.dim)
         ]
     )

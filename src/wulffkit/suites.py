@@ -100,9 +100,7 @@ class RunCache:
         _, quad, table = self.sampled(body)
         return self._once(
             ("umbilicity", body),
-            lambda: umbilicity_classify(
-                quad, table, self.scene.integrand, tol_fit=self.scene.tolerances["tol_fit"]
-            ),
+            lambda: umbilicity_classify(quad, table, tol_fit=self.scene.tolerances["tol_fit"]),
         )
 
     def hk(self):
@@ -111,7 +109,6 @@ class RunCache:
             "hk",
             lambda: hk_evaluate(
                 [self.sampled(body) for _, body in self.scene.bodies],
-                self.scene.integrand,
                 tol_eq=self.scene.tolerances["tol_eq"],
             ),
         )
@@ -240,7 +237,6 @@ def suite_wulff(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
 
 def suite_curv(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("curv", VERIFIES["curv"])
-    f, dual = scene.integrand, scene.dual
     kappa_tol = 1e-4 if scene.dim == 2 else 1e-3
     for bid, body in scene.bodies:
         _, quad, table = cache.sampled(body)
@@ -250,10 +246,9 @@ def suite_curv(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
             / (1.0 + np.abs(table.mean).max()),
             1e-8,
         )
-        eta = f.grad(quad.normals)
         res.check(
             f"eta_on_unit_conjugate_sphere[{bid}]",
-            np.abs(dual.batch_value(eta) - 1.0).max(),
+            np.abs(scene.dual.batch_value(table.eta) - 1.0).max(),
             1e-8,
         )
         umb = cache.umbilicity(body)
@@ -372,7 +367,7 @@ def suite_steiner(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         curve = st.tube_volumes(field_, t)
         fit = st.fit_polynomial(curve, scene.dim)
         _, quad, table = cache.sampled(body)
-        reference = st.claim5_coefficients(quad, table, f)
+        reference = st.claim5_coefficients(quad, table)
         verdict = st.positive_reach_test(
             fit, scene.tolerances["steiner_residual"], reference
         )

@@ -52,6 +52,33 @@ def polynomial_field(const, lin, quad, x):
     return out
 
 
+def bisect_ray_radii(phi, center, omega, start):
+    """The root t > 0 of t -> phi(center + t w) along each unit ray w: the
+    bracket [0, start] doubles until phi is positive at its end, then halves
+    until its ends are adjacent floats.  phi takes (N, d) rows; it must be
+    negative at the centre and change sign once along each ray."""
+    omega = np.asarray(omega, dtype=float)
+
+    def positive(t):
+        return phi(center + t[:, None] * omega) > 0
+
+    lo, hi = np.zeros(len(omega)), np.full(len(omega), float(start))
+    for _ in range(64):
+        out = positive(hi)
+        if out.all():
+            break
+        hi = np.where(out, hi, 2.0 * hi)
+    else:
+        raise AssertionError("no sign change along some rays")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        pos = positive(mid)
+        lo, hi = np.where(pos, lo, mid), np.where(pos, mid, hi)
+    return 0.5 * (lo + hi)
+
+
 def brute_conjugate(f_value, w, n=200_000):
     """max w.u over {F(u) = 1} by dense sampling of the plane of w (d=2)."""
     theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)

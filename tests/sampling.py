@@ -17,9 +17,9 @@ def sampled(bodies, f, resolution):
     return [(b, *quad_table(b, f, resolution)) for b in bodies]
 
 
-def umbilicity(triples, f):
+def umbilicity(triples):
     """One umbilicity report per (body, quadrature, table) triple, in order."""
-    return tuple(umbilicity_classify(q, t, f) for _, q, t in triples)
+    return tuple(umbilicity_classify(q, t) for _, q, t in triples)
 
 
 def scene(bodies, f, resolution, suites=("curv", "hk", "mr")):

@@ -102,14 +102,13 @@ def test_criterion_2_wulff_constant_curvature():
 
 
 def test_criterion_3_hk_equality_and_chain():
-    single = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096), Q2)
+    single = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096))
     union = hk_evaluate(
         sampled(
             [WulffBody(DQ, np.array([-2.8, 0.0]), 1.0), WulffBody(DQ, np.array([2.8, 0.0]), 1.3)],
             Q2,
             4096,
         ),
-        Q2,
     )
     gaps = []
     for rep in (single, union):
@@ -126,7 +125,7 @@ def test_criterion_3_hk_equality_and_chain():
 
 def test_criterion_4_hk_strictness():
     ellipse = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
-    rep = hk_evaluate(sampled([ellipse], E2, 4096), E2)
+    rep = hk_evaluate(sampled([ellipse], E2, 4096))
     oracle = ellipse_hk_ratio(2.0, 1.0)
     assert rep.ratio <= 1.0 - 0.01
     assert abs(rep.ratio - oracle) <= 1e-3
@@ -149,7 +148,7 @@ def test_criterion_5_steiner_fits():
         field = build_field(src, f, grid)
         curve = tube_volumes(field, default_t_grid(1.0, 0.05, 0.9, 40))
         fit = fit_polynomial(curve, 2)
-        ref = claim5_coefficients(*quad_table(body, f, 4096), f)
+        ref = claim5_coefficients(*quad_table(body, f, 4096))
         agreement = np.abs(fit.coefficients - ref) / np.abs(ref).max()
         assert fit.residual <= 1e-2
         assert agreement.max() <= 0.02

@@ -124,7 +124,7 @@ def test_eta_field_on_conjugate_sphere():
 
 def test_umbilicity_recovers_offset_wulff():
     body = WulffBody(DQ, np.array([1.0, 2.0]), 1.5)
-    rep = umbilicity_classify(*quad_table(body, Q2, 2048), Q2)
+    rep = umbilicity_classify(*quad_table(body, Q2, 2048))
     assert rep.verdict == "wulff"
     assert rep.center == pytest.approx([1.0, 2.0], abs=1e-4)
     assert rep.radius == pytest.approx(1.5, abs=1e-4)
@@ -132,14 +132,14 @@ def test_umbilicity_recovers_offset_wulff():
 
 def test_umbilicity_euclidean_sphere():
     ball = Ellipsoid(np.eye(2) / 4.0, np.zeros(2))
-    rep = umbilicity_classify(*quad_table(ball, E2, 2048), E2)
+    rep = umbilicity_classify(*quad_table(ball, E2, 2048))
     assert rep.verdict == "wulff"
     assert rep.center == pytest.approx([0.0, 0.0], abs=1e-10)
     assert rep.radius == pytest.approx(2.0, abs=1e-10)
 
 
 def test_umbilicity_rejects_ellipse():
-    rep = umbilicity_classify(*quad_table(ELLIPSE, E2, 2048), E2)
+    rep = umbilicity_classify(*quad_table(ELLIPSE, E2, 2048))
     assert rep.verdict == "not-umbilical"
     assert rep.center is None
 
@@ -147,7 +147,7 @@ def test_umbilicity_rejects_ellipse():
 def test_umbilicity_hyperplane_like_for_vanishing_curvature():
     # a nearly flat boundary: umbilical with |lambda| below the resolvable floor
     huge = Ellipsoid(np.eye(2) / 1e24, np.zeros(2))
-    rep = umbilicity_classify(*quad_table(huge, E2, 256), E2)
+    rep = umbilicity_classify(*quad_table(huge, E2, 256))
     assert rep.verdict == "hyperplane-like"
     assert rep.radius is None
 
@@ -168,14 +168,42 @@ def test_non_elliptic_rejected():
 
 
 def test_table_frames_are_the_quadrature_frames():
-    # one frame array per quadrature, shared with the variation pass
+    # one frame array per quadrature, shared with the variation pass; the
+    # table is built in it and keeps no copy
     from wulffkit.curvature import tangent_frames
+    from wulffkit.integrand import tangential_hessian
 
     body = Ellipsoid(np.diag([0.25, 1.0, 0.5]), np.zeros(3))
     q = sample_surface(body, (32, 64))
     table = curvature_table(body, E3, q)
-    assert table.frames is q.frames
+    assert q.frames is q.frames
     assert np.array_equal(q.frames, tangent_frames(q.normals))
+    assert np.array_equal(table.f_hessians, tangential_hessian(E3, q.normals, q.frames))
+    assert not hasattr(table, "frames")
+
+
+def test_table_holds_the_integrand_and_sigma_of_each_node():
+    # F(nu) and grad F(nu) are the integrand's own values; sigma_k against the
+    # coefficients of prod_i (z - kappa_i) = sum_k (-1)^k sigma_k z^(n-k)
+    rng = np.random.default_rng(8)
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    f3 = WeightedSum(((0.4, E3), (1.0, QuadraticNorm(rot @ np.diag([3.0, 1.0, 0.5]) @ rot.T))))
+    ellipsoid = Ellipsoid(rot @ np.diag([0.25, 1.0, 0.5]) @ rot.T, np.array([1.0, 0.5, -2.0]))
+    cases = [
+        (ELLIPSE, Q2, 512),
+        (WulffBody(DQ, np.array([0.3, -0.2]), 1.4), Q2, 512),
+        (ellipsoid, f3, (32, 64)),
+    ]
+    for body, f, resolution in cases:
+        q, table = quad_table(body, f, resolution)
+        assert np.array_equal(table.f_normal, f.value(q.normals))
+        assert np.array_equal(table.eta, f.grad(q.normals))
+        n = q.dim - 1
+        assert table.sigma.shape == (len(q), n + 1)
+        signs = (-1.0) ** np.arange(n + 1)
+        poly = np.array([np.poly(k) for k in table.kappa]) * signs
+        assert np.all(table.sigma[:, 0] == 1.0)
+        assert np.abs(table.sigma - poly).max() <= 1e-14 * np.abs(poly).max()
 
 
 def _sym(a):

@@ -341,6 +341,16 @@ def test_source_spacing_includes_the_wrap():
     assert closed == pytest.approx(np.hypot(0.2, 0.5))
 
 
+def test_membership_takes_finite_rows_in_every_region():
+    disk = Ellipsoid(np.eye(2), np.zeros(2))
+    for region in ("curve", "set", "complement"):
+        src = boundary_source([disk], 256, region=region)
+        assert src.membership(np.zeros((3, 2))).shape == (3,)
+        for bad in (np.zeros(2), np.zeros((2, 5)), np.zeros((1, 1, 2)), [[0.0, np.nan]]):
+            with pytest.raises(InputError):
+                src.membership(bad)
+
+
 def test_empty_source_rejected():
     with pytest.raises(InputError):
         SourceSet(points=np.zeros((0, 2)), loops=())

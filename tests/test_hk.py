@@ -9,6 +9,7 @@ from wulffkit import (
     InputError,
     QuadraticNorm,
     StarBody,
+    Superellipse,
     WeightedSum,
     WulffBody,
     equality_classifier,
@@ -73,12 +74,12 @@ class Flower(StarBody):
             - rho1[:, None, None] * hess_t
         )
 
-    def bounding_radius(self):
-        return 1.0 + self.a
+    def ray_radii(self, omega):
+        return 1.0 + self.a * np.cos(3 * np.arctan2(omega[:, 1], omega[:, 0]))
 
 
 def test_hk_single_wulff_equality():
-    rep = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096), Q2)
+    rep = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096))
     assert abs(rep.ratio - 1.0) <= 1e-3
     assert rep.verdict == "equality"
     assert rep.h_min == pytest.approx(1.0, abs=1e-10)
@@ -86,12 +87,12 @@ def test_hk_single_wulff_equality():
 
 def test_hk_euclidean_ball():
     ball = Ellipsoid(np.eye(2) / 4.0, np.zeros(2))
-    rep = hk_evaluate(sampled([ball], E2, 4096), E2)
+    rep = hk_evaluate(sampled([ball], E2, 4096))
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hk_ellipse_strict_matches_oracle():
-    rep = hk_evaluate(sampled([ELLIPSE], E2, 4096), E2)
+    rep = hk_evaluate(sampled([ELLIPSE], E2, 4096))
     oracle = ellipse_hk_ratio(2.0, 1.0)
     assert oracle == pytest.approx(32.0 / 59.0, abs=1e-12)
     assert rep.ratio == pytest.approx(oracle, abs=1e-3)
@@ -106,7 +107,7 @@ def test_hk_chain_inequalities():
         ([Ellipsoid(np.diag([0.25, 1.0, 1.0]), np.zeros(3))], E3),
     ):
         res = 4096 if f.dim == 2 else (64, 128)
-        rep = hk_evaluate(sampled(bodies, f, res), f)
+        rep = hk_evaluate(sampled(bodies, f, res))
         rhs = (f.dim - 1) / f.dim * rep.integral
         assert rep.vol <= rep.mr_integral * (1 + 1e-3)
         assert rep.mr_integral <= rhs * (1 + 1e-3)
@@ -114,36 +115,59 @@ def test_hk_chain_inequalities():
 
 def test_montiel_ros_wulff_is_volume():
     body = WulffBody(DQ, np.zeros(2), 1.0)
-    assert montiel_ros_integral(*quad_table(body, Q2, 4096), Q2) == pytest.approx(
+    assert montiel_ros_integral(*quad_table(body, Q2, 4096)) == pytest.approx(
         2 * np.pi, rel=1e-10
     )
     ball = Ellipsoid(np.eye(3) / 4.0, np.zeros(3))
-    assert montiel_ros_integral(*quad_table(ball, E3, (64, 128)), E3) == pytest.approx(
+    assert montiel_ros_integral(*quad_table(ball, E3, (64, 128))) == pytest.approx(
         4.0 / 3.0 * np.pi * 8.0, rel=1e-10
     )
 
 
 def test_montiel_ros_ellipse_strict():
-    mr = montiel_ros_integral(*quad_table(ELLIPSE, E2, 4096), E2)
+    mr = montiel_ros_integral(*quad_table(ELLIPSE, E2, 4096))
     assert mr > 2 * np.pi
     # n = 1 makes the per-node mean inequality an identity: mr equals the rhs
-    rep = hk_evaluate(sampled([ELLIPSE], E2, 4096), E2)
+    rep = hk_evaluate(sampled([ELLIPSE], E2, 4096))
     assert mr == pytest.approx(0.5 * rep.integral, rel=1e-12)
+
+
+def test_montiel_ros_matches_gauss_legendre_in_t():
+    # per node, the integral of prod_i (1 - t kappa_i) over [0, 1/kappa_max] by
+    # Gauss-Legendre in t, exact for this degree-n polynomial, weighted by
+    # F(nu) from the integrand itself
+    rng = np.random.default_rng(12)
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    ellipsoid = Ellipsoid(rot @ np.diag([0.25, 1.0, 0.5]) @ rot.T, np.array([1.0, 0.5, -2.0]))
+    x, w = np.polynomial.legendre.leggauss(6)
+    cases = [
+        (ELLIPSE, Q2, 4096),
+        (Superellipse((2.0, 1.0), 4.0, np.array([0.5, -0.3])), E2, 4096),
+        (ellipsoid, QuadraticNorm(rot @ np.diag([3.0, 1.0, 0.5]) @ rot.T), (64, 128)),
+    ]
+    for body, f, resolution in cases:
+        quad, table = quad_table(body, f, resolution)
+        span = 1.0 / table.kappa.max(axis=1)
+        t = 0.5 * span[:, None] * (x + 1.0)
+        jacobian = np.prod(1.0 - t[:, :, None] * table.kappa[:, None, :], axis=2)
+        inner = 0.5 * span * (jacobian @ w)
+        oracle = float((f.value(quad.normals) * quad.weights * inner).sum())
+        assert montiel_ros_integral(quad, table) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_am_gm_tightness_on_umbilical_nodes():
     body = WulffBody(DualNorm(QuadraticNorm(np.diag([4.0, 1.0, 1.0]))), np.zeros(3), 1.5)
     f = QuadraticNorm(np.diag([4.0, 1.0, 1.0]))
-    rep = hk_evaluate(sampled([body], f, (64, 128)), f)
+    rep = hk_evaluate(sampled([body], f, (64, 128)))
     rhs = 2.0 / 3.0 * rep.integral
     assert abs(rep.mr_integral - rhs) <= 1e-6 * rhs
 
 
 def test_ratio_scale_equivariance():
-    base = hk_evaluate(sampled([ELLIPSE], E2, 4096), E2).ratio
+    base = hk_evaluate(sampled([ELLIPSE], E2, 4096)).ratio
     for lam in (0.5, 2.0):
         scaled = Ellipsoid(np.diag([0.25, 1.0]) / lam**2, np.zeros(2))
-        rep = hk_evaluate(sampled([scaled], E2, 4096), E2)
+        rep = hk_evaluate(sampled([scaled], E2, 4096))
         assert rep.ratio == pytest.approx(base, abs=1e-6)
 
 
@@ -153,9 +177,9 @@ def test_two_wulff_union_classification():
         WulffBody(DQ, np.array([2.8, 0.0]), 1.0),
     ]
     triples = sampled(bodies, Q2, 4096)
-    rep = hk_evaluate(triples, Q2)
+    rep = hk_evaluate(triples)
     assert abs(rep.ratio - 1.0) <= 1e-3
-    verdict = equality_classifier(rep, umbilicity(triples, Q2), c=rep.h_max)
+    verdict = equality_classifier(rep, umbilicity(triples), c=rep.h_max)
     assert verdict.verdict == "wulff-union"
     assert verdict.equal_radii
     assert verdict.radii == pytest.approx([1.0, 1.0], abs=1e-6)
@@ -168,8 +192,8 @@ def test_unequal_radii_still_wulff_union():
         WulffBody(DQ, np.array([3.0, 0.0]), 1.4),
     ]
     triples = sampled(bodies, Q2, 4096)
-    rep = hk_evaluate(triples, Q2)
-    verdict = equality_classifier(rep, umbilicity(triples, Q2), c=1.0)
+    rep = hk_evaluate(triples)
+    verdict = equality_classifier(rep, umbilicity(triples), c=1.0)
     assert verdict.verdict == "wulff-union"
     assert not verdict.equal_radii
     assert verdict.min_radius_bound == pytest.approx(1.0)
@@ -177,14 +201,14 @@ def test_unequal_radii_still_wulff_union():
 
 def test_ellipse_classified_strict():
     triples = sampled([ELLIPSE], E2, 4096)
-    rep = hk_evaluate(triples, E2)
-    verdict = equality_classifier(rep, umbilicity(triples, E2), c=rep.h_max)
+    rep = hk_evaluate(triples)
+    verdict = equality_classifier(rep, umbilicity(triples), c=rep.h_max)
     assert verdict.verdict == "strict"
     assert verdict.failing_condition == "ratio"
 
 
 def test_radius_bound_failure_named():
-    rep = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096), Q2)
+    rep = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096))
     synthetic = (
         UmbilicityReport(
             lam=2.0, center=np.zeros(2), radius=0.5, dispersion=0.0,
@@ -201,9 +225,9 @@ def test_radius_bound_failure_named():
 
 def test_classifier_requires_c_above_h_max():
     triples = sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096)
-    rep = hk_evaluate(triples, Q2)
+    rep = hk_evaluate(triples)
     with pytest.raises(InputError):
-        equality_classifier(rep, umbilicity(triples, Q2), c=0.5 * rep.h_max)
+        equality_classifier(rep, umbilicity(triples), c=0.5 * rep.h_max)
 
 
 def test_overlapping_bodies_rejected():
@@ -212,7 +236,7 @@ def test_overlapping_bodies_rejected():
         WulffBody(DQ, np.array([1.0, 0.0]), 1.0),
     ]
     with pytest.raises(InputError):
-        hk_evaluate(sampled(bodies, Q2, 1024), Q2)
+        hk_evaluate(sampled(bodies, Q2, 1024))
 
 
 def test_elongated_disjoint_bodies_accepted():
@@ -222,9 +246,9 @@ def test_elongated_disjoint_bodies_accepted():
         WulffBody(DQ, np.array([0.0, 2.5]), 1.0),
     ]
     triples = sampled(bodies, Q2, 1024)
-    rep = hk_evaluate(triples, Q2)
+    rep = hk_evaluate(triples)
     assert rep.verdict == "equality"
-    verdict = equality_classifier(rep, umbilicity(triples, Q2), c=rep.h_max)
+    verdict = equality_classifier(rep, umbilicity(triples), c=rep.h_max)
     assert verdict.verdict == "wulff-union"
 
 
@@ -234,7 +258,7 @@ def test_nested_bodies_rejected():
         WulffBody(DQ, np.array([0.1, 0.0]), 0.5),
     ]
     with pytest.raises(InputError, match="not disjoint"):
-        hk_evaluate(sampled(bodies, Q2, 1024), Q2)
+        hk_evaluate(sampled(bodies, Q2, 1024))
 
 
 def _touching_integrand(family, dim):
@@ -290,13 +314,13 @@ def test_negative_curvature_violates_hypothesis():
     table = curvature_table(flower, E2, q)
     assert table.mean.min() < 0  # the dents are genuinely concave
     with pytest.raises(HypothesisViolationError):
-        hk_evaluate(sampled([flower], E2, 1024), E2)
+        hk_evaluate(sampled([flower], E2, 1024))
 
 
 def test_montiel_ros_raises_without_positive_curvature():
     # dent nodes have no positive curvature direction, hence no focal cut
     with pytest.raises(HypothesisViolationError, match="no positive curvature"):
-        montiel_ros_integral(*quad_table(Flower(0.35), E2, 1024), E2)
+        montiel_ros_integral(*quad_table(Flower(0.35), E2, 1024))
 
 
 def test_hk_rows_sum_to_the_totals():
@@ -306,7 +330,7 @@ def test_hk_rows_sum_to_the_totals():
         WulffBody(DQ, np.array([0.0, 3.0]), 0.7),
     ]
     triples = sampled(bodies, Q2, 1024)
-    rep = hk_evaluate(triples, Q2)
+    rep = hk_evaluate(triples)
     assert len(rep.rows) == 3
     assert rep.vol == sum(r.vol for r in rep.rows)
     assert rep.integral == sum(r.integral for r in rep.rows)
@@ -315,7 +339,7 @@ def test_hk_rows_sum_to_the_totals():
     assert rep.h_max == max(r.h_max for r in rep.rows)
     # each row is the body's own one-body report
     for triple, row in zip(triples, rep.rows):
-        alone = hk_evaluate([triple], Q2)
+        alone = hk_evaluate([triple])
         assert (row.vol, row.integral, row.mr_integral) == (
             alone.vol, alone.integral, alone.mr_integral
         )

@@ -15,10 +15,9 @@ from wulffkit import (
     volume,
 )
 
-from wulffkit.hypersurface import _bisect_newton_radii
 from wulffkit.spheregrid import sphere_quadrature
 
-from oracles import ellipse_arc_length
+from oracles import bisect_ray_radii, ellipse_arc_length
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -230,13 +229,43 @@ def test_d3_resolution_must_be_one_count_or_a_pair():
         sphere_quadrature(3, (32,))
 
 
+def _ray_radii_match_bisection(body, resolution):
+    # the closed form against a bisection on phi along each ray
+    omega = sphere_quadrature(body.dim, resolution)[0]
+    rho = body.ray_radii(omega)
+    oracle = bisect_ray_radii(body.phi, body.center, omega, start=1.0)
+    assert np.abs(rho / oracle - 1.0).max() <= 1e-14
+
+
 def test_ellipsoid_ray_radii_match_bisection():
-    # the closed form t = 1 / sqrt(w'Qw) against the generic bracketing solve
+    # t = 1 / sqrt(w'Qw)
     rng = np.random.default_rng(3)
     for dim, resolution in ((2, 2048), (3, (96, 192))):
         rot = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
         q = rot @ np.diag(rng.uniform(0.2, 4.0, dim)) @ rot.T
-        body = Ellipsoid(0.5 * (q + q.T), rng.uniform(-2.0, 2.0, dim))
-        omega = sphere_quadrature(dim, resolution)[0]
-        rho = body.ray_radii(omega)
-        assert np.abs(rho / _bisect_newton_radii(body, omega) - 1.0).max() <= 1e-14
+        _ray_radii_match_bisection(
+            Ellipsoid(0.5 * (q + q.T), rng.uniform(-2.0, 2.0, dim)), resolution
+        )
+
+
+def test_superellipse_ray_radii_match_bisection():
+    # t = (sum |w_i/a_i|^p)^(-1/p)
+    rng = np.random.default_rng(5)
+    for p in (2.05, 3.0, 4.5, 7.0, 12.0):
+        body = Superellipse(
+            tuple(rng.uniform(0.2, 4.0, 2)), p, rng.uniform(-2.0, 2.0, 2)
+        )
+        _ray_radii_match_bisection(body, 4096)
+    # every |w_i/a_i|^p underflows here unless the largest is factored out
+    _ray_radii_match_bisection(Superellipse((50.0, 80.0), 400.0, np.zeros(2)), 4096)
+
+
+def test_wulff_ray_radii_match_bisection():
+    # t = r / F*(w) for the closed-form F* of the Euclidean and quadratic norms
+    rng = np.random.default_rng(7)
+    for dim, resolution in ((2, 2048), (3, (96, 192))):
+        rot = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        m = rot @ np.diag(rng.uniform(0.2, 4.0, dim)) @ rot.T
+        for f in (EuclideanNorm(dim), QuadraticNorm(0.5 * (m + m.T))):
+            body = WulffBody(DualNorm(f), rng.uniform(-2.0, 2.0, dim), rng.uniform(0.3, 3.0))
+            _ray_radii_match_bisection(body, resolution)

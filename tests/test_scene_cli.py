@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,15 @@ def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
         ]}),
         (("bodies", 0, "id"), "a/b"),
         (("bodies", 0, "id"), "a,b"),
+        # JSON booleans inside arrays, and ids that are not strings
+        (("bodies", 0, "center"), [True, 0.0]),
+        (("integrand", "matrix"), [[True, 0.0], [0.0, 1.0]]),
+        (("bodies", 0), {"kind": "ellipsoid", "matrix": [[True, 0.0], [0.0, 1.0]],
+                         "center": [0.0, 0.0]}),
+        (("bodies", 0), {"kind": "superellipse", "semi_axes": [True, 1.0], "exponent": 4.0,
+                         "center": [0.0, 0.0]}),
+        (("bodies", 0, "id"), True),
+        (("bodies", 0, "id"), 7),
     ],
 )
 def test_bad_field_values_are_scene_errors(path, value):
@@ -183,6 +193,21 @@ def test_bad_field_values_are_scene_errors(path, value):
     target[path[-1]] = value
     with pytest.raises(SceneError, match=str(path[0])):
         parse_scene(raw)
+
+
+def test_booleans_in_arrays_name_the_field():
+    ellipsoid = {"kind": "ellipsoid", "matrix": [[1.0, 0.0], [0.0, False]], "center": [0.0, 0.0]}
+    superellipse = {"kind": "superellipse", "semi_axes": [1.0, True], "exponent": 4.0,
+                    "center": [0.0, 0.0]}
+    for override, field in (
+        ({"integrand": {"family": "quadratic", "matrix": [[4.0, 0.0], [0.0, True]]}},
+         "integrand.matrix"),
+        ({"bodies": [ellipsoid]}, "bodies[0].matrix"),
+        ({"bodies": [superellipse]}, "bodies[0].semi_axes"),
+        ({"bodies": [{**BASE["bodies"][0], "center": [0.0, True]}]}, "bodies[0].center"),
+    ):
+        with pytest.raises(SceneError, match=re.escape(field)):
+            parse_scene({**BASE, **override})
 
 
 @pytest.mark.parametrize(

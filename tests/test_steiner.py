@@ -123,20 +123,20 @@ def test_far_disjoint_disks_coefficients_add():
 
 
 def test_claim5_disk():
-    c = claim5_coefficients(*quad_table(UNIT_DISK, E2, 4096), E2)
+    c = claim5_coefficients(*quad_table(UNIT_DISK, E2, 4096))
     assert c == pytest.approx([2 * np.pi, -np.pi], rel=1e-10)
 
 
 def test_claim5_wulff():
     body = WulffBody(DQ, np.zeros(2), 1.0)
-    c = claim5_coefficients(*quad_table(body, Q2, 4096), Q2)
+    c = claim5_coefficients(*quad_table(body, Q2, 4096))
     assert c == pytest.approx([4 * np.pi, -2 * np.pi], rel=1e-10)
 
 
 def test_claim5_sphere_matches_inward_shell():
     R = 2.0
     ball = Ellipsoid(np.eye(3) / R**2, np.zeros(3))
-    c = claim5_coefficients(*quad_table(ball, E3, (64, 128)), E3)
+    c = claim5_coefficients(*quad_table(ball, E3, (64, 128)))
     # exact inward shell: (4 pi / 3)(R^3 - (R-t)^3) = 4 pi R^2 t - 4 pi R t^2 + (4 pi/3) t^3
     assert c == pytest.approx([4 * np.pi * R**2, -4 * np.pi * R, 4 * np.pi / 3], rel=1e-9)
     for t in (0.3, 0.9):
@@ -148,7 +148,7 @@ def test_claim5_top_coefficient_off_umbilic_3d():
     # Gauss-Bonnet: the integral of kappa_1 kappa_2 over any convex boundary is
     # 4 pi, so the cubic coefficient is 4 pi / 3 on an ellipsoid as on a ball
     ellipsoid = Ellipsoid(np.diag([1 / 2.0**2, 1.0, 1 / 1.5**2]), np.zeros(3))
-    c = claim5_coefficients(*quad_table(ellipsoid, E3, (96, 192)), E3)
+    c = claim5_coefficients(*quad_table(ellipsoid, E3, (96, 192)))
     assert c[2] == pytest.approx(4 * np.pi / 3, rel=1e-4)
 
 
@@ -159,7 +159,7 @@ def test_fit_agrees_with_claim5(disk_field_512, wulff_field_512):
     ):
         curve = tube_volumes(field, default_t_grid(1.0, 0.05, 0.9, 40))
         fit = fit_polynomial(curve, 2)
-        ref = claim5_coefficients(*quad_table(body, f, 4096), f)
+        ref = claim5_coefficients(*quad_table(body, f, 4096))
         verdict = positive_reach_test(fit, 1e-2, ref)
         assert verdict.consistent
         assert verdict.coefficient_agreement.max() <= 0.02
