@@ -18,6 +18,10 @@ from its ``better`` and ``bound``: ``gain`` when the change is better on at
 least 9 of 10 of the pairs and its median is better than the parent's by more
 than the parent's interquartile range, and ``within_bound`` when its median
 is worse than the parent's by at most ``bound`` times the parent's median.
+Each run also records the CPUs the benchmark could use and the share of CPU
+time stolen by the hypervisor over the run, from the aggregate ``cpu`` line
+of ``/proc/stat`` before and after it (``null`` where that file is missing),
+so a pair lost to a withheld vCPU shows as such.
 Needs only the standard library and numpy.
 """
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,9 +39,42 @@ import numpy as np
 COMMAND = "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {seconds} --trace 0"
 METHOD = (
     "parent commit and change run from separate checkouts, one run at a time; pairs "
-    "alternate which side runs first (odd seeds parent first); seeds {seeds}; quartiles "
-    "are numpy linear percentiles; a tie counts for neither side"
+    "alternate which side runs first (odd seeds parent first); seeds {seeds}; {cpus} usable "
+    "CPUs; quartiles are numpy linear percentiles; a tie counts for neither side"
 )
+STAT = Path("/proc/stat")
+
+
+def cpu_ticks(stat_text: str):
+    """(steal, total) clock ticks of the aggregate ``cpu`` line of a
+    /proc/stat text, or None without one.  The total sums user through
+    steal; guest time is already counted in user."""
+    for line in stat_text.splitlines():
+        fields = line.split()
+        if len(fields) >= 9 and fields[0] == "cpu":
+            ticks = [int(v) for v in fields[1:9]]
+            return ticks[7], sum(ticks)
+    return None
+
+
+def steal_share(before, after):
+    """Stolen share of the CPU ticks between two ``cpu_ticks`` readings, or
+    None when either is missing or no tick passed."""
+    if before is None or after is None or after[1] == before[1]:
+        return None
+    return round((after[0] - before[0]) / (after[1] - before[1]), 4)
+
+
+def read_ticks():
+    try:
+        return cpu_ticks(STAT.read_text())
+    except OSError:
+        return None
+
+
+def usable_cpus() -> int:
+    """CPUs this process, and so each benchmark run it starts, may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -135,14 +173,19 @@ def main(argv=None) -> int:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for workload in args.workload:
             for side in order:
+                cpus, before = usable_cpus(), read_ticks()
                 result = run_once(sides[side], workload, seed, seconds)
-                runs.append({"side": side, "workload": workload, "seed": seed, "result": result})
+                steal = steal_share(before, read_ticks())
+                runs.append({"side": side, "workload": workload, "seed": seed, "cpus": cpus,
+                             "steal_share": steal, "result": result})
                 print(f"{workload} seed {seed} {side}: "
-                      f"{json.dumps({k: v['value'] for k, v in result['metrics'].items()})}",
-                      file=sys.stderr)
+                      f"{json.dumps({k: v['value'] for k, v in result['metrics'].items()})} "
+                      f"cpus {cpus} steal {steal}", file=sys.stderr)
     out = {
         "command": COMMAND.format(seconds=seconds),
-        "method": METHOD.format(seeds=f"{args.seeds.start}-{args.seeds.stop - 1}"),
+        "method": METHOD.format(
+            seeds=f"{args.seeds.start}-{args.seeds.stop - 1}", cpus=usable_cpus()
+        ),
         "summary": summarize(runs, bench.get("end_to_end", ())),
         "runs": runs,
     }

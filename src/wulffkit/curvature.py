@@ -101,8 +101,6 @@ class CurvatureTable:
     evaluated at the normals once per table.
     """
 
-    shape_ops: np.ndarray
-    f_hessians: np.ndarray
     kappa: np.ndarray
     mean: np.ndarray
     f_normal: np.ndarray
@@ -119,8 +117,6 @@ def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> Cu
     # sigma_0 = 1, sigma_1 = sum of the kappa_i and, for n = 2, sigma_2 = kappa_1 kappa_2
     sigma = [np.ones(len(kappa)), kappa.sum(axis=1), kappa.prod(axis=1)][: kappa.shape[1] + 1]
     return CurvatureTable(
-        shape_ops=b,
-        f_hessians=a,
         kappa=kappa,
         mean=np.einsum("nij,nji->n", a, b),
         f_normal=f.value(quad.normals),

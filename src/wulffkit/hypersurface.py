@@ -176,7 +176,10 @@ class Superellipse(StarBody):
     center: np.ndarray
 
     def __post_init__(self):
-        a, b = (float(v) for v in self.semi_axes)
+        axes = np.asarray(self.semi_axes, dtype=float)
+        if axes.shape != (2,):
+            raise InputError(f"superellipse semi_axes must be 2 numbers, got shape {axes.shape}")
+        a, b = (float(v) for v in axes)
         if not (0.0 < a < np.inf and 0.0 < b < np.inf):
             raise InputError("superellipse semi-axes must be positive and finite")
         if not 2.0 < self.exponent < np.inf:

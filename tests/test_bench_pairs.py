@@ -94,3 +94,23 @@ def test_acceptance_rule_per_metric():
 def test_seed_range():
     assert list(bench_pairs._seed_range("901-903")) == [901, 902, 903]
     assert list(bench_pairs._seed_range("7")) == [7]
+
+
+STAT_TEXT = """cpu  100 5 50 800 20 3 2 20 7 0
+cpu0 50 2 25 400 10 1 1 10 3 0
+intr 12345
+"""
+
+
+def test_cpu_ticks_read_the_aggregate_line():
+    # user through steal sum to 1000; guest time is already in user
+    assert bench_pairs.cpu_ticks(STAT_TEXT) == (20, 1000)
+    assert bench_pairs.cpu_ticks("intr 1\ncpu0 1 2 3 4 5 6 7 8\n") is None
+    assert bench_pairs.cpu_ticks("") is None
+
+
+def test_steal_share_between_two_readings():
+    assert bench_pairs.steal_share((20, 1000), (70, 1500)) == 0.1
+    assert bench_pairs.steal_share((20, 1000), (20, 1000)) is None
+    assert bench_pairs.steal_share(None, (20, 1000)) is None
+    assert bench_pairs.steal_share((20, 1000), None) is None

@@ -14,6 +14,9 @@ from wulffkit import (
     umbilicity_classify,
 )
 
+from wulffkit.curvature import _shape_operators_bulk
+from wulffkit.integrand import tangential_hessian
+
 from oracles import congruence, eig_product, ellipse_curvature, sandwich_eigenvalues
 from sampling import quad_table
 
@@ -31,24 +34,24 @@ def node_nearest(quad, target):
 def test_shape_operator_circle():
     circle = Ellipsoid(np.eye(2) / 4.0, np.zeros(2))  # radius 2
     q = sample_surface(circle, 256)
-    b = curvature_table(circle, E2, q).shape_ops[7]
+    b = _shape_operators_bulk(circle, q, q.frames)[7]
     assert b == pytest.approx(np.array([[0.5]]), abs=1e-12)
 
 
 def test_shape_operator_ellipse_vertices():
     q = sample_surface(ELLIPSE, 8192)
-    table = curvature_table(ELLIPSE, E2, q)
+    b = _shape_operators_bulk(ELLIPSE, q, q.frames)
     i = node_nearest(q, [2.0, 0.0])
     t = np.arctan2(q.points[i, 1], q.points[i, 0] / 2.0)
-    assert table.shape_ops[i, 0, 0] == pytest.approx(ellipse_curvature(2.0, 1.0, t), rel=1e-6)
+    assert b[i, 0, 0] == pytest.approx(ellipse_curvature(2.0, 1.0, t), rel=1e-6)
     i = node_nearest(q, [0.0, 1.0])
-    assert table.shape_ops[i, 0, 0] == pytest.approx(0.25, rel=1e-6)
+    assert b[i, 0, 0] == pytest.approx(0.25, rel=1e-6)
 
 
 def test_shape_operator_sphere():
     ball = Ellipsoid(np.eye(3) / 4.0, np.zeros(3))  # radius 2
     q = sample_surface(ball, (32, 64))
-    b = curvature_table(ball, E3, q).shape_ops[11]
+    b = _shape_operators_bulk(ball, q, q.frames)[11]
     assert b == pytest.approx(0.5 * np.eye(2), abs=1e-12)
 
 
@@ -102,7 +105,8 @@ def test_euclidean_curvatures_of_ellipse():
     assert table.kappa.max() == pytest.approx(2.0, rel=1e-4)
     # H equals the Euclidean curvature when A is the tangent identity
     i = node_nearest(q, [2.0, 0.0])
-    assert table.mean[i] == pytest.approx(table.shape_ops[i, 0, 0], rel=1e-12)
+    b = _shape_operators_bulk(ELLIPSE, q, q.frames)
+    assert table.mean[i] == pytest.approx(b[i, 0, 0], rel=1e-12)
 
 
 def test_trace_equals_eigenvalue_sum():
@@ -171,14 +175,15 @@ def test_table_frames_are_the_quadrature_frames():
     # one frame array per quadrature, shared with the variation pass; the
     # table is built in it and keeps no copy
     from wulffkit.curvature import tangent_frames
-    from wulffkit.integrand import tangential_hessian
 
     body = Ellipsoid(np.diag([0.25, 1.0, 0.5]), np.zeros(3))
     q = sample_surface(body, (32, 64))
     table = curvature_table(body, E3, q)
     assert q.frames is q.frames
     assert np.array_equal(q.frames, tangent_frames(q.normals))
-    assert np.array_equal(table.f_hessians, tangential_hessian(E3, q.normals, q.frames))
+    a = tangential_hessian(E3, q.normals, q.frames)
+    b = _shape_operators_bulk(body, q, q.frames)
+    assert np.array_equal(table.mean, np.einsum("nij,nji->n", a, b))
     assert not hasattr(table, "frames")
 
 
@@ -228,7 +233,9 @@ def test_curvature_table_matches_per_node_oracle():
         else:
             g = np.linalg.norm(body.grad_phi(quad.points), axis=1)
             b = _sym(congruence(quad.frames, body.hess_phi(quad.points) / g[:, None, None]))
-        assert np.abs(table.f_hessians - a).max() <= 1e-13 * np.abs(a).max()
-        assert np.abs(table.shape_ops - b).max() <= 1e-13 * np.abs(b).max()
+        a_batch = tangential_hessian(f, quad.normals, quad.frames)
+        b_batch = _shape_operators_bulk(body, quad, quad.frames)
+        assert np.abs(a_batch - a).max() <= 1e-13 * np.abs(a).max()
+        assert np.abs(b_batch - b).max() <= 1e-13 * np.abs(b).max()
         kappa = sandwich_eigenvalues(a, b)
         assert np.abs(table.kappa - kappa).max() <= 1e-13 * np.abs(kappa).max()

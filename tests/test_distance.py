@@ -1,4 +1,10 @@
+import contextlib
+import mmap
+import os
 import re
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +30,7 @@ from wulffkit import (
     reach_comparison,
 )
 from wulffkit import distance
+from wulffkit.errors import SolverError
 from wulffkit.distance import WINDOW_CELLS, _connected, _diameter
 
 from oracles import resolve_gap, rolling_ball_by_wulff_sample, single_linkage_connected
@@ -800,6 +807,8 @@ def _count_scans(monkeypatch):
 
 def test_field_scans_only_cells_outside_A(monkeypatch):
     work = _count_scans(monkeypatch)
+    # the counters see the scan only when it runs in this process
+    monkeypatch.setattr(distance, "_usable_cpus", lambda: 1)
     src = boundary_source(TWO_DISKS, 1024, region="complement")
     outside = np.count_nonzero(~src.membership(SKIP_GRID.centers()))
     # the end-row box bound of E2 and the Lipschitz bound of a rotated M;
@@ -968,3 +977,172 @@ def test_block_radii_are_the_per_box_circumradii():
     assert sum(box.size for box, _ in boxes) == flat.size
     for box, radius in boxes:
         assert radius == 0.5 * float(np.linalg.norm(np.asarray(box.shape) * spacing))
+
+
+# build_field's blocks in forked workers
+
+FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def _forks(monkeypatch, cpus):
+    """Pretend ``cpus`` usable CPUs, and list the forks of the calls that follow."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(distance, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _overlapping_union(region):
+    # each disk clips the other's boundary into one open loop
+    bodies = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-0.6, 0.6)]
+    return boundary_source(bodies, 1024, region=region)
+
+
+@FORKS
+@pytest.mark.parametrize("name", list(FIELD_INTEGRANDS))
+@pytest.mark.parametrize("region", ["complement", "set", "curve", "overlapping union"])
+def test_fanned_out_field_matches_the_in_process_one(monkeypatch, region, name):
+    f = FIELD_INTEGRANDS[name]
+    if region == "overlapping union":
+        src = _overlapping_union("complement")
+        assert all(not closed for (_a, _b, closed) in src.loops)
+    else:
+        src = boundary_source(TWO_DISKS, 1024, region=region)
+    forks = _forks(monkeypatch, 1)
+    alone = build_field(src, f, SKIP_GRID)
+    assert not forks
+    monkeypatch.setattr(distance, "_usable_cpus", lambda: 3)
+    fanned = build_field(src, f, SKIP_GRID)
+    assert len(forks) == 3
+    _no_child_left()
+    assert np.array_equal(fanned.delta, alone.delta)
+    assert np.array_equal(fanned.gap, alone.gap)
+    assert fanned.gap.any()
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@FORKS
+def test_fan_out_runs_each_item_once(monkeypatch):
+    # more workers than CPUs contend for many short items; an index claimed
+    # twice or skipped shows in the shared hit counts
+    workers = (os.cpu_count() or 1) + 1
+    forks = _forks(monkeypatch, workers)
+    hits = np.frombuffer(mmap.mmap(-1, 8 * 2000), dtype=np.int64)
+
+    def work(i):
+        hits[i] += 1
+
+    with _time_limit(60):
+        distance._fan_out(list(range(2000)), work)
+    assert len(forks) == workers
+    _no_child_left()
+    assert np.all(hits == 1)
+
+
+@FORKS
+def test_worker_error_reaches_the_caller(monkeypatch):
+    forks = _forks(monkeypatch, 2)
+    best = np.array([0.25, 0.5])
+
+    def failing(*args):
+        def resolve(d, cand):
+            raise SolverError("no convergence in a tile", best=best, gap=1e-3)
+
+        return resolve
+
+    monkeypatch.setattr(distance, "_cluster_analysis", failing)
+    src = boundary_source(TWO_DISKS, 1024, region="complement")
+    with pytest.raises(SolverError) as info:
+        build_field(src, E2, SKIP_GRID)
+    assert forks
+    _no_child_left()
+    assert str(info.value) == "no convergence in a tile"
+    assert np.array_equal(info.value.best, best) and info.value.gap == 1e-3
+    if sys.version_info >= (3, 11):
+        assert "in a worker process" in info.value.__notes__[0]
+
+
+@FORKS
+def test_worker_that_dies_names_its_exit_status(monkeypatch):
+    forks = _forks(monkeypatch, 2)
+    caller = os.getpid()
+
+    def dying(*args):
+        def resolve(d, cand):
+            if os.getpid() != caller:
+                os._exit(7)
+            raise AssertionError("a block was scanned in the caller")
+
+        return resolve
+
+    monkeypatch.setattr(distance, "_cluster_analysis", dying)
+    src = boundary_source(TWO_DISKS, 1024, region="complement")
+    with pytest.raises(RuntimeError, match="ended without a report, exit status 7"):
+        build_field(src, E2, SKIP_GRID)
+    assert forks
+    _no_child_left()
+
+
+@FORKS
+def test_failed_fork_reaps_the_started_workers(monkeypatch):
+    fork, forks = os.fork, []
+
+    def second_fails():
+        forks.append(os.getpid())
+        if len(forks) == 2:
+            raise OSError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(distance, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", second_fails)
+    with pytest.raises(OSError, match="temporarily unavailable"):
+        distance._fan_out(list(range(10)), lambda i: None)
+    _no_child_left()
+
+
+def test_scan_stays_in_process_on_one_cpu_beside_a_thread_or_on_few_blocks(monkeypatch):
+    src = boundary_source(TWO_DISKS, 1024, region="complement")
+    forks = _forks(monkeypatch, 1)
+    build_field(src, E2, SKIP_GRID)
+    monkeypatch.setattr(distance, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        build_field(src, E2, SKIP_GRID)
+    finally:
+        release.set()
+        thread.join()
+    # one block of 40 x 40 cells
+    build_field(src, E2, GridSpec([-2.3, -1.5], [2.3, 1.5], [40, 40]))
+    assert not forks
+
+
+@pytest.mark.parametrize("name", ["fork", "sched_getaffinity"])
+def test_one_usable_cpu_without_fork_or_affinity(monkeypatch, name):
+    monkeypatch.delattr(os, name, raising=False)
+    assert distance._usable_cpus() == 1

@@ -182,6 +182,12 @@ def test_bodies_refuse_non_finite_parameters(make):
         make()
 
 
+@pytest.mark.parametrize("axes", [5.0, (1.0, 2.0, 3.0), [[1.0, 2.0]]])
+def test_superellipse_refuses_semi_axes_that_are_not_two_numbers(axes):
+    with pytest.raises(InputError, match="semi_axes"):
+        Superellipse(axes, 4.0, np.zeros(2))
+
+
 def _ray_boundary_by_two_calls(body, omega):
     rho = body.ray_radii(omega)
     return rho, body.grad_phi(body.center + rho[:, None] * omega)

@@ -195,6 +195,13 @@ def test_bad_field_values_are_scene_errors(path, value):
         parse_scene(raw)
 
 
+@pytest.mark.parametrize("axes", [5.0, [1.0, 2.0, 3.0]])
+def test_superellipse_semi_axes_not_two_numbers_name_the_field(axes):
+    body = {"kind": "superellipse", "semi_axes": axes, "exponent": 4.0, "center": [0.0, 0.0]}
+    with pytest.raises(SceneError, match=re.escape("bodies[0]: superellipse semi_axes")):
+        parse_scene({**BASE, "bodies": [body]})
+
+
 def test_booleans_in_arrays_name_the_field():
     ellipsoid = {"kind": "ellipsoid", "matrix": [[1.0, 0.0], [0.0, False]], "center": [0.0, 0.0]}
     superellipse = {"kind": "superellipse", "semi_axes": [1.0, True], "exponent": 4.0,
