@@ -3,10 +3,12 @@
     python3 scripts/diff_reports.py OLD NEW
 
 Every file under either tree is matched by its relative path.  In JSON
-files each differing number prints as ``path old new |new - old|``, and any
-other differing value as ``path old new``.  In CSV files with the same header
-and row count, each column with differing numbers prints as
-``file:column n_cells max|new - old|``; a changed header prints as
+files each differing number prints as ``path old new |new - old| rel``, with
+rel = |new - old| / |old| (inf where old is 0), so a change at rounding level
+reads as one; any other differing value prints as ``path old new``.  In CSV
+files with the same header and row count, each column with differing numbers
+prints as ``file:column n_cells max|new - old| max rel``, the largest
+absolute and the largest relative change of its cells; a changed header prints as
 ``file: header OLD -> NEW`` and a changed count of data rows as
 ``file: rows A -> B``.  Every other file is compared by its bytes, and a
 differing one prints as ``file differs``.  Exits 1 if anything
@@ -25,6 +27,12 @@ from pathlib import Path
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _relative(old: float, new: float) -> float:
+    """|new - old| / |old|, inf where old is 0 and new is not."""
+    delta = abs(new - old)
+    return delta / abs(old) if old else math.inf
 
 
 def diff_values(old, new, path: str):
@@ -48,7 +56,7 @@ def diff_values(old, new, path: str):
     if _is_number(old) and _is_number(new):
         if old == new:
             return []
-        return [f"{path} {old!r} {new!r} {abs(new - old):.3g}"]
+        return [f"{path} {old!r} {new!r} {abs(new - old):.3g} {_relative(old, new):.3g}"]
     if old == new and type(old) is type(new):
         return []
     return [f"{path} {json.dumps(old)} {json.dumps(new)}"]
@@ -78,7 +86,7 @@ def diff_csv(old: str, new: str, rel: str):
         shape.append(f"{rel}: rows {max(len(a) - 1, 0)} -> {max(len(b) - 1, 0)}")
     if shape:
         return shape
-    counts, worst = [0] * len(a[0]), [0.0] * len(a[0])
+    counts, worst, worst_rel = [0] * len(a[0]), [0.0] * len(a[0]), [0.0] * len(a[0])
     for row_a, row_b in zip(a[1:], b[1:]):
         if len(row_a) != len(a[0]) or len(row_b) != len(a[0]):
             return None
@@ -93,9 +101,15 @@ def diff_csv(old: str, new: str, rel: str):
             delta = abs(fy - fx)
             counts[k] += 1
             # a NaN on one side is as far off as a difference gets
-            worst[k] = max(worst[k], math.inf if math.isnan(delta) else delta)
+            if math.isnan(delta):
+                worst[k] = worst_rel[k] = math.inf
+            else:
+                worst[k] = max(worst[k], delta)
+                worst_rel[k] = max(worst_rel[k], _relative(fx, fy))
     return [
-        f"{rel}:{name} {n} {d:.3g}" for name, n, d in zip(a[0], counts, worst) if n
+        f"{rel}:{name} {n} {d:.3g} {r:.3g}"
+        for name, n, d, r in zip(a[0], counts, worst, worst_rel)
+        if n
     ]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegeneratePointError, NonEllipticError
 from .hypersurface import StarBody, SurfaceQuadrature, WulffBody
-from .integrand import Integrand, tangential_hessian
+from .integrand import Integrand, _row_norm, _row_sum, tangential_hessian
 from .spheregrid import tangent_frames
 
 __all__ = [
@@ -62,18 +62,26 @@ def _min_eig_spd(a):
     return _eigvalsh_small(a)[:, 0]
 
 
+def _wulff_shape_operators(a_tan, radius):
+    """Shape operators of a Wulff boundary of the given radius, from the
+    tangential Hessians a_tan of its integrand at the normals.
+
+    The Gauss map of a Wulff boundary inverts in closed form: x(u) = c + r
+    grad F(u), so Dnu restricted to the tangent is (r D2F(nu)|tan)^-1.
+    """
+    if np.any(_min_eig_spd(a_tan) <= 0):
+        raise NonEllipticError("tangential Hessian not positive definite")
+    b = np.linalg.inv(a_tan) / radius
+    return 0.5 * (b + np.transpose(b, (0, 2, 1)))
+
+
 def _shape_operators_bulk(body: StarBody, quad: SurfaceQuadrature, frames):
     """Euclidean shape operators (N, n, n) in the given tangent frames."""
     if isinstance(body, WulffBody):
-        # Gauss map of a Wulff boundary inverts in closed form: x(u) = c + r
-        # grad F(u), so Dnu restricted to the tangent is (r D2F(nu)|tan)^-1.
         a_tan = tangential_hessian(body.dual.base, quad.normals, frames)
-        if np.any(_min_eig_spd(a_tan) <= 0):
-            raise NonEllipticError("tangential Hessian not positive definite")
-        b = np.linalg.inv(a_tan) / body.radius
-        return 0.5 * (b + np.transpose(b, (0, 2, 1)))
+        return _wulff_shape_operators(a_tan, body.radius)
     g = body.grad_phi(quad.points)
-    gnorm = np.linalg.norm(g, axis=1)
+    gnorm = _row_norm(g)
     if np.any(gnorm < 1e-12):
         raise DegeneratePointError("vanishing implicit gradient at a node")
     h = body.hess_phi(quad.points) / gnorm[:, None, None]
@@ -110,12 +118,16 @@ class CurvatureTable:
 
 def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> CurvatureTable:
     """Vectorized curvature pass over all quadrature nodes, in the tangent
-    frames ``quad.frames``."""
-    b = _shape_operators_bulk(body, quad, quad.frames)
+    frames ``quad.frames``.  A Wulff ball of f itself takes its shape
+    operators from the same tangential Hessian of f, built once."""
     a = tangential_hessian(f, quad.normals, quad.frames)
+    if isinstance(body, WulffBody) and body.dual.base is f:
+        b = _wulff_shape_operators(a, body.radius)
+    else:
+        b = _shape_operators_bulk(body, quad, quad.frames)
     kappa = _kappa_from_ab(a, b)
     # sigma_0 = 1, sigma_1 = sum of the kappa_i and, for n = 2, sigma_2 = kappa_1 kappa_2
-    sigma = [np.ones(len(kappa)), kappa.sum(axis=1), kappa.prod(axis=1)][: kappa.shape[1] + 1]
+    sigma = [np.ones(len(kappa)), _row_sum(kappa), kappa.prod(axis=1)][: kappa.shape[1] + 1]
     return CurvatureTable(
         kappa=kappa,
         mean=np.einsum("nij,nji->n", a, b),
@@ -158,7 +170,7 @@ def umbilicity_classify(
     reported as the dispersion.
     """
     wsum = quad.weights.sum()
-    lam = float((quad.weights * table.kappa.mean(axis=1)).sum() / wsum)
+    lam = float((quad.weights * (_row_sum(table.kappa) / table.kappa.shape[1])).sum() / wsum)
     residuals = np.abs(table.kappa - lam).max(axis=1)
     max_res = float(residuals.max())
     tol_umb = 1e-3 * max(abs(lam), 1e-30)
@@ -177,7 +189,7 @@ def umbilicity_classify(
         )
     affine = table.eta - lam * quad.points
     c = (quad.weights[:, None] * affine).sum(axis=0) / wsum
-    dispersion = float(np.linalg.norm(affine - c, axis=1).max())
+    dispersion = float(_row_norm(affine - c).max())
     radius = 1.0 / abs(lam)
     verdict = "wulff" if dispersion <= tol_fit * radius else "umbilical-unresolved"
     return UmbilicityReport(

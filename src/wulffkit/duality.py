@@ -42,7 +42,8 @@ import numpy as np
 
 from .errors import DomainError, InputError, SolverError
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm
-from .integrand import _center, _finite_rows, _quadratic_form, _rows, _upper_pairs
+from .integrand import _center, _finite_rows, _quadratic_form, _row_norm, _row_sum, _rows
+from .integrand import _upper_pairs
 from .spheregrid import latlong_quadrature, sphere_quadrature
 
 __all__ = ["DualNorm", "dual_norm_of", "WulffSample", "wulff_sample"]
@@ -90,7 +91,7 @@ class DualNorm:
         """F* row by row; F*(0) = 0 by homogeneity."""
         W = _rows(W, self.dim)
         if isinstance(self.base, EuclideanNorm):
-            return np.linalg.norm(W, axis=1)
+            return _row_norm(W)
         if isinstance(self.base, QuadraticNorm):
             return np.sqrt(_quadratic_form(W, self.base.inverse))
         zero = ~W.any(axis=1)
@@ -106,7 +107,7 @@ class DualNorm:
         if not W.any(axis=1).all():
             raise DomainError("conjugate norm is not differentiable at the origin")
         if isinstance(self.base, EuclideanNorm):
-            return W / np.linalg.norm(W, axis=1)[:, None]
+            return W / _row_norm(W)[:, None]
         if isinstance(self.base, QuadraticNorm):
             mw = W @ self.base.inverse
             f = np.sqrt(np.einsum("ni,ni->n", W, mw))
@@ -197,7 +198,7 @@ class DualNorm:
             lo = np.maximum(x * p[0, k] + y * p[1, k], x * p[0, k + 1] + y * p[1, k + 1])
             norm = np.sqrt(x * x + y * y)
         else:
-            sq = (W * W).sum(axis=1)
+            sq = _row_sum(W * W)
             norm = np.sqrt(sq)
             fw = self.base.value(W)
             lo = np.divide(sq, fw, out=np.zeros(len(W)), where=fw > 0.0)
@@ -304,12 +305,12 @@ class DualNorm:
         ``value`` and ``grad``; otherwise the solve raises SolverError.
         """
         W = _finite_rows(W, self.dim)
-        nw = np.linalg.norm(W, axis=1)
+        nw = _row_norm(W)
         if np.any(nw == 0.0):
             raise InputError("conjugate evaluation requires nonzero vectors")
         f = self.base
         what = W / nw[:, None]
-        scale = f.value(what) * np.linalg.norm(f.grad(what), axis=1)
+        scale = f.value(what) * _row_norm(f.grad(what))
         v = np.ascontiguousarray((what * (nw / scale)[:, None]).T)
 
         # the rows of W still above the tolerance (None: all of them), with
@@ -344,7 +345,7 @@ class DualNorm:
         def measured(v):
             """F(v) and the relative gap |F(v) grad F(v) - w| / |w| per row."""
             fv = f.value(v)
-            return fv, np.linalg.norm(fv[:, None] * f.grad(v) - W, axis=1) / nw
+            return fv, _row_norm(fv[:, None] * f.grad(v) - W) / nw
 
         fv, gap = measured(v)
         bad = gap > self.tolerance
@@ -356,7 +357,7 @@ class DualNorm:
                 w = W[bad]
                 k = self._gauge(w)[0].clip(0, _TABLE_SIZE - 1)
                 p = self._polygon()[1][:, k].T
-                v[bad] = self._newton_polish(w, p * (w * p).sum(axis=1)[:, None])
+                v[bad] = self._newton_polish(w, p * _row_sum(w * p)[:, None])
             else:
                 # strongly anisotropic sums stall the damped line search at
                 # relative gaps up to a few 1e-6; undamped steps are trusted
@@ -504,7 +505,7 @@ def _polygon_directions(f: Integrand):
     """
     t = np.linspace(0.0, 2 * np.pi, _TABLE_SIZE + 1)
     u = np.stack([np.cos(t), np.sin(t)], axis=1)
-    chord = np.linalg.norm(np.diff(f.grad(u), axis=0), axis=1)
+    chord = _row_norm(np.diff(f.grad(u), axis=0))
     arc = np.append(0.0, np.cumsum(np.sqrt(chord / f.value(u[:-1]))))
     t = np.interp(np.linspace(0.0, arc[-1], _TABLE_SIZE + 1), arc, t)
     # u_N = u(2 pi) closes the polygon and is the sentinel p_N

@@ -23,6 +23,7 @@ from .errors import (
     StarShapeError,
 )
 from .integrand import Integrand, _center, _check_spd, _finite_rows, _quadratic_form
+from .integrand import _row_norm, _row_sum
 from .spheregrid import grid_counts, sphere_quadrature, tangent_frames
 
 __all__ = [
@@ -143,7 +144,7 @@ class WulffBody(StarBody):
             return super().sign(x)
         w = _finite_rows(x, self.dim) - self.center
         lo, hi = dual.batch_bracket(w)
-        margin = 10.0 * dual.tolerance * dual.grad_bound() * np.sqrt((w * w).sum(axis=1))
+        margin = 10.0 * dual.tolerance * dual.grad_bound() * _row_norm(w)
         out = np.zeros(len(w))
         out[lo - self.radius > margin] = 1.0
         out[self.radius - hi > margin] = -1.0
@@ -189,7 +190,7 @@ class Superellipse(StarBody):
 
     def phi(self, x):
         u = (_finite_rows(x, 2) - self.center) / np.asarray(self.semi_axes)
-        return (np.abs(u) ** self.exponent).sum(axis=1) - 1.0
+        return _row_sum(np.abs(u) ** self.exponent) - 1.0
 
     def grad_phi(self, x):
         ax = np.asarray(self.semi_axes)
@@ -214,7 +215,7 @@ class Superellipse(StarBody):
         u = np.abs(np.asarray(omega, dtype=float)) / np.asarray(self.semi_axes)
         top = u.max(axis=1)
         p = self.exponent
-        return 1.0 / (top * ((u / top[:, None]) ** p).sum(axis=1) ** (1.0 / p))
+        return 1.0 / (top * _row_sum((u / top[:, None]) ** p) ** (1.0 / p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +269,7 @@ def sample_surface(body: StarBody, resolution) -> SurfaceQuadrature:
     if not np.all(rho > 0):  # inverted so NaN radii fail too
         raise StarShapeError("a ray from the center has no positive boundary radius")
     x = body.center[None, :] + rho[:, None] * omega
-    gnorm = np.linalg.norm(g, axis=1)
+    gnorm = _row_norm(g)
     if np.any(gnorm < 1e-12):
         raise StarShapeError("vanishing boundary gradient")
     nu = g / gnorm[:, None]

@@ -427,18 +427,20 @@ def suite_var(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         p = perimeter_F(quad, f)
 
         g0 = PolynomialField.constant(np.ones(scene.dim))
-        res.check(f"translation_invariance[{bid}]", abs(first_variation(quad, f, g0)), 1e-12 * p)
+        res.check(
+            f"translation_invariance[{bid}]", abs(first_variation(quad, table, g0)), 1e-12 * p
+        )
         gx = PolynomialField.position(scene.dim)
         res.check(
             f"dilation_matches_perimeter[{bid}]",
-            abs(first_variation(quad, f, gx) - (scene.dim - 1) * p) / p,
+            abs(first_variation(quad, table, gx) - (scene.dim - 1) * p) / p,
             1e-6,
         )
 
         worst_consistency = 0.0
         worst_pairing = 0.0
         fields = [PolynomialField.random(rng, scene.dim, scale=0.4) for _ in range(10)]
-        for k, crit in enumerate(criticality_residual(quad, f, fields)):
+        for k, crit in enumerate(criticality_residual(quad, f, table, fields)):
             fv = crit.first_variation
             worst_consistency = max(
                 worst_consistency, abs(fv - crit.flow_derivative) / (1.0 + abs(fv))

@@ -16,6 +16,23 @@ differentiates the rescaled energy directly.
 
 Fields are polynomial (constant + linear + quadratic) so their Jacobians
 are exact and quadrature is the only error source.
+
+Layout.  P, dP, dV and the flux g.nu are sums over (N, d) rows of the nodes,
+with F(nu) and grad F(nu) read from the body's ``CurvatureTable``.  The
+pushes run component-major: every pushed quantity is a (d, N) array, one
+row of N nodes per coordinate, so each step is one contiguous pass.  With
+the tangent frame T_1, ..., T_n of ``quad.frames`` (n = d - 1) and the
+images D_k = Dg T_k, formed column by column from Dg and the frame, the
+pushed frame T_k + t D_k has the area vector
+
+    a(t) = a0 + t a1 + t^2 a2,
+    d = 2:  a0 = rot T_1,  a1 = rot D_1,  a2 = 0,  rot v = (v_2, -v_1)
+    d = 3:  a0 = T_1 x T_2,  a1 = T_1 x D_2 + D_1 x T_2,  a2 = D_1 x D_2
+
+(Nanson's formula: a(t) = cof(I + t Dg) a0, and a0 = nu).  a0 is formed
+once per body and a1, a2 once per field, in (d, N) buffers that every field
+reuses; a push by t forms a(t) in one more and evaluates F through the
+integrand's ``value`` on the transposed (N, d) view.
 """
 
 from __future__ import annotations
@@ -25,8 +42,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .curvature import CurvatureTable
 from .errors import InputError, StepTooLargeError
-from .hypersurface import SurfaceQuadrature, perimeter_F, volume
+from .hypersurface import SurfaceQuadrature, volume
 from .integrand import Integrand
 
 __all__ = [
@@ -101,11 +119,16 @@ class PolynomialField:
         coefs = np.vstack([self.const, self.lin.T, self.quad.reshape(d, d * d).T])
         return mono @ coefs
 
-    def _jacobians(self, mono):
-        """Dg = lin + 2 quad(., x), (N, d, d), from the (1, x) columns of mono."""
+    def _jacobian_coefs(self):
+        """The (1 + d, d*d) coefficients of Dg = lin + 2 quad(., x) against the
+        monomials (1, x); column i d + j gives the entry Dg_ij."""
         d = self.dim
-        coefs = np.vstack([self.lin.reshape(1, -1), 2.0 * self.quad.reshape(d * d, d).T])
-        return (mono[:, : 1 + d] @ coefs).reshape(-1, d, d)
+        return np.vstack([self.lin.reshape(1, -1), 2.0 * self.quad.reshape(d * d, d).T])
+
+    def _jacobians(self, mono):
+        """Dg, (N, d, d), from the (1, x) columns of mono."""
+        d = self.dim
+        return (mono[:, : 1 + d] @ self._jacobian_coefs()).reshape(-1, d, d)
 
 
 def _monomials(x):
@@ -123,18 +146,38 @@ def _monomials(x):
     return m.T
 
 
+def _stress(f_normal, eta, nu):
+    """B_F(nu) = F(nu) I - outer(nu, grad F(nu)) from F(nu) and grad F(nu),
+    formed in one (N, d, d) array: 0 - nu_i eta_j, then F(nu) added on the
+    diagonal, the bits of F(nu) delta_ij - nu_i eta_j."""
+    b = np.einsum("ni,nj->nij", nu, eta)
+    np.subtract(0.0, b, out=b)
+    for i in range(nu.shape[1]):
+        b[:, i, i] += f_normal
+    return b
+
+
 def stress_tensor(f: Integrand, nu):
     """B_F(nu) = F(nu) I - outer(nu, grad F(nu)), stacked over nodes."""
     nu = np.atleast_2d(np.asarray(nu, dtype=float))
-    d = nu.shape[1]
-    fv = f.value(nu)
-    g = f.grad(nu)
-    return fv[:, None, None] * np.eye(d)[None] - nu[:, :, None] * g[:, None, :]
+    return _stress(f.value(nu), f.grad(nu), nu)
 
 
-def _weighted_stress(q: SurfaceQuadrature, f: Integrand):
+def _check_table(q: SurfaceQuadrature, table: CurvatureTable):
+    """InputError unless q has nodes and the table holds one row per node."""
+    if len(q) == 0:
+        raise InputError("empty quadrature")
+    if len(table.f_normal) != len(q):
+        raise InputError(
+            f"curvature table of {len(table.f_normal)} nodes for a quadrature of {len(q)}"
+        )
+
+
+def _weighted_stress(q: SurfaceQuadrature, table: CurvatureTable):
     """w B_F(nu) at every node, flattened to one row of d*d entries."""
-    return (stress_tensor(f, q.normals) * q.weights[:, None, None]).reshape(len(q), -1)
+    stress = _stress(table.f_normal, table.eta, q.normals).reshape(len(q), -1)
+    stress *= q.weights[:, None]
+    return stress
 
 
 def _first_variation(dg, stress) -> float:
@@ -155,11 +198,11 @@ def _node_monomials(q: SurfaceQuadrature, fields):
     return _monomials(q.points)
 
 
-def first_variation(q: SurfaceQuadrature, f: Integrand, g: PolynomialField) -> float:
-    """sum over nodes of <Dg(x), B_F(nu)> w (entrywise matrix pairing)."""
-    if len(q) == 0:
-        raise InputError("empty quadrature")
-    return _first_variation(g._jacobians(_node_monomials(q, [g])), _weighted_stress(q, f))
+def first_variation(q: SurfaceQuadrature, table: CurvatureTable, g: PolynomialField) -> float:
+    """sum over nodes of <Dg(x), B_F(nu)> w (entrywise matrix pairing), with
+    F(nu) and grad F(nu) read from the curvature table of q."""
+    _check_table(q, table)
+    return _first_variation(g._jacobians(_node_monomials(q, [g])), _weighted_stress(q, table))
 
 
 def volume_derivative(q: SurfaceQuadrature, g: PolynomialField) -> float:
@@ -167,42 +210,107 @@ def volume_derivative(q: SurfaceQuadrature, g: PolynomialField) -> float:
     return float((_flux(q, g._values(_node_monomials(q, [g]))) * q.weights).sum())
 
 
-def _field_terms(q: SurfaceQuadrature, mono, g: PolynomialField):
-    """g(x), Dg(x) and Dg(x) frames at the nodes, each evaluated once."""
-    dg = g._jacobians(mono)
-    return g._values(mono), dg, dg @ q.frames
+def _cross(u, v, out, tmp):
+    """out = u x v, for 3-vectors given as three rows of nodes each; tmp is
+    one row of scratch."""
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(u[j], v[k], out=out[i])
+        np.multiply(u[k], v[j], out=tmp)
+        out[i] -= tmp
 
 
-def _pushed_energy_volume(q: SurfaceQuadrature, f: Integrand, gx, dg_frames, t: float):
-    """(energy, volume) of q pushed along x -> x + t g(x).
+class _Pushes:
+    """The pushes x -> x + t g(x) of one quadrature, in reused (d, N) buffers.
 
-    Nodes move by t g(x) and tangent frames by I + t Dg.  The pushed area
-    vector a (the rotated tangent for d=2, the cross product of the frame
-    for d=3) is the pushed normal times the tangential Jacobian, so with F
-    one-homogeneous the pushed energy density F(nu_t) w |a| is F(a) w.
+    ``frame[k][j]`` is component j of the tangent T_k over the nodes, a view
+    of ``q.frames``.  ``terms`` holds a0, a1 and a2 of a(t) (see the module
+    docstring): a0 once, a1 and a2 per field by ``expand``, from the field's
+    Jacobian entries.
     """
-    x = q.points + t * gx
-    pushed = q.frames + t * dg_frames
-    if q.dim == 2:
-        a = np.stack([pushed[:, 1, 0], -pushed[:, 0, 0]], axis=1)
-    else:
-        a = np.cross(pushed[:, :, 0], pushed[:, :, 1])
-    if np.any(np.einsum("ni,ni->n", a, a) < 1e-24):
-        raise StepTooLargeError("pushed frame degenerated; reduce the step")
-    energy = float((f.value(a) * q.weights).sum())
-    vol = float((np.einsum("ni,ni->n", x, a) * q.weights).sum() / q.dim)
-    return energy, vol
 
+    def __init__(self, q: SurfaceQuadrature):
+        d, n_nodes = q.dim, len(q)
+        self.q = q
+        self.frame = [[q.frames[:, j, k] for j in range(d)] for k in range(d - 1)]
+        self.terms = np.empty((3, d, n_nodes))
+        self.area = np.empty((d, n_nodes))
+        self.dot = np.empty(n_nodes)
+        self.tmp = np.empty(n_nodes)
+        if d == 2:
+            (t,) = self.frame
+            np.copyto(self.terms[0, 0], t[1])
+            np.negative(t[0], out=self.terms[0, 1])
+        else:
+            _cross(*self.frame, self.terms[0], self.tmp)
 
-def _pushed_energies(q, f, gx, dg_frames, h):
-    """(energy, volume) of the quadrature pushed by +h and by -h."""
-    return [_pushed_energy_volume(q, f, gx, dg_frames, t) for t in (+h, -h)]
+    def expand(self, g: PolynomialField, mono):
+        """a1 and a2 of the field g, whose nodes have the ``_monomials`` mono:
+        the entries Dg_ij component-major, in the rows i d + j of jac, the
+        images D_k = Dg T_k column by column, then the terms of the module
+        docstring."""
+        d, tmp = self.q.dim, self.tmp
+        jac = g._jacobian_coefs().T @ mono[:, : 1 + d].T
+        images = np.empty((d - 1, d, len(tmp)))
+        for k, t in enumerate(self.frame):
+            for i in range(d):
+                row = images[k, i]
+                np.multiply(jac[i * d], t[0], out=row)
+                for j in range(1, d):
+                    np.multiply(jac[i * d + j], t[j], out=tmp)
+                    row += tmp
+        _, a1, a2 = self.terms
+        if d == 2:
+            (dt,) = images
+            np.copyto(a1[0], dt[1])
+            np.negative(dt[0], out=a1[1])
+        else:
+            (t1, t2), (d1, d2) = self.frame, images
+            _cross(t1, d2, a1, tmp)
+            _cross(d1, t2, self.area, tmp)
+            a1 += self.area
+            _cross(d1, d2, a2, tmp)
+
+    def energy_volume(self, f: Integrand, gx, t: float):
+        """(energy, volume) of the quadrature pushed by t along the field of
+        the last ``expand``, whose values at the nodes are gx (N, d).
+
+        With F one-homogeneous the pushed energy density F(nu_t) w |a| is
+        F(a) w, and the pushed volume is sum (x + t g(x)).a w / d.
+        """
+        q, (a0, a1, a2), a = self.q, self.terms, self.area
+        if q.dim == 3:
+            np.multiply(a2, t, out=a)
+            a += a1
+        else:
+            np.copyto(a, a1)
+        a *= t
+        a += a0
+        if np.any(np.einsum("in,in->n", a, a) < 1e-24):
+            raise StepTooLargeError("pushed frame degenerated; reduce the step")
+        energy = float((f.value(a.T) * q.weights).sum())
+        dot, tmp = self.dot, self.tmp
+        dot.fill(0.0)
+        for i in range(q.dim):
+            np.multiply(gx[:, i], t, out=tmp)
+            tmp += q.points[:, i]
+            tmp *= a[i]
+            dot += tmp
+        return energy, float((dot * q.weights).sum() / q.dim)
+
+    def pair(self, f: Integrand, g: PolynomialField, mono, gx, h: float):
+        """(energy, volume) pushed by +h and by -h along the field g, with
+        node monomials mono and values gx at the nodes."""
+        self.expand(g, mono)
+        return [self.energy_volume(f, gx, t) for t in (+h, -h)]
 
 
 def _check_step(q: SurfaceQuadrature, h: float):
+    if not 0.0 < h < np.inf:
+        raise InputError(f"step h must be positive and finite, got h = {h}")
     diameter = 2.0 * float(q.rho.max())
     if h > 1e-3 * diameter:
-        raise InputError(f"step {h} too large for body diameter {diameter}")
+        raise InputError(f"step h = {h} too large for body diameter {diameter}")
 
 
 def flow_energy_derivative(
@@ -211,13 +319,13 @@ def flow_energy_derivative(
     """Central difference of the pushed surface energy at t = 0.
 
     Nodes move by t g(x), tangent frames by I + t Dg, weights by the
-    tangential Jacobian, and normals follow the pushed frame; h must stay
-    below 1e-3 of the body diameter so the difference is in the O(h^2)
-    regime.
+    tangential Jacobian, and normals follow the pushed frame; h must be
+    positive and stay below 1e-3 of the body diameter so the difference is
+    in the O(h^2) regime.
     """
     _check_step(quad, h)
-    gx, _, dg_frames = _field_terms(quad, _node_monomials(quad, [g]), g)
-    (e_plus, _), (e_minus, _) = _pushed_energies(quad, f, gx, dg_frames, h)
+    mono = _node_monomials(quad, [g])
+    (e_plus, _), (e_minus, _) = _Pushes(quad).pair(f, g, mono, g._values(mono), h)
     return (e_plus - e_minus) / (2 * h)
 
 
@@ -242,6 +350,7 @@ class CriticalityResult:
 def criticality_residual(
     quad: SurfaceQuadrature,
     f: Integrand,
+    table: CurvatureTable,
     fields: Sequence[PolynomialField],
     h: Optional[float] = None,
 ) -> List[CriticalityResult]:
@@ -254,26 +363,30 @@ def criticality_residual(
     vanish for Wulff shapes.  The same two pushes give the flow derivative.
     h defaults to 1e-4 of the body diameter.
 
-    P, V, w B_F(nu), the node monomials and the tangent frames are computed
-    once for the body; g(x), Dg(x) and Dg(x) frames once per field, shared
-    by dP, dV and both pushes.  Each result equals the one-field
-    ``first_variation``, ``volume_derivative`` and ``flow_energy_derivative``.
+    table is the curvature table of quad under f; P and w B_F(nu) are read
+    from its F(nu) and grad F(nu), and they, V, the node monomials and a0
+    are computed once for the body.  g(x), Dg(x), a1 and a2 are computed
+    once per field, shared by dP, dV and both pushes.  Each result equals
+    the one-field ``first_variation``, ``volume_derivative`` and
+    ``flow_energy_derivative``.
     """
     n = quad.dim - 1
-    p = perimeter_F(quad, f)
+    _check_table(quad, table)
+    p = float((table.f_normal * quad.weights).sum())  # perimeter_F(quad, f), bit for bit
     v = volume(quad)
     if h is None:
         h = 1e-4 * 2.0 * float(quad.rho.max())
     _check_step(quad, h)
     mono = _node_monomials(quad, fields)
-    stress = _weighted_stress(quad, f)
+    stress = _weighted_stress(quad, table)
+    pushes = _Pushes(quad)
     results = []
     for g in fields:
-        gx, dg, dg_frames = _field_terms(quad, mono, g)
-        fv = _first_variation(dg, stress)
+        gx = g._values(mono)
+        fv = _first_variation(g._jacobians(mono), stress)
         flux = _flux(quad, gx)
         dv = float((flux * quad.weights).sum())
-        pushed = _pushed_energies(quad, f, gx, dg_frames, h)
+        pushed = pushes.pair(f, g, mono, gx, h)
         rescaled = [
             ((v / vol_t) ** (1.0 / (n + 1))) ** n * energy for energy, vol_t in pushed
         ]

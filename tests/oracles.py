@@ -52,6 +52,28 @@ def polynomial_field(const, lin, quad, x):
     return out
 
 
+def row_major_push(quad, f, g, t):
+    """(energy, volume) of a boundary quadrature pushed along x -> x + t g(x),
+    node by node in (N, d) rows.
+
+    Dg = lin + 2 quad(., x) by explicit contraction, the pushed tangent
+    frames (I + t Dg) frames by batched matmul, and the pushed area vector
+    a as their 90-degree rotation (d=2) or cross product (d=3), so that the
+    pushed energy is sum F(a) w and the volume sum (x + t g(x)).a w / d.
+    """
+    x = quad.points
+    dg = g.lin[None] + 2.0 * np.einsum("ijk,nk->nij", g.quad, x)
+    moved = x + t * g(x)
+    pushed = quad.frames + t * (dg @ quad.frames)
+    if quad.dim == 2:
+        a = np.stack([pushed[:, 1, 0], -pushed[:, 0, 0]], axis=1)
+    else:
+        a = np.cross(pushed[:, :, 0], pushed[:, :, 1])
+    energy = float((f.value(a) * quad.weights).sum())
+    vol = float((np.einsum("ni,ni->n", moved, a) * quad.weights).sum() / quad.dim)
+    return energy, vol
+
+
 def bisect_ray_radii(phi, center, omega, start):
     """The root t > 0 of t -> phi(center + t w) along each unit ray w: the
     bracket [0, start] doubles until phi is positive at its end, then halves

@@ -239,3 +239,29 @@ def test_curvature_table_matches_per_node_oracle():
         assert np.abs(b_batch - b).max() <= 1e-13 * np.abs(b).max()
         kappa = sandwich_eigenvalues(a, b)
         assert np.abs(table.kappa - kappa).max() <= 1e-13 * np.abs(kappa).max()
+
+
+def test_wulff_table_builds_the_tangential_hessian_once(monkeypatch):
+    # a Wulff ball of the table's own integrand, as every scene builds it,
+    # takes its shape operators from the table's tangential Hessian: one
+    # hess call, and the bits of the two-call route
+    f = WeightedSum(((0.4, E3), (1.0, QuadraticNorm(np.diag([3.0, 1.0, 0.5])))))
+    body = WulffBody(DualNorm(f), np.array([0.2, -0.1, 0.3]), 1.3)
+    q = sample_surface(body, (32, 64))
+    a = tangential_hessian(f, q.normals, q.frames)
+    b = _shape_operators_bulk(body, q, q.frames)
+    calls = []
+    hess = WeightedSum.hess
+
+    def counted(self, x):
+        calls.append(len(x))
+        return hess(self, x)
+
+    monkeypatch.setattr(WeightedSum, "hess", counted)
+    table = curvature_table(body, f, q)
+    assert calls == [len(q)]
+    assert np.array_equal(table.mean, np.einsum("nij,nji->n", a, b))
+    # another integrand still builds the body's own Hessian
+    calls.clear()
+    curvature_table(body, WeightedSum(f.terms), q)
+    assert calls == [len(q), len(q)]

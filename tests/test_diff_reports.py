@@ -35,8 +35,8 @@ def test_each_difference_is_printed(tmp_path, capsys):
     assert diff_reports.main([str(old), str(new)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "extra.csv only in NEW",
-        "scene/field.csv:b 1 1",
-        "scene/report.json.suites[0].metrics.r 0.5 0.75 0.25",
+        "scene/field.csv:b 1 1 0.5",
+        "scene/report.json.suites[0].metrics.r 0.5 0.75 0.25 0.5",
         "scene/report.json.suites[0].passed true false",
     ]
 
@@ -46,8 +46,24 @@ def test_csv_columns_compare_by_value(tmp_path, capsys):
     new = _tree(tmp_path / "new", REPORT, "x,y,z\n1.0,2.5,1\n3,4.25,5\n")
     assert diff_reports.main([str(old), str(new)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "scene/field.csv:y 2 0.5",
-        "scene/field.csv:z 1 inf",
+        "scene/field.csv:y 2 0.5 0.25",
+        "scene/field.csv:z 1 inf inf",
+    ]
+
+
+def test_relative_change_is_printed(tmp_path, capsys):
+    # a change at rounding level reads as one whatever the size of the
+    # number; a change from 0 is infinitely large
+    old_report = {"checks": [{"value": 2e-6}, {"value": 0.0}, {"value": 300.0}]}
+    new_report = {"checks": [{"value": 2.000002e-6}, {"value": 1e-12}, {"value": 300.0}]}
+    old = _tree(tmp_path / "old", old_report, "x,y\n4,1e-9\n0,5\n")
+    new = _tree(tmp_path / "new", new_report, "x,y\n5,1.5e-9\n0,5\n")
+    assert diff_reports.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "scene/field.csv:x 1 1 0.25",
+        "scene/field.csv:y 1 5e-10 0.5",
+        "scene/report.json.checks[0].value 2e-06 2.000002e-06 2e-12 1e-06",
+        "scene/report.json.checks[1].value 0.0 1e-12 1e-12 inf",
     ]
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from wulffkit import (
     DomainError,
@@ -10,7 +11,7 @@ from wulffkit import (
     QuadraticNorm,
     WeightedSum,
 )
-from wulffkit.integrand import tangential_hessian
+from wulffkit.integrand import _row_norm, _row_sum, tangential_hessian
 from wulffkit.spheregrid import tangent_frames
 
 from oracles import fd_jacobian
@@ -58,6 +59,28 @@ def test_homogeneity_hypothesis(x1, x2, lam):
     if np.linalg.norm(x) < 1e-3:
         return
     assert Q2.value(lam * x)[0] == pytest.approx(abs(lam) * Q2.value(x)[0], rel=1e-12, abs=1e-12)
+
+
+ENTRIES = hst.one_of(
+    hst.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-160, 1e160, 1e300, -1.7e308]),
+    hst.floats(allow_nan=False),
+)
+
+
+@given(
+    hst.sampled_from([2, 3]).flatmap(
+        lambda d: hnp.arrays(float, hst.tuples(hst.integers(0, 40), hst.just(d)), elements=ENTRIES)
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_row_reductions_are_numpys_bit_for_bit(x):
+    # zero, subnormal, tiny and huge rows, whose squares underflow or
+    # overflow, on C-ordered rows and on the transposed view of a
+    # component-major array
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in (x, np.ascontiguousarray(x.T).T):
+            assert _row_sum(rows).tobytes() == rows.sum(axis=1).tobytes()
+            assert _row_norm(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
 
 
 def test_gradient_examples():

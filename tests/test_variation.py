@@ -13,6 +13,7 @@ from wulffkit import (
     QuadraticNorm,
     StepTooLargeError,
     Superellipse,
+    WeightedSum,
     WulffBody,
     criticality_residual,
     curvature_table,
@@ -26,9 +27,10 @@ from wulffkit import (
     volume_derivative,
 )
 
-from wulffkit.variation import _monomials
+from wulffkit.variation import _monomials, _Pushes
 
-from oracles import ellipse_arc_length, fd_jacobian, polynomial_field
+import sampling
+from oracles import ellipse_arc_length, fd_jacobian, polynomial_field, row_major_push
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -82,7 +84,7 @@ def test_field_value_matches_explicit_sums(d):
 def test_constant_field_gives_zero():
     q = sample_surface(ELLIPSE, 2048)
     g = PolynomialField.constant([1.0, 2.0])
-    assert first_variation(q, Q2, g) == 0.0
+    assert first_variation(q, curvature_table(ELLIPSE, Q2, q), g) == 0.0
     assert abs(volume_derivative(q, g)) < 1e-8
 
 
@@ -92,7 +94,7 @@ def test_position_field_gives_n_times_perimeter():
         q = sample_surface(body, res)
         p = perimeter_F(q, f)
         n = body.dim - 1
-        fv = first_variation(q, f, PolynomialField.position(body.dim))
+        fv = first_variation(q, curvature_table(body, f, q), PolynomialField.position(body.dim))
         assert fv == pytest.approx(n * p, rel=1e-6)
 
 
@@ -119,10 +121,11 @@ def test_volume_derivative_examples():
 def test_first_variation_matches_flow_derivative(body, f, res):
     rng = np.random.default_rng(7)
     quad = sample_surface(body, res)
+    table = curvature_table(body, f, quad)
     h = 1e-4 * 2 * quad.rho.max()
     for _ in range(10):
         g = PolynomialField.random(rng, body.dim, 0.4)
-        fv = first_variation(quad, f, g)
+        fv = first_variation(quad, table, g)
         flow = flow_energy_derivative(quad, f, g, h)
         assert abs(fv - flow) <= 1e-4 * (1.0 + abs(fv))
 
@@ -135,7 +138,7 @@ def test_mean_curvature_pairing():
         p = perimeter_F(quad, f)
         for _ in range(5):
             g = PolynomialField.random(rng, 2, 0.4)
-            fv = first_variation(quad, f, g)
+            fv = first_variation(quad, table, g)
             paired = float(
                 (
                     table.mean
@@ -151,7 +154,7 @@ def test_wulff_criticality():
     q = sample_surface(WULFF, 4096)
     p = perimeter_F(q, Q2)
     fields = [PolynomialField.random(rng, 2, 0.5) for _ in range(10)]
-    for res in criticality_residual(q, Q2, fields):
+    for res in criticality_residual(q, Q2, curvature_table(WULFF, Q2, q), fields):
         assert abs(res.residual) <= 1e-3 * p
         assert abs(res.rescaled_residual) <= 1e-3 * p
 
@@ -162,13 +165,14 @@ def test_euclidean_ball_criticality():
     q = sample_surface(ball, 4096)
     p = perimeter_F(q, E2)
     fields = [PolynomialField.random(rng, 2, 0.5) for _ in range(5)]
-    for res in criticality_residual(q, E2, fields):
+    for res in criticality_residual(q, E2, curvature_table(ball, E2, q), fields):
         assert abs(res.residual) <= 1e-3 * p
 
 
 def test_ellipse_shear_not_critical():
     shear = PolynomialField.linear(np.diag([1.0, -1.0]))
-    [res] = criticality_residual(sample_surface(ELLIPSE, 4096), E2, [shear])
+    q = sample_surface(ELLIPSE, 4096)
+    [res] = criticality_residual(q, E2, curvature_table(ELLIPSE, E2, q), [shear])
     assert abs(res.residual) > 0.1
     # finite-difference oracle on the flowed ellipse: axes (2(1+t), (1-t))
     h = 1e-5
@@ -182,7 +186,8 @@ def test_rescaled_residual_matches_scaled_identity():
     # d/dt [ (V0/V(t))^{n/(n+1)} P(t) ] = residual / (n+1)
     rng = np.random.default_rng(11)
     g = PolynomialField.random(rng, 2, 0.5)
-    [res] = criticality_residual(sample_surface(ELLIPSE, 4096), E2, [g])
+    q = sample_surface(ELLIPSE, 4096)
+    [res] = criticality_residual(q, E2, curvature_table(ELLIPSE, E2, q), [g])
     assert res.rescaled_residual == pytest.approx(res.residual / 2.0, rel=1e-3, abs=1e-7)
 
 
@@ -196,11 +201,12 @@ def test_criticality_reuses_the_flow_pushes():
         (ellipsoid, QuadraticNorm(np.diag([4.0, 1.0, 2.0])), (64, 128)),
     ):
         q = sample_surface(body, res)
+        table = curvature_table(body, f, q)
         h = 1e-4 * 2 * q.rho.max()
         fields = [PolynomialField.random(rng, body.dim, 0.4) for _ in range(3)]
-        for g, crit in zip(fields, criticality_residual(q, f, fields, h), strict=True):
+        for g, crit in zip(fields, criticality_residual(q, f, table, fields, h), strict=True):
             assert crit.flow_derivative == flow_energy_derivative(q, f, g, h)
-            assert crit.first_variation == first_variation(q, f, g)
+            assert crit.first_variation == first_variation(q, table, g)
             assert crit.volume_derivative == volume_derivative(q, g)
 
 
@@ -208,13 +214,13 @@ def test_var_suite_pushes_each_field_once(tmp_path, monkeypatch):
     from wulffkit import suites, variation
 
     calls = []
-    pushed = variation._pushed_energy_volume
+    pushed = variation._Pushes.energy_volume
 
-    def counted(q, f, gx, dg_frames, t):
+    def counted(self, f, gx, t):
         calls.append(t)
-        return pushed(q, f, gx, dg_frames, t)
+        return pushed(self, f, gx, t)
 
-    monkeypatch.setattr(variation, "_pushed_energy_volume", counted)
+    monkeypatch.setattr(variation._Pushes, "energy_volume", counted)
     scene = replace(load_scene(SCENES / "ellipse_d2.json"), resolution=512)
     result = suites.run_suite("var", suites.RunCache(scene), tmp_path)
     assert not result.skipped
@@ -228,6 +234,95 @@ def test_flow_step_guard():
         flow_energy_derivative(sample_surface(ELLIPSE, 2048), E2, g, 0.5)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
+def test_step_must_be_positive_and_finite(h):
+    # h = 0 raised a raw ZeroDivisionError, and a NaN h failed late, inside F,
+    # as "non-finite input components"
+    q = sample_surface(ELLIPSE, 256)
+    table = curvature_table(ELLIPSE, E2, q)
+    g = PolynomialField.position(2)
+    for route in (
+        lambda: flow_energy_derivative(q, E2, g, h),
+        lambda: criticality_residual(q, E2, table, [g], h),
+    ):
+        with pytest.raises(InputError, match="step h must be positive and finite"):
+            route()
+
+
+def test_table_of_another_quadrature_is_refused():
+    q, other = sample_surface(ELLIPSE, 256), sample_surface(ELLIPSE, 512)
+    table = curvature_table(ELLIPSE, E2, other)
+    g = PolynomialField.position(2)
+    for route in (
+        lambda: first_variation(q, table, g),
+        lambda: criticality_residual(q, E2, table, [g]),
+    ):
+        with pytest.raises(InputError, match="curvature table of 512 nodes"):
+            route()
+
+
+ROTATION = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+R3 = QuadraticNorm(ROTATION @ np.diag([3.0, 1.0, 0.5]) @ ROTATION.T)
+
+
+@pytest.mark.parametrize(
+    "body,f,res",
+    [
+        (ELLIPSE, E2, 512),
+        (ELLIPSE, QuadraticNorm(np.array([[2.0, 0.7], [0.7, 1.0]])), 512),
+        (WULFF, WeightedSum(((0.5, E2), (1.0, Q2))), 512),
+        (Ellipsoid(np.diag([0.25, 1.0, 0.5]), np.array([0.3, -0.2, 0.1])), E3, (32, 64)),
+        (Ellipsoid(np.diag([0.25, 1.0, 0.5]), np.zeros(3)), R3, (32, 64)),
+        (
+            Ellipsoid(ROTATION @ np.diag([1.0, 0.5, 2.0]) @ ROTATION.T, np.zeros(3)),
+            WeightedSum(((0.4, E3), (1.0, R3))),
+            (32, 64),
+        ),
+    ],
+)
+def test_push_kernel_matches_the_row_major_push(body, f, res):
+    # the component-major a0 + t a1 + t^2 a2 against the pushed frames
+    # crossed row by row, at steps up to the largest the guard allows
+    rng = np.random.default_rng(13)
+    q = sample_surface(body, res)
+    mono = _monomials(q.points)
+    pushes = _Pushes(q)
+    diameter = 2.0 * q.rho.max()
+    for _ in range(3):
+        g = PolynomialField.random(rng, body.dim, 0.4)
+        pushes.expand(g, mono)
+        for t in (1e-3 * diameter, 1e-4 * diameter, -1e-4 * diameter):
+            energy, vol = pushes.energy_volume(f, g(q.points), t)
+            want_energy, want_vol = row_major_push(q, f, g, t)
+            assert abs(energy - want_energy) <= 1e-12 * abs(want_energy)
+            assert abs(vol - want_vol) <= 1e-12 * abs(want_vol)
+
+
+def test_var_reads_the_integrand_at_the_normals_from_the_table(tmp_path, monkeypatch):
+    # once the run's tables are built, var takes F(nu) and grad F(nu) from
+    # them: no integrand gradient is evaluated
+    from wulffkit import suites
+
+    f = WeightedSum(((0.5, E2), (1.0, Q2)))
+    bodies = [("w", WulffBody(DualNorm(f), np.zeros(2), 1.0)), ("e", ELLIPSE)]
+    scene = sampling.scene(bodies, f, 512, suites=("var",))
+    cache = suites.RunCache(scene)
+    for _, body in scene.bodies:
+        cache.sampled(body)
+    calls = []
+    for cls in (EuclideanNorm, QuadraticNorm, WeightedSum):
+        grad = cls.grad
+
+        def counted(self, x, grad=grad):
+            calls.append(type(self).__name__)
+            return grad(self, x)
+
+        monkeypatch.setattr(cls, "grad", counted)
+    result = suites.run_suite("var", cache, tmp_path)
+    assert not result.skipped and result.checks
+    assert calls == []
+
+
 def test_degenerate_push_rejected():
     # t Dg = -I exactly (powers of two), so the +h push collapses every frame
     q = sample_surface(ELLIPSE, 256)
@@ -239,10 +334,11 @@ def test_degenerate_push_rejected():
 def test_field_of_another_dimension_is_refused():
     # a 3D field on a 2D surface raised a raw numpy ValueError
     q, g = sample_surface(ELLIPSE, 256), PolynomialField.position(3)
+    table = curvature_table(ELLIPSE, E2, q)
     for route in (
-        lambda: first_variation(q, E2, g),
+        lambda: first_variation(q, table, g),
         lambda: volume_derivative(q, g),
-        lambda: criticality_residual(q, E2, [g]),
+        lambda: criticality_residual(q, E2, table, [g]),
         lambda: flow_energy_derivative(q, E2, g, 1e-4),
     ):
         with pytest.raises(InputError, match="field of dimension 3 on a surface in dimension 2"):
