@@ -34,6 +34,10 @@ __all__ = [
     "umbilicity_classify",
 ]
 
+# largest dispersion of the ball fit, relative to its radius, that
+# umbilicity_classify calls a Wulff ball
+FIT_TOL = 1e-3
+
 
 def _sqrt_spd(a):
     """SPD square root of stacked (N, n, n) matrices, n in {1, 2}."""
@@ -156,18 +160,15 @@ class UmbilicityReport:
     tol_umb: float
 
 
-def umbilicity_classify(
-    quad: SurfaceQuadrature,
-    table: CurvatureTable,
-    tol_fit: float = 1e-3,
-) -> UmbilicityReport:
+def umbilicity_classify(quad: SurfaceQuadrature, table: CurvatureTable) -> UmbilicityReport:
     """Classify a boundary as a Wulff ball via constant anisotropic curvature.
 
     lambda is the area-weighted mean of (sum kappa_i)/n; nodes must all have
     every curvature within tol_umb = 1e-3 |lambda| of lambda to count as
     umbilical, after which the affine relation grad F(nu(x)) = lambda x + c
     is fitted, grad F(nu) read from ``table.eta``, and its worst deviation
-    reported as the dispersion.
+    reported as the dispersion.  The verdict is "wulff" when the dispersion
+    is at most FIT_TOL = 1e-3 times the fitted radius.
     """
     wsum = quad.weights.sum()
     lam = float((quad.weights * (_row_sum(table.kappa) / table.kappa.shape[1])).sum() / wsum)
@@ -191,7 +192,7 @@ def umbilicity_classify(
     c = (quad.weights[:, None] * affine).sum(axis=0) / wsum
     dispersion = float(_row_norm(affine - c).max())
     radius = 1.0 / abs(lam)
-    verdict = "wulff" if dispersion <= tol_fit * radius else "umbilical-unresolved"
+    verdict = "wulff" if dispersion <= FIT_TOL * radius else "umbilical-unresolved"
     return UmbilicityReport(
         lam=lam, center=-c / lam, radius=radius, dispersion=dispersion,
         verdict=verdict, max_residual=max_res, tol_umb=tol_umb,

@@ -77,6 +77,8 @@ __all__ = [
     "ReachComparison",
 ]
 
+# relative tie tolerance of the near-minimizer window: build_field's default
+EPS_CLUSTER = 1e-3
 # absolute floor of the near-minimizer window, in grid spacings
 WINDOW_CELLS = 1.5
 # cells per coarse pruning block (40 x 40 in d=2) and per fine tile inside it
@@ -664,7 +666,7 @@ def build_field(
     source: SourceSet,
     f: Integrand,
     grid: GridSpec,
-    eps_cluster: float = 1e-3,
+    eps_cluster: float = EPS_CLUSTER,
     tol_unique: Optional[float] = None,
 ) -> DistanceField:
     """Compute delta and the ambiguity gap on the grid.

@@ -14,10 +14,12 @@ holds for every caller: a node with H <= 0 violates the hypothesis and
 raises ``HypothesisViolationError``.  Equality of the outer terms forces
 every node to be umbilical and the body to be a Wulff ball; scenes of
 disjoint bodies classify as "wulff-union" when the ratio is 1 within
-tolerance, all nodes are umbilical, and every fitted radius clears n/c for
-the supplied curvature bound c.  The union is of disjoint open Wulff shapes,
-so ``check_disjoint`` accepts Wulff balls of one integrand whose closures
-touch, deciding each such pair in closed form from F* of its centres.
+EQUALITY_TOL, all nodes are umbilical, and every fitted radius clears n/c
+for the supplied curvature bound c within the relative slack RADIUS_TOL.
+Both tolerances are module constants, which no caller or scene sets.  The
+union is of disjoint open Wulff shapes, so ``check_disjoint`` accepts Wulff
+balls of one integrand whose closures touch, deciding each such pair in
+closed form from F* of its centres.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ __all__ = [
     "ClassifierVerdict",
     "check_disjoint",
 ]
+
+# largest |ratio - 1| that hk_evaluate calls equality
+EQUALITY_TOL = 1e-3
+# relative slack of equality_classifier's radius bound n/c and of its
+# equal-radii report
+RADIUS_TOL = 0.02
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +74,6 @@ class HKReport:
     h_max: float
     mr_integral: float
     verdict: str
-    tol_eq: float
 
 
 def check_disjoint(sampled: Sequence[tuple]) -> None:
@@ -120,15 +127,15 @@ def montiel_ros_integral(quad: SurfaceQuadrature, table: CurvatureTable) -> floa
     return float((table.f_normal * quad.weights * inner).sum())
 
 
-def hk_evaluate(sampled: Sequence[tuple], tol_eq: float = 1e-3) -> HKReport:
+def hk_evaluate(sampled: Sequence[tuple]) -> HKReport:
     """Evaluate the volume vs curvature-integral ratio over disjoint bodies.
 
     ``sampled`` holds one (body, quadrature, curvature table) triple per
     body, all tables under one integrand F; F(nu) is read from the table.
     The report holds one row per body in that order.
     ratio = vol / (n/(n+1) * sum F(nu)/H w); the verdict is "equality" when
-    |ratio - 1| <= tol_eq and "strict" otherwise.  Any node with H <= 0
-    violates the positivity hypothesis and raises.
+    |ratio - 1| <= EQUALITY_TOL = 1e-3 and "strict" otherwise.  Any node
+    with H <= 0 violates the positivity hypothesis and raises.
     """
     if not sampled:
         raise InputError("empty scene")
@@ -167,8 +174,7 @@ def hk_evaluate(sampled: Sequence[tuple], tol_eq: float = 1e-3) -> HKReport:
         h_min=min(r.h_min for r in rows),
         h_max=max(r.h_max for r in rows),
         mr_integral=sum(r.mr_integral for r in rows),
-        verdict="equality" if abs(ratio - 1.0) <= tol_eq else "strict",
-        tol_eq=tol_eq,
+        verdict="equality" if abs(ratio - 1.0) <= EQUALITY_TOL else "strict",
     )
 
 
@@ -186,24 +192,27 @@ def equality_classifier(
     report: HKReport,
     umbilicity: Sequence[UmbilicityReport],
     c: float,
-    tol_r: float = 0.02,
 ) -> ClassifierVerdict:
     """Decide "wulff-union" vs "strict" from the ratio, umbilicity, and radii.
 
-    Requires |ratio - 1| <= tol_eq, every body umbilical with a clean ball
-    fit, and every fitted radius >= n/c within the relative slack tol_r.
-    Whether the radii are all equal is reported alongside (the equality case
-    admits unequal radii as long as each clears n/c).
+    Requires |ratio - 1| <= EQUALITY_TOL, every body umbilical with a clean
+    ball fit, and every fitted radius >= n/c within the relative slack
+    RADIUS_TOL = 0.02.  Whether the radii are all equal within RADIUS_TOL is
+    reported alongside (the equality case admits unequal radii as long as
+    each clears n/c).  The curvature bound c must be positive and finite.
     """
     if not umbilicity:
         raise InputError("classifier needs at least one umbilicity report")
+    # NaN fails both comparisons
+    if not 0.0 < c < np.inf:
+        raise InputError(f"curvature bound c must be positive and finite, got {c!r}")
     if c < report.h_max * (1 - 1e-12):
         raise InputError(f"curvature bound c={c} is below the observed H_max={report.h_max}")
     radii = tuple(u.radius for u in umbilicity if u.radius is not None)
     centers = tuple(u.center for u in umbilicity if u.center is not None)
 
     failing = None
-    if abs(report.ratio - 1.0) > report.tol_eq:
+    if abs(report.ratio - 1.0) > EQUALITY_TOL:
         failing = "ratio"
     elif any(u.verdict != "wulff" for u in umbilicity):
         failing = "umbilicity"
@@ -212,12 +221,12 @@ def equality_classifier(
     if failing is None:
         n = len(centers[0]) - 1
         bound = n / c
-        if any(r < bound * (1 - tol_r) for r in radii):
+        if any(r < bound * (1 - RADIUS_TOL) for r in radii):
             failing = "radius-bound"
 
     equal = None
     if radii:
-        equal = bool(max(radii) - min(radii) <= tol_r * max(radii))
+        equal = bool(max(radii) - min(radii) <= RADIUS_TOL * max(radii))
     return ClassifierVerdict(
         verdict="wulff-union" if failing is None else "strict",
         failing_condition=failing,

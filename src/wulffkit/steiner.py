@@ -37,6 +37,9 @@ __all__ = [
     "default_t_grid",
 ]
 
+# largest relative fit residual that positive_reach_test calls polynomial
+RESIDUAL_TOL = 1e-2
+
 
 @dataclass(frozen=True, eq=False)
 class TubeCurve:
@@ -62,7 +65,8 @@ def _grid_margin(field: DistanceField) -> float:
 def tube_volumes(field: DistanceField, t_samples) -> TubeCurve:
     """V(t) = cell volume * #{cells : 0 < delta <= t} for increasing t."""
     t = np.asarray(t_samples, dtype=float)
-    if t.ndim != 1 or len(t) == 0 or np.any(np.diff(t) <= 0) or t[0] <= 0:
+    # NaN fails every comparison, so a NaN radius is refused
+    if t.ndim != 1 or len(t) == 0 or not np.all(np.diff(t) > 0) or not t[0] > 0:
         raise InputError("t samples must be positive and strictly increasing")
     margin = _grid_margin(field)
     if t[-1] > margin:
@@ -157,9 +161,10 @@ class ReachVerdict:
         )
 
 
-def positive_reach_test(fit: SteinerFit, tol: float, reference: np.ndarray) -> ReachVerdict:
+def positive_reach_test(fit: SteinerFit, reference: np.ndarray) -> ReachVerdict:
     """Polynomial tube growth over (0, r) certifies reach >= r.
 
+    The fit counts as polynomial when its residual is at most RESIDUAL_TOL.
     ``coefficient_agreement`` is the per-degree deviation of the fit from
     ``reference`` (the smooth-body coefficients), relative to its largest.
     """
@@ -168,7 +173,7 @@ def positive_reach_test(fit: SteinerFit, tol: float, reference: np.ndarray) -> R
     scale = np.abs(reference[:k]).max()
     agreement = np.abs(fit.coefficients[:k] - reference[:k]) / scale
     return ReachVerdict(
-        consistent=fit.residual <= tol,
+        consistent=fit.residual <= RESIDUAL_TOL,
         residual=fit.residual,
         r=fit.t_range[1],
         coefficient_agreement=agreement,

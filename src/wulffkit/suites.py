@@ -100,17 +100,14 @@ class RunCache:
         _, quad, table = self.sampled(body)
         return self._once(
             ("umbilicity", body),
-            lambda: umbilicity_classify(quad, table, tol_fit=self.scene.tolerances["tol_fit"]),
+            lambda: umbilicity_classify(quad, table),
         )
 
     def hk(self):
         """Heintze-Karcher report of the scene's bodies, one row per body."""
         return self._once(
             "hk",
-            lambda: hk_evaluate(
-                [self.sampled(body) for _, body in self.scene.bodies],
-                tol_eq=self.scene.tolerances["tol_eq"],
-            ),
+            lambda: hk_evaluate([self.sampled(body) for _, body in self.scene.bodies]),
         )
 
     def complement_source(self, body):
@@ -128,13 +125,7 @@ class RunCache:
         """Distance field under ``f`` to the closure of the outside of ``body``."""
 
         def build():
-            return dist.build_field(
-                self.complement_source(body),
-                f,
-                self.scene.grid,
-                eps_cluster=self.scene.tolerances["eps_cluster"],
-                tol_unique=self.scene.tolerances["tol_unique"],
-            )
+            return dist.build_field(self.complement_source(body), f, self.scene.grid)
 
         return self._once((body, f), build)
 
@@ -292,7 +283,7 @@ def suite_hk(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res.check("tube_integral_below_rhs", report.mr_integral / rhs, 1.0 + 1e-3)
     c = scene.hk_c if scene.hk_c is not None else report.h_max
     umbilicity = [cache.umbilicity(body) for _, body in scene.bodies]
-    verdict = equality_classifier(report, umbilicity, c, tol_r=scene.tolerances["tol_r"])
+    verdict = equality_classifier(report, umbilicity, c)
     res.metrics.update(
         {
             "vol": report.vol,
@@ -368,10 +359,8 @@ def suite_steiner(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         fit = st.fit_polynomial(curve, scene.dim)
         _, quad, table = cache.sampled(body)
         reference = st.claim5_coefficients(quad, table)
-        verdict = st.positive_reach_test(
-            fit, scene.tolerances["steiner_residual"], reference
-        )
-        res.check(f"fit_residual[{bid}]", fit.residual, scene.tolerances["steiner_residual"])
+        verdict = st.positive_reach_test(fit, reference)
+        res.check(f"fit_residual[{bid}]", fit.residual, st.RESIDUAL_TOL)
         res.check(
             f"fit_vs_boundary_coefficients[{bid}]",
             float(verdict.coefficient_agreement.max()),

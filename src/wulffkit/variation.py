@@ -78,6 +78,9 @@ class PolynomialField:
         d = len(c)
         if l.shape != (d, d) or q.shape != (d, d, d):
             raise InputError("field coefficient shapes are inconsistent")
+        for name, a in (("const", c), ("lin", l), ("quad", q)):
+            if not np.all(np.isfinite(a)):
+                raise InputError(f"field coefficient {name} must be finite")
         object.__setattr__(self, "const", c)
         object.__setattr__(self, "lin", l)
         object.__setattr__(self, "quad", 0.5 * (q + np.transpose(q, (0, 2, 1))))

@@ -3,7 +3,7 @@
 from wulffkit import curvature_table, sample_surface
 from wulffkit.curvature import umbilicity_classify
 from wulffkit.duality import dual_norm_of
-from wulffkit.scene import DEFAULT_STEINER, DEFAULT_TOLERANCES, Scene
+from wulffkit.scene import DEFAULT_STEINER, Scene
 
 
 def quad_table(body, f, resolution):
@@ -23,7 +23,7 @@ def umbilicity(triples):
 
 
 def scene(bodies, f, resolution, suites=("curv", "hk", "mr")):
-    """A gridless scene of ``(id, body)`` pairs with the default tolerances."""
+    """A gridless scene of ``(id, body)`` pairs."""
     return Scene(
         integrand=f,
         dual=dual_norm_of(f),
@@ -32,7 +32,6 @@ def scene(bodies, f, resolution, suites=("curv", "hk", "mr")):
         grid=None,
         seed=0,
         suites=tuple(suites),
-        tolerances=dict(DEFAULT_TOLERANCES),
         hk_c=None,
         steiner=dict(DEFAULT_STEINER),
     )

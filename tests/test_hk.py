@@ -215,7 +215,7 @@ def test_radius_bound_failure_named():
             verdict="wulff", max_residual=0.0, tol_umb=1e-3,
         ),
     )
-    verdict = equality_classifier(rep, synthetic, c=2.0, tol_r=0.02)
+    verdict = equality_classifier(rep, synthetic, c=2.0)
     # n/c = 0.5 passes at radius 0.5; tighten c to force the radius bound
     assert verdict.verdict == "wulff-union"
     verdict = equality_classifier(rep, synthetic, c=1.5)
@@ -228,6 +228,15 @@ def test_classifier_requires_c_above_h_max():
     rep = hk_evaluate(triples)
     with pytest.raises(InputError):
         equality_classifier(rep, umbilicity(triples), c=0.5 * rep.h_max)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, 0.0, -1.0])
+def test_classifier_refuses_c_not_positive_and_finite(c):
+    # a NaN c made the radius bound NaN, which every radius passed
+    triples = sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 512)
+    rep = hk_evaluate(triples)
+    with pytest.raises(InputError, match="curvature bound c"):
+        equality_classifier(rep, umbilicity(triples), c=c)
 
 
 def test_overlapping_bodies_rejected():

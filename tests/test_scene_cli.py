@@ -10,7 +10,6 @@ from hypothesis import strategies as hst
 
 from wulffkit import InputError, SceneError, load_scene, parse_scene, sample_surface
 from wulffkit.cli import _tolist, main, run
-from wulffkit.scene import DEFAULT_TOLERANCES
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 NAN, INF = float("nan"), float("inf")
@@ -22,7 +21,7 @@ def test_parse_wulff_scene():
     assert scene.seed == 7
     assert scene.bodies[0][0] == "w1"
     assert scene.grid is not None
-    assert scene.tolerances["tol_eq"] == 1e-3
+    assert scene.tolerances == {"eps_cluster": 1e-3, "tol_unique": None}
 
 
 def test_parse_errors_name_the_field():
@@ -245,15 +244,36 @@ def test_hk_c_may_be_null():
     assert parse_scene({**BASE, "hk": {"c": 2}}).hk_c == 2.0
 
 
-@pytest.mark.parametrize("key", sorted(DEFAULT_TOLERANCES))
+@pytest.mark.parametrize(
+    "key", ["eps_cluster", "steiner_residual", "tol_eq", "tol_fit", "tol_r", "tol_unique"]
+)
 def test_negative_tolerances_are_scene_errors(key):
-    # a negative tolerance turned hk's equality verdict strict and made
-    # build_field reduce an empty cluster; zero stays a valid tolerance
-    with pytest.raises(SceneError, match=f"tolerances.{key}"):
-        parse_scene({**BASE, "tolerances": {key: -1}})
-    with pytest.raises(SceneError, match=f"tolerances.{key}"):
-        parse_scene({**BASE, "tolerances": {key: -1e-300}})
-    assert parse_scene({**BASE, "tolerances": {key: 0}}).tolerances[key] == 0.0
+    # verdict tolerances are pinned in the library: a scene's tolerances
+    # section is refused whatever it holds, naming the key
+    for value in (-1, -1e-300, 0, 1e-3, None):
+        with pytest.raises(SceneError, match=f"tolerances\\.{key}"):
+            parse_scene({**BASE, "tolerances": {key: value}})
+
+
+@pytest.mark.parametrize(
+    "name,tolerances",
+    [
+        # each loosened a verdict: unequal radii read as equal, and an
+        # ellipse's HK ratio of 0.542 as equality
+        ("two_wulff_d2", {"tol_r": 0.5}),
+        ("ellipse_d2", {"tol_eq": 1.0}),
+        ("wulff_d2", {}),
+        ("wulff_d2", []),
+    ],
+)
+def test_scene_tolerances_are_refused(tmp_path, capsys, name, tolerances):
+    raw = json.loads((SCENES / f"{name}.json").read_text())
+    scene = tmp_path / "loose.json"
+    scene.write_text(json.dumps({**raw, "tolerances": tolerances}))
+    code = main(["hk", "--scene", str(scene), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "tolerances" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 D3 = json.loads((SCENES / "wulff_d3.json").read_text())
@@ -479,13 +499,18 @@ def test_csv_artifacts_written(tmp_path):
 
 
 def test_exit_code_encodes_first_failing_suite(tmp_path):
-    # impossible tolerance forces the steiner suite (index 5 -> exit 7) to fail
-    scene = tmp_path / "tight.json"
+    # tube radii up to 0.9 * 1.9 pass the reach of the Wulff ball of radius
+    # 1, so the tube curve is no polynomial and the steiner suite (index 5 ->
+    # exit 7) fails its fit_residual check
+    scene = tmp_path / "past_reach.json"
     raw = json.loads((SCENES / "wulff_d2.json").read_text())
-    raw["tolerances"] = {"steiner_residual": 1e-15}
+    raw["steiner"] = {"reference_radius": 1.9}
     scene.write_text(json.dumps(raw))
     code = run("steiner", scene, tmp_path / "out")
     assert code == 7
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    checks = {c["name"]: c for c in report["suites"][0]["checks"]}
+    assert not checks["fit_residual[w1]"]["passed"]
 
 
 def test_bad_command_rejected(tmp_path, capsys):

@@ -85,6 +85,13 @@ def test_tube_truncation_guard():
         tube_volumes(field, np.array([0.2, 0.1]))
 
 
+@pytest.mark.parametrize("t", [[np.nan], [0.1, np.nan], [np.nan, 0.1]])
+def test_nan_tube_radii_refused(disk_field_512, t):
+    # NaN failed both "<= 0" tests, so a NaN radius got a volume
+    with pytest.raises(InputError, match="positive and strictly increasing"):
+        tube_volumes(disk_field_512, t)
+
+
 def test_disk_fit_matches_annulus_polynomial(disk_field_512):
     curve = tube_volumes(disk_field_512, default_t_grid(1.0, 0.05, 0.9, 40))
     fit = fit_polynomial(curve, 2)
@@ -160,7 +167,7 @@ def test_fit_agrees_with_claim5(disk_field_512, wulff_field_512):
         curve = tube_volumes(field, default_t_grid(1.0, 0.05, 0.9, 40))
         fit = fit_polynomial(curve, 2)
         ref = claim5_coefficients(*quad_table(body, f, 4096))
-        verdict = positive_reach_test(fit, 1e-2, ref)
+        verdict = positive_reach_test(fit, ref)
         assert verdict.consistent
         assert verdict.coefficient_agreement.max() <= 0.02
 
@@ -170,11 +177,14 @@ def test_positive_reach_verdicts(disk_field_512):
     fit = fit_polynomial(curve, 2)
     # the inward tube of the unit disk: V(t) = 2 pi t - pi t^2
     reference = np.array([2 * np.pi, -np.pi])
-    good = positive_reach_test(fit, 1e-2, reference)
+    good = positive_reach_test(fit, reference)
     assert good.consistent and good.verdict.startswith("consistent-with-reach")
     assert good.coefficient_agreement.max() <= 0.02
-    bad = positive_reach_test(fit, 1e-9, reference)
-    assert not bad.consistent
+    # a tube that stops growing halfway, as past the reach, is no polynomial
+    flat = TubeCurve(curve.t, np.minimum(curve.volume, curve.volume[len(curve.t) // 2]))
+    bad = positive_reach_test(fit_polynomial(flat, 2), reference)
+    assert bad.residual > 1e-2
+    assert not bad.consistent and bad.verdict == "polynomial-fit-rejected"
 
 
 @pytest.fixture(scope="module")

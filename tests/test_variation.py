@@ -348,3 +348,13 @@ def test_field_of_another_dimension_is_refused():
 def test_field_shape_validation():
     with pytest.raises(InputError):
         PolynomialField(np.zeros(2), np.zeros((3, 2)), np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("part", ["const", "lin", "quad"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_field_coefficients_refused(part, bad):
+    # a NaN constant gave first_variation 0.0 and a NaN criticality residual
+    coefs = {"const": np.zeros(2), "lin": np.eye(2), "quad": np.zeros((2, 2, 2))}
+    coefs[part].flat[0] = bad
+    with pytest.raises(InputError, match=part):
+        PolynomialField(**coefs)
