@@ -21,7 +21,10 @@ is worse than the parent's by at most ``bound`` times the parent's median.
 Each run also records the CPUs the benchmark could use and the share of CPU
 time stolen by the hypervisor over the run, from the aggregate ``cpu`` line
 of ``/proc/stat`` before and after it (``null`` where that file is missing),
-so a pair lost to a withheld vCPU shows as such.
+so a pair lost to a withheld vCPU shows as such.  Per side, the summary gives
+the quartiles of the steal shares and how many runs had fewer usable CPUs
+than the most any run had: a change that fans work out across CPUs reads
+slower on runs that lost one, so either can flip its verdict.
 Needs only the standard library and numpy.
 """
 
@@ -114,18 +117,21 @@ def summarize(runs, end_to_end=()) -> dict:
     """Per workload: pair count, seeds, and per metric the quartiles, median
     ratio, parent IQR and the pairs the change was lower or higher on, with
     the acceptance rule of the metrics in ``end_to_end`` (entries of
-    ``BENCHMARK.json``); plus the failed and attempted operations of each
-    side."""
+    ``BENCHMARK.json``); plus, per side, the failed and attempted operations,
+    the quartiles of the runs' steal shares (``null`` without one) and the
+    runs with fewer usable CPUs than the most seen in ``runs``."""
     rules = {m["name"]: m for m in end_to_end}
+    most_cpus = max((r["cpus"] for r in runs if r.get("cpus") is not None), default=None)
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed = {}
         for r in runs:
             if r["workload"] == workload:
-                by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
+                by_seed.setdefault(r["seed"], {})[r["side"]] = r
         seeds = sorted(s for s, sides in by_seed.items() if len(sides) == 2)
-        parent = [by_seed[s]["parent"] for s in seeds]
-        change = [by_seed[s]["change"] for s in seeds]
+        records = {side: [by_seed[s][side] for s in seeds] for side in ("parent", "change")}
+        parent = [r["result"] for r in records["parent"]]
+        change = [r["result"] for r in records["change"]]
         row = {"pairs": len(seeds), "seeds": seeds}
         for metric in parent[0]["metrics"] if parent else ():
             p = np.array([r["metrics"][metric]["value"] for r in parent])
@@ -148,6 +154,14 @@ def summarize(runs, end_to_end=()) -> dict:
                 "parent": sum(r[key] for r in parent),
                 "change": sum(r[key] for r in change),
             }
+        row["steal_share_q1_median_q3"] = {}
+        row["fewer_cpus"] = {}
+        for side, side_runs in records.items():
+            steal = [r["steal_share"] for r in side_runs if r.get("steal_share") is not None]
+            row["steal_share_q1_median_q3"][side] = _quartiles(steal) if steal else None
+            row["fewer_cpus"][side] = sum(
+                r.get("cpus") is not None and r["cpus"] < most_cpus for r in side_runs
+            )
         summary[workload] = row
     return summary
 

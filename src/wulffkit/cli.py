@@ -11,6 +11,14 @@ Exit codes: 0 all executed suites passed; 1 input/scene error; 2-9 first
 failing suite in the canonical order dual, wulff, curv, hk, mr, steiner,
 reach, var.  Reports are deterministic: the same scene and seed produce
 byte-identical report.json files (no timestamps, seeded generators only).
+
+With two or more usable CPUs and at least ``fanout.FAN_OUT_ITEMS`` suites
+to run, the run first builds the samples, fits, reports and fields that two
+or more of its suites read, then runs the suites in forked workers, one per
+usable CPU.  The exit code, the messages and the bytes of report.json and
+the CSVs are those of the serial run; only after a refusal (exit 1) may the
+CSVs of suites later in the order exist, since they ran beside the refused
+one.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 
 from .errors import InputError, SceneError, WulffkitError
 from .scene import load_scene, reseed
-from .suites import SUITE_ORDER, RunCache, run_suite
+from .suites import SUITE_ORDER, RunCache, run_suites
 
 __all__ = ["main", "run"]
 
@@ -54,14 +62,9 @@ def run(command: str, scene_path, out_dir, seed=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     requested = [s for s in SUITE_ORDER if s in scene.suites] if command == "all" else [command]
-    cache = RunCache(scene)
-    results = []
-    exit_code = 0
-    for name in requested:
-        result = run_suite(name, cache, out)
-        results.append(result)
-        if not result.passed and exit_code == 0:
-            exit_code = 2 + SUITE_ORDER.index(name)
+    results = run_suites(requested, RunCache(scene), out)
+    failed = [SUITE_ORDER.index(r.name) for r in results if not r.passed]
+    exit_code = 2 + failed[0] if failed else 0
 
     report = {
         "schema_version": SCHEMA_VERSION,

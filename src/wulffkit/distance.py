@@ -33,26 +33,20 @@ search: their union is cut into runs of consecutive source indices, and
 when no two runs come within ``tol_unique`` a cluster that meets two runs
 is split without a search of its own.
 
-The coarse blocks are scanned in forked worker processes, one per usable
-CPU, which claim them largest first and write delta and the gap straight
-into one shared anonymous mapping that backs the returned arrays; the
-caller only waits and reaps them.  Each row's results depend only on its
-own near-minimizers, so the bits do not depend on which worker scans which
-block.  The scan stays in-process with one usable CPU, on a platform
-without ``fork`` or ``sched_getaffinity``, while another thread runs, or
-with fewer than ``FAN_OUT_BLOCKS`` blocks to scan.
+The coarse blocks are scanned in forked worker processes, one pinned to
+each usable CPU (``fanout._fan_out``), which claim them largest first and
+write delta and the gap straight into one shared anonymous mapping that
+backs the returned arrays; the caller only waits and reaps them.  Each
+row's results depend only on its own near-minimizers, so the bits do not
+depend on which worker scans which block.  The scan stays in-process where
+``fanout`` keeps its items in-process: one usable CPU, no ``fork``, a
+running thread, or fewer than ``FAN_OUT_ITEMS`` blocks to scan.
 """
 
 from __future__ import annotations
 
 import itertools
 import mmap
-import os
-import pickle
-import selectors
-import signal
-import threading
-import traceback
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -60,6 +54,7 @@ import numpy as np
 
 from .duality import DualNorm, dual_norm_of
 from .errors import InputError
+from .fanout import _fan_out
 from .hypersurface import StarBody, sample_surface
 from .integrand import Integrand, QuadraticNorm, _finite_rows, _whole, tangential_hessian
 from .spheregrid import sphere_quadrature, tangent_frames
@@ -85,11 +80,6 @@ WINDOW_CELLS = 1.5
 # (10 x 10)
 BLOCK_CELLS = 1600
 TILE_CELLS = 100
-# fewest blocks to scan that are split across worker processes: forking two
-# workers, their exit and reaping them take about 5 ms (2-vCPU x86 VM, 52 MB
-# process) and a 2D block about 3 ms, so the second worker saves more than it
-# costs, 3 n / 2 ms against 5 ms, from n = 4 blocks on
-FAN_OUT_BLOCKS = 4
 DIAMETER_CHUNK = 128
 
 
@@ -556,112 +546,6 @@ def _candidates(dual, pts, cand, xc, radius, lip, eps_cluster, window_abs):
     return cand[d <= bound + 1e-12]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, or 1 where the platform cannot fork or
-    cannot tell."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fan_out(items, work):
-    """Call work(item) once on each item, in forked worker processes.
-
-    ``work`` must leave its results in memory shared across the fork.  One
-    worker per usable CPU, at most one per item, claims the items first
-    come, first served, in list order: the index of the next item sits in a
-    shared mapping, and only the holder of a one-byte token in a pipe reads
-    and advances it.  The caller does no work.  It reads each worker's
-    report pipe until the worker ends and reaps it; at the first failure it
-    kills and reaps the others and raises.  A worker's exception reaches the
-    caller with its type, message and attributes, and the worker's traceback
-    in a note; a worker that ends without a report raises a RuntimeError
-    that names its exit status.  A worker whose parent is gone stops before
-    its next item.
-
-    The items run in-process, in order, with fewer than FAN_OUT_BLOCKS of
-    them, with one usable CPU, or while another thread runs, since forking a
-    threaded process can deadlock the child.
-    """
-    n = min(_usable_cpus(), len(items))
-    if n < 2 or len(items) < FAN_OUT_BLOCKS or threading.active_count() > 1:
-        for item in items:
-            work(item)
-        return
-    following = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
-    token_r, token_w = os.pipe()
-    os.write(token_w, b".")
-    parent = os.getpid()
-
-    def run_worker(report):
-        # a worker reports whatever ends it, and always leaves by os._exit,
-        # never returning into the caller's stack or running its exit handlers
-        status = 0
-        try:
-            while os.getppid() == parent:
-                os.read(token_r, 1)
-                i = int(following[0])
-                following[0] = i + 1
-                os.write(token_w, b".")
-                if i >= len(items):
-                    break
-                work(items[i])
-        except BaseException as exc:
-            status = 1
-            if hasattr(exc, "add_note"):
-                exc.add_note("in a worker process:\n" + traceback.format_exc())
-            try:
-                data = pickle.dumps(exc)
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-            with os.fdopen(report, "wb") as fh:
-                fh.write(data)
-        finally:
-            os._exit(status)
-
-    running = {}  # pid -> read end of its report pipe
-    try:
-        for _ in range(n):
-            report_r, report_w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(report_r)
-                os.close(report_w)
-                raise
-            if pid == 0:
-                run_worker(report_w)
-            os.close(report_w)
-            running[pid] = report_r
-        reports = dict.fromkeys(running, b"")
-        with selectors.DefaultSelector() as sel:
-            for pid, fd in running.items():
-                sel.register(fd, selectors.EVENT_READ, pid)
-            while running:
-                for key, _ in sel.select():
-                    pid = key.data
-                    chunk = os.read(key.fd, 1 << 16)
-                    reports[pid] += chunk
-                    if chunk:
-                        continue
-                    sel.unregister(key.fd)
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    os.close(running.pop(pid))
-                    if reports[pid]:
-                        raise pickle.loads(reports[pid])
-                    if code != 0:
-                        how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                        raise RuntimeError(f"worker process {pid} ended without a report, {how}")
-    finally:
-        for pid, fd in running.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
-        os.close(token_r)
-        os.close(token_w)
-
-
 def build_field(
     source: SourceSet,
     f: Integrand,
@@ -689,7 +573,7 @@ def build_field(
     depend only on its own near-minimizers, the field is bit for bit the
     one-process scan's whatever the split.  The scan stays in-process with
     one usable CPU, without ``os.fork``, while another thread runs, or with
-    fewer than ``FAN_OUT_BLOCKS`` blocks to scan.
+    fewer than ``FAN_OUT_ITEMS`` blocks to scan.
 
     ``eps_cluster`` must be non-negative and finite; ``tol_unique`` (default
     three times the larger of the source spacing and the grid h) must be
@@ -858,13 +742,13 @@ def project(field: DistanceField, x) -> ProjectionResult:
     point of ``grid.dim`` finite coordinates in the grid box.
     """
     x = np.asarray(x, dtype=float)
-    field.grid.cell_of(x)  # raises unless x is one finite point in the box
+    cell_gap = field.gap_at(x)  # raises unless x is one finite point in the box
     source, h = field.source, field.grid.h
     resolve = _cluster_analysis(source, field.eps_cluster, WINDOW_CELLS * h, field.tol_unique)
     d = field.dual.batch_value_fast(source.points - x)
     (m,), (gap,) = resolve(d[None], np.arange(len(d)))
     best = int(d.argmin())
-    gap = max(gap, field.gap_at(x))
+    gap = max(gap, cell_gap)
     ambiguous = gap > field.tol_unique
     cross_check = not ambiguous and m > 2 * h
 

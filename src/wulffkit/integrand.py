@@ -152,6 +152,14 @@ class Integrand:
     def hess(self, x):
         raise NotImplementedError
 
+    def _value(self, x):
+        """``value`` at rows the caller has checked finite, (N, dim) floats."""
+        return self.value(x)
+
+    def _grad(self, x):
+        """``grad`` at rows the caller has checked finite and nonzero."""
+        return self.grad(x)
+
     def _value_grad_hess(self, x):
         """(F, grad F, upper Hessian) at the columns of the component-major
         (d, N) array x, whose columns the caller has checked finite and
@@ -187,10 +195,15 @@ class EuclideanNorm(Integrand):
         object.__setattr__(self, "dim", dim)
 
     def value(self, x):
-        return _row_norm(_finite_rows(x, self.dim))
+        return self._value(_finite_rows(x, self.dim))
+
+    def _value(self, x):
+        return _row_norm(x)
 
     def grad(self, x):
-        x = self._require_nonzero(x)
+        return self._grad(self._require_nonzero(x))
+
+    def _grad(self, x):
         return x / _row_norm(x)[:, None]
 
     def hess(self, x):
@@ -224,10 +237,15 @@ class QuadraticNorm(Integrand):
         return self.matrix.shape[0]
 
     def value(self, x):
-        return np.sqrt(_quadratic_form(_finite_rows(x, self.dim), self.matrix))
+        return self._value(_finite_rows(x, self.dim))
+
+    def _value(self, x):
+        return np.sqrt(_quadratic_form(x, self.matrix))
 
     def grad(self, x):
-        x = self._require_nonzero(x)
+        return self._grad(self._require_nonzero(x))
+
+    def _grad(self, x):
         mx = x @ self.matrix
         f = np.sqrt(np.einsum("ni,ni->n", x, mx))
         return mx / f[:, None]
@@ -269,11 +287,18 @@ class WeightedSum(Integrand):
     def dim(self):
         return self.terms[0][1].dim
 
+    # the rows are checked once per call, not once per term
     def value(self, x):
-        return sum(w * f.value(x) for w, f in self.terms)
+        return self._value(_finite_rows(x, self.dim))
+
+    def _value(self, x):
+        return sum(w * f._value(x) for w, f in self.terms)
 
     def grad(self, x):
-        return sum(w * f.grad(x) for w, f in self.terms)
+        return self._grad(self._require_nonzero(x))
+
+    def _grad(self, x):
+        return sum(w * f._grad(x) for w, f in self.terms)
 
     def hess(self, x):
         return sum(w * f.hess(x) for w, f in self.terms)

@@ -5,10 +5,15 @@ resolutions, writes CSV tables next to the JSON report, and contributes a
 pass/fail entry; the runner's exit code encodes the first failing suite.
 Every suite carries a ``verifies`` slug naming the mathematical property
 it exercises, as machine-checkable report metadata.
+
+``run_suites`` runs a run's suites in forked workers (``fanout``) once the
+RunCache holds every product two or more of them read (``READS``); each
+worker builds the products only its suite reads.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,15 +24,16 @@ from . import steiner as st
 from .curvature import curvature_table, umbilicity_classify
 from .duality import wulff_sample
 from .errors import WulffkitError
+from .fanout import _fan_out, _workers
 from .hk import equality_classifier, hk_evaluate
 from .hypersurface import WulffBody, perimeter_F, sample_surface
 from .integrand import EuclideanNorm
 from .scene import SUITE_ORDER, Scene
 from .spheregrid import circle_quadrature
 from .table import write_csv
-from .variation import PolynomialField, criticality_residual, first_variation
+from .variation import PolynomialField, _Body
 
-__all__ = ["SUITE_ORDER", "run_suite", "SuiteResult", "RunCache"]
+__all__ = ["SUITE_ORDER", "run_suite", "run_suites", "SuiteResult", "RunCache"]
 
 VERIFIES = {
     "dual": "conjugate-norm-duality-identities",
@@ -38,6 +44,17 @@ VERIFIES = {
     "steiner": "tube-polynomial-positive-reach",
     "reach": "anisotropic-reach-rolling-ball-bound",
     "var": "first-variation-and-criticality",
+}
+
+# the RunCache products each suite reads: "sampled" is a body's sample and
+# curvature table, "field" its complement source and scene-integrand field
+READS = {
+    "curv": ("sampled", "umbilicity"),
+    "hk": ("sampled", "umbilicity", "hk"),
+    "mr": ("sampled", "hk"),
+    "steiner": ("sampled", "field"),
+    "reach": ("sampled", "field"),
+    "var": ("sampled",),
 }
 
 
@@ -128,6 +145,23 @@ class RunCache:
             return dist.build_field(self.complement_source(body), f, self.scene.grid)
 
         return self._once((body, f), build)
+
+    def warm(self, names):
+        """Build every product that two or more of the suites ``names`` read
+        (``READS``)."""
+        readers = Counter(product for name in names for product in READS.get(name, ()))
+        shared = {product for product, count in readers.items() if count > 1}
+        bodies = [body for _, body in self.scene.bodies]
+        for body in bodies:
+            if "sampled" in shared:
+                self.sampled(body)
+            if "umbilicity" in shared:
+                self.umbilicity(body)
+        if "hk" in shared and bodies:
+            self.hk()
+        if "field" in shared and not _no_field(self.scene):
+            for body in bodies:
+                self.complement_field(body, self.scene.integrand)
 
 
 def _rng(scene: Scene, salt: int):
@@ -414,22 +448,24 @@ def suite_var(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     for bid, body in scene.bodies:
         _, quad, table = cache.sampled(body)
         p = perimeter_F(quad, f)
+        # w B_F(nu), once for the body's three readers
+        stressed = _Body(quad, table)
 
         g0 = PolynomialField.constant(np.ones(scene.dim))
         res.check(
-            f"translation_invariance[{bid}]", abs(first_variation(quad, table, g0)), 1e-12 * p
+            f"translation_invariance[{bid}]", abs(stressed.first_variation(g0)), 1e-12 * p
         )
         gx = PolynomialField.position(scene.dim)
         res.check(
             f"dilation_matches_perimeter[{bid}]",
-            abs(first_variation(quad, table, gx) - (scene.dim - 1) * p) / p,
+            abs(stressed.first_variation(gx) - (scene.dim - 1) * p) / p,
             1e-6,
         )
 
         worst_consistency = 0.0
         worst_pairing = 0.0
         fields = [PolynomialField.random(rng, scene.dim, scale=0.4) for _ in range(10)]
-        for k, crit in enumerate(criticality_residual(quad, f, table, fields)):
+        for k, crit in enumerate(stressed.criticality_residual(f, fields)):
             fv = crit.first_variation
             worst_consistency = max(
                 worst_consistency, abs(fv - crit.flow_derivative) / (1.0 + abs(fv))
@@ -467,3 +503,37 @@ def run_suite(name: str, cache: RunCache, out: Path) -> SuiteResult:
         raise WulffkitError(f"unknown suite {name!r}")
     out.mkdir(parents=True, exist_ok=True)
     return _SUITES[name](cache.scene, out, cache)
+
+
+def run_suites(names, cache: RunCache, out: Path) -> list:
+    """The results of the suites ``names``, in order, on the scene of ``cache``.
+
+    Where ``fanout`` would split the suites across workers, the cache first
+    builds every product two or more of them read (``RunCache.warm``); the
+    suites then run in forked workers, claimed in the order of ``names``.  A
+    suite's WulffkitError comes back as its outcome, and the first one in
+    that order is raised once every worker is reaped, as the serial run
+    raises it; the CSVs of later suites may have been written by then.
+    Otherwise, and when the warm-up itself raises, the suites run one after
+    the other in-process, and the first error stops the run.
+    """
+    if _workers(len(names)):
+        try:
+            cache.warm(names)
+        except WulffkitError:
+            # the serial run below raises it where a suite first reads it
+            pass
+        else:
+
+            def outcome(name):
+                try:
+                    return run_suite(name, cache, out)
+                except WulffkitError as exc:
+                    return exc
+
+            results = _fan_out(names, outcome)
+            for result in results:
+                if isinstance(result, WulffkitError):
+                    raise result
+            return results
+    return [run_suite(name, cache, out) for name in names]

@@ -204,8 +204,7 @@ def _node_monomials(q: SurfaceQuadrature, fields):
 def first_variation(q: SurfaceQuadrature, table: CurvatureTable, g: PolynomialField) -> float:
     """sum over nodes of <Dg(x), B_F(nu)> w (entrywise matrix pairing), with
     F(nu) and grad F(nu) read from the curvature table of q."""
-    _check_table(q, table)
-    return _first_variation(g._jacobians(_node_monomials(q, [g])), _weighted_stress(q, table))
+    return _Body(q, table).first_variation(g)
 
 
 def volume_derivative(q: SurfaceQuadrature, g: PolynomialField) -> float:
@@ -373,35 +372,55 @@ def criticality_residual(
     the one-field ``first_variation``, ``volume_derivative`` and
     ``flow_energy_derivative``.
     """
-    n = quad.dim - 1
-    _check_table(quad, table)
-    p = float((table.f_normal * quad.weights).sum())  # perimeter_F(quad, f), bit for bit
-    v = volume(quad)
-    if h is None:
-        h = 1e-4 * 2.0 * float(quad.rho.max())
-    _check_step(quad, h)
-    mono = _node_monomials(quad, fields)
-    stress = _weighted_stress(quad, table)
-    pushes = _Pushes(quad)
-    results = []
-    for g in fields:
-        gx = g._values(mono)
-        fv = _first_variation(g._jacobians(mono), stress)
-        flux = _flux(quad, gx)
-        dv = float((flux * quad.weights).sum())
-        pushed = pushes.pair(f, g, mono, gx, h)
-        rescaled = [
-            ((v / vol_t) ** (1.0 / (n + 1))) ** n * energy for energy, vol_t in pushed
-        ]
-        results.append(
-            CriticalityResult(
-                residual=(n + 1) * fv - n * (p / v) * dv,
-                rescaled_residual=(rescaled[0] - rescaled[1]) / (2 * h),
-                volume=v,
-                first_variation=fv,
-                volume_derivative=dv,
-                flow_derivative=(pushed[0][0] - pushed[1][0]) / (2 * h),
-                flux=flux,
+    return _Body(quad, table).criticality_residual(f, fields, h)
+
+
+class _Body:
+    """A body's quadrature and curvature table with w B_F(nu) built once:
+    the first variation of every field and the criticality residuals of a
+    body read the same stress."""
+
+    def __init__(self, quad: SurfaceQuadrature, table: CurvatureTable):
+        _check_table(quad, table)
+        self.quad, self.table = quad, table
+        self.stress = _weighted_stress(quad, table)
+
+    def first_variation(self, g: PolynomialField) -> float:
+        """``first_variation`` of the body under g."""
+        return _first_variation(g._jacobians(_node_monomials(self.quad, [g])), self.stress)
+
+    def criticality_residual(
+        self, f: Integrand, fields: Sequence[PolynomialField], h: Optional[float] = None
+    ) -> List[CriticalityResult]:
+        """``criticality_residual`` of the body for each of ``fields``."""
+        quad, table, stress = self.quad, self.table, self.stress
+        n = quad.dim - 1
+        p = float((table.f_normal * quad.weights).sum())  # perimeter_F(quad, f), bit for bit
+        v = volume(quad)
+        if h is None:
+            h = 1e-4 * 2.0 * float(quad.rho.max())
+        _check_step(quad, h)
+        mono = _node_monomials(quad, fields)
+        pushes = _Pushes(quad)
+        results = []
+        for g in fields:
+            gx = g._values(mono)
+            fv = _first_variation(g._jacobians(mono), stress)
+            flux = _flux(quad, gx)
+            dv = float((flux * quad.weights).sum())
+            pushed = pushes.pair(f, g, mono, gx, h)
+            rescaled = [
+                ((v / vol_t) ** (1.0 / (n + 1))) ** n * energy for energy, vol_t in pushed
+            ]
+            results.append(
+                CriticalityResult(
+                    residual=(n + 1) * fv - n * (p / v) * dv,
+                    rescaled_residual=(rescaled[0] - rescaled[1]) / (2 * h),
+                    volume=v,
+                    first_variation=fv,
+                    volume_derivative=dv,
+                    flow_derivative=(pushed[0][0] - pushed[1][0]) / (2 * h),
+                    flux=flux,
+                )
             )
-        )
-    return results
+        return results

@@ -9,7 +9,7 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def _run(side, seed, wall, failed=0, score=None):
+def _run(side, seed, wall, failed=0, score=None, cpus=None, steal=None):
     metrics = {"wall_s": {"value": wall, "unit": "s"}}
     if score is not None:
         metrics["score"] = {"value": score, "unit": "1"}
@@ -17,6 +17,8 @@ def _run(side, seed, wall, failed=0, score=None):
         "side": side,
         "workload": "w",
         "seed": seed,
+        "cpus": cpus,
+        "steal_share": steal,
         "result": {
             "correct": True,
             "attempted": 2,
@@ -114,3 +116,30 @@ def test_steal_share_between_two_readings():
     assert bench_pairs.steal_share((20, 1000), (20, 1000)) is None
     assert bench_pairs.steal_share(None, (20, 1000)) is None
     assert bench_pairs.steal_share((20, 1000), None) is None
+
+
+def test_summary_of_steal_shares_and_withheld_cpus():
+    runs = []
+    # the change lost a CPU on seeds 2 and 3, the parent on seed 4; seed 5
+    # has no steal reading on the parent side
+    for seed, (pc, cc, ps, cs) in enumerate(
+        [(2, 2, 0.01, 0.02), (2, 1, 0.02, 0.2), (2, 1, 0.0, 0.4), (1, 2, 0.03, 0.0),
+         (2, 2, None, 0.01)],
+        start=1,
+    ):
+        runs += [_run("parent", seed, 1.0, cpus=pc, steal=ps),
+                 _run("change", seed, 0.9, cpus=cc, steal=cs)]
+    # a lone run counts for the most CPUs seen, but is no pair
+    runs.append(_run("parent", 9, 1.0, cpus=4))
+    row = bench_pairs.summarize(runs)["w"]
+    assert row["fewer_cpus"] == {"parent": 5, "change": 5}
+    row = bench_pairs.summarize(runs[:-1])["w"]
+    assert row["fewer_cpus"] == {"parent": 1, "change": 2}
+    # linear percentiles of 0, 0.01, 0.02, 0.03 and of 0, 0.01, 0.02, 0.2, 0.4
+    assert row["steal_share_q1_median_q3"] == {
+        "parent": [0.0075, 0.015, 0.0225], "change": [0.01, 0.02, 0.2]
+    }
+    # runs without either reading, as /proc/stat may be missing
+    bare = bench_pairs.summarize([_run("parent", 1, 1.0), _run("change", 1, 1.0)])["w"]
+    assert bare["steal_share_q1_median_q3"] == {"parent": None, "change": None}
+    assert bare["fewer_cpus"] == {"parent": 0, "change": 0}

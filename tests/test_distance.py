@@ -29,7 +29,7 @@ from wulffkit import (
     project,
     reach_comparison,
 )
-from wulffkit import distance
+from wulffkit import distance, fanout
 from wulffkit.errors import SolverError
 from wulffkit.distance import WINDOW_CELLS, _connected, _diameter
 
@@ -441,6 +441,24 @@ def test_project_scans_the_source_once(disk_field, monkeypatch):
     assert calls[1] < calls[0]
 
 
+def test_project_finds_the_query_cell_once(disk_field, monkeypatch):
+    calls = []
+    cell_of = GridSpec.cell_of
+
+    def counted(self, x):
+        calls.append(tuple(x))
+        return cell_of(self, x)
+
+    monkeypatch.setattr(GridSpec, "cell_of", counted)
+    for x in ([0.5, 0.0], [0.0, 0.0], [0.1, 0.2]):
+        calls.clear()
+        res = project(disk_field, x)
+        assert calls == [tuple(x)]
+        assert res.gap >= disk_field.gap[cell_of(disk_field.grid, x)]
+    with pytest.raises(InputError, match="outside the grid box"):
+        project(disk_field, [5.0, 0.0])
+
+
 def test_boundary_source_refuses_surfaces():
     # a lat-long sample is no curve: its "spacing" would be the seam, not the
     # neighbour distance
@@ -808,7 +826,7 @@ def _count_scans(monkeypatch):
 def test_field_scans_only_cells_outside_A(monkeypatch):
     work = _count_scans(monkeypatch)
     # the counters see the scan only when it runs in this process
-    monkeypatch.setattr(distance, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
     src = boundary_source(TWO_DISKS, 1024, region="complement")
     outside = np.count_nonzero(~src.membership(SKIP_GRID.centers()))
     # the end-row box bound of E2 and the Lipschitz bound of a rotated M;
@@ -993,7 +1011,7 @@ def _forks(monkeypatch, cpus):
         forks.append(os.getpid())
         return fork()
 
-    monkeypatch.setattr(distance, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", counted)
     return forks
 
@@ -1022,7 +1040,7 @@ def test_fanned_out_field_matches_the_in_process_one(monkeypatch, region, name):
     forks = _forks(monkeypatch, 1)
     alone = build_field(src, f, SKIP_GRID)
     assert not forks
-    monkeypatch.setattr(distance, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 3)
     fanned = build_field(src, f, SKIP_GRID)
     assert len(forks) == 3
     _no_child_left()
@@ -1057,7 +1075,7 @@ def test_fan_out_runs_each_item_once(monkeypatch):
         hits[i] += 1
 
     with _time_limit(60):
-        distance._fan_out(list(range(2000)), work)
+        fanout._fan_out(list(range(2000)), work)
     assert len(forks) == workers
     _no_child_left()
     assert np.all(hits == 1)
@@ -1117,10 +1135,10 @@ def test_failed_fork_reaps_the_started_workers(monkeypatch):
             raise OSError(11, "Resource temporarily unavailable")
         return fork()
 
-    monkeypatch.setattr(distance, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(os, "fork", second_fails)
     with pytest.raises(OSError, match="temporarily unavailable"):
-        distance._fan_out(list(range(10)), lambda i: None)
+        fanout._fan_out(list(range(10)), lambda i: None)
     _no_child_left()
 
 
@@ -1128,7 +1146,7 @@ def test_scan_stays_in_process_on_one_cpu_beside_a_thread_or_on_few_blocks(monke
     src = boundary_source(TWO_DISKS, 1024, region="complement")
     forks = _forks(monkeypatch, 1)
     build_field(src, E2, SKIP_GRID)
-    monkeypatch.setattr(distance, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -1145,4 +1163,4 @@ def test_scan_stays_in_process_on_one_cpu_beside_a_thread_or_on_few_blocks(monke
 @pytest.mark.parametrize("name", ["fork", "sched_getaffinity"])
 def test_one_usable_cpu_without_fork_or_affinity(monkeypatch, name):
     monkeypatch.delattr(os, name, raising=False)
-    assert distance._usable_cpus() == 1
+    assert fanout._usable_cpus() == 1

@@ -159,6 +159,32 @@ def test_weighted_sum_validation():
         WeightedSum(((1.0, E2), (1.0, EuclideanNorm(3))))
 
 
+def test_weighted_sum_checks_its_rows_once_per_call(monkeypatch):
+    from wulffkit import integrand
+
+    calls = []
+    finite_rows = integrand._finite_rows
+
+    def counted(x, dim):
+        calls.append(dim)
+        return finite_rows(x, dim)
+
+    monkeypatch.setattr(integrand, "_finite_rows", counted)
+    nested = WeightedSum(((2.0, W2), (0.25, QuadraticNorm(np.array([[2.0, 0.5], [0.5, 1.0]])))))
+    x = random_points(W2, 50)
+    for f in (W2, nested):
+        for method in ("value", "grad"):
+            calls.clear()
+            got = getattr(f, method)(x)
+            assert calls == [2]
+            # the bits of the sum of the terms' own checked calls
+            assert np.array_equal(got, sum(w * getattr(t, method)(x) for w, t in f.terms))
+        with pytest.raises(InputError):
+            f.value([[np.nan, 1.0]])
+        with pytest.raises(DomainError):
+            f.grad([[1.0, 0.0], [0.0, 0.0]])
+
+
 @pytest.mark.parametrize("dim", [2.5, np.nan, np.inf])
 def test_euclidean_dimension_must_be_whole(dim):
     # a fractional dimension would construct, then refuse every input

@@ -228,6 +228,24 @@ def test_var_suite_pushes_each_field_once(tmp_path, monkeypatch):
     assert len(calls) == 2 * 10 * len(scene.bodies)
 
 
+def test_var_suite_builds_the_weighted_stress_once_per_body(tmp_path, monkeypatch):
+    from wulffkit import suites, variation
+
+    built = []
+    weighted_stress = variation._weighted_stress
+
+    def counted(q, table):
+        built.append(len(q))
+        return weighted_stress(q, table)
+
+    monkeypatch.setattr(variation, "_weighted_stress", counted)
+    bodies = [("w", WulffBody(DQ, np.zeros(2), 1.0)), ("e", ELLIPSE)]
+    scene = sampling.scene(bodies, Q2, 512, suites=("var",))
+    result = suites.run_suite("var", suites.RunCache(scene), tmp_path)
+    assert result.passed and not result.skipped
+    assert built == [512, 512]
+
+
 def test_flow_step_guard():
     g = PolynomialField.position(2)
     with pytest.raises(InputError):
