@@ -5,7 +5,11 @@
 Every file under either tree is matched by its relative path.  In JSON
 files each differing number prints as ``path old new |new - old| rel``, with
 rel = |new - old| / |old| (inf where old is 0), so a change at rounding level
-reads as one; any other differing value prints as ``path old new``.  In CSV
+reads as one; any other differing value prints as ``path old new``.
+JSON lists of unequal length whose entries all carry a unique string
+``"name"`` are matched by it: a matched entry prints under ``path[name]``
+and an unmatched one as ``path[name] old (missing)`` or ``path[name]
+(missing) new``; lists of equal length compare index by index.  In CSV
 files with the same header and row count, each column with differing numbers
 prints as ``file:column n_cells max|new - old| max rel``, the largest
 absolute and the largest relative change of its cells; a changed header prints as
@@ -35,24 +39,46 @@ def _relative(old: float, new: float) -> float:
     return delta / abs(old) if old else math.inf
 
 
+def _by_name(entries):
+    """{name: entry} of a list whose entries all carry a unique string
+    "name", in list order, else None."""
+    named = {}
+    for entry in entries:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or name in named:
+            return None
+        named[name] = entry
+    return named
+
+
+def _diff_keyed(old: dict, new: dict, keys, path):
+    """Lines for the entries of two keyed collections, under ``path(key)``."""
+    lines = []
+    for key in keys:
+        sub = path(key)
+        if key not in new:
+            lines.append(f"{sub} {json.dumps(old[key])} (missing)")
+        elif key not in old:
+            lines.append(f"{sub} (missing) {json.dumps(new[key])}")
+        else:
+            lines += diff_values(old[key], new[key], sub)
+    return lines
+
+
 def diff_values(old, new, path: str):
     """Lines for each leaf that differs between two parsed JSON values."""
     if isinstance(old, dict) and isinstance(new, dict):
-        lines = []
-        for key in sorted(old.keys() | new.keys()):
-            sub = f"{path}.{key}"
-            if key not in new:
-                lines.append(f"{sub} {json.dumps(old[key])} (missing)")
-            elif key not in old:
-                lines.append(f"{sub} (missing) {json.dumps(new[key])}")
-            else:
-                lines += diff_values(old[key], new[key], sub)
-        return lines
-    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        lines = []
-        for i, (a, b) in enumerate(zip(old, new)):
-            lines += diff_values(a, b, f"{path}[{i}]")
-        return lines
+        return _diff_keyed(old, new, sorted(old.keys() | new.keys()), lambda k: f"{path}.{k}")
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) == len(new):
+            lines = []
+            for i, (a, b) in enumerate(zip(old, new)):
+                lines += diff_values(a, b, f"{path}[{i}]")
+            return lines
+        a, b = _by_name(old), _by_name(new)
+        if a is not None and b is not None:
+            keys = list(a) + [k for k in b if k not in a]
+            return _diff_keyed(a, b, keys, lambda k: f"{path}[{k}]")
     if _is_number(old) and _is_number(new):
         if old == new:
             return []

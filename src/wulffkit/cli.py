@@ -12,13 +12,12 @@ failing suite in the canonical order dual, wulff, curv, hk, mr, steiner,
 reach, var.  Reports are deterministic: the same scene and seed produce
 byte-identical report.json files (no timestamps, seeded generators only).
 
-With two or more usable CPUs and at least ``fanout.FAN_OUT_ITEMS`` suites
-to run, the run first builds the samples, fits, reports and fields that two
-or more of its suites read, then runs the suites in forked workers, one per
-usable CPU.  The exit code, the messages and the bytes of report.json and
-the CSVs are those of the serial run; only after a refusal (exit 1) may the
-CSVs of suites later in the order exist, since they ran beside the refused
-one.
+The run first builds the samples, fits, reports and fields its suites
+read, then runs every suite, in forked workers, one per usable CPU, where
+``fanout`` splits them, else in-process.  The exit code, the messages and
+the bytes of report.json and the CSVs do not depend on which.  A refusal
+(exit 1) is the first in the canonical order; the suites after it still
+run, so their CSVs may exist.
 """
 
 from __future__ import annotations

@@ -80,10 +80,8 @@ def _wulff_shape_operators(a_tan, radius):
 
 
 def _shape_operators_bulk(body: StarBody, quad: SurfaceQuadrature, frames):
-    """Euclidean shape operators (N, n, n) in the given tangent frames."""
-    if isinstance(body, WulffBody):
-        a_tan = tangential_hessian(body.dual.base, quad.normals, frames)
-        return _wulff_shape_operators(a_tan, body.radius)
+    """Euclidean shape operators (N, n, n) in the given tangent frames, from
+    the implicit function's gradient and Hessian."""
     g = body.grad_phi(quad.points)
     gnorm = _row_norm(g)
     if np.any(gnorm < 1e-12):
@@ -122,11 +120,14 @@ class CurvatureTable:
 
 def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> CurvatureTable:
     """Vectorized curvature pass over all quadrature nodes, in the tangent
-    frames ``quad.frames``.  A Wulff ball of f itself takes its shape
-    operators from the same tangential Hessian of f, built once."""
+    frames ``quad.frames``.  A Wulff ball takes its shape operators from the
+    tangential Hessian of its own integrand; for a ball of f itself that is
+    the table's, built once."""
     a = tangential_hessian(f, quad.normals, quad.frames)
-    if isinstance(body, WulffBody) and body.dual.base is f:
-        b = _wulff_shape_operators(a, body.radius)
+    if isinstance(body, WulffBody):
+        base = body.dual.base
+        a_ball = a if base is f else tangential_hessian(base, quad.normals, quad.frames)
+        b = _wulff_shape_operators(a_ball, body.radius)
     else:
         b = _shape_operators_bulk(body, quad, quad.frames)
     kappa = _kappa_from_ab(a, b)

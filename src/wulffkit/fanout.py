@@ -4,12 +4,11 @@
 results in item order.  Two callers share it: ``build_field`` hands it the
 coarse blocks of its scan, whose rows the workers write into a mapping
 shared across the fork, and ``suites.run_suites`` hands it the suites of a
-run once the products two or more of them read are in the run's cache.  A
-worker may call ``_fan_out`` again, as the ``reach`` suite does when it
-builds its Euclidean field.  Either way the outputs are those of the
-one-process run: the field's bits, and a run's exit code, messages,
-report.json and CSV bytes; only after a suite's refusal may the CSVs of
-suites later in the order exist, since they ran beside it.
+run once the products they read are in the run's cache.  A worker may call
+``_fan_out`` again, as the ``reach`` suite does when it builds its
+Euclidean field.  Whether the items run in workers or in-process, the
+outputs are the same: the field's bits, and a run's exit code, messages,
+report.json and CSV bytes.
 
 One policy serves both: one worker per usable CPU, at most one per item,
 each pinned to its own CPU of the caller's set; the caller does no work and

@@ -90,12 +90,6 @@ class PolynomialField:
         return len(self.const)
 
     @classmethod
-    def constant(cls, v):
-        v = np.asarray(v, dtype=float)
-        d = len(v)
-        return cls(v, np.zeros((d, d)), np.zeros((d, d, d)))
-
-    @classmethod
     def linear(cls, l):
         l = np.asarray(l, dtype=float)
         d = l.shape[0]

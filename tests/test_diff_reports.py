@@ -104,3 +104,28 @@ def test_reformatted_json_differs(tmp_path, capsys):
     (new / "scene" / "report.json").write_text(json.dumps(REPORT))
     assert diff_reports.main([str(old), str(new)]) == 1
     assert capsys.readouterr().out == "scene/report.json differs\n"
+
+
+def _checks(*entries):
+    return {"checks": [{"name": n, "value": v} for n, v in entries]}
+
+
+def test_lists_of_unequal_length_match_by_name(tmp_path, capsys):
+    # a removed or added check prints alone and its neighbours compare by
+    # name; lists of equal length keep their index paths
+    old = _tree(tmp_path / "old", _checks(("a", 1.0), ("b", 2.0)), "")
+    new = _tree(tmp_path / "new", _checks(("a", 1.0), ("c", 2.0)), "")
+    (old / "var.json").write_text(json.dumps(_checks(("a", 1.0), ("gone", 0.0), ("b", 2.0))))
+    (new / "var.json").write_text(json.dumps(_checks(("a", 1.0), ("b", 2.5), ("c", 3.0), ("d", 4.0))))
+    # without a unique name on every entry the lists compare as one value
+    (old / "twice.json").write_text(json.dumps([{"name": "x"}, {"name": "x"}]))
+    (new / "twice.json").write_text(json.dumps([{"name": "x"}]))
+    assert diff_reports.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        'scene/report.json.checks[1].name "b" "c"',
+        'twice.json [{"name": "x"}, {"name": "x"}] [{"name": "x"}]',
+        'var.json.checks[gone] {"name": "gone", "value": 0.0} (missing)',
+        "var.json.checks[b].value 2.0 2.5 0.5 0.25",
+        'var.json.checks[c] (missing) {"name": "c", "value": 3.0}',
+        'var.json.checks[d] (missing) {"name": "d", "value": 4.0}',
+    ]

@@ -15,6 +15,8 @@ import pytest
 
 from wulffkit import cli, distance, fanout, suites
 from wulffkit.errors import InputError, WulffkitError
+from wulffkit.integrand import EuclideanNorm
+from wulffkit.scene import SUITE_ORDER, load_scene
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENES = sorted((ROOT / "scenes").glob("*.json"))
@@ -133,12 +135,11 @@ OVERLAPPING = {
 }
 
 
-@pytest.mark.parametrize("warmed", [False, True], ids=["hk in a worker", "warmed hk report"])
-def test_overlapping_bodies_refuse_as_the_serial_run(tmp_path, monkeypatch, capsys, warmed):
-    # without mr, hk is the HK report's only reader and refuses in a worker;
-    # with mr, the warm-up builds the report and its refusal sends the run
-    # back to the serial path
-    raw = dict(OVERLAPPING, suites=["dual", "wulff", "curv", "hk", "var"] + ["mr"] * warmed)
+@pytest.mark.parametrize("with_mr", [False, True], ids=["hk alone", "hk and mr"])
+def test_overlapping_bodies_refuse_as_the_serial_run(tmp_path, monkeypatch, capsys, with_mr):
+    # the warm-up's HK report refuses, and the suites that read it raise the
+    # refusal again: in-process with one usable CPU, in workers with three
+    raw = dict(OVERLAPPING, suites=["dual", "wulff", "curv", "hk", "var"] + ["mr"] * with_mr)
     scene = tmp_path / "overlap.json"
     scene.write_text(json.dumps(raw))
     refused = []
@@ -152,33 +153,35 @@ def test_overlapping_bodies_refuse_as_the_serial_run(tmp_path, monkeypatch, caps
             raise
 
     monkeypatch.setattr(suites.RunCache, "warm", watched)
-    forks = _forks(monkeypatch, 1)
-    with pytest.raises(InputError) as serial:
-        cli.run("all", scene, tmp_path / "serial")
-    assert not forks and not refused
-    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 3)
-    with pytest.raises(InputError) as fanned:
-        cli.run("all", scene, tmp_path / "fanned")
-    _no_child_left()
-    assert "not disjoint" in str(serial.value)
-    assert type(fanned.value) is type(serial.value)
-    assert str(fanned.value) == str(serial.value)
-    assert len(refused) == warmed and bool(forks) != warmed
-    assert not (tmp_path / "fanned" / "report.json").exists()
-    if warmed:
-        # the serial run's files, and no CSV of a suite after hk
-        assert _tree(tmp_path / "fanned") == _tree(tmp_path / "serial")
+    raised = {}
+    for cpus in (1, 3):
+        forks = _forks(monkeypatch, cpus)
+        with pytest.raises(InputError) as exc:
+            cli.run("all", scene, tmp_path / str(cpus))
+        _no_child_left()
+        assert bool(forks) == (cpus > 1)
+        assert not (tmp_path / str(cpus) / "report.json").exists()
+        raised[cpus] = exc.value
+    assert len(refused) == 2
+    assert "not disjoint" in str(raised[1])
+    assert type(raised[3]) is type(raised[1])
+    assert str(raised[3]) == str(raised[1])
+    # var, after hk in the order, still ran and wrote its CSV on both
+    assert (tmp_path / "1" / "var_residuals.csv").exists()
+    assert _tree(tmp_path / "3") == _tree(tmp_path / "1")
 
-    capsys.readouterr()
-    code = cli.main(["all", "--scene", str(scene), "--out", str(tmp_path / "main")])
-    _no_child_left()
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {serial.value}\n"
+    for cpus in (1, 3):
+        monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
+        capsys.readouterr()
+        code = cli.main(["all", "--scene", str(scene), "--out", str(tmp_path / f"main{cpus}")])
+        _no_child_left()
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {raised[1]}\n"
 
 
 def test_first_refusal_in_suite_order_is_raised(tmp_path, monkeypatch):
-    # curv and var both refuse; the serial run stops at curv, and the
-    # fanned-out one, where var runs too, raises curv's refusal
+    # curv and var both refuse; with one usable CPU as with three, var runs
+    # too and the run raises curv's refusal
     table = dict(suites._SUITES)
 
     def refusing(name):
@@ -195,6 +198,23 @@ def test_first_refusal_in_suite_order_is_raised(tmp_path, monkeypatch):
             cli.run("all", scene, tmp_path / str(cpus))
         _no_child_left()
         assert bool(forks) == (cpus > 1)
+
+
+def test_warm_builds_every_product_the_suites_read():
+    scene = load_scene(ROOT / "scenes" / "wulff_d2.json")
+    bodies = [body for _, body in scene.bodies]
+    cache = suites.RunCache(scene)
+    cache.warm(["dual", "wulff", "curv", "var"])
+    # each body's sample and umbilicity fit; no HK report, source or field
+    assert set(cache._built) == set(bodies) | {("umbilicity", body) for body in bodies}
+
+    cache = suites.RunCache(scene)
+    cache.warm(list(SUITE_ORDER))
+    assert "hk" in cache._built
+    assert all((body, scene.integrand) in cache._built for body in bodies)
+    # the reach suite's Euclidean field is left to the suite
+    assert not isinstance(scene.integrand, EuclideanNorm)
+    assert all((body, EuclideanNorm(2)) not in cache._built for body in bodies)
 
 
 class _SharedLog:

@@ -83,7 +83,7 @@ def test_field_value_matches_explicit_sums(d):
 
 def test_constant_field_gives_zero():
     q = sample_surface(ELLIPSE, 2048)
-    g = PolynomialField.constant([1.0, 2.0])
+    g = PolynomialField([1.0, 2.0], np.zeros((2, 2)), np.zeros((2, 2, 2)))
     assert first_variation(q, curvature_table(ELLIPSE, Q2, q), g) == 0.0
     assert abs(volume_derivative(q, g)) < 1e-8
 
