@@ -8,20 +8,24 @@ symmetric matrix C.B.C with C the SPD square root of A, which keeps them
 real by construction.  Dimensions are small (n = 1 or 2), so square roots
 and eigenvalues use closed forms.
 
-``curvature_table`` is the one boundary table of a body's sample: beside
-the curvatures it holds F(nu), grad F(nu) and the elementary symmetric
-polynomials sigma_k of the curvatures, which the Heintze-Karcher, tube
-(Montiel-Ros), Steiner and umbilicity routines read instead of an integrand.
+``curvature_table`` is the one boundary object of a body: it carries the
+body, the integrand F and the quadrature it was built from and, beside the
+curvatures, F(nu), grad F(nu), the elementary symmetric polynomials sigma_k
+of the curvatures and, once asked for, the weighted stress w B_F(nu).  The
+umbilicity, Heintze-Karcher, tube (Montiel-Ros), Steiner and variation
+routines take the table alone, so none of them can pair it with another
+quadrature or another F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneratePointError, NonEllipticError
+from .errors import DegeneratePointError, InputError, NonEllipticError
 from .hypersurface import StarBody, SurfaceQuadrature, WulffBody
 from .integrand import Integrand, _row_norm, _row_sum, tangential_hessian
 from .spheregrid import tangent_frames
@@ -99,10 +103,22 @@ def _kappa_from_ab(a, b):
     return _eigvalsh_small(sym)
 
 
+def _stress(f_normal, eta, nu):
+    """B_F(nu) = F(nu) I - outer(nu, grad F(nu)) from F(nu) and grad F(nu),
+    formed in one (N, d, d) array: 0 - nu_i eta_j, then F(nu) added on the
+    diagonal, the bits of F(nu) delta_ij - nu_i eta_j."""
+    b = np.einsum("ni,nj->nij", nu, eta)
+    np.subtract(0.0, b, out=b)
+    for i in range(nu.shape[1]):
+        b[:, i, i] += f_normal
+    return b
+
+
 @dataclass(frozen=True, eq=False)
 class CurvatureTable:
-    """Per-node boundary data of one quadrature under one integrand F.
+    """Per-node boundary data of one body's quadrature under one integrand.
 
+    body, f and quad are what ``curvature_table`` built the table from.
     kappa holds the sorted anisotropic principal curvatures (N, n); mean
     holds H, their sum, equal to trace(A.B) at every node.  f_normal holds
     F(nu) and eta grad F(nu) at the unit normals nu; sigma (N, n+1) holds the
@@ -111,11 +127,24 @@ class CurvatureTable:
     evaluated at the normals once per table.
     """
 
+    body: StarBody
+    f: Integrand
+    quad: SurfaceQuadrature
     kappa: np.ndarray
     mean: np.ndarray
     f_normal: np.ndarray
     eta: np.ndarray
     sigma: np.ndarray
+
+    @cached_property
+    def weighted_stress(self):
+        """w B_F(nu) at every node, flattened to one row of d*d entries: built
+        once, and shared by the first variation and criticality residuals of
+        this table."""
+        q = self.quad
+        stress = _stress(self.f_normal, self.eta, q.normals).reshape(len(q), -1)
+        stress *= q.weights[:, None]
+        return stress
 
 
 def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> CurvatureTable:
@@ -123,6 +152,8 @@ def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> Cu
     frames ``quad.frames``.  A Wulff ball takes its shape operators from the
     tangential Hessian of its own integrand; for a ball of f itself that is
     the table's, built once."""
+    if len(quad) == 0:
+        raise InputError("empty quadrature")
     a = tangential_hessian(f, quad.normals, quad.frames)
     if isinstance(body, WulffBody):
         base = body.dual.base
@@ -134,6 +165,9 @@ def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> Cu
     # sigma_0 = 1, sigma_1 = sum of the kappa_i and, for n = 2, sigma_2 = kappa_1 kappa_2
     sigma = [np.ones(len(kappa)), _row_sum(kappa), kappa.prod(axis=1)][: kappa.shape[1] + 1]
     return CurvatureTable(
+        body=body,
+        f=f,
+        quad=quad,
         kappa=kappa,
         mean=np.einsum("nij,nji->n", a, b),
         f_normal=f.value(quad.normals),
@@ -161,7 +195,7 @@ class UmbilicityReport:
     tol_umb: float
 
 
-def umbilicity_classify(quad: SurfaceQuadrature, table: CurvatureTable) -> UmbilicityReport:
+def umbilicity_classify(table: CurvatureTable) -> UmbilicityReport:
     """Classify a boundary as a Wulff ball via constant anisotropic curvature.
 
     lambda is the area-weighted mean of (sum kappa_i)/n; nodes must all have
@@ -171,6 +205,7 @@ def umbilicity_classify(quad: SurfaceQuadrature, table: CurvatureTable) -> Umbil
     reported as the dispersion.  The verdict is "wulff" when the dispersion
     is at most FIT_TOL = 1e-3 times the fitted radius.
     """
+    quad = table.quad
     wsum = quad.weights.sum()
     lam = float((quad.weights * (_row_sum(table.kappa) / table.kappa.shape[1])).sum() / wsum)
     residuals = np.abs(table.kappa - lam).max(axis=1)

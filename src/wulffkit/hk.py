@@ -5,11 +5,12 @@ For a body with everywhere positive anisotropic mean curvature H,
     vol <= mr <= n/(n+1) * integral of F(nu)/H over the boundary,
 
 where the middle quantity is the tube (Montiel-Ros) integral obtained by
-integrating the normal-flow Jacobian up to the first focal time.  Both
-integrals read F(nu), H and the sigma_k of each body's curvature table, so
-no routine here takes an integrand.
+integrating the normal-flow Jacobian up to the first focal time.  Every
+routine here takes bodies as their curvature tables alone: the integrals
+read the quadrature, F(nu), H and the sigma_k from the table.
 ``hk_evaluate`` computes the three terms once per body, as one ``HKRow``
-each, and sums the rows in body order for the scene's totals.  One rule
+each, and sums the rows in body order for the scene's totals; it refuses
+tables of different integrands.  One rule
 holds for every caller: a node with H <= 0 violates the hypothesis and
 raises ``HypothesisViolationError``.  Equality of the outer terms forces
 every node to be umbilical and the body to be a Wulff ball; scenes of
@@ -32,7 +33,7 @@ import numpy as np
 
 from .curvature import CurvatureTable, UmbilicityReport
 from .errors import HypothesisViolationError, InputError
-from .hypersurface import SurfaceQuadrature, WulffBody, volume
+from .hypersurface import WulffBody, volume
 
 __all__ = [
     "HKRow",
@@ -76,19 +77,19 @@ class HKReport:
     verdict: str
 
 
-def check_disjoint(sampled: Sequence[tuple]) -> None:
+def check_disjoint(tables: Sequence[CurvatureTable]) -> None:
     """Reject a scene where two bodies overlap or one is nested in another.
 
-    ``sampled`` holds (body, quadrature, curvature table) triples, as for
-    ``hk_evaluate``.  Two Wulff bodies of one integrand are decided in closed
-    form, once per pair as F* is even: their open balls are disjoint exactly
-    when F*(c_i - c_j) >= r_i + r_j, so balls that touch are accepted, and the
+    ``tables`` holds one curvature table per body, as for ``hk_evaluate``.
+    Two Wulff bodies of one integrand are decided in closed form, once per
+    pair as F* is even: their open balls are disjoint exactly when
+    F*(c_i - c_j) >= r_i + r_j, so balls that touch are accepted, and the
     pair is rejected below (r_i + r_j)(1 - 1e-12).  Of any other pair, every
     boundary node of each body must have phi > 0 under the other, which also
     catches a body nested inside another.
     """
-    for i, j in combinations(range(len(sampled)), 2):
-        (a, qa, _), (b, qb, _) = sampled[i], sampled[j]
+    for i, j in combinations(range(len(tables)), 2):
+        a, b = tables[i].body, tables[j].body
         if isinstance(a, WulffBody) and isinstance(b, WulffBody) and a.dual.base is b.dual.base:
             apart = a.dual.batch_value((a.center - b.center)[None, :])[0]
             if apart < (a.radius + b.radius) * (1.0 - 1e-12):
@@ -97,15 +98,15 @@ def check_disjoint(sampled: Sequence[tuple]) -> None:
                     f"difference, {apart:.17g}, is below the sum of their radii)"
                 )
             continue
-        for k, quad, l, other in ((i, qa, j, b), (j, qb, i, a)):
-            if np.any(other.sign(quad.points) <= 0):
+        for k, l, other in ((i, j, b), (j, i, a)):
+            if np.any(other.sign(tables[k].quad.points) <= 0):
                 raise InputError(
                     f"bodies {k} and {l} are not disjoint (a boundary node of {k} "
                     f"lies in {l})"
                 )
 
 
-def montiel_ros_integral(quad: SurfaceQuadrature, table: CurvatureTable) -> float:
+def montiel_ros_integral(table: CurvatureTable) -> float:
     """Montiel-Ros tube integral from the curvature table.
 
     Flowing inward along the normal, the area element at time t scales by
@@ -114,6 +115,7 @@ def montiel_ros_integral(quad: SurfaceQuadrature, table: CurvatureTable) -> floa
     sum_k (-1)^k sigma_k T^(k+1)/(k+1), summed in k order, weighted by F(nu).
     A node whose largest curvature is nonpositive has no focal cut and raises.
     """
+    quad = table.quad
     k_max = table.kappa[:, -1]
     if np.any(k_max <= 0):
         i = int(np.argmin(k_max))
@@ -127,27 +129,30 @@ def montiel_ros_integral(quad: SurfaceQuadrature, table: CurvatureTable) -> floa
     return float((table.f_normal * quad.weights * inner).sum())
 
 
-def hk_evaluate(sampled: Sequence[tuple]) -> HKReport:
+def hk_evaluate(tables: Sequence[CurvatureTable]) -> HKReport:
     """Evaluate the volume vs curvature-integral ratio over disjoint bodies.
 
-    ``sampled`` holds one (body, quadrature, curvature table) triple per
-    body, all tables under one integrand F; F(nu) is read from the table.
+    ``tables`` holds one curvature table per body, all under one integrand
+    F (the same object), or an ``InputError`` names the first body whose
+    table is not; F(nu) is read from the table.
     The report holds one row per body in that order.
     ratio = vol / (n/(n+1) * sum F(nu)/H w); the verdict is "equality" when
     |ratio - 1| <= EQUALITY_TOL = 1e-3 and "strict" otherwise.  Any node
     with H <= 0 violates the positivity hypothesis and raises.
     """
-    if not sampled:
+    if not tables:
         raise InputError("empty scene")
-    dims = {quad.dim for _, quad, _ in sampled}
-    if len(dims) != 1:
-        raise InputError("bodies must share one dimension")
-    if len(sampled) > 1:
-        check_disjoint(sampled)
-    n = dims.pop() - 1
+    f = tables[0].f
+    for k, table in enumerate(tables):
+        if table.f is not f:
+            raise InputError(f"bodies 0 and {k} are tables of different integrands")
+    if len(tables) > 1:
+        check_disjoint(tables)
+    n = f.dim - 1
 
     rows = []
-    for k, (_, quad, table) in enumerate(sampled):
+    for k, table in enumerate(tables):
+        quad = table.quad
         if np.any(table.mean <= 0):
             i = int(np.argmin(table.mean))
             raise HypothesisViolationError(
@@ -157,7 +162,7 @@ def hk_evaluate(sampled: Sequence[tuple]) -> HKReport:
             HKRow(
                 vol=volume(quad),
                 integral=float((table.f_normal / table.mean * quad.weights).sum()),
-                mr_integral=montiel_ros_integral(quad, table),
+                mr_integral=montiel_ros_integral(table),
                 h_min=float(table.mean.min()),
                 h_max=float(table.mean.max()),
             )

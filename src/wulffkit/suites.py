@@ -6,8 +6,11 @@ pass/fail entry; the runner's exit code encodes the first failing suite.
 Every suite carries a ``verifies`` slug naming the mathematical property
 it exercises, as machine-checkable report metadata.
 
-``run_suites`` hands a run's suites to ``fanout._fan_out`` once the
-RunCache holds every product they read (``READS``).
+A body enters every boundary check as its curvature table, which carries
+the body's sample and the scene integrand, so the suites pass the table
+alone to the library's public routines.  ``run_suites`` hands a run's
+suites to ``fanout._fan_out`` once the RunCache holds every product they
+read (``READS``), or the refusal of the product.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .integrand import EuclideanNorm
 from .scene import SUITE_ORDER, Scene
 from .spheregrid import circle_quadrature
 from .table import write_csv
-from .variation import PolynomialField, _Body
+from .variation import PolynomialField, criticality_residual, first_variation
 
 __all__ = ["SUITE_ORDER", "run_suite", "run_suites", "SuiteResult", "RunCache"]
 
@@ -45,17 +48,17 @@ VERIFIES = {
     "var": "first-variation-and-criticality",
 }
 
-# the RunCache products each suite reads: "sampled" is a body's sample and
-# curvature table, "field" its complement source and scene-integrand field.
+# the RunCache products each suite reads: "table" is a body's curvature
+# table, "field" its complement source and scene-integrand field.
 # The reach suite's Euclidean field is left out on purpose: built in the
 # worker, it overlaps the other suites, and warming it measured slower
 READS = {
-    "curv": ("sampled", "umbilicity"),
-    "hk": ("sampled", "umbilicity", "hk"),
-    "mr": ("sampled", "hk"),
-    "steiner": ("sampled", "field"),
-    "reach": ("sampled", "field"),
-    "var": ("sampled",),
+    "curv": ("table", "umbilicity"),
+    "hk": ("table", "umbilicity", "hk"),
+    "mr": ("table", "hk"),
+    "steiner": ("table", "field"),
+    "reach": ("table", "field"),
+    "var": ("table",),
 }
 
 
@@ -88,9 +91,10 @@ class SuiteResult:
 
 
 class RunCache:
-    """Boundary samples, umbilicity fits, the Heintze-Karcher table,
+    """Curvature tables, umbilicity fits, the Heintze-Karcher report,
     complement sources and distance fields of one run's scene, each built
-    once.
+    once.  A product whose build refuses keeps its ``WulffkitError``, and
+    every later read raises it again without building anew.
 
     A run creates one, passes it to every suite and drops it when it returns.
     """
@@ -101,31 +105,32 @@ class RunCache:
 
     def _once(self, key, build):
         if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
+            try:
+                self._built[key] = build()
+            except WulffkitError as exc:
+                self._built[key] = exc
+        built = self._built[key]
+        if isinstance(built, WulffkitError):
+            raise built
+        return built
 
-    def sampled(self, body):
-        """(body, quadrature, curvature table) at the scene resolution."""
-
-        def build():
-            quad = sample_surface(body, self.scene.resolution)
-            return body, quad, curvature_table(body, self.scene.integrand, quad)
-
-        return self._once(body, build)
+    def table(self, body):
+        """Curvature table of ``body``'s sample at the scene resolution."""
+        return self._once(
+            body,
+            lambda: curvature_table(
+                body, self.scene.integrand, sample_surface(body, self.scene.resolution)
+            ),
+        )
 
     def umbilicity(self, body):
         """Constant-curvature / Wulff-ball fit of ``body``'s sample."""
-        _, quad, table = self.sampled(body)
-        return self._once(
-            ("umbilicity", body),
-            lambda: umbilicity_classify(quad, table),
-        )
+        return self._once(("umbilicity", body), lambda: umbilicity_classify(self.table(body)))
 
     def hk(self):
         """Heintze-Karcher report of the scene's bodies, one row per body."""
         return self._once(
-            "hk",
-            lambda: hk_evaluate([self.sampled(body) for _, body in self.scene.bodies]),
+            "hk", lambda: hk_evaluate([self.table(body) for _, body in self.scene.bodies])
         )
 
     def complement_source(self, body):
@@ -134,7 +139,7 @@ class RunCache:
         def build():
             resolution = self.scene.steiner.get("source_resolution")
             if resolution is None:
-                resolution = _steiner_source_resolution(self.scene, self.sampled(body)[1])
+                resolution = _steiner_source_resolution(self.scene, self.table(body).quad)
             return dist.boundary_source([body], resolution, region="complement")
 
         return self._once(("source", body), build)
@@ -152,8 +157,8 @@ class RunCache:
         reads = {product for name in names for product in READS.get(name, ())}
         bodies = [body for _, body in self.scene.bodies]
         for body in bodies:
-            if "sampled" in reads:
-                self.sampled(body)
+            if "table" in reads:
+                self.table(body)
             if "umbilicity" in reads:
                 self.umbilicity(body)
         if "hk" in reads and bodies:
@@ -263,7 +268,7 @@ def suite_curv(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("curv", VERIFIES["curv"])
     kappa_tol = 1e-4 if scene.dim == 2 else 1e-3
     for bid, body in scene.bodies:
-        _, quad, table = cache.sampled(body)
+        table = cache.table(body)
         res.check(
             f"trace_vs_eigensum[{bid}]",
             np.abs(table.kappa.sum(axis=1) - table.mean).max()
@@ -300,7 +305,7 @@ def suite_curv(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
                 abs(umb.radius - body.radius),
                 1e-3,
             )
-        write_csv(out / f"curv_{bid}.csv", x=quad.points, kappaF=table.kappa, H=table.mean)
+        write_csv(out / f"curv_{bid}.csv", x=table.quad.points, kappaF=table.kappa, H=table.mean)
     return res
 
 
@@ -390,8 +395,7 @@ def suite_steiner(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         )
         curve = st.tube_volumes(field_, t)
         fit = st.fit_polynomial(curve, scene.dim)
-        _, quad, table = cache.sampled(body)
-        reference = st.claim5_coefficients(quad, table)
+        reference = st.claim5_coefficients(cache.table(body))
         verdict = st.positive_reach_test(fit, reference)
         res.check(f"fit_residual[{bid}]", fit.residual, st.RESIDUAL_TOL)
         res.check(
@@ -441,26 +445,21 @@ def suite_reach(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
 
 def suite_var(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("var", VERIFIES["var"])
-    f = scene.integrand
     rng = _rng(scene, 7)
     rows = []
     for bid, body in scene.bodies:
-        _, quad, table = cache.sampled(body)
+        table = cache.table(body)
+        quad = table.quad
         p = float((table.f_normal * quad.weights).sum())  # perimeter_F(quad, f), bit for bit
-        # w B_F(nu), once for the body's two readers
-        stressed = _Body(quad, table)
-
-        gx = PolynomialField.position(scene.dim)
+        dilation = first_variation(table, PolynomialField.position(scene.dim))
         res.check(
-            f"dilation_matches_perimeter[{bid}]",
-            abs(stressed.first_variation(gx) - (scene.dim - 1) * p) / p,
-            1e-6,
+            f"dilation_matches_perimeter[{bid}]", abs(dilation - (scene.dim - 1) * p) / p, 1e-6
         )
 
         worst_consistency = 0.0
         worst_pairing = 0.0
         fields = [PolynomialField.random(rng, scene.dim, scale=0.4) for _ in range(10)]
-        for k, crit in enumerate(stressed.criticality_residual(f, fields)):
+        for k, crit in enumerate(criticality_residual(table, fields)):
             fv = crit.first_variation
             worst_consistency = max(
                 worst_consistency, abs(fv - crit.flow_derivative) / (1.0 + abs(fv))
@@ -504,12 +503,12 @@ def run_suites(names, cache: RunCache, out: Path) -> list:
     """The results of the suites ``names``, in order, on the scene of ``cache``.
 
     The cache first builds every product the suites read
-    (``RunCache.warm``); a refusal there is left for the suite that reads
-    the product to raise again.  The suites then go to ``fanout._fan_out``,
-    which runs them in forked workers or in-process, in the order of
-    ``names``.  A suite's WulffkitError comes back as its outcome, and the
-    first one in that order is raised once every suite has ended; the CSVs
-    of later suites may have been written by then.
+    (``RunCache.warm``); a refusal there is kept in the cache, and the
+    suite that reads the product raises it again.  The suites then go to
+    ``fanout._fan_out``, which runs them in forked workers or in-process, in
+    the order of ``names``.  A suite's WulffkitError comes back as its
+    outcome, and the first one in that order is raised once every suite has
+    ended; the CSVs of later suites may have been written by then.
     """
     with contextlib.suppress(WulffkitError):
         cache.warm(names)

@@ -17,8 +17,10 @@ differentiates the rescaled energy directly.
 Fields are polynomial (constant + linear + quadratic) so their Jacobians
 are exact and quadrature is the only error source.
 
-Layout.  P, dP, dV and the flux g.nu are sums over (N, d) rows of the nodes,
-with F(nu) and grad F(nu) read from the body's ``CurvatureTable``.  The
+Layout.  ``first_variation`` and ``criticality_residual`` take the body's
+``CurvatureTable`` alone: its quadrature, its F and, read from it, F(nu),
+grad F(nu) and the weighted stress w B_F(nu), built once per table.  P, dP,
+dV and the flux g.nu are sums over (N, d) rows of the nodes.  The
 pushes run component-major: every pushed quantity is a (d, N) array, one
 row of N nodes per coordinate, so each step is one contiguous pass.  With
 the tangent frame T_1, ..., T_n of ``quad.frames`` (n = d - 1) and the
@@ -42,7 +44,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .curvature import CurvatureTable
+from .curvature import CurvatureTable, _stress
 from .errors import InputError, StepTooLargeError
 from .hypersurface import SurfaceQuadrature, volume
 from .integrand import Integrand
@@ -143,38 +145,10 @@ def _monomials(x):
     return m.T
 
 
-def _stress(f_normal, eta, nu):
-    """B_F(nu) = F(nu) I - outer(nu, grad F(nu)) from F(nu) and grad F(nu),
-    formed in one (N, d, d) array: 0 - nu_i eta_j, then F(nu) added on the
-    diagonal, the bits of F(nu) delta_ij - nu_i eta_j."""
-    b = np.einsum("ni,nj->nij", nu, eta)
-    np.subtract(0.0, b, out=b)
-    for i in range(nu.shape[1]):
-        b[:, i, i] += f_normal
-    return b
-
-
 def stress_tensor(f: Integrand, nu):
     """B_F(nu) = F(nu) I - outer(nu, grad F(nu)), stacked over nodes."""
     nu = np.atleast_2d(np.asarray(nu, dtype=float))
     return _stress(f.value(nu), f.grad(nu), nu)
-
-
-def _check_table(q: SurfaceQuadrature, table: CurvatureTable):
-    """InputError unless q has nodes and the table holds one row per node."""
-    if len(q) == 0:
-        raise InputError("empty quadrature")
-    if len(table.f_normal) != len(q):
-        raise InputError(
-            f"curvature table of {len(table.f_normal)} nodes for a quadrature of {len(q)}"
-        )
-
-
-def _weighted_stress(q: SurfaceQuadrature, table: CurvatureTable):
-    """w B_F(nu) at every node, flattened to one row of d*d entries."""
-    stress = _stress(table.f_normal, table.eta, q.normals).reshape(len(q), -1)
-    stress *= q.weights[:, None]
-    return stress
 
 
 def _first_variation(dg, stress) -> float:
@@ -195,10 +169,11 @@ def _node_monomials(q: SurfaceQuadrature, fields):
     return _monomials(q.points)
 
 
-def first_variation(q: SurfaceQuadrature, table: CurvatureTable, g: PolynomialField) -> float:
-    """sum over nodes of <Dg(x), B_F(nu)> w (entrywise matrix pairing), with
-    F(nu) and grad F(nu) read from the curvature table of q."""
-    return _Body(q, table).first_variation(g)
+def first_variation(table: CurvatureTable, g: PolynomialField) -> float:
+    """sum over the nodes of the table's quadrature of <Dg(x), B_F(nu)> w
+    (entrywise matrix pairing), with w B_F(nu) the table's weighted stress."""
+    mono = _node_monomials(table.quad, [g])
+    return _first_variation(g._jacobians(mono), table.weighted_stress)
 
 
 def volume_derivative(q: SurfaceQuadrature, g: PolynomialField) -> float:
@@ -344,8 +319,6 @@ class CriticalityResult:
 
 
 def criticality_residual(
-    quad: SurfaceQuadrature,
-    f: Integrand,
     table: CurvatureTable,
     fields: Sequence[PolynomialField],
     h: Optional[float] = None,
@@ -359,62 +332,39 @@ def criticality_residual(
     vanish for Wulff shapes.  The same two pushes give the flow derivative.
     h defaults to 1e-4 of the body diameter.
 
-    table is the curvature table of quad under f; P and w B_F(nu) are read
-    from its F(nu) and grad F(nu), and they, V, the node monomials and a0
-    are computed once for the body.  g(x), Dg(x), a1 and a2 are computed
+    The body is its curvature table: P is read from its F(nu), dP from its
+    weighted stress, and the pushes evaluate its F.  P, V, the node
+    monomials and a0 are computed once for the body; g(x), Dg(x), a1 and a2
     once per field, shared by dP, dV and both pushes.  Each result equals
     the one-field ``first_variation``, ``volume_derivative`` and
     ``flow_energy_derivative``.
     """
-    return _Body(quad, table).criticality_residual(f, fields, h)
-
-
-class _Body:
-    """A body's quadrature and curvature table with w B_F(nu) built once:
-    the first variation of every field and the criticality residuals of a
-    body read the same stress."""
-
-    def __init__(self, quad: SurfaceQuadrature, table: CurvatureTable):
-        _check_table(quad, table)
-        self.quad, self.table = quad, table
-        self.stress = _weighted_stress(quad, table)
-
-    def first_variation(self, g: PolynomialField) -> float:
-        """``first_variation`` of the body under g."""
-        return _first_variation(g._jacobians(_node_monomials(self.quad, [g])), self.stress)
-
-    def criticality_residual(
-        self, f: Integrand, fields: Sequence[PolynomialField], h: Optional[float] = None
-    ) -> List[CriticalityResult]:
-        """``criticality_residual`` of the body for each of ``fields``."""
-        quad, table, stress = self.quad, self.table, self.stress
-        n = quad.dim - 1
-        p = float((table.f_normal * quad.weights).sum())  # perimeter_F(quad, f), bit for bit
-        v = volume(quad)
-        if h is None:
-            h = 1e-4 * 2.0 * float(quad.rho.max())
-        _check_step(quad, h)
-        mono = _node_monomials(quad, fields)
-        pushes = _Pushes(quad)
-        results = []
-        for g in fields:
-            gx = g._values(mono)
-            fv = _first_variation(g._jacobians(mono), stress)
-            flux = _flux(quad, gx)
-            dv = float((flux * quad.weights).sum())
-            pushed = pushes.pair(f, g, mono, gx, h)
-            rescaled = [
-                ((v / vol_t) ** (1.0 / (n + 1))) ** n * energy for energy, vol_t in pushed
-            ]
-            results.append(
-                CriticalityResult(
-                    residual=(n + 1) * fv - n * (p / v) * dv,
-                    rescaled_residual=(rescaled[0] - rescaled[1]) / (2 * h),
-                    volume=v,
-                    first_variation=fv,
-                    volume_derivative=dv,
-                    flow_derivative=(pushed[0][0] - pushed[1][0]) / (2 * h),
-                    flux=flux,
-                )
+    quad = table.quad
+    n = quad.dim - 1
+    p = float((table.f_normal * quad.weights).sum())  # perimeter_F(quad, f), bit for bit
+    v = volume(quad)
+    if h is None:
+        h = 1e-4 * 2.0 * float(quad.rho.max())
+    _check_step(quad, h)
+    mono = _node_monomials(quad, fields)
+    pushes = _Pushes(quad)
+    results = []
+    for g in fields:
+        gx = g._values(mono)
+        fv = _first_variation(g._jacobians(mono), table.weighted_stress)
+        flux = _flux(quad, gx)
+        dv = float((flux * quad.weights).sum())
+        pushed = pushes.pair(table.f, g, mono, gx, h)
+        rescaled = [((v / vol_t) ** (1.0 / (n + 1))) ** n * energy for energy, vol_t in pushed]
+        results.append(
+            CriticalityResult(
+                residual=(n + 1) * fv - n * (p / v) * dv,
+                rescaled_residual=(rescaled[0] - rescaled[1]) / (2 * h),
+                volume=v,
+                first_variation=fv,
+                volume_derivative=dv,
+                flow_derivative=(pushed[0][0] - pushed[1][0]) / (2 * h),
+                flux=flux,
             )
-        return results
+        )
+    return results

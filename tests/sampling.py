@@ -6,20 +6,19 @@ from wulffkit.duality import dual_norm_of
 from wulffkit.scene import DEFAULT_STEINER, Scene
 
 
-def quad_table(body, f, resolution):
-    """Boundary quadrature of ``body`` and its curvature table under ``f``."""
-    q = sample_surface(body, resolution)
-    return q, curvature_table(body, f, q)
+def table(body, f, resolution):
+    """Curvature table under ``f`` of the boundary quadrature of ``body``."""
+    return curvature_table(body, f, sample_surface(body, resolution))
 
 
-def sampled(bodies, f, resolution):
-    """(body, quadrature, curvature table) triples, as hk_evaluate takes them."""
-    return [(b, *quad_table(b, f, resolution)) for b in bodies]
+def tables(bodies, f, resolution):
+    """One curvature table per body, as hk_evaluate takes them."""
+    return [table(b, f, resolution) for b in bodies]
 
 
-def umbilicity(triples):
-    """One umbilicity report per (body, quadrature, table) triple, in order."""
-    return tuple(umbilicity_classify(q, t) for _, q, t in triples)
+def umbilicity(tables):
+    """One umbilicity report per curvature table, in order."""
+    return tuple(umbilicity_classify(t) for t in tables)
 
 
 def scene(bodies, f, resolution, suites=("curv", "hk", "mr")):

@@ -37,7 +37,7 @@ from wulffkit import (
 from wulffkit.cli import run
 
 from oracles import ellipse_hk_ratio
-from sampling import quad_table, sampled
+from sampling import table, tables
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -102,9 +102,9 @@ def test_criterion_2_wulff_constant_curvature():
 
 
 def test_criterion_3_hk_equality_and_chain():
-    single = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096))
+    single = hk_evaluate(tables([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096))
     union = hk_evaluate(
-        sampled(
+        tables(
             [WulffBody(DQ, np.array([-2.8, 0.0]), 1.0), WulffBody(DQ, np.array([2.8, 0.0]), 1.3)],
             Q2,
             4096,
@@ -125,7 +125,7 @@ def test_criterion_3_hk_equality_and_chain():
 
 def test_criterion_4_hk_strictness():
     ellipse = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
-    rep = hk_evaluate(sampled([ellipse], E2, 4096))
+    rep = hk_evaluate(tables([ellipse], E2, 4096))
     oracle = ellipse_hk_ratio(2.0, 1.0)
     assert rep.ratio <= 1.0 - 0.01
     assert abs(rep.ratio - oracle) <= 1e-3
@@ -148,7 +148,7 @@ def test_criterion_5_steiner_fits():
         field = build_field(src, f, grid)
         curve = tube_volumes(field, default_t_grid(1.0, 0.05, 0.9, 40))
         fit = fit_polynomial(curve, 2)
-        ref = claim5_coefficients(*quad_table(body, f, 4096))
+        ref = claim5_coefficients(table(body, f, 4096))
         agreement = np.abs(fit.coefficients - ref) / np.abs(ref).max()
         assert fit.residual <= 1e-2
         assert agreement.max() <= 0.02
@@ -211,7 +211,7 @@ def test_criterion_7_variation():
         h = 1e-4 * 2 * quad.rho.max()
         for _ in range(10):
             g = PolynomialField.random(rng, 2, 0.4)
-            fv = first_variation(quad, table, g)
+            fv = first_variation(table, g)
             flow = flow_energy_derivative(quad, f, g, h)
             worst = max(worst, abs(fv - flow))
     assert worst <= 1e-4
@@ -219,13 +219,13 @@ def test_criterion_7_variation():
     qw = sample_surface(wulff, 4096)
     p_f = perimeter_F(qw, Q2)
     fields = [PolynomialField.random(rng, 2, 0.5) for _ in range(10)]
-    crit = criticality_residual(qw, Q2, curvature_table(wulff, Q2, qw), fields)
+    crit = criticality_residual(curvature_table(wulff, Q2, qw), fields)
     worst_crit = max(abs(res.residual) for res in crit)
     assert worst_crit <= 1e-3 * p_f
 
     shear = PolynomialField.linear(np.diag([1.0, -1.0]))
     qe = sample_surface(ellipse, 4096)
-    [shear_res] = criticality_residual(qe, E2, curvature_table(ellipse, E2, qe), [shear])
+    [shear_res] = criticality_residual(curvature_table(ellipse, E2, qe), [shear])
     assert abs(shear_res.residual) > 0.1
     _report(
         "7 variation",

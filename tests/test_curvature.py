@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from wulffkit import (
     DualNorm,
     Ellipsoid,
     EuclideanNorm,
+    InputError,
     NonEllipticError,
     QuadraticNorm,
     WeightedSum,
     WulffBody,
     curvature_table,
     sample_surface,
+    stress_tensor,
     umbilicity_classify,
 )
 
@@ -18,7 +22,7 @@ from wulffkit.curvature import _shape_operators_bulk, _wulff_shape_operators
 from wulffkit.integrand import tangential_hessian
 
 from oracles import congruence, eig_product, ellipse_curvature, sandwich_eigenvalues
-from sampling import quad_table
+import sampling
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -128,7 +132,7 @@ def test_eta_field_on_conjugate_sphere():
 
 def test_umbilicity_recovers_offset_wulff():
     body = WulffBody(DQ, np.array([1.0, 2.0]), 1.5)
-    rep = umbilicity_classify(*quad_table(body, Q2, 2048))
+    rep = umbilicity_classify(sampling.table(body, Q2, 2048))
     assert rep.verdict == "wulff"
     assert rep.center == pytest.approx([1.0, 2.0], abs=1e-4)
     assert rep.radius == pytest.approx(1.5, abs=1e-4)
@@ -136,14 +140,14 @@ def test_umbilicity_recovers_offset_wulff():
 
 def test_umbilicity_euclidean_sphere():
     ball = Ellipsoid(np.eye(2) / 4.0, np.zeros(2))
-    rep = umbilicity_classify(*quad_table(ball, E2, 2048))
+    rep = umbilicity_classify(sampling.table(ball, E2, 2048))
     assert rep.verdict == "wulff"
     assert rep.center == pytest.approx([0.0, 0.0], abs=1e-10)
     assert rep.radius == pytest.approx(2.0, abs=1e-10)
 
 
 def test_umbilicity_rejects_ellipse():
-    rep = umbilicity_classify(*quad_table(ELLIPSE, E2, 2048))
+    rep = umbilicity_classify(sampling.table(ELLIPSE, E2, 2048))
     assert rep.verdict == "not-umbilical"
     assert rep.center is None
 
@@ -151,7 +155,7 @@ def test_umbilicity_rejects_ellipse():
 def test_umbilicity_hyperplane_like_for_vanishing_curvature():
     # a nearly flat boundary: umbilical with |lambda| below the resolvable floor
     huge = Ellipsoid(np.eye(2) / 1e24, np.zeros(2))
-    rep = umbilicity_classify(*quad_table(huge, E2, 256))
+    rep = umbilicity_classify(sampling.table(huge, E2, 256))
     assert rep.verdict == "hyperplane-like"
     assert rep.radius is None
 
@@ -200,7 +204,8 @@ def test_table_holds_the_integrand_and_sigma_of_each_node():
         (ellipsoid, f3, (32, 64)),
     ]
     for body, f, resolution in cases:
-        q, table = quad_table(body, f, resolution)
+        table = sampling.table(body, f, resolution)
+        q = table.quad
         assert np.array_equal(table.f_normal, f.value(q.normals))
         assert np.array_equal(table.eta, f.grad(q.normals))
         n = q.dim - 1
@@ -209,6 +214,25 @@ def test_table_holds_the_integrand_and_sigma_of_each_node():
         poly = np.array([np.poly(k) for k in table.kappa]) * signs
         assert np.all(table.sigma[:, 0] == 1.0)
         assert np.abs(table.sigma - poly).max() <= 1e-14 * np.abs(poly).max()
+
+
+def test_empty_quadrature_is_refused():
+    # an empty quadrature raised a raw ValueError from a zero-size maximum
+    q = sample_surface(ELLIPSE, 256)
+    rows = ("points", "normals", "weights", "omega", "rho", "sigma")
+    empty = replace(q, **{k: getattr(q, k)[:0] for k in rows})
+    with pytest.raises(InputError, match="^empty quadrature$"):
+        curvature_table(ELLIPSE, E2, empty)
+
+
+def test_table_carries_its_body_integrand_and_quadrature():
+    q = sample_surface(ELLIPSE, 256)
+    table = curvature_table(ELLIPSE, Q2, q)
+    assert (table.body, table.f, table.quad) == (ELLIPSE, Q2, q)
+    # w B_F(nu) is built once per table
+    assert table.weighted_stress is table.weighted_stress
+    stress = stress_tensor(Q2, q.normals) * q.weights[:, None, None]
+    assert np.array_equal(table.weighted_stress, stress.reshape(len(q), -1))
 
 
 def _sym(a):

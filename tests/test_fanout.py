@@ -179,6 +179,32 @@ def test_overlapping_bodies_refuse_as_the_serial_run(tmp_path, monkeypatch, caps
         assert capsys.readouterr().err == f"error: {raised[1]}\n"
 
 
+def test_run_cache_keeps_a_refusal(tmp_path, monkeypatch):
+    # the warm-up's HK report refuses once: hk and mr raise the kept refusal
+    # again and evaluate nothing anew, in-process as in forked workers
+    raw = dict(OVERLAPPING, suites=["dual", "wulff", "curv", "hk", "mr", "var"])
+    scene = tmp_path / "overlap.json"
+    scene.write_text(json.dumps(raw))
+    log = _SharedLog()
+    hk_evaluate = suites.hk_evaluate
+
+    def counted(tables):
+        log.add(len(tables))
+        return hk_evaluate(tables)
+
+    monkeypatch.setattr(suites, "hk_evaluate", counted)
+    for cpus in (1, 3):
+        log.data[0] = 0
+        forks = _forks(monkeypatch, cpus)
+        with pytest.raises(InputError) as exc:
+            cli.run("all", scene, tmp_path / str(cpus))
+        _no_child_left()
+        assert bool(forks) == (cpus > 1)
+        assert len(log.keys()) == 1
+        assert type(exc.value) is InputError
+        assert str(exc.value).startswith("bodies 0 and 1 are not disjoint (F* of their centres'")
+
+
 def test_first_refusal_in_suite_order_is_raised(tmp_path, monkeypatch):
     # curv and var both refuse; with one usable CPU as with three, var runs
     # too and the run raises curv's refusal

@@ -23,7 +23,8 @@ from wulffkit.hk import check_disjoint
 from wulffkit.spheregrid import sphere_quadrature
 
 from oracles import ellipse_hk_ratio
-from sampling import quad_table, sampled, scene, umbilicity
+import sampling
+from sampling import scene, tables, umbilicity
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -79,7 +80,7 @@ class Flower(StarBody):
 
 
 def test_hk_single_wulff_equality():
-    rep = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096))
+    rep = hk_evaluate(tables([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096))
     assert abs(rep.ratio - 1.0) <= 1e-3
     assert rep.verdict == "equality"
     assert rep.h_min == pytest.approx(1.0, abs=1e-10)
@@ -87,12 +88,12 @@ def test_hk_single_wulff_equality():
 
 def test_hk_euclidean_ball():
     ball = Ellipsoid(np.eye(2) / 4.0, np.zeros(2))
-    rep = hk_evaluate(sampled([ball], E2, 4096))
+    rep = hk_evaluate(tables([ball], E2, 4096))
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hk_ellipse_strict_matches_oracle():
-    rep = hk_evaluate(sampled([ELLIPSE], E2, 4096))
+    rep = hk_evaluate(tables([ELLIPSE], E2, 4096))
     oracle = ellipse_hk_ratio(2.0, 1.0)
     assert oracle == pytest.approx(32.0 / 59.0, abs=1e-12)
     assert rep.ratio == pytest.approx(oracle, abs=1e-3)
@@ -107,7 +108,7 @@ def test_hk_chain_inequalities():
         ([Ellipsoid(np.diag([0.25, 1.0, 1.0]), np.zeros(3))], E3),
     ):
         res = 4096 if f.dim == 2 else (64, 128)
-        rep = hk_evaluate(sampled(bodies, f, res))
+        rep = hk_evaluate(tables(bodies, f, res))
         rhs = (f.dim - 1) / f.dim * rep.integral
         assert rep.vol <= rep.mr_integral * (1 + 1e-3)
         assert rep.mr_integral <= rhs * (1 + 1e-3)
@@ -115,20 +116,20 @@ def test_hk_chain_inequalities():
 
 def test_montiel_ros_wulff_is_volume():
     body = WulffBody(DQ, np.zeros(2), 1.0)
-    assert montiel_ros_integral(*quad_table(body, Q2, 4096)) == pytest.approx(
+    assert montiel_ros_integral(sampling.table(body, Q2, 4096)) == pytest.approx(
         2 * np.pi, rel=1e-10
     )
     ball = Ellipsoid(np.eye(3) / 4.0, np.zeros(3))
-    assert montiel_ros_integral(*quad_table(ball, E3, (64, 128))) == pytest.approx(
+    assert montiel_ros_integral(sampling.table(ball, E3, (64, 128))) == pytest.approx(
         4.0 / 3.0 * np.pi * 8.0, rel=1e-10
     )
 
 
 def test_montiel_ros_ellipse_strict():
-    mr = montiel_ros_integral(*quad_table(ELLIPSE, E2, 4096))
+    mr = montiel_ros_integral(sampling.table(ELLIPSE, E2, 4096))
     assert mr > 2 * np.pi
     # n = 1 makes the per-node mean inequality an identity: mr equals the rhs
-    rep = hk_evaluate(sampled([ELLIPSE], E2, 4096))
+    rep = hk_evaluate(tables([ELLIPSE], E2, 4096))
     assert mr == pytest.approx(0.5 * rep.integral, rel=1e-12)
 
 
@@ -146,28 +147,29 @@ def test_montiel_ros_matches_gauss_legendre_in_t():
         (ellipsoid, QuadraticNorm(rot @ np.diag([3.0, 1.0, 0.5]) @ rot.T), (64, 128)),
     ]
     for body, f, resolution in cases:
-        quad, table = quad_table(body, f, resolution)
+        table = sampling.table(body, f, resolution)
+        quad = table.quad
         span = 1.0 / table.kappa.max(axis=1)
         t = 0.5 * span[:, None] * (x + 1.0)
         jacobian = np.prod(1.0 - t[:, :, None] * table.kappa[:, None, :], axis=2)
         inner = 0.5 * span * (jacobian @ w)
         oracle = float((f.value(quad.normals) * quad.weights * inner).sum())
-        assert montiel_ros_integral(quad, table) == pytest.approx(oracle, rel=1e-12)
+        assert montiel_ros_integral(table) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_am_gm_tightness_on_umbilical_nodes():
     body = WulffBody(DualNorm(QuadraticNorm(np.diag([4.0, 1.0, 1.0]))), np.zeros(3), 1.5)
     f = QuadraticNorm(np.diag([4.0, 1.0, 1.0]))
-    rep = hk_evaluate(sampled([body], f, (64, 128)))
+    rep = hk_evaluate(tables([body], f, (64, 128)))
     rhs = 2.0 / 3.0 * rep.integral
     assert abs(rep.mr_integral - rhs) <= 1e-6 * rhs
 
 
 def test_ratio_scale_equivariance():
-    base = hk_evaluate(sampled([ELLIPSE], E2, 4096)).ratio
+    base = hk_evaluate(tables([ELLIPSE], E2, 4096)).ratio
     for lam in (0.5, 2.0):
         scaled = Ellipsoid(np.diag([0.25, 1.0]) / lam**2, np.zeros(2))
-        rep = hk_evaluate(sampled([scaled], E2, 4096))
+        rep = hk_evaluate(tables([scaled], E2, 4096))
         assert rep.ratio == pytest.approx(base, abs=1e-6)
 
 
@@ -176,10 +178,10 @@ def test_two_wulff_union_classification():
         WulffBody(DQ, np.array([-2.8, 0.0]), 1.0),
         WulffBody(DQ, np.array([2.8, 0.0]), 1.0),
     ]
-    triples = sampled(bodies, Q2, 4096)
-    rep = hk_evaluate(triples)
+    tabs = tables(bodies, Q2, 4096)
+    rep = hk_evaluate(tabs)
     assert abs(rep.ratio - 1.0) <= 1e-3
-    verdict = equality_classifier(rep, umbilicity(triples), c=rep.h_max)
+    verdict = equality_classifier(rep, umbilicity(tabs), c=rep.h_max)
     assert verdict.verdict == "wulff-union"
     assert verdict.equal_radii
     assert verdict.radii == pytest.approx([1.0, 1.0], abs=1e-6)
@@ -191,24 +193,24 @@ def test_unequal_radii_still_wulff_union():
         WulffBody(DQ, np.array([-3.0, 0.0]), 1.0),
         WulffBody(DQ, np.array([3.0, 0.0]), 1.4),
     ]
-    triples = sampled(bodies, Q2, 4096)
-    rep = hk_evaluate(triples)
-    verdict = equality_classifier(rep, umbilicity(triples), c=1.0)
+    tabs = tables(bodies, Q2, 4096)
+    rep = hk_evaluate(tabs)
+    verdict = equality_classifier(rep, umbilicity(tabs), c=1.0)
     assert verdict.verdict == "wulff-union"
     assert not verdict.equal_radii
     assert verdict.min_radius_bound == pytest.approx(1.0)
 
 
 def test_ellipse_classified_strict():
-    triples = sampled([ELLIPSE], E2, 4096)
-    rep = hk_evaluate(triples)
-    verdict = equality_classifier(rep, umbilicity(triples), c=rep.h_max)
+    tabs = tables([ELLIPSE], E2, 4096)
+    rep = hk_evaluate(tabs)
+    verdict = equality_classifier(rep, umbilicity(tabs), c=rep.h_max)
     assert verdict.verdict == "strict"
     assert verdict.failing_condition == "ratio"
 
 
 def test_radius_bound_failure_named():
-    rep = hk_evaluate(sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096))
+    rep = hk_evaluate(tables([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096))
     synthetic = (
         UmbilicityReport(
             lam=2.0, center=np.zeros(2), radius=0.5, dispersion=0.0,
@@ -224,19 +226,19 @@ def test_radius_bound_failure_named():
 
 
 def test_classifier_requires_c_above_h_max():
-    triples = sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096)
-    rep = hk_evaluate(triples)
+    tabs = tables([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096)
+    rep = hk_evaluate(tabs)
     with pytest.raises(InputError):
-        equality_classifier(rep, umbilicity(triples), c=0.5 * rep.h_max)
+        equality_classifier(rep, umbilicity(tabs), c=0.5 * rep.h_max)
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf, 0.0, -1.0])
 def test_classifier_refuses_c_not_positive_and_finite(c):
     # a NaN c made the radius bound NaN, which every radius passed
-    triples = sampled([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 512)
-    rep = hk_evaluate(triples)
+    tabs = tables([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 512)
+    rep = hk_evaluate(tabs)
     with pytest.raises(InputError, match="curvature bound c"):
-        equality_classifier(rep, umbilicity(triples), c=c)
+        equality_classifier(rep, umbilicity(tabs), c=c)
 
 
 def test_overlapping_bodies_rejected():
@@ -245,7 +247,7 @@ def test_overlapping_bodies_rejected():
         WulffBody(DQ, np.array([1.0, 0.0]), 1.0),
     ]
     with pytest.raises(InputError):
-        hk_evaluate(sampled(bodies, Q2, 1024))
+        hk_evaluate(tables(bodies, Q2, 1024))
 
 
 def test_elongated_disjoint_bodies_accepted():
@@ -254,10 +256,10 @@ def test_elongated_disjoint_bodies_accepted():
         WulffBody(DQ, np.array([0.0, 0.0]), 1.0),
         WulffBody(DQ, np.array([0.0, 2.5]), 1.0),
     ]
-    triples = sampled(bodies, Q2, 1024)
-    rep = hk_evaluate(triples)
+    tabs = tables(bodies, Q2, 1024)
+    rep = hk_evaluate(tabs)
     assert rep.verdict == "equality"
-    verdict = equality_classifier(rep, umbilicity(triples), c=rep.h_max)
+    verdict = equality_classifier(rep, umbilicity(tabs), c=rep.h_max)
     assert verdict.verdict == "wulff-union"
 
 
@@ -267,7 +269,7 @@ def test_nested_bodies_rejected():
         WulffBody(DQ, np.array([0.1, 0.0]), 0.5),
     ]
     with pytest.raises(InputError, match="not disjoint"):
-        hk_evaluate(sampled(bodies, Q2, 1024))
+        hk_evaluate(tables(bodies, Q2, 1024))
 
 
 def _touching_integrand(family, dim):
@@ -297,8 +299,7 @@ def test_touching_wulff_balls_are_disjoint(family, dim):
     ci = np.linspace(-0.3, 0.4, dim)
 
     def pair(cj, rj=rj):
-        bodies = [WulffBody(dual, ci, ri), WulffBody(dual, cj, rj)]
-        return [(b, sample_surface(b, resolution), None) for b in bodies]
+        return tables([WulffBody(dual, ci, ri), WulffBody(dual, cj, rj)], f, resolution)
 
     for k in (0, len(omega) // 3, len(omega) - 1):
         unit = omega[k] / dual.batch_value(omega[k][None])[0]
@@ -314,7 +315,16 @@ def test_six_decimal_tangent_pair_overlaps():
     # difference is 1.99999985, so the balls overlap
     bodies = [WulffBody(DQ, np.zeros(2), 1.0), WulffBody(DQ, np.array([3.999995, 0.003068]), 1.0)]
     with pytest.raises(InputError, match="not disjoint"):
-        check_disjoint([(b, sample_surface(b, 4096), None) for b in bodies])
+        check_disjoint(tables(bodies, Q2, 4096))
+
+
+def test_tables_of_different_integrands_are_refused():
+    # the sums of F(nu)/H under two integrands read as one ratio, 0.703
+    bodies = [Ellipsoid(np.diag([0.25, 1.0]), np.array([-3.0, 0.0])),
+              WulffBody(DQ, np.array([3.0, 0.0]), 1.0)]
+    mixed = [sampling.table(bodies[0], E2, 1024), sampling.table(bodies[1], Q2, 1024)]
+    with pytest.raises(InputError, match="^bodies 0 and 1 are tables of different integrands$"):
+        hk_evaluate(mixed)
 
 
 def test_negative_curvature_violates_hypothesis():
@@ -323,13 +333,13 @@ def test_negative_curvature_violates_hypothesis():
     table = curvature_table(flower, E2, q)
     assert table.mean.min() < 0  # the dents are genuinely concave
     with pytest.raises(HypothesisViolationError):
-        hk_evaluate(sampled([flower], E2, 1024))
+        hk_evaluate(tables([flower], E2, 1024))
 
 
 def test_montiel_ros_raises_without_positive_curvature():
     # dent nodes have no positive curvature direction, hence no focal cut
     with pytest.raises(HypothesisViolationError, match="no positive curvature"):
-        montiel_ros_integral(*quad_table(Flower(0.35), E2, 1024))
+        montiel_ros_integral(sampling.table(Flower(0.35), E2, 1024))
 
 
 def test_hk_rows_sum_to_the_totals():
@@ -338,8 +348,8 @@ def test_hk_rows_sum_to_the_totals():
         Ellipsoid(np.diag([4.0, 1.0]), np.array([3.0, 0.0])),
         WulffBody(DQ, np.array([0.0, 3.0]), 0.7),
     ]
-    triples = sampled(bodies, Q2, 1024)
-    rep = hk_evaluate(triples)
+    tabs = tables(bodies, Q2, 1024)
+    rep = hk_evaluate(tabs)
     assert len(rep.rows) == 3
     assert rep.vol == sum(r.vol for r in rep.rows)
     assert rep.integral == sum(r.integral for r in rep.rows)
@@ -347,8 +357,8 @@ def test_hk_rows_sum_to_the_totals():
     assert rep.h_min == min(r.h_min for r in rep.rows)
     assert rep.h_max == max(r.h_max for r in rep.rows)
     # each row is the body's own one-body report
-    for triple, row in zip(triples, rep.rows):
-        alone = hk_evaluate([triple])
+    for table, row in zip(tabs, rep.rows):
+        alone = hk_evaluate([table])
         assert (row.vol, row.integral, row.mr_integral) == (
             alone.vol, alone.integral, alone.mr_integral
         )

@@ -92,7 +92,7 @@ def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
     scene = parse_scene(BASE)
     cache = suites.RunCache(scene)
     _, body = scene.bodies[0]
-    cache.sampled(body)
+    cache.table(body)
     calls = []
 
     def counted(*args):

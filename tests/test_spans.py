@@ -1,10 +1,16 @@
-"""The benchmark's span table names only functions and methods that exist."""
+"""The benchmark's span table names only functions and methods that exist, and a
+traced in-process run records the calls of the public variation routines."""
 
 import importlib
+import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))
 
 
 def test_every_traced_function_exists():
@@ -24,3 +30,33 @@ def test_every_traced_method_exists():
         if method not in vars(getattr(importlib.import_module(module), cls, object))
     ]
     assert missing == []
+
+
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+tracer = spans.install()
+from wulffkit import cli, fanout
+fanout._usable_cpus = lambda: 1
+cli.run("all", sys.argv[2], sys.argv[3])
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_in_process_var_is_traced(tmp_path):
+    # with one usable CPU the suites run in-process, and var calls the
+    # public variation routines that the span table wraps by name
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    args = [str(ROOT / "perfbench"), str(ROOT / "scenes" / "wulff_d3.json"), str(tmp_path)]
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    metrics = json.loads(out.stdout.splitlines()[-1])
+    for name in ("variation.criticality_residual", "variation.first_variation"):
+        assert metrics[name + ".calls"] == 1
+        assert metrics[name + ".self_s"] > 0

@@ -84,7 +84,7 @@ def test_field_value_matches_explicit_sums(d):
 def test_constant_field_gives_zero():
     q = sample_surface(ELLIPSE, 2048)
     g = PolynomialField([1.0, 2.0], np.zeros((2, 2)), np.zeros((2, 2, 2)))
-    assert first_variation(q, curvature_table(ELLIPSE, Q2, q), g) == 0.0
+    assert first_variation(curvature_table(ELLIPSE, Q2, q), g) == 0.0
     assert abs(volume_derivative(q, g)) < 1e-8
 
 
@@ -94,7 +94,7 @@ def test_position_field_gives_n_times_perimeter():
         q = sample_surface(body, res)
         p = perimeter_F(q, f)
         n = body.dim - 1
-        fv = first_variation(q, curvature_table(body, f, q), PolynomialField.position(body.dim))
+        fv = first_variation(curvature_table(body, f, q), PolynomialField.position(body.dim))
         assert fv == pytest.approx(n * p, rel=1e-6)
 
 
@@ -125,7 +125,7 @@ def test_first_variation_matches_flow_derivative(body, f, res):
     h = 1e-4 * 2 * quad.rho.max()
     for _ in range(10):
         g = PolynomialField.random(rng, body.dim, 0.4)
-        fv = first_variation(quad, table, g)
+        fv = first_variation(table, g)
         flow = flow_energy_derivative(quad, f, g, h)
         assert abs(fv - flow) <= 1e-4 * (1.0 + abs(fv))
 
@@ -138,7 +138,7 @@ def test_mean_curvature_pairing():
         p = perimeter_F(quad, f)
         for _ in range(5):
             g = PolynomialField.random(rng, 2, 0.4)
-            fv = first_variation(quad, table, g)
+            fv = first_variation(table, g)
             paired = float(
                 (
                     table.mean
@@ -154,7 +154,7 @@ def test_wulff_criticality():
     q = sample_surface(WULFF, 4096)
     p = perimeter_F(q, Q2)
     fields = [PolynomialField.random(rng, 2, 0.5) for _ in range(10)]
-    for res in criticality_residual(q, Q2, curvature_table(WULFF, Q2, q), fields):
+    for res in criticality_residual(curvature_table(WULFF, Q2, q), fields):
         assert abs(res.residual) <= 1e-3 * p
         assert abs(res.rescaled_residual) <= 1e-3 * p
 
@@ -165,14 +165,14 @@ def test_euclidean_ball_criticality():
     q = sample_surface(ball, 4096)
     p = perimeter_F(q, E2)
     fields = [PolynomialField.random(rng, 2, 0.5) for _ in range(5)]
-    for res in criticality_residual(q, E2, curvature_table(ball, E2, q), fields):
+    for res in criticality_residual(curvature_table(ball, E2, q), fields):
         assert abs(res.residual) <= 1e-3 * p
 
 
 def test_ellipse_shear_not_critical():
     shear = PolynomialField.linear(np.diag([1.0, -1.0]))
     q = sample_surface(ELLIPSE, 4096)
-    [res] = criticality_residual(q, E2, curvature_table(ELLIPSE, E2, q), [shear])
+    [res] = criticality_residual(curvature_table(ELLIPSE, E2, q), [shear])
     assert abs(res.residual) > 0.1
     # finite-difference oracle on the flowed ellipse: axes (2(1+t), (1-t))
     h = 1e-5
@@ -187,7 +187,7 @@ def test_rescaled_residual_matches_scaled_identity():
     rng = np.random.default_rng(11)
     g = PolynomialField.random(rng, 2, 0.5)
     q = sample_surface(ELLIPSE, 4096)
-    [res] = criticality_residual(q, E2, curvature_table(ELLIPSE, E2, q), [g])
+    [res] = criticality_residual(curvature_table(ELLIPSE, E2, q), [g])
     assert res.rescaled_residual == pytest.approx(res.residual / 2.0, rel=1e-3, abs=1e-7)
 
 
@@ -204,9 +204,9 @@ def test_criticality_reuses_the_flow_pushes():
         table = curvature_table(body, f, q)
         h = 1e-4 * 2 * q.rho.max()
         fields = [PolynomialField.random(rng, body.dim, 0.4) for _ in range(3)]
-        for g, crit in zip(fields, criticality_residual(q, f, table, fields, h), strict=True):
+        for g, crit in zip(fields, criticality_residual(table, fields, h), strict=True):
             assert crit.flow_derivative == flow_energy_derivative(q, f, g, h)
-            assert crit.first_variation == first_variation(q, table, g)
+            assert crit.first_variation == first_variation(table, g)
             assert crit.volume_derivative == volume_derivative(q, g)
 
 
@@ -229,16 +229,16 @@ def test_var_suite_pushes_each_field_once(tmp_path, monkeypatch):
 
 
 def test_var_suite_builds_the_weighted_stress_once_per_body(tmp_path, monkeypatch):
-    from wulffkit import suites, variation
+    from wulffkit import curvature, suites
 
     built = []
-    weighted_stress = variation._weighted_stress
+    stress = curvature._stress
 
-    def counted(q, table):
-        built.append(len(q))
-        return weighted_stress(q, table)
+    def counted(f_normal, eta, nu):
+        built.append(len(nu))
+        return stress(f_normal, eta, nu)
 
-    monkeypatch.setattr(variation, "_weighted_stress", counted)
+    monkeypatch.setattr(curvature, "_stress", counted)
     bodies = [("w", WulffBody(DQ, np.zeros(2), 1.0)), ("e", ELLIPSE)]
     scene = sampling.scene(bodies, Q2, 512, suites=("var",))
     result = suites.run_suite("var", suites.RunCache(scene), tmp_path)
@@ -261,21 +261,9 @@ def test_step_must_be_positive_and_finite(h):
     g = PolynomialField.position(2)
     for route in (
         lambda: flow_energy_derivative(q, E2, g, h),
-        lambda: criticality_residual(q, E2, table, [g], h),
+        lambda: criticality_residual(table, [g], h),
     ):
         with pytest.raises(InputError, match="step h must be positive and finite"):
-            route()
-
-
-def test_table_of_another_quadrature_is_refused():
-    q, other = sample_surface(ELLIPSE, 256), sample_surface(ELLIPSE, 512)
-    table = curvature_table(ELLIPSE, E2, other)
-    g = PolynomialField.position(2)
-    for route in (
-        lambda: first_variation(q, table, g),
-        lambda: criticality_residual(q, E2, table, [g]),
-    ):
-        with pytest.raises(InputError, match="curvature table of 512 nodes"):
             route()
 
 
@@ -326,7 +314,7 @@ def test_var_reads_the_integrand_at_the_normals_from_the_table(tmp_path, monkeyp
     scene = sampling.scene(bodies, f, 512, suites=("var",))
     cache = suites.RunCache(scene)
     for _, body in scene.bodies:
-        cache.sampled(body)
+        cache.table(body)
     calls = []
     for cls in (EuclideanNorm, QuadraticNorm, WeightedSum):
         grad = cls.grad
@@ -354,9 +342,9 @@ def test_field_of_another_dimension_is_refused():
     q, g = sample_surface(ELLIPSE, 256), PolynomialField.position(3)
     table = curvature_table(ELLIPSE, E2, q)
     for route in (
-        lambda: first_variation(q, table, g),
+        lambda: first_variation(table, g),
         lambda: volume_derivative(q, g),
-        lambda: criticality_residual(q, E2, table, [g]),
+        lambda: criticality_residual(table, [g]),
         lambda: flow_energy_derivative(q, E2, g, 1e-4),
     ):
         with pytest.raises(InputError, match="field of dimension 3 on a surface in dimension 2"):
