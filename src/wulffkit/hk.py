@@ -8,9 +8,12 @@ where the middle quantity is the tube (Montiel-Ros) integral obtained by
 integrating the normal-flow Jacobian up to the first focal time.  Every
 routine here takes bodies as their curvature tables alone: the integrals
 read the quadrature, F(nu), H and the sigma_k from the table.
-``hk_evaluate`` computes the three terms once per body, as one ``HKRow``
-each, and sums the rows in body order for the scene's totals; it refuses
-tables of different integrands.  One rule
+``hk_row`` computes the three terms of one body as an ``HKRow``, and
+``hk_report`` sums the rows in body order for the scene's totals;
+``hk_evaluate`` composes the two over a scene's tables and refuses tables
+of different integrands.  The disjointness check splits the same way: each
+body's ``node_overlaps`` flags, and ``refuse_overlaps`` over all of them,
+so a run may evaluate each body where its table lives.  One rule
 holds for every caller: a node with H <= 0 violates the hypothesis and
 raises ``HypothesisViolationError``.  Equality of the outer terms forces
 every node to be umbilical and the body to be a Wulff ball; scenes of
@@ -39,10 +42,14 @@ __all__ = [
     "HKRow",
     "HKReport",
     "hk_evaluate",
+    "hk_report",
+    "hk_row",
     "montiel_ros_integral",
     "equality_classifier",
     "ClassifierVerdict",
     "check_disjoint",
+    "node_overlaps",
+    "refuse_overlaps",
 ]
 
 # largest |ratio - 1| that hk_evaluate calls equality
@@ -77,6 +84,46 @@ class HKReport:
     verdict: str
 
 
+def _closed_form(a, b) -> bool:
+    """Whether ``check_disjoint`` decides the pair of bodies in closed form."""
+    return isinstance(a, WulffBody) and isinstance(b, WulffBody) and a.dual.base is b.dual.base
+
+
+def node_overlaps(table: CurvatureTable, bodies: Sequence, index: int) -> tuple:
+    """Node-rule flags of body ``index`` of ``bodies``, whose curvature table is
+    ``table``: entry l says whether a boundary node of the table has phi <= 0
+    under body l.  It is None for the body itself and for the pairs that
+    ``check_disjoint`` decides in closed form."""
+    return tuple(
+        None
+        if l == index or _closed_form(table.body, other)
+        else bool(np.any(other.sign(table.quad.points) <= 0))
+        for l, other in enumerate(bodies)
+    )
+
+
+def refuse_overlaps(bodies: Sequence, overlaps: Sequence) -> None:
+    """Raise ``check_disjoint``'s refusal for ``bodies``, given each body's
+    ``node_overlaps`` flags in ``overlaps``; the first pair in
+    ``combinations`` order that is not disjoint is refused."""
+    for i, j in combinations(range(len(bodies)), 2):
+        a, b = bodies[i], bodies[j]
+        if _closed_form(a, b):
+            apart = a.dual.batch_value((a.center - b.center)[None, :])[0]
+            if apart < (a.radius + b.radius) * (1.0 - 1e-12):
+                raise InputError(
+                    f"bodies {i} and {j} are not disjoint (F* of their centres' "
+                    f"difference, {apart:.17g}, is below the sum of their radii)"
+                )
+            continue
+        for k, l in ((i, j), (j, i)):
+            if overlaps[k][l]:
+                raise InputError(
+                    f"bodies {k} and {l} are not disjoint (a boundary node of {k} "
+                    f"lies in {l})"
+                )
+
+
 def check_disjoint(tables: Sequence[CurvatureTable]) -> None:
     """Reject a scene where two bodies overlap or one is nested in another.
 
@@ -88,22 +135,8 @@ def check_disjoint(tables: Sequence[CurvatureTable]) -> None:
     boundary node of each body must have phi > 0 under the other, which also
     catches a body nested inside another.
     """
-    for i, j in combinations(range(len(tables)), 2):
-        a, b = tables[i].body, tables[j].body
-        if isinstance(a, WulffBody) and isinstance(b, WulffBody) and a.dual.base is b.dual.base:
-            apart = a.dual.batch_value((a.center - b.center)[None, :])[0]
-            if apart < (a.radius + b.radius) * (1.0 - 1e-12):
-                raise InputError(
-                    f"bodies {i} and {j} are not disjoint (F* of their centres' "
-                    f"difference, {apart:.17g}, is below the sum of their radii)"
-                )
-            continue
-        for k, l, other in ((i, j, b), (j, i, a)):
-            if np.any(other.sign(tables[k].quad.points) <= 0):
-                raise InputError(
-                    f"bodies {k} and {l} are not disjoint (a boundary node of {k} "
-                    f"lies in {l})"
-                )
+    bodies = [table.body for table in tables]
+    refuse_overlaps(bodies, [node_overlaps(t, bodies, k) for k, t in enumerate(tables)])
 
 
 def montiel_ros_integral(table: CurvatureTable) -> float:
@@ -129,45 +162,32 @@ def montiel_ros_integral(table: CurvatureTable) -> float:
     return float((table.f_normal * quad.weights * inner).sum())
 
 
-def hk_evaluate(tables: Sequence[CurvatureTable]) -> HKReport:
-    """Evaluate the volume vs curvature-integral ratio over disjoint bodies.
+def hk_row(table: CurvatureTable, index: int = 0) -> HKRow:
+    """The Heintze-Karcher row of one body, body ``index`` of its scene.
 
-    ``tables`` holds one curvature table per body, all under one integrand
-    F (the same object), or an ``InputError`` names the first body whose
-    table is not; F(nu) is read from the table.
-    The report holds one row per body in that order.
-    ratio = vol / (n/(n+1) * sum F(nu)/H w); the verdict is "equality" when
-    |ratio - 1| <= EQUALITY_TOL = 1e-3 and "strict" otherwise.  Any node
-    with H <= 0 violates the positivity hypothesis and raises.
+    A node with H <= 0 violates the positivity hypothesis and raises a
+    ``HypothesisViolationError`` that names the body by ``index``.
     """
-    if not tables:
-        raise InputError("empty scene")
-    f = tables[0].f
-    for k, table in enumerate(tables):
-        if table.f is not f:
-            raise InputError(f"bodies 0 and {k} are tables of different integrands")
-    if len(tables) > 1:
-        check_disjoint(tables)
-    n = f.dim - 1
-
-    rows = []
-    for k, table in enumerate(tables):
-        quad = table.quad
-        if np.any(table.mean <= 0):
-            i = int(np.argmin(table.mean))
-            raise HypothesisViolationError(
-                f"body {k} node {i} at {quad.points[i]} has H = {table.mean[i]:.3e} <= 0"
-            )
-        rows.append(
-            HKRow(
-                vol=volume(quad),
-                integral=float((table.f_normal / table.mean * quad.weights).sum()),
-                mr_integral=montiel_ros_integral(table),
-                h_min=float(table.mean.min()),
-                h_max=float(table.mean.max()),
-            )
+    quad = table.quad
+    if np.any(table.mean <= 0):
+        i = int(np.argmin(table.mean))
+        raise HypothesisViolationError(
+            f"body {index} node {i} at {quad.points[i]} has H = {table.mean[i]:.3e} <= 0"
         )
+    return HKRow(
+        vol=volume(quad),
+        integral=float((table.f_normal / table.mean * quad.weights).sum()),
+        mr_integral=montiel_ros_integral(table),
+        h_min=float(table.mean.min()),
+        h_max=float(table.mean.max()),
+    )
 
+
+def hk_report(rows: Sequence[HKRow], dim: int) -> HKReport:
+    """The rows of disjoint bodies in R^dim, summed in body order, their ratio
+    vol / (n/(n+1) * sum F(nu)/H w) and its verdict: "equality" when
+    |ratio - 1| <= EQUALITY_TOL = 1e-3 and "strict" otherwise."""
+    n = dim - 1
     vol = sum(r.vol for r in rows)
     integral = sum(r.integral for r in rows)
     ratio = vol / (n / (n + 1) * integral)
@@ -181,6 +201,26 @@ def hk_evaluate(tables: Sequence[CurvatureTable]) -> HKReport:
         mr_integral=sum(r.mr_integral for r in rows),
         verdict="equality" if abs(ratio - 1.0) <= EQUALITY_TOL else "strict",
     )
+
+
+def hk_evaluate(tables: Sequence[CurvatureTable]) -> HKReport:
+    """Evaluate the volume vs curvature-integral ratio over disjoint bodies.
+
+    ``tables`` holds one curvature table per body, all under one integrand
+    F (the same object), or an ``InputError`` names the first body whose
+    table is not; F(nu) is read from the table.  Overlapping bodies are
+    refused (``check_disjoint``), then each body's ``hk_row`` in order,
+    and ``hk_report`` sums the rows.
+    """
+    if not tables:
+        raise InputError("empty scene")
+    f = tables[0].f
+    for k, table in enumerate(tables):
+        if table.f is not f:
+            raise InputError(f"bodies 0 and {k} are tables of different integrands")
+    if len(tables) > 1:
+        check_disjoint(tables)
+    return hk_report([hk_row(table, k) for k, table in enumerate(tables)], f.dim)
 
 
 @dataclass(frozen=True, eq=False)

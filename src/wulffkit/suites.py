@@ -8,9 +8,20 @@ it exercises, as machine-checkable report metadata.
 
 A body enters every boundary check as its curvature table, which carries
 the body's sample and the scene integrand, so the suites pass the table
-alone to the library's public routines.  ``run_suites`` hands a run's
-suites to ``fanout._fan_out`` once the RunCache holds every product they
-read (``READS``), or the refusal of the product.
+alone to the library's public routines.
+
+``run_suites`` picks a run's path by the scene's body count.  A scene of
+one body runs suite-major: the RunCache first holds every product the
+suites read (``READS``), or the product's refusal, and ``fanout._fan_out``
+gets one item per suite.  A scene of two or more bodies runs body-major:
+one item per body builds that body's products and runs its part of every
+suite that reads a table (``_BODY_PARTS``), and the caller merges the parts
+in body order and runs ``hk`` and ``mr`` from the bodies' small products.
+On weighted-3d (two bodies of 18,432 nodes, 2 CPUs) a body-major pass
+takes 0.22 s against 0.28 s suite-major, since no CPU waits on a one-CPU
+warm-up; a one-body scene has one body item to spread, and body-major
+measured 1.12 times slower on weighted-2d.  Both paths write the same
+bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from .curvature import curvature_table, umbilicity_classify
 from .duality import wulff_sample
 from .errors import WulffkitError
 from .fanout import _fan_out
-from .hk import equality_classifier, hk_evaluate
+from .hk import equality_classifier, hk_report, hk_row, node_overlaps, refuse_overlaps
 from .hypersurface import WulffBody, perimeter_F, sample_surface
 from .integrand import EuclideanNorm
 from .scene import SUITE_ORDER, Scene
@@ -49,7 +60,8 @@ VERIFIES = {
 }
 
 # the RunCache products each suite reads: "table" is a body's curvature
-# table, "field" its complement source and scene-integrand field.
+# table, "hk" the HK report (per body, its node-rule flags and row), "field"
+# its complement source and scene-integrand field.
 # The reach suite's Euclidean field is left out on purpose: built in the
 # worker, it overlaps the other suites, and warming it measured slower
 READS = {
@@ -91,12 +103,15 @@ class SuiteResult:
 
 
 class RunCache:
-    """Curvature tables, umbilicity fits, the Heintze-Karcher report,
-    complement sources and distance fields of one run's scene, each built
-    once.  A product whose build refuses keeps its ``WulffkitError``, and
-    every later read raises it again without building anew.
+    """Curvature tables, umbilicity fits, node-rule flags, Heintze-Karcher
+    rows and report, complement sources and distance fields of one run's
+    scene, each built once.  A product whose build refuses keeps its
+    ``WulffkitError``, and every later read raises it again without building
+    anew.
 
-    A run creates one, passes it to every suite and drops it when it returns.
+    A run creates one, passes it to every suite and drops it when it
+    returns.  On the body-major path each body's item builds its products in
+    a RunCache of its own, and the run's RunCache adopts the small ones.
     """
 
     def __init__(self, scene: Scene):
@@ -127,11 +142,33 @@ class RunCache:
         """Constant-curvature / Wulff-ball fit of ``body``'s sample."""
         return self._once(("umbilicity", body), lambda: umbilicity_classify(self.table(body)))
 
-    def hk(self):
-        """Heintze-Karcher report of the scene's bodies, one row per body."""
+    def _index(self, body) -> int:
+        return next(k for k, (_, b) in enumerate(self.scene.bodies) if b is body)
+
+    def overlaps(self, body):
+        """``node_overlaps`` flags of ``body``'s boundary nodes under the
+        scene's other bodies."""
+        bodies = [b for _, b in self.scene.bodies]
         return self._once(
-            "hk", lambda: hk_evaluate([self.table(body) for _, body in self.scene.bodies])
+            ("overlaps", body),
+            lambda: node_overlaps(self.table(body), bodies, self._index(body)),
         )
+
+    def hk_row(self, body):
+        """Heintze-Karcher row of ``body``."""
+        return self._once(("hk_row", body), lambda: hk_row(self.table(body), self._index(body)))
+
+    def hk(self):
+        """Heintze-Karcher report of the scene's bodies, one row per body, from
+        their node-rule flags and rows: ``hk_evaluate`` on the scene's tables,
+        refusal for refusal."""
+
+        def build():
+            bodies = [body for _, body in self.scene.bodies]
+            refuse_overlaps(bodies, [self.overlaps(body) for body in bodies])
+            return hk_report([self.hk_row(body) for body in bodies], self.scene.dim)
+
+        return self._once("hk", build)
 
     def complement_source(self, body):
         """Boundary sample of the closure of the outside of ``body``."""
@@ -264,49 +301,51 @@ def suite_wulff(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     return res
 
 
-def suite_curv(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
-    res = SuiteResult("curv", VERIFIES["curv"])
+def _curv_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteResult):
+    bid, body = scene.bodies[k]
     kappa_tol = 1e-4 if scene.dim == 2 else 1e-3
-    for bid, body in scene.bodies:
-        table = cache.table(body)
+    table = cache.table(body)
+    res.check(
+        f"trace_vs_eigensum[{bid}]",
+        np.abs(table.kappa.sum(axis=1) - table.mean).max()
+        / (1.0 + np.abs(table.mean).max()),
+        1e-8,
+    )
+    res.check(
+        f"eta_on_unit_conjugate_sphere[{bid}]",
+        np.abs(scene.dual.batch_value(table.eta) - 1.0).max(),
+        1e-8,
+    )
+    umb = cache.umbilicity(body)
+    res.metrics[f"umbilicity[{bid}]"] = {
+        "verdict": umb.verdict,
+        "lambda": umb.lam,
+        "radius": umb.radius,
+        "center": None if umb.center is None else list(umb.center),
+        "dispersion": umb.dispersion,
+    }
+    if isinstance(body, WulffBody):
         res.check(
-            f"trace_vs_eigensum[{bid}]",
-            np.abs(table.kappa.sum(axis=1) - table.mean).max()
-            / (1.0 + np.abs(table.mean).max()),
-            1e-8,
+            f"wulff_constant_curvature[{bid}]",
+            np.abs(table.kappa - 1.0 / body.radius).max(),
+            kappa_tol,
+        )
+        res.flag(f"wulff_verdict[{bid}]", umb.verdict == "wulff")
+        res.check(
+            f"wulff_center_recovery[{bid}]",
+            np.linalg.norm(umb.center - body.center),
+            1e-3,
         )
         res.check(
-            f"eta_on_unit_conjugate_sphere[{bid}]",
-            np.abs(scene.dual.batch_value(table.eta) - 1.0).max(),
-            1e-8,
+            f"wulff_radius_recovery[{bid}]",
+            abs(umb.radius - body.radius),
+            1e-3,
         )
-        umb = cache.umbilicity(body)
-        res.metrics[f"umbilicity[{bid}]"] = {
-            "verdict": umb.verdict,
-            "lambda": umb.lam,
-            "radius": umb.radius,
-            "center": None if umb.center is None else list(umb.center),
-            "dispersion": umb.dispersion,
-        }
-        if isinstance(body, WulffBody):
-            res.check(
-                f"wulff_constant_curvature[{bid}]",
-                np.abs(table.kappa - 1.0 / body.radius).max(),
-                kappa_tol,
-            )
-            res.flag(f"wulff_verdict[{bid}]", umb.verdict == "wulff")
-            res.check(
-                f"wulff_center_recovery[{bid}]",
-                np.linalg.norm(umb.center - body.center),
-                1e-3,
-            )
-            res.check(
-                f"wulff_radius_recovery[{bid}]",
-                abs(umb.radius - body.radius),
-                1e-3,
-            )
-        write_csv(out / f"curv_{bid}.csv", x=table.quad.points, kappaF=table.kappa, H=table.mean)
-    return res
+    write_csv(out / f"curv_{bid}.csv", x=table.quad.points, kappaF=table.kappa, H=table.mean)
+
+
+def suite_curv(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
+    return _by_body("curv", scene, out, cache)
 
 
 def suite_hk(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
@@ -376,107 +415,147 @@ def _no_field(scene: Scene) -> str:
     return ""
 
 
+def _steiner_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteResult):
+    bid, body = scene.bodies[k]
+    field_ = cache.complement_field(body, scene.integrand)
+    reach = dist.estimate_reach_F(field_)
+    r_ref = scene.steiner.get("reference_radius") or 0.95 * reach
+    t = st.default_t_grid(
+        r_ref,
+        scene.steiner["lo_frac"],
+        scene.steiner["hi_frac"],
+        scene.steiner["samples"],
+    )
+    curve = st.tube_volumes(field_, t)
+    fit = st.fit_polynomial(curve, scene.dim)
+    reference = st.claim5_coefficients(cache.table(body))
+    verdict = st.positive_reach_test(fit, reference)
+    res.check(f"fit_residual[{bid}]", fit.residual, st.RESIDUAL_TOL)
+    res.check(
+        f"fit_vs_boundary_coefficients[{bid}]",
+        float(verdict.coefficient_agreement.max()),
+        0.02,
+    )
+    res.metrics[f"steiner[{bid}]"] = {
+        "coefficients": [float(v) for v in fit.coefficients],
+        "reference": [float(v) for v in reference],
+        "residual": fit.residual,
+        "reach_estimate": reach,
+        "verdict": verdict.verdict,
+    }
+    write_csv(out / f"steiner_{bid}.csv", t=curve.t, volume=curve.volume)
+
+
 def suite_steiner(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
-    res = SuiteResult("steiner", VERIFIES["steiner"])
-    res.skip_reason = _no_field(scene)
-    if res.skip_reason:
-        res.skipped = True
-        return res
-    f = scene.integrand
-    for bid, body in scene.bodies:
-        field_ = cache.complement_field(body, f)
-        reach = dist.estimate_reach_F(field_)
-        r_ref = scene.steiner.get("reference_radius") or 0.95 * reach
-        t = st.default_t_grid(
-            r_ref,
-            scene.steiner["lo_frac"],
-            scene.steiner["hi_frac"],
-            scene.steiner["samples"],
-        )
-        curve = st.tube_volumes(field_, t)
-        fit = st.fit_polynomial(curve, scene.dim)
-        reference = st.claim5_coefficients(cache.table(body))
-        verdict = st.positive_reach_test(fit, reference)
-        res.check(f"fit_residual[{bid}]", fit.residual, st.RESIDUAL_TOL)
+    return _by_body("steiner", scene, out, cache)
+
+
+def _reach_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteResult):
+    bid, body = scene.bodies[k]
+    field_f = cache.complement_field(body, scene.integrand)
+    field_e = cache.complement_field(body, EuclideanNorm(scene.dim))
+    cmp_ = dist.reach_comparison(field_e, field_f)
+    res.flag(f"rolling_ball_bound[{bid}]", cmp_.ok)
+    if isinstance(body, WulffBody):
         res.check(
-            f"fit_vs_boundary_coefficients[{bid}]",
-            float(verdict.coefficient_agreement.max()),
-            0.02,
+            f"wulff_reach_equals_radius[{bid}]",
+            abs(cmp_.reach_anisotropic - body.radius),
+            2 * scene.grid.h,
         )
-        res.metrics[f"steiner[{bid}]"] = {
-            "coefficients": [float(v) for v in fit.coefficients],
-            "reference": [float(v) for v in reference],
-            "residual": fit.residual,
-            "reach_estimate": reach,
-            "verdict": verdict.verdict,
-        }
-        write_csv(out / f"steiner_{bid}.csv", t=curve.t, volume=curve.volume)
-    return res
+    res.metrics[f"reach[{bid}]"] = {
+        "rho": cmp_.rho,
+        "euclidean": cmp_.reach_euclidean,
+        "anisotropic": cmp_.reach_anisotropic,
+        "slack": cmp_.slack,
+    }
 
 
 def suite_reach(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
-    res = SuiteResult("reach", VERIFIES["reach"])
-    res.skip_reason = _no_field(scene)
-    if res.skip_reason:
-        res.skipped = True
-        return res
-    f = scene.integrand
-    euclid = EuclideanNorm(scene.dim)
-    h = scene.grid.h
-    for bid, body in scene.bodies:
-        field_f = cache.complement_field(body, f)
-        field_e = cache.complement_field(body, euclid)
-        cmp_ = dist.reach_comparison(field_e, field_f)
-        res.flag(f"rolling_ball_bound[{bid}]", cmp_.ok)
+    return _by_body("reach", scene, out, cache)
+
+
+def _var_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteResult):
+    """Body k's checks; returns its var_residuals.csv rows."""
+    bid, body = scene.bodies[k]
+    # body k's fields are draws 10 k to 10 k + 9 of the suite's generator
+    rng = _rng(scene, 7)
+    fields = [PolynomialField.random(rng, scene.dim, scale=0.4) for _ in range(10 * (k + 1))]
+    table = cache.table(body)
+    quad = table.quad
+    p = float((table.f_normal * quad.weights).sum())  # perimeter_F(quad, f), bit for bit
+    dilation = first_variation(table, PolynomialField.position(scene.dim))
+    res.check(
+        f"dilation_matches_perimeter[{bid}]", abs(dilation - (scene.dim - 1) * p) / p, 1e-6
+    )
+
+    rows = []
+    worst_consistency = 0.0
+    worst_pairing = 0.0
+    for j, crit in enumerate(criticality_residual(table, fields[10 * k :])):
+        fv = crit.first_variation
+        worst_consistency = max(
+            worst_consistency, abs(fv - crit.flow_derivative) / (1.0 + abs(fv))
+        )
+        paired = float((table.mean * crit.flux * quad.weights).sum())
+        worst_pairing = max(worst_pairing, abs(fv - paired) / max(p, abs(fv)))
+        rows.append((f"{bid}:{j}", crit.residual))
         if isinstance(body, WulffBody):
-            res.check(
-                f"wulff_reach_equals_radius[{bid}]",
-                abs(cmp_.reach_anisotropic - body.radius),
-                2 * h,
-            )
-        res.metrics[f"reach[{bid}]"] = {
-            "rho": cmp_.rho,
-            "euclidean": cmp_.reach_euclidean,
-            "anisotropic": cmp_.reach_anisotropic,
-            "slack": cmp_.slack,
-        }
-    return res
+            res.check(f"wulff_criticality[{bid}:{j}]", abs(crit.residual), 1e-3 * p)
+    res.check(f"variation_consistency[{bid}]", worst_consistency, 1e-4)
+    res.check(f"mean_curvature_pairing[{bid}]", worst_pairing, 1e-3)
+    res.metrics[f"perimeter[{bid}]"] = p
+    return rows
 
 
 def suite_var(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
-    res = SuiteResult("var", VERIFIES["var"])
-    rng = _rng(scene, 7)
-    rows = []
-    for bid, body in scene.bodies:
-        table = cache.table(body)
-        quad = table.quad
-        p = float((table.f_normal * quad.weights).sum())  # perimeter_F(quad, f), bit for bit
-        dilation = first_variation(table, PolynomialField.position(scene.dim))
-        res.check(
-            f"dilation_matches_perimeter[{bid}]", abs(dilation - (scene.dim - 1) * p) / p, 1e-6
-        )
+    return _by_body("var", scene, out, cache)
 
-        worst_consistency = 0.0
-        worst_pairing = 0.0
-        fields = [PolynomialField.random(rng, scene.dim, scale=0.4) for _ in range(10)]
-        for k, crit in enumerate(criticality_residual(table, fields)):
-            fv = crit.first_variation
-            worst_consistency = max(
-                worst_consistency, abs(fv - crit.flow_derivative) / (1.0 + abs(fv))
-            )
-            paired = float((table.mean * crit.flux * quad.weights).sum())
-            worst_pairing = max(worst_pairing, abs(fv - paired) / max(p, abs(fv)))
-            rows.append((f"{bid}:{k}", crit.residual))
-            if isinstance(body, WulffBody):
-                res.check(f"wulff_criticality[{bid}:{k}]", abs(crit.residual), 1e-3 * p)
-        res.check(f"variation_consistency[{bid}]", worst_consistency, 1e-4)
-        res.check(f"mean_curvature_pairing[{bid}]", worst_pairing, 1e-3)
-        res.metrics[f"perimeter[{bid}]"] = p
-    with open(out / "var_residuals.csv", "w") as fh:
-        fh.write("field_id,residual\n")
-        for name, val in rows:
-            fh.write(f"{name},{val!r}\n")
+
+# the suites that run body by body, by their part for one body: it appends
+# the body's checks and metrics to a SuiteResult and returns its rows of
+# var_residuals.csv, if any
+_BODY_PARTS = {"curv": _curv_body, "steiner": _steiner_body, "reach": _reach_body, "var": _var_body}
+
+
+def _skip_reason(name: str, scene: Scene) -> str:
+    return _no_field(scene) if name in ("steiner", "reach") else ""
+
+
+def _body_part(name: str, scene: Scene, out: Path, cache: RunCache, k: int):
+    """Body k's checks, metrics and var_residuals.csv rows of suite ``name``."""
+    res = SuiteResult(name, VERIFIES[name])
+    rows = _BODY_PARTS[name](scene, out, cache, k, res)
+    return res.checks, res.metrics, rows or []
+
+
+def _merge(name: str, scene: Scene, out: Path, parts) -> SuiteResult:
+    """Suite ``name`` from its per-body parts, in body order: a part that is a
+    WulffkitError is raised, and var writes the rows of every part."""
+    res = SuiteResult(name, VERIFIES[name])
+    res.skip_reason = _skip_reason(name, scene)
+    if res.skip_reason:
+        res.skipped = True
+        return res
+    rows = []
+    for part in parts:
+        if isinstance(part, WulffkitError):
+            raise part
+        checks, metrics, body_rows = part
+        res.checks += checks
+        res.metrics.update(metrics)
+        rows += body_rows
+    if name == "var":
+        with open(out / "var_residuals.csv", "w") as fh:
+            fh.write("field_id,residual\n")
+            for field_id, val in rows:
+                fh.write(f"{field_id},{val!r}\n")
     return res
+
+
+def _by_body(name: str, scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
+    """Suite ``name`` in this process, body after body."""
+    bodies = range(len(scene.bodies))
+    return _merge(name, scene, out, (_body_part(name, scene, out, cache, k) for k in bodies))
 
 
 _SUITES = {
@@ -499,28 +578,85 @@ def run_suite(name: str, cache: RunCache, out: Path) -> SuiteResult:
     return _SUITES[name](cache.scene, out, cache)
 
 
-def run_suites(names, cache: RunCache, out: Path) -> list:
-    """The results of the suites ``names``, in order, on the scene of ``cache``.
+def _outcome(run, *args):
+    """run(*args), or the WulffkitError it raises."""
+    try:
+        return run(*args)
+    except WulffkitError as exc:
+        return exc
 
-    The cache first builds every product the suites read
-    (``RunCache.warm``); a refusal there is kept in the cache, and the
-    suite that reads the product raises it again.  The suites then go to
-    ``fanout._fan_out``, which runs them in forked workers or in-process, in
-    the order of ``names``.  A suite's WulffkitError comes back as its
-    outcome, and the first one in that order is raised once every suite has
-    ended; the CSVs of later suites may have been written by then.
+
+def run_suites(names, scene: Scene, out: Path) -> list:
+    """The results of the suites ``names``, in order, on ``scene``.
+
+    A scene of one body, or suites that read no body's products, take the
+    suite-major path: one RunCache first builds every product the suites
+    read (``RunCache.warm``), then the suites go to ``fanout._fan_out`` as
+    one item each.  A scene of two or more bodies takes the body-major path:
+    ``_fan_out`` gets one item per body, in body order, then ``dual`` and
+    ``wulff``.  A body's item builds that body's products in a RunCache of
+    its own and runs its part of ``curv``, ``steiner``, ``reach`` and
+    ``var``; it sends back those parts and the body's umbilicity fit,
+    node-rule flags and HK row, which the run's RunCache adopts, so ``hk``
+    and ``mr`` run in this process without a curvature table.  Each body's
+    products are built once, in one process, and both paths write the same
+    outputs.  Body-major exists because on weighted-3d the suite-major
+    warm-up kept one of two CPUs idle for 45% of a pass.
+
+    A product that refuses keeps its refusal, and whatever reads it raises
+    it again.  A suite's WulffkitError is its outcome, and the first one in
+    the order of ``names`` (of one suite, the first in body order) is
+    raised once every suite has ended; the CSVs of later suites, and of
+    later bodies, may have been written by then.
     """
-    with contextlib.suppress(WulffkitError):
-        cache.warm(names)
+    out.mkdir(parents=True, exist_ok=True)
+    cache = RunCache(scene)
+    if len(scene.bodies) < 2 or not any(name in READS for name in names):
+        with contextlib.suppress(WulffkitError):
+            cache.warm(names)
+        results = _fan_out(names, lambda name: _outcome(run_suite, name, cache, out))
+    else:
+        n = len(scene.bodies)
+        alone = [name for name in names if name in ("dual", "wulff")]
 
-    def outcome(name):
-        try:
-            return run_suite(name, cache, out)
-        except WulffkitError as exc:
-            return exc
+        def work(item):
+            if isinstance(item, str):
+                return _outcome(run_suite, item, cache, out)
+            return _body_item(scene, out, names, item)
 
-    results = _fan_out(names, outcome)
+        done = _fan_out(list(range(n)) + alone, work)
+        parts, finished = done[:n], dict(zip(alone, done[n:]))
+        for (_, body), (_, products) in zip(scene.bodies, parts):
+            cache._built.update({(key, body): value for key, value in products.items()})
+        results = []
+        for name in names:
+            if name in finished:
+                results.append(finished[name])
+            elif name in _BODY_PARTS:
+                merged = [body_parts.get(name) for body_parts, _ in parts]
+                results.append(_outcome(_merge, name, scene, out, merged))
+            else:
+                results.append(_outcome(run_suite, name, cache, out))
     for result in results:
         if isinstance(result, WulffkitError):
             raise result
     return results
+
+
+def _body_item(scene: Scene, out: Path, names, k: int):
+    """Body k's parts of the suites ``names`` that run body by body (each a
+    WulffkitError where it refuses), and the products of the body that
+    ``hk`` and ``mr`` read, by RunCache method, all built in a RunCache of
+    its own."""
+    cache = RunCache(scene)
+    body = scene.bodies[k][1]
+    parts = {
+        name: _outcome(_body_part, name, scene, out, cache, k)
+        for name in names
+        if name in _BODY_PARTS and not _skip_reason(name, scene)
+    }
+    reads = {product for name in names for product in READS.get(name, ())}
+    shipped = ["umbilicity"] * ("umbilicity" in reads) + ["overlaps", "hk_row"] * ("hk" in reads)
+    for key in shipped:
+        _outcome(getattr(cache, key), body)
+    return parts, {key: cache._built[(key, body)] for key in shipped}

@@ -14,12 +14,17 @@ import numpy as np
 import pytest
 
 from wulffkit import cli, distance, fanout, suites
-from wulffkit.errors import InputError, WulffkitError
+from wulffkit.duality import dual_norm_of
+from wulffkit.errors import HypothesisViolationError, InputError, WulffkitError
+from wulffkit.hypersurface import WulffBody
 from wulffkit.integrand import EuclideanNorm
-from wulffkit.scene import SUITE_ORDER, load_scene
+from wulffkit.scene import SUITE_ORDER, load_scene, parse_scene
+
+import sampling
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENES = sorted((ROOT / "scenes").glob("*.json"))
+E2 = EuclideanNorm(2)
 CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -109,16 +114,56 @@ def _tree(out: Path):
     return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("scene", SCENES, ids=[p.stem for p in SCENES])
+# a Wulff ball and an ellipsoid under a 3D weighted sum, as in the
+# weighted-3d benchmark workload: a scene that runs body by body
+WULFF_ELLIPSOID_D3 = {
+    "integrand": {
+        "family": "weighted-sum",
+        "terms": [
+            {"weight": 0.45, "integrand": {"family": "euclidean", "dimension": 3}},
+            {
+                "weight": 0.55,
+                "integrand": {"family": "quadratic", "matrix": np.diag([3.2, 1.0, 1.0]).tolist()},
+            },
+        ],
+    },
+    "bodies": [
+        {"id": "w", "kind": "wulff", "center": [0.3, -0.2, 0.5], "radius": 1.0},
+        {
+            "id": "e",
+            "kind": "ellipsoid",
+            "matrix": np.diag([0.6, 0.6, 1.0]).tolist(),
+            "center": [2.5, 4.0, -3.5],
+        },
+    ],
+    "resolution": [64, 128],
+    "seed": 11,
+    "suites": ["dual", "wulff", "curv", "hk", "mr", "var"],
+}
+RUNS = SCENES + ["wulff_ellipsoid_d3"]
+STEMS = {p.stem for p in SCENES}
+
+
+def _scene_file(tmp_path, scene):
+    """The path of a shipped scene, or the generated one written to tmp_path."""
+    if isinstance(scene, Path):
+        return scene
+    path = tmp_path / f"{scene}.json"
+    path.write_text(json.dumps(WULFF_ELLIPSOID_D3))
+    return path
+
+
+@pytest.mark.parametrize("scene", RUNS, ids=[getattr(p, "stem", p) for p in RUNS])
 def test_all_writes_the_serial_bytes(tmp_path, monkeypatch, scene):
+    scene = _scene_file(tmp_path, scene)
     forks = _forks(monkeypatch, 1)
     serial = cli.run("all", scene, tmp_path / "serial")
     assert not forks
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 3)
     fanned = cli.run("all", scene, tmp_path / "fanned")
     _no_child_left()
-    # one worker per pretended CPU for the suites, and for 2D scenes three
-    # more per field the warm-up builds
+    # one worker per pretended CPU for the suites or bodies, and for 2D
+    # scenes three more per field
     assert len(forks) >= 3 and set(forks) == {os.getpid()}
     assert fanned == serial == 0
     assert _tree(tmp_path / "fanned") == _tree(tmp_path / "serial")
@@ -137,22 +182,23 @@ OVERLAPPING = {
 
 @pytest.mark.parametrize("with_mr", [False, True], ids=["hk alone", "hk and mr"])
 def test_overlapping_bodies_refuse_as_the_serial_run(tmp_path, monkeypatch, capsys, with_mr):
-    # the warm-up's HK report refuses, and the suites that read it raise the
-    # refusal again: in-process with one usable CPU, in workers with three
+    # the run's HK report refuses once, from the flags the bodies' items sent
+    # back, and the suites that read it raise the refusal again: the bodies
+    # in-process with one usable CPU, in workers with three
     raw = dict(OVERLAPPING, suites=["dual", "wulff", "curv", "hk", "var"] + ["mr"] * with_mr)
     scene = tmp_path / "overlap.json"
     scene.write_text(json.dumps(raw))
     refused = []
-    warm = suites.RunCache.warm
+    refuse_overlaps = suites.refuse_overlaps
 
-    def watched(self, names):
+    def watched(bodies, overlaps):
         try:
-            warm(self, names)
+            refuse_overlaps(bodies, overlaps)
         except WulffkitError as exc:
             refused.append(exc)
             raise
 
-    monkeypatch.setattr(suites.RunCache, "warm", watched)
+    monkeypatch.setattr(suites, "refuse_overlaps", watched)
     raised = {}
     for cpus in (1, 3):
         forks = _forks(monkeypatch, cpus)
@@ -180,29 +226,76 @@ def test_overlapping_bodies_refuse_as_the_serial_run(tmp_path, monkeypatch, caps
 
 
 def test_run_cache_keeps_a_refusal(tmp_path, monkeypatch):
-    # the warm-up's HK report refuses once: hk and mr raise the kept refusal
-    # again and evaluate nothing anew, in-process as in forked workers
+    # the run's HK report refuses once: hk and mr raise the kept refusal
+    # again and evaluate nothing anew, and each body's node-rule flags and
+    # row are built once, in-process as in forked workers
     raw = dict(OVERLAPPING, suites=["dual", "wulff", "curv", "hk", "mr", "var"])
     scene = tmp_path / "overlap.json"
     scene.write_text(json.dumps(raw))
-    log = _SharedLog()
-    hk_evaluate = suites.hk_evaluate
-
-    def counted(tables):
-        log.add(len(tables))
-        return hk_evaluate(tables)
-
-    monkeypatch.setattr(suites, "hk_evaluate", counted)
+    logs = {name: _SharedLog() for name in ("refuse_overlaps", "node_overlaps", "hk_row")}
+    for name, log in logs.items():
+        monkeypatch.setattr(suites, name, _counting(log, getattr(suites, name)))
     for cpus in (1, 3):
-        log.data[0] = 0
+        for log in logs.values():
+            log.data[0] = 0
         forks = _forks(monkeypatch, cpus)
         with pytest.raises(InputError) as exc:
             cli.run("all", scene, tmp_path / str(cpus))
         _no_child_left()
         assert bool(forks) == (cpus > 1)
-        assert len(log.keys()) == 1
+        assert len(logs["refuse_overlaps"].keys()) == 1
+        assert sorted(logs["node_overlaps"].keys()) == sorted(set(logs["node_overlaps"].keys()))
+        assert len(logs["node_overlaps"].keys()) == len(logs["hk_row"].keys()) == 2
         assert type(exc.value) is InputError
         assert str(exc.value).startswith("bodies 0 and 1 are not disjoint (F* of their centres'")
+
+
+NESTED = {
+    "integrand": {"family": "quadratic", "matrix": [[4.0, 0.0], [0.0, 1.0]]},
+    "bodies": [
+        {"id": "e", "kind": "ellipsoid", "matrix": [[0.1, 0.0], [0.0, 0.1]], "center": [0.0, 0.0]},
+        {"id": "w", "kind": "wulff", "center": [0.2, 0.0], "radius": 0.5},
+    ],
+    "resolution": 512,
+    "seed": 3,
+}
+REFUSING = {
+    # a Wulff ball inside an ellipsoid, which the node rule refuses
+    "nested": (InputError, "bodies 1 and 0 are not disjoint (a boundary node of 1 lies in 0)"),
+    # a second body with H <= 0 at its dents
+    "flower": (HypothesisViolationError, "body 1 node "),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSING))
+def test_body_major_refusals_are_the_suite_major_ones(tmp_path, monkeypatch, case):
+    # with one usable CPU and with three, the run raises the refusal that
+    # the suites raise one after another on one RunCache, and var, after hk
+    # in the order, still writes its CSV
+    names = ["dual", "wulff", "curv", "hk", "mr", "var"]
+    if case == "nested":
+        scene = parse_scene(dict(NESTED, suites=names))
+    else:
+        ball = WulffBody(dual_norm_of(E2), np.array([-4.0, 0.0]), 1.0)
+        scene = sampling.scene([("w", ball), ("f", sampling.Flower(0.35))], E2, 1024, names)
+    cache = suites.RunCache(scene)
+    first = None
+    for name in names:
+        try:
+            suites.run_suite(name, cache, tmp_path / "suite-major")
+        except WulffkitError as exc:
+            first = first or exc
+    kind, message = REFUSING[case]
+    assert type(first) is kind and str(first).startswith(message)
+    for cpus in (1, 3):
+        forks = _forks(monkeypatch, cpus)
+        with pytest.raises(WulffkitError) as exc:
+            suites.run_suites(names, scene, tmp_path / str(cpus))
+        _no_child_left()
+        assert bool(forks) == (cpus > 1)
+        assert type(exc.value) is kind and str(exc.value) == str(first)
+        assert (tmp_path / str(cpus) / "var_residuals.csv").exists()
+    assert _tree(tmp_path / "3") == _tree(tmp_path / "1")
 
 
 def test_first_refusal_in_suite_order_is_raised(tmp_path, monkeypatch):
@@ -262,6 +355,17 @@ class _SharedLog:
         return list(self.data[1 : 1 + int(self.data[0])])
 
 
+def _counting(log, fn):
+    """``fn``, logging each call by its last argument: the body index of
+    ``node_overlaps`` and ``hk_row``."""
+
+    def counted(*args):
+        log.add(repr(args[-1]))
+        return fn(*args)
+
+    return counted
+
+
 def _logged(monkeypatch):
     """Log each sample_surface, curvature_table and build_field call by the
     content of its inputs."""
@@ -289,9 +393,10 @@ def _logged(monkeypatch):
     return logs
 
 
-@pytest.mark.parametrize("name", ["wulff_d2", "two_wulff_d2", "wulff_d3"])
+@pytest.mark.parametrize("name", ["wulff_d2", "two_wulff_d2", "wulff_d3", "wulff_ellipsoid_d3"])
 def test_shared_products_are_built_once_across_processes(tmp_path, monkeypatch, name):
-    scene = ROOT / "scenes" / f"{name}.json"
+    scene = _scene_file(tmp_path, ROOT / "scenes" / f"{name}.json" if name in STEMS else name)
+    bodies = len(load_scene(scene).bodies)
     logs = _logged(monkeypatch)
     forks = _forks(monkeypatch, 1)
     cli.run("all", scene, tmp_path / "serial")
@@ -307,5 +412,8 @@ def test_shared_products_are_built_once_across_processes(tmp_path, monkeypatch, 
         calls = log.keys()
         assert len(calls) == len(set(calls)), key
         assert sorted(calls) == sorted(serial[key]), key
-    assert logs["sample_surface"].keys() and logs["curvature_table"].keys()
-    assert bool(logs["build_field"].keys()) == name.endswith("d2")
+    # each body's table once per run, and in 2D its two complement fields,
+    # under F for steiner and reach and Euclidean for reach
+    assert logs["sample_surface"].keys()
+    assert len(logs["curvature_table"].keys()) == bodies
+    assert len(logs["build_field"].keys()) == 2 * bodies * name.endswith("d2")

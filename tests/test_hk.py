@@ -8,7 +8,6 @@ from wulffkit import (
     HypothesisViolationError,
     InputError,
     QuadraticNorm,
-    StarBody,
     Superellipse,
     WeightedSum,
     WulffBody,
@@ -24,59 +23,13 @@ from wulffkit.spheregrid import sphere_quadrature
 
 from oracles import ellipse_hk_ratio
 import sampling
-from sampling import scene, tables, umbilicity
+from sampling import Flower, scene, tables, umbilicity
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
 DQ = DualNorm(Q2)
 ELLIPSE = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
-
-
-class Flower(StarBody):
-    """Radial test body rho(theta) = 1 + a cos(3 theta); concave at the dents
-    for a > 1/10, giving nodes with negative curvature."""
-
-    def __init__(self, a):
-        self.a = a
-        self.center = np.zeros(2)
-
-    def _polar(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=1)
-        t = np.arctan2(x[:, 1], x[:, 0])
-        return x, r, t
-
-    def phi(self, x):
-        x, r, t = self._polar(x)
-        return r - (1.0 + self.a * np.cos(3 * t))
-
-    def grad_phi(self, x):
-        x, r, t = self._polar(x)
-        xhat = x / r[:, None]
-        grad_t = np.stack([-x[:, 1], x[:, 0]], axis=1) / (r**2)[:, None]
-        return xhat + (3 * self.a * np.sin(3 * t))[:, None] * grad_t
-
-    def hess_phi(self, x):
-        x, r, t = self._polar(x)
-        xhat = x / r[:, None]
-        grad_t = np.stack([-x[:, 1], x[:, 0]], axis=1) / (r**2)[:, None]
-        hess_t = np.empty((len(x), 2, 2))
-        hess_t[:, 0, 0] = 2 * x[:, 0] * x[:, 1]
-        hess_t[:, 0, 1] = hess_t[:, 1, 0] = x[:, 1] ** 2 - x[:, 0] ** 2
-        hess_t[:, 1, 1] = -2 * x[:, 0] * x[:, 1]
-        hess_t /= (r**4)[:, None, None]
-        proj = (np.eye(2)[None] - xhat[:, :, None] * xhat[:, None, :]) / r[:, None, None]
-        rho1 = -3 * self.a * np.sin(3 * t)
-        rho2 = -9 * self.a * np.cos(3 * t)
-        return (
-            proj
-            - rho2[:, None, None] * grad_t[:, :, None] * grad_t[:, None, :]
-            - rho1[:, None, None] * hess_t
-        )
-
-    def ray_radii(self, omega):
-        return 1.0 + self.a * np.cos(3 * np.arctan2(omega[:, 1], omega[:, 0]))
 
 
 def test_hk_single_wulff_equality():
