@@ -98,8 +98,9 @@ def _whole(value, name):
 
 
 def _quadratic_form(x, m):
-    """x_n' M x_n for every row x_n of x; one (N, d) temporary."""
-    y = x @ m
+    """x_n' M x_n for every row x_n of x; one (N, d) temporary, laid out as
+    x is, so a transposed component-major view keeps contiguous columns."""
+    y = np.matmul(x, m, out=np.empty_like(x))
     y *= x
     return _row_sum(y)
 

@@ -83,6 +83,18 @@ def test_row_reductions_are_numpys_bit_for_bit(x):
             assert _row_norm(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_value_of_a_transposed_view_is_that_of_its_rows(dim):
+    # the variation push evaluates a component-major (d, N) array as its
+    # transposed (N, d) view; the quadratic form keeps that layout
+    e, q = EuclideanNorm(dim), QuadraticNorm(np.diag([4.0, 1.0, 2.5][:dim]) + 0.3)
+    rng = np.random.default_rng(dim)
+    view = rng.standard_normal((dim, 1000)).T
+    rows = np.ascontiguousarray(view)
+    for f in (e, q, WeightedSum(((0.4, e), (0.6, q)))):
+        assert np.array_equal(f.value(view), f.value(rows))
+
+
 def test_gradient_examples():
     assert E2.grad([[3.0, 4.0]])[0] == pytest.approx([0.6, 0.8], abs=1e-15)
     assert Q2.grad([[1.0, 0.0]])[0] == pytest.approx([2.0, 0.0], abs=1e-15)
