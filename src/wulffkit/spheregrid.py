@@ -1,9 +1,10 @@
 """Direction grids on the unit sphere with exact partition weights, and
 tangent frames.
 
-d=2 uses midpoint angles on a uniform grid; d=3 uses latitude-longitude
-cells with sigma = dphi * (cos theta_lo - cos theta_hi), an exact sphere
-partition evaluated at cell centers.  Even cell counts are required so the
+d=2 uses midpoint angles on a uniform grid; d=3 uses Gauss-Legendre nodes
+in z = cos theta times midpoint angles in phi, with weights
+w_z * dphi: exact for polynomials in z up to degree 2 n_theta - 1, where the
+midpoint rule in theta was second order.  Even counts are required so the
 grids are antipodally symmetric; several downstream consistency checks
 (divergence-theorem vs radial volume) rely on that exact symmetry.
 
@@ -59,12 +60,13 @@ def circle_quadrature(n: int):
 
 
 def latlong_quadrature(n_theta: int, n_phi: int):
-    """Cell-center lat-long grid: directions (n_theta*n_phi, 3), exact cell areas."""
+    """Lat-long grid: directions (n_theta*n_phi, 3), theta ascending at the
+    Gauss-Legendre nodes in cos theta, and weights summing to 4 pi."""
     if n_theta < 2 or n_phi < 4 or n_theta % 2 or n_phi % 2:
         raise InputError("lat-long grid needs even counts, n_theta >= 2, n_phi >= 4")
-    edges = np.linspace(0.0, np.pi, n_theta + 1)
-    theta = 0.5 * (edges[:-1] + edges[1:])
-    band = (np.cos(edges[:-1]) - np.cos(edges[1:])) * (2 * np.pi / n_phi)
+    z, wz = np.polynomial.legendre.leggauss(n_theta)
+    theta = np.arccos(z[::-1])
+    band = wz[::-1] * (2 * np.pi / n_phi)
     phi = (np.arange(n_phi) + 0.5) * (2 * np.pi / n_phi)
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     dirs = np.stack(

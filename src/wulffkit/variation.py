@@ -330,7 +330,8 @@ def criticality_residual(
     (V0/V(t))^(1/(n+1)) to restore the volume, and differentiates the
     energy of the rescaled flow by central differences; both residuals
     vanish for Wulff shapes.  The same two pushes give the flow derivative.
-    h defaults to 1e-4 of the body diameter.
+    h defaults to 1e-5 of the body diameter, where the central difference's
+    truncation error stays below its rounding on the shipped bodies.
 
     The body is its curvature table: P is read from its F(nu), dP from its
     weighted stress, and the pushes evaluate its F.  P, V, the node
@@ -344,7 +345,7 @@ def criticality_residual(
     p = float((table.f_normal * quad.weights).sum())  # perimeter_F(quad, f), bit for bit
     v = volume(quad)
     if h is None:
-        h = 1e-4 * 2.0 * float(quad.rho.max())
+        h = 1e-5 * 2.0 * float(quad.rho.max())
     _check_step(quad, h)
     mono = _node_monomials(quad, fields)
     pushes = _Pushes(quad)

@@ -119,11 +119,12 @@ def test_weighted_sum_wulff_phi_at_center():
 
 
 def test_quadrature_convergence_rate():
-    # halving the angular step cuts the volume error by >= 3.5x
+    # Gauss-Legendre nodes in cos theta leave the volume error at rounding
+    # already at (32, 64), where the midpoint rule in theta left 6.4e-4
     body = Ellipsoid(np.diag([1.0 / 4.0, 1.0, 1.0 / 2.25]), np.zeros(3))
     exact = 4.0 / 3.0 * np.pi * 2.0 * 1.0 * 1.5
     errs = [abs(volume(sample_surface(body, r)) - exact) for r in ((32, 64), (64, 128))]
-    assert errs[0] / errs[1] >= 3.5
+    assert max(errs) <= 1e-12
 
 
 def test_resolution_validation():
