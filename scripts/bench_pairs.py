@@ -24,7 +24,13 @@ of ``/proc/stat`` before and after it (``null`` where that file is missing),
 so a pair lost to a withheld vCPU shows as such.  Per side, the summary gives
 the quartiles of the steal shares and how many runs had fewer usable CPUs
 than the most any run had: a change that fans work out across CPUs reads
-slower on runs that lost one, so either can flip its verdict.
+slower on runs that lost one, so either can flip its verdict.  Each run also
+records its process tree's peak, ``ru_maxrss`` from ``os.wait4`` on the
+run, in MB: the largest resident set of the run's process and of every
+process it reaped, forked workers included, so memory that a change moves
+from the measured process into its workers shows there.  A process started
+by exec inherits its starter's peak, so the reading is never below that of
+this script itself.  Per side, the summary gives its quartiles.
 Needs only the standard library and numpy.
 """
 
@@ -35,6 +41,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -80,20 +87,33 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result line of one benchmark run from ``checkout``."""
+def run_tree(cmd, cwd):
+    """(exit code, stdout, stderr, peak MB) of ``cmd`` run in ``cwd`` to its
+    end.  The peak is ``ru_maxrss`` of ``os.wait4`` on it: the largest
+    resident set of the process and of each descendant reaped below it."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=cwd, stdout=out, stderr=err)
+        _pid, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss / 1024
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float):
+    """The JSON result line of one benchmark run from ``checkout``, and the
+    peak MB of its process tree."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    code, stdout, stderr, peak = run_tree(cmd, checkout)
+    lines = stdout.strip().splitlines()
+    if code != 0 or not lines:
         raise RuntimeError(
-            f"{checkout}: {workload} seed {seed} exited {proc.returncode}: "
-            f"{proc.stderr.strip()[-2000:]}"
+            f"{checkout}: {workload} seed {seed} exited {code}: {stderr.strip()[-2000:]}"
         )
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), round(peak, 2)
 
 
 def _quartiles(values):
@@ -118,8 +138,9 @@ def summarize(runs, end_to_end=()) -> dict:
     ratio, parent IQR and the pairs the change was lower or higher on, with
     the acceptance rule of the metrics in ``end_to_end`` (entries of
     ``BENCHMARK.json``); plus, per side, the failed and attempted operations,
-    the quartiles of the runs' steal shares (``null`` without one) and the
-    runs with fewer usable CPUs than the most seen in ``runs``."""
+    the quartiles of the runs' steal shares and process-tree peaks (``null``
+    without one) and the runs with fewer usable CPUs than the most seen in
+    ``runs``."""
     rules = {m["name"]: m for m in end_to_end}
     most_cpus = max((r["cpus"] for r in runs if r.get("cpus") is not None), default=None)
     summary = {}
@@ -155,10 +176,12 @@ def summarize(runs, end_to_end=()) -> dict:
                 "change": sum(r[key] for r in change),
             }
         row["steal_share_q1_median_q3"] = {}
+        row["tree_peak_mb_q1_median_q3"] = {}
         row["fewer_cpus"] = {}
         for side, side_runs in records.items():
-            steal = [r["steal_share"] for r in side_runs if r.get("steal_share") is not None]
-            row["steal_share_q1_median_q3"][side] = _quartiles(steal) if steal else None
+            for key in ("steal_share", "tree_peak_mb"):
+                values = [r[key] for r in side_runs if r.get(key) is not None]
+                row[f"{key}_q1_median_q3"][side] = _quartiles(values) if values else None
             row["fewer_cpus"][side] = sum(
                 r.get("cpus") is not None and r["cpus"] < most_cpus for r in side_runs
             )
@@ -188,13 +211,13 @@ def main(argv=None) -> int:
         for workload in args.workload:
             for side in order:
                 cpus, before = usable_cpus(), read_ticks()
-                result = run_once(sides[side], workload, seed, seconds)
+                result, peak = run_once(sides[side], workload, seed, seconds)
                 steal = steal_share(before, read_ticks())
                 runs.append({"side": side, "workload": workload, "seed": seed, "cpus": cpus,
-                             "steal_share": steal, "result": result})
+                             "steal_share": steal, "tree_peak_mb": peak, "result": result})
                 print(f"{workload} seed {seed} {side}: "
                       f"{json.dumps({k: v['value'] for k, v in result['metrics'].items()})} "
-                      f"cpus {cpus} steal {steal}", file=sys.stderr)
+                      f"cpus {cpus} steal {steal} tree peak {peak} MB", file=sys.stderr)
     out = {
         "command": COMMAND.format(seconds=seconds),
         "method": METHOD.format(

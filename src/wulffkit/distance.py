@@ -17,16 +17,21 @@ flagged, making the reach estimate accurate to a couple of grid cells.
 Nearest-source search is brute force over spatial cell blocks (desk scale:
 <= 1024^2 cells, <= 1e4 source points); no fast marching.  Each coarse
 block prunes the sources with an exact bound, and each fine tile inside it
-prunes them again.  Euclidean F* and a diagonal M use axis tables: the
-mapped centre coordinates are constant along the other grid axes and do not
-decrease along their own, so the squared coordinate difference of a source
-over a range of cells is bounded by its values at the range's two end rows.
-One call bounds a block over every source, and one more bounds all of the
-block's tiles over the block's candidates; each tile then sums its
-per-axis tables on its kept sources alone into its distances.  A rotated M
-and weighted sums keep a Lipschitz bound at the block's and the tile's
-radius.  Cells in A are never scanned: membership is one call on all cell
-centres, made before the scan, and delta and the gap are 0 there.
+prunes them again.  Euclidean F* and a diagonal M use axis tables, chosen
+from the integrand: the mapped centre coordinates are constant along the
+other grid axes and do not decrease along their own, so the squared
+coordinate difference of a source over a range of cells is bounded by its
+values at the range's two end rows.  One call bounds a block over every
+source, and one more bounds all of the block's tiles over the block's
+candidates; each tile then sums its per-axis tables on its kept sources
+alone into its distances.  A rotated M and weighted sums keep a Lipschitz
+bound at the block's and the tile's radius, on the block's own centres.
+
+The grid is streamed through its blocks: each block builds its cell
+centres from the grid's per-axis coordinates and classifies them with one
+membership call, and only its cells outside A are scanned; delta and the
+gap are 0 on A.  Besides delta and the gap, two floats per cell, the
+caller holds no array with one entry per cell.
 
 Flagged clusters of one tile are screened together before any linkage
 search: their union is cut into runs of consecutive source indices, and
@@ -34,18 +39,20 @@ when no two runs come within ``tol_unique`` a cluster that meets two runs
 is split without a search of its own.
 
 The coarse blocks are scanned in forked worker processes, one pinned to
-each usable CPU (``fanout._fan_out``), which claim them largest first and
-write delta and the gap straight into one shared anonymous mapping that
-backs the returned arrays; the caller only waits and reaps them.  Each
+each usable CPU (``fanout._fan_out``), which claim first the blocks with
+the most of their corner and middle cells outside A and write delta and
+the gap straight into one shared anonymous mapping that backs the returned
+arrays; the caller only waits and reaps them.  Each
 row's results depend only on its own near-minimizers, so the bits do not
 depend on which worker scans which block.  The scan stays in-process where
 ``fanout`` keeps its items in-process: one usable CPU, no ``fork``, a
-running thread, or fewer than ``FAN_OUT_ITEMS`` blocks to scan.
+running thread, or fewer than ``FAN_OUT_ITEMS`` blocks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import mmap
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -56,7 +63,9 @@ from .duality import DualNorm, dual_norm_of
 from .errors import InputError
 from .fanout import _fan_out
 from .hypersurface import StarBody, sample_surface
-from .integrand import Integrand, QuadraticNorm, _finite_rows, _whole, tangential_hessian
+from .integrand import (
+    EuclideanNorm, Integrand, QuadraticNorm, _finite_rows, _whole, tangential_hessian,
+)
 from .spheregrid import sphere_quadrature, tangent_frames
 
 __all__ = [
@@ -128,13 +137,15 @@ class GridSpec:
     def shape(self):
         return self.cells
 
-    def centers(self):
-        axes = [
+    def _axes(self):
+        """Per grid axis, the centre coordinates of its cells."""
+        return [
             self.lo[k] + (np.arange(self.cells[k]) + 0.5) * self.spacing[k]
             for k in range(self.dim)
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+
+    def centers(self):
+        return _box_centers(self._axes(), tuple(slice(0, n) for n in self.cells))
 
     def cell_of(self, x):
         """Grid index of the cell holding the one point x of ``dim`` finite
@@ -284,64 +295,63 @@ def _differences(src, x):
     return out
 
 
-def _mapped_points(dual: DualNorm, sources, centers):
-    """The points in coordinates where a closed-form F* is Euclidean, or None.
+def _box_centers(axes, box):
+    """Centres of the cells of ``box`` (one slice of cell indices per grid
+    axis) from the per-axis coordinates ``axes``, one row per cell in the
+    box's C order; each row carries the bits of its row of ``centers()``."""
+    mesh = np.meshgrid(*(line[s] for line, s in zip(axes, box)), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
-    F*(a - x) = |L^T (a - x)| with L L^T = M^-1 (L = I for Euclidean), so
-    the points are mapped once, as ``(sources @ L, centers @ L)``.
+
+def _pairwise_values(dual: DualNorm, sources):
+    """(place, values): ``values(x, cand)`` is F*(a_j - y_i) over the points
+    y_i whose rows ``x = place(y)`` holds and the source indices j in
+    ``cand``, as a (len(x), len(cand)) array.
+
+    A closed form F*(a - y) = |L^T (a - y)|, with L L^T = M^-1 (L = I for
+    Euclidean F*), is a Euclidean distance of mapped points, summed axis by
+    axis: the sources are mapped once, and ``place`` maps a block of points
+    as ``y @ L``, whose rows are those of the whole grid's product (pinned by
+    the tests), so each entry's bits do not depend on how the grid is cut
+    into blocks and tiles.
     """
     base = dual.base
-    if not dual.has_closed_form:
-        return None
     if isinstance(base, QuadraticNorm):
         l = np.linalg.cholesky(base.inverse)
-        return sources @ l, centers @ l
-    return sources, centers
+        mapped = sources @ l
+        return (lambda y: y @ l), (lambda x, cand: np.sqrt(_sqdist(x, mapped[cand])))
+    if isinstance(base, EuclideanNorm):
+        return (lambda y: y), (lambda x, cand: np.sqrt(_sqdist(x, sources[cand])))
+
+    def values(x, cand):
+        return dual.batch_value_fast(_differences(sources[cand], x)).reshape(len(x), len(cand))
+
+    return (lambda y: y), values
 
 
-def _pairwise_values(dual: DualNorm, sources, centers):
-    """values(cells, cand): F*(a_j - x_i) over cell indices i and source indices
-    j, as a (len(cells), len(cand)) array.
+def _axis_lines(dual: DualNorm, sources, axes):
+    """Per grid axis k, the mapped coordinate k of the cell centres along
+    axis k (``axes[k]``) and of the sources, for Euclidean F* and a
+    QuadraticNorm whose map L (L L^T = M^-1) is diagonal; None for other F*.
 
-    Closed forms become a Euclidean distance of the mapped points, summed
-    axis by axis: each entry's bits do not depend on how the grid is tiled.
+    Only for those is every mapped coordinate k constant along the other
+    grid axes, since L^T scales coordinate k by L_kk alone.  Then F*(a - x)^2
+    of the cell with grid index (i_0, ..., i_{d-1}) is the sum over k of
+    (line_k[i_k] - src_k)^2, with the bits of ``_sqdist`` on the mapped
+    points.  Each line_k does not decrease, which ``_box_keep`` needs: the
+    cell centres lo + (i + 0.5) h do not decrease along their axis, L_kk is
+    positive, and each step rounds monotonically.
     """
-    mapped = _mapped_points(dual, sources, centers)
-    if mapped is not None:
-        sources, centers = mapped
-        return lambda cells, cand: np.sqrt(_sqdist(centers[cells], sources[cand]))
-
-    def values(cells, cand):
-        diff = _differences(sources[cand], centers[cells])
-        return dual.batch_value_fast(diff).reshape(len(cells), len(cand))
-
-    return values
-
-
-def _axis_lines(mapped, shape):
-    """Per grid axis k, the mapped coordinate k of the cell centres along axis
-    k and of the sources, or None unless every mapped coordinate k is constant
-    along the other grid axes (Euclidean F*, or a diagonal M).
-
-    Then F*(a - x)^2 of the cell with grid index (i_0, ..., i_{d-1}) is the
-    sum over k of (line_k[i_k] - src_k)^2, with the bits of ``_sqdist``.
-    Each line_k does not decrease, which ``_box_keep`` needs: the cell
-    centres lo + (i + 0.5) h do not decrease along their axis, and a
-    diagonal M's map multiplies coordinate k by the positive diagonal entry
-    of its Cholesky factor; each step rounds monotonically.
-    """
-    if mapped is None:
+    base = dual.base
+    if isinstance(base, EuclideanNorm):
+        return [(line, sources[:, k].copy()) for k, line in enumerate(axes)]
+    if not isinstance(base, QuadraticNorm):
         return None
-    sources, centers = mapped
-    lines = []
-    for k in range(len(shape)):
-        coord = centers[:, k].reshape(shape)
-        line = coord[tuple(slice(None) if j == k else slice(0, 1) for j in range(len(shape)))]
-        if not (coord == line).all():
-            return None
-        # copies, so that the mapped points need not outlive this call
-        lines.append((line.ravel().copy(), sources[:, k].copy()))
-    return lines
+    l = np.linalg.cholesky(base.inverse)
+    scale = np.diagonal(l)
+    if np.count_nonzero(l - np.diag(scale)):
+        return None
+    return [(line * s, sources[:, k] * s) for k, (line, s) in enumerate(zip(axes, scale))]
 
 
 def _box_keep(lines, starts, stops, cols, eps_cluster, window_abs):
@@ -373,73 +383,76 @@ def _box_keep(lines, starts, stops, cols, eps_cluster, window_abs):
     return np.sqrt(lo) <= big + (eps_cluster * big + window_abs)
 
 
-def _tile_distances(lines, shape, tile, rows, cand):
-    """F* from the cells ``rows`` (positions in ``tile.ravel()``) of a box
-    ``tile`` of flat indices into a grid of ``shape`` to the sources
-    ``cand``: one table of squared coordinate differences per axis, summed
-    in axis order as ``_sqdist`` sums, broadcast over the tile's cells, and
-    one ``sqrt``."""
-    corner = np.unravel_index(tile.flat[0], shape)
+def _tile_distances(lines, box, rows, cand):
+    """F* from the cells ``rows`` (positions in the box's C order) of a box
+    ``box`` of cells (one slice per grid axis) to the sources ``cand``: one
+    table of squared coordinate differences per axis, summed in axis order
+    as ``_sqdist`` sums, broadcast over the box's cells, and one ``sqrt``."""
+    dims = [s.stop - s.start for s in box]
     d = 0.0
-    for k, ((line, src), c, n) in enumerate(zip(lines, corner, tile.shape)):
-        t = (line[c : c + n, None] - src[None, cand]) ** 2
-        d = d + t.reshape([n if j == k else 1 for j in range(tile.ndim)] + [len(cand)])
-    d = d.reshape(tile.size, len(cand))
-    if len(rows) < tile.size:
+    for k, ((line, src), s) in enumerate(zip(lines, box)):
+        t = (line[s, None] - src[None, cand]) ** 2
+        d = d + t.reshape([n if j == k else 1 for j, n in enumerate(dims)] + [len(cand)])
+    d = d.reshape(math.prod(dims), len(cand))
+    if len(rows) < len(d):
         d = d[rows]
     return np.sqrt(d, out=d)
 
 
-def _tile_scan(dual: DualNorm, pts, centers, shape, lip, eps_cluster, window_abs):
-    """scan(block, radius) prunes the sources for a coarse block, a box
-    ``block`` of flat cell indices of circumradius ``radius``, and returns
-    tile_scan(tile, radius, rows): F* from the cells ``rows`` (positions in
-    ``tile.ravel()``) of one fine tile of the block, of circumradius
-    ``radius``, to the tile's candidates, and those candidates, as
-    (values, cand).
+def _block_scan(dual: DualNorm, pts, axes, lip, eps_cluster, window_abs):
+    """scan(block, radius, centers) prunes the sources for a coarse block, a
+    box ``block`` of cells (one slice per grid axis) of circumradius
+    ``radius`` whose cell centres are the rows of ``centers``, and returns
+    tile_scan(tile, r_tile, cells, rows): F* from the cells ``rows``
+    (positions in the tile's C order) of one fine tile ``tile`` of the block
+    (one slice per axis, from the block's corner), of circumradius ``r_tile``
+    and at the positions ``cells`` of the block's C order, to the tile's
+    candidates, and those candidates, as (values, cand).
 
-    Euclidean F* and a diagonal M bound by the end rows of ``_box_keep``:
-    once for the block over every source, and once for all the block's
-    tiles together over the block's candidates.  Other F* prune with the
-    ``lip``-Lipschitz bound of ``_candidates``, at the block's radius and
-    then at each tile's.
+    Euclidean F* and a diagonal M bound by the end rows of ``_box_keep`` on
+    the grid's axis lines: once for the block over every source, and once
+    for all the block's tiles together over the block's candidates.  Other
+    F* prune with the ``lip``-Lipschitz bound of ``_candidates``, at the
+    block's radius and then at each tile's, and map the block's own centres
+    once for its values.
     """
     every = np.arange(len(pts))
-    lines = _axis_lines(_mapped_points(dual, pts, centers), shape)
+    lines = _axis_lines(dual, pts, axes)
     if lines is not None:
-        side = _side(len(shape), TILE_CELLS)
+        side = _side(len(axes), TILE_CELLS)
 
-        def scan(block, radius):
-            corner = np.array(np.unravel_index(block.flat[0], shape))
-            ends = corner + block.shape
+        def scan(block, radius, centers):
+            corner = np.array([s.start for s in block])
+            ends = np.array([s.stop for s in block])
             # the block itself, one range per axis
             whole = _box_keep(lines, corner[:, None], ends[:, None], every, eps_cluster, window_abs)
             coarse = np.flatnonzero(whole)
-            # the tiles of ``_blocks(block, ...)``: per axis, ranges of
-            # ``side`` cells from the block's corner, the last one cut short
+            # the tiles of ``_boxes``: per axis, ranges of ``side`` cells
+            # from the block's corner, the last one cut short
             starts = [np.arange(c, e, side) for c, e in zip(corner, ends)]
             stops = [np.minimum(s + side, e) for s, e in zip(starts, ends)]
             keep = _box_keep(lines, starts, stops, coarse, eps_cluster, window_abs)
+            # the block's own stretch of each axis line
+            own = [(line[s], src) for (line, src), s in zip(lines, block)]
 
-            def tile_scan(tile, r_tile, rows):
-                at = (np.unravel_index(tile.flat[0], shape) - corner) // side
-                cand = coarse[keep[tuple(at)]]
-                return _tile_distances(lines, shape, tile, rows, cand), cand
+            def tile_scan(tile, r_tile, cells, rows):
+                cand = coarse[keep[tuple(s.start // side for s in tile)]]
+                return _tile_distances(own, tile, rows, cand), cand
 
             return tile_scan
 
         return scan
-    values = _pairwise_values(dual, pts, centers)
+    place, values = _pairwise_values(dual, pts)
 
-    def scan(block, radius):
-        xc = centers[block.ravel()].mean(axis=0)
+    def scan(block, radius, centers):
+        xc = centers.mean(axis=0)
         coarse = _candidates(dual, pts, every, xc, radius, lip, eps_cluster, window_abs)
+        mapped = place(centers)
 
-        def tile_scan(tile, r_tile, rows):
-            cells = tile.ravel()
+        def tile_scan(tile, r_tile, cells, rows):
             xt = centers[cells].mean(axis=0)
             cand = _candidates(dual, pts, coarse, xt, r_tile, lip, eps_cluster, window_abs)
-            return values(cells[rows], cand), cand
+            return values(mapped[cells[rows]], cand), cand
 
         return tile_scan
 
@@ -521,18 +534,35 @@ def _side(ndim: int, target: int) -> int:
     return max(2, int(round(target ** (1.0 / ndim))))
 
 
-def _blocks(flat, spacing, target: int):
-    """Boxes of about ``target`` cells tiling the array of flat cell indices
-    ``flat``, as (box of flat indices, circumradius); boxes of one shape share
-    one radius."""
-    side = _side(flat.ndim, target)
+def _boxes(box, spacing, target: int):
+    """Boxes of about ``target`` cells tiling the box of cells ``box`` (one
+    slice of cell indices per grid axis) from its corner, in row-major order,
+    as (box, circumradius); the last box along an axis is cut short, and
+    boxes of one shape share one radius."""
+    side = _side(len(box), target)
     radii = {}
-    for corner in itertools.product(*(range(0, s, side) for s in flat.shape)):
-        box = flat[tuple(slice(c, c + side) for c in corner)]
-        radius = radii.get(box.shape)
+    for corner in itertools.product(*(range(s.start, s.stop, side) for s in box)):
+        sub = tuple(slice(c, min(c + side, s.stop)) for c, s in zip(corner, box))
+        dims = tuple(s.stop - s.start for s in sub)
+        radius = radii.get(dims)
         if radius is None:
-            radius = radii[box.shape] = 0.5 * float(np.linalg.norm(np.asarray(box.shape) * spacing))
-        yield box, radius
+            radius = radii[dims] = 0.5 * float(np.linalg.norm(np.asarray(dims) * spacing))
+        yield sub, radius
+
+
+def _probes_outside(source: SourceSet, axes, blocks):
+    """Per block, how many of its probe cells lie outside A: its 2^d corner
+    cells and its middle cell, in one membership call for all blocks."""
+    cells = [
+        cell
+        for block in blocks
+        for cell in (
+            *itertools.product(*((s.start, s.stop - 1) for s in block)),
+            tuple((s.start + s.stop) // 2 for s in block),
+        )
+    ]
+    probes = np.array([[line[i] for line, i in zip(axes, cell)] for cell in cells])
+    return np.count_nonzero(~source.membership(probes).reshape(len(blocks), -1), axis=1)
 
 
 def _candidates(dual, pts, cand, xc, radius, lip, eps_cluster, window_abs):
@@ -555,25 +585,29 @@ def build_field(
 ) -> DistanceField:
     """Compute delta and the ambiguity gap on the grid.
 
-    Membership in A is one call on all cell centres, made before the scan;
-    delta and the gap are 0 on A, and only the cells outside it are scanned.
-    A coarse block with every cell in A is skipped with its candidate search,
-    and a fine tile scans its cells outside A against the candidates of the
-    whole tile, which hold every near-minimizer of each of them.  For
+    The grid is scanned one coarse block at a time, and each block works
+    from its own cells alone: it builds its cell centres from the grid's
+    per-axis coordinates, classifies them with one membership call, and is
+    done when every cell lies in A.  Otherwise each fine tile scans its cells
+    outside A against the candidates of the whole tile, which hold every
+    near-minimizer of each of them; delta and the gap are 0 on A.  For
     Euclidean F* and a diagonal M both levels bound each source by the end
     rows of the box's cell ranges, all tiles of a block in one call; other
     F* use a Lipschitz bound at each box's radius.  The clusters flagged in
     a tile are screened together (``_linkage_screen``), and only the ones
-    the screen leaves undecided run their own linkage search.
+    the screen leaves undecided run their own linkage search.  Besides
+    delta and the gap, the caller holds no array with one entry per cell.
 
-    The blocks to scan go to forked workers, one per usable CPU, largest
-    first by cells outside A (``_fan_out``); each writes its rows of delta
-    and the gap into the mapping behind the returned arrays, and every
-    worker is reaped before this returns or raises.  Since a row's results
-    depend only on its own near-minimizers, the field is bit for bit the
-    one-process scan's whatever the split.  The scan stays in-process with
-    one usable CPU, without ``os.fork``, while another thread runs, or with
-    fewer than ``FAN_OUT_ITEMS`` blocks to scan.
+    The blocks go to forked workers, one per usable CPU (``_fan_out``),
+    those with the most of their corner and middle cells outside A first
+    (one membership call on a few probe cells per block), ties in row-major
+    order; each writes its rows of delta and the gap into the mapping
+    behind the returned arrays, and every worker is reaped before this
+    returns or raises.  Since a row's results depend only on its own
+    near-minimizers, the field is bit for bit the one-process scan's
+    whatever the split.  The scan stays in-process with one usable CPU,
+    without ``os.fork``, while another thread runs, or with fewer than
+    ``FAN_OUT_ITEMS`` blocks.
 
     ``eps_cluster`` must be non-negative and finite; ``tol_unique`` (default
     three times the larger of the source spacing and the grid h) must be
@@ -601,17 +635,16 @@ def build_field(
             f"{source.spacing:.3g}, got {tol_unique:.3g}"
         )
 
-    centers = grid.centers()
-    n_cells = len(centers)
     pts = source.points
     lip = dual.grad_bound()
     window_abs = WINDOW_CELLS * h
-    scan = _tile_scan(dual, pts, centers, grid.shape, lip, eps_cluster, window_abs)
+    axes = grid._axes()
+    scan = _block_scan(dual, pts, axes, lip, eps_cluster, window_abs)
     resolve = _cluster_analysis(source, eps_cluster, window_abs, tol_unique)
 
-    member = source.membership(centers)
     # delta and gap of every cell, 0 on A, in one mapping shared with the
     # block workers
+    n_cells = math.prod(grid.shape)
     out = np.frombuffer(mmap.mmap(-1, 2 * n_cells * 8), dtype=float)
     delta, gap = out[:n_cells], out[n_cells:]
 
@@ -622,30 +655,40 @@ def build_field(
     # near-minimizer of its cells, and each row's results depend only on its
     # own near-minimizers, so scanning a tile's cells outside A alone, in any
     # block order and in any process, leaves their bits as a full scan would
-    flat = np.arange(n_cells).reshape(grid.shape)
-    blocks = [(b, r) for b, r in _blocks(flat, grid.spacing, BLOCK_CELLS) if not member[b].all()]
-    blocks.sort(key=lambda item: -np.count_nonzero(~member[item[0]]))
-
     def scan_block(item):
         block, radius = item
-        tile_scan = scan(block, radius)
-        for tile, r_tile in _blocks(block, grid.spacing, TILE_CELLS):
-            cells_idx = tile.ravel()
-            rows = np.flatnonzero(~member[cells_idx])
+        centers = _box_centers(axes, block)
+        member = source.membership(centers)
+        if member.all():
+            return
+        tile_scan = scan(block, radius, centers)
+        # per cell of the block, its position in the block's C order and its
+        # flat index in the grid
+        ranges = [np.arange(s.start, s.stop) for s in block]
+        local = np.arange(len(centers)).reshape([len(r) for r in ranges])
+        flat = np.ravel_multi_index(np.ix_(*ranges), grid.shape)
+        inner = tuple(slice(0, n) for n in local.shape)
+        for tile, r_tile in _boxes(inner, grid.spacing, TILE_CELLS):
+            cells = local[tile].ravel()
+            rows = np.flatnonzero(~member[cells])
             if len(rows) == 0:
                 continue
-            outside = cells_idx[rows]
-            delta[outside], gap[outside] = resolve(*tile_scan(tile, r_tile, rows))
+            outside = flat[tile].ravel()[rows]
+            delta[outside], gap[outside] = resolve(*tile_scan(tile, r_tile, cells, rows))
 
-    _fan_out(blocks, scan_block)
+    # the blocks with the most probe cells outside A first, so the costly
+    # ones are claimed early and the fan-out ends on cheap ones; ties in
+    # row-major order
+    blocks = list(_boxes(tuple(slice(0, n) for n in grid.shape), grid.spacing, BLOCK_CELLS))
+    outside = _probes_outside(source, axes, [block for block, _radius in blocks])
+    _fan_out([blocks[i] for i in np.argsort(-outside, kind="stable")], scan_block)
 
-    shape = grid.shape
     return DistanceField(
         grid=grid,
         source=source,
         dual=dual,
-        delta=delta.reshape(shape),
-        gap=gap.reshape(shape),
+        delta=delta.reshape(grid.shape),
+        gap=gap.reshape(grid.shape),
         eps_cluster=eps_cluster,
         tol_unique=float(tol_unique),
     )

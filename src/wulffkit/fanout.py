@@ -1,9 +1,10 @@
 """Independent items of work in forked worker processes.
 
 ``_fan_out(items, work)`` calls ``work`` once on each item and returns the
-results in item order.  Two callers share it: ``build_field`` hands it the
-coarse blocks of its scan, whose rows the workers write into a mapping
-shared across the fork, and ``suites.run_suites`` hands it a run's items:
+results in item order.  Two callers share it: ``build_field`` hands it
+every coarse block of its grid, which a worker classifies by membership
+and scans, writing its rows into a mapping shared across the fork, and
+``suites.run_suites`` hands it a run's items:
 for a scene of one body its suites, once the products they read are in the
 run's cache; for a scene of several bodies one item per body, which builds
 that body's products and runs its part of the suites, then ``dual`` and
@@ -42,9 +43,10 @@ import numpy as np
 
 # fewest items that are split across worker processes: forking two workers,
 # their exit and reaping them take about 5 ms (2-vCPU x86 VM, 52 MB process)
-# and a 2D field block about 3 ms, so the second worker saves more than it
-# costs, 3 n / 2 ms against 5 ms, from n = 4 blocks on; a suite takes longer
-# than a block
+# and a 2D field block with cells outside A about 3 ms, so the second worker
+# saves more than it costs, 3 n / 2 ms against 5 ms, from n = 4 blocks on; a
+# field counts every block of its grid, those in A that end after one
+# membership call among them, and a suite takes longer than a block
 FAN_OUT_ITEMS = 4
 
 # in a worker, the CPUs of the process that forked it: the worker is pinned

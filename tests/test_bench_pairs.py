@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def _run(side, seed, wall, failed=0, score=None, cpus=None, steal=None):
+def _run(side, seed, wall, failed=0, score=None, cpus=None, steal=None, peak=None):
     metrics = {"wall_s": {"value": wall, "unit": "s"}}
     if score is not None:
         metrics["score"] = {"value": score, "unit": "1"}
@@ -19,6 +21,7 @@ def _run(side, seed, wall, failed=0, score=None, cpus=None, steal=None):
         "seed": seed,
         "cpus": cpus,
         "steal_share": steal,
+        "tree_peak_mb": peak,
         "result": {
             "correct": True,
             "attempted": 2,
@@ -143,3 +146,48 @@ def test_summary_of_steal_shares_and_withheld_cpus():
     bare = bench_pairs.summarize([_run("parent", 1, 1.0), _run("change", 1, 1.0)])["w"]
     assert bare["steal_share_q1_median_q3"] == {"parent": None, "change": None}
     assert bare["fewer_cpus"] == {"parent": 0, "change": 0}
+
+
+def test_summary_of_tree_peaks():
+    runs = []
+    for seed, (p, c) in enumerate([(46.0, 40.0), (47.0, 39.5), (46.5, None), (48.0, 41.0)], 1):
+        runs += [_run("parent", seed, 1.0, peak=p), _run("change", seed, 1.0, peak=c)]
+    row = bench_pairs.summarize(runs)["w"]
+    # linear percentiles of 46, 46.5, 47, 48 and of 39.5, 40, 41; a run
+    # without a reading counts for neither
+    assert row["tree_peak_mb_q1_median_q3"] == {
+        "parent": [46.375, 46.75, 47.25], "change": [39.75, 40.0, 40.5]
+    }
+    bare = bench_pairs.summarize([_run("parent", 1, 1.0), _run("change", 1, 1.0)])["w"]
+    assert bare["tree_peak_mb_q1_median_q3"] == {"parent": None, "change": None}
+
+
+# a process that forks a worker holding 64 MB, reaps it, and prints the
+# worker's peak and then its own, in MB, before it exits 3
+FORKING_CHILD = """
+import os, resource, sys
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    block = b"x" * (64 << 20)
+    os.write(write, str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024).encode())
+    os._exit(0)
+os.close(write)
+print(os.read(read, 64).decode())
+os.waitpid(pid, 0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+print("to stderr", file=sys.stderr)
+sys.exit(3)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_run_tree_reads_the_peak_of_the_reaped_workers(tmp_path):
+    code, out, err, peak = bench_pairs.run_tree([sys.executable, "-c", FORKING_CHILD], tmp_path)
+    assert code == 3 and err == "to stderr\n"
+    worker, own = map(float, out.split())
+    # the tree's peak is the larger of the process's own and its worker's;
+    # the process's own can start at its starter's peak, which it inherits
+    # when it is started by exec
+    assert worker >= 64
+    assert peak == pytest.approx(max(own, worker), abs=1.0)

@@ -5,6 +5,7 @@ import re
 import signal
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -849,11 +850,47 @@ def test_field_of_all_A_scans_nothing(monkeypatch):
     assert not field.delta.any() and not field.gap.any()
 
 
+def test_field_holds_no_array_per_cell_beside_delta_and_gap(monkeypatch):
+    # in-process, so that tracemalloc sees the whole scan: delta and the gap
+    # live in an anonymous mapping, which it does not trace, and every other
+    # array is one block's or one tile's, so the traced peak stays far below
+    # the 16 bytes per cell of the grid's centres
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
+    src = boundary_source([UNIT_DISK], 1024, region="complement")
+    grid = GridSpec([-2.5, -2.5], [2.5, 2.5], 800)
+    tracemalloc.start()
+    try:
+        field = build_field(src, E2, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.delta.size == 640_000 and field.delta.max() > 0.9
+    assert peak < 8 * field.delta.size
+
+
 def _axis_lines_of(f, src, grid):
-    dual = DualNorm(f)
-    return distance._axis_lines(
-        distance._mapped_points(dual, src.points, grid.centers()), grid.shape
-    )
+    return distance._axis_lines(DualNorm(f), src.points, grid._axes())
+
+
+def _lines_of_the_mapped_grid(f, src, grid):
+    """The axis tables read off the whole grid's mapped centres: per axis k,
+    the mapped coordinate k along axis k and of the sources, or None unless
+    every mapped coordinate k is constant along the other grid axes."""
+    if isinstance(f, WeightedSum):
+        return None
+    l = np.linalg.cholesky(f.inverse) if isinstance(f, QuadraticNorm) else np.eye(grid.dim)
+    centers, sources = grid.centers() @ l, src.points @ l
+    lines = []
+    for k in range(grid.dim):
+        coord = centers[:, k].reshape(grid.shape)
+        line = coord[tuple(slice(None) if j == k else slice(0, 1) for j in range(grid.dim))]
+        if not (coord == line).all():
+            return None
+        lines.append((line.ravel(), sources[:, k]))
+    return lines
+
+
+NEGATIVE_GRID = GridSpec([-6.1, -3.3], [-2.2, -0.4], [53, 41])
 
 
 def test_axis_tables_only_for_axis_separable_maps():
@@ -864,25 +901,54 @@ def test_axis_tables_only_for_axis_separable_maps():
     assert _axis_lines_of(WeightedSum(((0.5, E2), (1.0, Q2))), src, SKIP_GRID) is None
 
 
+@pytest.mark.parametrize("grid", [SKIP_GRID, NEGATIVE_GRID], ids=["skip", "negative"])
+@pytest.mark.parametrize(
+    "f", [E2, Q2, QN, WeightedSum(((0.5, E2), (1.0, Q2)))],
+    ids=["E2", "diagonal M", "rotated M", "weighted sum"],
+)
+def test_axis_tables_are_those_of_the_mapped_grid(grid, f):
+    # the integrand picks the tables where the whole grid's mapped centres
+    # would, and its lines carry their bits
+    src = boundary_source(TWO_DISKS, 256, region="curve")
+    lines, expected = _axis_lines_of(f, src, grid), _lines_of_the_mapped_grid(f, src, grid)
+    assert (lines is None) == (expected is None)
+    for (line, source), (line_e, source_e) in zip(lines or (), expected or ()):
+        assert np.array_equal(line, line_e) and np.array_equal(source, source_e)
+
+
+def test_block_centres_map_as_the_rows_of_the_whole_grid():
+    # a rotated M maps each block's own centres; every block and every tile
+    # carries the bits of the whole grid's product
+    grid = GridSpec([-2.3, -1.5], [2.3, 1.5], [460, 260])
+    src = boundary_source(TWO_DISKS, 256, region="curve")
+    place, _values = distance._pairwise_values(DualNorm(QN), src.points)
+    axes, mapped = grid._axes(), place(grid.centers()).reshape(*grid.shape, 2)
+    whole = tuple(slice(0, n) for n in grid.shape)
+    for target in (distance.BLOCK_CELLS, distance.TILE_CELLS):
+        for box, _radius in distance._boxes(whole, grid.spacing, target):
+            assert np.array_equal(
+                place(distance._box_centers(axes, box)), mapped[box].reshape(-1, 2)
+            )
+
+
 def _per_cell_scan(src, field):
     """delta and gap of each cell outside A from its values to every source,
     through the field's own closed-form values and cluster analysis."""
     grid, centers = field.grid, field.grid.centers()
-    values = distance._pairwise_values(field.dual, src.points, centers)
+    place, values = distance._pairwise_values(field.dual, src.points)
+    mapped = place(centers)
     resolve = distance._cluster_analysis(
         src, field.eps_cluster, WINDOW_CELLS * grid.h, field.tol_unique
     )
     every = np.arange(len(src.points))
     delta, gap = np.zeros(len(centers)), np.zeros(len(centers))
     for i in np.flatnonzero(~src.membership(centers)):
-        (delta[i],), (gap[i],) = resolve(values([i], every), every)
+        (delta[i],), (gap[i],) = resolve(values(mapped[[i]], every), every)
     return delta.reshape(grid.shape), gap.reshape(grid.shape)
 
 
 @pytest.mark.parametrize("f", [E2, Q2], ids=["E2", "diagonal M"])
-@pytest.mark.parametrize(
-    "grid", [SKIP_GRID, GridSpec([-6.1, -3.3], [-2.2, -0.4], [53, 41])], ids=["skip", "negative"]
-)
+@pytest.mark.parametrize("grid", [SKIP_GRID, NEGATIVE_GRID], ids=["skip", "negative"])
 def test_axis_lines_do_not_decrease(grid, f):
     # the end-row box bound of ``_box_keep`` rests on this
     src = boundary_source(TWO_DISKS, 256, region="curve")
@@ -924,12 +990,13 @@ def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, eps,
     src = SourceSet(points=pts, loops=((0, len(pts), False),))
     grid = GridSpec(rng.uniform(-2.0, -1.0, 2), rng.uniform(1.0, 2.0, 2), rng.integers(16, 30, 2))
     lines = _axis_lines_of(f, src, grid)
-    values = distance._pairwise_values(DualNorm(f), pts, grid.centers())
+    place, values = distance._pairwise_values(DualNorm(f), pts)
+    mapped = place(grid.centers())
     window = window_cells * grid.h
     every = np.arange(len(pts))
 
     def near_outside(cells, cand):
-        brute = values(cells, every)
+        brute = values(mapped[cells], every)
         m = brute.min(axis=1)
         near = brute <= (m + (eps * m + window))[:, None]
         return near[:, np.setdiff1d(every, cand)].sum(), brute
@@ -937,7 +1004,7 @@ def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, eps,
     # a block anywhere in the grid, bounded over every source
     corner = [rng.integers(0, n - k + 1) for n, k in zip(grid.shape, sides)]
     ends = np.add(corner, sides)
-    flat = np.arange(grid.centers().shape[0]).reshape(grid.shape)
+    flat = np.arange(np.prod(grid.shape)).reshape(grid.shape)
     block = flat[corner[0] : ends[0], corner[1] : ends[1]]
     whole = distance._box_keep(lines, [[c] for c in corner], ends[:, None], every, eps, window)
     assert whole.shape == (1, 1, len(every))
@@ -950,7 +1017,8 @@ def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, eps,
     keep = distance._box_keep(lines, starts, stops, coarse, eps, window)
     assert keep.shape == (len(starts[0]), len(starts[1]), len(coarse))
     for i, j in np.ndindex(keep.shape[:2]):
-        tile = flat[starts[0][i] : stops[0][i], starts[1][j] : stops[1][j]]
+        box = (slice(starts[0][i], stops[0][i]), slice(starts[1][j], stops[1][j]))
+        tile = flat[box]
         rows = np.flatnonzero(rng.random(tile.size) < 0.7)
         if len(rows) == 0:
             rows = np.arange(tile.size)
@@ -958,7 +1026,7 @@ def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, eps,
         lost, brute = near_outside(tile.ravel()[rows], cand)
         assert lost == 0
         # the tile's values carry the bits of the per-cell route
-        d = distance._tile_distances(lines, grid.shape, tile, rows, cand)
+        d = distance._tile_distances(lines, box, rows, cand)
         assert np.array_equal(d, brute[:, cand])
 
 
@@ -990,11 +1058,15 @@ def test_block_radii_are_the_per_box_circumradii():
     # far edges are smaller; a radius shared by one shape is each box's own
     flat = np.arange(23 * 17).reshape(23, 17)
     spacing = np.array([0.3, 0.07])
-    boxes = list(distance._blocks(flat, spacing, 25))
-    assert len({box.shape for box, _ in boxes}) == 4
-    assert sum(box.size for box, _ in boxes) == flat.size
+    boxes = list(distance._boxes((slice(0, 23), slice(0, 17)), spacing, 25))
+    assert len({flat[box].shape for box, _ in boxes}) == 4
+    assert sum(flat[box].size for box, _ in boxes) == flat.size
     for box, radius in boxes:
-        assert radius == 0.5 * float(np.linalg.norm(np.asarray(box.shape) * spacing))
+        assert radius == 0.5 * float(np.linalg.norm(np.asarray(flat[box].shape) * spacing))
+    # the boxes of an inner box start at its corner and stay inside it
+    inner = (slice(4, 21), slice(3, 14))
+    cells = np.concatenate([flat[box].ravel() for box, _ in distance._boxes(inner, spacing, 25)])
+    assert np.array_equal(np.sort(cells), np.sort(flat[inner].ravel()))
 
 
 # build_field's blocks in forked workers
