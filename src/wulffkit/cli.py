@@ -12,19 +12,13 @@ failing suite in the canonical order dual, wulff, curv, hk, mr, steiner,
 reach, var.  Reports are deterministic: the same scene and seed produce
 byte-identical report.json files (no timestamps, seeded generators only).
 
-The scene's body count selects the run's path (``suites.run_suites``).  A
-scene of one body first builds the samples, fits, reports and fields its
-suites read, then runs one item per suite.  A scene of two or more bodies
-runs one item per body, each building that body's products and running its
-part of every suite that reads them, then ``dual`` and ``wulff``, and
-finishes ``hk``, ``mr`` and the merge in the caller: on the two-body
-weighted-3d workload that took a pass from 0.28 s to 0.22 s on 2 CPUs,
-while one body alone leaves nothing to spread.  The items run in forked
-workers, one per usable CPU, where ``fanout`` splits them, else in-process.
-The exit code, the messages and the bytes of report.json and the CSVs do
-not depend on the path or the split.  A refusal (exit 1) is the first in
-the canonical order, then in body order; the suites and bodies after it
-still run, so their CSVs may exist.
+``suites.run_suites`` runs the suites on a path that the scene's body
+count picks; the ``suites`` module docstring gives the rule and why.  The
+items run in forked workers, one per usable CPU, where ``fanout`` splits
+them, else in-process.  The exit code, the messages and the bytes of
+report.json and the CSVs do not depend on the path or the split.  A
+refusal (exit 1) is the first in the canonical order, then in body order;
+the suites and bodies after it still run, so their CSVs may exist.
 """
 
 from __future__ import annotations

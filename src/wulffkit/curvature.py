@@ -28,10 +28,8 @@ import numpy as np
 from .errors import DegeneratePointError, InputError, NonEllipticError
 from .hypersurface import StarBody, SurfaceQuadrature, WulffBody
 from .integrand import Integrand, _row_norm, _row_sum, tangential_hessian
-from .spheregrid import tangent_frames
 
 __all__ = [
-    "tangent_frames",
     "CurvatureTable",
     "curvature_table",
     "UmbilicityReport",

@@ -39,12 +39,12 @@ when no two runs come within ``tol_unique`` a cluster that meets two runs
 is split without a search of its own.
 
 The coarse blocks are scanned in forked worker processes, one pinned to
-each usable CPU (``fanout._fan_out``), which claim first the blocks with
-the most of their corner and middle cells outside A and write delta and
-the gap straight into one shared anonymous mapping that backs the returned
-arrays; the caller only waits and reaps them.  Each
-row's results depend only on its own near-minimizers, so the bits do not
-depend on which worker scans which block.  The scan stays in-process where
+each usable CPU (``fanout._fan_out``), which claim the blocks in row-major
+order and write delta and the gap straight into one shared anonymous
+mapping that backs the returned arrays; the caller only waits and reaps
+them.  Each row's results depend only on its own near-minimizers, so the
+bits depend neither on the block order nor on which worker scans which
+block.  The scan stays in-process where
 ``fanout`` keeps its items in-process: one usable CPU, no ``fork``, a
 running thread, or fewer than ``FAN_OUT_ITEMS`` blocks.
 """
@@ -308,20 +308,20 @@ def _pairwise_values(dual: DualNorm, sources):
     y_i whose rows ``x = place(y)`` holds and the source indices j in
     ``cand``, as a (len(x), len(cand)) array.
 
-    A closed form F*(a - y) = |L^T (a - y)|, with L L^T = M^-1 (L = I for
-    Euclidean F*), is a Euclidean distance of mapped points, summed axis by
-    axis: the sources are mapped once, and ``place`` maps a block of points
-    as ``y @ L``, whose rows are those of the whole grid's product (pinned by
-    the tests), so each entry's bits do not depend on how the grid is cut
-    into blocks and tiles.
+    A quadratic F*(a - y) = |L^T (a - y)|, with L L^T = M^-1, is a Euclidean
+    distance of mapped points, summed axis by axis: the sources are mapped
+    once, and ``place`` maps a block of points as ``y @ L``, whose rows are
+    those of the whole grid's product (pinned by the tests), so each entry's
+    bits do not depend on how the grid is cut into blocks and tiles.  Other
+    F* take ``batch_value_fast`` of the differences.  ``build_field`` comes
+    here only for a rotated M and weighted sums: Euclidean F* and a diagonal
+    M take ``_axis_lines``.
     """
     base = dual.base
     if isinstance(base, QuadraticNorm):
         l = np.linalg.cholesky(base.inverse)
         mapped = sources @ l
         return (lambda y: y @ l), (lambda x, cand: np.sqrt(_sqdist(x, mapped[cand])))
-    if isinstance(base, EuclideanNorm):
-        return (lambda y: y), (lambda x, cand: np.sqrt(_sqdist(x, sources[cand])))
 
     def values(x, cand):
         return dual.batch_value_fast(_differences(sources[cand], x)).reshape(len(x), len(cand))
@@ -550,21 +550,6 @@ def _boxes(box, spacing, target: int):
         yield sub, radius
 
 
-def _probes_outside(source: SourceSet, axes, blocks):
-    """Per block, how many of its probe cells lie outside A: its 2^d corner
-    cells and its middle cell, in one membership call for all blocks."""
-    cells = [
-        cell
-        for block in blocks
-        for cell in (
-            *itertools.product(*((s.start, s.stop - 1) for s in block)),
-            tuple((s.start + s.stop) // 2 for s in block),
-        )
-    ]
-    probes = np.array([[line[i] for line, i in zip(axes, cell)] for cell in cells])
-    return np.count_nonzero(~source.membership(probes).reshape(len(blocks), -1), axis=1)
-
-
 def _candidates(dual, pts, cand, xc, radius, lip, eps_cluster, window_abs):
     """The sources among ``cand`` that can be near-minimizers of a cell within
     ``radius`` of ``xc``: F* is ``lip``-Lipschitz, so a near-minimizer a of
@@ -598,16 +583,14 @@ def build_field(
     the screen leaves undecided run their own linkage search.  Besides
     delta and the gap, the caller holds no array with one entry per cell.
 
-    The blocks go to forked workers, one per usable CPU (``_fan_out``),
-    those with the most of their corner and middle cells outside A first
-    (one membership call on a few probe cells per block), ties in row-major
-    order; each writes its rows of delta and the gap into the mapping
-    behind the returned arrays, and every worker is reaped before this
-    returns or raises.  Since a row's results depend only on its own
+    The blocks go to forked workers, one per usable CPU (``_fan_out``), in
+    row-major order; each writes its rows of delta and the gap into the
+    mapping behind the returned arrays, and every worker is reaped before
+    this returns or raises.  Since a row's results depend only on its own
     near-minimizers, the field is bit for bit the one-process scan's
-    whatever the split.  The scan stays in-process with one usable CPU,
-    without ``os.fork``, while another thread runs, or with fewer than
-    ``FAN_OUT_ITEMS`` blocks.
+    whatever the block order and the split.  The scan stays in-process with
+    one usable CPU, without ``os.fork``, while another thread runs, or with
+    fewer than ``FAN_OUT_ITEMS`` blocks.
 
     ``eps_cluster`` must be non-negative and finite; ``tol_unique`` (default
     three times the larger of the source spacing and the grid h) must be
@@ -676,12 +659,8 @@ def build_field(
             outside = flat[tile].ravel()[rows]
             delta[outside], gap[outside] = resolve(*tile_scan(tile, r_tile, cells, rows))
 
-    # the blocks with the most probe cells outside A first, so the costly
-    # ones are claimed early and the fan-out ends on cheap ones; ties in
-    # row-major order
-    blocks = list(_boxes(tuple(slice(0, n) for n in grid.shape), grid.spacing, BLOCK_CELLS))
-    outside = _probes_outside(source, axes, [block for block, _radius in blocks])
-    _fan_out([blocks[i] for i in np.argsort(-outside, kind="stable")], scan_block)
+    whole = tuple(slice(0, n) for n in grid.shape)
+    _fan_out(list(_boxes(whole, grid.spacing, BLOCK_CELLS)), scan_block)
 
     return DistanceField(
         grid=grid,

@@ -1,15 +1,8 @@
 """Independent items of work in forked worker processes.
 
 ``_fan_out(items, work)`` calls ``work`` once on each item and returns the
-results in item order.  Two callers share it: ``build_field`` hands it
-every coarse block of its grid, which a worker classifies by membership
-and scans, writing its rows into a mapping shared across the fork, and
-``suites.run_suites`` hands it a run's items:
-for a scene of one body its suites, once the products they read are in the
-run's cache; for a scene of several bodies one item per body, which builds
-that body's products and runs its part of the suites, then ``dual`` and
-``wulff``.  The body count selects the items, not the CPUs, so a run's
-outputs never depend on the split.  A worker may call
+results in item order.  Its two callers, ``distance.build_field`` and
+``suites.run_suites``, say what their items are.  A worker may call
 ``_fan_out`` again, as the ``reach`` suite does when it builds its
 Euclidean field.  Whether the items run in workers or in-process, the
 outputs are the same: the field's bits, and a run's exit code, messages,

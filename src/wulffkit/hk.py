@@ -21,7 +21,7 @@ disjoint bodies classify as "wulff-union" when the ratio is 1 within
 EQUALITY_TOL, all nodes are umbilical, and every fitted radius clears n/c
 for the supplied curvature bound c within the relative slack RADIUS_TOL.
 Both tolerances are module constants, which no caller or scene sets.  The
-union is of disjoint open Wulff shapes, so ``check_disjoint`` accepts Wulff
+union is of disjoint open Wulff shapes, so ``refuse_overlaps`` accepts Wulff
 balls of one integrand whose closures touch, deciding each such pair in
 closed form from F* of its centres.
 """
@@ -47,7 +47,6 @@ __all__ = [
     "montiel_ros_integral",
     "equality_classifier",
     "ClassifierVerdict",
-    "check_disjoint",
     "node_overlaps",
     "refuse_overlaps",
 ]
@@ -85,7 +84,7 @@ class HKReport:
 
 
 def _closed_form(a, b) -> bool:
-    """Whether ``check_disjoint`` decides the pair of bodies in closed form."""
+    """Whether ``refuse_overlaps`` decides the pair of bodies in closed form."""
     return isinstance(a, WulffBody) and isinstance(b, WulffBody) and a.dual.base is b.dual.base
 
 
@@ -93,7 +92,7 @@ def node_overlaps(table: CurvatureTable, bodies: Sequence, index: int) -> tuple:
     """Node-rule flags of body ``index`` of ``bodies``, whose curvature table is
     ``table``: entry l says whether a boundary node of the table has phi <= 0
     under body l.  It is None for the body itself and for the pairs that
-    ``check_disjoint`` decides in closed form."""
+    ``refuse_overlaps`` decides in closed form."""
     return tuple(
         None
         if l == index or _closed_form(table.body, other)
@@ -103,9 +102,17 @@ def node_overlaps(table: CurvatureTable, bodies: Sequence, index: int) -> tuple:
 
 
 def refuse_overlaps(bodies: Sequence, overlaps: Sequence) -> None:
-    """Raise ``check_disjoint``'s refusal for ``bodies``, given each body's
-    ``node_overlaps`` flags in ``overlaps``; the first pair in
-    ``combinations`` order that is not disjoint is refused."""
+    """Reject ``bodies`` where two of them overlap or one is nested in
+    another, given each body's ``node_overlaps`` flags in ``overlaps``; the
+    first pair in ``combinations`` order that is not disjoint is refused.
+
+    Two Wulff bodies of one integrand are decided in closed form, once per
+    pair as F* is even: their open balls are disjoint exactly when
+    F*(c_i - c_j) >= r_i + r_j, so balls that touch are accepted, and the
+    pair is rejected below (r_i + r_j)(1 - 1e-12).  Of any other pair, every
+    boundary node of each body must have phi > 0 under the other, which also
+    catches a body nested inside another.
+    """
     for i, j in combinations(range(len(bodies)), 2):
         a, b = bodies[i], bodies[j]
         if _closed_form(a, b):
@@ -122,21 +129,6 @@ def refuse_overlaps(bodies: Sequence, overlaps: Sequence) -> None:
                     f"bodies {k} and {l} are not disjoint (a boundary node of {k} "
                     f"lies in {l})"
                 )
-
-
-def check_disjoint(tables: Sequence[CurvatureTable]) -> None:
-    """Reject a scene where two bodies overlap or one is nested in another.
-
-    ``tables`` holds one curvature table per body, as for ``hk_evaluate``.
-    Two Wulff bodies of one integrand are decided in closed form, once per
-    pair as F* is even: their open balls are disjoint exactly when
-    F*(c_i - c_j) >= r_i + r_j, so balls that touch are accepted, and the
-    pair is rejected below (r_i + r_j)(1 - 1e-12).  Of any other pair, every
-    boundary node of each body must have phi > 0 under the other, which also
-    catches a body nested inside another.
-    """
-    bodies = [table.body for table in tables]
-    refuse_overlaps(bodies, [node_overlaps(t, bodies, k) for k, t in enumerate(tables)])
 
 
 def montiel_ros_integral(table: CurvatureTable) -> float:
@@ -209,8 +201,8 @@ def hk_evaluate(tables: Sequence[CurvatureTable]) -> HKReport:
     ``tables`` holds one curvature table per body, all under one integrand
     F (the same object), or an ``InputError`` names the first body whose
     table is not; F(nu) is read from the table.  Overlapping bodies are
-    refused (``check_disjoint``), then each body's ``hk_row`` in order,
-    and ``hk_report`` sums the rows.
+    refused (``node_overlaps`` per body, then ``refuse_overlaps``), then
+    each body's ``hk_row`` in order, and ``hk_report`` sums the rows.
     """
     if not tables:
         raise InputError("empty scene")
@@ -218,8 +210,8 @@ def hk_evaluate(tables: Sequence[CurvatureTable]) -> HKReport:
     for k, table in enumerate(tables):
         if table.f is not f:
             raise InputError(f"bodies 0 and {k} are tables of different integrands")
-    if len(tables) > 1:
-        check_disjoint(tables)
+    bodies = [table.body for table in tables]
+    refuse_overlaps(bodies, [node_overlaps(t, bodies, k) for k, t in enumerate(tables)])
     return hk_report([hk_row(table, k) for k, table in enumerate(tables)], f.dim)
 
 

@@ -96,11 +96,6 @@ class SteinerFit:
     def degree(self) -> int:
         return len(self.coefficients)
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        powers = t[..., None] ** np.arange(1, self.degree + 1)
-        return powers @ self.coefficients
-
 
 def fit_polynomial(curve: TubeCurve, degree: int) -> SteinerFit:
     """Fit V(t) = sum_{j=1..degree} c_j t^j; residual is max relative deviation.

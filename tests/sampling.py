@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from wulffkit import StarBody, curvature_table, sample_surface
+from wulffkit import StarBody, curvature_table, hk, sample_surface
 from wulffkit.curvature import umbilicity_classify
 from wulffkit.duality import dual_norm_of
 from wulffkit.scene import DEFAULT_STEINER, Scene
@@ -16,6 +16,13 @@ def table(body, f, resolution):
 def tables(bodies, f, resolution):
     """One curvature table per body, as hk_evaluate takes them."""
     return [table(b, f, resolution) for b in bodies]
+
+
+def refuse_overlaps(tables):
+    """The disjointness refusal of the bodies of ``tables``: each body's
+    ``node_overlaps`` flags, then ``hk.refuse_overlaps`` over all of them."""
+    bodies = [t.body for t in tables]
+    hk.refuse_overlaps(bodies, [hk.node_overlaps(t, bodies, k) for k, t in enumerate(tables)])
 
 
 def umbilicity(tables):

@@ -4,6 +4,7 @@ Tolerances are pinned here and nowhere else; oracle values are computed by
 the independent routines in oracles.py before being asserted.
 """
 
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -39,7 +40,20 @@ from wulffkit.cli import run
 from oracles import ellipse_hk_ratio
 from sampling import table, tables
 
-SCENES = Path(__file__).resolve().parent.parent / "scenes"
+ROOT = Path(__file__).resolve().parent.parent
+SCENES = ROOT / "scenes"
+# the outputs of `all` on each shipped scene, by scripts/shipped_outputs.py
+SHIPPED = Path(__file__).resolve().parent / "shipped"
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+shipped_outputs, diff_reports = _script("shipped_outputs"), _script("diff_reports")
 
 E2 = EuclideanNorm(2)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
@@ -48,6 +62,21 @@ DQ = DualNorm(Q2)
 
 def _report(name, detail):
     print(f"\nACCEPTANCE {name}: PASS ({detail})")
+
+
+def _moved_outputs(name, out):
+    """A line per output file of `all` on scene ``name`` under ``out`` whose
+    bytes are not those scripts/shipped_outputs.py recorded, then
+    scripts/diff_reports.py's lines against the recorded report.json; no
+    lines when every file matches."""
+    want = json.loads((SHIPPED / "manifest.json").read_text())[name]
+    got = shipped_outputs.digests(out)
+    files = sorted(want.keys() | got.keys())
+    moved = [f"{rel} moved" for rel in files if want.get(rel) != got.get(rel)]
+    if not moved:
+        return []
+    old, new = (json.loads((d / "report.json").read_text()) for d in (SHIPPED / name, out))
+    return moved + diff_reports.diff_values(old, new, f"{name}/report.json")
 
 
 def test_criterion_1_duality_suite():
@@ -259,6 +288,8 @@ def test_criterion_8_end_to_end_classification(tmp_path):
         out = tmp_path / name
         code = run("all", SCENES / f"{name}.json", out)
         assert code == 0, f"{name} exited {code}"
+        moved = _moved_outputs(name, out)
+        assert not moved, "\n".join([f"{name}: outputs differ from tests/shipped", *moved])
         report = json.loads((out / "report.json").read_text())
         metrics = {s["name"]: s["metrics"] for s in report["suites"]}
         verdict = metrics["hk"]["class_verdict"]

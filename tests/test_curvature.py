@@ -178,7 +178,7 @@ def test_non_elliptic_rejected():
 def test_table_frames_are_the_quadrature_frames():
     # one frame array per quadrature, shared with the variation pass; the
     # table is built in it and keeps no copy
-    from wulffkit.curvature import tangent_frames
+    from wulffkit.spheregrid import tangent_frames
 
     body = Ellipsoid(np.diag([0.25, 1.0, 0.5]), np.zeros(3))
     q = sample_surface(body, (32, 64))

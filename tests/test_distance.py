@@ -801,6 +801,32 @@ def test_skipping_A_keeps_every_bit(region, name):
         assert 0 < src.membership(SKIP_GRID.centers()).sum() < field.delta.size
 
 
+@pytest.mark.parametrize("name", list(FIELD_INTEGRANDS))
+def test_field_bits_do_not_depend_on_the_block_order(monkeypatch, name):
+    # with one usable CPU the blocks run in-process in the order handed to
+    # _fan_out; reversed and shuffled, they leave every bit of the
+    # row-major field
+    f = FIELD_INTEGRANDS[name]
+    src = boundary_source(TWO_DISKS, 1024, region="complement")
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
+    row_major = build_field(src, f, SKIP_GRID)
+    fan_out, rng = distance._fan_out, np.random.default_rng(3)
+    for order in (lambda n: np.arange(n)[::-1], rng.permutation, rng.permutation):
+        seen = []
+
+        def permuted(items, work):
+            perm = order(len(items))
+            seen.append(perm)
+            return fan_out([items[i] for i in perm], work)
+
+        monkeypatch.setattr(distance, "_fan_out", permuted)
+        field = build_field(src, f, SKIP_GRID)
+        assert len(seen) == 1 and len(seen[0]) > 4 and np.any(seen[0] != np.arange(len(seen[0])))
+        assert np.array_equal(field.delta, row_major.delta)
+        assert np.array_equal(field.gap, row_major.gap)
+    assert row_major.gap.any()
+
+
 def _count_scans(monkeypatch):
     """Rows that reach the cluster analysis, and calls of the candidate search."""
     work = {"rows": 0, "candidates": 0}

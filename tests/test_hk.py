@@ -18,12 +18,11 @@ from wulffkit import (
 )
 from wulffkit import suites
 from wulffkit.curvature import UmbilicityReport, curvature_table
-from wulffkit.hk import check_disjoint
 from wulffkit.spheregrid import sphere_quadrature
 
 from oracles import ellipse_hk_ratio
 import sampling
-from sampling import Flower, scene, tables, umbilicity
+from sampling import Flower, refuse_overlaps, scene, tables, umbilicity
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -256,11 +255,11 @@ def test_touching_wulff_balls_are_disjoint(family, dim):
 
     for k in (0, len(omega) // 3, len(omega) - 1):
         unit = omega[k] / dual.batch_value(omega[k][None])[0]
-        check_disjoint(pair(ci + (ri + rj) * unit))
+        refuse_overlaps(pair(ci + (ri + rj) * unit))
         with pytest.raises(InputError, match="not disjoint"):
-            check_disjoint(pair(ci + (ri + rj - 1e-6 * ri) * unit))
+            refuse_overlaps(pair(ci + (ri + rj - 1e-6 * ri) * unit))
     with pytest.raises(InputError, match="not disjoint"):
-        check_disjoint(pair(ci + 0.1 * unit, rj=0.3))
+        refuse_overlaps(pair(ci + 0.1 * unit, rj=0.3))
 
 
 def test_six_decimal_tangent_pair_overlaps():
@@ -268,7 +267,7 @@ def test_six_decimal_tangent_pair_overlaps():
     # difference is 1.99999985, so the balls overlap
     bodies = [WulffBody(DQ, np.zeros(2), 1.0), WulffBody(DQ, np.array([3.999995, 0.003068]), 1.0)]
     with pytest.raises(InputError, match="not disjoint"):
-        check_disjoint(tables(bodies, Q2, 4096))
+        refuse_overlaps(tables(bodies, Q2, 4096))
 
 
 def test_tables_of_different_integrands_are_refused():

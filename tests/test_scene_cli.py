@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from wulffkit import InputError, SceneError, load_scene, parse_scene, sample_surface
+from wulffkit import (
+    InputError, QuadraticNorm, SceneError, load_scene, parse_scene, sample_surface, suites,
+)
 from wulffkit.cli import _tolist, main, run
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -578,6 +580,20 @@ def test_dual_suite_pairs_the_polygon_with_newton(tmp_path):
     polygon = checks["ws"]["polygon_vs_newton"]
     assert polygon["passed"] and 0.0 < polygon["value"] <= 1e-6
     assert "polygon_vs_newton" not in checks["wulff_d2"]
+
+
+@pytest.mark.parametrize("name", ["wulff_d2", "wulff_d3"])
+def test_every_wulff_check_moves_under_a_scaled_gradient(tmp_path, monkeypatch, name):
+    # grad F off by 1 + 1e-7 moves every check of the wulff suite and fails
+    # it; a check that reads the same under this defect cannot guard it
+    scene = load_scene(SCENES / f"{name}.json")
+    exact = suites.run_suite("wulff", suites.RunCache(scene), tmp_path / "exact")
+    grad = QuadraticNorm.grad
+    monkeypatch.setattr(QuadraticNorm, "grad", lambda self, x: (1.0 + 1e-7) * grad(self, x))
+    scaled = suites.run_suite("wulff", suites.RunCache(scene), tmp_path / "scaled")
+    assert exact.passed and not scaled.passed
+    for a, b in zip(exact.checks, scaled.checks, strict=True):
+        assert a["name"] == b["name"] and a["value"] != b["value"], a["name"]
 
 
 def test_all_skips_grid_suites_without_grid(tmp_path):
