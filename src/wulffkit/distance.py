@@ -46,7 +46,11 @@ them.  Each row's results depend only on its own near-minimizers, so the
 bits depend neither on the block order nor on which worker scans which
 block.  The scan stays in-process where
 ``fanout`` keeps its items in-process: one usable CPU, no ``fork``, a
-running thread, or fewer than ``FAN_OUT_ITEMS`` blocks.
+running thread, or fewer than ``FAN_OUT_ITEMS`` blocks.  A forked worker is
+pinned to one CPU, so a field built inside one scans in-process; a run of
+``wulffkit all`` builds every field in its own process before it forks any
+suite or body (``suites.run_suites``), so each field spreads over every
+usable CPU.
 """
 
 from __future__ import annotations
@@ -589,8 +593,9 @@ def build_field(
     this returns or raises.  Since a row's results depend only on its own
     near-minimizers, the field is bit for bit the one-process scan's
     whatever the block order and the split.  The scan stays in-process with
-    one usable CPU, without ``os.fork``, while another thread runs, or with
-    fewer than ``FAN_OUT_ITEMS`` blocks.
+    one usable CPU (in a forked worker, which is pinned to one), without
+    ``os.fork``, while another thread runs, or with fewer than
+    ``FAN_OUT_ITEMS`` blocks.
 
     ``eps_cluster`` must be non-negative and finite; ``tol_unique`` (default
     three times the larger of the source spacing and the grid h) must be

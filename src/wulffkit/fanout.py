@@ -2,11 +2,13 @@
 
 ``_fan_out(items, work)`` calls ``work`` once on each item and returns the
 results in item order.  Its two callers, ``distance.build_field`` and
-``suites.run_suites``, say what their items are.  A worker may call
-``_fan_out`` again, as the ``reach`` suite does when it builds its
-Euclidean field.  Whether the items run in workers or in-process, the
-outputs are the same: the field's bits, and a run's exit code, messages,
-report.json and CSV bytes.
+``suites.run_suites``, say what their items are.  There is one fan-out
+level: a worker is pinned to one CPU, so a ``_fan_out`` inside it sees one
+usable CPU and runs its items in-process, and ``run_suites`` builds every
+distance field before its items fork, so no worker of a run builds one.
+Whether the items run in workers or in-process, the outputs are the same:
+the field's bits, and a run's exit code, messages, report.json and CSV
+bytes.
 
 One policy serves both: one worker per usable CPU, at most one per item,
 each pinned to its own CPU of the caller's set; the caller does no work and
@@ -16,9 +18,7 @@ waits; and the items run in-process, in order, with fewer than
 forking a threaded process can deadlock the child.  Workers are pinned
 because the scheduler may keep forked children on their parent's CPU: on a
 2-vCPU VM, two unpinned spinning children shared one CPU for 0.7 s while
-the other stayed idle.  A fan-out inside a worker spreads over the
-caller's CPUs again, the worker's own among them, and its workers claim
-blocks as their CPUs free up.
+the other stayed idle.
 """
 
 from __future__ import annotations
@@ -42,22 +42,12 @@ import numpy as np
 # membership call among them, and a suite takes longer than a block
 FAN_OUT_ITEMS = 4
 
-# in a worker, the CPUs of the process that forked it: the worker is pinned
-# to one of them, and a fan-out inside it spreads over all of them again
-_caller_cpus = None
-
-
-def _cpus():
-    """The CPUs a fan-out from this process spreads its workers over."""
-    return _caller_cpus or sorted(os.sched_getaffinity(0))
-
-
 def _usable_cpus() -> int:
     """CPUs this process may fan out over, or 1 where the platform cannot
     fork or cannot tell."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return len(_cpus())
+    return len(os.sched_getaffinity(0))
 
 
 def _workers(count: int) -> int:
@@ -89,7 +79,7 @@ def _fan_out(items, work):
     n = _workers(len(items))
     if n == 0:
         return [work(item) for item in items]
-    cpus = _cpus()
+    cpus = sorted(os.sched_getaffinity(0))
     following = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
     token_r, token_w = os.pipe()
     os.write(token_w, b".")
@@ -98,11 +88,9 @@ def _fan_out(items, work):
     def run_worker(report, cpu):
         # a worker reports whatever ends it, and always leaves by os._exit,
         # never returning into the caller's stack or running its exit handlers
-        global _caller_cpus
         status = 0
         try:
             try:
-                _caller_cpus = cpus
                 # placement only: a CPU that left the set since the fork
                 # leaves the worker where the scheduler put it
                 with contextlib.suppress(OSError):

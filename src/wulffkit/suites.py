@@ -14,9 +14,12 @@ alone to the library's public routines.
 one body runs suite-major: the RunCache first holds every product the
 suites read (``READS``), or the product's refusal, and ``fanout._fan_out``
 gets one item per suite.  A scene of two or more bodies runs body-major:
-one item per body builds that body's products and runs its part of every
+the RunCache first holds every distance field the suites read, then one
+item per body builds that body's other products and runs its part of every
 suite that reads a table (``_BODY_PARTS``), and the caller merges the parts
 in body order and runs ``hk`` and ``mr`` from the bodies' small products.
+On both paths every field is built in the run's own process, its blocks
+spread over every usable CPU, before any item forks; no worker builds one.
 On weighted-3d (two bodies of 18,432 nodes, 2 CPUs) a body-major pass
 takes 0.22 s against 0.28 s suite-major, since no CPU waits on a one-CPU
 warm-up.  A one-body scene has one body item to spread: run body-major,
@@ -27,7 +30,6 @@ wulff_d2 1.117 (6 alternating rounds).  Both paths write the same bytes.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,15 +65,14 @@ VERIFIES = {
 
 # the RunCache products each suite reads: "table" is a body's curvature
 # table, "hk" the HK report (per body, its node-rule flags and row), "field"
-# its complement source and scene-integrand field.
-# The reach suite's Euclidean field is left out on purpose: built in the
-# worker, it overlaps the other suites, and warming it measured slower
+# its complement source and scene-integrand field, "euclidean" its
+# complement field under the Euclidean norm
 READS = {
     "curv": ("table", "umbilicity"),
     "hk": ("table", "umbilicity", "hk"),
     "mr": ("table", "hk"),
     "steiner": ("table", "field"),
-    "reach": ("table", "field"),
+    "reach": ("table", "field", "euclidean"),
     "var": ("table",),
 }
 
@@ -113,7 +114,8 @@ class RunCache:
 
     A run creates one, passes it to every suite and drops it when it
     returns.  On the body-major path each body's item builds its products in
-    a RunCache of its own, and the run's RunCache adopts the small ones.
+    its worker's copy of the run's RunCache, and the run's RunCache adopts
+    the small ones.
     """
 
     def __init__(self, scene: Scene):
@@ -191,20 +193,30 @@ class RunCache:
 
         return self._once((body, f), build)
 
+    def fields(self, names):
+        """Build every distance field the suites ``names`` read (``READS``):
+        per body its complement source, its field under the scene integrand
+        and, for ``reach``, under the Euclidean norm.  A refusal is kept."""
+        reads = {product for name in names for product in READS.get(name, ())}
+        norms = {"field": self.scene.integrand, "euclidean": EuclideanNorm(self.scene.dim)}
+        for product, f in norms.items():
+            for _, body in self.scene.bodies:
+                if product in reads and not _no_field(self.scene):
+                    _outcome(self.complement_field, body, f)
+
     def warm(self, names):
-        """Build every product the suites ``names`` read (``READS``)."""
+        """Build every product the suites ``names`` read (``READS``).  A
+        refusal is kept."""
         reads = {product for name in names for product in READS.get(name, ())}
         bodies = [body for _, body in self.scene.bodies]
         for body in bodies:
             if "table" in reads:
-                self.table(body)
+                _outcome(self.table, body)
             if "umbilicity" in reads:
-                self.umbilicity(body)
+                _outcome(self.umbilicity, body)
         if "hk" in reads and bodies:
-            self.hk()
-        if "field" in reads and not _no_field(self.scene):
-            for body in bodies:
-                self.complement_field(body, self.scene.integrand)
+            _outcome(self.hk)
+        self.fields(names)
 
 
 def _rng(scene: Scene, salt: int):
@@ -569,14 +581,17 @@ def run_suites(names, scene: Scene, out: Path) -> list:
     suite-major path: one RunCache first builds every product the suites
     read (``RunCache.warm``), then the suites go to ``fanout._fan_out`` as
     one item each.  A scene of two or more bodies takes the body-major path:
-    ``_fan_out`` gets one item per body, in body order, then ``dual`` and
-    ``wulff``.  A body's item builds that body's products in a RunCache of
-    its own and runs its part of ``curv``, ``steiner``, ``reach`` and
-    ``var``; it sends back those parts and the body's umbilicity fit,
-    node-rule flags and HK row, which the run's RunCache adopts, so ``hk``
-    and ``mr`` run in this process without a curvature table.  Each body's
-    products are built once, in one process, and both paths write the same
-    outputs.  Body-major exists because on weighted-3d the suite-major
+    the RunCache first builds every distance field the suites read
+    (``RunCache.fields``: in 2D, each body's table and complement source
+    with them), then ``_fan_out`` gets one item per body, in body order,
+    then ``dual`` and ``wulff``.  A body's item builds that body's other
+    products in its copy of the RunCache and runs its part of ``curv``,
+    ``steiner``, ``reach`` and ``var``; it sends back those parts and the
+    body's umbilicity fit, node-rule flags and HK row, which the run's
+    RunCache adopts, so ``hk`` and ``mr`` run in this process without
+    building a curvature table.  Each body's products are built once, in
+    one process, every distance field in this one, and both paths write the
+    same outputs.  Body-major exists because on weighted-3d the suite-major
     warm-up kept one of two CPUs idle for 45% of a pass.
 
     A product that refuses keeps its refusal, and whatever reads it raises
@@ -588,17 +603,17 @@ def run_suites(names, scene: Scene, out: Path) -> list:
     out.mkdir(parents=True, exist_ok=True)
     cache = RunCache(scene)
     if len(scene.bodies) < 2 or not any(name in READS for name in names):
-        with contextlib.suppress(WulffkitError):
-            cache.warm(names)
+        cache.warm(names)
         results = _fan_out(names, lambda name: _outcome(run_suite, name, cache, out))
     else:
+        cache.fields(names)
         n = len(scene.bodies)
         alone = [name for name in names if name in ("dual", "wulff")]
 
         def work(item):
             if isinstance(item, str):
                 return _outcome(run_suite, item, cache, out)
-            return _body_item(scene, out, names, item)
+            return _body_item(cache, out, names, item)
 
         done = _fan_out(list(range(n)) + alone, work)
         parts, finished = done[:n], dict(zip(alone, done[n:]))
@@ -619,12 +634,12 @@ def run_suites(names, scene: Scene, out: Path) -> list:
     return results
 
 
-def _body_item(scene: Scene, out: Path, names, k: int):
+def _body_item(cache: RunCache, out: Path, names, k: int):
     """Body k's parts of the suites ``names`` that run body by body (each a
     WulffkitError where it refuses), and the products of the body that
-    ``hk`` and ``mr`` read, by RunCache method, all built in a RunCache of
-    its own."""
-    cache = RunCache(scene)
+    ``hk`` and ``mr`` read, by RunCache method, all read from ``cache``: the
+    run's RunCache, or a worker's copy of it."""
+    scene = cache.scene
     body = scene.bodies[k][1]
     parts = {
         name: _outcome(_body_part, name, scene, out, cache, k)

@@ -78,9 +78,10 @@ def test_each_worker_is_pinned_to_its_own_cpu():
     _no_child_left()
     pinned = dict((pid, cpu) for pid, (cpu,), _ in results)
     assert sorted(pinned.values()) == cpus
-    # a fan-out inside a pinned worker spreads over the caller's CPUs again
-    assert all(usable == len(cpus) for _, _, usable in results)
-    assert sorted(os.sched_getaffinity(0)) == cpus and fanout._caller_cpus is None
+    # a pinned worker reports one usable CPU, so a fan-out inside it runs
+    # its items in-process
+    assert all(usable == 1 for _, _, usable in results)
+    assert sorted(os.sched_getaffinity(0)) == cpus
 
 
 def test_nested_fan_out_leaves_no_grandchild(monkeypatch):
@@ -331,8 +332,14 @@ def test_warm_builds_every_product_the_suites_read():
     cache.warm(list(SUITE_ORDER))
     assert "hk" in cache._built
     assert all((body, scene.integrand) in cache._built for body in bodies)
-    # the reach suite's Euclidean field is left to the suite
+    # and, for the reach suite, each body's Euclidean field
     assert not isinstance(scene.integrand, EuclideanNorm)
+    assert all((body, EuclideanNorm(2)) in cache._built for body in bodies)
+
+    cache = suites.RunCache(scene)
+    cache.warm(["steiner"])
+    # steiner reads only the scene-integrand field
+    assert all((body, scene.integrand) in cache._built for body in bodies)
     assert all((body, EuclideanNorm(2)) not in cache._built for body in bodies)
 
 
@@ -346,9 +353,12 @@ class _SharedLog:
 
     def add(self, *parts):
         digest = hashlib.blake2b(repr(parts).encode(), digest_size=8).digest()
+        self.put(int.from_bytes(digest, "little", signed=True))
+
+    def put(self, key: int):
         with self.lock:
             n = int(self.data[0])
-            self.data[1 + n] = int.from_bytes(digest, "little", signed=True)
+            self.data[1 + n] = key
             self.data[0] = n + 1
 
     def keys(self):
@@ -417,3 +427,60 @@ def test_shared_products_are_built_once_across_processes(tmp_path, monkeypatch, 
     assert logs["sample_surface"].keys()
     assert len(logs["curvature_table"].keys()) == bodies
     assert len(logs["build_field"].keys()) == 2 * bodies * name.endswith("d2")
+
+
+# a weighted-sum Wulff ball on an h = 0.01 grid, as in the weighted-2d
+# benchmark workload: one body whose reach suite reads a Euclidean field
+WEIGHTED_D2 = {
+    "integrand": {
+        "family": "weighted-sum",
+        "terms": [
+            {"weight": 0.45, "integrand": {"family": "euclidean", "dimension": 2}},
+            {
+                "weight": 0.55,
+                "integrand": {"family": "quadratic", "matrix": [[2.5, 0.9], [0.9, 1.5]]},
+            },
+        ],
+    },
+    "bodies": [{"id": "w", "kind": "wulff", "center": [0.2, -0.3], "radius": 0.45}],
+    "resolution": 4096,
+    "grid": {"bounds": [[-1.0, 1.4], [-1.5, 0.9]], "cells": [240, 240]},
+    "seed": 5,
+    "steiner": {"lo_frac": 0.05, "hi_frac": 0.9, "samples": 40, "source_resolution": 1024},
+}
+
+
+@pytest.mark.parametrize("name", ["wulff_d2", "two_wulff_d2", "weighted_d2"])
+def test_the_run_alone_forks_and_builds_fields(tmp_path, monkeypatch, name):
+    # one fan-out level: with two usable CPUs every fork and every field
+    # build happens in the run's own process, none in a suite's or a body's
+    # worker, and the run writes the bytes of the one-CPU run
+    if name in STEMS:
+        scene = ROOT / "scenes" / f"{name}.json"
+    else:
+        scene = tmp_path / f"{name}.json"
+        scene.write_text(json.dumps(WEIGHTED_D2))
+    pids = {"fork": _SharedLog(), "build_field": _SharedLog()}
+
+    def logged(key, fn):
+        def call(*args):
+            pids[key].put(os.getpid())
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(os, "fork", logged("fork", os.fork))
+    monkeypatch.setattr(distance, "build_field", logged("build_field", distance.build_field))
+    runs = {}
+    for cpus in (1, 2):
+        for log in pids.values():
+            log.data[0] = 0
+        monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
+        runs[cpus] = cli.run("all", scene, tmp_path / str(cpus))
+        _no_child_left()
+        forks, fields = pids["fork"].keys(), pids["build_field"].keys()
+        assert bool(forks) == (cpus > 1) and set(forks) <= {os.getpid()}
+        assert len(fields) == 2 * len(load_scene(scene).bodies)
+        assert set(fields) == {os.getpid()}
+    assert runs[2] == runs[1] == 0
+    assert _tree(tmp_path / "2") == _tree(tmp_path / "1")
