@@ -229,6 +229,7 @@ def equality_classifier(
     report: HKReport,
     umbilicity: Sequence[UmbilicityReport],
     c: float,
+    h_max: Optional[float] = None,
 ) -> ClassifierVerdict:
     """Decide "wulff-union" vs "strict" from the ratio, umbilicity, and radii.
 
@@ -236,15 +237,18 @@ def equality_classifier(
     ball fit, and every fitted radius >= n/c within the relative slack
     RADIUS_TOL = 0.02.  Whether the radii are all equal within RADIUS_TOL is
     reported alongside (the equality case admits unequal radii as long as
-    each clears n/c).  The curvature bound c must be positive and finite.
+    each clears n/c).  The curvature bound c must be positive and finite,
+    and at least ``h_max``, the bodies' largest mean curvature: by default
+    the report's observed H_max.
     """
     if not umbilicity:
         raise InputError("classifier needs at least one umbilicity report")
     # NaN fails both comparisons
     if not 0.0 < c < np.inf:
         raise InputError(f"curvature bound c must be positive and finite, got {c!r}")
-    if c < report.h_max * (1 - 1e-12):
-        raise InputError(f"curvature bound c={c} is below the observed H_max={report.h_max}")
+    h_max = report.h_max if h_max is None else h_max
+    if c < h_max * (1 - 1e-12):
+        raise InputError(f"curvature bound c={c} is below the bodies' H_max={h_max}")
     radii = tuple(u.radius for u in umbilicity if u.radius is not None)
     centers = tuple(u.center for u in umbilicity if u.center is not None)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import re
@@ -594,6 +595,37 @@ def test_every_wulff_check_moves_under_a_scaled_gradient(tmp_path, monkeypatch, 
     assert exact.passed and not scaled.passed
     for a, b in zip(exact.checks, scaled.checks, strict=True):
         assert a["name"] == b["name"] and a["value"] != b["value"], a["name"]
+
+
+def test_a_curvature_defect_fails_curv_not_the_scene(tmp_path, monkeypatch):
+    # two_wulff_d2 sets hk.c = 1.0, which is n/r of its body w1: with kappa,
+    # H and sigma_k off by 1 + 1e-7 the tables' H_max exceeds c, but hk
+    # checks c against each Wulff body's closed-form n/r, so the defect
+    # fails curv (exit 4) instead of refusing the scene
+    table = suites.curvature_table
+
+    def scaled(body, f, quad):
+        t = table(body, f, quad)
+        k = 1.0 + 1e-7
+        return dataclasses.replace(t, kappa=k * t.kappa, mean=k * t.mean, sigma=k * t.sigma)
+
+    monkeypatch.setattr(suites, "curvature_table", scaled)
+    out = tmp_path / "out"
+    assert run("all", SCENES / "two_wulff_d2.json", out) == 4
+    report = {s["name"]: s for s in json.loads((out / "report.json").read_text())["suites"]}
+    checks = {c["name"]: c for c in report["curv"]["checks"]}
+    assert not checks["wulff_constant_curvature[w1]"]["passed"]
+    assert checks["wulff_constant_curvature[w1]"]["value"] == pytest.approx(1e-7, rel=1e-6)
+    assert report["hk"]["passed"] and report["hk"]["metrics"]["H_max"] > 1.0
+
+
+def test_hk_c_below_a_wulff_body_n_over_r_is_refused(tmp_path, capsys):
+    raw = json.loads((SCENES / "two_wulff_d2.json").read_text())
+    raw["hk"]["c"] = 0.999  # below n/r = 1 of w1, above that of w2
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(raw))
+    assert main(["hk", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: curvature bound c=0.999 is below the bodies' H_max=1.0\n"
 
 
 def test_all_skips_grid_suites_without_grid(tmp_path):
