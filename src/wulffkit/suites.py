@@ -114,8 +114,8 @@ class RunCache:
 
     A run creates one, passes it to every suite and drops it when it
     returns.  On the body-major path each body's item builds its products in
-    its worker's copy of the run's RunCache, and the run's RunCache adopts
-    the small ones.
+    the run's RunCache, or in a worker's copy of it, and the run's RunCache
+    adopts the small ones.
     """
 
     def __init__(self, scene: Scene):
