@@ -38,19 +38,19 @@ search: their union is cut into runs of consecutive source indices, and
 when no two runs come within ``tol_unique`` a cluster that meets two runs
 is split without a search of its own.
 
-The coarse blocks are scanned in forked worker processes, one pinned to
-each usable CPU (``fanout._fan_out``), which claim the blocks in row-major
-order and write delta and the gap straight into one shared anonymous
-mapping that backs the returned arrays; the caller only waits and reaps
-them.  Each row's results depend only on its own near-minimizers, so the
-bits depend neither on the block order nor on which worker scans which
-block.  The scan stays in-process where
+A field is planned, then scanned.  ``_plan_field`` checks the arguments,
+lays out the coarse blocks in row-major order and allocates one shared
+anonymous mapping that backs the field's delta and gap; its
+``scan_block(k)`` writes block k's rows into the mapping from any process.
+``build_field`` hands the blocks to forked worker processes, one pinned to
+each usable CPU (``fanout._fan_out``), which claim them in row-major order;
+the caller only waits and reaps them.  A run of ``wulffkit all`` plans
+every field it reads and puts the blocks of all of them into its one
+fan-out (``suites.run_suites``).  Each row's results depend only on its own
+near-minimizers, so the bits depend neither on the block order nor on
+which worker scans which block.  The scan stays in-process where
 ``fanout`` keeps its items in-process: one usable CPU, no ``fork``, a
-running thread, or fewer than ``FAN_OUT_ITEMS`` blocks.  A forked worker is
-pinned to one CPU, so a field built inside one scans in-process; a run of
-``wulffkit all`` builds every field in its own process before it forks any
-suite or body (``suites.run_suites``), so each field spreads over every
-usable CPU.
+running thread, or fewer than ``FAN_OUT_ITEMS`` blocks.
 """
 
 from __future__ import annotations
@@ -565,42 +565,39 @@ def _candidates(dual, pts, cand, xc, radius, lip, eps_cluster, window_abs):
     return cand[d <= bound + 1e-12]
 
 
-def build_field(
+@dataclass(frozen=True, eq=False)
+class _FieldPlan:
+    """A distance field and the coarse blocks that fill it.
+
+    The delta and the gap of ``field`` live in one anonymous shared mapping
+    and hold 0 until their block is scanned.  ``blocks`` lists the coarse
+    blocks in row-major order, as (box, circumradius); ``scan_block(k)``
+    scans block k into the mapping, in any process and in any order, and
+    marks it in ``scanned``, one shared byte per block, once it returns.
+    """
+
+    field: DistanceField
+    blocks: list
+    scan_block: Callable
+    scanned: np.ndarray
+
+    def scan(self) -> DistanceField:
+        """``field``, once every block not yet marked is scanned here, in
+        row-major order (``_fan_out``): none where every block was scanned
+        before, and else the first block whose scan refuses raises again."""
+        _fan_out(np.flatnonzero(self.scanned == 0).tolist(), self.scan_block)
+        return self.field
+
+
+def _plan_field(
     source: SourceSet,
     f: Integrand,
     grid: GridSpec,
     eps_cluster: float = EPS_CLUSTER,
     tol_unique: Optional[float] = None,
-) -> DistanceField:
-    """Compute delta and the ambiguity gap on the grid.
-
-    The grid is scanned one coarse block at a time, and each block works
-    from its own cells alone: it builds its cell centres from the grid's
-    per-axis coordinates, classifies them with one membership call, and is
-    done when every cell lies in A.  Otherwise each fine tile scans its cells
-    outside A against the candidates of the whole tile, which hold every
-    near-minimizer of each of them; delta and the gap are 0 on A.  For
-    Euclidean F* and a diagonal M both levels bound each source by the end
-    rows of the box's cell ranges, all tiles of a block in one call; other
-    F* use a Lipschitz bound at each box's radius.  The clusters flagged in
-    a tile are screened together (``_linkage_screen``), and only the ones
-    the screen leaves undecided run their own linkage search.  Besides
-    delta and the gap, the caller holds no array with one entry per cell.
-
-    The blocks go to forked workers, one per usable CPU (``_fan_out``), in
-    row-major order; each writes its rows of delta and the gap into the
-    mapping behind the returned arrays, and every worker is reaped before
-    this returns or raises.  Since a row's results depend only on its own
-    near-minimizers, the field is bit for bit the one-process scan's
-    whatever the block order and the split.  The scan stays in-process with
-    one usable CPU (in a forked worker, which is pinned to one), without
-    ``os.fork``, while another thread runs, or with fewer than
-    ``FAN_OUT_ITEMS`` blocks.
-
-    ``eps_cluster`` must be non-negative and finite; ``tol_unique`` (default
-    three times the larger of the source spacing and the grid h) must be
-    finite and at least the source spacing.
-    """
+) -> _FieldPlan:
+    """``build_field``'s checks of its arguments, its shared mapping and its
+    blocks, with nothing scanned yet; the arguments are ``build_field``'s."""
     dual = dual_norm_of(f)
     _assert_even(dual)
     if grid.dim != f.dim:
@@ -629,12 +626,14 @@ def build_field(
     axes = grid._axes()
     scan = _block_scan(dual, pts, axes, lip, eps_cluster, window_abs)
     resolve = _cluster_analysis(source, eps_cluster, window_abs, tol_unique)
+    blocks = list(_boxes(tuple(slice(0, n) for n in grid.shape), grid.spacing, BLOCK_CELLS))
 
-    # delta and gap of every cell, 0 on A, in one mapping shared with the
-    # block workers
+    # delta and gap of every cell, 0 on A, and the marks of the scanned
+    # blocks, in mappings shared with the block workers
     n_cells = math.prod(grid.shape)
     out = np.frombuffer(mmap.mmap(-1, 2 * n_cells * 8), dtype=float)
     delta, gap = out[:n_cells], out[n_cells:]
+    scanned = np.frombuffer(mmap.mmap(-1, len(blocks)), dtype=np.uint8)
 
     # two-level candidate pruning: each coarse block keeps the sources that
     # can be near-minimizers of any of its cells, and each fine tile inside
@@ -643,8 +642,7 @@ def build_field(
     # near-minimizer of its cells, and each row's results depend only on its
     # own near-minimizers, so scanning a tile's cells outside A alone, in any
     # block order and in any process, leaves their bits as a full scan would
-    def scan_block(item):
-        block, radius = item
+    def fill(block, radius):
         centers = _box_centers(axes, block)
         member = source.membership(centers)
         if member.all():
@@ -664,10 +662,11 @@ def build_field(
             outside = flat[tile].ravel()[rows]
             delta[outside], gap[outside] = resolve(*tile_scan(tile, r_tile, cells, rows))
 
-    whole = tuple(slice(0, n) for n in grid.shape)
-    _fan_out(list(_boxes(whole, grid.spacing, BLOCK_CELLS)), scan_block)
+    def scan_block(k):
+        fill(*blocks[k])
+        scanned[k] = 1
 
-    return DistanceField(
+    field = DistanceField(
         grid=grid,
         source=source,
         dual=dual,
@@ -676,6 +675,47 @@ def build_field(
         eps_cluster=eps_cluster,
         tol_unique=float(tol_unique),
     )
+    return _FieldPlan(field=field, blocks=blocks, scan_block=scan_block, scanned=scanned)
+
+
+def build_field(
+    source: SourceSet,
+    f: Integrand,
+    grid: GridSpec,
+    eps_cluster: float = EPS_CLUSTER,
+    tol_unique: Optional[float] = None,
+) -> DistanceField:
+    """Compute delta and the ambiguity gap on the grid.
+
+    The grid is scanned one coarse block at a time, and each block works
+    from its own cells alone: it builds its cell centres from the grid's
+    per-axis coordinates, classifies them with one membership call, and is
+    done when every cell lies in A.  Otherwise each fine tile scans its cells
+    outside A against the candidates of the whole tile, which hold every
+    near-minimizer of each of them; delta and the gap are 0 on A.  For
+    Euclidean F* and a diagonal M both levels bound each source by the end
+    rows of the box's cell ranges, all tiles of a block in one call; other
+    F* use a Lipschitz bound at each box's radius.  The clusters flagged in
+    a tile are screened together (``_linkage_screen``), and only the ones
+    the screen leaves undecided run their own linkage search.  Besides
+    delta and the gap, the caller holds no array with one entry per cell.
+
+    ``_plan_field`` checks the arguments and lays out the blocks, and
+    ``_FieldPlan.scan`` hands them to forked workers, one per usable CPU
+    (``_fan_out``), in row-major order; each writes its rows of delta and
+    the gap into the mapping behind the returned arrays, and every worker is
+    reaped before this returns or raises.  Since a row's results depend only
+    on its own near-minimizers, the field is bit for bit the one-process
+    scan's whatever the block order and the split.  The scan stays
+    in-process with one usable CPU (in a forked worker, which is pinned to
+    one), without ``os.fork``, while another thread runs, or with fewer than
+    ``FAN_OUT_ITEMS`` blocks.
+
+    ``eps_cluster`` must be non-negative and finite; ``tol_unique`` (default
+    three times the larger of the source spacing and the grid h) must be
+    finite and at least the source spacing.
+    """
+    return _plan_field(source, f, grid, eps_cluster, tol_unique).scan()
 
 
 def _assert_even(dual: DualNorm):

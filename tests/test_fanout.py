@@ -1,12 +1,16 @@
-"""The fan-out contract: results in item order, nested fan-outs, and whole
-runs whose suites run in forked workers."""
+"""The fan-out contract: results in item order, items that start after the
+others, nested fan-outs, and whole runs whose suites and field blocks run
+in one round of forked workers."""
 
+import contextlib
+import dataclasses
 import hashlib
 import json
 import mmap
 import multiprocessing
 import os
 import pickle
+import signal
 import time
 from pathlib import Path
 
@@ -15,7 +19,7 @@ import pytest
 
 from wulffkit import cli, distance, fanout, suites
 from wulffkit.duality import dual_norm_of
-from wulffkit.errors import HypothesisViolationError, InputError, WulffkitError
+from wulffkit.errors import HypothesisViolationError, InputError, SolverError, WulffkitError
 from wulffkit.hypersurface import WulffBody
 from wulffkit.integrand import EuclideanNorm
 from wulffkit.scene import SUITE_ORDER, load_scene, parse_scene
@@ -109,6 +113,77 @@ def test_unpicklable_result_is_the_worker_error(monkeypatch):
     with pytest.raises((pickle.PicklingError, AttributeError)):
         fanout._fan_out(list(range(fanout.FAN_OUT_ITEMS)), lambda i: lambda: i)
     _no_child_left()
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_after_items_start_once_every_earlier_item_has_returned(monkeypatch):
+    # the last earlier item is slow, so the other worker claims the after
+    # items while it runs; each after item finds the mark of every earlier one
+    forks = _forks(monkeypatch, 2)
+    first = 12
+    marks = np.frombuffer(mmap.mmap(-1, 8 * first), dtype=np.int64)
+
+    def work(i):
+        if i < first:
+            time.sleep(0.2 if i == first - 1 else 0.001)
+            marks[i] = 1
+            return i
+        assert marks.all(), f"after item {i} started before every earlier item returned"
+        return -i
+
+    with _time_limit(60):
+        results = fanout._fan_out(list(range(first)), work, after=[first, first + 1])
+    assert len(forks) == 2
+    _no_child_left()
+    assert results == list(range(first)) + [-first, -first - 1]
+
+
+def test_in_process_items_run_in_list_order_after_items_last(monkeypatch):
+    forks = _forks(monkeypatch, 1)
+    order = []
+
+    def work(i):
+        order.append(i)
+        return -i
+
+    assert fanout._fan_out([3, 1, 2, 7], work, after=[0, 5]) == [-3, -1, -2, -7, 0, -5]
+    assert not forks
+    assert order == [3, 1, 2, 7, 0, 5]
+
+
+def test_failure_before_the_gate_ends_the_waiting_worker(monkeypatch):
+    # item 0 fails late, while the other worker waits to start an after item:
+    # the caller raises the failure, no after item ran, and no worker is left
+    forks = _forks(monkeypatch, 2)
+    ran = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+
+    def work(i):
+        if i == 0:
+            time.sleep(0.3)
+            raise ValueError("item 0 fails")
+        if i >= 4:
+            ran[0] += 1
+        return i
+
+    with _time_limit(60), pytest.raises(ValueError) as info:
+        fanout._fan_out([0, 1, 2, 3], work, after=[4, 5])
+    assert str(info.value) == "item 0 fails"
+    assert len(forks) == 2
+    _no_child_left()
+    assert ran[0] == 0
 
 
 def _tree(out: Path):
@@ -376,13 +451,39 @@ def _counting(log, fn):
     return counted
 
 
+def _planned(log_plan, log_scan):
+    """``distance._plan_field``, logging each call through ``log_plan`` and
+    each block scan of its plans through ``log_scan``, both with the content
+    of the plan's inputs, the scan with the block's index too."""
+    plan_field = distance._plan_field
+
+    def plan(source, f, grid, *args):
+        key = (source.points.tobytes(), repr(f), repr(grid))
+        log_plan(*key)
+        made = plan_field(source, f, grid, *args)
+
+        def scan_block(k):
+            log_scan(*key, k)
+            return made.scan_block(k)
+
+        return dataclasses.replace(made, scan_block=scan_block)
+
+    return plan
+
+
+def _blocks(scene) -> int:
+    """Coarse blocks of each of the scene's fields."""
+    grid = scene.grid
+    whole = tuple(slice(0, n) for n in grid.shape)
+    return len(list(distance._boxes(whole, grid.spacing, distance.BLOCK_CELLS)))
+
+
 def _logged(monkeypatch):
-    """Log each sample_surface, curvature_table and build_field call by the
-    content of its inputs."""
-    logs = {name: _SharedLog() for name in ("sample_surface", "curvature_table", "build_field")}
-    sample_surface, curvature_table, build_field = (
-        suites.sample_surface, suites.curvature_table, distance.build_field
-    )
+    """Log each sample_surface, curvature_table and field plan by the content
+    of its inputs, and each block scan by its field's inputs and its index."""
+    logs = {name: _SharedLog() for name in ("sample_surface", "curvature_table", "plan")}
+    logs["scan"] = _SharedLog(slots=1024)
+    sample_surface, curvature_table = suites.sample_surface, suites.curvature_table
 
     def sampled(body, resolution):
         logs["sample_surface"].add(repr(body), repr(resolution))
@@ -392,14 +493,10 @@ def _logged(monkeypatch):
         logs["curvature_table"].add(repr(body), repr(f), quad.points.tobytes())
         return curvature_table(body, f, quad)
 
-    def field(source, f, grid):
-        logs["build_field"].add(source.points.tobytes(), repr(f), repr(grid))
-        return build_field(source, f, grid)
-
     for module in (suites, distance):
         monkeypatch.setattr(module, "sample_surface", sampled)
     monkeypatch.setattr(suites, "curvature_table", table)
-    monkeypatch.setattr(distance, "build_field", field)
+    monkeypatch.setattr(distance, "_plan_field", _planned(logs["plan"].add, logs["scan"].add))
     return logs
 
 
@@ -423,10 +520,14 @@ def test_shared_products_are_built_once_across_processes(tmp_path, monkeypatch, 
         assert len(calls) == len(set(calls)), key
         assert sorted(calls) == sorted(serial[key]), key
     # each body's table once per run, and in 2D its two complement fields,
-    # under F for steiner and reach and Euclidean for reach
+    # under F for steiner and reach and Euclidean for reach, each planned
+    # once and each of their blocks scanned once
     assert logs["sample_surface"].keys()
     assert len(logs["curvature_table"].keys()) == bodies
-    assert len(logs["build_field"].keys()) == 2 * bodies * name.endswith("d2")
+    fields = 2 * bodies * name.endswith("d2")
+    assert len(logs["plan"].keys()) == fields
+    scans = fields * _blocks(load_scene(scene)) if fields else 0
+    assert len(logs["scan"].keys()) == scans
 
 
 # a weighted-sum Wulff ball on an h = 0.01 grid, as in the weighted-2d
@@ -452,35 +553,94 @@ WEIGHTED_D2 = {
 
 @pytest.mark.parametrize("name", ["wulff_d2", "two_wulff_d2", "weighted_d2"])
 def test_the_run_alone_forks_and_builds_fields(tmp_path, monkeypatch, name):
-    # one fan-out level: with two usable CPUs every fork and every field
-    # build happens in the run's own process, none in a suite's or a body's
-    # worker, and the run writes the bytes of the one-CPU run
+    # one fork round per run: the run's own process plans every field and
+    # makes one fan-out, which forks min(CPUs, items) workers; with two and
+    # three usable CPUs they scan every block once, and none of them forks.
+    # Each run writes the bytes of the one-CPU run
     if name in STEMS:
         scene = ROOT / "scenes" / f"{name}.json"
     else:
         scene = tmp_path / f"{name}.json"
         scene.write_text(json.dumps(WEIGHTED_D2))
-    pids = {"fork": _SharedLog(), "build_field": _SharedLog()}
+    loaded = load_scene(scene)
+    pids = {"fork": _SharedLog(), "plan": _SharedLog(), "scan": _SharedLog(slots=1024)}
+    fork, fan_out, counts = os.fork, suites._fan_out, []
 
-    def logged(key, fn):
-        def call(*args):
-            pids[key].put(os.getpid())
-            return fn(*args)
+    def forked():
+        pids["fork"].put(os.getpid())
+        return fork()
 
-        return call
+    def counted(items, work, after=()):
+        counts.append(len(items) + len(after))
+        return fan_out(items, work, after)
 
-    monkeypatch.setattr(os, "fork", logged("fork", os.fork))
-    monkeypatch.setattr(distance, "build_field", logged("build_field", distance.build_field))
+    monkeypatch.setattr(os, "fork", forked)
+    monkeypatch.setattr(suites, "_fan_out", counted)
+    monkeypatch.setattr(
+        distance,
+        "_plan_field",
+        _planned(lambda *key: pids["plan"].put(os.getpid()), lambda *key: pids["scan"].put(os.getpid())),
+    )
     runs = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         for log in pids.values():
             log.data[0] = 0
+        counts.clear()
         monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
         runs[cpus] = cli.run("all", scene, tmp_path / str(cpus))
         _no_child_left()
-        forks, fields = pids["fork"].keys(), pids["build_field"].keys()
-        assert bool(forks) == (cpus > 1) and set(forks) <= {os.getpid()}
-        assert len(fields) == 2 * len(load_scene(scene).bodies)
-        assert set(fields) == {os.getpid()}
-    assert runs[2] == runs[1] == 0
-    assert _tree(tmp_path / "2") == _tree(tmp_path / "1")
+        forks, plans, scans = (pids[key].keys() for key in ("fork", "plan", "scan"))
+        assert len(plans) == 2 * len(loaded.bodies) and set(plans) == {os.getpid()}
+        # every block of every field, then the suites: on one body the eight
+        # suites, on more two items per body and dual and wulff
+        (items,) = counts
+        assert len(scans) == len(plans) * _blocks(loaded)
+        assert items == len(scans) + (8 if len(loaded.bodies) == 1 else 2 * len(loaded.bodies) + 2)
+        if cpus == 1:
+            assert not forks and set(scans) == {os.getpid()}
+        else:
+            assert len(forks) == min(cpus, items) and set(forks) == {os.getpid()}
+            assert os.getpid() not in set(scans)
+    assert runs[3] == runs[2] == runs[1] == 0
+    assert _tree(tmp_path / "3") == _tree(tmp_path / "2") == _tree(tmp_path / "1")
+
+
+def test_a_refused_block_refuses_its_field_alone(tmp_path, monkeypatch, capsys):
+    # membership refuses in two blocks of wulff_d2's Euclidean field: with
+    # one, two and three usable CPUs the run exits 1 naming the first of them
+    # in row-major order, as a one-CPU scan stops there; steiner, which reads
+    # the scene-integrand field alone, writes its CSV, and reach, which reads
+    # both, writes nothing, nor does the run write its report
+    scene = ROOT / "scenes" / "wulff_d2.json"
+    grid = load_scene(scene).grid
+    whole = tuple(slice(0, n) for n in grid.shape)
+    boxes = [box for box, _ in distance._boxes(whole, grid.spacing, distance.BLOCK_CELLS)]
+    refused = {distance._box_centers(grid._axes(), boxes[k])[0].tobytes(): k for k in (50, 30)}
+    plan_field = distance._plan_field
+
+    def plan(source, f, grid, *args):
+        if isinstance(f, EuclideanNorm):
+            outside = source.inside
+
+            def inside(x):
+                k = refused.get(x[0].tobytes())
+                if k is not None:
+                    raise SolverError(f"membership refused in block {k}")
+                return outside(x)
+
+            source = dataclasses.replace(source, inside=inside)
+        return plan_field(source, f, grid, *args)
+
+    monkeypatch.setattr(distance, "_plan_field", plan)
+    trees = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(fanout, "_usable_cpus", lambda: cpus)
+        out = tmp_path / str(cpus)
+        assert cli.main(["all", "--scene", str(scene), "--out", str(out)]) == 1
+        _no_child_left()
+        assert capsys.readouterr().err == "error: membership refused in block 30\n"
+        trees[cpus] = _tree(out)
+    assert trees[3] == trees[2] == trees[1]
+    files = {str(path) for path in trees[1]}
+    assert "steiner_w1.csv" in files and "var_residuals.csv" in files
+    assert "report.json" not in files

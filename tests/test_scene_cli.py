@@ -619,6 +619,53 @@ def test_a_curvature_defect_fails_curv_not_the_scene(tmp_path, monkeypatch):
     assert report["hk"]["passed"] and report["hk"]["metrics"]["H_max"] > 1.0
 
 
+def _curv_checks_under(monkeypatch, tmp_path, name, defect):
+    """The curv suite's exit code and checks on scene ``name`` with every
+    curvature table passed through ``defect``."""
+    table = suites.curvature_table
+    monkeypatch.setattr(suites, "curvature_table", lambda *args: defect(table(*args)))
+    out = tmp_path / name
+    code = run("curv", SCENES / f"{name}.json", out)
+    (report,) = json.loads((out / "report.json").read_text())["suites"]
+    return code, {c["name"]: c for c in report["checks"]}
+
+
+WULFF_SCENES = ["wulff_d2", "two_wulff_d2", "wulff_d3"]
+
+
+@pytest.mark.parametrize("name", WULFF_SCENES)
+def test_scaled_curvatures_fail_wulff_radius_recovery(tmp_path, monkeypatch, name):
+    # kappa, H and sigma_k off by 1 + 1e-7 move each fitted radius by about
+    # 1e-7 r, which a tolerance of 1e-3 let pass
+    def scaled(t):
+        k = 1.0 + 1e-7
+        return dataclasses.replace(t, kappa=k * t.kappa, mean=k * t.mean, sigma=k * t.sigma)
+
+    code, checks = _curv_checks_under(monkeypatch, tmp_path, name, scaled)
+    assert code == 4
+    for bid, body in load_scene(SCENES / f"{name}.json").bodies:
+        check = checks[f"wulff_radius_recovery[{bid}]"]
+        assert not check["passed"]
+        assert check["value"] == pytest.approx(1e-7 * body.radius, rel=1e-5)
+
+
+@pytest.mark.parametrize("name", WULFF_SCENES)
+def test_shifted_points_fail_wulff_center_recovery(tmp_path, monkeypatch, name):
+    # the table's points off by 1e-7 e_1 move each fitted centre by 1e-7 and
+    # no other check of curv; a tolerance of 1e-3 let every run exit 0
+    def shifted(t):
+        shift = np.eye(t.quad.dim)[0] * 1e-7
+        return dataclasses.replace(t, quad=dataclasses.replace(t.quad, points=t.quad.points + shift))
+
+    code, checks = _curv_checks_under(monkeypatch, tmp_path, name, shifted)
+    assert code == 4
+    failed = {c for c, check in checks.items() if not check["passed"]}
+    ids = [bid for bid, _ in load_scene(SCENES / f"{name}.json").bodies]
+    assert failed == {f"wulff_center_recovery[{bid}]" for bid in ids}
+    for bid in ids:
+        assert checks[f"wulff_center_recovery[{bid}]"]["value"] == pytest.approx(1e-7, rel=1e-5)
+
+
 def test_hk_c_below_a_wulff_body_n_over_r_is_refused(tmp_path, capsys):
     raw = json.loads((SCENES / "two_wulff_d2.json").read_text())
     raw["hk"]["c"] = 0.999  # below n/r = 1 of w1, above that of w2
