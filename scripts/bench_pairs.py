@@ -16,8 +16,11 @@ higher on; a tie counts for neither side.  Each metric of the change's
 ``BENCHMARK.json`` ``end_to_end`` list also gets the acceptance rule read
 from its ``better`` and ``bound``: ``gain`` when the change is better on at
 least 9 of 10 of the pairs and its median is better than the parent's by more
-than the parent's interquartile range, and ``within_bound`` when its median
-is worse than the parent's by at most ``bound`` times the parent's median.
+than the parent's interquartile range, ``within_bound`` when its median
+is worse than the parent's by at most ``bound`` times the parent's median,
+and ``unresolved`` when the parent's interquartile range is wider than
+``bound`` times its median and not every change run is better than every
+parent run: the runs spread too widely for ``within_bound`` to tell.
 Each run also records the CPUs the benchmark could use and the share of CPU
 time stolen by the hypervisor over the run, from the aggregate ``cpu`` line
 of ``/proc/stat`` before and after it (``null`` where that file is missing),
@@ -121,8 +124,8 @@ def _quartiles(values):
 
 
 def _acceptance(p, c, better: str, bound: float) -> dict:
-    """``gain`` and ``within_bound`` of a metric's paired values p (parent)
-    and c (change), for ``better`` "lower" or "higher"."""
+    """``gain``, ``within_bound`` and ``unresolved`` of a metric's paired
+    values p (parent) and c (change), for ``better`` "lower" or "higher"."""
     sign = 1.0 if better == "lower" else -1.0
     q1, median_p, q3 = np.percentile(p, [25, 50, 75])
     median_c = np.median(c)
@@ -130,6 +133,9 @@ def _acceptance(p, c, better: str, bound: float) -> dict:
     return {
         "gain": bool(10 * wins >= 9 * len(p) and sign * (median_p - median_c) > q3 - q1),
         "within_bound": bool(sign * (median_c - median_p) <= bound * abs(median_p)),
+        "unresolved": bool(
+            q3 - q1 > bound * abs(median_p) and (sign * c).max() >= (sign * p).min()
+        ),
     }
 
 

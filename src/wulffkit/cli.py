@@ -12,13 +12,13 @@ failing suite in the canonical order dual, wulff, curv, hk, mr, steiner,
 reach, var.  Reports are deterministic: the same scene and seed produce
 byte-identical report.json files (no timestamps, seeded generators only).
 
-``suites.run_suites`` runs the suites on a path that the scene's body
-count picks; the ``suites`` module docstring gives the rule and why.  The
-items run in forked workers, one per usable CPU, where ``fanout`` splits
-them, else in-process.  The exit code, the messages and the bytes of
-report.json and the CSVs do not depend on the path or the split.  A
-refusal (exit 1) is the first in the canonical order, then in body order;
-the suites and bodies after it still run, so their CSVs may exist.
+``suites.run_suites`` runs the suites body by body, as the ``suites``
+module docstring sets out.  The items run in forked workers, one per
+usable CPU, where ``fanout`` splits them, else in-process.  The exit code,
+the messages and the bytes of report.json and the CSVs do not depend on
+the split.  A refusal (exit 1) is the first in the canonical order, then
+in body order; the suites and bodies after it still run, so their CSVs
+may exist.
 """
 
 from __future__ import annotations

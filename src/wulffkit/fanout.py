@@ -6,11 +6,12 @@ returns the results in item order.  Its two callers, ``distance.build_field``
 and ``suites.run_suites``, say what their items are.  A run of ``wulffkit
 all`` makes one fan-out: ``run_suites`` plans every distance field before
 it forks, its items are the run's field-free work and every block of every
-field, and its ``after`` items are the suites that read the fields.  There
-is one fan-out level: a worker is pinned to one CPU, so a ``_fan_out``
-inside it sees one usable CPU and runs its items in-process.  Whether the
-items run in workers or in-process, the outputs are the same: the field's
-bits, and a run's exit code, messages, report.json and CSV bytes.
+field, and its ``after`` items are each body's parts of the suites that
+read the fields.  There is one fan-out level: a worker is pinned to one
+CPU, so a ``_fan_out`` inside it sees one usable CPU and runs its items
+in-process.  Whether the items run in workers or in-process, the outputs
+are the same: the field's bits, and a run's exit code, messages,
+report.json and CSV bytes.
 
 One policy serves both: one worker per usable CPU, at most one per item,
 each pinned to its own CPU of the caller's set; the caller does no work and

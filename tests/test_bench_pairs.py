@@ -94,6 +94,17 @@ def test_acceptance_rule_per_metric():
     assert (up["gain"], up["within_bound"]) == (True, True)
     down = _pairs(parent, parent, score=[(s, 0.8 * s) for s in parent])["score"]
     assert (down["gain"], down["within_bound"]) == (False, False)
+    # the parent IQR 0.45 is wider than 0.25 of its median 1.45: unresolved,
+    # unless every change run is below every parent run
+    assert _pairs(parent, change)["wall_s"]["unresolved"]
+    assert not _pairs(parent, [0.9] * 10)["wall_s"]["unresolved"]
+    assert _pairs(parent, [0.9] * 9 + [1.0])["wall_s"]["unresolved"]
+    # a parent IQR of 0.045 against a median of 1.145 resolves
+    tight = [1.0 + p / 10 for p in parent]
+    assert not _pairs(tight, tight)["wall_s"]["unresolved"]
+    # "higher" is better: every change score above every parent score resolves
+    assert not up["unresolved"]
+    assert _pairs(parent, parent, score=[(s, s + 0.1) for s in parent])["score"]["unresolved"]
 
 
 def test_seed_range():

@@ -191,7 +191,7 @@ def _tree(out: Path):
 
 
 # a Wulff ball and an ellipsoid under a 3D weighted sum, as in the
-# weighted-3d benchmark workload: a scene that runs body by body
+# weighted-3d benchmark workload: two bodies, whose 3D run forks
 WULFF_ELLIPSOID_D3 = {
     "integrand": {
         "family": "weighted-sum",
@@ -238,9 +238,10 @@ def test_all_writes_the_serial_bytes(tmp_path, monkeypatch, scene):
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 3)
     fanned = cli.run("all", scene, tmp_path / "fanned")
     _no_child_left()
-    # one worker per pretended CPU for the suites or bodies, and for 2D
-    # scenes three more per field
-    assert len(forks) >= 3 and set(forks) == {os.getpid()}
+    # one round of one worker per pretended CPU, but wulff_d3 runs its one
+    # body, dual and wulff in-process: three items, fewer than FAN_OUT_ITEMS
+    assert len(forks) == (0 if scene.stem == "wulff_d3" else 3)
+    assert set(forks) <= {os.getpid()}
     assert fanned == serial == 0
     assert _tree(tmp_path / "fanned") == _tree(tmp_path / "serial")
 
@@ -344,7 +345,7 @@ REFUSING = {
 
 
 @pytest.mark.parametrize("case", list(REFUSING))
-def test_body_major_refusals_are_the_suite_major_ones(tmp_path, monkeypatch, case):
+def test_run_refusals_are_the_one_process_suites_ones(tmp_path, monkeypatch, case):
     # with one usable CPU and with three, the run raises the refusal that
     # the suites raise one after another on one RunCache, and var, after hk
     # in the order, still writes its CSV
@@ -358,7 +359,7 @@ def test_body_major_refusals_are_the_suite_major_ones(tmp_path, monkeypatch, cas
     first = None
     for name in names:
         try:
-            suites.run_suite(name, cache, tmp_path / "suite-major")
+            suites.run_suite(name, cache, tmp_path / "one-process")
         except WulffkitError as exc:
             first = first or exc
     kind, message = REFUSING[case]
@@ -375,47 +376,68 @@ def test_body_major_refusals_are_the_suite_major_ones(tmp_path, monkeypatch, cas
 
 
 def test_first_refusal_in_suite_order_is_raised(tmp_path, monkeypatch):
-    # curv and var both refuse; with one usable CPU as with three, var runs
-    # too and the run raises curv's refusal
-    table = dict(suites._SUITES)
-
+    # curv and var both refuse on both bodies; with one usable CPU as with
+    # three, var runs too and the run raises curv's refusal of the first body
     def refusing(name):
-        def suite(scene, out, cache):
-            raise InputError(f"{name} refuses")
+        def part(scene, out, cache, k, res):
+            raise InputError(f"{name} refuses body {k}")
 
-        return suite
+        return part
 
-    monkeypatch.setattr(suites, "_SUITES", {**table, "curv": refusing("curv"), "var": refusing("var")})
-    scene = ROOT / "scenes" / "wulff_d3.json"
+    for name in ("curv", "var"):
+        monkeypatch.setitem(suites._BODY_PARTS, name, refusing(name))
+    scene = _scene_file(tmp_path, "wulff_ellipsoid_d3")
     for cpus in (1, 3):
         forks = _forks(monkeypatch, cpus)
-        with pytest.raises(InputError, match="^curv refuses$"):
+        with pytest.raises(InputError, match="^curv refuses body 0$"):
             cli.run("all", scene, tmp_path / str(cpus))
         _no_child_left()
         assert bool(forks) == (cpus > 1)
 
 
-def test_warm_builds_every_product_the_suites_read():
+def test_suites_that_read_no_body_make_no_body_items(tmp_path, monkeypatch):
+    # dual and wulff read no body's products: on three bodies with three
+    # usable CPUs they are the run's two items, which run in-process
+    raw = dict(OVERLAPPING, bodies=[
+        {"id": f"w{k}", "kind": "wulff", "center": [3.0 * k, 0.0], "radius": 1.0} for k in range(3)
+    ])
+    counts, fan_out = [], suites._fan_out
+
+    def counted(items, work, after=()):
+        counts.append(len(items) + len(after))
+        return fan_out(items, work, after)
+
+    monkeypatch.setattr(suites, "_fan_out", counted)
+    forks = _forks(monkeypatch, 3)
+    results = suites.run_suites(["dual", "wulff"], parse_scene(raw), tmp_path)
+    assert [r.name for r in results] == ["dual", "wulff"] and all(r.passed for r in results)
+    assert counts == [2] and not forks
+
+def test_fields_plans_every_field_the_suites_read():
     scene = load_scene(ROOT / "scenes" / "wulff_d2.json")
     bodies = [body for _, body in scene.bodies]
     cache = suites.RunCache(scene)
-    cache.warm(["dual", "wulff", "curv", "var"])
-    # each body's sample and umbilicity fit; no HK report, source or field
-    assert set(cache._built) == set(bodies) | {("umbilicity", body) for body in bodies}
+    cache.fields(["dual", "wulff", "curv", "var"])
+    # no field, and nothing else
+    assert not cache.plans and not cache._built
 
     cache = suites.RunCache(scene)
-    cache.warm(list(SUITE_ORDER))
-    assert "hk" in cache._built
+    cache.fields(list(SUITE_ORDER))
     assert all((body, scene.integrand) in cache._built for body in bodies)
     # and, for the reach suite, each body's Euclidean field
     assert not isinstance(scene.integrand, EuclideanNorm)
     assert all((body, EuclideanNorm(2)) in cache._built for body in bodies)
+    assert len(cache.plans) == 2 * len(bodies)
 
     cache = suites.RunCache(scene)
-    cache.warm(["steiner"])
-    # steiner reads only the scene-integrand field
+    cache.fields(["steiner"])
+    # steiner reads only the scene-integrand field, beside each body's table
     assert all((body, scene.integrand) in cache._built for body in bodies)
     assert all((body, EuclideanNorm(2)) not in cache._built for body in bodies)
+    assert len(cache.plans) == len(bodies)
+    assert set(cache._built) == {
+        key for body in bodies for key in (body, ("source", body), (body, scene.integrand))
+    }
 
 
 class _SharedLog:
@@ -513,7 +535,8 @@ def test_shared_products_are_built_once_across_processes(tmp_path, monkeypatch, 
         log.data[0] = 0
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 3)
     cli.run("all", scene, tmp_path / "fanned")
-    assert forks
+    # wulff_d3's body, dual and wulff, three items, run in-process
+    assert bool(forks) == (name != "wulff_d3")
     _no_child_left()
     for key, log in logs.items():
         calls = log.keys()
@@ -591,11 +614,11 @@ def test_the_run_alone_forks_and_builds_fields(tmp_path, monkeypatch, name):
         _no_child_left()
         forks, plans, scans = (pids[key].keys() for key in ("fork", "plan", "scan"))
         assert len(plans) == 2 * len(loaded.bodies) and set(plans) == {os.getpid()}
-        # every block of every field, then the suites: on one body the eight
-        # suites, on more two items per body and dual and wulff
+        # every block of every field, one item per body, dual and wulff,
+        # and after the blocks one per body and field reader
         (items,) = counts
         assert len(scans) == len(plans) * _blocks(loaded)
-        assert items == len(scans) + (8 if len(loaded.bodies) == 1 else 2 * len(loaded.bodies) + 2)
+        assert items == len(scans) + 3 * len(loaded.bodies) + 2
         if cpus == 1:
             assert not forks and set(scans) == {os.getpid()}
         else:

@@ -619,13 +619,13 @@ def test_a_curvature_defect_fails_curv_not_the_scene(tmp_path, monkeypatch):
     assert report["hk"]["passed"] and report["hk"]["metrics"]["H_max"] > 1.0
 
 
-def _curv_checks_under(monkeypatch, tmp_path, name, defect):
-    """The curv suite's exit code and checks on scene ``name`` with every
+def _checks_under(monkeypatch, tmp_path, suite, name, defect):
+    """The exit code and checks of ``suite`` on scene ``name`` with every
     curvature table passed through ``defect``."""
     table = suites.curvature_table
     monkeypatch.setattr(suites, "curvature_table", lambda *args: defect(table(*args)))
     out = tmp_path / name
-    code = run("curv", SCENES / f"{name}.json", out)
+    code = run(suite, SCENES / f"{name}.json", out)
     (report,) = json.loads((out / "report.json").read_text())["suites"]
     return code, {c["name"]: c for c in report["checks"]}
 
@@ -641,7 +641,7 @@ def test_scaled_curvatures_fail_wulff_radius_recovery(tmp_path, monkeypatch, nam
         k = 1.0 + 1e-7
         return dataclasses.replace(t, kappa=k * t.kappa, mean=k * t.mean, sigma=k * t.sigma)
 
-    code, checks = _curv_checks_under(monkeypatch, tmp_path, name, scaled)
+    code, checks = _checks_under(monkeypatch, tmp_path, "curv", name, scaled)
     assert code == 4
     for bid, body in load_scene(SCENES / f"{name}.json").bodies:
         check = checks[f"wulff_radius_recovery[{bid}]"]
@@ -657,7 +657,7 @@ def test_shifted_points_fail_wulff_center_recovery(tmp_path, monkeypatch, name):
         shift = np.eye(t.quad.dim)[0] * 1e-7
         return dataclasses.replace(t, quad=dataclasses.replace(t.quad, points=t.quad.points + shift))
 
-    code, checks = _curv_checks_under(monkeypatch, tmp_path, name, shifted)
+    code, checks = _checks_under(monkeypatch, tmp_path, "curv", name, shifted)
     assert code == 4
     failed = {c for c, check in checks.items() if not check["passed"]}
     ids = [bid for bid, _ in load_scene(SCENES / f"{name}.json").bodies]
@@ -665,6 +665,26 @@ def test_shifted_points_fail_wulff_center_recovery(tmp_path, monkeypatch, name):
     for bid in ids:
         assert checks[f"wulff_center_recovery[{bid}]"]["value"] == pytest.approx(1e-7, rel=1e-5)
 
+
+@pytest.mark.parametrize("name", WULFF_SCENES)
+def test_scaled_sigma_1_fails_am_gm_tight_on_wulff(tmp_path, monkeypatch, name):
+    # sigma_1 off by 1 + 1e-7 moves each Wulff body's tube integral by
+    # n (n + 1) / 2 * 1e-7 of the AM-GM bound and no other check of mr; a
+    # tolerance of 1e-6 let every run exit 0
+    def scaled(t):
+        sigma = t.sigma.copy()
+        sigma[:, 1] *= 1.0 + 1e-7
+        return dataclasses.replace(t, sigma=sigma)
+
+    code, checks = _checks_under(monkeypatch, tmp_path, "mr", name, scaled)
+    assert code == 6
+    scene = load_scene(SCENES / f"{name}.json")
+    failed = {c for c, check in checks.items() if not check["passed"]}
+    assert failed == {f"am_gm_tight_on_wulff[{bid}]" for bid, _ in scene.bodies}
+    n = scene.dim - 1
+    for bid, _ in scene.bodies:
+        value = checks[f"am_gm_tight_on_wulff[{bid}]"]["value"]
+        assert value == pytest.approx(n * (n + 1) / 2 * 1e-7, rel=1e-5)
 
 def test_hk_c_below_a_wulff_body_n_over_r_is_refused(tmp_path, capsys):
     raw = json.loads((SCENES / "two_wulff_d2.json").read_text())
