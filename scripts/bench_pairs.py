@@ -34,6 +34,14 @@ process it reaped, forked workers included, so memory that a change moves
 from the measured process into its workers shows there.  A process started
 by exec inherits its starter's peak, so the reading is never below that of
 this script itself.  Per side, the summary gives its quartiles.
+
+Both sides compile their modules alike: the script refuses to start, naming
+the directory, while either checkout holds a ``__pycache__`` under ``src/``
+or ``perfbench/``, and it runs every benchmark process with
+``PYTHONDONTWRITEBYTECODE=1``.  Otherwise a checkout with bytecode skips the
+compile that the other pays in every run, and a checkout with stale
+bytecode for edited modules pays it only for those: either moves
+``setup_s`` and ``peak_rss_mb`` with no change to the code.
 Needs only the standard library and numpy.
 """
 
@@ -53,7 +61,9 @@ COMMAND = "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {s
 METHOD = (
     "parent commit and change run from separate checkouts, one run at a time; pairs "
     "alternate which side runs first (odd seeds parent first); seeds {seeds}; {cpus} usable "
-    "CPUs; quartiles are numpy linear percentiles; a tie counts for neither side"
+    "CPUs; neither checkout holds a __pycache__ under src/ or perfbench/ and every run has "
+    "PYTHONDONTWRITEBYTECODE=1, so both compile every module in every run; quartiles are "
+    "numpy linear percentiles; a tie counts for neither side"
 )
 STAT = Path("/proc/stat")
 
@@ -90,12 +100,25 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
+def bytecode_caches(checkout: Path):
+    """The ``__pycache__`` directories under ``src/`` and ``perfbench/`` of
+    ``checkout``, sorted."""
+    return sorted(
+        path
+        for top in ("src", "perfbench")
+        for path in (checkout / top).rglob("__pycache__")
+        if path.is_dir()
+    )
+
+
 def run_tree(cmd, cwd):
     """(exit code, stdout, stderr, peak MB) of ``cmd`` run in ``cwd`` to its
-    end.  The peak is ``ru_maxrss`` of ``os.wait4`` on it: the largest
-    resident set of the process and of each descendant reaped below it."""
+    end, with ``PYTHONDONTWRITEBYTECODE=1``.  The peak is ``ru_maxrss`` of
+    ``os.wait4`` on it: the largest resident set of the process and of each
+    descendant reaped below it."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen(cmd, cwd=cwd, stdout=out, stderr=err)
+        proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=out, stderr=err)
         _pid, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
@@ -209,6 +232,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    cached = [str(path) for checkout in sides.values() for path in bytecode_caches(checkout)]
+    if cached:
+        parser.error(f"remove the checkouts' bytecode caches first: {' '.join(cached)}")
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     runs = []

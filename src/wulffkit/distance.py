@@ -41,16 +41,20 @@ is split without a search of its own.
 A field is planned, then scanned.  ``_plan_field`` checks the arguments,
 lays out the coarse blocks in row-major order and allocates one shared
 anonymous mapping that backs the field's delta and gap; its
-``scan_block(k)`` writes block k's rows into the mapping from any process.
-``build_field`` hands the blocks to forked worker processes, one pinned to
-each usable CPU (``fanout._fan_out``), which claim them in row-major order;
-the caller only waits and reaps them.  A run of ``wulffkit all`` plans
-every field it reads and puts the blocks of all of them into its one
-fan-out (``suites.run_suites``).  Each row's results depend only on its own
-near-minimizers, so the bits depend neither on the block order nor on
-which worker scans which block.  The scan stays in-process where
-``fanout`` keeps its items in-process: one usable CPU, no ``fork``, a
-running thread, or fewer than ``FAN_OUT_ITEMS`` blocks.
+``scan_block(k)`` writes block k's rows into the mapping from any process
+and marks the block scanned, or unscanned where its scan raises, in one
+shared byte per block that starts pending.  ``build_field`` hands the
+blocks to forked worker processes, one pinned to each usable CPU
+(``fanout._fan_out``), which claim them in row-major order; the caller
+only waits and reaps them.  A run of ``wulffkit all`` plans every field it
+reads and puts the blocks of all of them into its one fan-out
+(``suites.run_suites``); a reader of a field in a worker of that fan-out
+waits for the field's pending blocks, then scans in its own process the
+ones whose scan raised (``_FieldPlan.scan``).  Each row's results depend
+only on its own near-minimizers, so the bits depend neither on the block
+order nor on which worker scans which block.  The scan stays in-process
+where ``fanout`` keeps its items in-process: one usable CPU, no ``fork``,
+a running thread, or fewer than ``FAN_OUT_ITEMS`` blocks.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
+import os
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -565,6 +571,11 @@ def _candidates(dual, pts, cand, xc, radius, lip, eps_cluster, window_abs):
     return cand[d <= bound + 1e-12]
 
 
+# the states of a planned block, one shared byte each: an item of the run
+# will scan it, it was scanned, or its scan raised
+PENDING, SCANNED, UNSCANNED = 0, 1, 2
+
+
 @dataclass(frozen=True, eq=False)
 class _FieldPlan:
     """A distance field and the coarse blocks that fill it.
@@ -573,19 +584,29 @@ class _FieldPlan:
     and hold 0 until their block is scanned.  ``blocks`` lists the coarse
     blocks in row-major order, as (box, circumradius); ``scan_block(k)``
     scans block k into the mapping, in any process and in any order, and
-    marks it in ``scanned``, one shared byte per block, once it returns.
+    leaves its byte in ``state``, one shared byte per block, ``SCANNED`` or
+    ``UNSCANNED``; every byte starts ``PENDING``.  ``owner`` is the pid of
+    the process that planned the field.
     """
 
     field: DistanceField
     blocks: list
     scan_block: Callable
-    scanned: np.ndarray
+    state: np.ndarray
+    owner: int
 
     def scan(self) -> DistanceField:
-        """``field``, once every block not yet marked is scanned here, in
+        """``field``, once every block not yet scanned is scanned here, in
         row-major order (``_fan_out``): none where every block was scanned
-        before, and else the first block whose scan refuses raises again."""
-        _fan_out(np.flatnonzero(self.scanned == 0).tolist(), self.scan_block)
+        before, and else the first block whose scan refuses raises again.
+        In a process other than ``owner``, a pending block is one that an
+        item of the owner's run scans, so this first waits, in 1 ms sleeps,
+        until no block is pending, and raises ProcessLookupError if
+        ``owner`` is gone."""
+        while os.getpid() != self.owner and (self.state == PENDING).any():
+            os.kill(self.owner, 0)
+            time.sleep(0.001)
+        _fan_out(np.flatnonzero(self.state != SCANNED).tolist(), self.scan_block)
         return self.field
 
 
@@ -628,12 +649,12 @@ def _plan_field(
     resolve = _cluster_analysis(source, eps_cluster, window_abs, tol_unique)
     blocks = list(_boxes(tuple(slice(0, n) for n in grid.shape), grid.spacing, BLOCK_CELLS))
 
-    # delta and gap of every cell, 0 on A, and the marks of the scanned
-    # blocks, in mappings shared with the block workers
+    # delta and gap of every cell, 0 on A, and the state of each block, in
+    # mappings shared with the block workers
     n_cells = math.prod(grid.shape)
     out = np.frombuffer(mmap.mmap(-1, 2 * n_cells * 8), dtype=float)
     delta, gap = out[:n_cells], out[n_cells:]
-    scanned = np.frombuffer(mmap.mmap(-1, len(blocks)), dtype=np.uint8)
+    state = np.frombuffer(mmap.mmap(-1, len(blocks)), dtype=np.uint8)
 
     # two-level candidate pruning: each coarse block keeps the sources that
     # can be near-minimizers of any of its cells, and each fine tile inside
@@ -663,8 +684,12 @@ def _plan_field(
             delta[outside], gap[outside] = resolve(*tile_scan(tile, r_tile, cells, rows))
 
     def scan_block(k):
-        fill(*blocks[k])
-        scanned[k] = 1
+        try:
+            fill(*blocks[k])
+        except BaseException:
+            state[k] = UNSCANNED
+            raise
+        state[k] = SCANNED
 
     field = DistanceField(
         grid=grid,
@@ -675,7 +700,7 @@ def _plan_field(
         eps_cluster=eps_cluster,
         tol_unique=float(tol_unique),
     )
-    return _FieldPlan(field=field, blocks=blocks, scan_block=scan_block, scanned=scanned)
+    return _FieldPlan(field, blocks, scan_block, state, owner=os.getpid())
 
 
 def build_field(

@@ -1,17 +1,17 @@
 """Independent items of work in forked worker processes.
 
-``_fan_out(items, work, after)`` calls ``work`` once on each item, and on
-each item of ``after`` once every item of ``items`` has returned, and
-returns the results in item order.  Its two callers, ``distance.build_field``
-and ``suites.run_suites``, say what their items are.  A run of ``wulffkit
-all`` makes one fan-out: ``run_suites`` plans every distance field before
-it forks, its items are the run's field-free work and every block of every
-field, and its ``after`` items are each body's parts of the suites that
-read the fields.  There is one fan-out level: a worker is pinned to one
-CPU, so a ``_fan_out`` inside it sees one usable CPU and runs its items
-in-process.  Whether the items run in workers or in-process, the outputs
-are the same: the field's bits, and a run's exit code, messages,
-report.json and CSV bytes.
+``_fan_out(items, work)`` calls ``work`` once on each item and returns the
+results in item order.  Its two callers, ``distance._FieldPlan.scan`` and
+``suites.run_suites``, say what their items are.  A run of ``wulffkit all``
+makes one fan-out: ``run_suites`` plans every distance field before it
+forks, and its items are the run's field-free work, every block of every
+field, and last each body's parts of the suites that read the fields; such
+a part waits for its own fields' blocks in flight (``_FieldPlan.scan``).
+There is one fan-out level: a worker is pinned to one CPU, so a
+``_fan_out`` inside it sees one usable CPU and runs its items in-process.
+Whether the items run in workers or in-process, the outputs are the same:
+the field's bits, and a run's exit code, messages, report.json and CSV
+bytes.
 
 One policy serves both: one worker per usable CPU, at most one per item,
 each pinned to its own CPU of the caller's set; the caller does no work and
@@ -30,7 +30,6 @@ import contextlib
 import mmap
 import os
 import pickle
-import select
 import selectors
 import signal
 import threading
@@ -67,51 +66,33 @@ def _workers(count: int) -> int:
     return n
 
 
-def _fan_out(items, work, after=()):
-    """[work(item) for item in items + after], in forked worker processes.
+def _fan_out(items, work):
+    """[work(item) for item in items], in forked worker processes.
 
     Workers claim the items first come, first served, in list order: the
     index of the next item sits in a shared mapping, and only the holder of
-    a one-byte token in a pipe reads and advances it.  An item of ``after``
-    starts only once every item of ``items`` has returned: beside the next
-    index the mapping counts the items of ``items`` that have returned, each
-    counted when its worker next holds the token, and the worker whose count
-    reaches ``len(items)`` writes one byte per worker to a gate pipe, where
-    a worker that claimed an ``after`` item before then waits.  A worker
-    sends the (index, result) pairs of its items, pickled, down its report
-    pipe when it runs out of items; results must pickle.  The caller does no
-    work.  It reads each worker's report pipe until the worker ends and
-    reaps it; at the first failure it kills and reaps the others, waiting or
-    not, and raises.  A worker's exception reaches the caller with its type,
-    message and attributes, and the worker's traceback in a note; a worker
-    that ends without a report raises a RuntimeError that names its exit
-    status.  A worker whose parent is gone stops before its next item, and
-    stops waiting at the gate.
+    a one-byte token in a pipe reads and advances it.  A worker sends the
+    (index, result) pairs of its items, pickled, down its report pipe when
+    it runs out of items; results must pickle.  The caller does no work.  It
+    reads each worker's report pipe until the worker ends and reaps it; at
+    the first failure it kills and reaps the others and raises.  A worker's
+    exception reaches the caller with its type, message and attributes, and
+    the worker's traceback in a note; a worker that ends without a report
+    raises a RuntimeError that names its exit status.  A worker whose parent
+    is gone stops before its next item.
 
-    The items run in-process, in order, ``after`` last, where ``_workers``
-    says so.
+    The items run in-process, in order, where ``_workers`` says so.
     """
-    first = len(items)
-    items = list(items) + list(after)
+    items = list(items)
     n = _workers(len(items))
     if n == 0:
         return [work(item) for item in items]
     cpus = sorted(os.sched_getaffinity(0))
-    # the index of the next item, and the count of returned items of the
-    # first phase
-    state = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+    # the index of the next item
+    claimed = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
     token_r, token_w = os.pipe()
-    gate_r, gate_w = os.pipe()
     os.write(token_w, b".")
     parent = os.getpid()
-
-    def gate_opens():
-        # False when the parent went away first
-        while not select.select([gate_r], [], [], 1.0)[0]:
-            if os.getppid() != parent:
-                return False
-        os.read(gate_r, 1)
-        return True
 
     def run_worker(report, cpu):
         # a worker reports whatever ends it, and always leaves by os._exit,
@@ -124,22 +105,14 @@ def _fan_out(items, work, after=()):
                 with contextlib.suppress(OSError):
                     os.sched_setaffinity(0, {cpu})
                 done = []
-                # whether this worker's last item is one of ``items``, not yet counted
-                uncounted = False
                 while os.getppid() == parent:
                     os.read(token_r, 1)
-                    if uncounted:
-                        state[1] += 1
-                        if state[1] == first:
-                            os.write(gate_w, b"." * n)
-                    i = int(state[0])
-                    state[0] = i + 1
-                    waits = i >= first and state[1] < first
+                    i = int(claimed[0])
+                    claimed[0] = i + 1
                     os.write(token_w, b".")
-                    if i >= len(items) or (waits and not gate_opens()):
+                    if i >= len(items):
                         break
                     done.append((i, work(items[i])))
-                    uncounted = i < first
                 data = pickle.dumps(done)
             except BaseException as exc:
                 status = 1
@@ -198,6 +171,6 @@ def _fan_out(items, work, after=()):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
-        for fd in (token_r, token_w, gate_r, gate_w):
+        for fd in (token_r, token_w):
             os.close(fd)
     return results

@@ -16,9 +16,11 @@ every distance field the suites read (``READS``): in 2D each body's table
 and complement source, and the field's blocks.  The fan-out's items are
 one per body, which builds that body's other products and runs its part
 of ``curv`` and ``var`` (``_BODY_PARTS``), then ``dual`` and ``wulff``,
-then every block of every field.  After the blocks come one item per body
-and field-reading suite, the body's part of ``steiner`` or ``reach``, so
-a one-body scene's two readers run side by side.  The caller merges the
+then every block of every field.  Last come one item per body and
+field-reading suite, the body's part of ``steiner`` or ``reach``, which
+waits for the blocks of its own fields that are still in flight
+(``distance._FieldPlan.scan``), so a one-body scene's two readers run side
+by side, and beside the blocks of other fields.  The caller merges the
 parts in body order and runs ``hk`` and ``mr`` from the bodies' small
 products.  No worker builds a product that another process built, and
 where the items fork the caller reads no field.  ``run_suite`` runs one
@@ -72,7 +74,7 @@ READS = {
     "reach": ("table", "field", "euclidean"),
     "var": ("table",),
 }
-# the suites that read a distance field, which run once every field is scanned
+# the suites that read a distance field, which run once its blocks are scanned
 _READERS = tuple(name for name, reads in READS.items() if "field" in reads)
 
 
@@ -200,7 +202,8 @@ class RunCache:
     def complement_field(self, body, f):
         """Distance field under ``f`` to the closure of the outside of
         ``body``: its plan's field, once every block of the plan that no item
-        of the run scanned is scanned here (``_FieldPlan.scan``)."""
+        of the run scanned is scanned here, after the ones in flight
+        (``_FieldPlan.scan``)."""
         return self._once(("field", body, f), lambda: self.field_plan(body, f).scan())
 
     def fields(self, names):
@@ -315,7 +318,7 @@ def _curv_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteResul
         f"trace_vs_eigensum[{bid}]",
         np.abs(table.kappa.sum(axis=1) - table.mean).max()
         / (1.0 + np.abs(table.mean).max()),
-        1e-8,
+        1e-10,
     )
     res.check(
         f"eta_on_unit_conjugate_sphere[{bid}]",
@@ -490,7 +493,7 @@ def _var_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteResult
     p = float((table.f_normal * quad.weights).sum())  # perimeter_F(quad, f), bit for bit
     dilation = first_variation(table, PolynomialField.position(scene.dim))
     res.check(
-        f"dilation_matches_perimeter[{bid}]", abs(dilation - (scene.dim - 1) * p) / p, 1e-6
+        f"dilation_matches_perimeter[{bid}]", abs(dilation - (scene.dim - 1) * p) / p, 1e-10
     )
 
     rows = []
@@ -588,9 +591,10 @@ def run_suites(names, scene: Scene, out: Path) -> list:
     body's table and complement source with them).  The items are one per
     body, in body order, where ``curv``, ``hk``, ``mr`` or ``var`` runs,
     then ``dual`` and ``wulff``, then every block of every field, in plan
-    order and row-major order; the ``after`` items,
-    which start once every block has been scanned, are one per body and
-    field reader, body by body.  A body's first item builds that body's
+    order and row-major order, and last one per body and field reader, body
+    by body.  A reader is claimed once every block has been claimed, and
+    waits for the blocks of its own fields still in flight
+    (``distance._FieldPlan.scan``).  A body's first item builds that body's
     other products in its copy of the RunCache and runs its part of
     ``curv`` and ``var``; it sends back those parts and the body's
     umbilicity fit, node-rule flags and HK row, which the run's RunCache
@@ -619,7 +623,7 @@ def run_suites(names, scene: Scene, out: Path) -> list:
     firsts = n if any(name in READS for name in free) else 0
     items = [functools.partial(_body_item, cache, out, free, k) for k in range(firsts)]
     items += [functools.partial(_outcome, run_suite, name, cache, out) for name in alone]
-    after = [
+    reading = [
         functools.partial(_body_item, cache, out, [name], k) for k in range(n) for name in readers
     ]
     blocks = [
@@ -627,7 +631,7 @@ def run_suites(names, scene: Scene, out: Path) -> list:
         for plan in cache.plans
         for k in range(len(plan.blocks))
     ]
-    done = _fan_out(items + blocks, lambda item: item(), after)
+    done = _fan_out(items + blocks + reading, lambda item: item())
     first, last = done[: len(items)], done[len(items) + len(blocks) :]
     finished = dict(zip(alone, first[firsts:]))
     parts = [{} for _ in range(n)]

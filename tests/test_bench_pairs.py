@@ -202,3 +202,32 @@ def test_run_tree_reads_the_peak_of_the_reaped_workers(tmp_path):
     # when it is started by exec
     assert worker >= 64
     assert peak == pytest.approx(max(own, worker), abs=1.0)
+
+
+def test_runs_write_no_bytecode(tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    code, out, err, _peak = bench_pairs.run_tree(
+        [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"], tmp_path
+    )
+    assert code == 0 and out == "True\n"
+
+
+def test_a_checkout_with_bytecode_is_refused(tmp_path, capsys):
+    # compiled modules in one checkout alone would move its setup time and
+    # peak memory: the script names each cache and runs nothing
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src" / "pkg").mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    caches = [parent / "perfbench" / "__pycache__", change / "src" / "pkg" / "__pycache__"]
+    for cache in caches:
+        cache.mkdir(parents=True)
+    # a __pycache__ elsewhere in the checkout is not the benchmark's
+    (change / "tests" / "__pycache__").mkdir(parents=True)
+    assert bench_pairs.bytecode_caches(change) == [caches[1]]
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert all(str(cache) in err for cache in caches)
+    assert str(change / "tests") not in err

@@ -1,9 +1,10 @@
-"""The fan-out contract: results in item order, items that start after the
-others, nested fan-outs, and whole runs whose suites and field blocks run
-in one round of forked workers."""
+"""The fan-out contract: results in item order, field readers that wait
+for their own field's blocks, nested fan-outs, and whole runs whose suites
+and field blocks run in one round of forked workers."""
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import mmap
@@ -129,29 +130,60 @@ def _time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_after_items_start_once_every_earlier_item_has_returned(monkeypatch):
-    # the last earlier item is slow, so the other worker claims the after
-    # items while it runs; each after item finds the mark of every earlier one
+def _disk_plan():
+    """The plan of a small Euclidean field to the outside of the unit disk:
+    nine blocks, none scanned."""
+    disk = WulffBody(dual_norm_of(E2), np.zeros(2), 1.0)
+    source = distance.boundary_source([disk], 1024, region="complement")
+    grid = distance.GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=96)
+    return distance._plan_field(source, E2, grid)
+
+
+def _wait_for(flags, i):
+    deadline = time.monotonic() + 30
+    while not flags[i] and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def test_a_reader_waits_for_its_fields_blocks_in_flight(monkeypatch):
+    # the last block's item holds until the reader, claimed by the other
+    # worker, has found that block pending: the reader waits for it and reads
+    # the bits of a one-process scan, and every block is scanned once
     forks = _forks(monkeypatch, 2)
-    first = 12
-    marks = np.frombuffer(mmap.mmap(-1, 8 * first), dtype=np.int64)
+    plan = _disk_plan()
+    last = len(plan.blocks) - 1
+    scans = _SharedLog()
+    started = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+    scan_block = plan.scan_block
 
-    def work(i):
-        if i < first:
-            time.sleep(0.2 if i == first - 1 else 0.001)
-            marks[i] = 1
-            return i
-        assert marks.all(), f"after item {i} started before every earlier item returned"
-        return -i
+    def counted(k):
+        if k == last:
+            _wait_for(started, 0)
+        scans.put(k)
+        scan_block(k)
 
+    plan = dataclasses.replace(plan, scan_block=counted)
+
+    def read():
+        pending = bool(plan.state[last] == distance.PENDING)
+        started[0] = 1
+        field = plan.scan()
+        return pending, field.delta.copy(), field.gap.copy()
+
+    items = [functools.partial(plan.scan_block, k) for k in range(len(plan.blocks))] + [read]
     with _time_limit(60):
-        results = fanout._fan_out(list(range(first)), work, after=[first, first + 1])
+        *_, (pending, delta, gap) = fanout._fan_out(items, lambda item: item())
     assert len(forks) == 2
     _no_child_left()
-    assert results == list(range(first)) + [-first, -first - 1]
+    assert pending
+    assert sorted(scans.keys()) == list(range(len(plan.blocks)))
+    assert (plan.state == distance.SCANNED).all()
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
+    whole = _disk_plan().scan()
+    assert np.array_equal(delta, whole.delta) and np.array_equal(gap, whole.gap)
 
 
-def test_in_process_items_run_in_list_order_after_items_last(monkeypatch):
+def test_in_process_items_run_in_list_order(monkeypatch):
     forks = _forks(monkeypatch, 1)
     order = []
 
@@ -159,31 +191,52 @@ def test_in_process_items_run_in_list_order_after_items_last(monkeypatch):
         order.append(i)
         return -i
 
-    assert fanout._fan_out([3, 1, 2, 7], work, after=[0, 5]) == [-3, -1, -2, -7, 0, -5]
+    assert fanout._fan_out([3, 1, 2, 7, 0, 5], work) == [-3, -1, -2, -7, 0, -5]
     assert not forks
     assert order == [3, 1, 2, 7, 0, 5]
 
 
-def test_failure_before_the_gate_ends_the_waiting_worker(monkeypatch):
-    # item 0 fails late, while the other worker waits to start an after item:
-    # the caller raises the failure, no after item ran, and no worker is left
+def test_failure_while_a_reader_waits_leaves_no_child(monkeypatch):
+    # the last block's item fails without scanning once the reader waits for
+    # that block: the caller raises the failure, kills the waiting reader and
+    # leaves no worker
     forks = _forks(monkeypatch, 2)
-    ran = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+    plan = _disk_plan()
+    last = len(plan.blocks) - 1
+    # the reader started, and it returned
+    flags = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
 
-    def work(i):
-        if i == 0:
-            time.sleep(0.3)
-            raise ValueError("item 0 fails")
-        if i >= 4:
-            ran[0] += 1
-        return i
+    def block(k):
+        if k == last:
+            _wait_for(flags, 0)
+            time.sleep(0.1)
+            raise ValueError("the last block's item fails")
+        plan.scan_block(k)
 
+    def read():
+        flags[0] = 1
+        plan.scan()
+        flags[1] = 1
+
+    items = [functools.partial(block, k) for k in range(len(plan.blocks))] + [read]
     with _time_limit(60), pytest.raises(ValueError) as info:
-        fanout._fan_out([0, 1, 2, 3], work, after=[4, 5])
-    assert str(info.value) == "item 0 fails"
+        fanout._fan_out(items, lambda item: item())
+    assert str(info.value) == "the last block's item fails"
     assert len(forks) == 2
     _no_child_left()
-    assert ran[0] == 0
+    assert flags[0] == 1 and flags[1] == 0
+    assert plan.state[last] == distance.PENDING
+
+
+def test_a_pending_block_whose_owner_is_gone_raises():
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+    plan = dataclasses.replace(_disk_plan(), owner=pid)
+    with _time_limit(60), pytest.raises(ProcessLookupError):
+        plan.scan()
+    assert (plan.state == distance.PENDING).all()
 
 
 def _tree(out: Path):
@@ -403,9 +456,9 @@ def test_suites_that_read_no_body_make_no_body_items(tmp_path, monkeypatch):
     ])
     counts, fan_out = [], suites._fan_out
 
-    def counted(items, work, after=()):
-        counts.append(len(items) + len(after))
-        return fan_out(items, work, after)
+    def counted(items, work):
+        counts.append(len(items))
+        return fan_out(items, work)
 
     monkeypatch.setattr(suites, "_fan_out", counted)
     forks = _forks(monkeypatch, 3)
@@ -593,9 +646,9 @@ def test_the_run_alone_forks_and_builds_fields(tmp_path, monkeypatch, name):
         pids["fork"].put(os.getpid())
         return fork()
 
-    def counted(items, work, after=()):
-        counts.append(len(items) + len(after))
-        return fan_out(items, work, after)
+    def counted(items, work):
+        counts.append(len(items))
+        return fan_out(items, work)
 
     monkeypatch.setattr(os, "fork", forked)
     monkeypatch.setattr(suites, "_fan_out", counted)
@@ -615,7 +668,7 @@ def test_the_run_alone_forks_and_builds_fields(tmp_path, monkeypatch, name):
         forks, plans, scans = (pids[key].keys() for key in ("fork", "plan", "scan"))
         assert len(plans) == 2 * len(loaded.bodies) and set(plans) == {os.getpid()}
         # every block of every field, one item per body, dual and wulff,
-        # and after the blocks one per body and field reader
+        # and last one per body and field reader
         (items,) = counts
         assert len(scans) == len(plans) * _blocks(loaded)
         assert items == len(scans) + 3 * len(loaded.bodies) + 2

@@ -686,6 +686,45 @@ def test_scaled_sigma_1_fails_am_gm_tight_on_wulff(tmp_path, monkeypatch, name):
         value = checks[f"am_gm_tight_on_wulff[{bid}]"]["value"]
         assert value == pytest.approx(n * (n + 1) / 2 * 1e-7, rel=1e-5)
 
+
+@pytest.mark.parametrize(
+    "name", ["wulff_d2", "ellipse_d2", "superellipse_d2", "two_wulff_d2", "wulff_d3", "ball_d2"]
+)
+def test_scaled_f_normal_fails_dilation_matches_perimeter(tmp_path, monkeypatch, name):
+    # F(nu) off by 1 + 1e-7 moves each body's perimeter, and not its first
+    # variation along the position field, by 1e-7; a tolerance of 1e-6 let
+    # every run exit 0
+    code, checks = _checks_under(
+        monkeypatch, tmp_path, "var", name,
+        lambda t: dataclasses.replace(t, f_normal=(1.0 + 1e-7) * t.f_normal),
+    )
+    assert code == 9
+    ids = [bid for bid, _ in load_scene(SCENES / f"{name}.json").bodies]
+    failed = {c for c, check in checks.items() if not check["passed"]}
+    assert failed == {f"dilation_matches_perimeter[{bid}]" for bid in ids}
+    for bid in ids:
+        assert checks[f"dilation_matches_perimeter[{bid}]"]["value"] == pytest.approx(1e-7, rel=1e-5)
+
+
+@pytest.mark.parametrize("name", ["ellipse_d2", "superellipse_d2"])
+def test_one_scaled_kappa_fails_trace_vs_eigensum(tmp_path, monkeypatch, name):
+    # one node's kappa off by 1 + 1e-7, at the node whose mean curvature is
+    # nearest a twentieth of 1 + max |H|: the check reads 5e-9 to 8.4e-9
+    # there, which a tolerance of 1e-8 let pass
+    def scaled(t):
+        scale = 1.0 + np.abs(t.mean).max()
+        i = int(np.argmin(np.abs(np.abs(t.mean) - 0.05 * scale)))
+        kappa = t.kappa.copy()
+        kappa[i] *= 1.0 + 1e-7
+        return dataclasses.replace(t, kappa=kappa)
+
+    code, checks = _checks_under(monkeypatch, tmp_path, "curv", name, scaled)
+    assert code == 4
+    (bid, _), = load_scene(SCENES / f"{name}.json").bodies
+    failed = {c for c, check in checks.items() if not check["passed"]}
+    assert failed == {f"trace_vs_eigensum[{bid}]"}
+    assert 1e-10 < checks[f"trace_vs_eigensum[{bid}]"]["value"] < 1e-8
+
 def test_hk_c_below_a_wulff_body_n_over_r_is_refused(tmp_path, capsys):
     raw = json.loads((SCENES / "two_wulff_d2.json").read_text())
     raw["hk"]["c"] = 0.999  # below n/r = 1 of w1, above that of w2
