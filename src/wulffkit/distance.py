@@ -22,10 +22,13 @@ from the integrand: the mapped centre coordinates are constant along the
 other grid axes and do not decrease along their own, so the squared
 coordinate difference of a source over a range of cells is bounded by its
 values at the range's two end rows.  One call bounds a block over every
-source, and one more bounds all of the block's tiles over the block's
-candidates; each tile then sums its per-axis tables on its kept sources
-alone into its distances.  A rotated M and weighted sums keep a Lipschitz
-bound at the block's and the tile's radius, on the block's own centres.
+source, and one more bounds all of the block's tiles (about 14 x 14 cells)
+over the block's candidates; each tile then sums its per-axis tables on its
+kept sources alone into its squared distances, and delta is the root of
+each row's least square, which is the least root since a rounded square
+root does not decrease.  A rotated M and weighted sums keep a Lipschitz
+bound at the block's and the tile's (about 10 x 10 cells) radius, on the
+block's own centres.
 
 The grid is streamed through its blocks: each block builds its cell
 centres from the grid's per-axis coordinates and classifies them with one
@@ -33,10 +36,14 @@ membership call, and only its cells outside A are scanned; delta and the
 gap are 0 on A.  Besides delta and the gap, two floats per cell, the
 caller holds no array with one entry per cell.
 
-Flagged clusters of one tile are screened together before any linkage
-search: their union is cut into runs of consecutive source indices, and
-when no two runs come within ``tol_unique`` a cluster that meets two runs
-is split without a search of its own.
+A tile counts the runs of consecutive sources in each row's cluster by the
+run starts of its mask, and a tile whose rows each hold one run and cover
+no half loop is done there.  Flagged clusters of one tile are screened
+together before any linkage search: their union is cut into runs of
+consecutive source indices, and when no two runs come within
+``tol_unique`` a cluster that meets two runs is split without a search of
+its own.  The split clusters of a tile get their exact diameters from one
+batched search over chunk pairs (``_diameters``), which ``project`` shares.
 
 A field is planned, then scanned.  ``_plan_field`` checks the arguments,
 lays out the coarse blocks in row-major order and allocates one shared
@@ -95,11 +102,15 @@ __all__ = [
 EPS_CLUSTER = 1e-3
 # absolute floor of the near-minimizer window, in grid spacings
 WINDOW_CELLS = 1.5
-# cells per coarse pruning block (40 x 40 in d=2) and per fine tile inside it
-# (10 x 10)
+# cells per coarse pruning block (40 x 40 in d=2) and per fine tile inside
+# it: 14 x 14 on the axis tables, 10 x 10 under the Lipschitz bound
 BLOCK_CELLS = 1600
+AXIS_TILE_CELLS = 196
 TILE_CELLS = 100
-DIAMETER_CHUNK = 128
+# points per chunk of the batched diameter search, and chunk pairs it
+# compares entry by entry at a time
+DIAMETER_CHUNK = 16
+DIAMETER_PAIRS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +389,8 @@ def _box_keep(lines, starts, stops, cols, eps_cluster, window_abs):
     cell of a box below by lo[j] and above by hi[j].  Each cell's least F*
     is then at most big = min_j sqrt(hi[j]), and every step is a monotone
     rounded operation, so each near-minimizer j of each cell has
-    sqrt(lo[j]) <= big + (eps_cluster big + window_abs).
+    sqrt(lo[j]) <= big + (eps_cluster big + window_abs), which
+    ``_square_bound`` turns into a bound on lo[j] itself.
     """
     lo = hi = 0.0
     for k, ((line, src), start, stop) in enumerate(zip(lines, starts, stops)):
@@ -390,46 +402,47 @@ def _box_keep(lines, starts, stops, cols, eps_cluster, window_abs):
         lo = lo + ((np.maximum(first, 0.0) + np.minimum(last, 0.0)) ** 2).reshape(shape)
         hi = hi + (np.maximum(-first, last) ** 2).reshape(shape)
     big = np.sqrt(hi.min(axis=-1, keepdims=True))
-    return np.sqrt(lo) <= big + (eps_cluster * big + window_abs)
+    return lo <= _square_bound(big + (eps_cluster * big + window_abs))
 
 
 def _tile_distances(lines, box, rows, cand):
-    """F* from the cells ``rows`` (positions in the box's C order) of a box
-    ``box`` of cells (one slice per grid axis) to the sources ``cand``: one
-    table of squared coordinate differences per axis, summed in axis order
-    as ``_sqdist`` sums, broadcast over the box's cells, and one ``sqrt``."""
-    dims = [s.stop - s.start for s in box]
-    d = 0.0
-    for k, ((line, src), s) in enumerate(zip(lines, box)):
-        t = (line[s, None] - src[None, cand]) ** 2
-        d = d + t.reshape([n if j == k else 1 for j, n in enumerate(dims)] + [len(cand)])
-    d = d.reshape(math.prod(dims), len(cand))
-    if len(rows) < len(d):
-        d = d[rows]
-    return np.sqrt(d, out=d)
+    """Squared F* from the cells ``rows`` (positions in the box's C order) of
+    a box ``box`` of cells (one slice per grid axis) to the sources ``cand``:
+    one table of squared coordinate differences per axis, summed in axis
+    order as ``_sqdist`` sums, each table's rows taken at the cells' grid
+    indices along its axis."""
+    idx = np.unravel_index(rows, [s.stop - s.start for s in box])
+    d = None
+    for (line, src), s, i in zip(lines, box, idx):
+        t = ((line[s, None] - src[None, cand]) ** 2)[i]
+        d = t if d is None else np.add(d, t, out=d)
+    return d
 
 
 def _block_scan(dual: DualNorm, pts, axes, lip, eps_cluster, window_abs):
-    """scan(block, radius, centers) prunes the sources for a coarse block, a
+    """(tile_cells, scan): the fine tiles hold about ``tile_cells`` cells, and
+    scan(block, radius, centers) prunes the sources for a coarse block, a
     box ``block`` of cells (one slice per grid axis) of circumradius
     ``radius`` whose cell centres are the rows of ``centers``, and returns
     tile_scan(tile, r_tile, cells, rows): F* from the cells ``rows``
     (positions in the tile's C order) of one fine tile ``tile`` of the block
     (one slice per axis, from the block's corner), of circumradius ``r_tile``
     and at the positions ``cells`` of the block's C order, to the tile's
-    candidates, and those candidates, as (values, cand).
+    candidates, those candidates, and whether the values are squared, as
+    (values, cand, squared).
 
     Euclidean F* and a diagonal M bound by the end rows of ``_box_keep`` on
     the grid's axis lines: once for the block over every source, and once
-    for all the block's tiles together over the block's candidates.  Other
-    F* prune with the ``lip``-Lipschitz bound of ``_candidates``, at the
-    block's radius and then at each tile's, and map the block's own centres
-    once for its values.
+    for all the block's tiles of ``AXIS_TILE_CELLS`` together over the
+    block's candidates; their tiles give squared values.  Other F* prune
+    with the ``lip``-Lipschitz bound of ``_candidates``, at the block's
+    radius and then at each tile's of ``TILE_CELLS``, and map the block's own
+    centres once for its values.
     """
     every = np.arange(len(pts))
     lines = _axis_lines(dual, pts, axes)
     if lines is not None:
-        side = _side(len(axes), TILE_CELLS)
+        side = _side(len(axes), AXIS_TILE_CELLS)
 
         def scan(block, radius, centers):
             corner = np.array([s.start for s in block])
@@ -447,11 +460,11 @@ def _block_scan(dual: DualNorm, pts, axes, lip, eps_cluster, window_abs):
 
             def tile_scan(tile, r_tile, cells, rows):
                 cand = coarse[keep[tuple(s.start // side for s in tile)]]
-                return _tile_distances(own, tile, rows, cand), cand
+                return _tile_distances(own, tile, rows, cand), cand, True
 
             return tile_scan
 
-        return scan
+        return AXIS_TILE_CELLS, scan
     place, values = _pairwise_values(dual, pts)
 
     def scan(block, radius, centers):
@@ -462,56 +475,107 @@ def _block_scan(dual: DualNorm, pts, axes, lip, eps_cluster, window_abs):
         def tile_scan(tile, r_tile, cells, rows):
             xt = centers[cells].mean(axis=0)
             cand = _candidates(dual, pts, coarse, xt, r_tile, lip, eps_cluster, window_abs)
-            return values(mapped[cells[rows]], cand), cand
+            return values(mapped[cells[rows]], cand), cand, False
 
         return tile_scan
 
-    return scan
+    return TILE_CELLS, scan
 
 
 def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
-    """The near-minimizer cluster analysis, as ``resolve(d, cand)``.
+    """The near-minimizer cluster analysis, as ``resolve(d, cand, squared)``.
 
     ``d`` holds F* from a block of points (rows) to the sorted source indices
-    ``cand`` (columns), which include every near-minimizer of every row.
-    ``resolve`` returns each row's minimum m and its gap: 0, or the Euclidean
-    diameter of its cluster (the sources within m + eps_cluster m +
-    window_abs) when that covers half a loop or more or is not one
-    single-linkage component at scale ``tol_unique``.
-    Samples consecutive on a loop lie within ``source.spacing <= tol_unique``,
-    so only clusters of several runs or half a loop are resolved point by
-    point, and the clusters of several runs go through ``_linkage_screen``
-    together before any of them is searched alone.
-    """
-    ranges = np.array([(a, b) for (a, b, _c) in source.loops])
+    ``cand`` (columns), which include every near-minimizer of every row, or
+    its squares where ``squared`` is true.  ``resolve`` returns each row's
+    minimum m and its gap: 0, or the Euclidean diameter of its cluster (the
+    sources within m + eps_cluster m + window_abs) when that covers half a
+    loop or more or is not one single-linkage component at scale
+    ``tol_unique``.  On squares m is the square root of the least entry,
+    which is the least root since a rounded square root does not decrease,
+    and the cluster is the entries at most ``_square_bound`` of the window,
+    which are those whose roots lie within it.
 
-    def resolve(d, cand):
-        m = d.min(axis=1)
-        mask = d <= (m + (eps_cluster * m + window_abs))[:, None]
-        n_runs = np.zeros(len(d), dtype=np.int64)
-        cover = np.zeros(len(d), dtype=bool)
+    Samples consecutive on a loop lie within ``source.spacing <= tol_unique``,
+    so one run of consecutive sources never splits: a row whose cluster is
+    one run, counted by the run starts of its mask in one pass, and covers
+    no half loop gets gap 0 at once, and a tile without any other row is
+    done there.  Half-loop cover is counted only on loops with that many
+    candidates.  Clusters of several runs go through ``_linkage_screen``
+    together before any of them is searched alone, and every split cluster
+    of the block gets its diameter from one ``_diameters`` call.
+    """
+    ranges = np.array([(a, b) for (a, b, _c) in source.loops], dtype=np.int64).reshape(-1, 2)
+    # a place per source: consecutive along a loop, and two apart across the
+    # start of a loop
+    first = np.zeros(len(source.points), dtype=np.int64)
+    first[ranges[:, 0]] = 1
+    place = np.arange(len(first)) + np.cumsum(first)
+
+    def resolve(d, cand, squared):
+        if squared:
+            m = np.sqrt(d.min(axis=1))
+            near = d <= _square_bound(m + (eps_cluster * m + window_abs))[:, None]
+        else:
+            m = d.min(axis=1)
+            near = d <= (m + (eps_cluster * m + window_abs))[:, None]
         # candidates are sorted, so a loop's candidates are one slice of
-        # columns and samples consecutive on it sit in adjacent columns; a
+        # columns, and samples consecutive on it sit in adjacent columns: a
+        # run starts at each near column whose left neighbour is not near, or
+        # is no sample just before it on the same loop
+        breaks = np.flatnonzero(np.diff(place[cand]) != 1)
+        starts = [near[:, 1:] > near[:, :-1], near[:, :1], near[:, breaks] & near[:, breaks + 1]]
+        spans = np.searchsorted(cand, ranges)
+        cover = np.zeros(len(d), dtype=bool)
+        for (a, b), (c0, c1) in zip(ranges, spans):
+            if 2 * (c1 - c0) >= b - a:
+                cover |= 2 * np.count_nonzero(near[:, c0:c1], axis=1) >= b - a
+        flagged = cover
+        # each row's least entry is near, so each row starts a run, and only
+        # a block with more starts than rows has a row of several runs; a
         # closed loop's last sample also precedes its first
-        for (a, b, closed), (c0, c1) in zip(source.loops, np.searchsorted(cand, ranges)):
-            near, step = mask[:, c0:c1], np.diff(cand[c0:c1]) == 1
-            n_near = near.sum(axis=1)
-            n_runs += n_near - (near[:, 1:] & near[:, :-1] & step).sum(axis=1)
-            if closed and c1 - c0 > 1 and cand[c0] == a and cand[c1 - 1] == b - 1:
-                n_runs -= near[:, 0] & near[:, -1]
-            cover |= 2 * n_near >= b - a
+        if sum(map(np.count_nonzero, starts)) > len(d):
+            n_runs = sum(np.count_nonzero(s, axis=1) for s in starts)
+            for (a, b, closed), (c0, c1) in zip(source.loops, spans):
+                if closed and c1 - c0 > 1 and cand[c0] == a and cand[c1 - 1] == b - 1:
+                    n_runs -= near[:, c0] & near[:, c1 - 1]
+            flagged = cover | (n_runs >= 2)
         gap = np.zeros(len(d))
-        search = np.flatnonzero((n_runs >= 2) & ~cover)
-        split = cover.copy()
+        flagged = np.flatnonzero(flagged)
+        if len(flagged) == 0:
+            return m, gap
+        split = cover[flagged]
+        search = np.flatnonzero(~split)
         if len(search):
-            split[search] = _linkage_screen(source.points, cand, mask[search], tol_unique)
-        for r in np.flatnonzero((n_runs >= 2) | cover):
-            cluster = source.points[cand[mask[r]]]
-            if split[r] or not _connected(cluster, tol_unique):
-                gap[r] = _diameter(cluster)
+            split[search] = _linkage_screen(source.points, cand, near[flagged[search]], tol_unique)
+        for r in np.flatnonzero(~split):
+            split[r] = not _connected(source.points[cand[near[flagged[r]]]], tol_unique)
+        rows = flagged[split]
+        if len(rows):
+            gap[rows] = _diameters(source.points, cand, near[rows])
         return m, gap
 
     return resolve
+
+
+def _square_bound(t):
+    """The largest doubles q with fl(sqrt(q)) <= t, elementwise, for finite
+    t >= 0: fl(sqrt) does not decrease, so fl(sqrt(q)) <= t exactly when q
+    is at most this bound.  It starts at fl(t t) and moves to adjacent
+    doubles, down while the root exceeds t and then up while the next
+    root does not."""
+    q = t * t
+    over = np.sqrt(q) > t
+    while over.any():
+        q = np.where(over, np.nextafter(q, 0.0), q)
+        over = np.sqrt(q) > t
+    up = np.nextafter(q, np.inf)
+    fits = np.sqrt(up) <= t
+    while fits.any():
+        q = np.where(fits, up, q)
+        up = np.nextafter(q, np.inf)
+        fits = np.sqrt(up) <= t
+    return q
 
 
 def _linkage_screen(points, cand, near, linkage):
@@ -645,7 +709,7 @@ def _plan_field(
     lip = dual.grad_bound()
     window_abs = WINDOW_CELLS * h
     axes = grid._axes()
-    scan = _block_scan(dual, pts, axes, lip, eps_cluster, window_abs)
+    tile_cells, scan = _block_scan(dual, pts, axes, lip, eps_cluster, window_abs)
     resolve = _cluster_analysis(source, eps_cluster, window_abs, tol_unique)
     blocks = list(_boxes(tuple(slice(0, n) for n in grid.shape), grid.spacing, BLOCK_CELLS))
 
@@ -675,7 +739,7 @@ def _plan_field(
         local = np.arange(len(centers)).reshape([len(r) for r in ranges])
         flat = np.ravel_multi_index(np.ix_(*ranges), grid.shape)
         inner = tuple(slice(0, n) for n in local.shape)
-        for tile, r_tile in _boxes(inner, grid.spacing, TILE_CELLS):
+        for tile, r_tile in _boxes(inner, grid.spacing, tile_cells):
             cells = local[tile].ravel()
             rows = np.flatnonzero(~member[cells])
             if len(rows) == 0:
@@ -759,32 +823,57 @@ def _sqdist(a, b):
     return out
 
 
-def _diameter(pts):
-    """Euclidean diameter: the square root of the largest ``_sqdist`` entry.
+def _diameters(points, cand, near):
+    """Euclidean diameter of each row's cluster, the points
+    ``points[cand[near[r]]]``: the square root of its largest ``_sqdist``
+    entry, 0 for one point.
 
-    Chunk pairs of DIAMETER_CHUNK rows are compared in decreasing order of a
-    bound from their bounding boxes until no bound exceeds the best entry
-    found.  The bound rounds as ``_sqdist`` does, on coordinates at least as
-    far apart, so it bounds every entry of its block; memory stays at one
-    block.
+    The columns that some row holds are cut into chunks of DIAMETER_CHUNK.
+    Per row and chunk a bounding box of the row's points in it gives, per
+    pair of chunks, a bound that rounds as ``_sqdist`` does on coordinates at
+    least as far apart, so it bounds every entry between the row's points of
+    the two chunks.  A row's first best is the largest entry among its first
+    point of each chunk, and only the chunk pairs whose bound exceeds it are
+    compared entry by entry, gathered over the rows, DIAMETER_PAIRS pairs at
+    a time.  The rows are boxed in groups whose chunk-pair arrays hold about
+    as many entries as those pairs, so memory stays bounded by chunk blocks.
     """
-    starts = np.arange(0, len(pts), DIAMETER_CHUNK)
-    lo, hi = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
-    reach = np.maximum(hi[:, None] - lo[None], hi[None] - lo[:, None])
-    bound = reach[..., 0] ** 2
-    for k in range(1, pts.shape[1]):
-        bound += reach[..., k] ** 2
-    # each unordered pair once: the pairs below the diagonal repeat those above
-    bound = np.triu(bound)
-    best = 0.0
-    for p in np.argsort(-bound, axis=None, kind="stable"):
-        i, j = divmod(int(p), len(starts))
-        if bound[i, j] <= best:
-            break
-        a, b = starts[i], starts[j]
-        block = _sqdist(pts[a : a + DIAMETER_CHUNK], pts[b : b + DIAMETER_CHUNK])
-        best = max(best, float(block.max()))
-    return float(np.sqrt(best))
+    cols = np.flatnonzero(near.any(axis=0))
+    size = DIAMETER_CHUNK
+    n_chunks = -(-len(cols) // size)
+    pts = np.zeros((n_chunks * size, points.shape[1]))
+    pts[: len(cols)] = points[cand[cols]]
+    chunks = pts.reshape(n_chunks, size, -1)
+    held = np.zeros((len(near), n_chunks * size), dtype=bool)
+    held[:, : len(cols)] = near[:, cols]
+    held = held.reshape(len(near), n_chunks, size)
+    best = np.zeros(len(near))
+    group = max(1, DIAMETER_PAIRS * size * size // n_chunks**2)
+    for g in range(0, len(near), group):
+        inner = held[g : g + group]
+        filled = inner.any(axis=2)
+        firsts = chunks[np.arange(n_chunks), inner.argmax(axis=2)]
+        bound = lower = 0.0
+        for k in range(pts.shape[1]):
+            lo = np.where(inner, chunks[None, :, :, k], np.inf).min(axis=2)
+            hi = np.where(inner, chunks[None, :, :, k], -np.inf).max(axis=2)
+            reach = np.maximum(hi[:, :, None] - lo[:, None], hi[:, None] - lo[:, :, None])
+            bound = bound + reach**2
+            lower = lower + (firsts[:, :, None, k] - firsts[:, None, :, k]) ** 2
+        pairs = filled[:, :, None] & filled[:, None]
+        best[g : g + group] = np.where(pairs, lower, 0.0).max(axis=(1, 2))
+        # each unordered pair once: the pairs below the diagonal repeat those above
+        r, i, j = np.nonzero(np.triu(pairs & (bound > best[g : g + group, None, None])))
+        for p in range(0, len(r), DIAMETER_PAIRS):
+            some = slice(p, p + DIAMETER_PAIRS)
+            rp, ip, jp = r[some], i[some], j[some]
+            a, b = chunks[ip], chunks[jp]
+            block = (a[:, :, None, 0] - b[:, None, :, 0]) ** 2
+            for k in range(1, pts.shape[1]):
+                block += (a[:, :, None, k] - b[:, None, :, k]) ** 2
+            both = inner[rp, ip][:, :, None] & inner[rp, jp][:, None]
+            np.maximum.at(best, g + rp, np.where(both, block, 0.0).max(axis=(1, 2)))
+    return np.sqrt(best)
 
 
 def _connected(pts, linkage):
@@ -838,7 +927,7 @@ def project(field: DistanceField, x) -> ProjectionResult:
     source, h = field.source, field.grid.h
     resolve = _cluster_analysis(source, field.eps_cluster, WINDOW_CELLS * h, field.tol_unique)
     d = field.dual.batch_value_fast(source.points - x)
-    (m,), (gap,) = resolve(d[None], np.arange(len(d)))
+    (m,), (gap,) = resolve(d[None], np.arange(len(d)), False)
     best = int(d.argmin())
     gap = max(gap, cell_gap)
     ambiguous = gap > field.tol_unique

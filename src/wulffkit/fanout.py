@@ -39,10 +39,13 @@ import numpy as np
 
 # fewest items that are split across worker processes: forking two workers,
 # their exit and reaping them take about 5 ms (2-vCPU x86 VM, 52 MB process)
-# and a 2D field block with cells outside A about 3 ms, so the second worker
-# saves more than it costs, 3 n / 2 ms against 5 ms, from n = 4 blocks on; a
+# and a 2D field block with cells outside A about 2 ms (median over the nine
+# shipped-2d fields, one CPU of that VM), so for blocks alone the second
+# worker saves more than it costs, n ms against 5 ms, only from n = 6 on; a
 # field counts every block of its grid, those in A that end after one
-# membership call among them, and a suite takes longer than a block.  On one
+# membership call among them.  The count stays at 4 because a suite takes far
+# longer than a block: weighted-3d's four items, two bodies and dual and
+# wulff, read 0.280 s per `all` split and 0.371 s in-process at 6.  On one
 # shipped-2d pass (same VM) a round's workers started 4-9 ms after the call,
 # typically 5 ms, and ended about 2 ms after their last item: 14 rounds, one
 # per field and one for the suites, cost 0.096-0.107 s of its 0.96 s beyond

@@ -32,7 +32,7 @@ from wulffkit import (
 )
 from wulffkit import distance, fanout
 from wulffkit.errors import SolverError
-from wulffkit.distance import WINDOW_CELLS, _connected, _diameter
+from wulffkit.distance import WINDOW_CELLS, _connected, _diameters, _square_bound
 
 from oracles import resolve_gap, rolling_ball_by_wulff_sample, single_linkage_connected
 
@@ -715,21 +715,79 @@ def test_connected_matches_single_linkage_oracle(seed, n_arcs, per_arc, factor, 
     assert _connected(pts, tol) == single_linkage_connected(pts, tol)
 
 
-@given(hst.integers(0, 2**32 - 1), hst.integers(1, 1500), hst.sampled_from([2, 3]))
+@pytest.mark.parametrize("ulps", [0, 1, 2])
+def test_source_on_the_window_edge_is_a_near_minimizer(ulps):
+    # h = 1, eps_cluster 0: the window of the cell at (3.5, 3.5), whose
+    # nearest source lies 2 away, ends at 2 + 1.5 = 3.5; a second source
+    # exactly there, 4.03 > tol_unique = 3 from the first, splits the cell's
+    # cluster, and one just beyond it leaves the cluster one point
+    far = 7.0
+    for _ in range(ulps):
+        far = np.nextafter(far, np.inf)
+    src = SourceSet(points=np.array([[1.5, 3.5], [3.5, far]]), loops=((0, 1, False), (1, 2, False)))
+    field = build_field(src, E2, GridSpec([0.0, 0.0], [8.0, 8.0], 8), eps_cluster=0.0)
+    assert field.delta[3, 3] == 2.0 and field.tol_unique == 3.0
+    assert field.gap[3, 3] == (_pdist_diameter(src.points) if ulps == 0 else 0.0)
+
+
+def _pdist_diameter(pts):
+    return np.sqrt(pdist(pts, "sqeuclidean").max()) if len(pts) > 1 else 0.0
+
+
+@given(
+    hst.integers(0, 2**32 - 1),
+    hst.integers(1, 1500),
+    hst.integers(1, 12),
+    hst.sampled_from([2, 3]),
+)
 @settings(max_examples=60, deadline=None)
-def test_diameter_matches_pdist(seed, k, dim):
-    pts = np.random.default_rng(seed).standard_normal((k, dim))
-    expected = np.sqrt(pdist(pts, "sqeuclidean").max()) if k > 1 else 0.0
-    assert _diameter(pts) == expected
+def test_diameters_match_pdist(seed, k, n_rows, dim):
+    # many rows over one point set, addressed through sorted source indices:
+    # rows of one point, sparse rows that leave most chunks empty, and dense
+    # ones; clustered points put many chunk bounds near the diameter
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((k + 7, dim)) * rng.uniform(0.01, 3.0, dim)
+    cand = np.sort(rng.choice(len(points), k, replace=False))
+    near = rng.random((n_rows, k)) < rng.uniform(0.0, 1.0, (n_rows, 1))
+    near[0] = False
+    near[0, rng.integers(k)] = True
+    near[np.arange(n_rows), rng.integers(k, size=n_rows)] = True
+    got = _diameters(points, cand, near)
+    assert got.shape == (n_rows,)
+    for row, value in zip(near, got):
+        assert value == _pdist_diameter(points[cand[row]])
 
 
 @pytest.mark.parametrize("n", [2048, 4099])
-def test_diameter_of_dense_circle_matches_pdist(n):
-    # nearly every chunk pair's box bound lies close to the diameter here
+def test_diameters_of_dense_circle_match_pdist(n):
+    # nearly every chunk pair's box bound lies close to the diameter here;
+    # the rows hold the whole circle, arcs of it, and every other point
     rng = np.random.default_rng(n)
     t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
     pts = np.stack([np.cos(t), np.sin(t)], axis=1) * (1.0 + 1e-9 * rng.standard_normal((n, 1)))
-    assert _diameter(pts) == np.sqrt(pdist(pts, "sqeuclidean").max())
+    near = np.ones((4, n), dtype=bool)
+    near[1, n // 3 :] = False
+    near[2, : n // 2] = False
+    near[3, ::2] = False
+    got = _diameters(pts, np.arange(n), near)
+    for row, value in zip(near, got):
+        assert value == _pdist_diameter(pts[row])
+
+
+@given(
+    hst.floats(min_value=0.0, max_value=1e150, exclude_min=True),
+    hst.integers(-3, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_square_bound_is_the_largest_square_within_the_root(t, step):
+    # q <= X(t) exactly when the rounded root of q is at most t, for q at
+    # fl(t t) and the doubles around it
+    bound = _square_bound(np.array([t]))[0]
+    q = t * t
+    for _ in range(abs(step)):
+        q = np.nextafter(q, np.inf if step > 0 else 0.0)
+    for x in (q, np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)):
+        assert (x <= bound) == (np.sqrt(x) <= t)
 
 
 QN = QuadraticNorm(np.array([[3.0, 0.8], [0.8, 1.5]]))
@@ -835,9 +893,9 @@ def _count_scans(monkeypatch):
     def counted_analysis(*args):
         resolve = analysis(*args)
 
-        def counted(d, cand):
+        def counted(d, cand, squared):
             work["rows"] += len(d)
-            return resolve(d, cand)
+            return resolve(d, cand, squared)
 
         return counted
 
@@ -969,7 +1027,7 @@ def _per_cell_scan(src, field):
     every = np.arange(len(src.points))
     delta, gap = np.zeros(len(centers)), np.zeros(len(centers))
     for i in np.flatnonzero(~src.membership(centers)):
-        (delta[i],), (gap[i],) = resolve(values(mapped[[i]], every), every)
+        (delta[i],), (gap[i],) = resolve(values(mapped[[i]], every), every, False)
     return delta.reshape(grid.shape), gap.reshape(grid.shape)
 
 
@@ -1051,9 +1109,10 @@ def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, eps,
         cand = coarse[keep[i, j]]
         lost, brute = near_outside(tile.ravel()[rows], cand)
         assert lost == 0
-        # the tile's values carry the bits of the per-cell route
+        # the roots of the tile's squared values carry the bits of the
+        # per-cell route
         d = distance._tile_distances(lines, box, rows, cand)
-        assert np.array_equal(d, brute[:, cand])
+        assert np.array_equal(np.sqrt(d), brute[:, cand])
 
 
 @given(
@@ -1185,7 +1244,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     best = np.array([0.25, 0.5])
 
     def failing(*args):
-        def resolve(d, cand):
+        def resolve(d, cand, squared):
             raise SolverError("no convergence in a tile", best=best, gap=1e-3)
 
         return resolve
@@ -1208,7 +1267,7 @@ def test_worker_that_dies_names_its_exit_status(monkeypatch):
     caller = os.getpid()
 
     def dying(*args):
-        def resolve(d, cand):
+        def resolve(d, cand, squared):
             if os.getpid() != caller:
                 os._exit(7)
             raise AssertionError("a block was scanned in the caller")
