@@ -110,7 +110,7 @@ TILE_CELLS = 100
 # points per chunk of the batched diameter search, and chunk pairs it
 # compares entry by entry at a time
 DIAMETER_CHUNK = 16
-DIAMETER_PAIRS = 1024
+DIAMETER_PAIRS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +320,11 @@ def _box_centers(axes, box):
     """Centres of the cells of ``box`` (one slice of cell indices per grid
     axis) from the per-axis coordinates ``axes``, one row per cell in the
     box's C order; each row carries the bits of its row of ``centers()``."""
-    mesh = np.meshgrid(*(line[s] for line, s in zip(axes, box)), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    lines = [line[s] for line, s in zip(axes, box)]
+    out = np.empty([len(line) for line in lines] + [len(lines)])
+    for k, line in enumerate(lines):
+        out[..., k] = line.reshape([-1 if j == k else 1 for j in range(len(lines))])
+    return out.reshape(-1, len(lines))
 
 
 def _pairwise_values(dual: DualNorm, sources):
@@ -394,13 +397,17 @@ def _box_keep(lines, starts, stops, cols, eps_cluster, window_abs):
     """
     lo = hi = 0.0
     for k, ((line, src), start, stop) in enumerate(zip(lines, starts, stops)):
-        first = line[np.asarray(start)][:, None] - src[None, cols]
-        last = line[np.asarray(stop) - 1][:, None] - src[None, cols]
+        coord = src[cols]
+        first = line[np.asarray(start)][:, None] - coord
+        last = line[np.asarray(stop) - 1][:, None] - coord
         shape = [1] * len(lines) + [len(cols)]
         shape[k] = len(first)
-        # the nearer end row, or 0 inside the range, and the farther one
-        lo = lo + ((np.maximum(first, 0.0) + np.minimum(last, 0.0)) ** 2).reshape(shape)
-        hi = hi + (np.maximum(-first, last) ** 2).reshape(shape)
+        # first <= last: the nearer end row, or 0 inside the range, and the
+        # farther one
+        first_sq, last_sq = first**2, last**2
+        nearer = np.where(first > 0.0, first_sq, np.where(last < 0.0, last_sq, 0.0))
+        lo = lo + nearer.reshape(shape)
+        hi = hi + np.maximum(first_sq, last_sq).reshape(shape)
     big = np.sqrt(hi.min(axis=-1, keepdims=True))
     return lo <= _square_bound(big + (eps_cluster * big + window_abs))
 
@@ -523,7 +530,8 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
         # columns, and samples consecutive on it sit in adjacent columns: a
         # run starts at each near column whose left neighbour is not near, or
         # is no sample just before it on the same loop
-        breaks = np.flatnonzero(np.diff(place[cand]) != 1)
+        at = place[cand]
+        breaks = (at[1:] - at[:-1] != 1).nonzero()[0]
         starts = [near[:, 1:] > near[:, :-1], near[:, :1], near[:, breaks] & near[:, breaks + 1]]
         spans = np.searchsorted(cand, ranges)
         cover = np.zeros(len(d), dtype=bool)
@@ -541,9 +549,9 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
                     n_runs -= near[:, c0] & near[:, c1 - 1]
             flagged = cover | (n_runs >= 2)
         gap = np.zeros(len(d))
-        flagged = np.flatnonzero(flagged)
-        if len(flagged) == 0:
+        if not flagged.any():
             return m, gap
+        flagged = flagged.nonzero()[0]
         split = cover[flagged]
         search = np.flatnonzero(~split)
         if len(search):
@@ -741,7 +749,7 @@ def _plan_field(
         inner = tuple(slice(0, n) for n in local.shape)
         for tile, r_tile in _boxes(inner, grid.spacing, tile_cells):
             cells = local[tile].ravel()
-            rows = np.flatnonzero(~member[cells])
+            rows = (~member[cells]).nonzero()[0]
             if len(rows) == 0:
                 continue
             outside = flat[tile].ravel()[rows]
