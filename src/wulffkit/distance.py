@@ -728,6 +728,10 @@ def _plan_field(
     delta, gap = out[:n_cells], out[n_cells:]
     state = np.frombuffer(mmap.mmap(-1, len(blocks)), dtype=np.uint8)
 
+    # per block shape, its fine tiles with their circumradii and the
+    # positions of their cells in the block's C order
+    tilings = {}
+
     # two-level candidate pruning: each coarse block keeps the sources that
     # can be near-minimizers of any of its cells, and each fine tile inside
     # it prunes those again, by the end-row box bound or else at its own
@@ -741,19 +745,21 @@ def _plan_field(
         if member.all():
             return
         tile_scan = scan(block, radius, centers)
-        # per cell of the block, its position in the block's C order and its
-        # flat index in the grid
-        ranges = [np.arange(s.start, s.stop) for s in block]
-        local = np.arange(len(centers)).reshape([len(r) for r in ranges])
-        flat = np.ravel_multi_index(np.ix_(*ranges), grid.shape)
-        inner = tuple(slice(0, n) for n in local.shape)
-        for tile, r_tile in _boxes(inner, grid.spacing, tile_cells):
-            cells = local[tile].ravel()
+        shape = tuple(s.stop - s.start for s in block)
+        tiles = tilings.get(shape)
+        if tiles is None:
+            local = np.arange(len(centers)).reshape(shape)
+            inner = tuple(slice(0, n) for n in shape)
+            tiles = [(t, r, local[t].ravel()) for t, r in _boxes(inner, grid.spacing, tile_cells)]
+            tilings[shape] = tiles
+        # per cell of the block, its flat index in the grid
+        ranges = np.ix_(*(np.arange(s.start, s.stop) for s in block))
+        flat = np.ravel_multi_index(ranges, grid.shape).ravel()
+        for tile, r_tile, cells in tiles:
             rows = (~member[cells]).nonzero()[0]
-            if len(rows) == 0:
-                continue
-            outside = flat[tile].ravel()[rows]
-            delta[outside], gap[outside] = resolve(*tile_scan(tile, r_tile, cells, rows))
+            if len(rows):
+                outside = flat[cells[rows]]
+                delta[outside], gap[outside] = resolve(*tile_scan(tile, r_tile, cells, rows))
 
     def scan_block(k):
         try:
