@@ -549,7 +549,7 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
                     n_runs -= near[:, c0] & near[:, c1 - 1]
             flagged = cover | (n_runs >= 2)
         gap = np.zeros(len(d))
-        if not flagged.any():
+        if not np.count_nonzero(flagged):
             return m, gap
         flagged = flagged.nonzero()[0]
         split = cover[flagged]
@@ -574,12 +574,12 @@ def _square_bound(t):
     root does not."""
     q = t * t
     over = np.sqrt(q) > t
-    while over.any():
+    while np.count_nonzero(over):
         q = np.where(over, np.nextafter(q, 0.0), q)
         over = np.sqrt(q) > t
     up = np.nextafter(q, np.inf)
     fits = np.sqrt(up) <= t
-    while fits.any():
+    while np.count_nonzero(fits):
         q = np.where(fits, up, q)
         up = np.nextafter(q, np.inf)
         fits = np.sqrt(up) <= t
