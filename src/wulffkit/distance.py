@@ -513,11 +513,9 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
     of the block gets its diameter from one ``_diameters`` call.
     """
     ranges = np.array([(a, b) for (a, b, _c) in source.loops], dtype=np.int64).reshape(-1, 2)
-    # a place per source: consecutive along a loop, and two apart across the
-    # start of a loop
-    first = np.zeros(len(source.points), dtype=np.int64)
-    first[ranges[:, 0]] = 1
-    place = np.arange(len(first)) + np.cumsum(first)
+    # the sources that open a loop, whose index follows no sample of theirs
+    opens = np.zeros(len(source.points), dtype=bool)
+    opens[ranges[:, 0]] = True
 
     def resolve(d, cand, squared):
         if squared:
@@ -530,20 +528,22 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
         # columns, and samples consecutive on it sit in adjacent columns: a
         # run starts at each near column whose left neighbour is not near, or
         # is no sample just before it on the same loop
-        at = place[cand]
-        breaks = (at[1:] - at[:-1] != 1).nonzero()[0]
-        starts = [near[:, 1:] > near[:, :-1], near[:, :1], near[:, breaks] & near[:, breaks + 1]]
+        after = cand[1:]
+        breaks = ((after - cand[:-1] != 1) | opens[after]).nonzero()[0]
+        starts = [near[:, 1:] > near[:, :-1], near[:, :1]]
+        if len(breaks):
+            starts.append(near[:, breaks] & near[:, breaks + 1])
         spans = np.searchsorted(cand, ranges)
         cover = np.zeros(len(d), dtype=bool)
         for (a, b), (c0, c1) in zip(ranges, spans):
             if 2 * (c1 - c0) >= b - a:
-                cover |= 2 * np.count_nonzero(near[:, c0:c1], axis=1) >= b - a
+                cover |= 2 * near[:, c0:c1].sum(axis=1) >= b - a
         flagged = cover
         # each row's least entry is near, so each row starts a run, and only
         # a block with more starts than rows has a row of several runs; a
         # closed loop's last sample also precedes its first
         if sum(map(np.count_nonzero, starts)) > len(d):
-            n_runs = sum(np.count_nonzero(s, axis=1) for s in starts)
+            n_runs = sum(s.sum(axis=1) for s in starts)
             for (a, b, closed), (c0, c1) in zip(source.loops, spans):
                 if closed and c1 - c0 > 1 and cand[c0] == a and cand[c1 - 1] == b - 1:
                     n_runs -= near[:, c0] & near[:, c1 - 1]
