@@ -749,9 +749,9 @@ def test_diameters_match_pdist(seed, k, n_rows, dim):
     points = rng.standard_normal((k + 7, dim)) * rng.uniform(0.01, 3.0, dim)
     cand = np.sort(rng.choice(len(points), k, replace=False))
     near = rng.random((n_rows, k)) < rng.uniform(0.0, 1.0, (n_rows, 1))
+    near[np.arange(n_rows), rng.integers(k, size=n_rows)] = True
     near[0] = False
     near[0, rng.integers(k)] = True
-    near[np.arange(n_rows), rng.integers(k, size=n_rows)] = True
     got = _diameters(points, cand, near)
     assert got.shape == (n_rows,)
     for row, value in zip(near, got):
