@@ -33,7 +33,11 @@ run, in MB: the largest resident set of the run's process and of every
 process it reaped, forked workers included, so memory that a change moves
 from the measured process into its workers shows there.  A process started
 by exec inherits its starter's peak, so the reading is never below that of
-this script itself.  Per side, the summary gives its quartiles.
+this script itself.  Each run also records its process tree's minor page
+faults, ``ru_minflt`` from the same ``os.wait4``, as ``tree_minflt``: those
+of the run's process and of every process it reaped, so faults that forked
+workers take on freed and re-mapped memory show there.  Per side, the
+summary gives the quartiles of both.
 
 Both sides compile their modules alike: the script refuses to start, naming
 the directory, while either checkout holds a ``__pycache__`` under ``src/``
@@ -112,10 +116,11 @@ def bytecode_caches(checkout: Path):
 
 
 def run_tree(cmd, cwd):
-    """(exit code, stdout, stderr, peak MB) of ``cmd`` run in ``cwd`` to its
-    end, with ``PYTHONDONTWRITEBYTECODE=1``.  The peak is ``ru_maxrss`` of
-    ``os.wait4`` on it: the largest resident set of the process and of each
-    descendant reaped below it."""
+    """(exit code, stdout, stderr, peak MB, minor faults) of ``cmd`` run in
+    ``cwd`` to its end, with ``PYTHONDONTWRITEBYTECODE=1``.  The peak is
+    ``ru_maxrss`` of ``os.wait4`` on it: the largest resident set of the
+    process and of each descendant reaped below it; the faults are its
+    ``ru_minflt``, summed over the same processes."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=out, stderr=err)
@@ -123,23 +128,26 @@ def run_tree(cmd, cwd):
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
-        return proc.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss / 1024
+        return (
+            proc.returncode, out.read().decode(), err.read().decode(),
+            usage.ru_maxrss / 1024, usage.ru_minflt,
+        )
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
-    """The JSON result line of one benchmark run from ``checkout``, and the
-    peak MB of its process tree."""
+    """The JSON result line of one benchmark run from ``checkout``, the peak
+    MB of its process tree and the tree's minor page faults."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    code, stdout, stderr, peak = run_tree(cmd, checkout)
+    code, stdout, stderr, peak, minflt = run_tree(cmd, checkout)
     lines = stdout.strip().splitlines()
     if code != 0 or not lines:
         raise RuntimeError(
             f"{checkout}: {workload} seed {seed} exited {code}: {stderr.strip()[-2000:]}"
         )
-    return json.loads(lines[-1]), round(peak, 2)
+    return json.loads(lines[-1]), round(peak, 2), minflt
 
 
 def _quartiles(values):
@@ -167,9 +175,9 @@ def summarize(runs, end_to_end=()) -> dict:
     ratio, parent IQR and the pairs the change was lower or higher on, with
     the acceptance rule of the metrics in ``end_to_end`` (entries of
     ``BENCHMARK.json``); plus, per side, the failed and attempted operations,
-    the quartiles of the runs' steal shares and process-tree peaks (``null``
-    without one) and the runs with fewer usable CPUs than the most seen in
-    ``runs``."""
+    the quartiles of the runs' steal shares, process-tree peaks and
+    process-tree minor faults (``null`` without one) and the runs with
+    fewer usable CPUs than the most seen in ``runs``."""
     rules = {m["name"]: m for m in end_to_end}
     most_cpus = max((r["cpus"] for r in runs if r.get("cpus") is not None), default=None)
     summary = {}
@@ -206,9 +214,10 @@ def summarize(runs, end_to_end=()) -> dict:
             }
         row["steal_share_q1_median_q3"] = {}
         row["tree_peak_mb_q1_median_q3"] = {}
+        row["tree_minflt_q1_median_q3"] = {}
         row["fewer_cpus"] = {}
         for side, side_runs in records.items():
-            for key in ("steal_share", "tree_peak_mb"):
+            for key in ("steal_share", "tree_peak_mb", "tree_minflt"):
                 values = [r[key] for r in side_runs if r.get(key) is not None]
                 row[f"{key}_q1_median_q3"][side] = _quartiles(values) if values else None
             row["fewer_cpus"][side] = sum(
@@ -243,13 +252,15 @@ def main(argv=None) -> int:
         for workload in args.workload:
             for side in order:
                 cpus, before = usable_cpus(), read_ticks()
-                result, peak = run_once(sides[side], workload, seed, seconds)
+                result, peak, minflt = run_once(sides[side], workload, seed, seconds)
                 steal = steal_share(before, read_ticks())
                 runs.append({"side": side, "workload": workload, "seed": seed, "cpus": cpus,
-                             "steal_share": steal, "tree_peak_mb": peak, "result": result})
+                             "steal_share": steal, "tree_peak_mb": peak, "tree_minflt": minflt,
+                             "result": result})
                 print(f"{workload} seed {seed} {side}: "
                       f"{json.dumps({k: v['value'] for k, v in result['metrics'].items()})} "
-                      f"cpus {cpus} steal {steal} tree peak {peak} MB", file=sys.stderr)
+                      f"cpus {cpus} steal {steal} tree peak {peak} MB "
+                      f"tree minor faults {minflt}", file=sys.stderr)
     out = {
         "command": COMMAND.format(seconds=seconds),
         "method": METHOD.format(

@@ -26,8 +26,11 @@ source, and one more bounds all of the block's tiles (about 14 x 14 cells)
 over the block's candidates; each tile then sums its per-axis tables on its
 kept sources alone into its squared distances, and delta is the root of
 each row's least square, which is the least root since a rounded square
-root does not decrease.  A rotated M and weighted sums keep a Lipschitz
-bound at the block's and the tile's (about 10 x 10 cells) radius, on the
+root does not decrease.  A rotated M and weighted sums keep, for the
+block and then for each tile (about 10 x 10 cells), the sources within a
+bound from the box's centre at its F*-extent: the largest F* from the centre
+to a corner cell's centre, once per box shape, which bounds F* from the
+centre to each of its cells since F* is convex; the values are taken on the
 block's own centres.
 
 The grid is streamed through its blocks: each block builds its cell
@@ -72,6 +75,7 @@ import mmap
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -146,9 +150,14 @@ class GridSpec:
     def spacing(self):
         return (self.hi - self.lo) / np.asarray(self.cells)
 
-    @property
+    @cached_property
     def h(self) -> float:
         return float(self.spacing.max())
+
+    @cached_property
+    def _axis_bounds(self):
+        """Per axis, (lo, hi, spacing, cells) as Python numbers."""
+        return list(zip(self.lo.tolist(), self.hi.tolist(), self.spacing.tolist(), self.cells))
 
     @property
     def cell_volume(self) -> float:
@@ -174,14 +183,15 @@ class GridSpec:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise InputError(f"expected one point of shape ({self.dim},), got shape {x.shape}")
-        bad = np.flatnonzero(~np.isfinite(x))
-        if len(bad):
+        # Python floats, which round as numpy's float64 does
+        x, bounds = x.tolist(), self._axis_bounds
+        bad = [k for k, v in enumerate(x) if not math.isfinite(v)]
+        if bad:
             raise InputError(f"non-finite coordinate x[{bad[0]}] = {x[bad[0]]}")
-        if np.any(x < self.lo) or np.any(x > self.hi):
+        if not all(lo <= v <= hi for v, (lo, hi, _s, _n) in zip(x, bounds)):
             raise InputError("point outside the grid box")
         # the quotient of a point just below hi can round up to the cell count
-        idx = np.floor((x - self.lo) / self.spacing).astype(int)
-        return tuple(np.minimum(idx, np.asarray(self.cells) - 1))
+        return tuple(min(math.floor((v - lo) / s), n - 1) for v, (lo, _hi, s, n) in zip(x, bounds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,6 +310,22 @@ class DistanceField:
 
     def gap_at(self, x) -> float:
         return float(self.gap[self.grid.cell_of(x)])
+
+    @cached_property
+    def _queries(self):
+        """What every ``project`` query of this field shares: the grid's h,
+        the cluster analysis and the indices of every source it takes, the
+        offsets of x and of its 2 d shifted points x + h e_k and x - h e_k,
+        and the cross-check's reach 2 lip h, lip = ``grad_bound()``.  x's own
+        offset is -0.0, and the shifts' other coordinates are +0.0 for
+        x + h e_k and -0.0 for x - h e_k, so x + offset carries the bits of
+        x, x + h e_k and x - h e_k, signed zeros included."""
+        h, e = self.grid.h, self.grid.h * np.eye(self.grid.dim)
+        window = WINDOW_CELLS * h
+        resolve = _cluster_analysis(self.source, self.eps_cluster, window, self.tol_unique)
+        offsets = np.concatenate([np.full((1, len(e)), -0.0), e, -e])
+        reach = 2.0 * self.dual.grad_bound() * h
+        return h, resolve, np.arange(len(self.source.points)), offsets, reach
 
     def _nearest(self, x, pts):
         """Least F*(a - x) over the points a of ``pts``, per row of x, ignoring A."""
@@ -426,15 +452,14 @@ def _tile_distances(lines, box, rows, cand):
     return d
 
 
-def _block_scan(dual: DualNorm, pts, axes, lip, eps_cluster, window_abs):
+def _block_scan(dual: DualNorm, pts, axes, spacing, eps_cluster, window_abs):
     """(tile_cells, scan): the fine tiles hold about ``tile_cells`` cells, and
-    scan(block, radius, centers) prunes the sources for a coarse block, a
-    box ``block`` of cells (one slice per grid axis) of circumradius
-    ``radius`` whose cell centres are the rows of ``centers``, and returns
-    tile_scan(tile, r_tile, cells, rows): F* from the cells ``rows``
-    (positions in the tile's C order) of one fine tile ``tile`` of the block
-    (one slice per axis, from the block's corner), of circumradius ``r_tile``
-    and at the positions ``cells`` of the block's C order, to the tile's
+    scan(block, centers) prunes the sources for a coarse block, a box
+    ``block`` of cells (one slice per grid axis) whose cell centres are the
+    rows of ``centers``, and returns tile_scan(tile, cells, rows): F* from
+    the cells ``rows`` (positions in the tile's C order) of one fine tile
+    ``tile`` of the block (one slice per axis, from the block's corner), at
+    the positions ``cells`` of the block's C order, to the tile's
     candidates, those candidates, and whether the values are squared, as
     (values, cand, squared).
 
@@ -442,16 +467,17 @@ def _block_scan(dual: DualNorm, pts, axes, lip, eps_cluster, window_abs):
     the grid's axis lines: once for the block over every source, and once
     for all the block's tiles of ``AXIS_TILE_CELLS`` together over the
     block's candidates; their tiles give squared values.  Other F* prune
-    with the ``lip``-Lipschitz bound of ``_candidates``, at the block's
-    radius and then at each tile's of ``TILE_CELLS``, and map the block's own
-    centres once for its values.
+    with the bound of ``_candidates`` at the box's F*-extent (``_extent``
+    of its corner cells' centres on the grid ``spacing``, once per box
+    shape), for the block and then for each of its tiles of ``TILE_CELLS``,
+    and map the block's own centres once for its values.
     """
     every = np.arange(len(pts))
     lines = _axis_lines(dual, pts, axes)
     if lines is not None:
         side = _side(len(axes), AXIS_TILE_CELLS)
 
-        def scan(block, radius, centers):
+        def scan(block, centers):
             corner = np.array([s.start for s in block])
             ends = np.array([s.stop for s in block])
             # the block itself, one range per axis
@@ -465,7 +491,7 @@ def _block_scan(dual: DualNorm, pts, axes, lip, eps_cluster, window_abs):
             # the block's own stretch of each axis line
             own = [(line[s], src) for (line, src), s in zip(lines, block)]
 
-            def tile_scan(tile, r_tile, cells, rows):
+            def tile_scan(tile, cells, rows):
                 cand = coarse[keep[tuple(s.start // side for s in tile)]]
                 return _tile_distances(own, tile, rows, cand), cand, True
 
@@ -473,15 +499,31 @@ def _block_scan(dual: DualNorm, pts, axes, lip, eps_cluster, window_abs):
 
         return AXIS_TILE_CELLS, scan
     place, values = _pairwise_values(dual, pts)
+    # the cell centres, the boxes' centres and the differences round within
+    # a few ulps of the largest coordinate s, and the values within a few
+    # ulps of themselves, so F* moves by a few ulps of L s at most, L =
+    # ``grad_bound()``: 1e-12 (1 + L s) is thousands of them
+    scale = max(np.abs(pts).max(), *(np.abs(line).max() for line in axes))
+    allowance = 1e-12 * (1.0 + dual.grad_bound() * scale)
+    extents = {}
 
-    def scan(block, radius, centers):
-        xc = centers.mean(axis=0)
-        coarse = _candidates(dual, pts, every, xc, radius, lip, eps_cluster, window_abs)
+    def candidates(cand, box, ends):
+        """The sources among ``cand`` that ``_candidates`` keeps for the box
+        whose first and last cell centres are the rows of ``ends``, about
+        their midpoint, at the extent of its corner cells' centres."""
+        dims = tuple(s.stop - s.start for s in box)
+        extent = extents.get(dims)
+        if extent is None:
+            extent = extents[dims] = _extent(dual, 0.5 * (np.asarray(dims) - 1) * spacing)
+        xc = 0.5 * (ends[0] + ends[1])
+        return _candidates(dual, pts, cand, xc, extent, allowance, eps_cluster, window_abs)
+
+    def scan(block, centers):
+        coarse = candidates(every, block, centers[[0, -1]])
         mapped = place(centers)
 
-        def tile_scan(tile, r_tile, cells, rows):
-            xt = centers[cells].mean(axis=0)
-            cand = _candidates(dual, pts, coarse, xt, r_tile, lip, eps_cluster, window_abs)
+        def tile_scan(tile, cells, rows):
+            cand = candidates(coarse, tile, centers[cells[[0, -1]]])
             return values(mapped[cells[rows]], cand), cand, False
 
         return tile_scan
@@ -517,36 +559,59 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
     opens = np.zeros(len(source.points), dtype=bool)
     opens[ranges[:, 0]] = True
 
+    def columns(cand):
+        """What the cluster analysis reads of the candidates alone.
+
+        Candidates are sorted, so a loop's candidates are one slice of
+        columns, and samples consecutive on it sit in adjacent columns: a
+        run also starts at a column after a break, where the left neighbour
+        is no sample just before it on the same loop.  Returns the breaks
+        and the columns after them; per loop with candidates for half of it
+        or more, its size and its candidates' first and end column; and per
+        closed loop whose first and last samples are both candidates, their
+        columns."""
+        after = cand[1:]
+        breaks = ((after - cand[:-1] != 1) | opens[after]).nonzero()[0]
+        halves, wraps = [], []
+        for (a, b, closed), (c0, c1) in zip(source.loops, np.searchsorted(cand, ranges).tolist()):
+            if 2 * (c1 - c0) >= b - a:
+                halves.append((b - a, c0, c1))
+            if closed and c1 - c0 > 1 and cand[c0] == a and cand[c1 - 1] == b - 1:
+                wraps.append((c0, c1 - 1))
+        return breaks, breaks + 1, halves, wraps
+
+    # the last candidates and their columns: every ``project`` query of a
+    # field passes the same array of every source
+    last = (None, None)
+
     def resolve(d, cand, squared):
+        nonlocal last
         if squared:
             m = np.sqrt(d.min(axis=1))
             near = d <= _square_bound(m + (eps_cluster * m + window_abs))[:, None]
         else:
             m = d.min(axis=1)
             near = d <= (m + (eps_cluster * m + window_abs))[:, None]
-        # candidates are sorted, so a loop's candidates are one slice of
-        # columns, and samples consecutive on it sit in adjacent columns: a
-        # run starts at each near column whose left neighbour is not near, or
-        # is no sample just before it on the same loop
-        after = cand[1:]
-        breaks = ((after - cand[:-1] != 1) | opens[after]).nonzero()[0]
+        held = last
+        if held[0] is not cand:
+            held = last = (cand, columns(cand))
+        breaks, after_breaks, halves, wraps = held[1]
+        # a run starts at each near column whose left neighbour is not near
+        # or lies across a break
         starts = [near[:, 1:] > near[:, :-1], near[:, :1]]
         if len(breaks):
-            starts.append(near[:, breaks] & near[:, breaks + 1])
-        spans = np.searchsorted(cand, ranges)
+            starts.append(near[:, breaks] & near[:, after_breaks])
         cover = np.zeros(len(d), dtype=bool)
-        for (a, b), (c0, c1) in zip(ranges, spans):
-            if 2 * (c1 - c0) >= b - a:
-                cover |= 2 * near[:, c0:c1].sum(axis=1) >= b - a
+        for size, c0, c1 in halves:
+            cover |= 2 * near[:, c0:c1].sum(axis=1) >= size
         flagged = cover
         # each row's least entry is near, so each row starts a run, and only
         # a block with more starts than rows has a row of several runs; a
         # closed loop's last sample also precedes its first
         if sum(map(np.count_nonzero, starts)) > len(d):
             n_runs = sum(s.sum(axis=1) for s in starts)
-            for (a, b, closed), (c0, c1) in zip(source.loops, spans):
-                if closed and c1 - c0 > 1 and cand[c0] == a and cand[c1 - 1] == b - 1:
-                    n_runs -= near[:, c0] & near[:, c1 - 1]
+            for first, end in wraps:
+                n_runs -= near[:, first] & near[:, end]
             flagged = cover | (n_runs >= 2)
         gap = np.zeros(len(d))
         if not np.count_nonzero(flagged):
@@ -616,31 +681,36 @@ def _side(ndim: int, target: int) -> int:
     return max(2, int(round(target ** (1.0 / ndim))))
 
 
-def _boxes(box, spacing, target: int):
+def _boxes(box, target: int):
     """Boxes of about ``target`` cells tiling the box of cells ``box`` (one
-    slice of cell indices per grid axis) from its corner, in row-major order,
-    as (box, circumradius); the last box along an axis is cut short, and
-    boxes of one shape share one radius."""
+    slice of cell indices per grid axis) from its corner, in row-major order;
+    the last box along an axis is cut short."""
     side = _side(len(box), target)
-    radii = {}
     for corner in itertools.product(*(range(s.start, s.stop, side) for s in box)):
-        sub = tuple(slice(c, min(c + side, s.stop)) for c, s in zip(corner, box))
-        dims = tuple(s.stop - s.start for s in sub)
-        radius = radii.get(dims)
-        if radius is None:
-            radius = radii[dims] = 0.5 * float(np.linalg.norm(np.asarray(dims) * spacing))
-        yield sub, radius
+        yield tuple(slice(c, min(c + side, s.stop)) for c, s in zip(corner, box))
 
 
-def _candidates(dual, pts, cand, xc, radius, lip, eps_cluster, window_abs):
-    """The sources among ``cand`` that can be near-minimizers of a cell within
-    ``radius`` of ``xc``: F* is ``lip``-Lipschitz, so a near-minimizer a of
-    such a cell has F*(a - xc) <= m + eps (m + lip r) + window + 2 lip r,
-    with m the least F*(a - xc) over ``cand``."""
+def _extent(dual, half) -> float:
+    """The F*-extent of the box of half-widths ``half`` about the origin:
+    the largest ``batch_value_fast`` over its corners.  F* is convex, so it
+    is largest at a corner: every offset v in the box has F*(v) at most the
+    extent, and by evenness F*(-v) too."""
+    corners = np.array(list(itertools.product(*((-a, a) for a in half))))
+    return float(dual.batch_value_fast(corners).max())
+
+
+def _candidates(dual, pts, cand, xc, extent, allowance, eps_cluster, window_abs):
+    """The sources among ``cand`` that can be near-minimizers of a cell x
+    with F*(x - xc) and F*(xc - x) at most ``extent``.  F* is subadditive:
+    with m the least F*(a - xc) over ``cand``, x's least value is at most
+    m + S, S = ``extent``, and a near-minimizer a of x has F*(a - x) <=
+    (m + S) + eps (m + S) + window, so F*(a - xc) <= m + eps (m + S) +
+    window + 2 S.  ``allowance`` covers the rounding of the coordinates,
+    of their differences and of the values."""
     d = dual.batch_value_fast(pts[cand] - xc)
     m = float(d.min())
-    bound = m + eps_cluster * (m + lip * radius) + window_abs + 2.0 * lip * radius
-    return cand[d <= bound + 1e-12]
+    bound = m + eps_cluster * (m + extent) + window_abs + 2.0 * extent
+    return cand[d <= bound + allowance]
 
 
 # the states of a planned block, one shared byte each: an item of the run
@@ -654,7 +724,7 @@ class _FieldPlan:
 
     The delta and the gap of ``field`` live in one anonymous shared mapping
     and hold 0 until their block is scanned.  ``blocks`` lists the coarse
-    blocks in row-major order, as (box, circumradius); ``scan_block(k)``
+    blocks in row-major order, as boxes; ``scan_block(k)``
     scans block k into the mapping, in any process and in any order, and
     leaves its byte in ``state``, one shared byte per block, ``SCANNED`` or
     ``UNSCANNED``; every byte starts ``PENDING``.  ``owner`` is the pid of
@@ -714,12 +784,11 @@ def _plan_field(
         )
 
     pts = source.points
-    lip = dual.grad_bound()
     window_abs = WINDOW_CELLS * h
     axes = grid._axes()
-    tile_cells, scan = _block_scan(dual, pts, axes, lip, eps_cluster, window_abs)
+    tile_cells, scan = _block_scan(dual, pts, axes, grid.spacing, eps_cluster, window_abs)
     resolve = _cluster_analysis(source, eps_cluster, window_abs, tol_unique)
-    blocks = list(_boxes(tuple(slice(0, n) for n in grid.shape), grid.spacing, BLOCK_CELLS))
+    blocks = list(_boxes(tuple(slice(0, n) for n in grid.shape), BLOCK_CELLS))
 
     # delta and gap of every cell, 0 on A, and the state of each block, in
     # mappings shared with the block workers
@@ -728,42 +797,42 @@ def _plan_field(
     delta, gap = out[:n_cells], out[n_cells:]
     state = np.frombuffer(mmap.mmap(-1, len(blocks)), dtype=np.uint8)
 
-    # per block shape, its fine tiles with their circumradii and the
-    # positions of their cells in the block's C order
+    # per block shape, its fine tiles with the positions of their cells in
+    # the block's C order
     tilings = {}
 
     # two-level candidate pruning: each coarse block keeps the sources that
     # can be near-minimizers of any of its cells, and each fine tile inside
     # it prunes those again, by the end-row box bound or else at its own
-    # radius; both bounds are exact, so a tile's sorted candidates hold every
+    # F*-extent; both bounds are exact, so a tile's sorted candidates hold every
     # near-minimizer of its cells, and each row's results depend only on its
     # own near-minimizers, so scanning a tile's cells outside A alone, in any
     # block order and in any process, leaves their bits as a full scan would
-    def fill(block, radius):
+    def fill(block):
         centers = _box_centers(axes, block)
         member = source.membership(centers)
         if member.all():
             return
-        tile_scan = scan(block, radius, centers)
+        tile_scan = scan(block, centers)
         shape = tuple(s.stop - s.start for s in block)
         tiles = tilings.get(shape)
         if tiles is None:
             local = np.arange(len(centers)).reshape(shape)
             inner = tuple(slice(0, n) for n in shape)
-            tiles = [(t, r, local[t].ravel()) for t, r in _boxes(inner, grid.spacing, tile_cells)]
+            tiles = [(t, local[t].ravel()) for t in _boxes(inner, tile_cells)]
             tilings[shape] = tiles
         # per cell of the block, its flat index in the grid
         ranges = np.ix_(*(np.arange(s.start, s.stop) for s in block))
         flat = np.ravel_multi_index(ranges, grid.shape).ravel()
-        for tile, r_tile, cells in tiles:
+        for tile, cells in tiles:
             rows = (~member[cells]).nonzero()[0]
             if len(rows):
                 outside = flat[cells[rows]]
-                delta[outside], gap[outside] = resolve(*tile_scan(tile, r_tile, cells, rows))
+                delta[outside], gap[outside] = resolve(*tile_scan(tile, cells, rows))
 
     def scan_block(k):
         try:
-            fill(*blocks[k])
+            fill(blocks[k])
         except BaseException:
             state[k] = UNSCANNED
             raise
@@ -798,10 +867,11 @@ def build_field(
     near-minimizer of each of them; delta and the gap are 0 on A.  For
     Euclidean F* and a diagonal M both levels bound each source by the end
     rows of the box's cell ranges, all tiles of a block in one call; other
-    F* use a Lipschitz bound at each box's radius.  The clusters flagged in
-    a tile are screened together (``_linkage_screen``), and only the ones
-    the screen leaves undecided run their own linkage search.  Besides
-    delta and the gap, the caller holds no array with one entry per cell.
+    F* bound from each box's centre at its F*-extent (``_extent``).  The
+    clusters flagged in a tile are screened together (``_linkage_screen``),
+    and only the ones the screen leaves undecided run their own linkage
+    search.  Besides delta and the gap, the caller holds no array with one
+    entry per cell.
 
     ``_plan_field`` checks the arguments and lays out the blocks, and
     ``_FieldPlan.scan`` hands them to forked workers, one per usable CPU
@@ -938,19 +1008,16 @@ def project(field: DistanceField, x) -> ProjectionResult:
     """
     x = np.asarray(x, dtype=float)
     cell_gap = field.gap_at(x)  # raises unless x is one finite point in the box
-    source, h = field.source, field.grid.h
-    resolve = _cluster_analysis(source, field.eps_cluster, WINDOW_CELLS * h, field.tol_unique)
+    h, resolve, every, offsets, reach = field._queries
+    source = field.source
     d = field.dual.batch_value_fast(source.points - x)
-    (m,), (gap,) = resolve(d[None], np.arange(len(d)), False)
-    best = int(d.argmin())
-    gap = max(gap, cell_gap)
+    (m,), (gap,) = resolve(d[None], every, False)
+    m, gap, best = float(m), max(float(gap), cell_gap), int(d.argmin())
     ambiguous = gap > field.tol_unique
     cross_check = not ambiguous and m > 2 * h
 
-    # x, then for the cross-check the 2 d shifted points x + h e_k and
-    # x - h e_k, in one membership call
-    e = h * np.eye(field.grid.dim)
-    probes = np.concatenate([x[None], x + e, x - e]) if cross_check else x[None]
+    # x, then for the cross-check the 2 d shifted points, in one membership call
+    probes = x + offsets if cross_check else x[None]
     member = source.membership(probes)
     if member[0]:
         m = gap = 0.0
@@ -960,15 +1027,18 @@ def project(field: DistanceField, x) -> ProjectionResult:
     if cross_check:
         # F* is lip-Lipschitz, so a nearest source a of a shifted point y has
         # F*(a - x) <= F*(a - y) + lip h <= F*(best - y) + lip h <= m + 2 lip h
-        near = d <= m + 2.0 * field.dual.grad_bound() * h + 1e-12
+        near = d <= m + reach + 1e-12
         shifted = np.where(member[1:], 0.0, field._nearest(probes[1:], source.points[near]))
-        grad = (shifted[: len(e)] - shifted[len(e) :]) / (2 * h)
-        if np.linalg.norm(grad) > 1e-12:
-            rebuilt = x - m * field.f.grad(grad[None])[0]
-            dev = float(np.linalg.norm(rebuilt - source.points[best]))
+        grad = (shifted[: len(x)] - shifted[len(x) :]) / (2 * h)
+        # the Euclidean norms as np.linalg.norm takes them, sqrt(v.v); grad
+        # is a difference quotient of finite values, so it is finite, and
+        # nonzero past the test
+        if math.sqrt(grad.dot(grad)) > 1e-12:
+            off = x - m * field.f._grad(grad[None])[0] - source.points[best]
+            dev = math.sqrt(off.dot(off))
     return ProjectionResult(
-        point=source.points[best], delta=float(m), gap=float(gap),
-        ambiguous=bool(ambiguous), foot_index=int(best), grad_check_dev=dev,
+        point=source.points[best], delta=m, gap=gap,
+        ambiguous=ambiguous, foot_index=best, grad_check_dev=dev,
     )
 
 

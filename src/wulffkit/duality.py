@@ -192,10 +192,11 @@ class DualNorm:
         lip = self.grad_bound()
         if self.dim == 2:
             k, hi = self._gauge(W)
-            k = k.clip(0, _TABLE_SIZE - 1)
-            p = self._polygon()[1]
+            np.minimum(np.maximum(k, 0, out=k), _TABLE_SIZE - 1, out=k)
+            p0, p1 = self._polygon()[1]
             x, y = W[:, 0], W[:, 1]
-            lo = np.maximum(x * p[0, k] + y * p[1, k], x * p[0, k + 1] + y * p[1, k + 1])
+            k1 = k + 1
+            lo = np.maximum(x * p0.take(k) + y * p1.take(k), x * p0.take(k1) + y * p1.take(k1))
             norm = np.sqrt(x * x + y * y)
         else:
             sq = _row_sum(W * W)

@@ -22,11 +22,23 @@ forking a threaded process can deadlock the child.  Workers are pinned
 because the scheduler may keep forked children on their parent's CPU: on a
 2-vCPU VM, two unpinned spinning children shared one CPU for 0.7 s while
 the other stayed idle.
+
+A worker on glibc also keeps the memory it frees (``_keep_freed_memory``).
+By default glibc serves a request above its mapping threshold (128 KiB,
+sliding up to the largest such block freed), such as a block's numpy
+temporaries, from a mapping of its own that ``free`` unmaps, and gives back
+the top of the heap past twice that, so the next such request faults its
+pages in again: a worker raises the mapping threshold to 32 MiB and the trim
+threshold far above its peak, so those requests reuse heap pages.  On one
+pass, the workers' minor page faults fell from 75k to 31k on shipped-2d and
+from 20k to 11k on weighted-3d (2-vCPU VM).  Workers leave by ``os._exit``,
+and the caller's allocator is never touched.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import mmap
 import os
 import pickle
@@ -51,6 +63,27 @@ import numpy as np
 # per field and one for the suites, cost 0.096-0.107 s of its 0.96 s beyond
 # the busiest worker's time, which is why a run makes one round
 FAN_OUT_ITEMS = 4
+
+# glibc's mallopt parameters, and the thresholds a worker sets: requests up
+# to 32 MiB, the most glibc's own sliding threshold reaches on 64-bit, come
+# from the heap, and free never trims it below 1 GiB
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 1 << 30
+
+
+def _keep_freed_memory():
+    """Make glibc's malloc keep this process's freed memory for reuse; a
+    no-op on any other C library."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
 
 def _usable_cpus() -> int:
     """CPUs this process may fan out over, or 1 where the platform cannot
@@ -107,6 +140,7 @@ def _fan_out(items, work):
                 # leaves the worker where the scheduler put it
                 with contextlib.suppress(OSError):
                     os.sched_setaffinity(0, {cpu})
+                _keep_freed_memory()
                 done = []
                 while os.getppid() == parent:
                     os.read(token_r, 1)

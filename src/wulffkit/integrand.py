@@ -71,7 +71,7 @@ def _row_norm(x):
 def _finite_rows(x, dim):
     """``_rows`` with every entry finite, else InputError."""
     x = _rows(x, dim)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("non-finite input components")
     return x
 
@@ -178,7 +178,7 @@ class Integrand:
     def _require_nonzero(self, x):
         """x as finite, nonzero (N, dim) rows, else InputError or DomainError."""
         x = _finite_rows(x, self.dim)
-        if np.any(_row_norm(x) == 0.0):
+        if (_row_norm(x) == 0.0).any():
             raise DomainError("derivative of the integrand is undefined at the origin")
         return x
 

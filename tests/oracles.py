@@ -262,3 +262,46 @@ def resolve_gap(points, loops, d, eps_cluster, window_abs, tol):
         if 2 * ((idx >= start) & (idx < stop)).sum() >= stop - start:
             return diameter
     return 0.0 if _linked(sq, tol) else diameter
+
+
+def project_reference(field, x, window_cells):
+    """(point, delta, gap, ambiguous, foot_index, grad_check_dev) of one
+    query x by the brute force that ``project``'s docstring describes.
+
+    The foot is the first least F*(a - x) over every source a, and the gap
+    the larger of ``resolve_gap`` on those values and the stored gap of x's
+    cell.  A query in A gets delta 0, gap 0 and no cross-check; otherwise a
+    query that projects uniquely from more than 2h away rebuilds its foot as
+    x - delta grad F(g), g the central differences of delta at the grid
+    spacing h, delta being 0 in A and the least F* over every source
+    elsewhere, and reports the Euclidean distance of that foot from the
+    argmin, or None where |g| <= 1e-12.  F* is ``dual.batch_value_fast``,
+    as the field takes it, and window_cells the window's floor in grid
+    spacings; the cell index is floor((x - lo) / spacing), clipped to the
+    grid.
+    """
+    src, grid, dual = field.source, field.grid, field.dual
+    pts = src.points
+    x = np.asarray(x, dtype=float)
+    h = float(np.max((grid.hi - grid.lo) / np.asarray(grid.cells)))
+    values = dual.batch_value_fast(pts - x)
+    best = int(np.argmin(values))
+    delta = float(values[best])
+    gap = resolve_gap(pts, src.loops, values, field.eps_cluster, window_cells * h, field.tol_unique)
+    spacing = (grid.hi - grid.lo) / np.asarray(grid.cells)
+    cell = np.minimum(np.floor((x - grid.lo) / spacing).astype(int), np.asarray(grid.cells) - 1)
+    gap = max(float(gap), float(field.gap[tuple(cell)]))
+    ambiguous = gap > field.tol_unique
+    if src.membership(x[None])[0]:
+        return pts[best], 0.0, 0.0, False, best, None
+    dev = None
+    if not ambiguous and delta > 2 * h:
+
+        def distance(p):
+            return 0.0 if src.membership(p[None])[0] else dual.batch_value_fast(pts - p).min()
+
+        g = np.array([(distance(x + e) - distance(x - e)) / (2 * h) for e in h * np.eye(len(x))])
+        if np.linalg.norm(g) > 1e-12:
+            rebuilt = x - delta * field.f.grad(g[None])[0]
+            dev = float(np.linalg.norm(rebuilt - pts[best]))
+    return pts[best], delta, gap, ambiguous, best, dev

@@ -11,7 +11,7 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def _run(side, seed, wall, failed=0, score=None, cpus=None, steal=None, peak=None):
+def _run(side, seed, wall, failed=0, score=None, cpus=None, steal=None, peak=None, minflt=None):
     metrics = {"wall_s": {"value": wall, "unit": "s"}}
     if score is not None:
         metrics["score"] = {"value": score, "unit": "1"}
@@ -22,6 +22,7 @@ def _run(side, seed, wall, failed=0, score=None, cpus=None, steal=None, peak=Non
         "cpus": cpus,
         "steal_share": steal,
         "tree_peak_mb": peak,
+        "tree_minflt": minflt,
         "result": {
             "correct": True,
             "attempted": 2,
@@ -173,20 +174,37 @@ def test_summary_of_tree_peaks():
     assert bare["tree_peak_mb_q1_median_q3"] == {"parent": None, "change": None}
 
 
+def test_summary_of_tree_minor_faults():
+    runs = []
+    faults = [(85000, 37000), (84000, None), (86000, 38000), (90000, 36000)]
+    for seed, (p, c) in enumerate(faults, 1):
+        runs += [_run("parent", seed, 1.0, minflt=p), _run("change", seed, 1.0, minflt=c)]
+    row = bench_pairs.summarize(runs)["w"]
+    # linear percentiles of 84000, 85000, 86000, 90000 and of 36000, 37000,
+    # 38000; a run without a reading counts for neither
+    assert row["tree_minflt_q1_median_q3"] == {
+        "parent": [84750.0, 85500.0, 87000.0], "change": [36500.0, 37000.0, 37500.0]
+    }
+    bare = bench_pairs.summarize([_run("parent", 1, 1.0), _run("change", 1, 1.0)])["w"]
+    assert bare["tree_minflt_q1_median_q3"] == {"parent": None, "change": None}
+
+
 # a process that forks a worker holding 64 MB, reaps it, and prints the
-# worker's peak and then its own, in MB, before it exits 3
+# worker's peak in MB and its minor faults, then its own, before it exits 3
 FORKING_CHILD = """
 import os, resource, sys
 read, write = os.pipe()
 pid = os.fork()
 if pid == 0:
     block = b"x" * (64 << 20)
-    os.write(write, str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024).encode())
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    os.write(write, f"{usage.ru_maxrss / 1024} {usage.ru_minflt}".encode())
     os._exit(0)
 os.close(write)
 print(os.read(read, 64).decode())
 os.waitpid(pid, 0)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(usage.ru_maxrss / 1024, usage.ru_minflt)
 print("to stderr", file=sys.stderr)
 sys.exit(3)
 """
@@ -194,19 +212,25 @@ sys.exit(3)
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_run_tree_reads_the_peak_of_the_reaped_workers(tmp_path):
-    code, out, err, peak = bench_pairs.run_tree([sys.executable, "-c", FORKING_CHILD], tmp_path)
+    code, out, err, peak, minflt = bench_pairs.run_tree(
+        [sys.executable, "-c", FORKING_CHILD], tmp_path
+    )
     assert code == 3 and err == "to stderr\n"
-    worker, own = map(float, out.split())
+    worker, worker_flt, own, own_flt = map(float, out.split())
     # the tree's peak is the larger of the process's own and its worker's;
     # the process's own can start at its starter's peak, which it inherits
     # when it is started by exec
     assert worker >= 64
     assert peak == pytest.approx(max(own, worker), abs=1.0)
+    # the tree's faults sum the process's and its reaped worker's, each at
+    # least what it read before it ended
+    assert worker_flt > 0 and own_flt > 0
+    assert minflt >= worker_flt + own_flt
 
 
 def test_runs_write_no_bytecode(tmp_path, monkeypatch):
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
-    code, out, err, _peak = bench_pairs.run_tree(
+    code, out, err, _peak, _minflt = bench_pairs.run_tree(
         [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"], tmp_path
     )
     assert code == 0 and out == "True\n"

@@ -34,7 +34,9 @@ from wulffkit import distance, fanout
 from wulffkit.errors import SolverError
 from wulffkit.distance import WINDOW_CELLS, _connected, _diameters, _square_bound
 
-from oracles import resolve_gap, rolling_ball_by_wulff_sample, single_linkage_connected
+from oracles import (
+    project_reference, resolve_gap, rolling_ball_by_wulff_sample, single_linkage_connected,
+)
 
 E2 = EuclideanNorm(2)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
@@ -1009,7 +1011,7 @@ def test_block_centres_map_as_the_rows_of_the_whole_grid():
     axes, mapped = grid._axes(), place(grid.centers()).reshape(*grid.shape, 2)
     whole = tuple(slice(0, n) for n in grid.shape)
     for target in (distance.BLOCK_CELLS, distance.TILE_CELLS):
-        for box, _radius in distance._boxes(whole, grid.spacing, target):
+        for box in distance._boxes(whole, target):
             assert np.array_equal(
                 place(distance._box_centers(axes, box)), mapped[box].reshape(-1, 2)
             )
@@ -1138,20 +1140,39 @@ def test_linkage_screen_splits_only_split_clusters(seed, n_arcs, per_arc, factor
             assert not single_linkage_connected(points[cand[row]], factor * step)
 
 
-def test_block_radii_are_the_per_box_circumradii():
+def test_boxes_tile_the_box_from_its_corner():
     # sides 23 x 17 are not multiples of the box side, so the boxes on the
-    # far edges are smaller; a radius shared by one shape is each box's own
+    # far edges are smaller
     flat = np.arange(23 * 17).reshape(23, 17)
-    spacing = np.array([0.3, 0.07])
-    boxes = list(distance._boxes((slice(0, 23), slice(0, 17)), spacing, 25))
-    assert len({flat[box].shape for box, _ in boxes}) == 4
-    assert sum(flat[box].size for box, _ in boxes) == flat.size
-    for box, radius in boxes:
-        assert radius == 0.5 * float(np.linalg.norm(np.asarray(flat[box].shape) * spacing))
+    boxes = list(distance._boxes((slice(0, 23), slice(0, 17)), 25))
+    assert len({flat[box].shape for box in boxes}) == 4
+    assert sum(flat[box].size for box in boxes) == flat.size
+    assert all(flat[box].shape == (5, 5) for box in boxes[:3])
     # the boxes of an inner box start at its corner and stay inside it
     inner = (slice(4, 21), slice(3, 14))
-    cells = np.concatenate([flat[box].ravel() for box, _ in distance._boxes(inner, spacing, 25)])
+    cells = np.concatenate([flat[box].ravel() for box in distance._boxes(inner, 25)])
     assert np.array_equal(np.sort(cells), np.sort(flat[inner].ravel()))
+
+
+@pytest.mark.parametrize(
+    "f", [E2, QN, WeightedSum(((0.5, E2), (1.0, QN)))], ids=["E2", "rotated M", "weighted sum"]
+)
+def test_extent_bounds_every_cell_of_the_box(f):
+    # the extent of a box shape is reached at a corner cell's centre and
+    # bounds F* from the box's centre to each of its cell centres, both ways
+    dual = DualNorm(f)
+    grid = GridSpec([-2.3, -1.5], [2.3, 1.5], [460, 260])
+    axes = grid._axes()
+    boxes = [(slice(0, 10), slice(0, 10)), (slice(450, 460), slice(37, 40)), (slice(7, 8), slice(3, 5))]
+    for box in boxes:
+        dims = tuple(s.stop - s.start for s in box)
+        extent = distance._extent(dual, 0.5 * (np.asarray(dims) - 1) * grid.spacing)
+        centers = distance._box_centers(axes, box)
+        xc = 0.5 * (centers[0] + centers[-1])
+        out = dual.batch_value_fast(np.concatenate([centers - xc, xc - centers]))
+        assert out.max() <= extent + 1e-12
+        assert out.max() >= extent - 1e-12
+    assert distance._extent(dual, [0.0, 0.0]) == 0.0
 
 
 # build_field's blocks in forked workers
@@ -1321,3 +1342,53 @@ def test_scan_stays_in_process_on_one_cpu_beside_a_thread_or_on_few_blocks(monke
 def test_one_usable_cpu_without_fork_or_affinity(monkeypatch, name):
     monkeypatch.delattr(os, name, raising=False)
     assert fanout._usable_cpus() == 1
+
+
+@pytest.fixture(
+    scope="module", params=["E2", "rotated M", "weighted sum"], ids=lambda name: name
+)
+def query_field(request):
+    """A field of the complement of an ellipse, with the centres of its
+    cells in A and of its cells with a gap above tol_unique."""
+    f = {"E2": E2, "rotated M": QN, "weighted sum": WeightedSum(((0.5, E2), (1.0, QN)))}
+    ell = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
+    src = boundary_source([ell], 1024, region="complement")
+    field = build_field(src, f[request.param], GridSpec([-2.4, -1.4], [2.4, 1.4], [96, 56]))
+    centers = field.grid.centers()
+    gapped = centers[field.gap.ravel() > field.tol_unique]
+    assert len(gapped)
+    return field, centers[src.membership(centers)], gapped
+
+
+@given(
+    hst.sampled_from(["in A", "near the boundary", "medial axis", "off A"]),
+    hst.integers(0, 2**31 - 1),
+    hst.floats(0.0, 1.0),
+    hst.floats(0.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_project_matches_the_brute_force_reference(query_field, kind, pick, u, v):
+    # every field of the result against a scan of every source, the pdist
+    # gap and per-axis central differences of the brute-force delta; the
+    # cross-check runs on queries off A more than 2h from it
+    field, in_a, gapped = query_field
+    grid, h = field.grid, field.grid.h
+    if kind == "off A":
+        # anywhere in the ellipse
+        base = np.zeros(2)
+        offset = np.sqrt(u) * np.array([2 * np.cos(2 * np.pi * v), np.sin(2 * np.pi * v)])
+    elif kind == "near the boundary":
+        # within 2h of a boundary sample, on either side
+        base = field.source.points[pick % len(field.source.points)]
+        offset = 2 * h * np.sqrt(u) * np.array([np.cos(2 * np.pi * v), np.sin(2 * np.pi * v)])
+    else:
+        # anywhere in a cell of A, or of the cells the medial axis crosses
+        pool = in_a if kind == "in A" else gapped
+        base = pool[pick % len(pool)]
+        offset = h * (np.array([u, v]) - 0.5)
+    x = np.clip(base + offset, grid.lo, grid.hi)
+    res = project(field, x)
+    point, delta, gap, ambiguous, foot, dev = project_reference(field, x, WINDOW_CELLS)
+    assert np.array_equal(res.point, point)
+    assert (res.delta, res.gap, res.ambiguous, res.foot_index) == (delta, gap, ambiguous, foot)
+    assert res.grad_check_dev == dev

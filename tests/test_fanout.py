@@ -64,6 +64,51 @@ def test_results_come_back_in_item_order(monkeypatch):
     assert os.getpid() not in {r[1] for r in results if r}
 
 
+def test_only_forked_workers_keep_their_freed_memory(monkeypatch):
+    # each worker sets the allocator once, and neither the caller nor an
+    # in-process run does
+    kept = []
+    monkeypatch.setattr(fanout, "_keep_freed_memory", lambda: kept.append(os.getpid()))
+    _forks(monkeypatch, 2)
+    results = fanout._fan_out(list(range(8)), lambda i: (os.getpid(), list(kept)))
+    _no_child_left()
+    assert kept == []
+    assert all(own == [pid] for pid, own in results)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
+    assert fanout._fan_out(list(range(8)), lambda i: list(kept)) == [[]] * 8
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="needs glibc")
+def test_glibc_accepts_the_worker_thresholds():
+    # mallopt returns 1 for a value it takes and 0 for one it refuses; a
+    # forked child asks, so this process's allocator stays as it is
+    pid = os.fork()
+    if pid == 0:
+        mallopt = fanout.ctypes.CDLL(None).mallopt
+        took = [
+            mallopt(fanout.M_MMAP_THRESHOLD, fanout.MMAP_THRESHOLD),
+            mallopt(fanout.M_TRIM_THRESHOLD, fanout.TRIM_THRESHOLD),
+        ]
+        os._exit(0 if took == [1, 1] else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+
+def test_keeping_freed_memory_leaves_other_c_libraries_alone(monkeypatch):
+    def unknown(name):
+        raise ValueError("unrecognized configuration name")
+
+    monkeypatch.setattr(os, "confstr", unknown)
+    monkeypatch.setattr(fanout.ctypes, "CDLL", lambda *args: pytest.fail("loaded the C library"))
+    fanout._keep_freed_memory()
+
+
 @pytest.mark.skipif(len(CPUS) < 2, reason="needs two usable CPUs")
 def test_each_worker_is_pinned_to_its_own_cpu():
     cpus = CPUS
@@ -550,7 +595,7 @@ def _blocks(scene) -> int:
     """Coarse blocks of each of the scene's fields."""
     grid = scene.grid
     whole = tuple(slice(0, n) for n in grid.shape)
-    return len(list(distance._boxes(whole, grid.spacing, distance.BLOCK_CELLS)))
+    return len(list(distance._boxes(whole, distance.BLOCK_CELLS)))
 
 
 def _logged(monkeypatch):
@@ -690,7 +735,7 @@ def test_a_refused_block_refuses_its_field_alone(tmp_path, monkeypatch, capsys):
     scene = ROOT / "scenes" / "wulff_d2.json"
     grid = load_scene(scene).grid
     whole = tuple(slice(0, n) for n in grid.shape)
-    boxes = [box for box, _ in distance._boxes(whole, grid.spacing, distance.BLOCK_CELLS)]
+    boxes = list(distance._boxes(whole, distance.BLOCK_CELLS))
     refused = {distance._box_centers(grid._axes(), boxes[k])[0].tobytes(): k for k in (50, 30)}
     plan_field = distance._plan_field
 
