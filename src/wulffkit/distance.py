@@ -107,7 +107,7 @@ EPS_CLUSTER = 1e-3
 # absolute floor of the near-minimizer window, in grid spacings
 WINDOW_CELLS = 1.5
 # cells per coarse pruning block (40 x 40 in d=2) and per fine tile inside
-# it: 14 x 14 on the axis tables, 10 x 10 under the Lipschitz bound
+# it: 14 x 14 on the axis tables, 10 x 10 under the F*-extent bound
 BLOCK_CELLS = 1600
 AXIS_TILE_CELLS = 196
 TILE_CELLS = 100

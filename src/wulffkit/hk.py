@@ -233,7 +233,7 @@ def equality_classifier(
 ) -> ClassifierVerdict:
     """Decide "wulff-union" vs "strict" from the ratio, umbilicity, and radii.
 
-    Requires |ratio - 1| <= EQUALITY_TOL, every body umbilical with a clean
+    Requires the report's "equality" verdict, every body umbilical with a clean
     ball fit, and every fitted radius >= n/c within the relative slack
     RADIUS_TOL = 0.02.  Whether the radii are all equal within RADIUS_TOL is
     reported alongside (the equality case admits unequal radii as long as
@@ -253,7 +253,7 @@ def equality_classifier(
     centers = tuple(u.center for u in umbilicity if u.center is not None)
 
     failing = None
-    if abs(report.ratio - 1.0) > EQUALITY_TOL:
+    if report.verdict != "equality":
         failing = "ratio"
     elif any(u.verdict != "wulff" for u in umbilicity):
         failing = "umbilicity"

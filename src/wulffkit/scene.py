@@ -15,13 +15,16 @@ from .duality import DualNorm, dual_norm_of
 from .errors import InputError, SceneError
 from .hypersurface import Ellipsoid, StarBody, Superellipse, WulffBody, surface_counts
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm, WeightedSum
+from .steiner import HI_FRAC, LO_FRAC, SAMPLES
 
 __all__ = ["Scene", "load_scene", "parse_scene", "reseed", "SUITE_ORDER"]
 
 # canonical suite order; the CLI exit code 2 + index names the first failure
 SUITE_ORDER = ("dual", "wulff", "curv", "hk", "mr", "steiner", "reach", "var")
 
-DEFAULT_STEINER = {"lo_frac": 0.05, "hi_frac": 0.9, "samples": 40}
+# the tube window of the steiner suite is pinned in the library; a scene may
+# still state each key, at its pinned value only
+_PINNED_STEINER = {"lo_frac": LO_FRAC, "hi_frac": HI_FRAC, "samples": SAMPLES}
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,29 +239,27 @@ def parse_scene(raw: dict) -> Scene:
         where = "tolerances" if key is None else f"tolerances.{key}"
         raise SceneError(f"{where}: verdict tolerances are pinned in the library, not the scene")
 
-    steiner = dict(DEFAULT_STEINER)
+    steiner = {}
     for key, value in _section(raw, "steiner", {}).items():
-        if key not in ("lo_frac", "hi_frac", "samples", "reference_radius", "source_resolution"):
-            raise SceneError(f"steiner: unknown key {key!r}")
-        if key == "source_resolution":
-            value = _resolution(value, "steiner.source_resolution", integrand.dim)
-        elif key == "samples":
-            value = _count(value, "steiner.samples")
-            if value < 3 * integrand.dim:
+        where = f"steiner.{key}"
+        if key in _PINNED_STEINER:
+            pinned = _PINNED_STEINER[key]
+            # type, not isinstance: a JSON boolean is not a number
+            if type(value) not in (int, float) or value != pinned:
                 raise SceneError(
-                    f"steiner.samples: the degree-{integrand.dim} tube fit needs at least "
-                    f"{3 * integrand.dim}, got {value}"
+                    f"{where}: the tube window is pinned in the library at {pinned}, "
+                    f"not the scene; got {value!r}"
                 )
-        elif value is not None or key != "reference_radius":
-            value = _convert(float, value, f"steiner.{key}")
+            continue
+        if key == "source_resolution":
+            value = _resolution(value, where, integrand.dim)
+        elif key != "reference_radius":
+            raise SceneError(f"steiner: unknown key {key!r}")
+        elif value is not None:
+            value = _convert(float, value, where)
+            if value <= 0.0:
+                raise SceneError(f"{where}: expected a positive number, got {value!r}")
         steiner[key] = value
-    lo, hi, r_ref = steiner["lo_frac"], steiner["hi_frac"], steiner.get("reference_radius")
-    if lo <= 0.0:
-        raise SceneError(f"steiner.lo_frac: expected a positive number, got {lo!r}")
-    if hi <= lo:
-        raise SceneError(f"steiner.hi_frac: expected a number above lo_frac {lo!r}, got {hi!r}")
-    if r_ref is not None and r_ref <= 0.0:
-        raise SceneError(f"steiner.reference_radius: expected a positive number, got {r_ref!r}")
 
     hk_c = None
     for key, value in _section(raw, "hk", {}).items():

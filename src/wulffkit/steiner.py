@@ -39,6 +39,11 @@ __all__ = [
 
 # largest relative fit residual that positive_reach_test calls polynomial
 RESIDUAL_TOL = 1e-2
+# default_t_grid's tube window, in fractions of the reference radius, and its
+# sample count; no scene or caller sets them
+LO_FRAC = 0.05
+HI_FRAC = 0.9
+SAMPLES = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +83,10 @@ def tube_volumes(field: DistanceField, t_samples) -> TubeCurve:
     return TubeCurve(t=t, volume=counts * field.grid.cell_volume)
 
 
-def default_t_grid(r: float, lo_frac: float, hi_frac: float, samples: int):
-    """Equispaced tube radii in (lo_frac*r, hi_frac*r), avoiding the
+def default_t_grid(r: float):
+    """SAMPLES equispaced tube radii in (LO_FRAC*r, HI_FRAC*r), avoiding the
     near-zero staircase and boundary truncation."""
-    return np.linspace(lo_frac * r, hi_frac * r, samples)
+    return np.linspace(LO_FRAC * r, HI_FRAC * r, SAMPLES)
 
 
 @dataclass(frozen=True, eq=False)

@@ -436,13 +436,7 @@ def _steiner_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteRe
     field_ = cache.complement_field(body, scene.integrand)
     reach = dist.estimate_reach_F(field_)
     r_ref = scene.steiner.get("reference_radius") or 0.95 * reach
-    t = st.default_t_grid(
-        r_ref,
-        scene.steiner["lo_frac"],
-        scene.steiner["hi_frac"],
-        scene.steiner["samples"],
-    )
-    curve = st.tube_volumes(field_, t)
+    curve = st.tube_volumes(field_, st.default_t_grid(r_ref))
     fit = st.fit_polynomial(curve, scene.dim)
     reference = st.claim5_coefficients(cache.table(body))
     verdict = st.positive_reach_test(fit, reference)

@@ -40,7 +40,7 @@ integrand's ``value`` on the transposed (N, d) view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -319,9 +319,7 @@ class CriticalityResult:
 
 
 def criticality_residual(
-    table: CurvatureTable,
-    fields: Sequence[PolynomialField],
-    h: Optional[float] = None,
+    table: CurvatureTable, fields: Sequence[PolynomialField]
 ) -> List[CriticalityResult]:
     """(n+1) dP - n (P/V) dV, plus the rescaled volume-preserving residual,
     for each of a body's fields.
@@ -330,7 +328,7 @@ def criticality_residual(
     (V0/V(t))^(1/(n+1)) to restore the volume, and differentiates the
     energy of the rescaled flow by central differences; both residuals
     vanish for Wulff shapes.  The same two pushes give the flow derivative.
-    h defaults to 1e-5 of the body diameter, where the central difference's
+    The step h is 1e-5 of the body diameter, where the central difference's
     truncation error stays below its rounding on the shipped bodies.
 
     The body is its curvature table: P is read from its F(nu), dP from its
@@ -344,9 +342,7 @@ def criticality_residual(
     n = quad.dim - 1
     p = float((table.f_normal * quad.weights).sum())  # perimeter_F(quad, f), bit for bit
     v = volume(quad)
-    if h is None:
-        h = 1e-5 * 2.0 * float(quad.rho.max())
-    _check_step(quad, h)
+    h = 1e-5 * 2.0 * float(quad.rho.max())
     mono = _node_monomials(quad, fields)
     pushes = _Pushes(quad)
     results = []

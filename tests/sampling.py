@@ -5,7 +5,7 @@ import numpy as np
 from wulffkit import StarBody, curvature_table, hk, sample_surface
 from wulffkit.curvature import umbilicity_classify
 from wulffkit.duality import dual_norm_of
-from wulffkit.scene import DEFAULT_STEINER, Scene
+from wulffkit.scene import Scene
 
 
 def table(body, f, resolution):
@@ -41,7 +41,7 @@ def scene(bodies, f, resolution, suites=("curv", "hk", "mr")):
         seed=0,
         suites=tuple(suites),
         hk_c=None,
-        steiner=dict(DEFAULT_STEINER),
+        steiner={},
     )
 
 

@@ -175,7 +175,7 @@ def test_criterion_5_steiner_fits():
     ):
         src = boundary_source([body], 4096, region="complement")
         field = build_field(src, f, grid)
-        curve = tube_volumes(field, default_t_grid(1.0, 0.05, 0.9, 40))
+        curve = tube_volumes(field, default_t_grid(1.0))
         fit = fit_polynomial(curve, 2)
         ref = claim5_coefficients(table(body, f, 4096))
         agreement = np.abs(fit.coefficients - ref) / np.abs(ref).max()
@@ -189,7 +189,7 @@ def test_criterion_5_steiner_fits():
     grid = GridSpec(lo=[-1.75, -1.25], hi=[1.75, 1.25], cells=[448, 320])
     field = build_field(src, E2, grid)
     reach = estimate_reach_F(field)
-    beyond = fit_polynomial(tube_volumes(field, default_t_grid(1.25, 0.05, 0.9, 40)), 2)
+    beyond = fit_polynomial(tube_volumes(field, default_t_grid(1.25)), 2)
     floor = max(r for r, _ in results.values())
     assert beyond.residual > 10 * floor
     _report(

@@ -668,7 +668,7 @@ WEIGHTED_D2 = {
     "resolution": 4096,
     "grid": {"bounds": [[-1.0, 1.4], [-1.5, 0.9]], "cells": [240, 240]},
     "seed": 5,
-    "steiner": {"lo_frac": 0.05, "hi_frac": 0.9, "samples": 40, "source_resolution": 1024},
+    "steiner": {"source_resolution": 1024},
 }
 
 

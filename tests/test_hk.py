@@ -5,6 +5,7 @@ from wulffkit import (
     DualNorm,
     Ellipsoid,
     EuclideanNorm,
+    HKRow,
     HypothesisViolationError,
     InputError,
     QuadraticNorm,
@@ -18,6 +19,7 @@ from wulffkit import (
 )
 from wulffkit import suites
 from wulffkit.curvature import UmbilicityReport, curvature_table
+from wulffkit.hk import hk_report
 from wulffkit.spheregrid import sphere_quadrature
 
 from oracles import ellipse_hk_ratio
@@ -175,6 +177,22 @@ def test_radius_bound_failure_named():
     verdict = equality_classifier(rep, synthetic, c=1.5)
     assert verdict.verdict == "strict"
     assert verdict.failing_condition == "radius-bound"
+
+
+def test_nan_ratio_is_strict_in_the_report_and_the_classifier():
+    # the classifier tested |ratio - 1| > EQUALITY_TOL, which a NaN ratio
+    # passed, so a report with verdict "strict" classified as "wulff-union"
+    rep = hk_report([HKRow(vol=np.nan, integral=2.0, mr_integral=1.0, h_min=1.0, h_max=1.0)], 2)
+    synthetic = (
+        UmbilicityReport(
+            lam=1.0, center=np.zeros(2), radius=1.0, dispersion=0.0,
+            verdict="wulff", max_residual=0.0, tol_umb=1e-3,
+        ),
+    )
+    assert np.isnan(rep.ratio) and rep.verdict == "strict"
+    verdict = equality_classifier(rep, synthetic, c=1.0)
+    assert verdict.verdict == "strict"
+    assert verdict.failing_condition == "ratio"
 
 
 def test_classifier_requires_c_above_h_max():

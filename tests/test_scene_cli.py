@@ -13,9 +13,12 @@ from wulffkit import (
     InputError, QuadraticNorm, SceneError, load_scene, parse_scene, sample_surface, suites,
 )
 from wulffkit.cli import _tolist, main, run
+from wulffkit.steiner import HI_FRAC, LO_FRAC, SAMPLES
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 NAN, INF = float("nan"), float("inf")
+# the tube window of the steiner suite, pinned in the library
+PINNED = {"lo_frac": LO_FRAC, "hi_frac": HI_FRAC, "samples": SAMPLES}
 
 
 def test_parse_wulff_scene():
@@ -149,7 +152,7 @@ def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
         (("steiner",), {"samples": 40.5}),
         (("grid", "cells"), 100.5),
         (("grid", "cells"), [40, 30.5]),
-        # steiner ranges and the hk section
+        # steiner window values off the pin, steiner.reference_radius and the hk section
         (("steiner",), {"lo_frac": 0.0}),
         (("steiner",), {"lo_frac": -0.5}),
         (("steiner",), {"lo_frac": 0.9, "hi_frac": 0.05}),
@@ -159,7 +162,7 @@ def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
         (("hk",), {"cc": 5}),
         (("hk",), {"c": -1}),
         (("hk",), {"c": 0}),
-        # fewer tube samples than the degree-d fit takes (3*d)
+        # tube sample counts off the pin
         (("steiner",), {"samples": -1}),
         (("steiner",), {"samples": 0}),
         (("steiner",), {"samples": 2}),
@@ -193,8 +196,10 @@ def test_bad_field_values_are_scene_errors(path, value):
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    with pytest.raises(SceneError, match=str(path[0])):
+    with pytest.raises(SceneError, match=str(path[0])) as refused:
         parse_scene(raw)
+    if path == ("steiner",) and PINNED.keys() & value.keys():
+        assert "the tube window is pinned in the library" in str(refused.value)
 
 
 @pytest.mark.parametrize("axes", [5.0, [1.0, 2.0, 3.0]])
@@ -223,7 +228,7 @@ def test_booleans_in_arrays_name_the_field():
     "section,value,field",
     [
         ("steiner", {"lo_frac": -0.5}, "steiner.lo_frac"),
-        ("steiner", {"lo_frac": 0.9, "hi_frac": 0.05}, "steiner.hi_frac"),
+        ("steiner", {"hi_frac": 0.05}, "steiner.hi_frac"),
         ("steiner", {"reference_radius": 0.0}, "steiner.reference_radius"),
         ("hk", {"cc": 5}, "hk.cc"),
         ("hk", {"c": -1}, "hk.c"),
@@ -231,15 +236,32 @@ def test_booleans_in_arrays_name_the_field():
     ],
 )
 def test_steiner_and_hk_refusals_name_the_key(section, value, field):
-    with pytest.raises(SceneError, match=field.replace(".", "\\.")):
+    with pytest.raises(SceneError, match=field.replace(".", "\\.")) as refused:
         parse_scene({**BASE, section: value})
+    if field.split(".")[-1] in PINNED:
+        assert "the tube window is pinned in the library" in str(refused.value)
 
 
-def test_steiner_samples_go_down_to_the_fit_minimum():
-    assert parse_scene({**BASE, "steiner": {"samples": 6}}).steiner["samples"] == 6
-    with pytest.raises(SceneError, match="steiner\\.samples"):
-        parse_scene({**D3, "steiner": {"samples": 8}})
-    assert parse_scene({**D3, "steiner": {"samples": 9}}).steiner["samples"] == 9
+def test_steiner_window_parses_only_at_the_pinned_values():
+    # a scene may state each key of the pinned tube window at its pinned
+    # value, as JSON writes it; Scene.steiner holds only the other keys
+    for base in (BASE, D3):
+        stated = json.loads(json.dumps({**base, "steiner": {**PINNED, "reference_radius": 0.5}}))
+        assert parse_scene(stated).steiner == {"reference_radius": 0.5}
+        assert parse_scene({**base, "steiner": {"samples": float(SAMPLES)}}).steiner == {}
+    # any other value is refused, naming the key; samples 6 and 9, the least
+    # the degree-2 and degree-3 fits take, were accepted before the pin
+    for key, pinned in PINNED.items():
+        others = [
+            2 * pinned, 0.5 * pinned, -pinned, 0, 6, 9, float(np.nextafter(pinned, 1e3)),
+            True, False, NAN, INF, str(pinned), None, [pinned], {key: pinned},
+        ]
+        for base in (BASE, D3):
+            for value in others:
+                with pytest.raises(
+                    SceneError, match=rf"steiner\.{key}: the tube window is pinned in the library"
+                ):
+                    parse_scene({**base, "steiner": {key: value}})
 
 
 def test_hk_c_may_be_null():

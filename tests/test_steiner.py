@@ -70,7 +70,7 @@ def test_tube_volume_outward_disk():
 
 
 def test_tube_volume_monotone(disk_field_512):
-    t = default_t_grid(0.95, 0.05, 0.95, 40)
+    t = np.linspace(0.05 * 0.95, 0.95 * 0.95, 40)
     curve = tube_volumes(disk_field_512, t)
     assert np.all(np.diff(curve.volume) >= 0)
 
@@ -93,7 +93,7 @@ def test_nan_tube_radii_refused(disk_field_512, t):
 
 
 def test_disk_fit_matches_annulus_polynomial(disk_field_512):
-    curve = tube_volumes(disk_field_512, default_t_grid(1.0, 0.05, 0.9, 40))
+    curve = tube_volumes(disk_field_512, default_t_grid(1.0))
     fit = fit_polynomial(curve, 2)
     assert fit.residual <= 1e-2
     assert fit.coefficients[0] == pytest.approx(2 * np.pi, rel=5e-3)
@@ -102,7 +102,7 @@ def test_disk_fit_matches_annulus_polynomial(disk_field_512):
 
 def test_wulff_fit_matches_conjugate_ball_polynomial(wulff_field_512):
     field, _ = wulff_field_512
-    curve = tube_volumes(field, default_t_grid(1.0, 0.05, 0.9, 40))
+    curve = tube_volumes(field, default_t_grid(1.0))
     fit = fit_polynomial(curve, 2)
     # V(t) = 2 pi (1 - (1-t)^2) = 4 pi t - 2 pi t^2 for the diag(4,1) ball
     assert fit.residual <= 1e-2
@@ -123,7 +123,7 @@ def test_far_disjoint_disks_coefficients_add():
     src = boundary_source([d1, d2], 2048, region="complement")
     grid = GridSpec(lo=[-4.3, -1.3], hi=[4.3, 1.3], cells=[688, 208])
     field = build_field(src, E2, grid)
-    curve = tube_volumes(field, default_t_grid(1.0, 0.05, 0.9, 40))
+    curve = tube_volumes(field, default_t_grid(1.0))
     fit = fit_polynomial(curve, 2)
     assert fit.coefficients[0] == pytest.approx(2 * 2 * np.pi, rel=5e-3)
     assert fit.coefficients[1] == pytest.approx(2 * -np.pi, rel=2e-2)
@@ -164,7 +164,7 @@ def test_fit_agrees_with_claim5(disk_field_512, wulff_field_512):
         (disk_field_512, UNIT_DISK, E2),
         (wulff_field_512[0], wulff_field_512[1], Q2),
     ):
-        curve = tube_volumes(field, default_t_grid(1.0, 0.05, 0.9, 40))
+        curve = tube_volumes(field, default_t_grid(1.0))
         fit = fit_polynomial(curve, 2)
         ref = claim5_coefficients(table(body, f, 4096))
         verdict = positive_reach_test(fit, ref)
@@ -173,7 +173,7 @@ def test_fit_agrees_with_claim5(disk_field_512, wulff_field_512):
 
 
 def test_positive_reach_verdicts(disk_field_512):
-    curve = tube_volumes(disk_field_512, default_t_grid(0.8, 0.05, 0.9, 40))
+    curve = tube_volumes(disk_field_512, default_t_grid(0.8))
     fit = fit_polynomial(curve, 2)
     # the inward tube of the unit disk: V(t) = 2 pi t - pi t^2
     reference = np.array([2 * np.pi, -np.pi])
@@ -198,15 +198,9 @@ def kidney_field():
 
 def test_nonconvex_residual_spikes_past_reach(kidney_field, disk_field_512):
     reach = estimate_reach_F(kidney_field)
-    below = fit_polynomial(
-        tube_volumes(kidney_field, default_t_grid(0.95 * reach, 0.05, 0.9, 40)), 2
-    )
-    beyond = fit_polynomial(
-        tube_volumes(kidney_field, default_t_grid(1.25, 0.05, 0.9, 40)), 2
-    )
-    floor = fit_polynomial(
-        tube_volumes(disk_field_512, default_t_grid(1.0, 0.05, 0.9, 40)), 2
-    )
+    below = fit_polynomial(tube_volumes(kidney_field, default_t_grid(0.95 * reach)), 2)
+    beyond = fit_polynomial(tube_volumes(kidney_field, default_t_grid(1.25)), 2)
+    floor = fit_polynomial(tube_volumes(disk_field_512, default_t_grid(1.0)), 2)
     assert beyond.residual > 10 * floor.residual
     assert beyond.residual > 10 * below.residual
 
@@ -215,9 +209,7 @@ def test_residual_monotone_past_reach(kidney_field):
     reach = estimate_reach_F(kidney_field)
     residuals = []
     for hi in (0.95 * reach, 1.1, 1.25):
-        fit = fit_polynomial(
-            tube_volumes(kidney_field, default_t_grid(hi, 0.05, 0.9, 40)), 2
-        )
+        fit = fit_polynomial(tube_volumes(kidney_field, default_t_grid(hi)), 2)
         residuals.append(fit.residual)
     assert residuals[0] < residuals[1] < residuals[2]
 
@@ -228,7 +220,7 @@ def test_residual_shrinks_under_grid_refinement():
     for cells in (128, 512):
         grid = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=cells)
         field = build_field(src, E2, grid)
-        fit = fit_polynomial(tube_volumes(field, default_t_grid(1.0, 0.05, 0.9, 40)), 2)
+        fit = fit_polynomial(tube_volumes(field, default_t_grid(1.0)), 2)
         residuals.append(fit.residual)
     assert residuals[1] < residuals[0] / 1.5
 

@@ -202,9 +202,10 @@ def test_criticality_reuses_the_flow_pushes():
     ):
         q = sample_surface(body, res)
         table = curvature_table(body, f, q)
-        h = 1e-4 * 2 * q.rho.max()
+        # the step criticality_residual pins: 1e-5 of the body diameter
+        h = 1e-5 * 2.0 * float(q.rho.max())
         fields = [PolynomialField.random(rng, body.dim, 0.4) for _ in range(3)]
-        for g, crit in zip(fields, criticality_residual(table, fields, h), strict=True):
+        for g, crit in zip(fields, criticality_residual(table, fields), strict=True):
             assert crit.flow_derivative == flow_energy_derivative(q, f, g, h)
             assert crit.first_variation == first_variation(table, g)
             assert crit.volume_derivative == volume_derivative(q, g)
@@ -284,14 +285,9 @@ def test_step_must_be_positive_and_finite(h):
     # h = 0 raised a raw ZeroDivisionError, and a NaN h failed late, inside F,
     # as "non-finite input components"
     q = sample_surface(ELLIPSE, 256)
-    table = curvature_table(ELLIPSE, E2, q)
     g = PolynomialField.position(2)
-    for route in (
-        lambda: flow_energy_derivative(q, E2, g, h),
-        lambda: criticality_residual(table, [g], h),
-    ):
-        with pytest.raises(InputError, match="step h must be positive and finite"):
-            route()
+    with pytest.raises(InputError, match="step h must be positive and finite"):
+        flow_energy_derivative(q, E2, g, h)
 
 
 ROTATION = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
