@@ -5,14 +5,18 @@ to a dense boundary sample of a closed set A and an ambiguity ``gap``;
 ``project`` finds the nearest sample point of one query.  The gap is the
 Euclidean diameter of the near-minimizer cluster whenever that cluster is
 spatially split: cluster points are grouped by single-linkage at the source
-sampling scale (``tol_unique``), so the contiguous arc of samples around a
+sampling scale, three times the larger of the source spacing and the grid h
+(the field's ``tol_unique``), so the contiguous arc of samples around a
 unique foot never triggers, while genuinely multi-valued projections (two
-feet across a medial axis, or a whole equidistant loop) do.
+feet across a medial axis, or a whole equidistant loop) do.  A is the
+closure of the outside of the sampled bodies (``boundary_source``), as the
+paper's tube and reach arguments work inward from the body's complement.
 
-The cluster window combines the relative tie tolerance ``eps_cluster``
+The cluster window combines the relative tie tolerance ``EPS_CLUSTER``
 with an absolute floor of ``WINDOW_CELLS`` grid spacings; the floor is
 what guarantees every cell within about one cell of the medial axis is
 flagged, making the reach estimate accurate to a couple of grid cells.
+The window and the linkage scale are pinned in the library.
 
 Nearest-source search is brute force over spatial cell blocks (desk scale:
 <= 1024^2 cells, <= 1e4 source points); no fast marching.  Each coarse
@@ -56,7 +60,8 @@ and marks the block scanned, or unscanned where its scan raises, in one
 shared byte per block that starts pending.  ``build_field`` hands the
 blocks to forked worker processes, one pinned to each usable CPU
 (``fanout._fan_out``), which claim them in row-major order; the caller
-only waits and reaps them.  A run of ``wulffkit all`` plans every field it
+only waits and reaps them, and raises the refusal of the first refusing
+block in row-major order.  A run of ``wulffkit all`` plans every field it
 reads and puts the blocks of all of them into its one fan-out
 (``suites.run_suites``); a reader of a field in a worker of that fan-out
 waits for the field's pending blocks, then scans in its own process the
@@ -72,8 +77,10 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
+import operator
 import os
 import time
+import traceback
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -81,7 +88,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .duality import DualNorm, dual_norm_of
-from .errors import InputError
+from .errors import InputError, WulffkitError
 from .fanout import _fan_out
 from .hypersurface import StarBody, sample_surface
 from .integrand import (
@@ -102,7 +109,7 @@ __all__ = [
     "ReachComparison",
 ]
 
-# relative tie tolerance of the near-minimizer window: build_field's default
+# relative tie tolerance of the near-minimizer window; no caller sets it
 EPS_CLUSTER = 1e-3
 # absolute floor of the near-minimizer window, in grid spacings
 WINDOW_CELLS = 1.5
@@ -128,6 +135,8 @@ class GridSpec:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
+        if lo.ndim != 1 or hi.ndim != 1 or len(lo) == 0:
+            raise InputError(f"grid bounds must be vectors, got shapes {lo.shape} and {hi.shape}")
         cells = tuple(
             _whole(c, f"grid axis {k} cell count") for k, c in enumerate(np.atleast_1d(self.cells))
         )
@@ -198,7 +207,8 @@ class GridSpec:
 class SourceSet:
     """Ordered boundary sample of a closed set A.
 
-    ``loops`` lists (start, stop, closed) index ranges; points inside one
+    ``points`` is a finite (N, d) array.  ``loops`` lists (start, stop,
+    closed) index ranges, in order, that tile [0, N); points inside one
     loop are consecutive along the underlying curve, which is what lets the
     field builder tell one contiguous foot arc from several separated feet.
     ``inside`` classifies membership in A (delta is zero there) of an (N, 2)
@@ -210,8 +220,12 @@ class SourceSet:
     inside: Optional[Callable] = None
 
     def __post_init__(self):
-        if len(self.points) == 0:
-            raise InputError("empty source sample")
+        points = np.asarray(self.points, dtype=float)
+        if points.ndim != 2 or points.size == 0 or not np.isfinite(points).all():
+            raise InputError("source points must be a nonempty (N, d) array of finite numbers")
+        if not _tiles(self.loops, len(points)):
+            raise InputError("loops must be (start, stop, closed) ranges that tile the points")
+        object.__setattr__(self, "points", points)
 
     @property
     def spacing(self) -> float:
@@ -225,26 +239,36 @@ class SourceSet:
 
     def membership(self, x):
         """Whether each of the finite (N, 2) rows x lies in A; other input is
-        an InputError in every region."""
+        an InputError, with ``inside`` or without it."""
         x = _finite_rows(x, self.points.shape[1])
         if self.inside is None:
             return np.zeros(len(x), dtype=bool)
         return np.asarray(self.inside(x), dtype=bool)
 
 
+def _tiles(loops, n) -> bool:
+    """Whether ``loops`` are (start, stop, closed) triples of nonempty index
+    ranges, each starting where the one before it stops, from 0 to n."""
+    try:
+        ranges = [(operator.index(a), operator.index(b)) for a, b, _closed in loops]
+    except (TypeError, ValueError):
+        return False
+    stops = [0] + [b for _a, b in ranges]
+    return stops[-1] == n and all(a == stop < b for (a, b), stop in zip(ranges, stops))
+
+
 def boundary_source(
     bodies: Sequence[StarBody], resolution, region: str = "complement"
 ) -> SourceSet:
-    """Sample the boundary of a union of star bodies as a source set.
-
-    region selects what A is: "complement" (closure of the outside; delta
-    measures inward depth), "set" (the closed union itself), or "curve"
-    (the boundary alone).  Boundary points falling strictly inside another
-    body are dropped, so overlapping unions keep only the true boundary;
-    each maximal run of kept points becomes its own open loop.
+    """Sample the boundary of a union of star bodies as the source set of
+    its complement: A is the closure of the outside, so delta measures
+    inward depth.  ``region`` is pinned in the library at "complement", and
+    any other value is an InputError.  Boundary points falling strictly
+    inside another body are dropped, so overlapping unions keep only the
+    true boundary; each maximal run of kept points becomes its own open loop.
     """
-    if region not in ("complement", "set", "curve"):
-        raise InputError(f"unknown region {region!r}")
+    if region != "complement":
+        raise InputError(f"region is pinned in the library at 'complement', got {region!r}")
     for b in bodies:
         if b.dim != 2:
             raise InputError(f"sources are sampled curves: got a body with d={b.dim}")
@@ -263,19 +287,12 @@ def boundary_source(
         raise InputError("no boundary points survive the union filter")
     points = np.concatenate(pieces)
 
-    inside = None
-    if region == "complement":
-        def inside(x, bodies=tuple(bodies)):
-            out = np.ones(len(x), dtype=bool)
-            for b in bodies:
-                out &= b.sign(x) >= 0
-            return out
-    elif region == "set":
-        def inside(x, bodies=tuple(bodies)):
-            out = np.zeros(len(x), dtype=bool)
-            for b in bodies:
-                out |= b.sign(x) <= 0
-            return out
+    def inside(x, bodies=tuple(bodies)):
+        out = np.ones(len(x), dtype=bool)
+        for b in bodies:
+            out &= b.sign(x) >= 0
+        return out
+
     return SourceSet(points=points, loops=tuple(loops), inside=inside)
 
 
@@ -301,7 +318,6 @@ class DistanceField:
     dual: DualNorm
     delta: np.ndarray
     gap: np.ndarray
-    eps_cluster: float
     tol_unique: float
 
     @property
@@ -321,8 +337,7 @@ class DistanceField:
         x + h e_k and -0.0 for x - h e_k, so x + offset carries the bits of
         x, x + h e_k and x - h e_k, signed zeros included."""
         h, e = self.grid.h, self.grid.h * np.eye(self.grid.dim)
-        window = WINDOW_CELLS * h
-        resolve = _cluster_analysis(self.source, self.eps_cluster, window, self.tol_unique)
+        resolve = _cluster_analysis(self.source, WINDOW_CELLS * h, self.tol_unique)
         offsets = np.concatenate([np.full((1, len(e)), -0.0), e, -e])
         reach = 2.0 * self.dual.grad_bound() * h
         return h, resolve, np.arange(len(self.source.points)), offsets, reach
@@ -404,7 +419,7 @@ def _axis_lines(dual: DualNorm, sources, axes):
     return [(line * s, sources[:, k] * s) for k, (line, s) in enumerate(zip(axes, scale))]
 
 
-def _box_keep(lines, starts, stops, cols, eps_cluster, window_abs):
+def _box_keep(lines, starts, stops, cols, window_abs):
     """Which of the sources ``cols`` can be near-minimizers of some cell of
     each box, as a bool array of shape (len(starts[0]), ...,
     len(starts[d-1]), len(cols)); the boxes are the products of the per-axis
@@ -418,7 +433,7 @@ def _box_keep(lines, starts, stops, cols, eps_cluster, window_abs):
     cell of a box below by lo[j] and above by hi[j].  Each cell's least F*
     is then at most big = min_j sqrt(hi[j]), and every step is a monotone
     rounded operation, so each near-minimizer j of each cell has
-    sqrt(lo[j]) <= big + (eps_cluster big + window_abs), which
+    sqrt(lo[j]) <= big + (EPS_CLUSTER big + window_abs), which
     ``_square_bound`` turns into a bound on lo[j] itself.
     """
     lo = hi = 0.0
@@ -435,7 +450,7 @@ def _box_keep(lines, starts, stops, cols, eps_cluster, window_abs):
         lo = lo + nearer.reshape(shape)
         hi = hi + np.maximum(first_sq, last_sq).reshape(shape)
     big = np.sqrt(hi.min(axis=-1, keepdims=True))
-    return lo <= _square_bound(big + (eps_cluster * big + window_abs))
+    return lo <= _square_bound(big + (EPS_CLUSTER * big + window_abs))
 
 
 def _tile_distances(lines, box, rows, cand):
@@ -452,7 +467,7 @@ def _tile_distances(lines, box, rows, cand):
     return d
 
 
-def _block_scan(dual: DualNorm, pts, axes, spacing, eps_cluster, window_abs):
+def _block_scan(dual: DualNorm, pts, axes, spacing, window_abs):
     """(tile_cells, scan): the fine tiles hold about ``tile_cells`` cells, and
     scan(block, centers) prunes the sources for a coarse block, a box
     ``block`` of cells (one slice per grid axis) whose cell centres are the
@@ -481,13 +496,13 @@ def _block_scan(dual: DualNorm, pts, axes, spacing, eps_cluster, window_abs):
             corner = np.array([s.start for s in block])
             ends = np.array([s.stop for s in block])
             # the block itself, one range per axis
-            whole = _box_keep(lines, corner[:, None], ends[:, None], every, eps_cluster, window_abs)
+            whole = _box_keep(lines, corner[:, None], ends[:, None], every, window_abs)
             coarse = np.flatnonzero(whole)
             # the tiles of ``_boxes``: per axis, ranges of ``side`` cells
             # from the block's corner, the last one cut short
             starts = [np.arange(c, e, side) for c, e in zip(corner, ends)]
             stops = [np.minimum(s + side, e) for s, e in zip(starts, ends)]
-            keep = _box_keep(lines, starts, stops, coarse, eps_cluster, window_abs)
+            keep = _box_keep(lines, starts, stops, coarse, window_abs)
             # the block's own stretch of each axis line
             own = [(line[s], src) for (line, src), s in zip(lines, block)]
 
@@ -516,7 +531,7 @@ def _block_scan(dual: DualNorm, pts, axes, spacing, eps_cluster, window_abs):
         if extent is None:
             extent = extents[dims] = _extent(dual, 0.5 * (np.asarray(dims) - 1) * spacing)
         xc = 0.5 * (ends[0] + ends[1])
-        return _candidates(dual, pts, cand, xc, extent, allowance, eps_cluster, window_abs)
+        return _candidates(dual, pts, cand, xc, extent, allowance, window_abs)
 
     def scan(block, centers):
         coarse = candidates(every, block, centers[[0, -1]])
@@ -531,14 +546,14 @@ def _block_scan(dual: DualNorm, pts, axes, spacing, eps_cluster, window_abs):
     return TILE_CELLS, scan
 
 
-def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
+def _cluster_analysis(source: SourceSet, window_abs, tol_unique):
     """The near-minimizer cluster analysis, as ``resolve(d, cand, squared)``.
 
     ``d`` holds F* from a block of points (rows) to the sorted source indices
     ``cand`` (columns), which include every near-minimizer of every row, or
     its squares where ``squared`` is true.  ``resolve`` returns each row's
     minimum m and its gap: 0, or the Euclidean diameter of its cluster (the
-    sources within m + eps_cluster m + window_abs) when that covers half a
+    sources within m + EPS_CLUSTER m + window_abs) when that covers half a
     loop or more or is not one single-linkage component at scale
     ``tol_unique``.  On squares m is the square root of the least entry,
     which is the least root since a rounded square root does not decrease,
@@ -588,10 +603,10 @@ def _cluster_analysis(source: SourceSet, eps_cluster, window_abs, tol_unique):
         nonlocal last
         if squared:
             m = np.sqrt(d.min(axis=1))
-            near = d <= _square_bound(m + (eps_cluster * m + window_abs))[:, None]
+            near = d <= _square_bound(m + (EPS_CLUSTER * m + window_abs))[:, None]
         else:
             m = d.min(axis=1)
-            near = d <= (m + (eps_cluster * m + window_abs))[:, None]
+            near = d <= (m + (EPS_CLUSTER * m + window_abs))[:, None]
         held = last
         if held[0] is not cand:
             held = last = (cand, columns(cand))
@@ -699,17 +714,17 @@ def _extent(dual, half) -> float:
     return float(dual.batch_value_fast(corners).max())
 
 
-def _candidates(dual, pts, cand, xc, extent, allowance, eps_cluster, window_abs):
+def _candidates(dual, pts, cand, xc, extent, allowance, window_abs):
     """The sources among ``cand`` that can be near-minimizers of a cell x
     with F*(x - xc) and F*(xc - x) at most ``extent``.  F* is subadditive:
     with m the least F*(a - xc) over ``cand``, x's least value is at most
     m + S, S = ``extent``, and a near-minimizer a of x has F*(a - x) <=
-    (m + S) + eps (m + S) + window, so F*(a - xc) <= m + eps (m + S) +
-    window + 2 S.  ``allowance`` covers the rounding of the coordinates,
-    of their differences and of the values."""
+    (m + S) + EPS_CLUSTER (m + S) + window, so F*(a - xc) <= m +
+    EPS_CLUSTER (m + S) + window + 2 S.  ``allowance`` covers the rounding
+    of the coordinates, of their differences and of the values."""
     d = dual.batch_value_fast(pts[cand] - xc)
     m = float(d.min())
-    bound = m + eps_cluster * (m + extent) + window_abs + 2.0 * extent
+    bound = m + EPS_CLUSTER * (m + extent) + window_abs + 2.0 * extent
     return cand[d <= bound + allowance]
 
 
@@ -738,9 +753,10 @@ class _FieldPlan:
     owner: int
 
     def scan(self) -> DistanceField:
-        """``field``, once every block not yet scanned is scanned here, in
-        row-major order (``_fan_out``): none where every block was scanned
-        before, and else the first block whose scan refuses raises again.
+        """``field``, once every block not yet scanned is scanned here
+        (``_fan_out``): none where every block was scanned before.  Where
+        some of them refuse, every one is still tried, and the refusal of
+        the first in row-major order is raised, whichever worker ends first.
         In a process other than ``owner``, a pending block is one that an
         item of the owner's run scans, so this first waits, in 1 ms sleeps,
         until no block is pending, and raises ProcessLookupError if
@@ -748,46 +764,44 @@ class _FieldPlan:
         while os.getpid() != self.owner and (self.state == PENDING).any():
             os.kill(self.owner, 0)
             time.sleep(0.001)
-        _fan_out(np.flatnonzero(self.state != SCANNED).tolist(), self.scan_block)
+        for refusal in _fan_out(np.flatnonzero(self.state != SCANNED).tolist(), self._refusal):
+            if refusal is not None:
+                raise refusal
         return self.field
 
+    def _refusal(self, k):
+        """None once block k is scanned, or the WulffkitError its scan
+        raises, which carries a worker's traceback in a note."""
+        try:
+            self.scan_block(k)
+        except WulffkitError as exc:
+            if os.getpid() != self.owner and hasattr(exc, "add_note"):
+                exc.add_note("in a worker process:\n" + traceback.format_exc())
+            return exc
 
-def _plan_field(
-    source: SourceSet,
-    f: Integrand,
-    grid: GridSpec,
-    eps_cluster: float = EPS_CLUSTER,
-    tol_unique: Optional[float] = None,
-) -> _FieldPlan:
+
+def _plan_field(source: SourceSet, f: Integrand, grid: GridSpec) -> _FieldPlan:
     """``build_field``'s checks of its arguments, its shared mapping and its
-    blocks, with nothing scanned yet; the arguments are ``build_field``'s."""
+    blocks, with nothing scanned yet."""
     dual = dual_norm_of(f)
     _assert_even(dual)
     if grid.dim != f.dim:
         raise InputError("grid and integrand dimensions differ")
     if source.points.shape[1] != f.dim:
         raise InputError("source and integrand dimensions differ")
-    if not 0.0 <= eps_cluster < np.inf:
-        raise InputError(f"eps_cluster must be non-negative and finite, got {eps_cluster!r}")
     h = grid.h
-    if source.spacing > 1.0001 * h:
+    # an infinite spacing, which would link every cluster, fails the comparison
+    if not source.spacing <= 1.0001 * h:
         raise InputError(
             f"source sample too sparse: spacing {source.spacing:.3g} exceeds grid h {h:.3g}"
         )
-    if tol_unique is None:
-        tol_unique = 3.0 * max(source.spacing, h)
-    # NaN fails both comparisons
-    if not source.spacing <= tol_unique < np.inf:
-        raise InputError(
-            f"tol_unique must be finite and at least the source spacing "
-            f"{source.spacing:.3g}, got {tol_unique:.3g}"
-        )
+    tol_unique = 3.0 * max(source.spacing, h)
 
     pts = source.points
     window_abs = WINDOW_CELLS * h
     axes = grid._axes()
-    tile_cells, scan = _block_scan(dual, pts, axes, grid.spacing, eps_cluster, window_abs)
-    resolve = _cluster_analysis(source, eps_cluster, window_abs, tol_unique)
+    tile_cells, scan = _block_scan(dual, pts, axes, grid.spacing, window_abs)
+    resolve = _cluster_analysis(source, window_abs, tol_unique)
     blocks = list(_boxes(tuple(slice(0, n) for n in grid.shape), BLOCK_CELLS))
 
     # delta and gap of every cell, 0 on A, and the state of each block, in
@@ -844,18 +858,13 @@ def _plan_field(
         dual=dual,
         delta=delta.reshape(grid.shape),
         gap=gap.reshape(grid.shape),
-        eps_cluster=eps_cluster,
-        tol_unique=float(tol_unique),
+        tol_unique=tol_unique,
     )
     return _FieldPlan(field, blocks, scan_block, state, owner=os.getpid())
 
 
 def build_field(
-    source: SourceSet,
-    f: Integrand,
-    grid: GridSpec,
-    eps_cluster: float = EPS_CLUSTER,
-    tol_unique: Optional[float] = None,
+    source: SourceSet, f: Integrand, grid: GridSpec, eps_cluster=EPS_CLUSTER, tol_unique=None
 ) -> DistanceField:
     """Compute delta and the ambiguity gap on the grid.
 
@@ -882,13 +891,21 @@ def build_field(
     scan's whatever the block order and the split.  The scan stays
     in-process with one usable CPU (in a forked worker, which is pinned to
     one), without ``os.fork``, while another thread runs, or with fewer than
-    ``FAN_OUT_ITEMS`` blocks.
+    ``FAN_OUT_ITEMS`` blocks.  Where blocks refuse, the refusal of the first
+    of them in row-major order is raised.
 
-    ``eps_cluster`` must be non-negative and finite; ``tol_unique`` (default
-    three times the larger of the source spacing and the grid h) must be
-    finite and at least the source spacing.
+    The source sample may be no sparser than the grid h.  The cluster
+    window's relative tolerance ``EPS_CLUSTER`` and the linkage scale, three
+    times the larger of the source spacing and h (the field's
+    ``tol_unique``), are pinned in the library: ``eps_cluster`` and
+    ``tol_unique`` are accepted only at their defaults, EPS_CLUSTER and
+    None, and any other value is an InputError that names the keyword.
     """
-    return _plan_field(source, f, grid, eps_cluster, tol_unique).scan()
+    if not isinstance(eps_cluster, float) or eps_cluster != EPS_CLUSTER:
+        raise InputError(f"eps_cluster is pinned in the library, got {eps_cluster!r}")
+    if tol_unique is not None:
+        raise InputError(f"tol_unique is pinned in the library, got {tol_unique!r}")
+    return _plan_field(source, f, grid).scan()
 
 
 def _assert_even(dual: DualNorm):

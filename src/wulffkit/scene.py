@@ -45,8 +45,9 @@ class Scene:
 
     @property
     def tolerances(self) -> dict:
-        """``build_field``'s ``eps_cluster`` and ``tol_unique`` defaults by
-        keyword, as the benchmark harness reads them; no scene sets them."""
+        """The one value ``build_field`` accepts for each of its pinned
+        ``eps_cluster`` and ``tol_unique`` keywords, by keyword, as the
+        benchmark harness passes them; no scene sets them."""
         return {"eps_cluster": EPS_CLUSTER, "tol_unique": None}
 
 

@@ -183,7 +183,7 @@ class RunCache:
             resolution = self.scene.steiner.get("source_resolution")
             if resolution is None:
                 resolution = _steiner_source_resolution(self.scene, self.table(body).quad)
-            return dist.boundary_source([body], resolution, region="complement")
+            return dist.boundary_source([body], resolution)
 
         return self._once(("source", body), build)
 

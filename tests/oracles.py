@@ -15,6 +15,8 @@ from scipy import integrate
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
+from wulffkit.distance import EPS_CLUSTER
+
 
 def fd_gradient(fn, x, h=1e-6):
     """Central-difference gradient of a scalar function."""
@@ -287,7 +289,7 @@ def project_reference(field, x, window_cells):
     values = dual.batch_value_fast(pts - x)
     best = int(np.argmin(values))
     delta = float(values[best])
-    gap = resolve_gap(pts, src.loops, values, field.eps_cluster, window_cells * h, field.tol_unique)
+    gap = resolve_gap(pts, src.loops, values, EPS_CLUSTER, window_cells * h, field.tol_unique)
     spacing = (grid.hi - grid.lo) / np.asarray(grid.cells)
     cell = np.minimum(np.floor((x - grid.lo) / spacing).astype(int), np.asarray(grid.cells) - 1)
     gap = max(float(gap), float(field.gap[tuple(cell)]))

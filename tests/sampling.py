@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from wulffkit import StarBody, curvature_table, hk, sample_surface
+from wulffkit import SourceSet, StarBody, boundary_source, curvature_table, hk, sample_surface
 from wulffkit.curvature import umbilicity_classify
 from wulffkit.duality import dual_norm_of
 from wulffkit.scene import Scene
@@ -23,6 +23,27 @@ def refuse_overlaps(tables):
     ``node_overlaps`` flags, then ``hk.refuse_overlaps`` over all of them."""
     bodies = [t.body for t in tables]
     hk.refuse_overlaps(bodies, [hk.node_overlaps(t, bodies, k) for k, t in enumerate(tables)])
+
+
+def region_source(bodies, resolution, region):
+    """``boundary_source``'s points and loops of the union of ``bodies`` as
+    the source of A for ``region``: "complement" (the closure of the
+    outside, the library's one region), "set" (the closed union) or "curve"
+    (the boundary alone, no membership)."""
+    src = boundary_source(bodies, resolution)
+    if region == "complement":
+        return src
+    if region == "curve":
+        return SourceSet(points=src.points, loops=src.loops)
+    assert region == "set", region
+
+    def inside(x):
+        out = np.zeros(len(x), dtype=bool)
+        for b in bodies:
+            out |= b.sign(x) <= 0
+        return out
+
+    return SourceSet(points=src.points, loops=src.loops, inside=inside)
 
 
 def umbilicity(tables):

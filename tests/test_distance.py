@@ -5,6 +5,7 @@ import re
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,11 +33,12 @@ from wulffkit import (
 )
 from wulffkit import distance, fanout
 from wulffkit.errors import SolverError
-from wulffkit.distance import WINDOW_CELLS, _connected, _diameters, _square_bound
+from wulffkit.distance import EPS_CLUSTER, WINDOW_CELLS, _connected, _diameters, _square_bound
 
 from oracles import (
     project_reference, resolve_gap, rolling_ball_by_wulff_sample, single_linkage_connected,
 )
+from sampling import region_source
 
 E2 = EuclideanNorm(2)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
@@ -93,7 +95,7 @@ def wulff_field():
 
 
 def test_delta_to_circle_as_curve():
-    src = boundary_source([UNIT_DISK], 2048, region="curve")
+    src = region_source([UNIT_DISK], 2048, "curve")
     grid = GridSpec(lo=[-2.2, -2.2], hi=[2.2, 2.2], cells=128)
     field = build_field(src, E2, grid)
     # A is the curve alone, so delta is positive on both sides of it, and
@@ -138,7 +140,7 @@ def test_project_gradient_formula(disk_field):
 def test_project_ellipse_minor_axis():
     # foot of (0, 0.5) on the ellipse is (0, 1): brute-force argmin oracle
     ell = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
-    src = boundary_source([ell], 4096, region="curve")
+    src = region_source([ell], 4096, "curve")
     grid = GridSpec(lo=[-2.2, -1.2], hi=[2.2, 1.2], cells=[220, 120])
     field = build_field(src, E2, grid)
     res = project(field, [0.0, 0.5])
@@ -306,14 +308,45 @@ def test_sparse_source_rejected():
         build_field(src, E2, grid)
 
 
-def test_tol_unique_below_spacing_rejected():
-    # below the spacing, two consecutive samples of one foot arc need not be
-    # linked, and the per-loop run screen would call a split arc connected
+def test_infinite_source_spacing_rejected():
+    # an infinite spacing would make the linkage scale infinite, which links
+    # every cluster; the sparse-source check refuses it
+    src = SourceSet(points=np.array([[-1e308, 0.0], [1e308, 0.0]]), loops=((0, 2, False),))
+    with np.errstate(over="ignore"):
+        assert src.spacing == np.inf
+    with pytest.raises(InputError, match="too sparse"), np.errstate(over="ignore"):
+        build_field(src, E2, GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=16))
+
+
+def test_the_harness_call_is_accepted():
+    # the benchmark harness passes the pinned keywords by name, from a
+    # scene's tolerances; the field is the default call's, bit for bit
+    tolerances = parse_scene(
+        {"integrand": {"family": "euclidean", "dimension": 2}, "bodies": []}
+    ).tolerances
     src = boundary_source([UNIT_DISK], 1024, region="complement")
     grid = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=128)
-    with pytest.raises(InputError):
-        build_field(src, E2, grid, tol_unique=src.spacing / 2)
-    assert build_field(src, E2, grid, tol_unique=src.spacing).tol_unique == src.spacing
+    field = build_field(
+        src, E2, grid, eps_cluster=tolerances["eps_cluster"], tol_unique=tolerances["tol_unique"]
+    )
+    plain = build_field(src, E2, grid)
+    assert field.tol_unique == plain.tol_unique == 3.0 * max(src.spacing, grid.h)
+    assert np.array_equal(field.delta, plain.delta) and np.array_equal(field.gap, plain.gap)
+
+
+def test_finite_tol_unique_rejected():
+    # the linkage scale is pinned in the library at three times the larger
+    # of the source spacing and h: below the spacing, two consecutive
+    # samples of one foot arc need not be linked, and the per-loop run
+    # screen would call a split arc connected; every finite value is refused
+    # alike, the field's own scale included
+    src = boundary_source([UNIT_DISK], 1024, region="complement")
+    grid = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=128)
+    own = build_field(src, E2, grid).tol_unique
+    assert own == 3.0 * max(src.spacing, grid.h)
+    for tol in (0.0, src.spacing / 2, src.spacing, own, 1.0):
+        with pytest.raises(InputError, match="tol_unique is pinned in the library"):
+            build_field(src, E2, grid, tol_unique=tol)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf])
@@ -331,15 +364,21 @@ def test_non_finite_tol_unique_rejected(tol):
     assert estimate_reach_F(field) < 0.7
 
 
-@pytest.mark.parametrize("eps", [-1.0, -1e-300, np.nan, np.inf])
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, np.nan, np.inf, 0.0, 2 * EPS_CLUSTER])
 def test_bad_eps_cluster_rejected(eps):
-    # a negative window leaves a row's cluster empty, and its reduction
-    # raised a raw ValueError
+    # a negative window left a row's cluster empty, and its reduction
+    # raised a raw ValueError; the window is pinned in the library, so any
+    # value but EPS_CLUSTER is refused
     src = boundary_source([UNIT_DISK], 1024, region="complement")
     grid = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=128)
-    with pytest.raises(InputError, match="eps_cluster"):
+    with pytest.raises(InputError, match="eps_cluster is pinned in the library"):
         build_field(src, E2, grid, eps_cluster=eps)
-    assert build_field(src, E2, grid, eps_cluster=0.0).eps_cluster == 0.0
+
+
+@pytest.mark.parametrize("region", ["set", "curve", "Complement", None])
+def test_boundary_source_takes_the_complement_alone(region):
+    with pytest.raises(InputError, match="region is pinned in the library"):
+        boundary_source([UNIT_DISK], 256, region=region)
 
 
 def test_source_spacing_includes_the_wrap():
@@ -354,7 +393,7 @@ def test_source_spacing_includes_the_wrap():
 def test_membership_takes_finite_rows_in_every_region():
     disk = Ellipsoid(np.eye(2), np.zeros(2))
     for region in ("curve", "set", "complement"):
-        src = boundary_source([disk], 256, region=region)
+        src = region_source([disk], 256, region)
         assert src.membership(np.zeros((3, 2))).shape == (3,)
         for bad in (np.zeros(2), np.zeros((2, 5)), np.zeros((1, 1, 2)), [[0.0, np.nan]]):
             with pytest.raises(InputError):
@@ -364,6 +403,54 @@ def test_membership_takes_finite_rows_in_every_region():
 def test_empty_source_rejected():
     with pytest.raises(InputError):
         SourceSet(points=np.zeros((0, 2)), loops=())
+
+
+def test_loops_that_do_not_tile_the_sample_are_refused():
+    # one loop past the 1024 points read gap_at(0, 0) 0.0 and projected the
+    # disk's centre uniquely: the half-loop cover never reached half of a
+    # loop of 5000
+    src = boundary_source([UNIT_DISK], 1024)
+    grid = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=128)
+    field = build_field(src, E2, grid)
+    assert field.gap_at([0.0, 0.0]) == pytest.approx(2.0) and project(field, [0.0, 0.0]).ambiguous
+    n = len(src.points)
+    for loops in (
+        ((0, 5000, True),),
+        ((0, n - 1, True),),
+        ((0, 500, False), (501, n, False)),
+        ((0, 600, False), (500, n, False)),
+        ((500, n, False), (0, 500, False)),
+        ((0, 0, False), (0, n, True)),
+        ((0, n),),
+        ((0.0, float(n), True),),
+        ((0, n, True, 1),),
+        (),
+    ):
+        with pytest.raises(InputError, match=r"loops must be \(start, stop, closed\) ranges"):
+            SourceSet(points=src.points, loops=loops, inside=src.inside)
+
+
+def test_non_finite_source_point_is_refused():
+    # a NaN point reached build_field, which raised a raw ValueError from
+    # the reduction of an empty cluster
+    pts = boundary_source([UNIT_DISK], 1024).points.copy()
+    pts[7] = np.nan
+    with pytest.raises(InputError, match=r"must be a nonempty \(N, d\) array of finite numbers"):
+        SourceSet(points=pts, loops=((0, len(pts), True),))
+
+
+@pytest.mark.parametrize("points", [np.zeros(8), np.zeros((2, 2, 2)), np.zeros((8, 0))])
+def test_source_points_of_the_wrong_shape_are_refused(points):
+    # 1-D points raised a raw IndexError
+    with pytest.raises(InputError, match=r"source points must be a nonempty \(N, d\) array"):
+        SourceSet(points=points, loops=((0, len(points), False),))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), ([[0.0, 0.0]], [[1.0, 1.0]]), ([], [])])
+def test_grid_bounds_that_are_not_vectors_are_refused(lo, hi):
+    # scalar bounds raised a raw TypeError
+    with pytest.raises(InputError, match="grid bounds must be vectors"):
+        GridSpec(lo, hi, 8)
 
 
 def test_point_outside_grid_rejected(disk_field):
@@ -474,7 +561,7 @@ def test_body_clipped_twice_splits_into_runs():
     # the middle disk overlaps both neighbours, so two arcs of it survive;
     # each must be its own loop, or the jump between them reads as spacing
     disks = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-1.5, 0.0, 1.5)]
-    src = boundary_source(disks, 1024, region="set")
+    src = region_source(disks, 1024, "set")
     assert len(src.loops) == 4
     assert src.spacing == pytest.approx(2 * np.pi / 1024, rel=1e-3)
     grid = GridSpec([-3.0, -1.6], [3.0, 1.6], [300, 160])
@@ -495,7 +582,7 @@ def oracle_source(request):
         src = boundary_source([ell], 1024, region="complement")
         return src, GridSpec([-2.3, -1.3], [2.3, 1.3], [87, 53])
     disks = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-1.5, 0.0, 1.5)]
-    src = boundary_source(disks, 1024, region="set")
+    src = region_source(disks, 1024, "set")
     return src, GridSpec([-3.0, -1.6], [3.0, 1.6], [87, 53])
 
 
@@ -658,7 +745,7 @@ def _field_matches_resolver(field):
             field.source.points,
             field.source.loops,
             field.dual.batch_value_fast(field.source.points - centers[i]),
-            field.eps_cluster,
+            EPS_CLUSTER,
             WINDOW_CELLS * field.grid.h,
             field.tol_unique,
         )
@@ -719,17 +806,22 @@ def test_connected_matches_single_linkage_oracle(seed, n_arcs, per_arc, factor, 
 
 @pytest.mark.parametrize("ulps", [0, 1, 2])
 def test_source_on_the_window_edge_is_a_near_minimizer(ulps):
-    # h = 1, eps_cluster 0: the window of the cell at (3.5, 3.5), whose
-    # nearest source lies 2 away, ends at 2 + 1.5 = 3.5; a second source
-    # exactly there, 4.03 > tol_unique = 3 from the first, splits the cell's
-    # cluster, and one just beyond it leaves the cluster one point
-    far = 7.0
+    # h = 1: the window of the cell at (3.5, 7.5), whose nearest source lies
+    # 2 away, ends at edge = 2 + (EPS_CLUSTER 2 + 1.5), rounded as the
+    # library rounds it; a second source exactly that far below the cell,
+    # 4.03 > tol_unique = 3 from the first, splits the cell's cluster, and
+    # one just beyond it leaves the cluster one point
+    edge = 2.0 + (EPS_CLUSTER * 2.0 + WINDOW_CELLS * 1.0)
+    low = 7.5 - edge
+    # both differences are exact, so each ulp below moves the source one ulp
+    # of edge further off
+    assert 7.5 - low == edge
     for _ in range(ulps):
-        far = np.nextafter(far, np.inf)
-    src = SourceSet(points=np.array([[1.5, 3.5], [3.5, far]]), loops=((0, 1, False), (1, 2, False)))
-    field = build_field(src, E2, GridSpec([0.0, 0.0], [8.0, 8.0], 8), eps_cluster=0.0)
-    assert field.delta[3, 3] == 2.0 and field.tol_unique == 3.0
-    assert field.gap[3, 3] == (_pdist_diameter(src.points) if ulps == 0 else 0.0)
+        low = np.nextafter(low, -np.inf)
+    src = SourceSet(points=np.array([[1.5, 7.5], [3.5, low]]), loops=((0, 1, False), (1, 2, False)))
+    field = build_field(src, E2, GridSpec([0.0, 0.0], [8.0, 8.0], 8))
+    assert field.delta[3, 7] == 2.0 and field.tol_unique == 3.0
+    assert field.gap[3, 7] == (_pdist_diameter(src.points) if ulps == 0 else 0.0)
 
 
 def _pdist_diameter(pts):
@@ -850,7 +942,7 @@ def test_skipping_A_keeps_every_bit(region, name):
     elif region in SCREENED:
         src = SCREENED[region]()
     else:
-        src = boundary_source(TWO_DISKS, 1024, region=region)
+        src = region_source(TWO_DISKS, 1024, region)
     field = build_field(src, f, SKIP_GRID)
     delta, gap = _scan_everywhere(src, f, SKIP_GRID)
     assert np.array_equal(field.delta, delta)
@@ -927,7 +1019,7 @@ def test_field_scans_only_cells_outside_A(monkeypatch):
 
 def test_field_of_all_A_scans_nothing(monkeypatch):
     work = _count_scans(monkeypatch)
-    src = boundary_source(TWO_DISKS, 1024, region="curve")
+    src = boundary_source(TWO_DISKS, 1024)
     everywhere = SourceSet(
         points=src.points, loops=src.loops, inside=lambda x: np.ones(len(x), dtype=bool)
     )
@@ -980,7 +1072,7 @@ NEGATIVE_GRID = GridSpec([-6.1, -3.3], [-2.2, -0.4], [53, 41])
 
 
 def test_axis_tables_only_for_axis_separable_maps():
-    src = boundary_source(TWO_DISKS, 256, region="curve")
+    src = boundary_source(TWO_DISKS, 256)
     assert _axis_lines_of(E2, src, SKIP_GRID) is not None
     assert _axis_lines_of(Q2, src, SKIP_GRID) is not None
     assert _axis_lines_of(QN, src, SKIP_GRID) is None
@@ -995,7 +1087,7 @@ def test_axis_tables_only_for_axis_separable_maps():
 def test_axis_tables_are_those_of_the_mapped_grid(grid, f):
     # the integrand picks the tables where the whole grid's mapped centres
     # would, and its lines carry their bits
-    src = boundary_source(TWO_DISKS, 256, region="curve")
+    src = boundary_source(TWO_DISKS, 256)
     lines, expected = _axis_lines_of(f, src, grid), _lines_of_the_mapped_grid(f, src, grid)
     assert (lines is None) == (expected is None)
     for (line, source), (line_e, source_e) in zip(lines or (), expected or ()):
@@ -1006,7 +1098,7 @@ def test_block_centres_map_as_the_rows_of_the_whole_grid():
     # a rotated M maps each block's own centres; every block and every tile
     # carries the bits of the whole grid's product
     grid = GridSpec([-2.3, -1.5], [2.3, 1.5], [460, 260])
-    src = boundary_source(TWO_DISKS, 256, region="curve")
+    src = boundary_source(TWO_DISKS, 256)
     place, _values = distance._pairwise_values(DualNorm(QN), src.points)
     axes, mapped = grid._axes(), place(grid.centers()).reshape(*grid.shape, 2)
     whole = tuple(slice(0, n) for n in grid.shape)
@@ -1023,9 +1115,7 @@ def _per_cell_scan(src, field):
     grid, centers = field.grid, field.grid.centers()
     place, values = distance._pairwise_values(field.dual, src.points)
     mapped = place(centers)
-    resolve = distance._cluster_analysis(
-        src, field.eps_cluster, WINDOW_CELLS * grid.h, field.tol_unique
-    )
+    resolve = distance._cluster_analysis(src, WINDOW_CELLS * grid.h, field.tol_unique)
     every = np.arange(len(src.points))
     delta, gap = np.zeros(len(centers)), np.zeros(len(centers))
     for i in np.flatnonzero(~src.membership(centers)):
@@ -1037,7 +1127,7 @@ def _per_cell_scan(src, field):
 @pytest.mark.parametrize("grid", [SKIP_GRID, NEGATIVE_GRID], ids=["skip", "negative"])
 def test_axis_lines_do_not_decrease(grid, f):
     # the end-row box bound of ``_box_keep`` rests on this
-    src = boundary_source(TWO_DISKS, 256, region="curve")
+    src = boundary_source(TWO_DISKS, 256)
     lines = _axis_lines_of(f, src, grid)
     assert len(lines) == 2
     for line, _src in lines:
@@ -1066,11 +1156,10 @@ def test_axis_tables_match_the_per_cell_route(kind, f):
     hst.sampled_from(["E2", "diagonal M"]),
     hst.tuples(hst.integers(1, 16), hst.integers(1, 16)),
     hst.integers(1, 7),
-    hst.sampled_from([0.0, 1e-3, 0.05]),
     hst.sampled_from([0.0, 0.5, 1.5]),
 )
 @settings(max_examples=80, deadline=None)
-def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, eps, window_cells):
+def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, window_cells):
     pts, rng = _arcs(seed, 3, 40, 0.05)
     f = E2 if name == "E2" else QuadraticNorm(np.diag(rng.uniform(0.2, 5.0, 2)))
     src = SourceSet(points=pts, loops=((0, len(pts), False),))
@@ -1084,7 +1173,7 @@ def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, eps,
     def near_outside(cells, cand):
         brute = values(mapped[cells], every)
         m = brute.min(axis=1)
-        near = brute <= (m + (eps * m + window))[:, None]
+        near = brute <= (m + (EPS_CLUSTER * m + window))[:, None]
         return near[:, np.setdiff1d(every, cand)].sum(), brute
 
     # a block anywhere in the grid, bounded over every source
@@ -1092,7 +1181,7 @@ def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, eps,
     ends = np.add(corner, sides)
     flat = np.arange(np.prod(grid.shape)).reshape(grid.shape)
     block = flat[corner[0] : ends[0], corner[1] : ends[1]]
-    whole = distance._box_keep(lines, [[c] for c in corner], ends[:, None], every, eps, window)
+    whole = distance._box_keep(lines, [[c] for c in corner], ends[:, None], every, window)
     assert whole.shape == (1, 1, len(every))
     coarse = np.flatnonzero(whole)
     assert near_outside(block.ravel(), coarse)[0] == 0
@@ -1100,7 +1189,7 @@ def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, eps,
     # together over the block's candidates
     starts = [np.arange(c, e, side) for c, e in zip(corner, ends)]
     stops = [np.minimum(s + side, e) for s, e in zip(starts, ends)]
-    keep = distance._box_keep(lines, starts, stops, coarse, eps, window)
+    keep = distance._box_keep(lines, starts, stops, coarse, window)
     assert keep.shape == (len(starts[0]), len(starts[1]), len(coarse))
     for i, j in np.ndindex(keep.shape[:2]):
         box = (slice(starts[0][i], stops[0][i]), slice(starts[1][j], stops[1][j]))
@@ -1199,10 +1288,10 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _overlapping_union(region):
+def _overlapping_union():
     # each disk clips the other's boundary into one open loop
     bodies = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-0.6, 0.6)]
-    return boundary_source(bodies, 1024, region=region)
+    return boundary_source(bodies, 1024)
 
 
 @FORKS
@@ -1211,10 +1300,10 @@ def _overlapping_union(region):
 def test_fanned_out_field_matches_the_in_process_one(monkeypatch, region, name):
     f = FIELD_INTEGRANDS[name]
     if region == "overlapping union":
-        src = _overlapping_union("complement")
+        src = _overlapping_union()
         assert all(not closed for (_a, _b, closed) in src.loops)
     else:
-        src = boundary_source(TWO_DISKS, 1024, region=region)
+        src = region_source(TWO_DISKS, 1024, region)
     forks = _forks(monkeypatch, 1)
     alone = build_field(src, f, SKIP_GRID)
     assert not forks
@@ -1336,6 +1425,30 @@ def test_scan_stays_in_process_on_one_cpu_beside_a_thread_or_on_few_blocks(monke
     # one block of 40 x 40 cells
     build_field(src, E2, GridSpec([-2.3, -1.5], [2.3, 1.5], [40, 40]))
     assert not forks
+
+
+@FORKS
+def test_field_raises_the_first_refusing_block_in_row_major_order(monkeypatch):
+    # every block's membership call refuses and names the block's first
+    # cell centre; block 0 refuses last, so with two workers the caller
+    # raised block 1's refusal first
+    src = boundary_source([UNIT_DISK], 1024)
+    first = (-1.9875, -1.9875)
+
+    def inside(x):
+        if tuple(x[0]) == first:
+            time.sleep(0.05)
+        raise InputError(f"refused at {x[0][0]} {x[0][1]}")
+
+    refusing = SourceSet(points=src.points, loops=src.loops, inside=inside)
+    grid = GridSpec([-2.0, -2.0], [2.0, 2.0], 160)
+    assert len(list(distance._boxes((slice(0, 160), slice(0, 160)), distance.BLOCK_CELLS))) == 16
+    for cpus in (2, 1):
+        forks = _forks(monkeypatch, cpus)
+        with pytest.raises(InputError, match=re.escape("refused at -1.9875 -1.9875")):
+            build_field(refusing, E2, grid)
+        assert len(forks) == (2 if cpus == 2 else 0)
+        _no_child_left()
 
 
 @pytest.mark.parametrize("name", ["fork", "sched_getaffinity"])

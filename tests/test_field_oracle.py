@@ -90,7 +90,7 @@ def _matches_brute_force(field, rng, name, mapped=False):
         assert outside[i], (name, i)
         assert delta[i] == values.min(), (name, type(field.f).__name__, i)
         expected = resolve_gap(
-            src.points, src.loops, values, field.eps_cluster, window, field.tol_unique
+            src.points, src.loops, values, distance.EPS_CLUSTER, window, field.tol_unique
         )
         assert gap[i] == expected, (name, type(field.f).__name__, i, gap[i], expected)
     assert np.count_nonzero(gap > field.tol_unique) > 0

@@ -1,9 +1,12 @@
 """The benchmark harness still runs against the library.
 
 ``perfbench/workloads.py`` calls the library by name: ``Scene.tolerances``,
-``boundary_source(region=...)``, ``build_field``'s ``eps_cluster`` and
-``tol_unique`` keywords, and ``project``.  A change under ``src/`` that
-breaks one of them fails here, not only when the benchmark runs.
+``boundary_source(region="complement")``, ``build_field``'s ``eps_cluster``
+and ``tol_unique`` keywords, and ``project``.  The region, the cluster window
+and the linkage scale are pinned in the library, and each keyword is
+accepted only at the value the harness passes.  A change under ``src/``
+that breaks one of these calls fails here, not only when the benchmark
+runs.
 """
 
 import importlib

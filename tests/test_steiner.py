@@ -26,7 +26,7 @@ from oracles import (
     disk_outward_tube_area,
     sphere_inward_shell_volume,
 )
-from sampling import table
+from sampling import region_source, table
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -59,7 +59,7 @@ def test_tube_volume_inward_annulus(disk_field_512):
 
 
 def test_tube_volume_outward_disk():
-    src = boundary_source([UNIT_DISK], 2048, region="set")
+    src = region_source([UNIT_DISK], 2048, "set")
     grid = GridSpec(lo=[-1.8, -1.8], hi=[1.8, 1.8], cells=512)
     field = build_field(src, E2, grid)
     t = np.array([0.25, 0.5])
@@ -76,7 +76,7 @@ def test_tube_volume_monotone(disk_field_512):
 
 
 def test_tube_truncation_guard():
-    src = boundary_source([UNIT_DISK], 2048, region="set")
+    src = region_source([UNIT_DISK], 2048, "set")
     grid = GridSpec(lo=[-1.4, -1.4], hi=[1.4, 1.4], cells=256)
     field = build_field(src, E2, grid)
     with pytest.raises(TruncationError):
