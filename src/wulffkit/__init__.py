@@ -64,6 +64,8 @@ from .hk import (
     HKRow,
     equality_classifier,
     hk_evaluate,
+    hk_report,
+    hk_row,
     montiel_ros_integral,
 )
 from .variation import (
@@ -72,8 +74,6 @@ from .variation import (
     criticality_residual,
     first_variation,
     flow_energy_derivative,
-    stress_tensor,
-    volume_derivative,
 )
 from .scene import Scene, load_scene, parse_scene
 

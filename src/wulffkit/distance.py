@@ -183,9 +183,6 @@ class GridSpec:
             for k in range(self.dim)
         ]
 
-    def centers(self):
-        return _box_centers(self._axes(), tuple(slice(0, n) for n in self.cells))
-
     def cell_of(self, x):
         """Grid index of the cell holding the one point x of ``dim`` finite
         coordinates inside the closed box."""
@@ -360,7 +357,8 @@ def _differences(src, x):
 def _box_centers(axes, box):
     """Centres of the cells of ``box`` (one slice of cell indices per grid
     axis) from the per-axis coordinates ``axes``, one row per cell in the
-    box's C order; each row carries the bits of its row of ``centers()``."""
+    box's C order; each row carries the bits of its row for the whole grid's
+    box, whatever box holds the cell."""
     lines = [line[s] for line, s in zip(axes, box)]
     out = np.empty([len(line) for line in lines] + [len(lines)])
     for k, line in enumerate(lines):
@@ -796,8 +794,14 @@ def _plan_field(source: SourceSet, f: Integrand, grid: GridSpec) -> _FieldPlan:
             f"source sample too sparse: spacing {source.spacing:.3g} exceeds grid h {h:.3g}"
         )
     tol_unique = 3.0 * max(source.spacing, h)
-
+    # squared coordinate differences past the largest double would leave
+    # ``_square_bound`` looking for a root above an infinite bound
     pts = source.points
+    with np.errstate(over="ignore"):
+        spans = np.maximum(grid.hi, pts.max(axis=0)) - np.minimum(grid.lo, pts.min(axis=0))
+        if not np.isfinite(np.sum(spans * spans)):
+            raise InputError("grid box and source span too far for squared distances to be finite")
+
     window_abs = WINDOW_CELLS * h
     axes = grid._axes()
     tile_cells, scan = _block_scan(dual, pts, axes, grid.spacing, window_abs)
@@ -1078,9 +1082,7 @@ class ReachComparison:
     ok: bool
 
 
-def reach_comparison(
-    field_euclid: DistanceField, field_aniso: DistanceField
-) -> ReachComparison:
+def reach_comparison(field_euclid: DistanceField, field_aniso: DistanceField) -> ReachComparison:
     """Check reach(A) >= rho * reach^F(A) - 4h; ``ok`` says whether it holds.
 
     rho is the interior rolling-ball radius of the unit Wulff shape of the
@@ -1089,17 +1091,11 @@ def reach_comparison(
     normals of a sphere grid.
     """
     ga, gb = field_euclid.grid, field_aniso.grid
-    if ga.cells != gb.cells or not (
-        np.allclose(ga.lo, gb.lo) and np.allclose(ga.hi, gb.hi)
-    ):
+    if ga.cells != gb.cells or not (np.allclose(ga.lo, gb.lo) and np.allclose(ga.hi, gb.hi)):
         raise InputError("reach comparison requires a shared grid")
     f = field_aniso.dual.base
     nu = sphere_quadrature(f.dim, 2048 if f.dim == 2 else (64, 128))[0]
     rho = float(np.linalg.eigvalsh(tangential_hessian(f, nu, tangent_frames(nu)))[:, 0].min())
-    r_e = estimate_reach_F(field_euclid)
-    r_f = estimate_reach_F(field_aniso)
-    slack = 4.0 * field_euclid.grid.h
-    ok = r_e >= rho * r_f - slack
-    return ReachComparison(
-        rho=rho, reach_euclidean=r_e, reach_anisotropic=r_f, slack=slack, ok=ok
-    )
+    r_e, r_f = estimate_reach_F(field_euclid), estimate_reach_F(field_aniso)
+    slack = 4.0 * ga.h
+    return ReachComparison(rho, r_e, r_f, slack, ok=r_e >= rho * r_f - slack)

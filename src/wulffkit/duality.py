@@ -99,8 +99,7 @@ class DualNorm:
             out = np.zeros(len(W))
             out[~zero] = self.batch_value(W[~zero])
             return out
-        v = self._polar_minimize(W)
-        return self.base.value(v)
+        return self.base.value(self._polar_minimize(W))
 
     def batch_grad(self, W):
         W = _rows(W, self.dim)
@@ -188,7 +187,12 @@ class DualNorm:
         """
         if self.dim not in (2, 3):
             raise InputError(f"the conjugate bracket needs d = 2 or 3, not d = {self.dim}")
-        W = _rows(W, self.dim)
+        return self._bracket(_rows(W, self.dim))[:2]
+
+    def _bracket(self, W):
+        """(lo, hi, |w|) of ``batch_bracket`` at the checked (N, d) rows W,
+        d = 2 or 3.  |w| has the bits of ``_row_norm``: in d=2 x x + y y is
+        its (x x + 0) + y y, since x x is never -0."""
         lip = self.grad_bound()
         if self.dim == 2:
             k, hi = self._gauge(W)
@@ -205,7 +209,7 @@ class DualNorm:
             lo = np.divide(sq, fw, out=np.zeros(len(W)), where=fw > 0.0)
             hi = lip * norm
         slack = _BRACKET_ROUNDING * lip * norm
-        return lo - slack, hi + slack
+        return lo - slack, hi + slack, norm
 
     def grad_bound(self) -> float:
         """An upper bound on |grad F*|, the Lipschitz constant of F*; cached.

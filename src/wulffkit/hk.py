@@ -51,7 +51,7 @@ __all__ = [
     "refuse_overlaps",
 ]
 
-# largest |ratio - 1| that hk_evaluate calls equality
+# largest |ratio - 1| that hk_report calls equality
 EQUALITY_TOL = 1e-3
 # relative slack of equality_classifier's radius bound n/c and of its
 # equal-radii report

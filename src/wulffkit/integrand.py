@@ -140,7 +140,17 @@ def _quadratic_norm_hessian(m, g, inv):
 
 
 class Integrand:
-    """Base class; subclasses provide value/grad/hess on nonzero vectors."""
+    """Base class; subclasses provide value/grad/hess on nonzero vectors.
+
+    The closed-form families also provide what the conjugate solve and the
+    weighted sums call: ``_value`` and ``_grad`` at (N, dim) rows the caller
+    has checked finite (and nonzero, for ``_grad``), and
+    ``_value_grad_hess``, (F, grad F, upper Hessian) at the columns of a
+    component-major (d, N) array the caller has checked finite and nonzero:
+    F of length N, grad F as (d, N), and the entries H_ij, i <= j, of the
+    Hessian as (d (d + 1) / 2, N) in the order of ``_upper_pairs``, each
+    array new, so callers may overwrite them.
+    """
 
     dim: int
 
@@ -152,28 +162,6 @@ class Integrand:
 
     def hess(self, x):
         raise NotImplementedError
-
-    def _value(self, x):
-        """``value`` at rows the caller has checked finite, (N, dim) floats."""
-        return self.value(x)
-
-    def _grad(self, x):
-        """``grad`` at rows the caller has checked finite and nonzero."""
-        return self.grad(x)
-
-    def _value_grad_hess(self, x):
-        """(F, grad F, upper Hessian) at the columns of the component-major
-        (d, N) array x, whose columns the caller has checked finite and
-        nonzero: F of length N, grad F as (d, N), and the entries H_ij,
-        i <= j, of the Hessian as (d (d + 1) / 2, N) in the order of
-        ``_upper_pairs``.  Every array is new, so callers may overwrite them.
-
-        Built here from ``value``, ``grad`` and ``hess``; the closed-form
-        families compute all three in one pass that shares |x| or Mx.
-        """
-        rows = x.T
-        i, j = np.transpose(_upper_pairs(self.dim))
-        return self.value(rows), self.grad(rows).T, self.hess(rows)[:, i, j].T
 
     def _require_nonzero(self, x):
         """x as finite, nonzero (N, dim) rows, else InputError or DomainError."""

@@ -44,17 +44,15 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .curvature import CurvatureTable, _stress
+from .curvature import CurvatureTable
 from .errors import InputError, StepTooLargeError
 from .hypersurface import SurfaceQuadrature, volume
 from .integrand import Integrand
 
 __all__ = [
     "PolynomialField",
-    "stress_tensor",
     "first_variation",
     "flow_energy_derivative",
-    "volume_derivative",
     "criticality_residual",
     "CriticalityResult",
 ]
@@ -109,9 +107,6 @@ class PolynomialField:
             scale * rng.standard_normal((d, d, d)),
         )
 
-    def __call__(self, x):
-        return self._values(_monomials(x))
-
     def _values(self, mono):
         """g at the points whose ``_monomials`` are ``mono``: one matmul."""
         d = self.dim
@@ -145,12 +140,6 @@ def _monomials(x):
     return m.T
 
 
-def stress_tensor(f: Integrand, nu):
-    """B_F(nu) = F(nu) I - outer(nu, grad F(nu)), stacked over nodes."""
-    nu = np.atleast_2d(np.asarray(nu, dtype=float))
-    return _stress(f.value(nu), f.grad(nu), nu)
-
-
 def _first_variation(dg, stress) -> float:
     return float(np.einsum("ni,ni->", dg.reshape(len(dg), -1), stress))
 
@@ -174,11 +163,6 @@ def first_variation(table: CurvatureTable, g: PolynomialField) -> float:
     (entrywise matrix pairing), with w B_F(nu) the table's weighted stress."""
     mono = _node_monomials(table.quad, [g])
     return _first_variation(g._jacobians(mono), table.weighted_stress)
-
-
-def volume_derivative(q: SurfaceQuadrature, g: PolynomialField) -> float:
-    """Flux of g through the boundary: sum (g(x).nu) w."""
-    return float((_flux(q, g._values(_node_monomials(q, [g]))) * q.weights).sum())
 
 
 def _cross(u, v, out, tmp):
@@ -306,7 +290,8 @@ class CriticalityResult:
 
     ``flow_derivative`` is the central difference of the pushed energy, the
     value of ``flow_energy_derivative`` at the same step.  ``flux`` is
-    g(x).nu at every node; its weighted sum is ``volume_derivative``.
+    g(x).nu at every node; its weighted sum is ``volume_derivative``, the
+    flux of g through the boundary.
     """
 
     residual: float
@@ -335,8 +320,7 @@ def criticality_residual(
     weighted stress, and the pushes evaluate its F.  P, V, the node
     monomials and a0 are computed once for the body; g(x), Dg(x), a1 and a2
     once per field, shared by dP, dV and both pushes.  Each result equals
-    the one-field ``first_variation``, ``volume_derivative`` and
-    ``flow_energy_derivative``.
+    the one-field ``first_variation`` and ``flow_energy_derivative``.
     """
     quad = table.quad
     n = quad.dim - 1

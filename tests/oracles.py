@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the library's own code paths: brute
 enumeration, adaptive quadrature, finite differences, and dense parameter
-scans.  Oracles stay independent of the implementations they check.  The
-one exception is ``rolling_ball_by_wulff_sample``, a second route through
-the library's boundary sampler and curvature table to a radius that the
-library itself reads off D^2F on a sphere grid.
+scans.  Oracles stay independent of the implementations they check.  Two
+exceptions: ``rolling_ball_by_wulff_sample``, a second route through the
+library's boundary sampler and curvature table to a radius that the
+library itself reads off D^2F on a sphere grid, and ``volume_derivative``,
+the one-field flux route, which takes the library's node monomials and
+flux because the criticality pass must reproduce its bits.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from scipy import integrate
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
+from wulffkit import variation
 from wulffkit.distance import EPS_CLUSTER
 
 
@@ -54,6 +57,31 @@ def polynomial_field(const, lin, quad, x):
     return out
 
 
+def stress_tensor(f, nu):
+    """B_F(nu) = F(nu) I - outer(nu, grad F(nu)) per row of nu, by the formula."""
+    nu = np.atleast_2d(np.asarray(nu, dtype=float))
+    eye = np.eye(nu.shape[1])
+    return f.value(nu)[:, None, None] * eye - nu[:, :, None] * f.grad(nu)[:, None, :]
+
+
+def volume_derivative(quad, g):
+    """The flux of the field g through the boundary, sum (g(x).nu) w: the
+    one-field route whose bits ``criticality_residual`` reports as
+    ``volume_derivative``."""
+    mono = variation._node_monomials(quad, [g])
+    return float((variation._flux(quad, g._values(mono)) * quad.weights).sum())
+
+
+def value_grad_hess(f, x):
+    """(F, grad F, upper Hessian) at the columns of the component-major (d, N)
+    array x, from ``value``, ``grad`` and ``hess`` alone, in the layout of the
+    families' one-pass ``_value_grad_hess``: F of length N, grad F as (d, N),
+    and the entries H_ij, i <= j, as (d (d + 1) / 2, N) in row order."""
+    rows = x.T
+    i, j = np.triu_indices(f.dim)
+    return f.value(rows), f.grad(rows).T, f.hess(rows)[:, i, j].T
+
+
 def row_major_push(quad, f, g, t):
     """(energy, volume) of a boundary quadrature pushed along x -> x + t g(x),
     node by node in (N, d) rows.
@@ -65,7 +93,8 @@ def row_major_push(quad, f, g, t):
     """
     x = quad.points
     dg = g.lin[None] + 2.0 * np.einsum("ijk,nk->nij", g.quad, x)
-    moved = x + t * g(x)
+    gx = g.const + x @ g.lin.T + np.einsum("ijk,nj,nk->ni", g.quad, x, x)
+    moved = x + t * gx
     pushed = quad.frames + t * (dg @ quad.frames)
     if quad.dim == 2:
         a = np.stack([pushed[:, 1, 0], -pushed[:, 0, 0]], axis=1)

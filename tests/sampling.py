@@ -4,8 +4,10 @@ import numpy as np
 
 from wulffkit import SourceSet, StarBody, boundary_source, curvature_table, hk, sample_surface
 from wulffkit.curvature import umbilicity_classify
+from wulffkit.distance import _box_centers
 from wulffkit.duality import dual_norm_of
 from wulffkit.scene import Scene
+from wulffkit.variation import _monomials
 
 
 def table(body, f, resolution):
@@ -16,6 +18,19 @@ def table(body, f, resolution):
 def tables(bodies, f, resolution):
     """One curvature table per body, as hk_evaluate takes them."""
     return [table(b, f, resolution) for b in bodies]
+
+
+def grid_centers(grid):
+    """The centres of every cell of ``grid``, one row per cell in C order,
+    with the bits the field's blocks build them with."""
+    return _box_centers(grid._axes(), tuple(slice(0, n) for n in grid.cells))
+
+
+def field_values(g, x):
+    """The values g(x) of a ``PolynomialField`` at the rows of x (or at one
+    point), as ``criticality_residual`` forms them: one matmul against the
+    monomials (1, x, x x)."""
+    return g._values(_monomials(x))
 
 
 def refuse_overlaps(tables):

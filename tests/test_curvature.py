@@ -14,14 +14,19 @@ from wulffkit import (
     WulffBody,
     curvature_table,
     sample_surface,
-    stress_tensor,
     umbilicity_classify,
 )
 
 from wulffkit.curvature import _shape_operators_bulk, _wulff_shape_operators
 from wulffkit.integrand import tangential_hessian
 
-from oracles import congruence, eig_product, ellipse_curvature, sandwich_eigenvalues
+from oracles import (
+    congruence,
+    eig_product,
+    ellipse_curvature,
+    sandwich_eigenvalues,
+    stress_tensor,
+)
 import sampling
 
 E2 = EuclideanNorm(2)

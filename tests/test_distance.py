@@ -38,7 +38,7 @@ from wulffkit.distance import EPS_CLUSTER, WINDOW_CELLS, _connected, _diameters,
 from oracles import (
     project_reference, resolve_gap, rolling_ball_by_wulff_sample, single_linkage_connected,
 )
-from sampling import region_source
+from sampling import grid_centers, region_source
 
 E2 = EuclideanNorm(2)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
@@ -100,7 +100,7 @@ def test_delta_to_circle_as_curve():
     field = build_field(src, E2, grid)
     # A is the curve alone, so delta is positive on both sides of it, and
     # within half the sample spacing of the distance to the circle
-    r = np.linalg.norm(grid.centers(), axis=1)
+    r = np.linalg.norm(grid_centers(grid), axis=1)
     assert field.delta.min() > 0
     assert np.abs(field.delta.ravel() - np.abs(r - 1.0)).max() <= 0.5 * src.spacing
 
@@ -151,7 +151,7 @@ def test_project_ellipse_minor_axis():
 def test_lipschitz_in_conjugate_norm(wulff_field):
     field, _ = wulff_field
     delta = field.delta
-    centers = field.grid.centers().reshape(*field.grid.shape, 2)
+    centers = grid_centers(field.grid).reshape(*field.grid.shape, 2)
     slack = 2 * field.grid.h * field.dual.grad_bound()
     for axis in (0, 1):
         d1 = np.take(delta, range(1, delta.shape[axis]), axis=axis)
@@ -306,6 +306,19 @@ def test_sparse_source_rejected():
     grid = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=256)
     with pytest.raises(InputError):
         build_field(src, E2, grid)
+
+
+def test_overflowing_squared_distances_are_refused():
+    # a circle of radius 1e154 passes every other check (spacing 1.5e151 <=
+    # h 1.5e153), but its squared coordinate differences overflow, and the
+    # scan then never returned from _square_bound(inf): the plan refuses it
+    t = 2.0 * np.pi * np.arange(4096) / 4096
+    points = 1e154 * np.stack([np.cos(t), np.sin(t)], axis=1)
+    src = SourceSet(points=points, loops=((0, 4096, True),))
+    grid = GridSpec(lo=[-1.2e154, -1.2e154], hi=[1.2e154, 1.2e154], cells=16)
+    assert src.spacing <= grid.h
+    with pytest.raises(InputError, match="squared distances"):
+        distance._plan_field(src, E2, grid)
 
 
 def test_infinite_source_spacing_rejected():
@@ -588,13 +601,13 @@ def oracle_source(request):
 
 def _outside(field, delta):
     """delta with the membership cells zeroed, as the field stores it."""
-    return np.where(field.source.membership(field.grid.centers()), 0.0, delta)
+    return np.where(field.source.membership(grid_centers(field.grid)), 0.0, delta)
 
 
 def test_euclidean_field_matches_cdist(oracle_source):
     src, grid = oracle_source
     field = build_field(src, E2, grid)
-    d = cdist(grid.centers(), src.points)
+    d = cdist(grid_centers(grid), src.points)
     assert np.array_equal(field.delta.ravel(), _outside(field, d.min(axis=1)))
 
 
@@ -602,14 +615,14 @@ def test_quadratic_field_matches_mahalanobis(oracle_source):
     src, grid = oracle_source
     q = QuadraticNorm(np.array([[3.0, 0.8], [0.8, 1.5]]))
     field = build_field(src, q, grid)
-    d = cdist(grid.centers(), src.points, "mahalanobis", VI=q.inverse)
+    d = cdist(grid_centers(grid), src.points, "mahalanobis", VI=q.inverse)
     assert np.abs(field.delta.ravel() - _outside(field, d.min(axis=1))).max() <= 1e-12
 
 
 def test_weighted_sum_field_matches_per_cell_scan(oracle_source):
     src, grid = oracle_source
     field = build_field(src, WeightedSum(((0.5, E2), (1.0, Q2))), grid)
-    scans = [field.dual.batch_value_fast(src.points - x) for x in grid.centers()]
+    scans = [field.dual.batch_value_fast(src.points - x) for x in grid_centers(grid)]
     assert np.array_equal(field.delta.ravel(), _outside(field, [d.min() for d in scans]))
 
 
@@ -736,7 +749,7 @@ def test_project_grad_check_matches_per_axis_reference(weighted_field):
 
 def _field_matches_resolver(field):
     """Every cell's stored gap equals the per-point resolver at its centre."""
-    centers = field.grid.centers()
+    centers = grid_centers(field.grid)
     gaps = field.gap.ravel()
     member = field.source.membership(centers)
     assert np.all(gaps[member] == 0.0)
@@ -922,7 +935,7 @@ SCREENED = {"wrapped ellipse": _wrapped_ellipse, "corner": _corner}
 def _scan_everywhere(src, f, grid):
     """build_field with no membership, then delta and gap zeroed on A."""
     plain = build_field(SourceSet(points=src.points, loops=src.loops), f, grid)
-    member = src.membership(grid.centers()).reshape(grid.shape)
+    member = src.membership(grid_centers(grid)).reshape(grid.shape)
     return np.where(member, 0.0, plain.delta), np.where(member, 0.0, plain.gap)
 
 
@@ -950,7 +963,7 @@ def test_skipping_A_keeps_every_bit(region, name):
     # the cluster analysis is exercised on both sides of every comparison
     assert field.gap.any()
     if region != "curve":
-        assert 0 < src.membership(SKIP_GRID.centers()).sum() < field.delta.size
+        assert 0 < src.membership(grid_centers(SKIP_GRID)).sum() < field.delta.size
 
 
 @pytest.mark.parametrize("name", list(FIELD_INTEGRANDS))
@@ -1007,7 +1020,7 @@ def test_field_scans_only_cells_outside_A(monkeypatch):
     # the counters see the scan only when it runs in this process
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
     src = boundary_source(TWO_DISKS, 1024, region="complement")
-    outside = np.count_nonzero(~src.membership(SKIP_GRID.centers()))
+    outside = np.count_nonzero(~src.membership(grid_centers(SKIP_GRID)))
     # the end-row box bound of E2 and the Lipschitz bound of a rotated M;
     # only the latter searches candidates
     for f in (E2, QN):
@@ -1057,7 +1070,7 @@ def _lines_of_the_mapped_grid(f, src, grid):
     if isinstance(f, WeightedSum):
         return None
     l = np.linalg.cholesky(f.inverse) if isinstance(f, QuadraticNorm) else np.eye(grid.dim)
-    centers, sources = grid.centers() @ l, src.points @ l
+    centers, sources = grid_centers(grid) @ l, src.points @ l
     lines = []
     for k in range(grid.dim):
         coord = centers[:, k].reshape(grid.shape)
@@ -1100,7 +1113,7 @@ def test_block_centres_map_as_the_rows_of_the_whole_grid():
     grid = GridSpec([-2.3, -1.5], [2.3, 1.5], [460, 260])
     src = boundary_source(TWO_DISKS, 256)
     place, _values = distance._pairwise_values(DualNorm(QN), src.points)
-    axes, mapped = grid._axes(), place(grid.centers()).reshape(*grid.shape, 2)
+    axes, mapped = grid._axes(), place(grid_centers(grid)).reshape(*grid.shape, 2)
     whole = tuple(slice(0, n) for n in grid.shape)
     for target in (distance.BLOCK_CELLS, distance.TILE_CELLS):
         for box in distance._boxes(whole, target):
@@ -1112,7 +1125,7 @@ def test_block_centres_map_as_the_rows_of_the_whole_grid():
 def _per_cell_scan(src, field):
     """delta and gap of each cell outside A from its values to every source,
     through the field's own closed-form values and cluster analysis."""
-    grid, centers = field.grid, field.grid.centers()
+    grid, centers = field.grid, grid_centers(field.grid)
     place, values = distance._pairwise_values(field.dual, src.points)
     mapped = place(centers)
     resolve = distance._cluster_analysis(src, WINDOW_CELLS * grid.h, field.tol_unique)
@@ -1166,7 +1179,7 @@ def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, wind
     grid = GridSpec(rng.uniform(-2.0, -1.0, 2), rng.uniform(1.0, 2.0, 2), rng.integers(16, 30, 2))
     lines = _axis_lines_of(f, src, grid)
     place, values = distance._pairwise_values(DualNorm(f), pts)
-    mapped = place(grid.centers())
+    mapped = place(grid_centers(grid))
     window = window_cells * grid.h
     every = np.arange(len(pts))
 
@@ -1467,7 +1480,7 @@ def query_field(request):
     ell = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
     src = boundary_source([ell], 1024, region="complement")
     field = build_field(src, f[request.param], GridSpec([-2.4, -1.4], [2.4, 1.4], [96, 56]))
-    centers = field.grid.centers()
+    centers = grid_centers(field.grid)
     gapped = centers[field.gap.ravel() > field.tol_unique]
     assert len(gapped)
     return field, centers[src.membership(centers)], gapped

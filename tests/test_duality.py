@@ -22,6 +22,7 @@ from wulffkit import (
 )
 
 from wulffkit.duality import _bucket, _newton_step, _polygon_directions, _squared_hessian
+from wulffkit.integrand import _row_norm
 
 from oracles import (
     brute_conjugate,
@@ -29,6 +30,7 @@ from oracles import (
     golden_conjugate,
     search_cone,
     search_gauge,
+    value_grad_hess,
 )
 
 E2 = EuclideanNorm(2)
@@ -492,6 +494,19 @@ def test_one_solve_gives_value_and_gradient_bit_for_bit():
             dual.batch_value_grad(np.zeros((1, dual.dim)))
 
 
+def test_bracket_gives_the_row_norm_it_is_scaled_by():
+    # WulffBody.sign takes |w| from the bracket: the bits of _row_norm, with
+    # the bracket's own (lo, hi)
+    rng = np.random.default_rng(17)
+    for dual in (DW, DualNorm(_rotated_weighted_sum_3d(0.4, (-1.0, 1.0), rng))):
+        w = rng.standard_normal((200, dual.dim)) * 10.0 ** rng.uniform(-3, 3, (200, 1))
+        w[0], w[1] = -0.0, 0.0
+        lo, hi, norm = dual._bracket(w)
+        assert np.array_equal(norm, _row_norm(w))
+        for mine, public in zip((lo, hi), dual.batch_bracket(w)):
+            assert np.array_equal(mine, public)
+
+
 def test_bracket_refuses_four_dimensions():
     with pytest.raises(InputError, match="d = 2 or 3"):
         DualNorm(EuclideanNorm(4)).batch_bracket(np.ones((2, 4)))
@@ -642,8 +657,8 @@ def test_newton_kernel_derivatives(f):
     value, grad = f.value(x), f.grad(x)
     assert np.all(np.abs(fx - value) <= 1e-15 * value)
     assert np.all(np.linalg.norm(g.T - grad, axis=1) <= 1e-15 * np.linalg.norm(grad, axis=1))
-    # the base class builds the same triple from value, grad and hess
-    for mine, base in zip((fx, g, h), Integrand._value_grad_hess(f, x.T)):
+    # value, grad and hess alone give the same triple
+    for mine, base in zip((fx, g, h), value_grad_hess(f, x.T)):
         assert np.allclose(mine, base, rtol=0.0, atol=1e-14)
     # grad^2(F^2/2) = F hess F + grad F grad F', and the Jacobian of F grad F
     i, j = np.triu_indices(f.dim)

@@ -32,6 +32,7 @@ from wulffkit.scene import SUITE_ORDER
 from wulffkit.suites import RunCache
 
 from oracles import resolve_gap
+from sampling import grid_centers
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENES = sorted(p.stem for p in (ROOT / "scenes").glob("*_d2.json"))
@@ -57,7 +58,7 @@ def _checked_cells(field, rng):
     """Flat indices of the cells to check: a sample outside A, every cell
     with a gap above tol_unique, and a sample on block and tile borders."""
     grid = field.grid
-    outside = ~field.source.membership(grid.centers())
+    outside = ~field.source.membership(grid_centers(grid))
     lines = distance._axis_lines(field.dual, field.source.points, grid._axes())
     tile = distance.AXIS_TILE_CELLS if lines is not None else distance.TILE_CELLS
     block, side = distance._side(grid.dim, distance.BLOCK_CELLS), distance._side(grid.dim, tile)
@@ -77,7 +78,7 @@ def _matches_brute_force(field, rng, name, mapped=False):
     takes each cell's values from ``_pairwise_values``."""
     src, grid = field.source, field.grid
     cells, outside = _checked_cells(field, rng)
-    centers = grid.centers()
+    centers = grid_centers(grid)
     delta, gap = field.delta.ravel(), field.gap.ravel()
     window = WINDOW_CELLS * grid.h
     place, pairwise = distance._pairwise_values(field.dual, src.points)

@@ -74,4 +74,4 @@ def test_surface_is_scanned():
     # a moved folder or renamed README section must not leave nothing to check
     labels = {s[0] for s in SURFACE}
     assert {"distance.project", "duality.DualNorm.batch_value"} <= labels
-    assert "project" in OUTSIDE and "hk_evaluate" in EXAMPLE
+    assert "project" in OUTSIDE and "hk_row" in EXAMPLE
