@@ -794,11 +794,13 @@ def _plan_field(source: SourceSet, f: Integrand, grid: GridSpec) -> _FieldPlan:
             f"source sample too sparse: spacing {source.spacing:.3g} exceeds grid h {h:.3g}"
         )
     tol_unique = 3.0 * max(source.spacing, h)
-    # squared coordinate differences past the largest double would leave
-    # ``_square_bound`` looking for a root above an infinite bound
+    # squared F* past the largest double would leave ``_square_bound``
+    # looking for a root above an infinite bound; F* is at most grad_bound()
+    # times the Euclidean norm, along each axis too
     pts = source.points
     with np.errstate(over="ignore"):
         spans = np.maximum(grid.hi, pts.max(axis=0)) - np.minimum(grid.lo, pts.min(axis=0))
+        spans *= dual.grad_bound()
         if not np.isfinite(np.sum(spans * spans)):
             raise InputError("grid box and source span too far for squared distances to be finite")
 

@@ -143,8 +143,8 @@ class WulffBody(StarBody):
         if dual.has_closed_form or self.dim > 3:
             return super().sign(x)
         w = _finite_rows(x, self.dim) - self.center
-        lo, hi, norm = dual._bracket(w)
-        margin = 10.0 * dual.tolerance * dual.grad_bound() * norm
+        lo, hi, margin = dual._bracket(w)
+        margin *= 10.0 * dual.tolerance * dual.grad_bound()
         out = np.zeros(len(w))
         out[lo - self.radius > margin] = 1.0
         out[self.radius - hi > margin] = -1.0

@@ -308,17 +308,21 @@ def test_sparse_source_rejected():
         build_field(src, E2, grid)
 
 
-def test_overflowing_squared_distances_are_refused():
-    # a circle of radius 1e154 passes every other check (spacing 1.5e151 <=
-    # h 1.5e153), but its squared coordinate differences overflow, and the
-    # scan then never returned from _square_bound(inf): the plan refuses it
+@pytest.mark.parametrize(
+    "radius, f", [(1e154, E2), (1e153, QuadraticNorm(np.diag([1e-4, 1e-4])))], ids=["E", "M"]
+)
+def test_overflowing_squared_distances_are_refused(radius, f):
+    # a circle of this radius passes every other check (spacing 1.5e-3 r <=
+    # h 0.15 r), but its squared F* overflow, in coordinates (E) or only once
+    # F* = 100 |w| maps them (M), and the scan then never returned from
+    # _square_bound(inf): the plan refuses it
     t = 2.0 * np.pi * np.arange(4096) / 4096
-    points = 1e154 * np.stack([np.cos(t), np.sin(t)], axis=1)
+    points = radius * np.stack([np.cos(t), np.sin(t)], axis=1)
     src = SourceSet(points=points, loops=((0, 4096, True),))
-    grid = GridSpec(lo=[-1.2e154, -1.2e154], hi=[1.2e154, 1.2e154], cells=16)
+    grid = GridSpec(lo=[-1.2 * radius] * 2, hi=[1.2 * radius] * 2, cells=16)
     assert src.spacing <= grid.h
     with pytest.raises(InputError, match="squared distances"):
-        distance._plan_field(src, E2, grid)
+        distance._plan_field(src, f, grid)
 
 
 def test_infinite_source_spacing_rejected():
