@@ -124,13 +124,16 @@ def functions() -> dict:
 
 
 def _workloads():
-    """``perfbench/workloads.py``'s WORKLOADS, imported without writing bytecode."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    """``perfbench/workloads.py``'s WORKLOADS, imported without writing
+    bytecode; ``perfbench/`` leaves ``sys.path`` again afterwards."""
+    bench = str(ROOT / "perfbench")
+    sys.path.insert(0, bench)
     before, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         return importlib.import_module("workloads").WORKLOADS
     finally:
         sys.dont_write_bytecode = before
+        sys.path.remove(bench)
 
 
 def runs(out: Path, scenes, scene_seeds=SCENE_SEEDS, generated=GENERATED, passes=PASSES):

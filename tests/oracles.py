@@ -86,10 +86,11 @@ def row_major_push(quad, f, g, t):
     """(energy, volume) of a boundary quadrature pushed along x -> x + t g(x),
     node by node in (N, d) rows.
 
-    Dg = lin + 2 quad(., x) by explicit contraction, the pushed tangent
-    frames (I + t Dg) frames by batched matmul, and the pushed area vector
-    a as their 90-degree rotation (d=2) or cross product (d=3), so that the
-    pushed energy is sum F(a) w and the volume sum (x + t g(x)).a w / d.
+    g(x) = const + lin x + quad(x, x) and Dg = lin + 2 quad(., x) by explicit
+    contraction, the pushed tangent frames (I + t Dg) frames by batched
+    matmul, and the pushed area vector a as their 90-degree rotation (d=2)
+    or cross product (d=3), so that the pushed energy is sum F(a) w and the
+    volume sum (x + t g(x)).a w / d.
     """
     x = quad.points
     dg = g.lin[None] + 2.0 * np.einsum("ijk,nk->nij", g.quad, x)

@@ -36,7 +36,6 @@ from oracles import (
     stress_tensor,
     volume_derivative,
 )
-from sampling import field_values
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -66,13 +65,13 @@ def test_field_jacobian_matches_finite_differences():
     rng = np.random.default_rng(1)
     g = PolynomialField.random(rng, 2, 1.0)
     for x in ([0.3, -0.7], [1.4, 0.2]):
-        fd = fd_jacobian(lambda y: field_values(g, y[None, :])[0], np.asarray(x), h=1e-6)
+        fd = fd_jacobian(lambda y: sampling.field_values(g, y[None, :])[0], np.asarray(x), h=1e-6)
         assert g._jacobians(_monomials(x))[0] == pytest.approx(fd, abs=1e-8)
     g3 = PolynomialField.random(rng, 3, 1.0)
     pts = rng.standard_normal((4, 3))
     jac = g3._jacobians(_monomials(pts))
     for x, j in zip(pts, jac):
-        fd = fd_jacobian(lambda y: field_values(g3, y[None, :])[0], x, h=1e-6)
+        fd = fd_jacobian(lambda y: sampling.field_values(g3, y[None, :])[0], x, h=1e-6)
         assert j == pytest.approx(fd, abs=1e-8)
 
 
@@ -83,8 +82,8 @@ def test_field_value_matches_explicit_sums(d):
     g = PolynomialField(const, lin, quad)  # quad is symmetrized on construction
     pts = 2.0 * rng.standard_normal((6, d))
     expected = np.array([polynomial_field(const, lin, quad, x) for x in pts])
-    assert field_values(g, pts) == pytest.approx(expected, rel=1e-13, abs=1e-13)
-    assert field_values(g, pts[0]) == pytest.approx(expected[:1], rel=1e-13, abs=1e-13)
+    assert sampling.field_values(g, pts) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+    assert sampling.field_values(g, pts[0]) == pytest.approx(expected[:1], rel=1e-13, abs=1e-13)
 
 
 def test_constant_field_gives_zero():
@@ -148,7 +147,7 @@ def test_mean_curvature_pairing():
             paired = float(
                 (
                     table.mean
-                    * np.einsum("ni,ni->n", field_values(g, quad.points), quad.normals)
+                    * np.einsum("ni,ni->n", sampling.field_values(g, quad.points), quad.normals)
                     * quad.weights
                 ).sum()
             )
@@ -327,7 +326,7 @@ def test_push_kernel_matches_the_row_major_push(body, f, res):
         g = PolynomialField.random(rng, body.dim, 0.4)
         pushes.expand(g, mono)
         for t in (1e-3 * diameter, 1e-4 * diameter, -1e-4 * diameter):
-            energy, vol = pushes.energy_volume(f, field_values(g, q.points), t)
+            energy, vol = pushes.energy_volume(f, sampling.field_values(g, q.points), t)
             want_energy, want_vol = row_major_push(q, f, g, t)
             assert abs(energy - want_energy) <= 1e-12 * abs(want_energy)
             assert abs(vol - want_vol) <= 1e-12 * abs(want_vol)
