@@ -51,10 +51,6 @@ ALLOWLIST = {
         "fallback of the conjugate solve for rows the damped loop leaves",
         "tests/test_duality.py::test_strongly_anisotropic_3d_solve_converges",
     ),
-    "duality.DualNorm.batch_bracket": (
-        "the shape-checked public bracket; WulffBody.sign calls _bracket",
-        "tests/test_duality.py::test_bracket_holds_the_solved_value_in_3d",
-    ),
     "errors.SolverError.__init__": (
         "refusal: no production solve fails to converge",
         "tests/test_duality.py::test_solver_error_carries_best_and_gap",
@@ -110,16 +106,21 @@ def functions() -> dict:
     comprehensions are not functions here."""
     found = {}
 
-    def walk(code, module):
+    def walk(code, prefix):
+        # the qualname is built here, as co_qualname needs Python 3.11
         for const in code.co_consts:
-            if isinstance(const, types.CodeType):
-                if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
-                    key = (const.co_filename, const.co_firstlineno)
-                    found.setdefault(f"{module}.{const.co_qualname}", set()).add(key)
-                walk(const, module)
+            if not isinstance(const, types.CodeType):
+                continue
+            name = f"{prefix}{const.co_name}"
+            if not const.co_flags & inspect.CO_OPTIMIZED:
+                walk(const, f"{name}.")
+                continue
+            if not const.co_name.startswith("<"):
+                found.setdefault(name, set()).add((const.co_filename, const.co_firstlineno))
+            walk(const, f"{name}.<locals>.")
 
     for path in sorted(PACKAGE.glob("*.py")):
-        walk(compile(path.read_text(), os.path.realpath(path), "exec"), path.stem)
+        walk(compile(path.read_text(), os.path.realpath(path), "exec"), f"{path.stem}.")
     return found
 
 
@@ -136,9 +137,9 @@ def _workloads():
         sys.path.remove(bench)
 
 
-def runs(out: Path, scenes, scene_seeds=SCENE_SEEDS, generated=GENERATED, passes=PASSES):
+def runs(out: Path, scenes, scene_seeds=SCENE_SEEDS, passes=PASSES):
     """(label, call) of each production run, writing under ``out``: `all`
-    on each scene path at each of ``scene_seeds``, then each ``generated``
+    on each scene path at each of ``scene_seeds``, then each ``GENERATED``
     workload, set up and run once, at each (seed, pass) of ``passes``."""
     from wulffkit import cli
 
@@ -149,9 +150,8 @@ def runs(out: Path, scenes, scene_seeds=SCENE_SEEDS, generated=GENERATED, passes
             argv = ["all", "--scene", str(path), "--out", str(out / label)]
             argv += [] if seed is None else ["--seed", str(seed)]
             found.append((label, lambda argv=argv: cli.main(argv)))
-    if generated:
-        workloads = _workloads()
-    for name in generated:
+    workloads = _workloads()
+    for name in GENERATED:
         for seed, index in passes:
             label = f"{name} seed {seed} pass {index}"
 

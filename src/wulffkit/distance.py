@@ -1084,7 +1084,9 @@ class ReachComparison:
     ok: bool
 
 
-def reach_comparison(field_euclid: DistanceField, field_aniso: DistanceField) -> ReachComparison:
+def reach_comparison(
+    field_euclid: DistanceField, field_aniso: DistanceField
+) -> ReachComparison:
     """Check reach(A) >= rho * reach^F(A) - 4h; ``ok`` says whether it holds.
 
     rho is the interior rolling-ball radius of the unit Wulff shape of the
@@ -1093,11 +1095,17 @@ def reach_comparison(field_euclid: DistanceField, field_aniso: DistanceField) ->
     normals of a sphere grid.
     """
     ga, gb = field_euclid.grid, field_aniso.grid
-    if ga.cells != gb.cells or not (np.allclose(ga.lo, gb.lo) and np.allclose(ga.hi, gb.hi)):
+    if ga.cells != gb.cells or not (
+        np.allclose(ga.lo, gb.lo) and np.allclose(ga.hi, gb.hi)
+    ):
         raise InputError("reach comparison requires a shared grid")
     f = field_aniso.dual.base
     nu = sphere_quadrature(f.dim, 2048 if f.dim == 2 else (64, 128))[0]
     rho = float(np.linalg.eigvalsh(tangential_hessian(f, nu, tangent_frames(nu)))[:, 0].min())
-    r_e, r_f = estimate_reach_F(field_euclid), estimate_reach_F(field_aniso)
-    slack = 4.0 * ga.h
-    return ReachComparison(rho, r_e, r_f, slack, ok=r_e >= rho * r_f - slack)
+    r_e = estimate_reach_F(field_euclid)
+    r_f = estimate_reach_F(field_aniso)
+    slack = 4.0 * field_euclid.grid.h
+    ok = r_e >= rho * r_f - slack
+    return ReachComparison(
+        rho=rho, reach_euclidean=r_e, reach_anisotropic=r_f, slack=slack, ok=ok
+    )

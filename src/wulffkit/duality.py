@@ -99,7 +99,8 @@ class DualNorm:
             out = np.zeros(len(W))
             out[~zero] = self.batch_value(W[~zero])
             return out
-        return self.base.value(self._polar_minimize(W))
+        v = self._polar_minimize(W)
+        return self.base.value(v)
 
     def batch_grad(self, W):
         W = _rows(W, self.dim)
@@ -149,7 +150,9 @@ class DualNorm:
         return self._gauge(W)[1]
 
     def batch_bracket(self, W):
-        """(lo, hi) with lo <= F*(w) <= hi row by row, without a solve (d = 2, 3).
+        """(lo, hi, |w|) with lo <= F*(w) <= hi row by row, without a solve
+        (d = 2, 3); |w| has the bits of ``_row_norm``: in d=2 x x + y y is its
+        (x x + 0) + y y, since x x is never -0.
 
         In d=2 a table holds, at 8192 unit directions u_k in angular order
         (spaced as ``_polygon_directions`` says), g_k = grad F(u_k) and
@@ -187,12 +190,7 @@ class DualNorm:
         """
         if self.dim not in (2, 3):
             raise InputError(f"the conjugate bracket needs d = 2 or 3, not d = {self.dim}")
-        return self._bracket(_rows(W, self.dim))[:2]
-
-    def _bracket(self, W):
-        """(lo, hi, |w|) of ``batch_bracket`` at the checked (N, d) rows W,
-        d = 2 or 3.  |w| has the bits of ``_row_norm``: in d=2 x x + y y is
-        its (x x + 0) + y y, since x x is never -0."""
+        W = _rows(W, self.dim)
         lip = self.grad_bound()
         if self.dim == 2:
             k, hi = self._gauge(W)

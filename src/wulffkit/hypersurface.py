@@ -143,7 +143,7 @@ class WulffBody(StarBody):
         if dual.has_closed_form or self.dim > 3:
             return super().sign(x)
         w = _finite_rows(x, self.dim) - self.center
-        lo, hi, margin = dual._bracket(w)
+        lo, hi, margin = dual.batch_bracket(w)
         margin *= 10.0 * dual.tolerance * dual.grad_bound()
         out = np.zeros(len(w))
         out[lo - self.radius > margin] = 1.0

@@ -243,7 +243,7 @@ def test_bracket_decides_the_sign_of_phi(a, log_lam, turn, seed):
     x = np.concatenate([body.center + off[:, None] * (rim - body.center), body.center[None]])
     assert np.array_equal(body.sign(x), np.sign(body.phi(x)))
     w = x - body.center
-    lo, hi = body.dual.batch_bracket(w)
+    lo, hi, _ = body.dual.batch_bracket(w)
     exact = golden_conjugate(f.value, w)
     assert np.all(lo <= exact) and np.all(exact <= hi)
 
@@ -441,7 +441,7 @@ def test_bracket_holds_the_solved_value_in_3d(a, log_lams, seed):
     axes = np.concatenate([np.eye(3), -np.eye(3)]) * 10.0 ** rng.uniform(-6.0, 6.0, (6, 1))
     for f, rows in ((rotated, w), (unrotated, np.concatenate([w, axes]))):
         dual = DualNorm(f)
-        lo, hi = dual.batch_bracket(rows)
+        lo, hi, _ = dual.batch_bracket(rows)
         solved = dual.batch_value(rows)
         assert np.all(lo <= solved) and np.all(solved <= hi)
     widening = 1e-12 * dual.grad_bound() * np.linalg.norm(axes, axis=1)
@@ -495,16 +495,12 @@ def test_one_solve_gives_value_and_gradient_bit_for_bit():
 
 
 def test_bracket_gives_the_row_norm_it_is_scaled_by():
-    # WulffBody.sign takes |w| from the bracket: the bits of _row_norm, with
-    # the bracket's own (lo, hi)
+    # WulffBody.sign takes |w| from the bracket: the bits of _row_norm
     rng = np.random.default_rng(17)
     for dual in (DW, DualNorm(_rotated_weighted_sum_3d(0.4, (-1.0, 1.0), rng))):
         w = rng.standard_normal((200, dual.dim)) * 10.0 ** rng.uniform(-3, 3, (200, 1))
         w[0], w[1] = -0.0, 0.0
-        lo, hi, norm = dual._bracket(w)
-        assert np.array_equal(norm, _row_norm(w))
-        for mine, public in zip((lo, hi), dual.batch_bracket(w)):
-            assert np.array_equal(mine, public)
+        assert np.array_equal(dual.batch_bracket(w)[2], _row_norm(w))
 
 
 def test_bracket_refuses_four_dimensions():
