@@ -43,10 +43,6 @@ PASSES = tuple((seed, index) for seed in (1, 2, 3) for index in (0, 1, 2))
 
 # name -> (why no production run enters it, a test that does)
 ALLOWLIST = {
-    "cli._tolist": (
-        "report-encoding guard: the suites write plain Python values",
-        "tests/test_scene_cli.py::test_report_encoding_of_numpy_values_matches_python",
-    ),
     "duality.DualNorm._newton_polish": (
         "fallback of the conjugate solve for rows the damped loop leaves",
         "tests/test_duality.py::test_strongly_anisotropic_3d_solve_converges",
@@ -80,10 +76,6 @@ ALLOWLIST = {
     "fanout._fan_out.<locals>.run_worker": (
         "runs only in forked workers, which the in-process trace does not start",
         "tests/test_fanout.py::test_results_come_back_in_item_order",
-    ),
-    "suites._by_body": (
-        "the one-process reference that run_suites is compared against",
-        "tests/test_fanout.py::test_run_refusals_are_the_one_process_suites_ones",
     ),
     "hk.hk_evaluate": (
         "bound by name in perfbench/spans.py; the suites use hk_row and hk_report",

@@ -29,8 +29,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InputError, SceneError, WulffkitError
 from .scene import load_scene, reseed
 from .suites import SUITE_ORDER, run_suites
@@ -39,13 +37,6 @@ __all__ = ["main", "run"]
 
 SCHEMA_VERSION = "1.0"
 COMMANDS = SUITE_ORDER + ("all",)
-
-
-def _tolist(obj):
-    """``json.dumps`` hook: numpy scalars and arrays as plain Python values."""
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def run(command: str, scene_path, out_dir, seed=None) -> int:
@@ -76,7 +67,7 @@ def run(command: str, scene_path, out_dir, seed=None) -> int:
         "suites": [{**asdict(r), "passed": r.passed} for r in results],
         "exit_code": exit_code,
     }
-    text = json.dumps(report, indent=2, sort_keys=True, default=_tolist)
+    text = json.dumps(report, indent=2, sort_keys=True)
     (out / "report.json").write_text(text + "\n")
     return exit_code
 

@@ -23,8 +23,7 @@ waits for the blocks of its own fields that are still in flight
 by side, and beside the blocks of other fields.  The caller merges the
 parts in body order and runs ``hk`` and ``mr`` from the bodies' small
 products.  No worker builds a product that another process built, and
-where the items fork the caller reads no field.  ``run_suite`` runs one
-suite in one process, body after body, and writes the same bytes.
+where the items fork the caller reads no field.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .spheregrid import circle_quadrature
 from .table import write_csv
 from .variation import PolynomialField, criticality_residual, first_variation
 
-__all__ = ["SUITE_ORDER", "run_suite", "run_suites", "SuiteResult", "RunCache"]
+__all__ = ["SUITE_ORDER", "run_suites", "SuiteResult", "RunCache"]
 
 VERIFIES = {
     "dual": "conjugate-norm-duality-identities",
@@ -546,27 +545,9 @@ def _merge(name: str, scene: Scene, out: Path, parts) -> SuiteResult:
     return res
 
 
-def _by_body(name: str, scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
-    """Suite ``name`` in this process, body after body."""
-    bodies = range(len(scene.bodies))
-    return _merge(name, scene, out, (_body_part(name, scene, out, cache, k) for k in bodies))
-
-
-_SUITES = {
-    "dual": suite_dual,
-    "wulff": suite_wulff,
-    "hk": suite_hk,
-    "mr": suite_mr,
-    **{name: functools.partial(_by_body, name) for name in _BODY_PARTS},
-}
-
-
-def run_suite(name: str, cache: RunCache, out: Path) -> SuiteResult:
-    """Run one suite on the scene of ``cache``, the run's shared RunCache."""
-    if name not in _SUITES:
-        raise WulffkitError(f"unknown suite {name!r}")
-    out.mkdir(parents=True, exist_ok=True)
-    return _SUITES[name](cache.scene, out, cache)
+# the suites that run whole, by name; run_suites reads each one here when it
+# runs, so a caller may rebind them
+_SUITES = {"dual": suite_dual, "wulff": suite_wulff, "hk": suite_hk, "mr": suite_mr}
 
 
 def _outcome(run, *args):
@@ -603,8 +584,12 @@ def run_suites(names, scene: Scene, out: Path) -> list:
     it writes anything.  A suite's WulffkitError is its outcome, and the
     first one in the order of ``names`` (of one suite, the first in body
     order) is raised once every suite has ended; the CSVs of later suites,
-    and of later bodies, may have been written by then.
+    and of later bodies, may have been written by then.  An unknown name is
+    refused before ``out`` is created.
     """
+    for name in names:
+        if name not in SUITE_ORDER:
+            raise WulffkitError(f"unknown suite {name!r}")
     out.mkdir(parents=True, exist_ok=True)
     cache = RunCache(scene)
     cache.fields(names)
@@ -616,7 +601,7 @@ def run_suites(names, scene: Scene, out: Path) -> list:
     # a body's first item, where a suite reads the body's products
     firsts = n if any(name in READS for name in free) else 0
     items = [functools.partial(_body_item, cache, out, free, k) for k in range(firsts)]
-    items += [functools.partial(_outcome, run_suite, name, cache, out) for name in alone]
+    items += [functools.partial(_outcome, _SUITES[name], scene, out, cache) for name in alone]
     reading = [
         functools.partial(_body_item, cache, out, [name], k) for k in range(n) for name in readers
     ]
@@ -642,7 +627,7 @@ def run_suites(names, scene: Scene, out: Path) -> list:
             merged = [body_parts.get(name) for body_parts in parts]
             results.append(_outcome(_merge, name, scene, out, merged))
         else:
-            results.append(_outcome(run_suite, name, cache, out))
+            results.append(_outcome(_SUITES[name], scene, out, cache))
     for result in results:
         if isinstance(result, WulffkitError):
             raise result

@@ -443,33 +443,28 @@ REFUSING = {
 
 
 @pytest.mark.parametrize("case", list(REFUSING))
-def test_run_refusals_are_the_one_process_suites_ones(tmp_path, monkeypatch, case):
-    # with one usable CPU and with three, the run raises the refusal that
-    # the suites raise one after another on one RunCache, and var, after hk
-    # in the order, still writes its CSV
+def test_forked_run_refuses_as_the_in_process_run(tmp_path, monkeypatch, case):
+    # with one usable CPU the run raises the refusal pinned in REFUSING, and
+    # var, after hk in the order, still writes its CSV; with three it forks,
+    # raises the same refusal and writes the same bytes
     names = ["dual", "wulff", "curv", "hk", "mr", "var"]
     if case == "nested":
         scene = parse_scene(dict(NESTED, suites=names))
     else:
         ball = WulffBody(dual_norm_of(E2), np.array([-4.0, 0.0]), 1.0)
         scene = sampling.scene([("w", ball), ("f", sampling.Flower(0.35))], E2, 1024, names)
-    cache = suites.RunCache(scene)
-    first = None
-    for name in names:
-        try:
-            suites.run_suite(name, cache, tmp_path / "one-process")
-        except WulffkitError as exc:
-            first = first or exc
     kind, message = REFUSING[case]
-    assert type(first) is kind and str(first).startswith(message)
+    raised = {}
     for cpus in (1, 3):
         forks = _forks(monkeypatch, cpus)
         with pytest.raises(WulffkitError) as exc:
             suites.run_suites(names, scene, tmp_path / str(cpus))
         _no_child_left()
         assert bool(forks) == (cpus > 1)
-        assert type(exc.value) is kind and str(exc.value) == str(first)
+        assert type(exc.value) is kind and str(exc.value).startswith(message)
         assert (tmp_path / str(cpus) / "var_residuals.csv").exists()
+        raised[cpus] = str(exc.value)
+    assert raised[3] == raised[1]
     assert _tree(tmp_path / "3") == _tree(tmp_path / "1")
 
 

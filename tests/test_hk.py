@@ -17,7 +17,7 @@ from wulffkit import (
     montiel_ros_integral,
     sample_surface,
 )
-from wulffkit import suites
+from wulffkit import fanout, suites
 from wulffkit.curvature import UmbilicityReport, curvature_table
 from wulffkit.hk import hk_report
 from wulffkit.spheregrid import sphere_quadrature
@@ -337,10 +337,10 @@ def test_hk_rows_sum_to_the_totals():
 def test_mr_suite_metrics_are_the_hk_rows(tmp_path):
     bodies = [("a", WulffBody(DQ, np.array([-3.0, 0.0]), 1.0)),
               ("b", Ellipsoid(np.diag([4.0, 1.0]), np.array([3.0, 0.0])))]
-    cache = suites.RunCache(scene(bodies, Q2, 1024))
-    res = suites.run_suite("mr", cache, tmp_path)
+    sc = scene(bodies, Q2, 1024)
+    res = suites.run_suites(["mr"], sc, tmp_path)[0]
     assert res.passed and not res.skipped
-    for (bid, _), row in zip(bodies, cache.hk().rows):
+    for (bid, _), row in zip(bodies, suites.RunCache(sc).hk().rows):
         assert res.metrics[f"mr[{bid}]"] == {
             "vol": row.vol, "mr": row.mr_integral, "rhs": 0.5 * row.integral
         }
@@ -355,33 +355,32 @@ def test_curv_hk_and_mr_fit_each_body_once(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(suites, "umbilicity_classify", counted)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
     bodies = [("a", WulffBody(DQ, np.array([-3.0, 0.0]), 1.0)),
               ("b", WulffBody(DQ, np.array([3.0, 0.0]), 1.3))]
-    cache = suites.RunCache(scene(bodies, Q2, 1024))
-    for name in ("curv", "hk", "mr"):
-        assert suites.run_suite(name, cache, tmp_path).passed
+    sc = scene(bodies, Q2, 1024)
+    assert all(res.passed for res in suites.run_suites(["curv", "hk", "mr"], sc, tmp_path))
     assert len(calls) == 2
-    assert cache.umbilicity(bodies[0][1]).verdict == "wulff"
-    assert len(calls) == 2
+    # a RunCache fits a body once, however often it is read
+    cache = suites.RunCache(sc)
+    assert cache.umbilicity(bodies[0][1]) is cache.umbilicity(bodies[0][1])
+    assert cache.umbilicity(bodies[0][1]).verdict == "wulff" and len(calls) == 3
 
 
 def test_mr_suite_refuses_nonpositive_curvature(tmp_path):
-    cache = suites.RunCache(scene([("f", Flower(0.35))], E2, 1024))
     with pytest.raises(HypothesisViolationError):
-        suites.run_suite("mr", cache, tmp_path)
+        suites.run_suites(["mr"], scene([("f", Flower(0.35))], E2, 1024), tmp_path)
 
 
 def test_mr_suite_refuses_overlapping_bodies(tmp_path):
     bodies = [("a", WulffBody(DQ, np.zeros(2), 1.0)),
               ("b", WulffBody(DQ, np.array([1.0, 0.0]), 1.0))]
     with pytest.raises(InputError, match="not disjoint"):
-        suites.run_suite("mr", suites.RunCache(scene(bodies, Q2, 1024)), tmp_path)
+        suites.run_suites(["mr"], scene(bodies, Q2, 1024), tmp_path)
 
 
 def test_hk_and_mr_skip_a_scene_without_bodies(tmp_path):
-    cache = suites.RunCache(scene([], Q2, 1024))
-    for name in ("hk", "mr"):
-        res = suites.run_suite(name, cache, tmp_path)
+    for res in suites.run_suites(["hk", "mr"], scene([], Q2, 1024), tmp_path):
         assert res.skipped and res.skip_reason == "no bodies in scene"
 
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as hst
 from wulffkit import (
     InputError, QuadraticNorm, SceneError, load_scene, parse_scene, sample_surface, suites,
 )
-from wulffkit.cli import _tolist, main, run
+from wulffkit.cli import main, run
+from wulffkit.errors import WulffkitError
 from wulffkit.steiner import HI_FRAC, LO_FRAC, SAMPLES
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -565,6 +566,14 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unknown_suite_is_refused_before_the_run_starts(tmp_path):
+    # the names are checked before out is created and before any suite runs
+    scene = load_scene(SCENES / "wulff_d2.json")
+    with pytest.raises(WulffkitError, match="^unknown suite 'nope'$"):
+        suites.run_suites(["dual", "steiner", "nope"], scene, tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 WEIGHTED_SCENE = {
     "integrand": {
         "family": "weighted-sum",
@@ -610,10 +619,10 @@ def test_every_wulff_check_moves_under_a_scaled_gradient(tmp_path, monkeypatch, 
     # grad F off by 1 + 1e-7 moves every check of the wulff suite and fails
     # it; a check that reads the same under this defect cannot guard it
     scene = load_scene(SCENES / f"{name}.json")
-    exact = suites.run_suite("wulff", suites.RunCache(scene), tmp_path / "exact")
+    exact = suites.run_suites(["wulff"], scene, tmp_path / "exact")[0]
     grad = QuadraticNorm.grad
     monkeypatch.setattr(QuadraticNorm, "grad", lambda self, x: (1.0 + 1e-7) * grad(self, x))
-    scaled = suites.run_suite("wulff", suites.RunCache(scene), tmp_path / "scaled")
+    scaled = suites.run_suites(["wulff"], scene, tmp_path / "scaled")[0]
     assert exact.passed and not scaled.passed
     for a, b in zip(exact.checks, scaled.checks, strict=True):
         assert a["name"] == b["name"] and a["value"] != b["value"], a["name"]
@@ -780,32 +789,3 @@ def test_d3_scene_with_grid_skips_field_suites(tmp_path):
         assert names[name]["skipped"]
         assert names[name]["skip_reason"] == "sources are sampled curves; scene has d=3"
 
-
-def _dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, default=_tolist)
-
-
-def test_report_encoding_of_numpy_values_matches_python():
-    numpy_values = {
-        "bool": np.bool_(True),
-        "int": np.int64(-3),
-        "float": np.float64(0.1),
-        "single": np.float32(0.5),
-        "special": [np.float64(np.nan), np.float64(-np.inf), np.float64(-0.0)],
-        "array": np.array([[1.0, 2.5], [3.0, 1e-310]]),
-        "tuple": (np.int32(1), (np.float64(2.0), np.bool_(False))),
-        "nested": {"r": [np.arange(3), {"x": np.float64(7.25)}]},
-    }
-    plain = {
-        "bool": True,
-        "int": -3,
-        "float": 0.1,
-        "single": 0.5,
-        "special": [float("nan"), float("-inf"), -0.0],
-        "array": [[1.0, 2.5], [3.0, 1e-310]],
-        "tuple": [1, [2.0, False]],
-        "nested": {"r": [[0, 1, 2], {"x": 7.25}]},
-    }
-    assert _dumps(numpy_values) == _dumps(plain)
-    with pytest.raises(TypeError, match="object is not JSON serializable"):
-        _dumps({"x": object()})

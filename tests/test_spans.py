@@ -46,7 +46,8 @@ print(json.dumps(tracer.metrics()))
 
 def test_in_process_var_is_traced(tmp_path):
     # with one usable CPU the suites run in-process, and var calls the
-    # public variation routines that the span table wraps by name
+    # public variation routines that the span table wraps by name; the
+    # whole suites run through suites._SUITES, which the tracer rebinds
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     args = [str(ROOT / "perfbench"), str(ROOT / "scenes" / "wulff_d3.json"), str(tmp_path)]
     out = subprocess.run(
@@ -60,3 +61,6 @@ def test_in_process_var_is_traced(tmp_path):
     for name in ("variation.criticality_residual", "variation.first_variation"):
         assert metrics[name + ".calls"] == 1
         assert metrics[name + ".self_s"] > 0
+    for name in ("dual", "wulff", "hk", "mr"):
+        assert metrics[f"suites.{name}.calls"] == 1
+        assert metrics[f"suites.{name}.s"] > 0

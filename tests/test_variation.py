@@ -217,7 +217,7 @@ def test_criticality_reuses_the_flow_pushes():
 
 
 def test_var_suite_pushes_each_field_once(tmp_path, monkeypatch):
-    from wulffkit import suites, variation
+    from wulffkit import fanout, suites, variation
 
     calls = []
     pushed = variation._Pushes.energy_volume
@@ -227,15 +227,16 @@ def test_var_suite_pushes_each_field_once(tmp_path, monkeypatch):
         return pushed(self, f, gx, t)
 
     monkeypatch.setattr(variation._Pushes, "energy_volume", counted)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
     scene = replace(load_scene(SCENES / "ellipse_d2.json"), resolution=512)
-    result = suites.run_suite("var", suites.RunCache(scene), tmp_path)
+    result = suites.run_suites(["var"], scene, tmp_path)[0]
     assert not result.skipped
     # ten random fields per body, each pushed by +h and by -h once
     assert len(calls) == 2 * 10 * len(scene.bodies)
 
 
 def test_var_suite_builds_the_weighted_stress_once_per_body(tmp_path, monkeypatch):
-    from wulffkit import curvature, suites
+    from wulffkit import curvature, fanout, suites
 
     built = []
     stress = curvature._stress
@@ -245,9 +246,10 @@ def test_var_suite_builds_the_weighted_stress_once_per_body(tmp_path, monkeypatc
         return stress(f_normal, eta, nu)
 
     monkeypatch.setattr(curvature, "_stress", counted)
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
     bodies = [("w", WulffBody(DQ, np.zeros(2), 1.0)), ("e", ELLIPSE)]
     scene = sampling.scene(bodies, Q2, 512, suites=("var",))
-    result = suites.run_suite("var", suites.RunCache(scene), tmp_path)
+    result = suites.run_suites(["var"], scene, tmp_path)[0]
     assert result.passed and not result.skipped
     assert built == [512, 512]
 
@@ -272,7 +274,7 @@ def test_var_suite_passes_on_rotated_3d_scenes(tmp_path, seed):
     ellipsoid = Ellipsoid(rot @ np.diag([1 / 1.6**2, 1.0, 1 / 1.3**2]) @ rot.T, np.array([5.0, 0.5, 0.0]))
     ball = WulffBody(DualNorm(f), np.array([0.1, 0.2, -0.3]), 1.0)
     scene = sampling.scene([("w", ball), ("e", ellipsoid)], f, (32, 64), suites=("var",))
-    result = suites.run_suite("var", suites.RunCache(scene), tmp_path)
+    result = suites.run_suites(["var"], scene, tmp_path)[0]
     assert result.passed and not result.skipped
     worst = {c["name"]: c["value"] / c["tol"] for c in result.checks}
     assert worst["mean_curvature_pairing[e]"] < 1e-6
@@ -352,8 +354,9 @@ def test_var_reads_the_integrand_at_the_normals_from_the_table(tmp_path, monkeyp
             return grad(self, x)
 
         monkeypatch.setattr(cls, "grad", counted)
-    result = suites.run_suite("var", cache, tmp_path)
-    assert not result.skipped and result.checks
+    for k in range(len(scene.bodies)):
+        checks, _, _ = suites._body_part("var", scene, tmp_path, cache, k)
+        assert checks
     assert calls == []
 
 
