@@ -545,8 +545,8 @@ def _merge(name: str, scene: Scene, out: Path, parts) -> SuiteResult:
     return res
 
 
-# the suites that run whole, by name; run_suites reads each one here when it
-# runs, so a caller may rebind them
+# the suites that run whole, by name; run_suites looks each one up here as it
+# runs, so perfbench/spans.py can wrap them in traced runs
 _SUITES = {"dual": suite_dual, "wulff": suite_wulff, "hk": suite_hk, "mr": suite_mr}
 
 
