@@ -50,7 +50,10 @@ def run(command: str, scene_path, out_dir, seed=None) -> int:
     if seed is not None:
         scene = reseed(scene, seed)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out}: {exc.strerror}") from None
 
     requested = [s for s in SUITE_ORDER if s in scene.suites] if command == "all" else [command]
     results = run_suites(requested, scene, out)

@@ -9,7 +9,7 @@ sampling scale, three times the larger of the source spacing and the grid h
 (the field's ``tol_unique``), so the contiguous arc of samples around a
 unique foot never triggers, while genuinely multi-valued projections (two
 feet across a medial axis, or a whole equidistant loop) do.  A is the
-closure of the outside of the sampled bodies (``boundary_source``), as the
+closure of the outside of the sampled body (``boundary_source``), as the
 paper's tube and reach arguments work inward from the body's complement.
 
 The cluster window combines the relative tie tolerance ``EPS_CLUSTER``
@@ -45,7 +45,7 @@ caller holds no array with one entry per cell.
 
 A tile counts the runs of consecutive sources in each row's cluster by the
 run starts of its mask, and a tile whose rows each hold one run and cover
-no half loop is done there.  Flagged clusters of one tile are screened
+no half of the curve is done there.  Flagged clusters of one tile are screened
 together before any linkage search: their union is cut into runs of
 consecutive source indices, and when no two runs come within
 ``tol_unique`` a cluster that meets two runs is split without a search of
@@ -77,7 +77,6 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
-import operator
 import os
 import time
 import traceback
@@ -202,108 +201,58 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class SourceSet:
-    """Ordered boundary sample of a closed set A.
+    """Boundary sample of a closed set A, in order along one closed curve.
 
-    ``points`` is a finite (N, d) array.  ``loops`` lists (start, stop,
-    closed) index ranges, in order, that tile [0, N); points inside one
-    loop are consecutive along the underlying curve, which is what lets the
-    field builder tell one contiguous foot arc from several separated feet.
-    ``inside`` classifies membership in A (delta is zero there) of an (N, 2)
-    array of rows; None means A is just the sampled curve.
+    ``points`` is a finite (N, d) array whose consecutive rows, and its last
+    row and its first, are neighbours along the curve, which is what lets
+    the field builder tell one contiguous foot arc from several separated
+    feet.  ``inside`` classifies membership in A (delta is zero there) of an
+    (N, d) array of rows.
     """
 
     points: np.ndarray
-    loops: tuple
-    inside: Optional[Callable] = None
+    inside: Callable
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
         if points.ndim != 2 or points.size == 0 or not np.isfinite(points).all():
             raise InputError("source points must be a nonempty (N, d) array of finite numbers")
-        if not _tiles(self.loops, len(points)):
-            raise InputError("loops must be (start, stop, closed) ranges that tile the points")
         object.__setattr__(self, "points", points)
 
     @property
     def spacing(self) -> float:
-        """Longest step between consecutive samples of a loop, with each
-        closed loop's wrap from its last sample back to its first."""
-        steps = [0.0]
-        for (a, b, closed) in self.loops:
-            loop = np.concatenate([self.points[a:b], self.points[a : a + int(closed)]])
-            steps.extend(np.linalg.norm(np.diff(loop, axis=0), axis=1))
-        return float(max(steps))
+        """Longest step between consecutive samples, with the wrap from the
+        last sample back to the first."""
+        curve = np.concatenate([self.points, self.points[:1]])
+        return float(np.linalg.norm(np.diff(curve, axis=0), axis=1).max())
 
     def membership(self, x):
-        """Whether each of the finite (N, 2) rows x lies in A; other input is
-        an InputError, with ``inside`` or without it."""
-        x = _finite_rows(x, self.points.shape[1])
-        if self.inside is None:
-            return np.zeros(len(x), dtype=bool)
-        return np.asarray(self.inside(x), dtype=bool)
-
-
-def _tiles(loops, n) -> bool:
-    """Whether ``loops`` are (start, stop, closed) triples of nonempty index
-    ranges, each starting where the one before it stops, from 0 to n."""
-    try:
-        ranges = [(operator.index(a), operator.index(b)) for a, b, _closed in loops]
-    except (TypeError, ValueError):
-        return False
-    stops = [0] + [b for _a, b in ranges]
-    return stops[-1] == n and all(a == stop < b for (a, b), stop in zip(ranges, stops))
+        """Whether each of the finite (N, d) rows x lies in A; other input is
+        an InputError."""
+        return np.asarray(self.inside(_finite_rows(x, self.points.shape[1])), dtype=bool)
 
 
 def boundary_source(
     bodies: Sequence[StarBody], resolution, region: str = "complement"
 ) -> SourceSet:
-    """Sample the boundary of a union of star bodies as the source set of
-    its complement: A is the closure of the outside, so delta measures
-    inward depth.  ``region`` is pinned in the library at "complement", and
-    any other value is an InputError.  Boundary points falling strictly
-    inside another body are dropped, so overlapping unions keep only the
-    true boundary; each maximal run of kept points becomes its own open loop.
+    """Sample the boundary of the one star body of ``bodies`` as the source
+    set of its complement: A is the closure of the outside, so delta
+    measures inward depth.  Any other number of bodies is an InputError, and
+    so is a body of d != 2.  ``region`` is pinned in the library at
+    "complement", and any other value is an InputError.
     """
     if region != "complement":
         raise InputError(f"region is pinned in the library at 'complement', got {region!r}")
-    for b in bodies:
-        if b.dim != 2:
-            raise InputError(f"sources are sampled curves: got a body with d={b.dim}")
-    pieces, loops, start = [], [], 0
-    for b in bodies:
-        pts = sample_surface(b, resolution).points
-        keep = np.ones(len(pts), dtype=bool)
-        for other in bodies:
-            if other is not b:
-                keep &= other.sign(pts) > 0
-        for run, closed in _kept_runs(pts, keep):
-            pieces.append(run)
-            loops.append((start, start + len(run), closed))
-            start += len(run)
-    if not pieces:
-        raise InputError("no boundary points survive the union filter")
-    points = np.concatenate(pieces)
+    if len(bodies) != 1:
+        raise InputError(f"a source samples exactly one body, got {len(bodies)}")
+    (body,) = bodies
+    if body.dim != 2:
+        raise InputError(f"sources are sampled curves: got a body with d={body.dim}")
 
-    def inside(x, bodies=tuple(bodies)):
-        out = np.ones(len(x), dtype=bool)
-        for b in bodies:
-            out &= b.sign(x) >= 0
-        return out
+    def inside(x):
+        return body.sign(x) >= 0
 
-    return SourceSet(points=points, loops=tuple(loops), inside=inside)
-
-
-def _kept_runs(pts, keep):
-    """Maximal cyclic runs of kept points of a cyclic sample, as (points, closed).
-
-    The sample is rotated to start at its first dropped point, so no run wraps
-    around the end and a body clipped once keeps one run in sampling order.
-    """
-    if keep.all():
-        return [(pts, True)]
-    order = np.roll(np.arange(len(pts)), -int(np.nonzero(~keep)[0][0]))
-    edges = np.nonzero(np.diff(np.concatenate(([False], keep[order], [False]))))[0]
-    return [(pts[order[a:b]], False) for a, b in edges.reshape(-1, 2)]
+    return SourceSet(points=sample_surface(body, resolution).points, inside=inside)
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,46 +501,36 @@ def _cluster_analysis(source: SourceSet, window_abs, tol_unique):
     its squares where ``squared`` is true.  ``resolve`` returns each row's
     minimum m and its gap: 0, or the Euclidean diameter of its cluster (the
     sources within m + EPS_CLUSTER m + window_abs) when that covers half a
-    loop or more or is not one single-linkage component at scale
+    curve or more or is not one single-linkage component at scale
     ``tol_unique``.  On squares m is the square root of the least entry,
     which is the least root since a rounded square root does not decrease,
     and the cluster is the entries at most ``_square_bound`` of the window,
     which are those whose roots lie within it.
 
-    Samples consecutive on a loop lie within ``source.spacing <= tol_unique``,
-    so one run of consecutive sources never splits: a row whose cluster is
-    one run, counted by the run starts of its mask in one pass, and covers
-    no half loop gets gap 0 at once, and a tile without any other row is
-    done there.  Half-loop cover is counted only on loops with that many
-    candidates.  Clusters of several runs go through ``_linkage_screen``
-    together before any of them is searched alone, and every split cluster
-    of the block gets its diameter from one ``_diameters`` call.
+    Samples consecutive on the curve lie within ``source.spacing <=
+    tol_unique``, so one run of consecutive sources never splits: a row
+    whose cluster is one run, counted by the run starts of its mask in one
+    pass, and covers no half of the curve gets gap 0 at once, and a tile
+    without any other row is done there.  Half-curve cover is counted only
+    where the candidates hold half of the curve.  Clusters of several runs
+    go through ``_linkage_screen`` together before any of them is searched
+    alone, and every split cluster of the block gets its diameter from one
+    ``_diameters`` call.
     """
-    ranges = np.array([(a, b) for (a, b, _c) in source.loops], dtype=np.int64).reshape(-1, 2)
-    # the sources that open a loop, whose index follows no sample of theirs
-    opens = np.zeros(len(source.points), dtype=bool)
-    opens[ranges[:, 0]] = True
+    n = len(source.points)
 
     def columns(cand):
         """What the cluster analysis reads of the candidates alone.
 
-        Candidates are sorted, so a loop's candidates are one slice of
-        columns, and samples consecutive on it sit in adjacent columns: a
-        run also starts at a column after a break, where the left neighbour
-        is no sample just before it on the same loop.  Returns the breaks
-        and the columns after them; per loop with candidates for half of it
-        or more, its size and its candidates' first and end column; and per
-        closed loop whose first and last samples are both candidates, their
-        columns."""
-        after = cand[1:]
-        breaks = ((after - cand[:-1] != 1) | opens[after]).nonzero()[0]
-        halves, wraps = [], []
-        for (a, b, closed), (c0, c1) in zip(source.loops, np.searchsorted(cand, ranges).tolist()):
-            if 2 * (c1 - c0) >= b - a:
-                halves.append((b - a, c0, c1))
-            if closed and c1 - c0 > 1 and cand[c0] == a and cand[c1 - 1] == b - 1:
-                wraps.append((c0, c1 - 1))
-        return breaks, breaks + 1, halves, wraps
+        Candidates are sorted, so samples consecutive on the curve sit in
+        adjacent columns: a run also starts at a column after a break, where
+        the left neighbour is no sample just before it.  Returns the breaks
+        and the columns after them, whether the candidates hold half of the
+        curve or more, and whether the curve's last and first samples, which
+        are neighbours, are the last and the first candidates."""
+        breaks = (np.diff(cand) != 1).nonzero()[0]
+        wrap = len(cand) > 1 and cand[0] == 0 and cand[-1] == n - 1
+        return breaks, breaks + 1, 2 * len(cand) >= n, wrap
 
     # the last candidates and their columns: every ``project`` query of a
     # field passes the same array of every source
@@ -608,23 +547,21 @@ def _cluster_analysis(source: SourceSet, window_abs, tol_unique):
         held = last
         if held[0] is not cand:
             held = last = (cand, columns(cand))
-        breaks, after_breaks, halves, wraps = held[1]
+        breaks, after_breaks, half, wrap = held[1]
         # a run starts at each near column whose left neighbour is not near
         # or lies across a break
         starts = [near[:, 1:] > near[:, :-1], near[:, :1]]
         if len(breaks):
             starts.append(near[:, breaks] & near[:, after_breaks])
-        cover = np.zeros(len(d), dtype=bool)
-        for size, c0, c1 in halves:
-            cover |= 2 * near[:, c0:c1].sum(axis=1) >= size
+        cover = 2 * near.sum(axis=1) >= n if half else np.zeros(len(d), dtype=bool)
         flagged = cover
         # each row's least entry is near, so each row starts a run, and only
-        # a block with more starts than rows has a row of several runs; a
-        # closed loop's last sample also precedes its first
+        # a block with more starts than rows has a row of several runs; the
+        # curve's last sample also precedes its first
         if sum(map(np.count_nonzero, starts)) > len(d):
             n_runs = sum(s.sum(axis=1) for s in starts)
-            for first, end in wraps:
-                n_runs -= near[:, first] & near[:, end]
+            if wrap:
+                n_runs -= near[:, 0] & near[:, -1]
             flagged = cover | (n_runs >= 2)
         gap = np.zeros(len(d))
         if not np.count_nonzero(flagged):

@@ -286,11 +286,15 @@ def parse_scene(raw: dict) -> Scene:
 def load_scene(path) -> Scene:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SceneError(f"scene file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise SceneError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except OSError as exc:
+        raise SceneError(f"cannot read scene file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SceneError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from None
     return parse_scene(raw)

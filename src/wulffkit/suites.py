@@ -176,13 +176,21 @@ class RunCache:
         return self._once("hk", build)
 
     def complement_source(self, body):
-        """Boundary sample of the closure of the outside of ``body``."""
+        """Boundary sample of the closure of the outside of ``body``, at the
+        scene's ``source_resolution``, or else at the automatic one, doubled
+        until the sample's spacing is at most the grid h: rays at uniform
+        angles space an elongated body's samples unevenly."""
 
         def build():
             resolution = self.scene.steiner.get("source_resolution")
-            if resolution is None:
-                resolution = _steiner_source_resolution(self.scene, self.table(body).quad)
-            return dist.boundary_source([body], resolution)
+            if resolution is not None:
+                return dist.boundary_source([body], resolution)
+            resolution = _steiner_source_resolution(self.scene, self.table(body).quad)
+            source = dist.boundary_source([body], resolution)
+            while source.spacing > self.scene.grid.h:
+                resolution *= 2
+                source = dist.boundary_source([body], resolution)
+            return source
 
         return self._once(("source", body), build)
 

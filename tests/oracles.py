@@ -281,18 +281,17 @@ def _linked(sq, tol):
     return len(sq) == 0 or linkage(sq, "single")[:, 2].max() <= tol**2
 
 
-def resolve_gap(points, loops, d, eps_cluster, window_abs, tol):
+def resolve_gap(points, d, eps_cluster, window_abs, tol):
     """Ambiguity gap at one point from its F* values ``d`` to every source
-    point, the loops given as (start, stop, closed) ranges: the Euclidean
-    diameter of the near-minimizer cluster when it covers half a loop or more
-    or is not one single-linkage component at scale tol, else 0."""
+    point, the points in order along one closed curve: the Euclidean
+    diameter of the near-minimizer cluster when it covers half the curve or
+    more or is not one single-linkage component at scale tol, else 0."""
     m = d.min()
     idx = np.nonzero(d <= m + (eps_cluster * m + window_abs))[0]
     sq = pdist(points[idx], "sqeuclidean")
     diameter = np.sqrt(sq.max()) if len(sq) else 0.0
-    for (start, stop, _closed) in loops:
-        if 2 * ((idx >= start) & (idx < stop)).sum() >= stop - start:
-            return diameter
+    if 2 * len(idx) >= len(points):
+        return diameter
     return 0.0 if _linked(sq, tol) else diameter
 
 
@@ -319,7 +318,7 @@ def project_reference(field, x, window_cells):
     values = dual.batch_value_fast(pts - x)
     best = int(np.argmin(values))
     delta = float(values[best])
-    gap = resolve_gap(pts, src.loops, values, EPS_CLUSTER, window_cells * h, field.tol_unique)
+    gap = resolve_gap(pts, values, EPS_CLUSTER, window_cells * h, field.tol_unique)
     spacing = (grid.hi - grid.lo) / np.asarray(grid.cells)
     cell = np.minimum(np.floor((x - grid.lo) / spacing).astype(int), np.asarray(grid.cells) - 1)
     gap = max(float(gap), float(field.gap[tuple(cell)]))

@@ -40,25 +40,55 @@ def refuse_overlaps(tables):
     hk.refuse_overlaps(bodies, [hk.node_overlaps(t, bodies, k) for k, t in enumerate(tables)])
 
 
+def nowhere(x):
+    """Membership of a set A that is the source curve alone: no row is in A."""
+    return np.zeros(len(x), dtype=bool)
+
+
+def union_curve(bodies, resolution):
+    """The boundary of a union of star bodies whose boundary is one curve,
+    as one closed curve: each body's samples outside every other body, cut
+    into maximal cyclic runs in sampling order, and the runs joined at the
+    corners, each followed by the one that starts nearest to its end."""
+    runs = []
+    for body in bodies:
+        pts = sample_surface(body, resolution).points
+        out = np.ones(len(pts), dtype=bool)
+        for other in bodies:
+            if other is not body:
+                out &= other.sign(pts) > 0
+        if out.all():
+            runs.append(pts)
+            continue
+        # from the first sample inside, so that no run wraps
+        first = int(np.argmin(out))
+        pts, out = np.roll(pts, -first, axis=0), np.roll(out, -first)
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], out, [False]))))
+        runs.extend(pts[a:b] for a, b in edges.reshape(-1, 2))
+    curve = [runs.pop(0)]
+    while runs:
+        gaps = [np.linalg.norm(run[0] - curve[-1][-1]) for run in runs]
+        curve.append(runs.pop(int(np.argmin(gaps))))
+    return np.concatenate(curve)
+
+
 def region_source(bodies, resolution, region):
-    """``boundary_source``'s points and loops of the union of ``bodies`` as
-    the source of A for ``region``: "complement" (the closure of the
-    outside, the library's one region), "set" (the closed union) or "curve"
-    (the boundary alone, no membership)."""
-    src = boundary_source(bodies, resolution)
-    if region == "complement":
-        return src
+    """``union_curve`` of ``bodies`` as the source of A for ``region``:
+    "complement" (the closure of the outside, the library's one region),
+    "set" (the closed union) or "curve" (the boundary alone)."""
     if region == "curve":
-        return SourceSet(points=src.points, loops=src.loops)
-    assert region == "set", region
+        return SourceSet(points=union_curve(bodies, resolution), inside=nowhere)
+    if len(bodies) == 1 and region == "complement":
+        return boundary_source(bodies, resolution)
 
     def inside(x):
-        out = np.zeros(len(x), dtype=bool)
-        for b in bodies:
-            out |= b.sign(x) <= 0
-        return out
+        signs = np.array([b.sign(x) for b in bodies])
+        if region == "complement":
+            return (signs >= 0).all(axis=0)
+        assert region == "set", region
+        return (signs <= 0).any(axis=0)
 
-    return SourceSet(points=src.points, loops=src.loops, inside=inside)
+    return SourceSet(points=union_curve(bodies, resolution), inside=inside)
 
 
 def umbilicity(tables):

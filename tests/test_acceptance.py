@@ -38,7 +38,7 @@ from wulffkit import (
 from wulffkit.cli import run
 
 from oracles import ellipse_hk_ratio
-from sampling import table, tables
+from sampling import region_source, table, tables
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENES = ROOT / "scenes"
@@ -185,7 +185,7 @@ def test_criterion_5_steiner_fits():
 
     d1 = Ellipsoid(np.eye(2), [-0.55, 0.0])
     d2 = Ellipsoid(np.eye(2), [0.55, 0.0])
-    src = boundary_source([d1, d2], 4096, region="complement")
+    src = region_source([d1, d2], 4096, "complement")
     grid = GridSpec(lo=[-1.75, -1.25], hi=[1.75, 1.25], cells=[448, 320])
     field = build_field(src, E2, grid)
     reach = estimate_reach_F(field)

@@ -38,7 +38,7 @@ from wulffkit.distance import EPS_CLUSTER, WINDOW_CELLS, _connected, _diameters,
 from oracles import (
     project_reference, resolve_gap, rolling_ball_by_wulff_sample, single_linkage_connected,
 )
-from sampling import grid_centers, region_source
+from sampling import grid_centers, nowhere, region_source
 
 E2 = EuclideanNorm(2)
 Q2 = QuadraticNorm(np.diag([4.0, 1.0]))
@@ -46,16 +46,17 @@ DQ = DualNorm(Q2)
 UNIT_DISK = Ellipsoid(np.eye(2), np.zeros(2))
 
 
-def _segments(*segments, inside=None):
-    """A source of straight segments (p0, p1, n), each sampled at n points
-    from p0 to p1 as its own open loop."""
-    pts, loops, start = [], [], 0
-    for p0, p1, n in segments:
-        p0 = np.asarray(p0, dtype=float)
-        pts.append(p0 + np.linspace(0.0, 1.0, n)[:, None] * (np.asarray(p1) - p0))
-        loops.append((start, start + n, False))
-        start += n
-    return SourceSet(points=np.concatenate(pts), loops=tuple(loops), inside=inside)
+def _polygon(vertices, step, inside=nowhere):
+    """A source sampled along the closed polygon through ``vertices``: each
+    edge from its first vertex in equal steps of at most ``step``, so an
+    axis-aligned edge of whole length on half-integer vertices has
+    half-integer samples at unit steps."""
+    vertices = np.asarray(vertices, dtype=float)
+    pts = []
+    for p0, p1 in zip(vertices, np.roll(vertices, -1, axis=0)):
+        n = int(np.ceil(np.linalg.norm(p1 - p0) / step))
+        pts.append(p0 + np.arange(n)[:, None] * ((p1 - p0) / n))
+    return SourceSet(points=np.concatenate(pts), inside=inside)
 
 
 def _delta_at(field, x):
@@ -231,8 +232,10 @@ def test_reach_wulff(wulff_field):
 
 
 def test_reach_two_segments():
+    # two long sides of a rectangle whose short sides lie far outside the
+    # grid: the medial axis in the grid is the midline
     s = 0.6
-    src = _segments(([-1.5, s], [1.5, s], 800), ([-1.5, -s], [1.5, -s], 800))
+    src = _polygon([[-3.0, -s], [3.0, -s], [3.0, s], [-3.0, s]], 0.00375)
     grid = GridSpec(lo=[-1.2, -0.58], hi=[1.2, 0.58], cells=[240, 116])
     field = build_field(src, E2, grid)
     assert abs(estimate_reach_F(field) - s) <= 2 * field.grid.h
@@ -318,7 +321,7 @@ def test_overflowing_squared_distances_are_refused(radius, f):
     # _square_bound(inf): the plan refuses it
     t = 2.0 * np.pi * np.arange(4096) / 4096
     points = radius * np.stack([np.cos(t), np.sin(t)], axis=1)
-    src = SourceSet(points=points, loops=((0, 4096, True),))
+    src = SourceSet(points=points, inside=nowhere)
     grid = GridSpec(lo=[-1.2 * radius] * 2, hi=[1.2 * radius] * 2, cells=16)
     assert src.spacing <= grid.h
     with pytest.raises(InputError, match="squared distances"):
@@ -328,7 +331,7 @@ def test_overflowing_squared_distances_are_refused(radius, f):
 def test_infinite_source_spacing_rejected():
     # an infinite spacing would make the linkage scale infinite, which links
     # every cluster; the sparse-source check refuses it
-    src = SourceSet(points=np.array([[-1e308, 0.0], [1e308, 0.0]]), loops=((0, 2, False),))
+    src = SourceSet(points=np.array([[-1e308, 0.0], [1e308, 0.0]]), inside=nowhere)
     with np.errstate(over="ignore"):
         assert src.spacing == np.inf
     with pytest.raises(InputError, match="too sparse"), np.errstate(over="ignore"):
@@ -399,12 +402,10 @@ def test_boundary_source_takes_the_complement_alone(region):
 
 
 def test_source_spacing_includes_the_wrap():
-    # a closed loop's longest step may be the one from its last sample back
-    # to its first; an open loop has no such step
+    # the curve's longest step may be the one from its last sample back to
+    # its first
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.2, 0.5]])
-    assert SourceSet(points=pts, loops=((0, 4, False),)).spacing == 0.5
-    closed = SourceSet(points=pts, loops=((0, 4, True),)).spacing
-    assert closed == pytest.approx(np.hypot(0.2, 0.5))
+    assert SourceSet(points=pts, inside=nowhere).spacing == pytest.approx(np.hypot(0.2, 0.5))
 
 
 def test_membership_takes_finite_rows_in_every_region():
@@ -419,32 +420,13 @@ def test_membership_takes_finite_rows_in_every_region():
 
 def test_empty_source_rejected():
     with pytest.raises(InputError):
-        SourceSet(points=np.zeros((0, 2)), loops=())
+        SourceSet(points=np.zeros((0, 2)), inside=nowhere)
 
 
-def test_loops_that_do_not_tile_the_sample_are_refused():
-    # one loop past the 1024 points read gap_at(0, 0) 0.0 and projected the
-    # disk's centre uniquely: the half-loop cover never reached half of a
-    # loop of 5000
-    src = boundary_source([UNIT_DISK], 1024)
-    grid = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=128)
-    field = build_field(src, E2, grid)
-    assert field.gap_at([0.0, 0.0]) == pytest.approx(2.0) and project(field, [0.0, 0.0]).ambiguous
-    n = len(src.points)
-    for loops in (
-        ((0, 5000, True),),
-        ((0, n - 1, True),),
-        ((0, 500, False), (501, n, False)),
-        ((0, 600, False), (500, n, False)),
-        ((500, n, False), (0, 500, False)),
-        ((0, 0, False), (0, n, True)),
-        ((0, n),),
-        ((0.0, float(n), True),),
-        ((0, n, True, 1),),
-        (),
-    ):
-        with pytest.raises(InputError, match=r"loops must be \(start, stop, closed\) ranges"):
-            SourceSet(points=src.points, loops=loops, inside=src.inside)
+@pytest.mark.parametrize("count", [0, 2])
+def test_boundary_source_samples_exactly_one_body(count):
+    with pytest.raises(InputError, match=f"a source samples exactly one body, got {count}"):
+        boundary_source([UNIT_DISK] * count, 256)
 
 
 def test_non_finite_source_point_is_refused():
@@ -453,14 +435,14 @@ def test_non_finite_source_point_is_refused():
     pts = boundary_source([UNIT_DISK], 1024).points.copy()
     pts[7] = np.nan
     with pytest.raises(InputError, match=r"must be a nonempty \(N, d\) array of finite numbers"):
-        SourceSet(points=pts, loops=((0, len(pts), True),))
+        SourceSet(points=pts, inside=nowhere)
 
 
 @pytest.mark.parametrize("points", [np.zeros(8), np.zeros((2, 2, 2)), np.zeros((8, 0))])
 def test_source_points_of_the_wrong_shape_are_refused(points):
     # 1-D points raised a raw IndexError
     with pytest.raises(InputError, match=r"source points must be a nonempty \(N, d\) array"):
-        SourceSet(points=points, loops=((0, len(points), False),))
+        SourceSet(points=points, inside=nowhere)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), ([[0.0, 0.0]], [[1.0, 1.0]]), ([], [])])
@@ -517,9 +499,10 @@ def test_query_of_the_wrong_shape_is_refused(disk_field, x):
 
 
 def test_long_arc_projects_uniquely():
-    # the foot cluster above the middle of a densely sampled segment is one
-    # connected arc of several hundred samples, far longer than tol_unique
-    src = _segments(([-1.0, 0.0], [1.0, 0.0], 3001))
+    # the foot cluster above the middle of a densely sampled rectangle's top
+    # side is one connected arc of several hundred samples, far longer than
+    # tol_unique
+    src = _polygon([[-1.0, -0.5], [1.0, -0.5], [1.0, 0.0], [-1.0, 0.0]], 2 / 3000)
     grid = GridSpec([-1.5, -0.5], [1.5, 2.5], 300)
     field = build_field(src, E2, grid)
     assert field.grid.h == pytest.approx(0.01)
@@ -574,26 +557,11 @@ def test_boundary_source_refuses_surfaces():
         boundary_source([sphere], (32, 64))
 
 
-def test_body_clipped_twice_splits_into_runs():
-    # the middle disk overlaps both neighbours, so two arcs of it survive;
-    # each must be its own loop, or the jump between them reads as spacing
-    disks = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-1.5, 0.0, 1.5)]
-    src = region_source(disks, 1024, "set")
-    assert len(src.loops) == 4
-    assert src.spacing == pytest.approx(2 * np.pi / 1024, rel=1e-3)
-    grid = GridSpec([-3.0, -1.6], [3.0, 1.6], [300, 160])
-    field = build_field(src, E2, grid)
-    above = project(field, [0.0, 1.5])
-    assert not above.ambiguous
-    assert abs(above.delta - 0.5) <= 2 * grid.h
-    # equidistant from the middle and the right disk: two feet
-    assert project(field, [0.75, 1.2]).ambiguous
-
-
 @pytest.fixture(scope="module", params=["closed loop", "clipped twice"])
 def oracle_source(request):
     """A source and a grid whose cell counts leave partial coarse blocks and
-    partial fine tiles on both axes."""
+    partial fine tiles on both axes; the middle of three disks in a row is
+    clipped twice, so two arcs of it lie on the union's boundary."""
     if request.param == "closed loop":
         ell = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
         src = boundary_source([ell], 1024, region="complement")
@@ -714,7 +682,7 @@ def test_project_in_A_returns_the_stored_zero(monkeypatch):
         probes.append(len(x))
         return src.inside(x)
 
-    counted = SourceSet(points=src.points, loops=src.loops, inside=inside)
+    counted = SourceSet(points=src.points, inside=inside)
     field = build_field(counted, Q2, GridSpec([-1.5, -1.5], [1.5, 1.5], 150))
     scans = []
     fast = DualNorm.batch_value_fast
@@ -760,7 +728,6 @@ def _field_matches_resolver(field):
     for i in np.nonzero(~member)[0]:
         expected = resolve_gap(
             field.source.points,
-            field.source.loops,
             field.dual.batch_value_fast(field.source.points - centers[i]),
             EPS_CLUSTER,
             WINDOW_CELLS * field.grid.h,
@@ -770,8 +737,8 @@ def _field_matches_resolver(field):
 
 
 def test_field_gap_matches_resolver_two_disks():
-    disks = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-1.2, 1.2)]
-    src = boundary_source(disks, 1024, region="complement")
+    disks = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-0.9, 0.9)]
+    src = region_source(disks, 1024, "complement")
     grid = GridSpec([-2.4, -1.2], [2.4, 1.2], [96, 48])
     _field_matches_resolver(build_field(src, E2, grid))
 
@@ -835,10 +802,15 @@ def test_source_on_the_window_edge_is_a_near_minimizer(ulps):
     assert 7.5 - low == edge
     for _ in range(ulps):
         low = np.nextafter(low, -np.inf)
-    src = SourceSet(points=np.array([[1.5, 7.5], [3.5, low]]), loops=((0, 1, False), (1, 2, False)))
+    # a closed polygon at unit steps through both sources: beside them, only
+    # the neighbours of the first are within the window
+    src = _polygon([[1.5, 7.5], [-0.5, 7.5], [-0.5, low], [3.5, low], [7.5, low], [7.5, 11.5],
+                    [1.5, 11.5]], 1.0)
+    cluster = np.array([[1.5, 9.5], [1.5, 8.5], [1.5, 7.5], [0.5, 7.5], [3.5, low]])
+    assert all((src.points == p).all(axis=1).any() for p in cluster)
     field = build_field(src, E2, GridSpec([0.0, 0.0], [8.0, 8.0], 8))
     assert field.delta[3, 7] == 2.0 and field.tol_unique == 3.0
-    assert field.gap[3, 7] == (_pdist_diameter(src.points) if ulps == 0 else 0.0)
+    assert field.gap[3, 7] == (_pdist_diameter(cluster) if ulps == 0 else 0.0)
 
 
 def _pdist_diameter(pts):
@@ -916,19 +888,19 @@ def _wrapped_ellipse():
     body = Ellipsoid(np.diag([0.25, 1 / 0.49]), np.zeros(2))
     src = boundary_source([body], 1024, region="complement")
     top = int(np.argmax(src.points[:, 1]))
-    return SourceSet(points=np.roll(src.points, -top, axis=0), loops=src.loops, inside=src.inside)
+    return SourceSet(points=np.roll(src.points, -top, axis=0), inside=src.inside)
 
 
 def _corner():
-    """Two segments as two open loops, both ending at a right-angle corner:
-    the corner's samples sit in two index runs within linkage, so cells near
-    the corner are linked across them and cells on the bisector further out
-    are split, and ``_connected`` decides both; A is the closed set outside
-    the angle."""
-    return _segments(
-        ([-2.0, 0.0], [0.0, 0.0], 100),
-        ([0.0, 1.3], [0.0, 0.0], 80),
-        inside=lambda x: (x[:, 0] >= 0) | (x[:, 1] <= 0),
+    """A rectangle's boundary, A the closed set outside it: the clusters of
+    cells on the bisector of its corner at the origin meet both sides in two
+    index runs, which come within linkage for cells near the corner, linked
+    across them, and stay apart further out, split, so ``_connected``
+    decides both."""
+    return _polygon(
+        [[-2.0, 0.0], [0.0, 0.0], [0.0, 1.3], [-2.0, 1.3]],
+        0.02,
+        inside=lambda x: ~((-2.0 < x[:, 0]) & (x[:, 0] < 0.0) & (0.0 < x[:, 1]) & (x[:, 1] < 1.3)),
     )
 
 
@@ -936,9 +908,24 @@ def _corner():
 SCREENED = {"wrapped ellipse": _wrapped_ellipse, "corner": _corner}
 
 
+def test_screened_sources_reach_connected_both_ways(monkeypatch):
+    # the corner gives ``_connected`` both a linked cluster and a split one
+    monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
+    outcomes, connected = [], distance._connected
+
+    def counted(pts, linkage):
+        outcomes.append(connected(pts, linkage))
+        return outcomes[-1]
+
+    monkeypatch.setattr(distance, "_connected", counted)
+    for make in SCREENED.values():
+        build_field(make(), E2, SKIP_GRID)
+    assert set(outcomes) == {True, False}
+
+
 def _scan_everywhere(src, f, grid):
     """build_field with no membership, then delta and gap zeroed on A."""
-    plain = build_field(SourceSet(points=src.points, loops=src.loops), f, grid)
+    plain = build_field(SourceSet(points=src.points, inside=nowhere), f, grid)
     member = src.membership(grid_centers(grid)).reshape(grid.shape)
     return np.where(member, 0.0, plain.delta), np.where(member, 0.0, plain.gap)
 
@@ -976,7 +963,7 @@ def test_field_bits_do_not_depend_on_the_block_order(monkeypatch, name):
     # _fan_out; reversed and shuffled, they leave every bit of the
     # row-major field
     f = FIELD_INTEGRANDS[name]
-    src = boundary_source(TWO_DISKS, 1024, region="complement")
+    src = region_source(TWO_DISKS, 1024, "complement")
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
     row_major = build_field(src, f, SKIP_GRID)
     fan_out, rng = distance._fan_out, np.random.default_rng(3)
@@ -1023,7 +1010,7 @@ def test_field_scans_only_cells_outside_A(monkeypatch):
     work = _count_scans(monkeypatch)
     # the counters see the scan only when it runs in this process
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 1)
-    src = boundary_source(TWO_DISKS, 1024, region="complement")
+    src = region_source(TWO_DISKS, 1024, "complement")
     outside = np.count_nonzero(~src.membership(grid_centers(SKIP_GRID)))
     # the end-row box bound of E2 and the Lipschitz bound of a rotated M;
     # only the latter searches candidates
@@ -1036,10 +1023,8 @@ def test_field_scans_only_cells_outside_A(monkeypatch):
 
 def test_field_of_all_A_scans_nothing(monkeypatch):
     work = _count_scans(monkeypatch)
-    src = boundary_source(TWO_DISKS, 1024)
-    everywhere = SourceSet(
-        points=src.points, loops=src.loops, inside=lambda x: np.ones(len(x), dtype=bool)
-    )
+    src = region_source(TWO_DISKS, 1024, "complement")
+    everywhere = SourceSet(points=src.points, inside=lambda x: np.ones(len(x), dtype=bool))
     field = build_field(everywhere, E2, SKIP_GRID)
     assert work == {"rows": 0, "candidates": 0}
     assert not field.delta.any() and not field.gap.any()
@@ -1089,7 +1074,7 @@ NEGATIVE_GRID = GridSpec([-6.1, -3.3], [-2.2, -0.4], [53, 41])
 
 
 def test_axis_tables_only_for_axis_separable_maps():
-    src = boundary_source(TWO_DISKS, 256)
+    src = region_source(TWO_DISKS, 256, "complement")
     assert _axis_lines_of(E2, src, SKIP_GRID) is not None
     assert _axis_lines_of(Q2, src, SKIP_GRID) is not None
     assert _axis_lines_of(QN, src, SKIP_GRID) is None
@@ -1104,7 +1089,7 @@ def test_axis_tables_only_for_axis_separable_maps():
 def test_axis_tables_are_those_of_the_mapped_grid(grid, f):
     # the integrand picks the tables where the whole grid's mapped centres
     # would, and its lines carry their bits
-    src = boundary_source(TWO_DISKS, 256)
+    src = region_source(TWO_DISKS, 256, "complement")
     lines, expected = _axis_lines_of(f, src, grid), _lines_of_the_mapped_grid(f, src, grid)
     assert (lines is None) == (expected is None)
     for (line, source), (line_e, source_e) in zip(lines or (), expected or ()):
@@ -1115,7 +1100,7 @@ def test_block_centres_map_as_the_rows_of_the_whole_grid():
     # a rotated M maps each block's own centres; every block and every tile
     # carries the bits of the whole grid's product
     grid = GridSpec([-2.3, -1.5], [2.3, 1.5], [460, 260])
-    src = boundary_source(TWO_DISKS, 256)
+    src = region_source(TWO_DISKS, 256, "complement")
     place, _values = distance._pairwise_values(DualNorm(QN), src.points)
     axes, mapped = grid._axes(), place(grid_centers(grid)).reshape(*grid.shape, 2)
     whole = tuple(slice(0, n) for n in grid.shape)
@@ -1144,7 +1129,7 @@ def _per_cell_scan(src, field):
 @pytest.mark.parametrize("grid", [SKIP_GRID, NEGATIVE_GRID], ids=["skip", "negative"])
 def test_axis_lines_do_not_decrease(grid, f):
     # the end-row box bound of ``_box_keep`` rests on this
-    src = boundary_source(TWO_DISKS, 256)
+    src = region_source(TWO_DISKS, 256, "complement")
     lines = _axis_lines_of(f, src, grid)
     assert len(lines) == 2
     for line, _src in lines:
@@ -1159,7 +1144,7 @@ def test_axis_tables_match_the_per_cell_route(kind, f):
     elif kind in SCREENED:
         src = SCREENED[kind]()
     else:
-        src = boundary_source(TWO_DISKS, 1024, region="complement")
+        src = region_source(TWO_DISKS, 1024, "complement")
     assert _axis_lines_of(f, src, SKIP_GRID) is not None
     field = build_field(src, f, SKIP_GRID)
     delta, gap = _per_cell_scan(src, field)
@@ -1179,7 +1164,7 @@ def test_axis_tables_match_the_per_cell_route(kind, f):
 def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, window_cells):
     pts, rng = _arcs(seed, 3, 40, 0.05)
     f = E2 if name == "E2" else QuadraticNorm(np.diag(rng.uniform(0.2, 5.0, 2)))
-    src = SourceSet(points=pts, loops=((0, len(pts), False),))
+    src = SourceSet(points=pts, inside=nowhere)
     grid = GridSpec(rng.uniform(-2.0, -1.0, 2), rng.uniform(1.0, 2.0, 2), rng.integers(16, 30, 2))
     lines = _axis_lines_of(f, src, grid)
     place, values = distance._pairwise_values(DualNorm(f), pts)
@@ -1306,9 +1291,9 @@ def _no_child_left():
 
 
 def _overlapping_union():
-    # each disk clips the other's boundary into one open loop
+    # each disk clips the other's boundary into one arc
     bodies = [Ellipsoid(np.eye(2), np.array([c, 0.0])) for c in (-0.6, 0.6)]
-    return boundary_source(bodies, 1024)
+    return region_source(bodies, 1024, "complement")
 
 
 @FORKS
@@ -1318,7 +1303,6 @@ def test_fanned_out_field_matches_the_in_process_one(monkeypatch, region, name):
     f = FIELD_INTEGRANDS[name]
     if region == "overlapping union":
         src = _overlapping_union()
-        assert all(not closed for (_a, _b, closed) in src.loops)
     else:
         src = region_source(TWO_DISKS, 1024, region)
     forks = _forks(monkeypatch, 1)
@@ -1377,7 +1361,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
         return resolve
 
     monkeypatch.setattr(distance, "_cluster_analysis", failing)
-    src = boundary_source(TWO_DISKS, 1024, region="complement")
+    src = region_source(TWO_DISKS, 1024, "complement")
     with pytest.raises(SolverError) as info:
         build_field(src, E2, SKIP_GRID)
     assert forks
@@ -1402,7 +1386,7 @@ def test_worker_that_dies_names_its_exit_status(monkeypatch):
         return resolve
 
     monkeypatch.setattr(distance, "_cluster_analysis", dying)
-    src = boundary_source(TWO_DISKS, 1024, region="complement")
+    src = region_source(TWO_DISKS, 1024, "complement")
     with pytest.raises(RuntimeError, match="ended without a report, exit status 7"):
         build_field(src, E2, SKIP_GRID)
     assert forks
@@ -1427,7 +1411,7 @@ def test_failed_fork_reaps_the_started_workers(monkeypatch):
 
 
 def test_scan_stays_in_process_on_one_cpu_beside_a_thread_or_on_few_blocks(monkeypatch):
-    src = boundary_source(TWO_DISKS, 1024, region="complement")
+    src = region_source(TWO_DISKS, 1024, "complement")
     forks = _forks(monkeypatch, 1)
     build_field(src, E2, SKIP_GRID)
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 2)
@@ -1457,7 +1441,7 @@ def test_field_raises_the_first_refusing_block_in_row_major_order(monkeypatch):
             time.sleep(0.05)
         raise InputError(f"refused at {x[0][0]} {x[0][1]}")
 
-    refusing = SourceSet(points=src.points, loops=src.loops, inside=inside)
+    refusing = SourceSet(points=src.points, inside=inside)
     grid = GridSpec([-2.0, -2.0], [2.0, 2.0], 160)
     assert len(list(distance._boxes((slice(0, 160), slice(0, 160)), distance.BLOCK_CELLS))) == 16
     for cpus in (2, 1):

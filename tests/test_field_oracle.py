@@ -32,7 +32,7 @@ from wulffkit.scene import SUITE_ORDER
 from wulffkit.suites import RunCache
 
 from oracles import resolve_gap
-from sampling import grid_centers
+from sampling import grid_centers, region_source
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENES = sorted(p.stem for p in (ROOT / "scenes").glob("*_d2.json"))
@@ -90,9 +90,7 @@ def _matches_brute_force(field, rng, name, mapped=False):
             values = field.dual.batch_value_fast(src.points - centers[i])
         assert outside[i], (name, i)
         assert delta[i] == values.min(), (name, type(field.f).__name__, i)
-        expected = resolve_gap(
-            src.points, src.loops, values, distance.EPS_CLUSTER, window, field.tol_unique
-        )
+        expected = resolve_gap(src.points, values, distance.EPS_CLUSTER, window, field.tol_unique)
         assert gap[i] == expected, (name, type(field.f).__name__, i, gap[i], expected)
     assert np.count_nonzero(gap > field.tol_unique) > 0
 
@@ -136,7 +134,7 @@ def _rotated_ellipses():
     """Two overlapping rotated ellipses' complement under a rotated M."""
     rng = np.random.default_rng(5)
     bodies = [Ellipsoid(_rotated(rng, [1.0, 4.0]), np.array([c, 0.1 * c])) for c in (-0.4, 0.4)]
-    src = boundary_source(bodies, 1024, region="complement")
+    src = region_source(bodies, 1024, "complement")
     f = QuadraticNorm(_rotated(rng, [3.0, 1.0]))
     return distance.build_field(src, f, GridSpec([-1.7, -0.9], [1.7, 0.9], [170, 90]))
 

@@ -477,6 +477,52 @@ def test_missing_scene_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("case", ["non-UTF-8 scene", "directory as scene", "file as out"])
+def test_unusable_scene_or_out_path_exits_1_in_one_line(tmp_path, capsys, case):
+    # these raised a raw UnicodeDecodeError, IsADirectoryError and
+    # FileExistsError
+    scene, out = tmp_path / "scene.json", tmp_path / "out"
+    scene.write_text(json.dumps(BASE))
+    if case == "non-UTF-8 scene":
+        scene.write_bytes(b'{"integrand": "\xff"}')
+        expected = f"scene error: {scene}: not UTF-8 text at byte 15: invalid start byte"
+    elif case == "directory as scene":
+        scene = tmp_path / "a directory"
+        scene.mkdir()
+        expected = f"scene error: cannot read scene file {scene}: Is a directory"
+    else:
+        out.write_text("")
+        expected = f"error: cannot create output directory {out}: File exists"
+    assert main(["dual", "--scene", str(scene), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == expected + "\n"
+
+
+def test_automatic_source_resolution_doubles_until_the_sample_fits_the_grid(tmp_path):
+    # rays at uniform angles space a 3:1 ellipse's samples unevenly: the
+    # length-based resolution left its spacing 0.0249 above h = 0.02, and
+    # steiner and reach refused the scene
+    raw = {
+        "integrand": {"family": "euclidean", "dimension": 2},
+        "bodies": [
+            {"id": "e", "kind": "ellipsoid", "matrix": [[1 / 9, 0.0], [0.0, 1.0]], "center": [0, 0]}
+        ],
+        "resolution": 1024,
+        "grid": {"bounds": [[-3.5, 3.5], [-1.3, 1.3]], "cells": [350, 130]},
+        "seed": 7,
+        "suites": ["steiner", "reach"],
+    }
+    scene = tmp_path / "ellipse.json"
+    scene.write_text(json.dumps(raw))
+    assert main(["all", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 0
+    parsed = load_scene(scene)
+    source = suites.RunCache(parsed).complement_source(parsed.bodies[0][1])
+    assert len(source.points) == 2048 and source.spacing <= parsed.grid.h
+    # a resolution the scene sets stays as given
+    raw["steiner"] = {"source_resolution": 1024}
+    scene.write_text(json.dumps(raw))
+    assert main(["all", "--scene", str(scene), "--out", str(tmp_path / "given")]) == 1
+
+
 def test_hk_command_on_wulff_scene(tmp_path):
     out = tmp_path / "out"
     code = run("hk", SCENES / "wulff_d2.json", out)

@@ -118,13 +118,16 @@ def test_fit_refuses_a_curve_without_volume():
 
 
 def test_far_disjoint_disks_coefficients_add():
-    d1 = Ellipsoid(np.eye(2), [-3.0, 0.0])
-    d2 = Ellipsoid(np.eye(2), [3.0, 0.0])
-    src = boundary_source([d1, d2], 2048, region="complement")
+    # each disk's inward tube lies in that disk, where the other boundary is
+    # further than the tube reaches, so the union's tube volume is the sum of
+    # the two fields' on one grid
     grid = GridSpec(lo=[-4.3, -1.3], hi=[4.3, 1.3], cells=[688, 208])
-    field = build_field(src, E2, grid)
-    curve = tube_volumes(field, default_t_grid(1.0))
-    fit = fit_polynomial(curve, 2)
+    t = default_t_grid(1.0)
+    curves = [
+        tube_volumes(build_field(boundary_source([disk], 2048), E2, grid), t)
+        for disk in (Ellipsoid(np.eye(2), [-3.0, 0.0]), Ellipsoid(np.eye(2), [3.0, 0.0]))
+    ]
+    fit = fit_polynomial(TubeCurve(t, curves[0].volume + curves[1].volume), 2)
     assert fit.coefficients[0] == pytest.approx(2 * 2 * np.pi, rel=5e-3)
     assert fit.coefficients[1] == pytest.approx(2 * -np.pi, rel=2e-2)
 
@@ -191,7 +194,7 @@ def test_positive_reach_verdicts(disk_field_512):
 def kidney_field():
     d1 = Ellipsoid(np.eye(2), [-0.55, 0.0])
     d2 = Ellipsoid(np.eye(2), [0.55, 0.0])
-    src = boundary_source([d1, d2], 4096, region="complement")
+    src = region_source([d1, d2], 4096, "complement")
     grid = GridSpec(lo=[-1.75, -1.25], hi=[1.75, 1.25], cells=[448, 320])
     return build_field(src, E2, grid)
 
