@@ -45,9 +45,9 @@ caller holds no array with one entry per cell.
 
 A tile counts the runs of consecutive sources in each row's cluster by the
 run starts of its mask, and a tile whose rows each hold one run and cover
-no half of the curve is done there.  Flagged clusters of one tile are screened
-together before any linkage search: their union is cut into runs of
-consecutive source indices, and when no two runs come within
+no half of the curve is done there.  Flagged clusters of one tile are
+screened together before any linkage search: their union is cut into runs
+of consecutive source indices, and when no two runs come within
 ``tol_unique`` a cluster that meets two runs is split without a search of
 its own.  The split clusters of a tile get their exact diameters from one
 batched search over chunk pairs (``_diameters``), which ``project`` shares.
