@@ -189,8 +189,6 @@ class UmbilicityReport:
     radius: Optional[float]
     dispersion: Optional[float]
     verdict: str
-    max_residual: float
-    tol_umb: float
 
 
 def umbilicity_classify(table: CurvatureTable) -> UmbilicityReport:
@@ -212,15 +210,11 @@ def umbilicity_classify(table: CurvatureTable) -> UmbilicityReport:
 
     if max_res > tol_umb:
         return UmbilicityReport(
-            lam=lam, center=None, radius=None, dispersion=None,
-            verdict="not-umbilical", max_residual=max_res,
-            tol_umb=tol_umb,
+            lam=lam, center=None, radius=None, dispersion=None, verdict="not-umbilical"
         )
     if abs(lam) < 1e-10:
         return UmbilicityReport(
-            lam=lam, center=None, radius=None, dispersion=None,
-            verdict="hyperplane-like", max_residual=max_res,
-            tol_umb=tol_umb,
+            lam=lam, center=None, radius=None, dispersion=None, verdict="hyperplane-like"
         )
     affine = table.eta - lam * quad.points
     c = (quad.weights[:, None] * affine).sum(axis=0) / wsum
@@ -228,6 +222,5 @@ def umbilicity_classify(table: CurvatureTable) -> UmbilicityReport:
     radius = 1.0 / abs(lam)
     verdict = "wulff" if dispersion <= FIT_TOL * radius else "umbilical-unresolved"
     return UmbilicityReport(
-        lam=lam, center=-c / lam, radius=radius, dispersion=dispersion,
-        verdict=verdict, max_residual=max_res, tol_umb=tol_umb,
+        lam=lam, center=-c / lam, radius=radius, dispersion=dispersion, verdict=verdict
     )

@@ -559,15 +559,15 @@ def dual_norm_of(f: Integrand) -> DualNorm:
 
 @dataclass(frozen=True, eq=False)
 class WulffSample:
-    """Boundary sample of the F*-ball around ``center`` with exact unit normals.
+    """Boundary sample of an F*-ball B(c, r) with exact unit normals, as
+    ``wulff_sample`` draws it.
 
-    Node k lies at center + radius * grad F(nu_k) where nu_k is the unit
-    outward Euclidean normal of the boundary at that node; the Gauss map of
-    a Wulff boundary is inverted in closed form this way.
+    Node k lies at c + r grad F(nu_k) where nu_k is the unit outward
+    Euclidean normal of the boundary at that node; the Gauss map of a Wulff
+    boundary is inverted in closed form this way.  ``resolution`` is the
+    number of nodes.
     """
 
-    center: np.ndarray
-    radius: float
     points: np.ndarray
     normals: np.ndarray
     resolution: int
@@ -581,6 +581,4 @@ def wulff_sample(dual: DualNorm, center, r: float, resolution) -> WulffSample:
     center = _center(center, dual.dim, "Wulff")
     nu = sphere_quadrature(dual.dim, resolution)[0]
     points = center[None, :] + r * dual.base.grad(nu)
-    return WulffSample(
-        center=center, radius=float(r), points=points, normals=nu, resolution=len(nu)
-    )
+    return WulffSample(points=points, normals=nu, resolution=len(nu))

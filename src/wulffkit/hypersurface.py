@@ -11,6 +11,7 @@ rho^(d-1) sigma / (omega . nu).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -222,18 +223,15 @@ class Superellipse(StarBody):
 class SurfaceQuadrature:
     """Oriented boundary sample: points, unit outward normals, area weights.
 
-    ``omega`` stores the generating ray direction, ``rho`` the ray radius and
-    ``sigma`` the sphere-grid weight of each node, so the radial volume
-    formula stays available after sampling.
+    ``rho`` stores the ray radius and ``sigma`` the sphere-grid weight of
+    each node, so the radial volume formula stays available after sampling.
     """
 
     points: np.ndarray
     normals: np.ndarray
     weights: np.ndarray
-    omega: np.ndarray
     rho: np.ndarray
     sigma: np.ndarray
-    center: np.ndarray
 
     def __len__(self):
         return len(self.points)
@@ -249,15 +247,22 @@ class SurfaceQuadrature:
         return tangent_frames(self.normals)
 
 
+# the most nodes a boundary sample takes: its arrays stay near 0.1 GB
+MAX_NODES = 2**20
+
+
 def surface_counts(dim: int, resolution) -> tuple:
     """``grid_counts`` of a resolution that ``sample_surface`` takes: even
-    counts, at least 64 nodes in d=2 and a 32x64 grid in d=3."""
+    counts, at least 64 nodes in d=2 and a 32x64 grid in d=3, and at most
+    MAX_NODES nodes in all."""
     counts = grid_counts(dim, resolution)
     least = (64,) if dim == 2 else (32, 64)
     if any(n < m or n % 2 for n, m in zip(counts, least)):
         raise InputError(
             f"d={dim} surface sampling needs even counts of at least {least}, got {counts}"
         )
+    if math.prod(counts) > MAX_NODES:
+        raise InputError(f"d={dim} surface sampling takes at most {MAX_NODES} nodes, got {counts}")
     return counts
 
 
@@ -277,15 +282,7 @@ def sample_surface(body: StarBody, resolution) -> SurfaceQuadrature:
     if np.any(proj <= 0):
         raise StarShapeError("normal not outward along its generating ray")
     w = rho ** (body.dim - 1) * sigma / proj
-    return SurfaceQuadrature(
-        points=x,
-        normals=nu,
-        weights=w,
-        omega=omega,
-        rho=rho,
-        sigma=sigma,
-        center=body.center.copy(),
-    )
+    return SurfaceQuadrature(points=x, normals=nu, weights=w, rho=rho, sigma=sigma)
 
 
 def volume(q: SurfaceQuadrature) -> float:

@@ -149,7 +149,6 @@ def claim5_coefficients(table: CurvatureTable) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ReachVerdict:
     consistent: bool
-    residual: float
     r: float
     coefficient_agreement: np.ndarray
 
@@ -175,7 +174,6 @@ def positive_reach_test(fit: SteinerFit, reference: np.ndarray) -> ReachVerdict:
     agreement = np.abs(fit.coefficients[:k] - reference[:k]) / scale
     return ReachVerdict(
         consistent=fit.residual <= RESIDUAL_TOL,
-        residual=fit.residual,
         r=fit.t_range[1],
         coefficient_agreement=agreement,
     )

@@ -347,6 +347,9 @@ def _curv_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteResul
             1e-10,
         )
         res.flag(f"wulff_verdict[{bid}]", umb.verdict == "wulff")
+    # a fit without a ball (not umbilical, or hyperplane-like) fails the
+    # verdict above, and there is no centre or radius to recover
+    if isinstance(body, WulffBody) and umb.center is not None:
         # both read at most 9.3e-15 on the shipped Wulff scenes and on
         # weighted-2d and weighted-3d seeds 1-10, also at half resolution
         res.check(
@@ -516,16 +519,16 @@ def _var_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteResult
     return rows
 
 
-# the suites that run body by body, by their part for one body: it appends
-# the body's checks and metrics to a SuiteResult and returns its rows of
-# var_residuals.csv, if any
-_BODY_PARTS = {"curv": _curv_body, "steiner": _steiner_body, "reach": _reach_body, "var": _var_body}
+# the suites that run body by body; ``_SUITES`` maps each to its part for one
+# body, which appends the body's checks and metrics to a SuiteResult and
+# returns its rows of var_residuals.csv, if any
+_BODY_PARTS = ("curv", "steiner", "reach", "var")
 
 
 def _body_part(name: str, scene: Scene, out: Path, cache: RunCache, k: int):
     """Body k's checks, metrics and var_residuals.csv rows of suite ``name``."""
     res = SuiteResult(name, VERIFIES[name])
-    rows = _BODY_PARTS[name](scene, out, cache, k, res)
+    rows = _SUITES[name](scene, out, cache, k, res)
     return res.checks, res.metrics, rows or []
 
 
@@ -553,9 +556,13 @@ def _merge(name: str, scene: Scene, out: Path, parts) -> SuiteResult:
     return res
 
 
-# the suites that run whole, by name; run_suites looks each one up here as it
-# runs, so perfbench/spans.py can wrap them in traced runs
-_SUITES = {"dual": suite_dual, "wulff": suite_wulff, "hk": suite_hk, "mr": suite_mr}
+# every suite's runner by name: the whole suite, or for the ``_BODY_PARTS``
+# its part for one body; each is looked up here as it runs, so
+# perfbench/spans.py can wrap them all in traced runs
+_SUITES = {
+    "dual": suite_dual, "wulff": suite_wulff, "curv": _curv_body, "hk": suite_hk,
+    "mr": suite_mr, "steiner": _steiner_body, "reach": _reach_body, "var": _var_body,
+}
 
 
 def _outcome(run, *args):

@@ -10,9 +10,10 @@ surface energy.  Volume-constrained criticality is measured by the residual
 
     (n+1) dP - n (P/V) dV,
 
-which vanishes on Wulff shapes for every field; the volume-preserving
-formulation rescales the flowed body by (V0/V(t))^(1/(n+1)) and
-differentiates the rescaled energy directly.
+which vanishes on Wulff shapes for every field.  Rescaling the flowed
+body by (V0/V(t))^(1/(n+1)) keeps its volume, and the derivative of the
+rescaled energy at t = 0 is the residual over n+1; the tests check that
+identity through the row-by-row push of ``tests/oracles.py``.
 
 Fields are polynomial (constant + linear + quadratic) so their Jacobians
 are exact and quadrature is the only error source.
@@ -190,7 +191,6 @@ class _Pushes:
         self.frame = [[q.frames[:, j, k] for j in range(d)] for k in range(d - 1)]
         self.terms = np.empty((3, d, n_nodes))
         self.area = np.empty((d, n_nodes))
-        self.dot = np.empty(n_nodes)
         self.tmp = np.empty(n_nodes)
         if d == 2:
             (t,) = self.frame
@@ -226,12 +226,12 @@ class _Pushes:
             a1 += self.area
             _cross(d1, d2, a2, tmp)
 
-    def energy_volume(self, f: Integrand, gx, t: float):
-        """(energy, volume) of the quadrature pushed by t along the field of
-        the last ``expand``, whose values at the nodes are gx (N, d).
+    def energy(self, f: Integrand, t: float) -> float:
+        """Energy of the quadrature pushed by t along the field of the last
+        ``expand``.
 
         With F one-homogeneous the pushed energy density F(nu_t) w |a| is
-        F(a) w, and the pushed volume is sum (x + t g(x)).a w / d.
+        F(a) w.
         """
         q, (a0, a1, a2), a = self.q, self.terms, self.area
         if q.dim == 3:
@@ -243,21 +243,13 @@ class _Pushes:
         a += a0
         if np.any(np.einsum("in,in->n", a, a) < 1e-24):
             raise StepTooLargeError("pushed frame degenerated; reduce the step")
-        energy = float((f.value(a.T) * q.weights).sum())
-        dot, tmp = self.dot, self.tmp
-        dot.fill(0.0)
-        for i in range(q.dim):
-            np.multiply(gx[:, i], t, out=tmp)
-            tmp += q.points[:, i]
-            tmp *= a[i]
-            dot += tmp
-        return energy, float((dot * q.weights).sum() / q.dim)
+        return float((f.value(a.T) * q.weights).sum())
 
-    def pair(self, f: Integrand, g: PolynomialField, mono, gx, h: float):
-        """(energy, volume) pushed by +h and by -h along the field g, with
-        node monomials mono and values gx at the nodes."""
+    def pair(self, f: Integrand, g: PolynomialField, mono, h: float):
+        """The energies pushed by +h and by -h along the field g, whose nodes
+        have the ``_monomials`` mono."""
         self.expand(g, mono)
-        return [self.energy_volume(f, gx, t) for t in (+h, -h)]
+        return [self.energy(f, t) for t in (+h, -h)]
 
 
 def _check_step(q: SurfaceQuadrature, h: float):
@@ -280,13 +272,14 @@ def flow_energy_derivative(
     """
     _check_step(quad, h)
     mono = _node_monomials(quad, [g])
-    (e_plus, _), (e_minus, _) = _Pushes(quad).pair(f, g, mono, g._values(mono), h)
+    e_plus, e_minus = _Pushes(quad).pair(f, g, mono, h)
     return (e_plus - e_minus) / (2 * h)
 
 
 @dataclass(frozen=True, eq=False)
 class CriticalityResult:
-    """Volume-constrained criticality residuals for one body and field.
+    """The volume-constrained criticality residual (n+1) dP - n (P/V) dV of
+    one body under one field, with dP (``first_variation``) and dV.
 
     ``flow_derivative`` is the central difference of the pushed energy, the
     value of ``flow_energy_derivative`` at the same step.  ``flux`` is
@@ -295,8 +288,6 @@ class CriticalityResult:
     """
 
     residual: float
-    rescaled_residual: float
-    volume: float
     first_variation: float
     volume_derivative: float
     flow_derivative: float
@@ -306,21 +297,21 @@ class CriticalityResult:
 def criticality_residual(
     table: CurvatureTable, fields: Sequence[PolynomialField]
 ) -> List[CriticalityResult]:
-    """(n+1) dP - n (P/V) dV, plus the rescaled volume-preserving residual,
-    for each of a body's fields.
+    """(n+1) dP - n (P/V) dV for each of a body's fields, with the flow
+    derivative of the pushed energy beside it.
 
-    The second residual flows by x + t g(x), rescales by
-    (V0/V(t))^(1/(n+1)) to restore the volume, and differentiates the
-    energy of the rescaled flow by central differences; both residuals
-    vanish for Wulff shapes.  The same two pushes give the flow derivative.
-    The step h is 1e-5 of the body diameter, where the central difference's
-    truncation error stays below its rounding on the shipped bodies.
+    The residual vanishes for Wulff shapes.  The flow derivative is the
+    central difference of the energies pushed by x + t g(x) at t = +h and
+    t = -h; the step h is 1e-5 of the body diameter, where the central
+    difference's truncation error stays below its rounding on the shipped
+    bodies.
 
     The body is its curvature table: P is read from its F(nu), dP from its
     weighted stress, and the pushes evaluate its F.  P, V, the node
-    monomials and a0 are computed once for the body; g(x), Dg(x), a1 and a2
-    once per field, shared by dP, dV and both pushes.  Each result equals
-    the one-field ``first_variation`` and ``flow_energy_derivative``.
+    monomials and a0 are computed once for the body; g(x) once per field
+    for dV, and Dg(x), a1 and a2 once per field, shared by dP and both
+    pushes.  Each result equals the one-field ``first_variation`` and
+    ``flow_energy_derivative``.
     """
     quad = table.quad
     n = quad.dim - 1
@@ -335,16 +326,13 @@ def criticality_residual(
         fv = _first_variation(g._jacobians(mono), table.weighted_stress)
         flux = _flux(quad, gx)
         dv = float((flux * quad.weights).sum())
-        pushed = pushes.pair(table.f, g, mono, gx, h)
-        rescaled = [((v / vol_t) ** (1.0 / (n + 1))) ** n * energy for energy, vol_t in pushed]
+        e_plus, e_minus = pushes.pair(table.f, g, mono, h)
         results.append(
             CriticalityResult(
                 residual=(n + 1) * fv - n * (p / v) * dv,
-                rescaled_residual=(rescaled[0] - rescaled[1]) / (2 * h),
-                volume=v,
                 first_variation=fv,
                 volume_derivative=dv,
-                flow_derivative=(pushed[0][0] - pushed[1][0]) / (2 * h),
+                flow_derivative=(e_plus - e_minus) / (2 * h),
                 flux=flux,
             )
         )

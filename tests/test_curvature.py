@@ -224,7 +224,7 @@ def test_table_holds_the_integrand_and_sigma_of_each_node():
 def test_empty_quadrature_is_refused():
     # an empty quadrature raised a raw ValueError from a zero-size maximum
     q = sample_surface(ELLIPSE, 256)
-    rows = ("points", "normals", "weights", "omega", "rho", "sigma")
+    rows = ("points", "normals", "weights", "rho", "sigma")
     empty = replace(q, **{k: getattr(q, k)[:0] for k in rows})
     with pytest.raises(InputError, match="^empty quadrature$"):
         curvature_table(ELLIPSE, E2, empty)

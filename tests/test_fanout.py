@@ -478,7 +478,7 @@ def test_first_refusal_in_suite_order_is_raised(tmp_path, monkeypatch):
         return part
 
     for name in ("curv", "var"):
-        monkeypatch.setitem(suites._BODY_PARTS, name, refusing(name))
+        monkeypatch.setitem(suites._SUITES, name, refusing(name))
     scene = _scene_file(tmp_path, "wulff_ellipsoid_d3")
     for cpus in (1, 3):
         forks = _forks(monkeypatch, cpus)

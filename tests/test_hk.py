@@ -167,8 +167,7 @@ def test_radius_bound_failure_named():
     rep = hk_evaluate(tables([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096))
     synthetic = (
         UmbilicityReport(
-            lam=2.0, center=np.zeros(2), radius=0.5, dispersion=0.0,
-            verdict="wulff", max_residual=0.0, tol_umb=1e-3,
+            lam=2.0, center=np.zeros(2), radius=0.5, dispersion=0.0, verdict="wulff"
         ),
     )
     verdict = equality_classifier(rep, synthetic, c=2.0)
@@ -185,8 +184,7 @@ def test_nan_ratio_is_strict_in_the_report_and_the_classifier():
     rep = hk_report([HKRow(vol=np.nan, integral=2.0, mr_integral=1.0, h_min=1.0, h_max=1.0)], 2)
     synthetic = (
         UmbilicityReport(
-            lam=1.0, center=np.zeros(2), radius=1.0, dispersion=0.0,
-            verdict="wulff", max_residual=0.0, tol_umb=1e-3,
+            lam=1.0, center=np.zeros(2), radius=1.0, dispersion=0.0, verdict="wulff"
         ),
     )
     assert np.isnan(rep.ratio) and rep.verdict == "strict"

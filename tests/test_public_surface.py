@@ -1,9 +1,12 @@
-"""Every public name of ``src/wulffkit`` is one the program runs or documents.
+"""Every public name of ``src/wulffkit`` is one the program runs or documents,
+and every value the library stores has a reader.
 
 A name in a module's ``__all__``, or a public method of a class listed
 there, needs one of: a reference in ``src/`` outside its own ``def``, a
 reference in ``perfbench/`` or ``scripts/``, or a mention in the README's
 "Library example" section.  A name that only tests call belongs in the tests.
+A field of a dataclass in ``src/wulffkit`` needs an attribute read of its
+name in ``src/``, ``tests/``, ``scripts/`` or ``perfbench/``.
 Needs only ``ast`` and the standard library.
 """
 
@@ -76,3 +79,41 @@ def test_surface_is_scanned():
     labels = {s[0] for s in SURFACE}
     assert {"distance.project", "duality.DualNorm.batch_value"} <= labels
     assert "project" in OUTSIDE and "hk_row" in EXAMPLE
+
+
+# cli.run writes every field of a SuiteResult, with dataclasses.asdict
+WRITTEN_WHOLE = {"SuiteResult"}
+
+
+def _is_dataclass(decorator):
+    return getattr(getattr(decorator, "func", decorator), "id", "") == "dataclass"
+
+
+def _fields():
+    """(Class.field, field) of every field of every dataclass in src/wulffkit,
+    but the ones written whole."""
+    for tree in SRC.values():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ClassDef)
+                and node.name not in WRITTEN_WHOLE
+                and any(_is_dataclass(d) for d in node.decorator_list)
+            ):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def test_every_dataclass_field_has_a_reader():
+    # lenient: a field passes when its name is read on any object, so a
+    # name that another type also has (such as center) always passes
+    read = {
+        node.attr
+        for folder in ("src", "tests", "scripts", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = list(_fields())
+    assert {"SurfaceQuadrature.rho", "CriticalityResult.flux"} <= {label for label, _ in fields}
+    assert [label for label, name in fields if name not in read] == []

@@ -322,6 +322,10 @@ D3 = json.loads((SCENES / "wulff_d3.json").read_text())
         (D3, {"resolution": [33, 64]}, "resolution"),
         (D3, {"resolution": [32, 62]}, "resolution"),
         (BASE, {"steiner": {"source_resolution": 1023}}, "steiner.source_resolution"),
+        # 2^21 nodes, above the bound of 2^20
+        (BASE, {"resolution": 2**21}, "resolution"),
+        (D3, {"resolution": [1024, 2048]}, "resolution"),
+        (BASE, {"steiner": {"source_resolution": 2**21}}, "steiner.source_resolution"),
     ],
     ids=[
         "d3-one-axis",
@@ -337,6 +341,9 @@ D3 = json.loads((SCENES / "wulff_d3.json").read_text())
         "d3-odd-theta",
         "d3-too-few-phi",
         "source-odd",
+        "d2-too-many",
+        "d3-too-many",
+        "source-too-many",
     ],
 )
 def test_resolution_refusals_name_the_field(base, override, field):
@@ -521,6 +528,36 @@ def test_automatic_source_resolution_doubles_until_the_sample_fits_the_grid(tmp_
     raw["steiner"] = {"source_resolution": 1024}
     scene.write_text(json.dumps(raw))
     assert main(["all", "--scene", str(scene), "--out", str(tmp_path / "given")]) == 1
+
+
+def _wulff_scene(tmp_path, name, radius):
+    raw = json.loads((SCENES / f"{name}.json").read_text())
+    raw["bodies"][0]["radius"] = radius
+    scene = tmp_path / f"{name}.json"
+    scene.write_text(json.dumps(raw))
+    return scene
+
+
+def test_a_source_above_the_node_bound_exits_1_in_one_line(tmp_path, capsys):
+    # the automatic complement source of a ball of radius 1e20 takes 2^77
+    # nodes, and np.arange raised a raw ValueError
+    scene = _wulff_scene(tmp_path, "wulff_d2", 1e20)
+    assert main(["all", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: d=2 surface sampling takes at most {2**20} nodes, got (")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_curv_on_a_hyperplane_like_wulff_ball_fails_its_verdict(tmp_path, capsys):
+    # at radius 1e12, |lambda| < 1e-10 makes the fit hyperplane-like, with
+    # no centre or radius, and their recovery raised a raw TypeError
+    scene = _wulff_scene(tmp_path, "wulff_d3", 1e12)
+    assert main(["curv", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == ""
+    [curv] = json.loads((tmp_path / "out" / "report.json").read_text())["suites"]
+    failed = [c["name"] for c in curv["checks"] if not c["passed"]]
+    assert failed == ["wulff_verdict[w3]"]
+    assert curv["metrics"]["umbilicity[w3]"]["verdict"] == "hyperplane-like"
 
 
 def test_hk_command_on_wulff_scene(tmp_path):

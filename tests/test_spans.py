@@ -44,23 +44,39 @@ print(json.dumps(tracer.metrics()))
 """
 
 
-def test_in_process_var_is_traced(tmp_path):
-    # with one usable CPU the suites run in-process, and var calls the
-    # public variation routines that the span table wraps by name; the
-    # whole suites run through suites._SUITES, which the tracer rebinds
+def _traced_metrics(scene, out):
+    """The span metrics of ``all`` on ``scene``, traced in a fresh process
+    with one usable CPU."""
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    args = [str(ROOT / "perfbench"), str(ROOT / "scenes" / "wulff_d3.json"), str(tmp_path)]
-    out = subprocess.run(
+    args = [str(ROOT / "perfbench"), str(ROOT / "scenes" / scene), str(out)]
+    run = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         check=True,
     )
-    metrics = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_in_process_var_is_traced(tmp_path):
+    # with one usable CPU the suites run in-process, and var calls the
+    # public variation routines that the span table wraps by name; the
+    # whole suites run through suites._SUITES, which the tracer rebinds
+    metrics = _traced_metrics("wulff_d3.json", tmp_path)
     for name in ("variation.criticality_residual", "variation.first_variation"):
         assert metrics[name + ".calls"] == 1
         assert metrics[name + ".self_s"] > 0
     for name in ("dual", "wulff", "hk", "mr"):
         assert metrics[f"suites.{name}.calls"] == 1
         assert metrics[f"suites.{name}.s"] > 0
+
+
+def test_in_process_run_traces_every_suite(tmp_path):
+    # suites._SUITES holds the runner of every suite, the body-by-body ones
+    # (curv, steiner, reach, var) by their part for one body, so a traced
+    # in-process 2D run sees each of the eight
+    metrics = _traced_metrics("wulff_d2.json", tmp_path)
+    for name in ("dual", "wulff", "curv", "hk", "mr", "steiner", "reach", "var"):
+        assert metrics[f"suites.{name}.calls"] >= 1, name
+        assert metrics[f"suites.{name}.s"] > 0, name

@@ -185,8 +185,9 @@ def test_positive_reach_verdicts(disk_field_512):
     assert good.coefficient_agreement.max() <= 0.02
     # a tube that stops growing halfway, as past the reach, is no polynomial
     flat = TubeCurve(curve.t, np.minimum(curve.volume, curve.volume[len(curve.t) // 2]))
-    bad = positive_reach_test(fit_polynomial(flat, 2), reference)
-    assert bad.residual > 1e-2
+    bad_fit = fit_polynomial(flat, 2)
+    bad = positive_reach_test(bad_fit, reference)
+    assert bad_fit.residual > 1e-2
     assert not bad.consistent and bad.verdict == "polynomial-fit-rejected"
 
 
