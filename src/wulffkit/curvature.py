@@ -195,7 +195,7 @@ def umbilicity_classify(table: CurvatureTable) -> UmbilicityReport:
     """Classify a boundary as a Wulff ball via constant anisotropic curvature.
 
     lambda is the area-weighted mean of (sum kappa_i)/n; nodes must all have
-    every curvature within tol_umb = 1e-3 |lambda| of lambda to count as
+    every curvature within spread_tol = 1e-3 |lambda| of lambda to count as
     umbilical, after which the affine relation grad F(nu(x)) = lambda x + c
     is fitted, grad F(nu) read from ``table.eta``, and its worst deviation
     reported as the dispersion.  The verdict is "wulff" when the dispersion
@@ -206,9 +206,9 @@ def umbilicity_classify(table: CurvatureTable) -> UmbilicityReport:
     lam = float((quad.weights * (_row_sum(table.kappa) / table.kappa.shape[1])).sum() / wsum)
     residuals = np.abs(table.kappa - lam).max(axis=1)
     max_res = float(residuals.max())
-    tol_umb = 1e-3 * max(abs(lam), 1e-30)
+    spread_tol = 1e-3 * max(abs(lam), 1e-30)
 
-    if max_res > tol_umb:
+    if max_res > spread_tol:
         return UmbilicityReport(
             lam=lam, center=None, radius=None, dispersion=None, verdict="not-umbilical"
         )
