@@ -43,6 +43,10 @@ PASSES = tuple((seed, index) for seed in (1, 2, 3) for index in (0, 1, 2))
 
 # name -> (why no production run enters it, a test that does)
 ALLOWLIST = {
+    "cli._float_error": (
+        "refusal: no production run overflows, divides by zero or makes a NaN",
+        "tests/test_scene_cli.py::test_a_float_overflow_exits_1_in_one_line",
+    ),
     "duality.DualNorm._newton_polish": (
         "fallback of the conjugate solve for rows the damped loop leaves",
         "tests/test_duality.py::test_strongly_anisotropic_3d_solve_converges",

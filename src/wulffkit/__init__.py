@@ -6,7 +6,7 @@ first variation of anisotropic perimeter, and the volume-vs-curvature
 integral inequality with its Wulff-union equality classifier.
 """
 
-from .duality import DualNorm, WulffSample, wulff_sample
+from .duality import DualNorm
 from .errors import (
     DegeneratePointError,
     DomainError,

@@ -29,6 +29,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputError, SceneError, WulffkitError
 from .scene import load_scene, reseed
 from .suites import SUITE_ORDER, run_suites
@@ -39,10 +41,20 @@ SCHEMA_VERSION = "1.0"
 COMMANDS = SUITE_ORDER + ("all",)
 
 
+def _float_error(kind, flag):
+    raise InputError(f"floating-point {kind} in the run")
+
+
 def run(command: str, scene_path, out_dir, seed=None) -> int:
     """Execute ``command`` on a scene file; write report.json and CSVs.
 
     The command and the scene are checked before ``out_dir`` is created.
+    The suites run with numpy's overflow, invalid-value and divide-by-zero
+    errors raised as an InputError that names the error, so a float that
+    leaves the doubles (a Wulff ball of radius 1e200, say) is the refusal
+    of the product or suite where it happened, never a numpy warning and a
+    verdict on what was left.  Forked workers inherit the setting; library
+    calls outside ``run`` keep numpy's defaults.
     """
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}; expected one of {COMMANDS}")
@@ -56,7 +68,8 @@ def run(command: str, scene_path, out_dir, seed=None) -> int:
         raise InputError(f"cannot create output directory {out}: {exc.strerror}") from None
 
     requested = [s for s in SUITE_ORDER if s in scene.suites] if command == "all" else [command]
-    results = run_suites(requested, scene, out)
+    with np.errstate(over="call", invalid="call", divide="call", call=_float_error):
+        results = run_suites(requested, scene, out)
     failed = [SUITE_ORDER.index(r.name) for r in results if not r.passed]
     exit_code = 2 + failed[0] if failed else 0
 

@@ -1,7 +1,8 @@
-"""Conjugate norms, their gradients, and exact Wulff-shape boundary samples.
+"""Conjugate norms and their gradients.
 
 The conjugate norm of F is F*(w) = sup { w.u : F(u) <= 1 }; its balls are
-the Wulff shapes of F.  For the Euclidean and quadratic families closed
+the Wulff shapes of F, and ``hypersurface.WulffBody`` holds both maps of a
+Wulff ball's boundary, by rays and by normals.  For the Euclidean and quadratic families closed
 forms are used (Euclidean is self-dual, quadratic M dualizes to M^-1);
 for weighted sums the supremum is computed by a damped Newton iteration
 on the strictly convex problem
@@ -42,11 +43,11 @@ import numpy as np
 
 from .errors import DomainError, InputError, SolverError
 from .integrand import EuclideanNorm, Integrand, QuadraticNorm
-from .integrand import _center, _finite_rows, _quadratic_form, _row_norm, _row_sum, _rows
+from .integrand import _finite_rows, _quadratic_form, _row_norm, _row_sum, _rows
 from .integrand import _upper_pairs
-from .spheregrid import latlong_quadrature, sphere_quadrature
+from .spheregrid import latlong_quadrature
 
-__all__ = ["DualNorm", "dual_norm_of", "WulffSample", "wulff_sample"]
+__all__ = ["DualNorm", "dual_norm_of"]
 
 _TABLE_SIZE = 8192
 # buckets of the cone lookup, over [gamma_0, gamma_N)
@@ -555,30 +556,3 @@ def dual_norm_of(f: Integrand) -> DualNorm:
     if dual is None:
         dual = _LIVE_DUALS[id(f)] = DualNorm(f)
     return dual
-
-
-@dataclass(frozen=True, eq=False)
-class WulffSample:
-    """Boundary sample of an F*-ball B(c, r) with exact unit normals, as
-    ``wulff_sample`` draws it.
-
-    Node k lies at c + r grad F(nu_k) where nu_k is the unit outward
-    Euclidean normal of the boundary at that node; the Gauss map of a Wulff
-    boundary is inverted in closed form this way.  ``resolution`` is the
-    number of nodes.
-    """
-
-    points: np.ndarray
-    normals: np.ndarray
-    resolution: int
-
-
-def wulff_sample(dual: DualNorm, center, r: float, resolution) -> WulffSample:
-    """Sample the boundary of the F*-ball B(center, r) with exact normals, one
-    node per direction of ``sphere_quadrature(d, resolution)``."""
-    if not 0.0 < r < np.inf:
-        raise InputError("Wulff radius must be positive and finite")
-    center = _center(center, dual.dim, "Wulff")
-    nu = sphere_quadrature(dual.dim, resolution)[0]
-    points = center[None, :] + r * dual.base.grad(nu)
-    return WulffSample(points=points, normals=nu, resolution=len(nu))

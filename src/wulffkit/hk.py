@@ -237,9 +237,10 @@ def equality_classifier(
     ball fit, and every fitted radius >= n/c within the relative slack
     RADIUS_TOL = 0.02.  Whether the radii are all equal within RADIUS_TOL is
     reported alongside (the equality case admits unequal radii as long as
-    each clears n/c).  The curvature bound c must be positive and finite,
-    and at least ``h_max``, the bodies' largest mean curvature: by default
-    the report's observed H_max.
+    each clears n/c), and is None unless every body has a fitted ball.  The
+    curvature bound c must be positive and finite, and at least ``h_max``,
+    the bodies' largest mean curvature: by default the report's observed
+    H_max.
     """
     if not umbilicity:
         raise InputError("classifier needs at least one umbilicity report")
@@ -266,7 +267,7 @@ def equality_classifier(
             failing = "radius-bound"
 
     equal = None
-    if radii:
+    if len(radii) == len(umbilicity):
         equal = bool(max(radii) - min(radii) <= RADIUS_TOL * max(radii))
     return ClassifierVerdict(
         verdict="wulff-union" if failing is None else "strict",

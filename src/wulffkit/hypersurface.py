@@ -110,7 +110,12 @@ class Ellipsoid(StarBody):
 
 @dataclass(frozen=True, eq=False)
 class WulffBody(StarBody):
-    """phi(x) = F*(x - c) - r: the F*-ball of radius r around c."""
+    """phi(x) = F*(x - c) - r: the F*-ball of radius r around c.
+
+    Its boundary has two maps in closed form: by rays, w -> c + r w / F*(w)
+    (``ray_radii``), and by unit outward normals, the Cahn-Hoffman map
+    nu -> c + r grad F(nu) (``cahn_hoffman``).
+    """
 
     dual: DualNorm
     center: np.ndarray
@@ -153,6 +158,11 @@ class WulffBody(StarBody):
         if open_rows.any():
             out[open_rows] = np.sign(dual.batch_value(w[open_rows]) - self.radius)
         return out
+
+    def cahn_hoffman(self, nu):
+        """c + r grad F(nu) for each row nu: the boundary point whose unit
+        outward Euclidean normal is nu, the Gauss map inverted in closed form."""
+        return self.center + self.radius * self.dual.base.grad(nu)
 
     def ray_radii(self, omega):
         # F* is 1-homogeneous, so phi(c + t w) = t F*(w) - r has the exact
@@ -262,7 +272,11 @@ def surface_counts(dim: int, resolution) -> tuple:
             f"d={dim} surface sampling needs even counts of at least {least}, got {counts}"
         )
     if math.prod(counts) > MAX_NODES:
-        raise InputError(f"d={dim} surface sampling takes at most {MAX_NODES} nodes, got {counts}")
+        # a count past 12 digits by its three leading ones
+        shown = ", ".join(
+            n if len(n) <= 12 else f"{n[0]}.{n[1:3]}e+{len(n) - 1}" for n in map(str, counts)
+        )
+        raise InputError(f"d={dim} surface sampling takes at most {MAX_NODES} nodes, got ({shown})")
     return counts
 
 

@@ -25,6 +25,11 @@ SUITE_ORDER = ("dual", "wulff", "curv", "hk", "mr", "steiner", "reach", "var")
 # the tube window of the steiner suite is pinned in the library; a scene may
 # still state each key, at its pinned value only
 _PINNED_STEINER = {"lo_frac": LO_FRAC, "hi_frac": HI_FRAC, "samples": SAMPLES}
+_STEINER_KEYS = ("reference_radius", "source_resolution", *_PINNED_STEINER)
+# the keys of the scene root; a "tolerances" key gets a refusal of its own
+_ROOT_KEYS = (
+    "integrand", "bodies", "resolution", "grid", "seed", "suites", "steiner", "hk", "tolerances"
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +62,15 @@ def _require(mapping, key, where):
     if key not in mapping:
         raise SceneError(f"{where}: missing required field {key!r}")
     return mapping[key]
+
+
+def _known(mapping, keys, where):
+    """The object ``mapping`` at field ``where`` ("" at the root), or a
+    SceneError naming its first key outside ``keys`` as a field."""
+    unknown = next((key for key in mapping if key not in keys), None)
+    if unknown is not None:
+        raise SceneError(f"{where}.{unknown}: unknown key" if where else f"{unknown}: unknown key")
+    return mapping
 
 
 def _section(raw, key, default):
@@ -123,16 +137,20 @@ def _parse_integrand(spec, where="integrand") -> Integrand:
     family = _require(spec, "family", where)
     try:
         if family == "euclidean":
+            _known(spec, ("family", "dimension"), where)
             dim = _count(_require(spec, "dimension", where), f"{where}.dimension")
             return EuclideanNorm(dim)
         if family == "quadratic":
+            _known(spec, ("family", "matrix"), where)
             return QuadraticNorm(_array(_require(spec, "matrix", where), f"{where}.matrix"))
         if family == "weighted-sum":
+            _known(spec, ("family", "terms"), where)
             terms = _require(spec, "terms", where)
             parsed = []
             for k, term in enumerate(terms):
                 at = f"{where}.terms[{k}]"
                 w = _convert(float, _require(term, "weight", at), f"{at}.weight")
+                _known(term, ("weight", "integrand"), at)
                 inner = _parse_integrand(_require(term, "integrand", at), f"{at}.integrand")
                 parsed.append((w, inner))
             return WeightedSum(tuple(parsed))
@@ -155,17 +173,20 @@ def _parse_body(spec, dual: DualNorm, index: int) -> tuple:
     center = _array(_require(spec, "center", where), f"{where}.center")
     try:
         if kind == "wulff":
+            _known(spec, ("id", "kind", "center", "radius"), where)
             body: StarBody = WulffBody(
                 dual=dual,
                 center=center,
                 radius=_convert(float, _require(spec, "radius", where), f"{where}.radius"),
             )
         elif kind == "ellipsoid":
+            _known(spec, ("id", "kind", "center", "matrix"), where)
             body = Ellipsoid(
                 matrix=_array(_require(spec, "matrix", where), f"{where}.matrix"),
                 center=center,
             )
         elif kind == "superellipse":
+            _known(spec, ("id", "kind", "center", "semi_axes", "exponent"), where)
             body = Superellipse(
                 semi_axes=_array(_require(spec, "semi_axes", where), f"{where}.semi_axes"),
                 exponent=_convert(float, _require(spec, "exponent", where), f"{where}.exponent"),
@@ -196,6 +217,7 @@ def reseed(scene: Scene, seed) -> Scene:
 def parse_scene(raw: dict) -> Scene:
     if not isinstance(raw, dict):
         raise SceneError("scene root must be an object")
+    _known(raw, _ROOT_KEYS, "")
     integrand = _parse_integrand(_require(raw, "integrand", "scene"))
     dual = dual_norm_of(integrand)
 
@@ -219,6 +241,7 @@ def parse_scene(raw: dict) -> Scene:
     if "grid" in raw:
         gspec = raw["grid"]
         bounds = _array(_require(gspec, "bounds", "grid"), "grid.bounds")
+        _known(gspec, ("bounds", "cells"), "grid")
         if bounds.ndim != 2 or bounds.shape[1] != 2:
             raise SceneError("grid.bounds: expected [[lo, hi], ...] per axis")
         try:
@@ -241,7 +264,7 @@ def parse_scene(raw: dict) -> Scene:
         raise SceneError(f"{where}: verdict tolerances are pinned in the library, not the scene")
 
     steiner = {}
-    for key, value in _section(raw, "steiner", {}).items():
+    for key, value in _known(_section(raw, "steiner", {}), _STEINER_KEYS, "steiner").items():
         where = f"steiner.{key}"
         if key in _PINNED_STEINER:
             pinned = _PINNED_STEINER[key]
@@ -254,8 +277,6 @@ def parse_scene(raw: dict) -> Scene:
             continue
         if key == "source_resolution":
             value = _resolution(value, where, integrand.dim)
-        elif key != "reference_radius":
-            raise SceneError(f"steiner: unknown key {key!r}")
         elif value is not None:
             value = _convert(float, value, where)
             if value <= 0.0:
@@ -263,13 +284,11 @@ def parse_scene(raw: dict) -> Scene:
         steiner[key] = value
 
     hk_c = None
-    for key, value in _section(raw, "hk", {}).items():
-        if key != "c":
-            raise SceneError(f"hk.{key}: unknown key")
-        if value is not None:
-            hk_c = _convert(float, value, "hk.c")
-            if hk_c <= 0.0:
-                raise SceneError(f"hk.c: expected a positive number, got {value!r}")
+    value = _known(_section(raw, "hk", {}), ("c",), "hk").get("c")
+    if value is not None:
+        hk_c = _convert(float, value, "hk.c")
+        if hk_c <= 0.0:
+            raise SceneError(f"hk.c: expected a positive number, got {value!r}")
     return Scene(
         integrand=integrand,
         dual=dual,

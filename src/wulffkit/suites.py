@@ -37,14 +37,13 @@ import numpy as np
 from . import distance as dist
 from . import steiner as st
 from .curvature import curvature_table, umbilicity_classify
-from .duality import wulff_sample
 from .errors import WulffkitError
 from .fanout import _fan_out
 from .hk import equality_classifier, hk_report, hk_row, node_overlaps, refuse_overlaps
 from .hypersurface import WulffBody, perimeter_F, sample_surface
 from .integrand import EuclideanNorm
 from .scene import SUITE_ORDER, Scene
-from .spheregrid import circle_quadrature
+from .spheregrid import circle_quadrature, sphere_quadrature
 from .table import write_csv
 from .variation import PolynomialField, criticality_residual, first_variation
 
@@ -239,10 +238,6 @@ def _random_points(rng, dim, count):
     return pts[norms > 1e-6]
 
 
-def _wulff_bodies(scene: Scene):
-    return [(bid, b) for bid, b in scene.bodies if isinstance(b, WulffBody)]
-
-
 def suite_dual(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res = SuiteResult("dual", VERIFIES["dual"])
     f = scene.integrand
@@ -297,22 +292,25 @@ def suite_dual(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
 
 
 def suite_wulff(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
+    """Each Wulff body's boundary, or the unit F*-ball's in a scene without
+    one, as the image of a sphere grid of normals under the body's
+    Cahn-Hoffman map (``WulffBody.cahn_hoffman``), checked against F* with
+    no solve behind the points; ``wulff_<id>.csv`` holds each node x and
+    its normal nu."""
     res = SuiteResult("wulff", VERIFIES["wulff"])
     dual = scene.dual
-    bodies = _wulff_bodies(scene) or [
+    bodies = [(bid, b) for bid, b in scene.bodies if isinstance(b, WulffBody)] or [
         ("unit", WulffBody(dual=dual, center=np.zeros(scene.dim), radius=1.0))
     ]
     # a fixed 3D grid: each node costs a conjugate solve
-    resolution = scene.resolution if scene.dim == 2 else (44, 88)
+    nu = sphere_quadrature(scene.dim, scene.resolution if scene.dim == 2 else (44, 88))[0]
     worst_radius = 0.0
     r_max = max(body.radius for _, body in bodies)
     for bid, body in bodies:
-        ws = wulff_sample(dual, body.center, body.radius, resolution)
-        r_err = np.abs(
-            dual.batch_value(ws.points - body.center) - body.radius
-        ).max()
+        x = body.cahn_hoffman(nu)
+        r_err = np.abs(dual.batch_value(x - body.center) - body.radius).max()
         worst_radius = max(worst_radius, float(r_err))
-        write_csv(out / f"wulff_{bid}.csv", x=ws.points, nu=ws.normals)
+        write_csv(out / f"wulff_{bid}.csv", x=x, nu=nu)
     res.check("boundary_on_conjugate_sphere", worst_radius, 1e-10 * max(1.0, r_max))
     res.metrics["bodies"] = [bid for bid, _ in bodies]
     return res

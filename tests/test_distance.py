@@ -20,6 +20,7 @@ from wulffkit import (
     EuclideanNorm,
     GridSpec,
     InputError,
+    Integrand,
     QuadraticNorm,
     SourceSet,
     WeightedSum,
@@ -309,6 +310,37 @@ def test_sparse_source_rejected():
     grid = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=256)
     with pytest.raises(InputError):
         build_field(src, E2, grid)
+
+
+class _Tilted(Integrand):
+    """F(x) = |x| + b.x, b = (0.3, 0): convex and positive off the origin,
+    with a strictly convex unit ball (an ellipse with a focus at 0), but
+    F(-x) != F(x)."""
+
+    dim = 2
+    b = np.array([0.3, 0.0])
+
+    def value(self, x):
+        return E2.value(x) + x @ self.b
+
+    def grad(self, x):
+        return E2.grad(x) + self.b
+
+    def _value_grad_hess(self, x):
+        f, g, h = E2._value_grad_hess(x)
+        return f + self.b @ x, g + self.b[:, None], h
+
+
+def test_an_integrand_that_is_not_even_is_refused():
+    # build_field takes even integrands only: F(-x) = F(x)
+    src = boundary_source([UNIT_DISK], 2048, region="complement")
+    grid = GridSpec(lo=[-1.3, -1.3], hi=[1.3, 1.3], cells=64)
+    f = _Tilted()
+    w = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    # F* is finite and not even: sup w.u over the ellipse {|u| + 0.3 u_1 <= 1}
+    assert DualNorm(f).batch_value(w) == pytest.approx([1 / 1.3, 1 / 0.7], rel=1e-9)
+    with pytest.raises(InputError, match="not even"):
+        build_field(src, f, grid)
 
 
 @pytest.mark.parametrize(

@@ -18,11 +18,11 @@ from wulffkit import (
     Superellipse,
     WeightedSum,
     WulffBody,
-    wulff_sample,
 )
 
 from wulffkit.duality import _bucket, _newton_step, _polygon_directions, _squared_hessian
 from wulffkit.integrand import _row_norm
+from wulffkit.spheregrid import sphere_quadrature
 
 from oracles import (
     brute_conjugate,
@@ -531,46 +531,53 @@ def test_bracket_refuses_a_ball_that_is_not_strictly_convex():
         DualNorm(_MaxNorm()).batch_bracket(np.ones((1, 2)))
 
 
+def _wulff_sample(dual, center, r, resolution):
+    """(points, normals): the Cahn-Hoffman map of ``WulffBody(dual, center,
+    r)`` on the directions of ``sphere_quadrature(d, resolution)``."""
+    nu = sphere_quadrature(dual.dim, resolution)[0]
+    return WulffBody(dual, center, r).cahn_hoffman(nu), nu
+
+
 def test_wulff_sample_euclidean():
-    ws = wulff_sample(DE, [0.0, 0.0], 1.0, 64)
-    assert np.abs(np.linalg.norm(ws.points, axis=1) - 1.0).max() < 1e-14
-    assert np.abs(ws.points - ws.normals).max() < 1e-14
+    points, normals = _wulff_sample(DE, [0.0, 0.0], 1.0, 64)
+    assert np.abs(np.linalg.norm(points, axis=1) - 1.0).max() < 1e-14
+    assert np.abs(points - normals).max() < 1e-14
 
 
 def test_wulff_sample_quadratic_ellipse():
     # closed-form Wulff boundary: x1^2/4 + x2^2 = r^2
-    ws = wulff_sample(DQ, [0.0, 0.0], 1.0, 256)
-    lvl = ws.points[:, 0] ** 2 / 4 + ws.points[:, 1] ** 2
+    points, normals = _wulff_sample(DQ, [0.0, 0.0], 1.0, 256)
+    lvl = points[:, 0] ** 2 / 4 + points[:, 1] ** 2
     assert np.abs(lvl - 1.0).max() < 1e-12
-    assert np.abs(DQ.batch_value(ws.points) - 1.0).max() < 1e-10
-    back = (ws.points - 0.0) / 1.0
-    assert np.linalg.norm(Q2.grad(ws.normals) - back, axis=1).max() < 1e-8
+    assert np.abs(DQ.batch_value(points) - 1.0).max() < 1e-10
+    back = (points - 0.0) / 1.0
+    assert np.linalg.norm(Q2.grad(normals) - back, axis=1).max() < 1e-8
 
 
 def test_wulff_sample_invariants_offset():
     center, r = np.array([1.0, -2.0]), 1.5
-    ws = wulff_sample(DW, center, r, 128)
-    assert np.abs(DW.batch_value(ws.points - center) - r).max() < 1e-10 * r
+    points, normals = _wulff_sample(DW, center, r, 128)
+    assert np.abs(DW.batch_value(points - center) - r).max() < 1e-10 * r
     assert (
-        np.linalg.norm(W2.grad(ws.normals) - (ws.points - center) / r, axis=1).max()
+        np.linalg.norm(W2.grad(normals) - (points - center) / r, axis=1).max()
         < 1e-8
     )
 
 
 def test_wulff_sample_3d_latlong_grid():
     q3 = QuadraticNorm(np.diag([4.0, 1.0, 1.0]))
-    ws = wulff_sample(DualNorm(q3), [0.0, 0.0, 0.0], 1.0, (16, 32))
-    assert np.abs(np.linalg.norm(ws.normals, axis=1) - 1.0).max() < 1e-12
-    assert ws.resolution == len(ws.points) == 512
+    points, normals = _wulff_sample(DualNorm(q3), [0.0, 0.0, 0.0], 1.0, (16, 32))
+    assert np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() < 1e-12
+    assert len(points) == len(normals) == 512
 
 
 def test_wulff_sample_validation():
     with pytest.raises(InputError):
-        wulff_sample(DQ, [0.0, 0.0], -1.0, 64)
+        _wulff_sample(DQ, [0.0, 0.0], -1.0, 64)
     with pytest.raises(InputError):
-        wulff_sample(DQ, [0.0, 0.0], 1.0, 9)
+        _wulff_sample(DQ, [0.0, 0.0], 1.0, 9)
     with pytest.raises(InputError):
-        wulff_sample(DQ, [0.0, 0.0, 0.0], 1.0, 64)
+        _wulff_sample(DQ, [0.0, 0.0, 0.0], 1.0, 64)
 
 
 W3 = WeightedSum(((0.5, EuclideanNorm(3)), (1.0, QuadraticNorm(np.diag([4.0, 1.0, 2.0])))))
@@ -590,9 +597,9 @@ _BODIES = (
     + [
         (body, entry)
         for body in _BODIES
-        for entry in ("phi", "grad_phi", "hess_phi", "sign")
-        # a Wulff body has no hess_phi
-        if not (isinstance(body, WulffBody) and entry == "hess_phi")
+        for entry in ("phi", "grad_phi", "hess_phi", "sign", "cahn_hoffman")
+        # a Wulff body has no hess_phi, and only a Wulff body has cahn_hoffman
+        if entry != ("hess_phi" if isinstance(body, WulffBody) else "cahn_hoffman")
     ],
     ids=lambda p: p if isinstance(p, str) else f"{type(p).__name__}{p.dim}",
 )

@@ -13,6 +13,7 @@ import os
 import pickle
 import signal
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +399,49 @@ def test_overlapping_bodies_refuse_as_the_serial_run(tmp_path, monkeypatch, caps
         _no_child_left()
         assert code == 1
         assert capsys.readouterr().err == f"error: {raised[1]}\n"
+
+
+# a Wulff ball of radius 1e200 beside a far ellipsoid, in 3D
+HUGE_BALL = {
+    "integrand": {
+        "family": "weighted-sum",
+        "terms": [
+            {"weight": 0.5, "integrand": {"family": "euclidean", "dimension": 3}},
+            {
+                "weight": 0.5,
+                "integrand": {"family": "quadratic", "matrix": np.diag([3, 1, 1]).tolist()},
+            },
+        ],
+    },
+    "bodies": [
+        {"id": "w", "kind": "wulff", "center": [0, 0, 0], "radius": 1e200},
+        {
+            "id": "e",
+            "kind": "ellipsoid",
+            "matrix": np.diag([1, 0.5, 0.25]).tolist(),
+            "center": [6, 0, 0],
+        },
+    ],
+    "resolution": [32, 64],
+    "seed": 1,
+    "suites": ["dual", "wulff", "curv", "hk", "mr", "var"],
+}
+
+
+def test_a_float_overflow_in_a_worker_exits_1_in_one_line(tmp_path, monkeypatch, capsys):
+    # the workers overflowed with numpy warnings and the run ended in
+    # 'derivative of the integrand is undefined at the origin'; they
+    # inherit the run's floating-point setting and refuse the overflow
+    scene = tmp_path / "huge.json"
+    scene.write_text(json.dumps(HUGE_BALL))
+    forks = _forks(monkeypatch, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["all", "--scene", str(scene), "--out", str(tmp_path / "out")])
+    _no_child_left()
+    assert len(forks) == 2 and code == 1
+    assert capsys.readouterr().err == "error: floating-point overflow in the run\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_run_cache_keeps_a_refusal(tmp_path, monkeypatch):

@@ -155,6 +155,22 @@ def test_unequal_radii_still_wulff_union():
     assert verdict.min_radius_bound == pytest.approx(1.0)
 
 
+def test_equal_radii_needs_a_ball_for_every_body():
+    # a Wulff ball beside an ellipse: one fitted radius, which compared only
+    # with itself read as equal radii
+    bodies = [
+        WulffBody(DQ, np.array([-3.0, 0.0]), 1.0),
+        Ellipsoid(np.diag([1.0, 0.25]), np.array([3.0, 0.0])),
+    ]
+    tabs = tables(bodies, Q2, 4096)
+    fits = umbilicity(tabs)
+    assert [u.verdict == "wulff" for u in fits] == [True, False]
+    rep = hk_evaluate(tabs)
+    verdict = equality_classifier(rep, fits, c=rep.h_max)
+    assert verdict.radii == pytest.approx([1.0], abs=1e-6)
+    assert verdict.equal_radii is None
+
+
 def test_ellipse_classified_strict():
     tabs = tables([ELLIPSE], E2, 4096)
     rep = hk_evaluate(tabs)

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,41 @@ def test_bad_field_values_are_scene_errors(path, value):
         parse_scene(raw)
     if path == ("steiner",) and PINNED.keys() & value.keys():
         assert "the tube window is pinned in the library" in str(refused.value)
+
+
+EUCLIDEAN = {"family": "euclidean", "dimension": 2}
+
+
+@pytest.mark.parametrize(
+    "override,field",
+    [
+        ({"resolutoin": 1024}, "resolutoin"),
+        ({"integrand": {**EUCLIDEAN, "matrix": [[4.0, 0.0], [0.0, 1.0]]}}, "integrand.matrix"),
+        ({"integrand": {**BASE["integrand"], "dimension": 3}}, "integrand.dimension"),
+        ({"integrand": {"family": "weighted-sum", "terms": [], "weights": [1.0]}},
+         "integrand.weights"),
+        ({"integrand": {"family": "weighted-sum", "terms": [
+            {"weight": 1.0, "integrand": EUCLIDEAN, "power": 2},
+        ]}}, "integrand.terms[0].power"),
+        ({"bodies": [{**BASE["bodies"][0], "radiuss": 2.0}]}, "bodies[0].radiuss"),
+        ({"bodies": [{"kind": "ellipsoid", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                      "center": [0.0, 0.0], "radius": 1.0}]}, "bodies[0].radius"),
+        ({"bodies": [{"kind": "superellipse", "semi_axes": [1.0, 1.0], "exponent": 4.0,
+                      "center": [0.0, 0.0], "matrix": [[1.0, 0.0], [0.0, 1.0]]}]},
+         "bodies[0].matrix"),
+        ({"grid": {**BASE["grid"], "cellz": [80, 60]}}, "grid.cellz"),
+        ({"steiner": {"reference_radius": 0.9, "source_res": 1024}}, "steiner.source_res"),
+    ],
+    ids=[
+        "root", "euclidean", "quadratic", "weighted-sum", "term", "wulff", "ellipsoid",
+        "superellipse", "grid", "steiner",
+    ],
+)
+def test_unknown_keys_are_refused_at_every_level(override, field):
+    # the parser read the keys it knew and ran the scene on defaults, so a
+    # misspelled key gave verdicts for a scene other than the one written
+    with pytest.raises(SceneError, match=f"^{re.escape(field)}: unknown key$"):
+        parse_scene({**BASE, **override})
 
 
 @pytest.mark.parametrize("axes", [5.0, [1.0, 2.0, 3.0]])
@@ -546,6 +582,40 @@ def test_a_source_above_the_node_bound_exits_1_in_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: d=2 surface sampling takes at most {2**20} nodes, got (")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+OVERFLOW = "error: floating-point overflow in the run\n"
+BOUND = f"error: d=2 surface sampling takes at most {2**20} nodes, got "
+
+
+@pytest.mark.parametrize(
+    "name,radius,expected",
+    [
+        # the node bound refuses steiner's source before var overflows
+        ("wulff_d2", 1e100, BOUND + "(1.79e+103)\n"),
+        ("wulff_d2", 1e150, BOUND + "(1.67e+153)\n"),
+        ("wulff_d2", 1e200, OVERFLOW),
+        ("wulff_d2", 1e300, OVERFLOW),
+        ("wulff_d3", 1e100, OVERFLOW),
+        ("wulff_d3", 1e150, OVERFLOW),
+        ("wulff_d3", 1e200, OVERFLOW),
+        ("wulff_d3", 1e300, OVERFLOW),
+    ],
+    ids=[f"d{d}-1e{e}" for d in (2, 3) for e in (100, 150, 200, 300)],
+)
+def test_a_float_overflow_exits_1_in_one_line(tmp_path, capsys, name, radius, expected):
+    # numpy warned of the overflow and the run went on: radius 1e200 ended
+    # in 'vanishing boundary gradient', 1e150 in 3D in 'non-finite input
+    # components', and the node bound printed a count of 104 or 154 digits
+    scene = _wulff_scene(tmp_path, name, radius)
+    before = np.geterr(), np.geterrcall()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["all", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == expected
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # the setting holds for the run alone
+    assert (np.geterr(), np.geterrcall()) == before
 
 
 def test_curv_on_a_hyperplane_like_wulff_ball_fails_its_verdict(tmp_path, capsys):
