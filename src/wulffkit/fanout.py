@@ -49,19 +49,15 @@ import traceback
 
 import numpy as np
 
-# fewest items that are split across worker processes: forking two workers,
-# their exit and reaping them take about 5 ms (2-vCPU x86 VM, 52 MB process)
-# and a 2D field block with cells outside A about 2 ms (median over the nine
-# shipped-2d fields, one CPU of that VM), so for blocks alone the second
-# worker saves more than it costs, n ms against 5 ms, only from n = 6 on; a
-# field counts every block of its grid, those in A that end after one
-# membership call among them.  The count stays at 4 because a suite takes far
-# longer than a block: weighted-3d's four items, two bodies and dual and
-# wulff, read 0.280 s per `all` split and 0.371 s in-process at 6.  On one
-# shipped-2d pass (same VM) a round's workers started 4-9 ms after the call,
-# typically 5 ms, and ended about 2 ms after their last item: 14 rounds, one
-# per field and one for the suites, cost 0.096-0.107 s of its 0.96 s beyond
-# the busiest worker's time, which is why a run makes one round
+# fewest items that are split across worker processes.  Measured on a 2-vCPU
+# x86 VM with one BLAS thread per process, as the benchmark runs: forking two
+# workers for four empty items, their exit and reaping take 1.1-1.5 ms (39 MB
+# process).  A run of `all` makes one fan-out: on a shipped-2d pass its
+# workers start 0.8-3.4 ms after the call and end 0.7-3.3 ms before it
+# returns, around 68-288 items of 0.22 ms in the median, most of them field
+# blocks.  Three items stay in-process: wulff_d3's dual, wulff and body read
+# 15-18 ms per `all` so and 17-20 ms forked.  Four are split: weighted-3d's
+# two bodies and dual and wulff read 44-53 ms forked and 77-89 ms in-process
 FAN_OUT_ITEMS = 4
 
 # glibc's mallopt parameters, and the thresholds a worker sets: requests up

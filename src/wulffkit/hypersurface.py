@@ -303,9 +303,12 @@ def volume(q: SurfaceQuadrature) -> float:
     """Enclosed volume via the radial formula, cross-checked by divergence theorem.
 
     The two quadratures must agree to 1e-6 relative; the radial value is
-    returned.
+    returned.  A radial value that is not positive and finite (a ball so
+    small that its volume underflows to 0, say) is refused.
     """
     v_rad, v_div = _volume_pair(q)
+    if not 0.0 < v_rad < math.inf:
+        raise InputError(f"enclosed volume {v_rad!r} is not positive and finite")
     if abs(v_div - v_rad) > 1e-6 * abs(v_rad):
         raise QuadratureInconsistencyError(
             f"volume formulas disagree: radial {v_rad!r} vs divergence {v_div!r}"

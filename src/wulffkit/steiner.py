@@ -18,6 +18,7 @@ body's curvature table alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,10 @@ class SteinerFit:
 def fit_polynomial(curve: TubeCurve, degree: int) -> SteinerFit:
     """Fit V(t) = sum_{j=1..degree} c_j t^j; residual is max relative deviation.
 
+    The fit runs in u = t/s with s = 2^(16 round(e/16)), where the largest
+    radius is m 2^e with 1/2 <= m < 1: a power of two near it, so the powers
+    of u in the design stay near 1 at every scale of the curve, and
+    c_j = (coefficient of u^j) / s^j exactly.  s = 1 while 2^-9 <= t_max < 2^8.
     A curve with no positive volume has no relative deviation and is refused.
     """
     if degree < 1:
@@ -115,14 +120,16 @@ def fit_polynomial(curve: TubeCurve, degree: int) -> SteinerFit:
         raise InputError(
             f"the tube volume is 0 up to the largest tube radius {curve.t[-1]:.6g}"
         )
-    design = curve.t[:, None] ** np.arange(1, degree + 1)
+    powers = np.arange(1, degree + 1)
+    s = math.ldexp(1.0, 16 * round(math.frexp(np.abs(curve.t).max())[1] / 16))
+    design = (curve.t / s)[:, None] ** powers
     if np.linalg.matrix_rank(design) < degree:
         raise InputError("degenerate t grid: design matrix is rank deficient")
     coeff, *_ = np.linalg.lstsq(design, curve.volume, rcond=None)
     fitted = design @ coeff
     residual = float(np.abs(fitted - curve.volume).max() / np.abs(curve.volume).max())
     return SteinerFit(
-        coefficients=coeff,
+        coefficients=coeff / s**powers,
         residual=residual,
         t_range=(float(curve.t[0]), float(curve.t[-1])),
     )

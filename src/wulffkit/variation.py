@@ -33,9 +33,9 @@ pushed frame T_k + t D_k has the area vector
     d = 3:  a0 = T_1 x T_2,  a1 = T_1 x D_2 + D_1 x T_2,  a2 = D_1 x D_2
 
 (Nanson's formula: a(t) = cof(I + t Dg) a0, and a0 = nu).  a0 is formed
-once per body and a1, a2 once per field, in (d, N) buffers that every field
-reuses; a push by t forms a(t) in one more and evaluates F through the
-integrand's ``value`` on the transposed (N, d) view.
+once per body and a1, a2 once per field; a push by t forms a(t) in one
+fresh (d, N) array and evaluates F through the integrand's ``value`` on the
+transposed (N, d) view.
 """
 
 from __future__ import annotations
@@ -166,65 +166,54 @@ def first_variation(table: CurvatureTable, g: PolynomialField) -> float:
     return _first_variation(g._jacobians(mono), table.weighted_stress)
 
 
-def _cross(u, v, out, tmp):
-    """out = u x v, for 3-vectors given as three rows of nodes each; tmp is
-    one row of scratch."""
+def _cross(u, v):
+    """u x v, for 3-vectors given as three rows of nodes each."""
+    out = np.empty((3, len(u[0])))
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         np.multiply(u[j], v[k], out=out[i])
-        np.multiply(u[k], v[j], out=tmp)
-        out[i] -= tmp
+        out[i] -= u[k] * v[j]
+    return out
 
 
 class _Pushes:
-    """The pushes x -> x + t g(x) of one quadrature, in reused (d, N) buffers.
+    """The pushes x -> x + t g(x) of one quadrature, as (d, N) arrays.
 
     ``frame[k][j]`` is component j of the tangent T_k over the nodes, a view
-    of ``q.frames``.  ``terms`` holds a0, a1 and a2 of a(t) (see the module
+    of ``q.frames``.  a0, a1 and a2 are the terms of a(t) (see the module
     docstring): a0 once, a1 and a2 per field by ``expand``, from the field's
     Jacobian entries.
     """
 
     def __init__(self, q: SurfaceQuadrature):
-        d, n_nodes = q.dim, len(q)
+        d = q.dim
         self.q = q
         self.frame = [[q.frames[:, j, k] for j in range(d)] for k in range(d - 1)]
-        self.terms = np.empty((3, d, n_nodes))
-        self.area = np.empty((d, n_nodes))
-        self.tmp = np.empty(n_nodes)
         if d == 2:
             (t,) = self.frame
-            np.copyto(self.terms[0, 0], t[1])
-            np.negative(t[0], out=self.terms[0, 1])
+            self.a0 = np.array([t[1], -t[0]])
         else:
-            _cross(*self.frame, self.terms[0], self.tmp)
+            self.a0 = _cross(*self.frame)
 
     def expand(self, g: PolynomialField, mono):
         """a1 and a2 of the field g, whose nodes have the ``_monomials`` mono:
         the entries Dg_ij component-major, in the rows i d + j of jac, the
         images D_k = Dg T_k column by column, then the terms of the module
         docstring."""
-        d, tmp = self.q.dim, self.tmp
+        d = self.q.dim
         jac = g._jacobian_coefs().T @ mono[:, : 1 + d].T
-        images = np.empty((d - 1, d, len(tmp)))
-        for k, t in enumerate(self.frame):
-            for i in range(d):
-                row = images[k, i]
-                np.multiply(jac[i * d], t[0], out=row)
-                for j in range(1, d):
-                    np.multiply(jac[i * d + j], t[j], out=tmp)
-                    row += tmp
-        _, a1, a2 = self.terms
+        images = [
+            [sum((jac[i * d + j] * t[j] for j in range(1, d)), jac[i * d] * t[0]) for i in range(d)]
+            for t in self.frame
+        ]
         if d == 2:
             (dt,) = images
-            np.copyto(a1[0], dt[1])
-            np.negative(dt[0], out=a1[1])
+            self.a1 = np.array([dt[1], -dt[0]])
         else:
             (t1, t2), (d1, d2) = self.frame, images
-            _cross(t1, d2, a1, tmp)
-            _cross(d1, t2, self.area, tmp)
-            a1 += self.area
-            _cross(d1, d2, a2, tmp)
+            self.a1 = _cross(t1, d2)
+            self.a1 += _cross(d1, t2)
+            self.a2 = _cross(d1, d2)
 
     def energy(self, f: Integrand, t: float) -> float:
         """Energy of the quadrature pushed by t along the field of the last
@@ -233,17 +222,16 @@ class _Pushes:
         With F one-homogeneous the pushed energy density F(nu_t) w |a| is
         F(a) w.
         """
-        q, (a0, a1, a2), a = self.q, self.terms, self.area
-        if q.dim == 3:
-            np.multiply(a2, t, out=a)
-            a += a1
+        if self.q.dim == 3:
+            a = self.a2 * t
+            a += self.a1
+            a *= t
         else:
-            np.copyto(a, a1)
-        a *= t
-        a += a0
+            a = self.a1 * t
+        a += self.a0
         if np.any(np.einsum("in,in->n", a, a) < 1e-24):
             raise StepTooLargeError("pushed frame degenerated; reduce the step")
-        return float((f.value(a.T) * q.weights).sum())
+        return float((f.value(a.T) * self.q.weights).sum())
 
     def pair(self, f: Integrand, g: PolynomialField, mono, h: float):
         """The energies pushed by +h and by -h along the field g, whose nodes

@@ -618,6 +618,27 @@ def test_a_float_overflow_exits_1_in_one_line(tmp_path, capsys, name, radius, ex
     assert (np.geterr(), np.geterrcall()) == before
 
 
+@pytest.mark.parametrize("radius", [1e-110, 1e-150])
+def test_a_volume_that_underflows_exits_1_in_one_line(tmp_path, capsys, radius):
+    # the volume r^3 |W| underflowed to 0.0, both volume formulas agreed on
+    # it, and p / v in criticality_residual raised a raw ZeroDivisionError
+    scene = _wulff_scene(tmp_path, "wulff_d3", radius)
+    assert main(["all", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: enclosed volume 0.0 is not positive and finite\n"
+
+
+def test_steiner_passes_on_a_scaled_down_wulff_scene(tmp_path):
+    # wulff_d2 scaled whole by 1e-20 was refused as a degenerate t grid:
+    # the tube fit's design held raw powers of radii near 1e-20
+    raw = json.loads((SCENES / "wulff_d2.json").read_text())
+    raw["bodies"][0]["radius"] *= 1e-20
+    raw["grid"]["bounds"] = [[lo * 1e-20, hi * 1e-20] for lo, hi in raw["grid"]["bounds"]]
+    raw["steiner"]["reference_radius"] *= 1e-20
+    scene = tmp_path / "wulff_d2.json"
+    scene.write_text(json.dumps(raw))
+    assert main(["steiner", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_curv_on_a_hyperplane_like_wulff_ball_fails_its_verdict(tmp_path, capsys):
     # at radius 1e12, |lambda| < 1e-10 makes the fit hyperplane-like, with
     # no centre or radius, and their recovery raised a raw TypeError

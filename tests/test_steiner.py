@@ -110,6 +110,20 @@ def test_wulff_fit_matches_conjugate_ball_polynomial(wulff_field_512):
     assert fit.coefficients[1] == pytest.approx(-2 * np.pi, rel=2e-2)
 
 
+def test_fit_is_free_of_the_curve_scale(wulff_field_512):
+    # the design held raw powers t^j, so radii near 5e-20 read as a rank
+    # deficient design and the copy was refused
+    field, _ = wulff_field_512
+    curve = tube_volumes(field, default_t_grid(1.0))
+    small = TubeCurve(t=curve.t * 2.0**-64, volume=curve.volume * 2.0**-128)
+    fit, fit_small = fit_polynomial(curve, 2), fit_polynomial(small, 2)
+    assert fit_small.coefficients.tolist() == [
+        fit.coefficients[0] * 2.0**-64,
+        fit.coefficients[1],
+    ]
+    assert fit_small.residual == fit.residual
+
+
 def test_fit_refuses_a_curve_without_volume():
     # the relative residual of an all-zero curve was 0/0, a NaN in report.json
     curve = TubeCurve(t=np.linspace(1e-5, 9e-5, 40), volume=np.zeros(40))

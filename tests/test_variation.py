@@ -348,6 +348,51 @@ def test_push_kernel_matches_the_row_major_push(body, f, res):
             assert abs(pushes.energy(f, t) - want_energy) <= 1e-12 * abs(want_energy)
 
 
+_TURN = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
+
+
+@pytest.mark.parametrize(
+    "f,center,radius,res,want",
+    [
+        (
+            WeightedSum(((0.45, E2), (0.55, QuadraticNorm(_TURN @ np.diag([3.0, 1.0]) @ _TURN.T)))),
+            [0.3, -0.5],
+            0.4,
+            4096,
+            [
+                (2.220446049250313e-14, -1.899874772929075, -1.8998747729148147),
+                (1.9384494009955233e-13, -0.4736047348803475, -0.4736047348848911),
+                (-1.0458300891968975e-13, 0.8179362790343536, 0.817936279030985),
+            ],
+        ),
+        (
+            WeightedSum(((0.55, E3), (0.45, QuadraticNorm(np.diag([3.0, 1.0, 1.0]))))),
+            [0.2, -0.4, 0.7],
+            1.0,
+            (96, 192),
+            [
+                (-9.755751761986176e-12, 16.314110856496605, 16.314110858792006),
+                (-1.2571277352435573e-11, 4.525890912526654, 4.525890902384447),
+                (-3.6344260934129125e-12, -8.262715492184043, -8.26271549528401),
+            ],
+        ),
+    ],
+    ids=["d2", "d3"],
+)
+def test_weighted_sum_wulff_ball_keeps_its_push_bits(f, center, radius, res, want):
+    # a Wulff ball of a weighted sum of the Euclidean and a quadratic norm,
+    # as the weighted-2d and weighted-3d benchmark scenes draw them, where no
+    # shipped scene reaches: the residual, first variation and flow
+    # derivative are pinned to the double, so a push kernel that reorders
+    # its operations shows here
+    body = WulffBody(DualNorm(f), np.array(center), radius)
+    q = sample_surface(body, res)
+    rng = np.random.default_rng(22)
+    fields = [PolynomialField.random(rng, body.dim, 0.4) for _ in range(3)]
+    got = criticality_residual(curvature_table(body, f, q), fields)
+    assert [(r.residual, r.first_variation, r.flow_derivative) for r in got] == want
+
+
 def test_var_reads_the_integrand_at_the_normals_from_the_table(tmp_path, monkeypatch):
     # once the run's tables are built, var takes F(nu) and grad F(nu) from
     # them: no integrand gradient is evaluated
