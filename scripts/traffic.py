@@ -77,6 +77,10 @@ ALLOWLIST = {
         "runs only in forked workers, which the in-process trace does not start",
         "tests/test_fanout.py::test_keeping_freed_memory_leaves_other_c_libraries_alone",
     ),
+    "fanout._blas_threads": (
+        "called only by a fan-out that forks workers, which the in-process trace does not start",
+        "tests/test_fanout.py::test_a_worker_runs_blas_on_one_thread",
+    ),
     "fanout._fan_out.<locals>.run_worker": (
         "runs only in forked workers, which the in-process trace does not start",
         "tests/test_fanout.py::test_results_come_back_in_item_order",

@@ -36,8 +36,9 @@ __all__ = [
     "umbilicity_classify",
 ]
 
-# largest dispersion of the ball fit, relative to its radius, that
-# umbilicity_classify calls a Wulff ball
+# largest dispersion of the ball fit that umbilicity_classify calls a Wulff
+# ball; the dispersion of grad F(nu) - lambda x is dimensionless, so the
+# bound is the same at every radius
 FIT_TOL = 1e-3
 
 
@@ -198,8 +199,8 @@ def umbilicity_classify(table: CurvatureTable) -> UmbilicityReport:
     every curvature within spread_tol = 1e-3 |lambda| of lambda to count as
     umbilical, after which the affine relation grad F(nu(x)) = lambda x + c
     is fitted, grad F(nu) read from ``table.eta``, and its worst deviation
-    reported as the dispersion.  The verdict is "wulff" when the dispersion
-    is at most FIT_TOL = 1e-3 times the fitted radius.
+    reported as the dispersion.  The verdict is "wulff" when the dispersion,
+    which is dimensionless, is at most FIT_TOL = 1e-3.
     """
     quad = table.quad
     wsum = quad.weights.sum()
@@ -220,7 +221,7 @@ def umbilicity_classify(table: CurvatureTable) -> UmbilicityReport:
     c = (quad.weights[:, None] * affine).sum(axis=0) / wsum
     dispersion = float(_row_norm(affine - c).max())
     radius = 1.0 / abs(lam)
-    verdict = "wulff" if dispersion <= FIT_TOL * radius else "umbilical-unresolved"
+    verdict = "wulff" if dispersion <= FIT_TOL else "umbilical-unresolved"
     return UmbilicityReport(
         lam=lam, center=-c / lam, radius=radius, dispersion=dispersion, verdict=verdict
     )

@@ -206,23 +206,25 @@ class SourceSet:
     ``points`` is a finite (N, d) array whose consecutive rows, and its last
     row and its first, are neighbours along the curve, which is what lets
     the field builder tell one contiguous foot arc from several separated
-    feet.  ``inside`` classifies membership in A (delta is zero there) of an
-    (N, d) array of rows.
+    feet.  The set keeps its own read-only copy of them, so a foot that
+    ``project`` returns cannot write into the field.  ``inside`` classifies
+    membership in A (delta is zero there) of an (N, d) array of rows.
     """
 
     points: np.ndarray
     inside: Callable
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
+        points = np.array(self.points, dtype=float)
         if points.ndim != 2 or points.size == 0 or not np.isfinite(points).all():
             raise InputError("source points must be a nonempty (N, d) array of finite numbers")
+        points.flags.writeable = False
         object.__setattr__(self, "points", points)
 
-    @property
+    @cached_property
     def spacing(self) -> float:
         """Longest step between consecutive samples, with the wrap from the
-        last sample back to the first."""
+        last sample back to the first; computed once."""
         curve = np.concatenate([self.points, self.points[:1]])
         return float(np.linalg.norm(np.diff(curve, axis=0), axis=1).max())
 

@@ -22,9 +22,11 @@ tolerance get a few undamped steps of the same routine from inside the
 basin: in d=2 from the vertex of the Wulff polygon whose cone holds w, in
 higher dimensions from the stalled iterate when it is close to the optimum.
 Whether a row is solved is decided by its gap measured with the integrand's
-``value`` and ``grad``.  Closed forms are preferred in production; the
-iterative path is cross-checked against them and against a golden-section
-oracle in the test suite.
+``value`` and ``grad``; the solve returns the F(v) of that measurement with
+v, and each weighted-sum F* value and gradient is read from the pair, so
+nothing evaluates F at a solved v again.  Closed forms are preferred in
+production; the iterative path is cross-checked against them and against a
+golden-section oracle in the test suite.
 
 ``DualNorm.batch_bracket`` encloses F* without a solve, in d=2 between the
 Wulff polygon's bounds and in d=3 between |w|^2 / F(w) and L |w|; it is the
@@ -100,8 +102,7 @@ class DualNorm:
             out = np.zeros(len(W))
             out[~zero] = self.batch_value(W[~zero])
             return out
-        v = self._polar_minimize(W)
-        return self.base.value(v)
+        return self._polar_minimize(W)[1]
 
     def batch_grad(self, W):
         W = _rows(W, self.dim)
@@ -113,8 +114,8 @@ class DualNorm:
             mw = W @ self.base.inverse
             f = np.sqrt(np.einsum("ni,ni->n", W, mw))
             return mw / f[:, None]
-        v = self._polar_minimize(W)
-        return v / self.base.value(v)[:, None]
+        v, fv = self._polar_minimize(W)
+        return v / fv[:, None]
 
     def batch_value_grad(self, W):
         """(F*(w), grad F*(w)) row by row, from one solve per row.
@@ -129,8 +130,7 @@ class DualNorm:
             return self.batch_value(W), self.batch_grad(W)
         if not W.any(axis=1).all():
             raise DomainError("conjugate norm is not differentiable at the origin")
-        v = self._polar_minimize(W)
-        fv = self.base.value(v)
+        v, fv = self._polar_minimize(W)
         return fv, v / fv[:, None]
 
     def batch_value_fast(self, W):
@@ -299,14 +299,17 @@ class DualNorm:
     # -- iterative path -----------------------------------------------------
 
     def _polar_minimize(self, W):
-        """Damped Newton minimization of F(v)^2/2 - w.v, one row v per row w of W.
+        """Damped Newton minimization of F(v)^2/2 - w.v: (v, F(v)), one row v
+        per row w of W, and F(v) = F*(w) per row.
 
         The loop works on component-major (d, n) arrays of the rows still
         above the tolerance; each iteration takes F, grad F and the upper
         Hessian from one ``_value_grad_hess`` pass, the step from
         ``_newton_step``, and the next triple from the trial point that the
         line search accepts.  Every row returned passes the gap measured with
-        ``value`` and ``grad``; otherwise the solve raises SolverError.
+        ``value`` and ``grad``, and F(v) is the ``value`` of the last such
+        measurement, after the polish where one runs; otherwise the solve
+        raises SolverError.
         """
         W = _finite_rows(W, self.dim)
         nw = _row_norm(W)
@@ -378,7 +381,7 @@ class DualNorm:
                 best=float(fv[i]),
                 gap=float(gap[i]),
             )
-        return v
+        return v, fv
 
     def _newton_polish(self, W, v):
         """Four undamped Newton steps on F(v) grad F(v) = w from inside the

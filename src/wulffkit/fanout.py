@@ -21,7 +21,12 @@ waits; and the items run in-process, in order, with fewer than
 forking a threaded process can deadlock the child.  Workers are pinned
 because the scheduler may keep forked children on their parent's CPU: on a
 2-vCPU VM, two unpinned spinning children shared one CPU for 0.7 s while
-the other stayed idle.
+the other stayed idle.  A worker also runs numpy's OpenBLAS on one thread:
+where the loaded library has ``set_num_threads`` (``_blas_threads``), the
+caller sets one thread while it forks and its own count again once the
+workers are reaped.  On a 2-vCPU VM without a BLAS variable, a forked
+weighted-3d `all` took 0.22-0.28 s with workers that kept the caller's two
+threads, and 0.15-0.21 s with one.
 
 A worker on glibc also keeps the memory it frees (``_keep_freed_memory``).
 By default glibc serves a request above its mapping threshold (128 KiB,
@@ -39,6 +44,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
+import itertools
 import mmap
 import os
 import pickle
@@ -79,6 +86,25 @@ def _keep_freed_memory():
         return
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+@functools.cache
+def _blas_threads():
+    """(get_num_threads, set_num_threads) of the OpenBLAS that numpy's core
+    extension links, under any of OpenBLAS's symbol spellings, or None where
+    it links none that has them."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.restype, get.argtypes = ctypes.c_int, ()
+            put.restype, put.argtypes = None, (ctypes.c_int,)
+            return get, put
+    return None
 
 
 def _usable_cpus() -> int:
@@ -163,7 +189,14 @@ def _fan_out(items, work):
 
     results = [None] * len(items)
     running = {}  # pid -> read end of its report pipe
+    # the workers inherit one BLAS thread: a worker that set it itself would
+    # first rebuild the thread pool that OpenBLAS shuts down at a fork, and
+    # the new thread would spin on the worker's CPU
+    blas = _blas_threads()
+    threads = blas and blas[0]()
     try:
+        if blas:
+            blas[1](1)
         for k in range(n):
             report_r, report_w = os.pipe()
             try:
@@ -206,4 +239,6 @@ def _fan_out(items, work):
             os.close(fd)
         for fd in (token_r, token_w):
             os.close(fd)
+        if blas:
+            blas[1](threads)
     return results

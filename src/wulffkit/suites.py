@@ -266,7 +266,7 @@ def suite_dual(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         dirs = _random_points(_rng(scene, 11), f.dim, 360)
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     if dual.has_closed_form:
-        iterative = f.value(dual._polar_minimize(dirs))
+        iterative = dual._polar_minimize(dirs)[1]
         closed = dual.batch_value(dirs)
         res.check(
             "iterative_vs_closed_form", np.abs(iterative - closed).max(), 1e-6

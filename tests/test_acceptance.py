@@ -83,7 +83,7 @@ def test_criterion_1_duality_suite():
     start = time.perf_counter()
     theta = np.arange(360) * (2 * np.pi / 360)
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    iterative = Q2.value(DQ._polar_minimize(dirs))
+    iterative = Q2.value(DQ._polar_minimize(dirs)[0])
     closed = np.sqrt(np.einsum("ni,ij,nj->n", dirs, np.linalg.inv(Q2.matrix), dirs))
     err_conj = np.abs(iterative - closed).max()
     assert err_conj <= 1e-6

@@ -143,6 +143,15 @@ def test_umbilicity_recovers_offset_wulff():
     assert rep.radius == pytest.approx(1.5, abs=1e-4)
 
 
+def test_umbilicity_is_free_of_the_ball_scale():
+    # the ball of scenes/wulff_d2.json scaled by 1e-20: the fit's dispersion
+    # is dimensionless, and FIT_TOL times the radius read it as unresolved
+    rep = umbilicity_classify(sampling.table(WulffBody(DQ, np.zeros(2), 1e-20), Q2, 4096))
+    assert rep.verdict == "wulff"
+    assert rep.radius == pytest.approx(1e-20, rel=1e-10)
+    assert rep.dispersion <= 1e-12
+
+
 def test_umbilicity_euclidean_sphere():
     ball = Ellipsoid(np.eye(2) / 4.0, np.zeros(2))
     rep = umbilicity_classify(sampling.table(ball, E2, 2048))

@@ -440,6 +440,18 @@ def test_source_spacing_includes_the_wrap():
     assert SourceSet(points=pts, inside=nowhere).spacing == pytest.approx(np.hypot(0.2, 0.5))
 
 
+def test_a_returned_foot_cannot_write_into_the_field():
+    # the foot was a view into the source points, so writing to it moved the
+    # delta of every later query
+    ell = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
+    grid = GridSpec(lo=[-2.3, -1.3], hi=[2.3, 1.3], cells=[46, 26])
+    field = build_field(boundary_source([ell], 1024), E2, grid)
+    res = project(field, [0.3, 0.2])
+    with pytest.raises(ValueError, match="read-only"):
+        res.point[:] = 99.0
+    assert project(field, [0.3, 0.2]).delta == res.delta
+
+
 def test_membership_takes_finite_rows_in_every_region():
     disk = Ellipsoid(np.eye(2), np.zeros(2))
     for region in ("curve", "set", "complement"):

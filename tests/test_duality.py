@@ -74,7 +74,7 @@ def test_grad_conjugate_examples():
     assert DE.batch_grad(np.array([[0.0, 2.0]]))[0] == pytest.approx([0.0, 1.0], abs=1e-12)
     assert DQ.batch_grad(np.array([[1.0, 0.0]]))[0] == pytest.approx([0.5, 0.0], abs=1e-12)
     # closed form cross-checked against the iterative ascent path
-    ascent = DQ._polar_minimize(np.array([[1.0, 0.0]]))
+    ascent = DQ._polar_minimize(np.array([[1.0, 0.0]]))[0]
     assert Q2.value(ascent)[0] == pytest.approx(0.5, abs=1e-10)
     assert ascent[0] / Q2.value(ascent)[0] == pytest.approx([0.5, 0.0], abs=1e-10)
 
@@ -177,7 +177,7 @@ def test_polygon_fallback_meets_the_tolerance_on_every_row(monkeypatch):
         f = WeightedSum(((a, E2), (1.0 - a, QuadraticNorm(0.5 * (m + m.T)))))
         stunted = DualNorm(f)
         w = rng.standard_normal((32, 2)) * np.exp(rng.uniform(-6.0, 6.0, (32, 1)))
-        v = stunted._polar_minimize(w)
+        v = stunted._polar_minimize(w)[0]
         gap = np.linalg.norm(f.value(v)[:, None] * f.grad(v) - w, axis=1)
         assert np.all(gap <= stunted.tolerance * np.linalg.norm(w, axis=1))
         exact = golden_conjugate(f.value, w)
@@ -389,7 +389,7 @@ def test_strongly_anisotropic_3d_solve_converges(seed):
     body = WulffBody(dual, rng.uniform(-1.0, 1.0, 3), rng.uniform(0.2, 2.0))
     rim = _rim_3d(body, 40, rng)
     w = rim - body.center
-    v = dual._polar_minimize(w)
+    v = dual._polar_minimize(w)[0]
     gap = np.linalg.norm(f.value(v)[:, None] * f.grad(v) - w, axis=1)
     assert np.all(gap <= dual.tolerance * np.linalg.norm(w, axis=1))
 
@@ -492,6 +492,27 @@ def test_one_solve_gives_value_and_gradient_bit_for_bit():
         assert np.array_equal(grad, dual.batch_grad(w))
         with pytest.raises(DomainError):
             dual.batch_value_grad(np.zeros((1, dual.dim)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_no_entry_point_evaluates_f_at_a_solved_row_again(monkeypatch, dim):
+    # the solve's gap measurement gives F(v), so each entry point makes the
+    # solve's own value calls and no more: one at the start, one to measure
+    f = W2 if dim == 2 else WeightedSum(((0.5, EuclideanNorm(3)), (1.0, QuadraticNorm(np.eye(3)))))
+    dual = DualNorm(f)
+    w = np.random.default_rng(dim).standard_normal((40, dim))
+    calls = []
+    value = WeightedSum.value
+
+    def counted(self, x):
+        calls.append(len(x))
+        return value(self, x)
+
+    monkeypatch.setattr(WeightedSum, "value", counted)
+    for entry in (dual._polar_minimize, dual.batch_value, dual.batch_grad, dual.batch_value_grad):
+        calls.clear()
+        entry(w)
+        assert calls == [len(w), len(w)], entry.__name__
 
 
 def test_bracket_gives_the_row_norm_it_is_scaled_by():
@@ -632,7 +653,7 @@ def test_newton_solve_against_independent_oracles(dim, a, seed):
     f = WeightedSum(((a, EuclideanNorm(dim)), (1.0 - a, QuadraticNorm(m))))
     w = rng.standard_normal((24, dim)) * 10.0 ** rng.uniform(-6.0, 6.0, (24, 1))
     dual = DualNorm(f)
-    v = dual._polar_minimize(w)
+    v = dual._polar_minimize(w)[0]
     gap = np.linalg.norm(f.value(v)[:, None] * f.grad(v) - w, axis=1)
     assert np.all(gap <= dual.tolerance * np.linalg.norm(w, axis=1))
     if dim == 2:
@@ -640,7 +661,7 @@ def test_newton_solve_against_independent_oracles(dim, a, seed):
     # one term: F* is sqrt(w' M^-1 w)
     one = WeightedSum(((1.0, QuadraticNorm(m)),))
     closed = np.sqrt(np.einsum("ni,ni->n", w, np.linalg.solve(m, w.T).T))
-    assert np.abs(one.value(DualNorm(one)._polar_minimize(w)) / closed - 1.0).max() <= 1e-12
+    assert np.abs(one.value(DualNorm(one)._polar_minimize(w)[0]) / closed - 1.0).max() <= 1e-12
 
 
 def _kernel_families(dim):

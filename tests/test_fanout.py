@@ -110,6 +110,25 @@ def test_keeping_freed_memory_leaves_other_c_libraries_alone(monkeypatch):
     fanout._keep_freed_memory()
 
 
+@pytest.mark.skipif(fanout._blas_threads() is None, reason="needs OpenBLAS")
+def test_a_worker_runs_blas_on_one_thread(monkeypatch):
+    # a forked worker kept its parent's BLAS thread count; one that set its
+    # own count rebuilt OpenBLAS's thread pool, one more thread on its CPU
+    get, put = fanout._blas_threads()
+    _forks(monkeypatch, 2)
+    before = get()
+    put(2)
+    try:
+        threads = fanout._fan_out(
+            list(range(8)), lambda i: (get(), len(os.listdir("/proc/self/task")))
+        )
+        assert get() == 2
+    finally:
+        put(before)
+    _no_child_left()
+    assert threads == [(1, 1)] * 8
+
+
 @pytest.mark.skipif(len(CPUS) < 2, reason="needs two usable CPUs")
 def test_each_worker_is_pinned_to_its_own_cpu():
     cpus = CPUS

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -38,3 +39,28 @@ def test_a_delta_off_by_one_part_in_1e12_changes_its_digest(monkeypatch):
         before, after = before.split(), after.split()
         assert before[:4] == after[:4]
         assert before[4] != after[4] and before[5] == after[5]
+
+
+def test_queries_add_a_digest_of_the_projections(capsys):
+    assert field_digests.main([str(WULFF), "--seed", "1", "--queries", "4"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    plain = [line.split() for line in field_digests.field_lines(WULFF, 1)]
+    assert [line[:6] for line in lines] == plain
+    assert all(len(line) == 7 and len(line[6]) == 32 for line in lines)
+    # the query points are drawn from the scene's seed
+    assert field_digests.field_lines(WULFF, 2, 4)[0].split()[6] != lines[0][6]
+
+
+def test_a_projection_off_by_one_part_in_1e12_changes_its_digest(monkeypatch):
+    plain = field_digests.field_lines(WULFF, queries=4)
+    project = distance.project
+
+    def scaled(field, x):
+        res = project(field, x)
+        return dataclasses.replace(res, delta=res.delta * (1.0 + 1e-12))
+
+    monkeypatch.setattr(distance, "project", scaled)
+    moved = field_digests.field_lines(WULFF, queries=4)
+    for before, after in zip(plain, moved):
+        before, after = before.split(), after.split()
+        assert before[:6] == after[:6] and before[6] != after[6]
