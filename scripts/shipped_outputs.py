@@ -7,7 +7,10 @@ temporary directory, and writes ``tests/shipped/manifest.json``: per scene,
 the sha256 of every output file by its path relative to the scene's output
 directory.  A copy of each scene's ``report.json`` goes to
 ``tests/shipped/<scene>/report.json``.  ``tests/test_acceptance.py`` runs
-the same scenes and compares their outputs against both.  Rerun this when a
+the same scenes and compares their outputs against both.  The lines of
+``scripts/field_digests.py`` with ``FIELD_QUERIES`` projections per field,
+every scene at its own seed, go to ``tests/shipped/field_digests.txt``,
+which ``tests/test_field_digests.py`` recomputes.  Rerun this when a
 change moves an output on purpose, and explain the move with
 ``scripts/diff_reports.py``.  Needs numpy; imports wulffkit from ``src/``.
 """
@@ -23,6 +26,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = ROOT / "tests" / "shipped"
+FIELD_DIGESTS = SHIPPED / "field_digests.txt"
+# projections per field in FIELD_DIGESTS
+FIELD_QUERIES = 50
 
 
 def digests(out: Path) -> dict:
@@ -36,6 +42,7 @@ def digests(out: Path) -> dict:
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
+    from field_digests import field_lines
     from wulffkit.cli import run
 
     manifest = {}
@@ -48,6 +55,9 @@ def main() -> int:
             shutil.copyfile(out / "report.json", SHIPPED / scene.stem / "report.json")
     text = json.dumps(manifest, indent=1, sort_keys=True)
     (SHIPPED / "manifest.json").write_text(text + "\n")
+    scenes = sorted((ROOT / "scenes").glob("*.json"))
+    lines = [line for scene in scenes for line in field_lines(scene, queries=FIELD_QUERIES)]
+    FIELD_DIGESTS.write_text("".join(line + "\n" for line in lines))
     return 0
 
 

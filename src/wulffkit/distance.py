@@ -28,7 +28,8 @@ coordinate difference of a source over a range of cells is bounded by its
 values at the range's two end rows.  One call bounds a block over every
 source, and one more bounds all of the block's tiles (about 14 x 14 cells)
 over the block's candidates; each tile then sums its per-axis tables on its
-kept sources alone into its squared distances, and delta is the root of
+kept sources alone, each table shaped to broadcast along the tile's other
+axes, into its squared distances, and delta is the root of
 each row's least square, which is the least root since a rounded square
 root does not decrease.  A rotated M and weighted sums keep, for the
 block and then for each tile (about 10 x 10 cells), the sources within a
@@ -278,17 +279,18 @@ class DistanceField:
     @cached_property
     def _queries(self):
         """What every ``project`` query of this field shares: the grid's h,
-        the cluster analysis and the indices of every source it takes, the
-        offsets of x and of its 2 d shifted points x + h e_k and x - h e_k,
-        and the cross-check's reach 2 lip h, lip = ``grad_bound()``.  x's own
+        the cluster analysis, the indices of every source it takes and their
+        ``_columns``, the offsets of x and of its 2 d shifted points x + h e_k
+        and x - h e_k, and the cross-check's reach 2 lip h, lip = ``grad_bound()``.  x's own
         offset is -0.0, and the shifts' other coordinates are +0.0 for
         x + h e_k and -0.0 for x - h e_k, so x + offset carries the bits of
         x, x + h e_k and x - h e_k, signed zeros included."""
         h, e = self.grid.h, self.grid.h * np.eye(self.grid.dim)
         resolve = _cluster_analysis(self.source, WINDOW_CELLS * h, self.tol_unique)
+        every = np.arange(len(self.source.points))
         offsets = np.concatenate([np.full((1, len(e)), -0.0), e, -e])
         reach = 2.0 * self.dual.grad_bound() * h
-        return h, resolve, np.arange(len(self.source.points)), offsets, reach
+        return h, resolve, every, _columns(every, len(every)), offsets, reach
 
     def _nearest(self, x, pts):
         """Least F*(a - x) over the points a of ``pts``, per row of x, ignoring A."""
@@ -405,15 +407,17 @@ def _box_keep(lines, starts, stops, cols, window_abs):
 def _tile_distances(lines, box, rows, cand):
     """Squared F* from the cells ``rows`` (positions in the box's C order) of
     a box ``box`` of cells (one slice per grid axis) to the sources ``cand``:
-    one table of squared coordinate differences per axis, summed in axis
-    order as ``_sqdist`` sums, each table's rows taken at the cells' grid
-    indices along its axis."""
-    idx = np.unravel_index(rows, [s.stop - s.start for s in box])
+    one table of squared coordinate differences per axis, shaped to
+    broadcast along the box's other axes and summed in axis order as
+    ``_sqdist`` sums, so every cell's entry is its sum of the same squares;
+    the rows are taken only where the box has cells in A."""
     d = None
-    for (line, src), s, i in zip(lines, box, idx):
-        t = ((line[s, None] - src[None, cand]) ** 2)[i]
-        d = t if d is None else np.add(d, t, out=d)
-    return d
+    for k, ((line, src), s) in enumerate(zip(lines, box)):
+        t = (line[s, None] - src[None, cand]) ** 2
+        t = t.reshape([-1 if j == k else 1 for j in range(len(box))] + [len(cand)])
+        d = t if d is None else d + t
+    d = d.reshape(-1, len(cand))
+    return d if len(rows) == len(d) else d[rows]
 
 
 def _block_scan(dual: DualNorm, pts, axes, spacing, window_abs):
@@ -495,19 +499,36 @@ def _block_scan(dual: DualNorm, pts, axes, spacing, window_abs):
     return TILE_CELLS, scan
 
 
+def _columns(cand, n):
+    """What the cluster analysis reads of the sorted source indices ``cand``
+    alone, on a curve of ``n`` samples.
+
+    Samples consecutive on the curve sit in adjacent columns: a run also
+    starts at a column after a break, where the left neighbour is no sample
+    just before it.  Returns the breaks and the columns after them, whether
+    the candidates hold half of the curve or more, and whether the curve's
+    last and first samples, which are neighbours, are the last and the first
+    candidates."""
+    breaks = (np.diff(cand) != 1).nonzero()[0]
+    wrap = len(cand) > 1 and cand[0] == 0 and cand[-1] == n - 1
+    return breaks, breaks + 1, 2 * len(cand) >= n, wrap
+
+
 def _cluster_analysis(source: SourceSet, window_abs, tol_unique):
-    """The near-minimizer cluster analysis, as ``resolve(d, cand, squared)``.
+    """The near-minimizer cluster analysis, as ``resolve(d, cand, columns,
+    squared)``.
 
     ``d`` holds F* from a block of points (rows) to the sorted source indices
     ``cand`` (columns), which include every near-minimizer of every row, or
-    its squares where ``squared`` is true.  ``resolve`` returns each row's
-    minimum m and its gap: 0, or the Euclidean diameter of its cluster (the
-    sources within m + EPS_CLUSTER m + window_abs) when that covers half a
-    curve or more or is not one single-linkage component at scale
-    ``tol_unique``.  On squares m is the square root of the least entry,
-    which is the least root since a rounded square root does not decrease,
-    and the cluster is the entries at most ``_square_bound`` of the window,
-    which are those whose roots lie within it.
+    its squares where ``squared`` is true; ``columns`` is ``_columns(cand,
+    n)``, which the caller computes once per candidate array.  ``resolve``
+    returns each row's minimum m and its gap: 0, or the Euclidean diameter
+    of its cluster (the sources within m + EPS_CLUSTER m + window_abs) when
+    that covers half a curve or more or is not one single-linkage component
+    at scale ``tol_unique``.  On squares m is the square root of the least
+    entry, which is the least root since a rounded square root does not
+    decrease, and the cluster is the entries at most ``_square_bound`` of
+    the window, which are those whose roots lie within it.
 
     Samples consecutive on the curve lie within ``source.spacing <=
     tol_unique``, so one run of consecutive sources never splits: a row
@@ -521,35 +542,14 @@ def _cluster_analysis(source: SourceSet, window_abs, tol_unique):
     """
     n = len(source.points)
 
-    def columns(cand):
-        """What the cluster analysis reads of the candidates alone.
-
-        Candidates are sorted, so samples consecutive on the curve sit in
-        adjacent columns: a run also starts at a column after a break, where
-        the left neighbour is no sample just before it.  Returns the breaks
-        and the columns after them, whether the candidates hold half of the
-        curve or more, and whether the curve's last and first samples, which
-        are neighbours, are the last and the first candidates."""
-        breaks = (np.diff(cand) != 1).nonzero()[0]
-        wrap = len(cand) > 1 and cand[0] == 0 and cand[-1] == n - 1
-        return breaks, breaks + 1, 2 * len(cand) >= n, wrap
-
-    # the last candidates and their columns: every ``project`` query of a
-    # field passes the same array of every source
-    last = (None, None)
-
-    def resolve(d, cand, squared):
-        nonlocal last
+    def resolve(d, cand, columns, squared):
         if squared:
             m = np.sqrt(d.min(axis=1))
             near = d <= _square_bound(m + (EPS_CLUSTER * m + window_abs))[:, None]
         else:
             m = d.min(axis=1)
             near = d <= (m + (EPS_CLUSTER * m + window_abs))[:, None]
-        held = last
-        if held[0] is not cand:
-            held = last = (cand, columns(cand))
-        breaks, after_breaks, half, wrap = held[1]
+        breaks, after_breaks, half, wrap = columns
         # a run starts at each near column whose left neighbour is not near
         # or lies across a break
         starts = [near[:, 1:] > near[:, :-1], near[:, :1]]
@@ -787,7 +787,8 @@ def _plan_field(source: SourceSet, f: Integrand, grid: GridSpec) -> _FieldPlan:
             rows = (~member[cells]).nonzero()[0]
             if len(rows):
                 outside = flat[cells[rows]]
-                delta[outside], gap[outside] = resolve(*tile_scan(tile, cells, rows))
+                d, cand, squared = tile_scan(tile, cells, rows)
+                delta[outside], gap[outside] = resolve(d, cand, _columns(cand, len(pts)), squared)
 
     def scan_block(k):
         try:
@@ -862,10 +863,12 @@ def _assert_even(dual: DualNorm):
 
 
 def _sqdist(a, b):
-    """Squared Euclidean distances between the rows of a and b, (len(a), len(b))."""
-    out = (a[:, None, 0] - b[None, :, 0]) ** 2
-    for k in range(1, a.shape[1]):
-        out += (a[:, None, k] - b[None, :, k]) ** 2
+    """Squared Euclidean distances between the rows of a and b over their
+    leading batch axes, shape (..., a's rows, b's rows): coordinate by
+    coordinate, the squared differences summed in axis order."""
+    out = (a[..., :, None, 0] - b[..., None, :, 0]) ** 2
+    for k in range(1, a.shape[-1]):
+        out += (a[..., :, None, k] - b[..., None, :, k]) ** 2
     return out
 
 
@@ -899,24 +902,20 @@ def _diameters(points, cand, near):
         inner = held[g : g + group]
         filled = inner.any(axis=2)
         firsts = chunks[np.arange(n_chunks), inner.argmax(axis=2)]
-        bound = lower = 0.0
+        bound = 0.0
         for k in range(pts.shape[1]):
             lo = np.where(inner, chunks[None, :, :, k], np.inf).min(axis=2)
             hi = np.where(inner, chunks[None, :, :, k], -np.inf).max(axis=2)
             reach = np.maximum(hi[:, :, None] - lo[:, None], hi[:, None] - lo[:, :, None])
             bound = bound + reach**2
-            lower = lower + (firsts[:, :, None, k] - firsts[:, None, :, k]) ** 2
         pairs = filled[:, :, None] & filled[:, None]
-        best[g : g + group] = np.where(pairs, lower, 0.0).max(axis=(1, 2))
+        best[g : g + group] = np.where(pairs, _sqdist(firsts, firsts), 0.0).max(axis=(1, 2))
         # each unordered pair once: the pairs below the diagonal repeat those above
         r, i, j = np.nonzero(np.triu(pairs & (bound > best[g : g + group, None, None])))
         for p in range(0, len(r), DIAMETER_PAIRS):
             some = slice(p, p + DIAMETER_PAIRS)
             rp, ip, jp = r[some], i[some], j[some]
-            a, b = chunks[ip], chunks[jp]
-            block = (a[:, :, None, 0] - b[:, None, :, 0]) ** 2
-            for k in range(1, pts.shape[1]):
-                block += (a[:, :, None, k] - b[:, None, :, k]) ** 2
+            block = _sqdist(chunks[ip], chunks[jp])
             both = inner[rp, ip][:, :, None] & inner[rp, jp][:, None]
             np.maximum.at(best, g + rp, np.where(both, block, 0.0).max(axis=(1, 2)))
     return np.sqrt(best)
@@ -970,10 +969,10 @@ def project(field: DistanceField, x) -> ProjectionResult:
     """
     x = np.asarray(x, dtype=float)
     cell_gap = field.gap_at(x)  # raises unless x is one finite point in the box
-    h, resolve, every, offsets, reach = field._queries
+    h, resolve, every, columns, offsets, reach = field._queries
     source = field.source
     d = field.dual.batch_value_fast(source.points - x)
-    (m,), (gap,) = resolve(d[None], every, False)
+    (m,), (gap,) = resolve(d[None], every, columns, False)
     m, gap, best = float(m), max(float(gap), cell_gap), int(d.argmin())
     ambiguous = gap > field.tol_unique
     cross_check = not ambiguous and m > 2 * h
@@ -1031,12 +1030,12 @@ def reach_comparison(
     rho is the interior rolling-ball radius of the unit Wulff shape of the
     anisotropic field's norm F, its least radius of curvature: the least
     eigenvalue of the tangential Hessian of F, minimized over the unit
-    normals of a sphere grid.
+    normals of a sphere grid.  Both fields must lie on one grid: the same
+    cell counts and bit for bit the same bounds, or it is an InputError.
     """
     ga, gb = field_euclid.grid, field_aniso.grid
-    if ga.cells != gb.cells or not (
-        np.allclose(ga.lo, gb.lo) and np.allclose(ga.hi, gb.hi)
-    ):
+    bounds = [(g.lo.tobytes(), g.hi.tobytes()) for g in (ga, gb)]
+    if ga.cells != gb.cells or bounds[0] != bounds[1]:
         raise InputError("reach comparison requires a shared grid")
     f = field_aniso.dual.base
     nu = sphere_quadrature(f.dim, 2048 if f.dim == 2 else (64, 128))[0]

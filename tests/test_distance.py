@@ -266,6 +266,19 @@ def _small_reach_comparison(f):
     return reach_comparison(build_field(src, E2, grid), build_field(src, f, grid))
 
 
+def test_reach_comparison_refuses_a_shifted_grid():
+    # np.allclose took a grid whose lo moved by 2e-6 for the same grid
+    src = boundary_source([UNIT_DISK], 256, region="complement")
+    grid = GridSpec(lo=[-1.2, -1.2], hi=[1.2, 1.2], cells=24)
+    shifted = GridSpec(lo=[-1.2 + 2e-6, -1.2], hi=[1.2, 1.2], cells=24)
+    field = build_field(src, E2, grid)
+    with pytest.raises(InputError, match="shared grid"):
+        reach_comparison(field, build_field(src, E2, shifted))
+    # a grid of equal bounds and cell counts is shared, whatever its object
+    same = GridSpec(lo=[-1.2, -1.2], hi=[1.2, 1.2], cells=24)
+    assert reach_comparison(field, build_field(src, E2, same)).ok
+
+
 def _rotation(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -1035,9 +1048,9 @@ def _count_scans(monkeypatch):
     def counted_analysis(*args):
         resolve = analysis(*args)
 
-        def counted(d, cand, squared):
+        def counted(d, cand, columns, squared):
             work["rows"] += len(d)
-            return resolve(d, cand, squared)
+            return resolve(d, cand, columns, squared)
 
         return counted
 
@@ -1163,9 +1176,10 @@ def _per_cell_scan(src, field):
     mapped = place(centers)
     resolve = distance._cluster_analysis(src, WINDOW_CELLS * grid.h, field.tol_unique)
     every = np.arange(len(src.points))
+    columns = distance._columns(every, len(every))
     delta, gap = np.zeros(len(centers)), np.zeros(len(centers))
     for i in np.flatnonzero(~src.membership(centers)):
-        (delta[i],), (gap[i],) = resolve(values(mapped[[i]], every), every, False)
+        (delta[i],), (gap[i],) = resolve(values(mapped[[i]], every), every, columns, False)
     return delta.reshape(grid.shape), gap.reshape(grid.shape)
 
 
@@ -1250,6 +1264,57 @@ def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, wind
         # per-cell route
         d = distance._tile_distances(lines, box, rows, cand)
         assert np.array_equal(np.sqrt(d), brute[:, cand])
+
+
+def _space_curve(n):
+    """n samples of a closed curve in 3D: an ellipse of semi-axes 1 and 0.7
+    that winds up and down twice."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    return np.stack([np.cos(t), 0.7 * np.sin(t), 0.3 * np.sin(2.0 * t)], axis=1)
+
+
+SPACE_GRID = GridSpec([-1.3, -1.0, -0.6], [1.3, 1.0, 0.6], [15, 12, 8])
+E3 = EuclideanNorm(3)
+Q3 = QuadraticNorm(np.diag([2.0, 0.5, 3.0]))
+
+
+@pytest.mark.parametrize("f", [E3, Q3], ids=["E3", "diagonal M"])
+def test_3d_tiles_match_the_per_cell_route(f):
+    # three summed axis tables: each root carries the bits of the per-cell
+    # route, on whole tiles and on tiles with cells in A
+    src = SourceSet(points=_space_curve(400), inside=nowhere)
+    dual, grid = DualNorm(f), SPACE_GRID
+    lines = distance._axis_lines(dual, src.points, grid._axes())
+    assert lines is not None and len(lines) == 3
+    place, values = distance._pairwise_values(dual, src.points)
+    mapped = place(grid_centers(grid))
+    flat = np.arange(np.prod(grid.shape)).reshape(grid.shape)
+    rng = np.random.default_rng(3)
+    whole = tuple(slice(0, n) for n in grid.shape)
+    for box in distance._boxes(whole, distance.AXIS_TILE_CELLS):
+        cells = flat[box].ravel()
+        cand = np.sort(rng.choice(len(src.points), 50, replace=False))
+        some = np.flatnonzero(rng.random(len(cells)) < 0.5)
+        for rows in (np.arange(len(cells)), some):
+            d = distance._tile_distances(lines, box, rows, cand)
+            assert np.array_equal(np.sqrt(d), values(mapped[cells[rows]], cand))
+
+
+@pytest.mark.parametrize("f", [E3, Q3], ids=["E3", "diagonal M"])
+def test_3d_field_matches_brute_force(f):
+    src = SourceSet(points=_space_curve(400), inside=nowhere)
+    field = build_field(src, f, SPACE_GRID)
+    place, values = distance._pairwise_values(field.dual, src.points)
+    mapped = place(grid_centers(SPACE_GRID))
+    window = WINDOW_CELLS * SPACE_GRID.h
+    every = np.arange(len(src.points))
+    delta, gap = field.delta.ravel(), field.gap.ravel()
+    for i in range(len(delta)):
+        d = values(mapped[[i]], every)[0]
+        assert delta[i] == d.min()
+        assert gap[i] == resolve_gap(src.points, d, EPS_CLUSTER, window, field.tol_unique)
+    # the cells about the ellipse's centre see two feet
+    assert np.count_nonzero(gap > field.tol_unique) > 0
 
 
 @given(
@@ -1399,7 +1464,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     best = np.array([0.25, 0.5])
 
     def failing(*args):
-        def resolve(d, cand, squared):
+        def resolve(d, cand, columns, squared):
             raise SolverError("no convergence in a tile", best=best, gap=1e-3)
 
         return resolve
@@ -1422,7 +1487,7 @@ def test_worker_that_dies_names_its_exit_status(monkeypatch):
     caller = os.getpid()
 
     def dying(*args):
-        def resolve(d, cand, squared):
+        def resolve(d, cand, columns, squared):
             if os.getpid() != caller:
                 os._exit(7)
             raise AssertionError("a block was scanned in the caller")

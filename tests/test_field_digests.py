@@ -5,10 +5,16 @@ from pathlib import Path
 from wulffkit import distance
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPT = ROOT / "scripts" / "field_digests.py"
-spec = importlib.util.spec_from_file_location("field_digests", SCRIPT)
-field_digests = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(field_digests)
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+field_digests, shipped_outputs = _script("field_digests"), _script("shipped_outputs")
 
 WULFF = ROOT / "scenes" / "wulff_d2.json"
 
@@ -64,3 +70,18 @@ def test_a_projection_off_by_one_part_in_1e12_changes_its_digest(monkeypatch):
     for before, after in zip(plain, moved):
         before, after = before.split(), after.split()
         assert before[:6] == after[:6] and before[6] != after[6]
+
+
+def test_shipped_fields_keep_their_recorded_digests():
+    # every field `all` reads on the shipped scenes, at their own seeds, and
+    # FIELD_QUERIES projections on each, bit for bit as
+    # scripts/shipped_outputs.py recorded them
+    want = shipped_outputs.FIELD_DIGESTS.read_text().splitlines()
+    scenes = sorted((ROOT / "scenes").glob("*.json"))
+    got = [
+        line
+        for scene in scenes
+        for line in field_digests.field_lines(scene, queries=shipped_outputs.FIELD_QUERIES)
+    ]
+    assert len(want) >= 13
+    assert got == want

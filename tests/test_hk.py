@@ -179,6 +179,30 @@ def test_ellipse_classified_strict():
     assert verdict.failing_condition == "ratio"
 
 
+def _rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+ROTATED_M = _rotation(0.7) @ np.diag([4.0, 1.0]) @ _rotation(0.7).T
+
+
+@pytest.mark.parametrize("m", [np.eye(2), ROTATED_M], ids=["euclidean", "rotated M"])
+@pytest.mark.parametrize("eps", [0.0, 1e-5])
+def test_a_body_near_a_wulff_shape_is_strict(m, eps):
+    # E = R diag(1 + eps, 1) R^T W, with W the unit Wulff ball of
+    # F(nu) = sqrt(nu' M nu), is the ellipse y' A^-T M^-1 A^-1 y <= 1; at
+    # eps = 1e-5 it lies 5e-6 r from a Wulff shape (Euclidean F), which
+    # the classifier's 1e-3 tolerances called a Wulff union
+    f = QuadraticNorm(m) if m is ROTATED_M else E2
+    a_inv = np.linalg.inv(_rotation(0.3) @ np.diag([1.0 + eps, 1.0]) @ _rotation(0.3).T)
+    q = a_inv.T @ np.linalg.inv(m) @ a_inv
+    tabs = tables([Ellipsoid(0.5 * (q + q.T), np.zeros(2))], f, 4096)
+    rep = hk_evaluate(tabs)
+    verdict = equality_classifier(rep, umbilicity(tabs), c=rep.h_max)
+    assert verdict.verdict == ("wulff-union" if eps == 0.0 else "strict")
+
+
 def test_radius_bound_failure_named():
     rep = hk_evaluate(tables([WulffBody(DQ, np.zeros(2), 1.0)], Q2, 4096))
     synthetic = (
