@@ -6,11 +6,11 @@ For each scene (default: every scene under ``scenes/``), at its own seed or
 at ``--seed N``, plans the fields that ``all`` reads through the run's
 ``RunCache`` (``RunCache.fields``), scans them, and prints one line per
 field: the scene, the body id, the norm, the cell count, and the blake2b
-digests of delta and of the gap.  With ``--queries Q`` each line ends in a
-third digest, of the ``distance.project`` results at Q points drawn
-uniformly in the grid box from the scene's seed: per point its foot,
-delta, gap, ambiguity, foot index and cross-check deviation (NaN for
-none), as doubles.  A scene without fields prints nothing.  Two
+digests of delta and of the ambiguity flag.  With ``--queries Q`` each line
+ends in a third digest, of the ``distance.project`` results at Q points
+drawn uniformly in the grid box from the scene's seed: per point its foot,
+delta, ambiguity, foot index and cross-check deviation (NaN for none), as
+doubles.  A scene without fields prints nothing.  Two
 checkouts' outputs are then one ``diff`` apart: a change to the scan, or
 with ``--queries`` to ``project``, that keeps every bit prints the same
 lines.  Needs numpy; imports wulffkit from ``src/``.
@@ -47,7 +47,7 @@ def query_digest(field, count: int, seed: int) -> str:
     for x in points:
         res = distance.project(field, x)
         dev = np.nan if res.grad_check_dev is None else res.grad_check_dev
-        rows.append([*res.point, res.delta, res.gap, res.ambiguous, res.foot_index, dev])
+        rows.append([*res.point, res.delta, res.ambiguous, res.foot_index, dev])
     return digest(np.array(rows, dtype=float))
 
 

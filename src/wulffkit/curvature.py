@@ -89,7 +89,7 @@ def _shape_operators_bulk(body: StarBody, quad: SurfaceQuadrature, frames):
     the implicit function's gradient and Hessian."""
     g = body.grad_phi(quad.points)
     gnorm = _row_norm(g)
-    if np.any(gnorm < 1e-12):
+    if not np.all(gnorm > 0.0):  # inverted so NaN norms fail too
         raise DegeneratePointError("vanishing implicit gradient at a node")
     h = body.hess_phi(quad.points) / gnorm[:, None, None]
     b = np.swapaxes(frames, 1, 2) @ h @ frames

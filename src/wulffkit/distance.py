@@ -1,16 +1,16 @@
 """Anisotropic distance fields, nearest-point projections, and reach estimates.
 
 The field stores, per grid cell, the distance delta(x) = min_a F*(a - x)
-to a dense boundary sample of a closed set A and an ambiguity ``gap``;
-``project`` finds the nearest sample point of one query.  The gap is the
-Euclidean diameter of the near-minimizer cluster whenever that cluster is
-spatially split: cluster points are grouped by single-linkage at the source
-sampling scale, three times the larger of the source spacing and the grid h
-(the field's ``tol_unique``), so the contiguous arc of samples around a
-unique foot never triggers, while genuinely multi-valued projections (two
-feet across a medial axis, or a whole equidistant loop) do.  A is the
-closure of the outside of the sampled body (``boundary_source``), as the
-paper's tube and reach arguments work inward from the body's complement.
+to a dense boundary sample of a closed set A and an ambiguity flag ``gap``;
+``project`` finds the nearest sample point of one query.  A cell is flagged
+when its near-minimizer cluster is spatially split or holds half the curve:
+cluster points are grouped by single-linkage at the source sampling scale,
+three times the larger of the source spacing and the grid h (the field's
+``tol_unique``), so the contiguous arc of samples around a unique foot
+never triggers, while genuinely multi-valued projections (two feet across a
+medial axis, or a whole equidistant loop) do.  A is the closure of the
+outside of the sampled body (``boundary_source``), as the paper's tube and
+reach arguments work inward from the body's complement.
 
 The cluster window combines the relative tie tolerance ``EPS_CLUSTER``
 with an absolute floor of ``WINDOW_CELLS`` grid spacings; the floor is
@@ -40,8 +40,8 @@ block's own centres.
 
 The grid is streamed through its blocks: each block builds its cell
 centres from the grid's per-axis coordinates and classifies them with one
-membership call, and only its cells outside A are scanned; delta and the
-gap are 0 on A.  Besides delta and the gap, two floats per cell, the
+membership call, and only its cells outside A are scanned; delta is 0 and
+the flag False on A.  Besides delta and the flag, 9 bytes per cell, the
 caller holds no array with one entry per cell.
 
 A tile counts the runs of consecutive sources in each row's cluster by the
@@ -50,12 +50,11 @@ no half of the curve is done there.  Flagged clusters of one tile are
 screened together before any linkage search: their union is cut into runs
 of consecutive source indices, and when no two runs come within
 ``tol_unique`` a cluster that meets two runs is split without a search of
-its own.  The split clusters of a tile get their exact diameters from one
-batched search over chunk pairs (``_diameters``), which ``project`` shares.
+its own; ``project`` shares the analysis.
 
 A field is planned, then scanned.  ``_plan_field`` checks the arguments,
 lays out the coarse blocks in row-major order and allocates one shared
-anonymous mapping that backs the field's delta and gap; its
+anonymous mapping that backs the field's delta and flag; its
 ``scan_block(k)`` writes block k's rows into the mapping from any process
 and marks the block scanned, or unscanned where its scan raises, in one
 shared byte per block that starts pending.  ``build_field`` hands the
@@ -118,10 +117,6 @@ WINDOW_CELLS = 1.5
 BLOCK_CELLS = 1600
 AXIS_TILE_CELLS = 196
 TILE_CELLS = 100
-# points per chunk of the batched diameter search, and chunk pairs it
-# compares entry by entry at a time
-DIAMETER_CHUNK = 16
-DIAMETER_PAIRS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +255,9 @@ def boundary_source(
 
 @dataclass(frozen=True, eq=False)
 class DistanceField:
-    """Grid of anisotropic distances and ambiguity gaps."""
+    """Grid of anisotropic distances and ambiguity flags: ``gap`` is True
+    where a cell's near-minimizer cluster is split at ``tol_unique`` or
+    holds half the curve."""
 
     grid: GridSpec
     source: SourceSet
@@ -272,9 +269,6 @@ class DistanceField:
     @property
     def f(self) -> Integrand:
         return self.dual.base
-
-    def gap_at(self, x) -> float:
-        return float(self.gap[self.grid.cell_of(x)])
 
     @cached_property
     def _queries(self):
@@ -522,23 +516,22 @@ def _cluster_analysis(source: SourceSet, window_abs, tol_unique):
     ``cand`` (columns), which include every near-minimizer of every row, or
     its squares where ``squared`` is true; ``columns`` is ``_columns(cand,
     n)``, which the caller computes once per candidate array.  ``resolve``
-    returns each row's minimum m and its gap: 0, or the Euclidean diameter
-    of its cluster (the sources within m + EPS_CLUSTER m + window_abs) when
-    that covers half a curve or more or is not one single-linkage component
-    at scale ``tol_unique``.  On squares m is the square root of the least
-    entry, which is the least root since a rounded square root does not
-    decrease, and the cluster is the entries at most ``_square_bound`` of
-    the window, which are those whose roots lie within it.
+    returns each row's minimum m and its flag: whether its cluster (the
+    sources within m + EPS_CLUSTER m + window_abs) covers half a curve or
+    more or is not one single-linkage component at scale ``tol_unique``.
+    On squares m is the square root of the least entry, which is the least
+    root since a rounded square root does not decrease, and the cluster is
+    the entries at most ``_square_bound`` of the window, which are those
+    whose roots lie within it.
 
     Samples consecutive on the curve lie within ``source.spacing <=
     tol_unique``, so one run of consecutive sources never splits: a row
     whose cluster is one run, counted by the run starts of its mask in one
-    pass, and covers no half of the curve gets gap 0 at once, and a tile
+    pass, and covers no half of the curve is unflagged at once, and a tile
     without any other row is done there.  Half-curve cover is counted only
     where the candidates hold half of the curve.  Clusters of several runs
     go through ``_linkage_screen`` together before any of them is searched
-    alone, and every split cluster of the block gets its diameter from one
-    ``_diameters`` call.
+    alone.
     """
     n = len(source.points)
 
@@ -565,20 +558,17 @@ def _cluster_analysis(source: SourceSet, window_abs, tol_unique):
             if wrap:
                 n_runs -= near[:, 0] & near[:, -1]
             flagged = cover | (n_runs >= 2)
-        gap = np.zeros(len(d))
         if not np.count_nonzero(flagged):
-            return m, gap
-        flagged = flagged.nonzero()[0]
-        split = cover[flagged]
+            return m, flagged
+        rows = flagged.nonzero()[0]
+        split = cover[rows]
         search = np.flatnonzero(~split)
         if len(search):
-            split[search] = _linkage_screen(source.points, cand, near[flagged[search]], tol_unique)
+            split[search] = _linkage_screen(source.points, cand, near[rows[search]], tol_unique)
         for r in np.flatnonzero(~split):
-            split[r] = not _connected(source.points[cand[near[flagged[r]]]], tol_unique)
-        rows = flagged[split]
-        if len(rows):
-            gap[rows] = _diameters(source.points, cand, near[rows])
-        return m, gap
+            split[r] = not _connected(source.points[cand[near[rows[r]]]], tol_unique)
+        flagged[rows] = split
+        return m, flagged
 
     return resolve
 
@@ -674,11 +664,11 @@ PENDING, SCANNED, UNSCANNED = 0, 1, 2
 class _FieldPlan:
     """A distance field and the coarse blocks that fill it.
 
-    The delta and the gap of ``field`` live in one anonymous shared mapping
-    and hold 0 until their block is scanned.  ``blocks`` lists the coarse
-    blocks in row-major order, as boxes; ``scan_block(k)``
-    scans block k into the mapping, in any process and in any order, and
-    leaves its byte in ``state``, one shared byte per block, ``SCANNED`` or
+    The delta and the flag of ``field`` live in one anonymous shared mapping
+    and hold 0 and False until their block is scanned.  ``blocks`` lists the
+    coarse blocks in row-major order, as boxes; ``scan_block(k)`` scans
+    block k into the mapping, in any process and in any order, and leaves
+    its byte in ``state``, one shared byte per block, ``SCANNED`` or
     ``UNSCANNED``; every byte starts ``PENDING``.  ``owner`` is the pid of
     the process that planned the field.
     """
@@ -749,11 +739,12 @@ def _plan_field(source: SourceSet, f: Integrand, grid: GridSpec) -> _FieldPlan:
     resolve = _cluster_analysis(source, window_abs, tol_unique)
     blocks = list(_boxes(tuple(slice(0, n) for n in grid.shape), BLOCK_CELLS))
 
-    # delta and gap of every cell, 0 on A, and the state of each block, in
-    # mappings shared with the block workers
+    # delta and flag of every cell, 0 and False on A, and the state of each
+    # block, in mappings shared with the block workers
     n_cells = math.prod(grid.shape)
-    out = np.frombuffer(mmap.mmap(-1, 2 * n_cells * 8), dtype=float)
-    delta, gap = out[:n_cells], out[n_cells:]
+    out = mmap.mmap(-1, 9 * n_cells)
+    delta = np.frombuffer(out, dtype=float, count=n_cells)
+    gap = np.frombuffer(out, dtype=bool, offset=8 * n_cells)
     state = np.frombuffer(mmap.mmap(-1, len(blocks)), dtype=np.uint8)
 
     # per block shape, its fine tiles with the positions of their cells in
@@ -812,26 +803,26 @@ def _plan_field(source: SourceSet, f: Integrand, grid: GridSpec) -> _FieldPlan:
 def build_field(
     source: SourceSet, f: Integrand, grid: GridSpec, eps_cluster=EPS_CLUSTER, tol_unique=None
 ) -> DistanceField:
-    """Compute delta and the ambiguity gap on the grid.
+    """Compute delta and the ambiguity flag on the grid.
 
     The grid is scanned one coarse block at a time, and each block works
     from its own cells alone: it builds its cell centres from the grid's
     per-axis coordinates, classifies them with one membership call, and is
     done when every cell lies in A.  Otherwise each fine tile scans its cells
     outside A against the candidates of the whole tile, which hold every
-    near-minimizer of each of them; delta and the gap are 0 on A.  For
+    near-minimizer of each of them; delta is 0 and the flag False on A.  For
     Euclidean F* and a diagonal M both levels bound each source by the end
     rows of the box's cell ranges, all tiles of a block in one call; other
     F* bound from each box's centre at its F*-extent (``_extent``).  The
     clusters flagged in a tile are screened together (``_linkage_screen``),
     and only the ones the screen leaves undecided run their own linkage
-    search.  Besides delta and the gap, the caller holds no array with one
+    search.  Besides delta and the flag, the caller holds no array with one
     entry per cell.
 
     ``_plan_field`` checks the arguments and lays out the blocks, and
     ``_FieldPlan.scan`` hands them to forked workers, one per usable CPU
     (``_fan_out``), in row-major order; each writes its rows of delta and
-    the gap into the mapping behind the returned arrays, and every worker is
+    the flag into the mapping behind the returned arrays, and every worker is
     reaped before this returns or raises.  Since a row's results depend only
     on its own near-minimizers, the field is bit for bit the one-process
     scan's whatever the block order and the split.  The scan stays
@@ -863,62 +854,13 @@ def _assert_even(dual: DualNorm):
 
 
 def _sqdist(a, b):
-    """Squared Euclidean distances between the rows of a and b over their
-    leading batch axes, shape (..., a's rows, b's rows): coordinate by
-    coordinate, the squared differences summed in axis order."""
-    out = (a[..., :, None, 0] - b[..., None, :, 0]) ** 2
-    for k in range(1, a.shape[-1]):
-        out += (a[..., :, None, k] - b[..., None, :, k]) ** 2
+    """Squared Euclidean distances between the rows of a and b, shape (a's
+    rows, b's rows): coordinate by coordinate, the squared differences
+    summed in axis order."""
+    out = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        out += (a[:, None, k] - b[None, :, k]) ** 2
     return out
-
-
-def _diameters(points, cand, near):
-    """Euclidean diameter of each row's cluster, the points
-    ``points[cand[near[r]]]``: the square root of its largest ``_sqdist``
-    entry, 0 for one point.
-
-    The columns that some row holds are cut into chunks of DIAMETER_CHUNK.
-    Per row and chunk a bounding box of the row's points in it gives, per
-    pair of chunks, a bound that rounds as ``_sqdist`` does on coordinates at
-    least as far apart, so it bounds every entry between the row's points of
-    the two chunks.  A row's first best is the largest entry among its first
-    point of each chunk, and only the chunk pairs whose bound exceeds it are
-    compared entry by entry, gathered over the rows, DIAMETER_PAIRS pairs at
-    a time.  The rows are boxed in groups whose chunk-pair arrays hold about
-    as many entries as those pairs, so memory stays bounded by chunk blocks.
-    """
-    cols = np.flatnonzero(near.any(axis=0))
-    size = DIAMETER_CHUNK
-    n_chunks = -(-len(cols) // size)
-    pts = np.zeros((n_chunks * size, points.shape[1]))
-    pts[: len(cols)] = points[cand[cols]]
-    chunks = pts.reshape(n_chunks, size, -1)
-    held = np.zeros((len(near), n_chunks * size), dtype=bool)
-    held[:, : len(cols)] = near[:, cols]
-    held = held.reshape(len(near), n_chunks, size)
-    best = np.zeros(len(near))
-    group = max(1, DIAMETER_PAIRS * size * size // n_chunks**2)
-    for g in range(0, len(near), group):
-        inner = held[g : g + group]
-        filled = inner.any(axis=2)
-        firsts = chunks[np.arange(n_chunks), inner.argmax(axis=2)]
-        bound = 0.0
-        for k in range(pts.shape[1]):
-            lo = np.where(inner, chunks[None, :, :, k], np.inf).min(axis=2)
-            hi = np.where(inner, chunks[None, :, :, k], -np.inf).max(axis=2)
-            reach = np.maximum(hi[:, :, None] - lo[:, None], hi[:, None] - lo[:, :, None])
-            bound = bound + reach**2
-        pairs = filled[:, :, None] & filled[:, None]
-        best[g : g + group] = np.where(pairs, _sqdist(firsts, firsts), 0.0).max(axis=(1, 2))
-        # each unordered pair once: the pairs below the diagonal repeat those above
-        r, i, j = np.nonzero(np.triu(pairs & (bound > best[g : g + group, None, None])))
-        for p in range(0, len(r), DIAMETER_PAIRS):
-            some = slice(p, p + DIAMETER_PAIRS)
-            rp, ip, jp = r[some], i[some], j[some]
-            block = _sqdist(chunks[ip], chunks[jp])
-            both = inner[rp, ip][:, :, None] & inner[rp, jp][:, None]
-            np.maximum.at(best, g + rp, np.where(both, block, 0.0).max(axis=(1, 2)))
-    return np.sqrt(best)
 
 
 def _connected(pts, linkage):
@@ -950,7 +892,6 @@ class ProjectionResult:
 
     point: np.ndarray
     delta: float
-    gap: float
     ambiguous: bool
     foot_index: int
     grad_check_dev: Optional[float]
@@ -963,25 +904,27 @@ def project(field: DistanceField, x) -> ProjectionResult:
     more than 2h away.  It reconstructs the foot as x - delta * grad F(grad
     delta) with grad delta from central differences at grid spacing; its
     deviation from the direct argmin is reported (expected <= 5h for unique
-    feet).  A query in A gets delta 0 and gap 0, as the field stores, and no
-    cross-check; its point is still the nearest source sample.  x must be one
-    point of ``grid.dim`` finite coordinates in the grid box.
+    feet).  The query is ambiguous where its own near-minimizer cluster or
+    the field's cell holding it is flagged.  A query in A gets delta 0, is
+    not ambiguous, as the field stores, and gets no cross-check; its point
+    is still the nearest source sample.  x must be one point of ``grid.dim``
+    finite coordinates in the grid box.
     """
     x = np.asarray(x, dtype=float)
-    cell_gap = field.gap_at(x)  # raises unless x is one finite point in the box
+    cell = field.grid.cell_of(x)  # raises unless x is one finite point in the box
     h, resolve, every, columns, offsets, reach = field._queries
     source = field.source
     d = field.dual.batch_value_fast(source.points - x)
-    (m,), (gap,) = resolve(d[None], every, columns, False)
-    m, gap, best = float(m), max(float(gap), cell_gap), int(d.argmin())
-    ambiguous = gap > field.tol_unique
+    (m,), (flag,) = resolve(d[None], every, columns, False)
+    m, best = float(m), int(d.argmin())
+    ambiguous = bool(flag or field.gap[cell])
     cross_check = not ambiguous and m > 2 * h
 
     # x, then for the cross-check the 2 d shifted points, in one membership call
     probes = x + offsets if cross_check else x[None]
     member = source.membership(probes)
     if member[0]:
-        m = gap = 0.0
+        m = 0.0
         ambiguous = cross_check = False
 
     dev = None
@@ -998,14 +941,14 @@ def project(field: DistanceField, x) -> ProjectionResult:
             off = x - m * field.f._grad(grad[None])[0] - source.points[best]
             dev = math.sqrt(off.dot(off))
     return ProjectionResult(
-        point=source.points[best], delta=m, gap=gap,
-        ambiguous=ambiguous, foot_index=best, grad_check_dev=dev,
+        point=source.points[best], delta=m, ambiguous=ambiguous,
+        foot_index=best, grad_check_dev=dev,
     )
 
 
 def estimate_reach_F(field: DistanceField) -> float:
     """Largest r such that every cell with 0 < delta < r projects uniquely."""
-    flagged = (field.delta > 0) & (field.gap > field.tol_unique)
+    flagged = (field.delta > 0) & field.gap
     if not flagged.any():
         return float(field.delta.max())
     return float(field.delta[flagged].min())

@@ -56,8 +56,8 @@ __all__ = [
 # resolution and at half of it)
 EQUALITY_TOL = 1e-13
 # relative slack of equality_classifier's radius bound n/c and of its
-# equal-radii report
-RADIUS_TOL = 0.02
+# equal-radii report; each fitted Wulff radius is recovered within 1e-10
+RADIUS_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +237,7 @@ def equality_classifier(
 
     Requires the report's "equality" verdict, every body umbilical with a clean
     ball fit, and every fitted radius >= n/c within the relative slack
-    RADIUS_TOL = 0.02.  Whether the radii are all equal within RADIUS_TOL is
+    RADIUS_TOL = 1e-10.  Whether the radii are all equal within RADIUS_TOL is
     reported alongside (the equality case admits unequal radii as long as
     each clears n/c), and is None unless every body has a fitted ball.  The
     curvature bound c must be positive and finite, and at least ``h_max``,

@@ -289,7 +289,7 @@ def sample_surface(body: StarBody, resolution) -> SurfaceQuadrature:
         raise StarShapeError("a ray from the center has no positive boundary radius")
     x = body.center[None, :] + rho[:, None] * omega
     gnorm = _row_norm(g)
-    if np.any(gnorm < 1e-12):
+    if not np.all(gnorm > 0.0):  # inverted so NaN norms fail too
         raise StarShapeError("vanishing boundary gradient")
     nu = g / gnorm[:, None]
     proj = np.einsum("ni,ni->n", omega, nu)

@@ -281,35 +281,31 @@ def _linked(sq, tol):
     return len(sq) == 0 or linkage(sq, "single")[:, 2].max() <= tol**2
 
 
-def resolve_gap(points, d, eps_cluster, window_abs, tol):
-    """Ambiguity gap at one point from its F* values ``d`` to every source
-    point, the points in order along one closed curve: the Euclidean
-    diameter of the near-minimizer cluster when it covers half the curve or
-    more or is not one single-linkage component at scale tol, else 0."""
+def resolve_flag(points, d, eps_cluster, window_abs, tol):
+    """Ambiguity flag at one point from its F* values ``d`` to every source
+    point, the points in order along one closed curve: whether the
+    near-minimizer cluster covers half the curve or more or is not one
+    single-linkage component at scale tol."""
     m = d.min()
     idx = np.nonzero(d <= m + (eps_cluster * m + window_abs))[0]
-    sq = pdist(points[idx], "sqeuclidean")
-    diameter = np.sqrt(sq.max()) if len(sq) else 0.0
-    if 2 * len(idx) >= len(points):
-        return diameter
-    return 0.0 if _linked(sq, tol) else diameter
+    return 2 * len(idx) >= len(points) or not _linked(pdist(points[idx], "sqeuclidean"), tol)
 
 
 def project_reference(field, x, window_cells):
-    """(point, delta, gap, ambiguous, foot_index, grad_check_dev) of one
-    query x by the brute force that ``project``'s docstring describes.
+    """(point, delta, ambiguous, foot_index, grad_check_dev) of one query x
+    by the brute force that ``project``'s docstring describes.
 
-    The foot is the first least F*(a - x) over every source a, and the gap
-    the larger of ``resolve_gap`` on those values and the stored gap of x's
-    cell.  A query in A gets delta 0, gap 0 and no cross-check; otherwise a
-    query that projects uniquely from more than 2h away rebuilds its foot as
-    x - delta grad F(g), g the central differences of delta at the grid
-    spacing h, delta being 0 in A and the least F* over every source
-    elsewhere, and reports the Euclidean distance of that foot from the
-    argmin, or None where |g| <= 1e-12.  F* is ``dual.batch_value_fast``,
-    as the field takes it, and window_cells the window's floor in grid
-    spacings; the cell index is floor((x - lo) / spacing), clipped to the
-    grid.
+    The foot is the first least F*(a - x) over every source a, and the
+    query is ambiguous where ``resolve_flag`` on those values or the stored
+    flag of x's cell is set.  A query in A gets delta 0, is not ambiguous
+    and gets no cross-check; otherwise a query that projects uniquely from
+    more than 2h away rebuilds its foot as x - delta grad F(g), g the
+    central differences of delta at the grid spacing h, delta being 0 in A
+    and the least F* over every source elsewhere, and reports the Euclidean
+    distance of that foot from the argmin, or None where |g| <= 1e-12.  F*
+    is ``dual.batch_value_fast``, as the field takes it, and window_cells
+    the window's floor in grid spacings; the cell index is floor((x - lo) /
+    spacing), clipped to the grid.
     """
     src, grid, dual = field.source, field.grid, field.dual
     pts = src.points
@@ -318,13 +314,12 @@ def project_reference(field, x, window_cells):
     values = dual.batch_value_fast(pts - x)
     best = int(np.argmin(values))
     delta = float(values[best])
-    gap = resolve_gap(pts, values, EPS_CLUSTER, window_cells * h, field.tol_unique)
+    flag = resolve_flag(pts, values, EPS_CLUSTER, window_cells * h, field.tol_unique)
     spacing = (grid.hi - grid.lo) / np.asarray(grid.cells)
     cell = np.minimum(np.floor((x - grid.lo) / spacing).astype(int), np.asarray(grid.cells) - 1)
-    gap = max(float(gap), float(field.gap[tuple(cell)]))
-    ambiguous = gap > field.tol_unique
+    ambiguous = bool(flag or field.gap[tuple(cell)])
     if src.membership(x[None])[0]:
-        return pts[best], 0.0, 0.0, False, best, None
+        return pts[best], 0.0, False, best, None
     dev = None
     if not ambiguous and delta > 2 * h:
 
@@ -335,4 +330,4 @@ def project_reference(field, x, window_cells):
         if np.linalg.norm(g) > 1e-12:
             rebuilt = x - delta * field.f.grad(g[None])[0]
             dev = float(np.linalg.norm(rebuilt - pts[best]))
-    return pts[best], delta, gap, ambiguous, best, dev
+    return pts[best], delta, ambiguous, best, dev

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from wulffkit import (
+    DegeneratePointError,
     DualNorm,
     Ellipsoid,
     EuclideanNorm,
     InputError,
     NonEllipticError,
     QuadraticNorm,
+    StarShapeError,
     WeightedSum,
     WulffBody,
     curvature_table,
@@ -306,3 +308,38 @@ def test_wulff_table_builds_the_tangential_hessian_once(monkeypatch):
     calls.clear()
     curvature_table(body, WeightedSum(f.terms), q)
     assert calls == [len(q), len(q)]
+
+
+@pytest.mark.parametrize("f", [E2, Q2], ids=["euclidean", "diag(4, 1)"])
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+def test_scaled_ellipse_scales_exactly(k, f):
+    # scaling by 2^k is exact in binary floating point: the sample scales by
+    # 2^k bit for bit, its normals keep their bits and kappa scales by 2^-k;
+    # an absolute floor on |grad phi| refused the body scaled by 2^40
+    s = 2.0**k
+    q = np.diag([0.25, 1.0])
+    c = np.array([0.3, -0.2])
+    base = Ellipsoid(q, c)
+    body = Ellipsoid(q / (s * s), c * s)
+    quad, scaled = sample_surface(base, 4096), sample_surface(body, 4096)
+    assert np.array_equal(scaled.points, quad.points * s)
+    assert np.array_equal(scaled.weights, quad.weights * s)
+    assert np.array_equal(scaled.normals, quad.normals)
+    kappa = curvature_table(base, f, quad).kappa
+    assert np.array_equal(curvature_table(body, f, scaled).kappa, kappa / s)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_zero_or_nan_gradient_is_refused(bad):
+    class Broken(Ellipsoid):
+        def grad_phi(self, x):
+            g = super().grad_phi(x)
+            g[0] = bad
+            return g
+
+    body = Broken(np.diag([0.25, 1.0]), np.zeros(2))
+    with pytest.raises(StarShapeError, match="vanishing boundary gradient"):
+        sample_surface(body, 256)
+    quad = sample_surface(ELLIPSE, 256)
+    with pytest.raises(DegeneratePointError, match="vanishing implicit gradient"):
+        curvature_table(body, E2, quad)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from wulffkit import (
     DualNorm,
@@ -34,10 +34,10 @@ from wulffkit import (
 )
 from wulffkit import distance, fanout
 from wulffkit.errors import SolverError
-from wulffkit.distance import EPS_CLUSTER, WINDOW_CELLS, _connected, _diameters, _square_bound
+from wulffkit.distance import EPS_CLUSTER, WINDOW_CELLS, _connected, _square_bound
 
 from oracles import (
-    project_reference, resolve_gap, rolling_ball_by_wulff_sample, single_linkage_connected,
+    project_reference, resolve_flag, rolling_ball_by_wulff_sample, single_linkage_connected,
 )
 from sampling import grid_centers, nowhere, region_source
 
@@ -128,7 +128,8 @@ def test_project_examples(disk_field):
     assert res.point == pytest.approx([1.0, 0.0], abs=2e-3)
     center = project(disk_field, [0.0, 0.0])
     assert center.ambiguous
-    assert center.gap > disk_field.tol_unique
+    assert disk_field.gap.dtype == bool
+    assert disk_field.gap[disk_field.grid.cell_of([0.0, 0.0])]
 
 
 def test_project_gradient_formula(disk_field):
@@ -567,7 +568,6 @@ def test_long_arc_projects_uniquely():
     for height in (1.5, 2.0, 2.4):
         res = project(field, [0.0, height])
         assert not res.ambiguous
-        assert res.gap == 0.0
 
 
 def test_project_scans_the_source_once(disk_field, monkeypatch):
@@ -601,7 +601,7 @@ def test_project_finds_the_query_cell_once(disk_field, monkeypatch):
         calls.clear()
         res = project(disk_field, x)
         assert calls == [tuple(x)]
-        assert res.gap >= disk_field.gap[cell_of(disk_field.grid, x)]
+        assert res.ambiguous or not disk_field.gap[cell_of(disk_field.grid, x)]
     with pytest.raises(InputError, match="outside the grid box"):
         project(disk_field, [5.0, 0.0])
 
@@ -753,7 +753,7 @@ def test_project_in_A_returns_the_stored_zero(monkeypatch):
     x = [1.2, 1.2]
     res = project(field, x)
     assert res.delta == 0.0 == _delta_at(field, x)
-    assert res.gap == 0.0 and not res.ambiguous
+    assert not res.ambiguous
     assert res.grad_check_dev is None
     # one membership call, and no scan beyond the foot's
     assert len(probes) == 1
@@ -777,20 +777,20 @@ def test_project_grad_check_matches_per_axis_reference(weighted_field):
 
 
 def _field_matches_resolver(field):
-    """Every cell's stored gap equals the per-point resolver at its centre."""
+    """Every cell's stored flag equals the per-point resolver at its centre."""
     centers = grid_centers(field.grid)
-    gaps = field.gap.ravel()
+    flags = field.gap.ravel()
     member = field.source.membership(centers)
-    assert np.all(gaps[member] == 0.0)
+    assert not flags[member].any()
     for i in np.nonzero(~member)[0]:
-        expected = resolve_gap(
+        expected = resolve_flag(
             field.source.points,
             field.dual.batch_value_fast(field.source.points - centers[i]),
             EPS_CLUSTER,
             WINDOW_CELLS * field.grid.h,
             field.tol_unique,
         )
-        assert gaps[i] == expected, (i, centers[i], gaps[i], expected)
+        assert flags[i] == expected, (i, centers[i], flags[i], expected)
 
 
 def test_field_gap_matches_resolver_two_disks():
@@ -867,51 +867,7 @@ def test_source_on_the_window_edge_is_a_near_minimizer(ulps):
     assert all((src.points == p).all(axis=1).any() for p in cluster)
     field = build_field(src, E2, GridSpec([0.0, 0.0], [8.0, 8.0], 8))
     assert field.delta[3, 7] == 2.0 and field.tol_unique == 3.0
-    assert field.gap[3, 7] == (_pdist_diameter(cluster) if ulps == 0 else 0.0)
-
-
-def _pdist_diameter(pts):
-    return np.sqrt(pdist(pts, "sqeuclidean").max()) if len(pts) > 1 else 0.0
-
-
-@given(
-    hst.integers(0, 2**32 - 1),
-    hst.integers(1, 1500),
-    hst.integers(1, 12),
-    hst.sampled_from([2, 3]),
-)
-@settings(max_examples=60, deadline=None)
-def test_diameters_match_pdist(seed, k, n_rows, dim):
-    # many rows over one point set, addressed through sorted source indices:
-    # rows of one point, sparse rows that leave most chunks empty, and dense
-    # ones; clustered points put many chunk bounds near the diameter
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((k + 7, dim)) * rng.uniform(0.01, 3.0, dim)
-    cand = np.sort(rng.choice(len(points), k, replace=False))
-    near = rng.random((n_rows, k)) < rng.uniform(0.0, 1.0, (n_rows, 1))
-    near[np.arange(n_rows), rng.integers(k, size=n_rows)] = True
-    near[0] = False
-    near[0, rng.integers(k)] = True
-    got = _diameters(points, cand, near)
-    assert got.shape == (n_rows,)
-    for row, value in zip(near, got):
-        assert value == _pdist_diameter(points[cand[row]])
-
-
-@pytest.mark.parametrize("n", [2048, 4099])
-def test_diameters_of_dense_circle_match_pdist(n):
-    # nearly every chunk pair's box bound lies close to the diameter here;
-    # the rows hold the whole circle, arcs of it, and every other point
-    rng = np.random.default_rng(n)
-    t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
-    pts = np.stack([np.cos(t), np.sin(t)], axis=1) * (1.0 + 1e-9 * rng.standard_normal((n, 1)))
-    near = np.ones((4, n), dtype=bool)
-    near[1, n // 3 :] = False
-    near[2, : n // 2] = False
-    near[3, ::2] = False
-    got = _diameters(pts, np.arange(n), near)
-    for row, value in zip(near, got):
-        assert value == _pdist_diameter(pts[row])
+    assert field.gap[3, 7] == (ulps == 0)
 
 
 @given(
@@ -981,10 +937,11 @@ def test_screened_sources_reach_connected_both_ways(monkeypatch):
 
 
 def _scan_everywhere(src, f, grid):
-    """build_field with no membership, then delta and gap zeroed on A."""
+    """build_field with no membership, then delta zeroed and the flag
+    cleared on A."""
     plain = build_field(SourceSet(points=src.points, inside=nowhere), f, grid)
     member = src.membership(grid_centers(grid)).reshape(grid.shape)
-    return np.where(member, 0.0, plain.delta), np.where(member, 0.0, plain.gap)
+    return np.where(member, 0.0, plain.delta), np.where(member, False, plain.gap)
 
 
 def _skip_cases():
@@ -1169,7 +1126,7 @@ def test_block_centres_map_as_the_rows_of_the_whole_grid():
 
 
 def _per_cell_scan(src, field):
-    """delta and gap of each cell outside A from its values to every source,
+    """delta and flag of each cell outside A from its values to every source,
     through the field's own closed-form values and cluster analysis."""
     grid, centers = field.grid, grid_centers(field.grid)
     place, values = distance._pairwise_values(field.dual, src.points)
@@ -1177,7 +1134,7 @@ def _per_cell_scan(src, field):
     resolve = distance._cluster_analysis(src, WINDOW_CELLS * grid.h, field.tol_unique)
     every = np.arange(len(src.points))
     columns = distance._columns(every, len(every))
-    delta, gap = np.zeros(len(centers)), np.zeros(len(centers))
+    delta, gap = np.zeros(len(centers)), np.zeros(len(centers), dtype=bool)
     for i in np.flatnonzero(~src.membership(centers)):
         (delta[i],), (gap[i],) = resolve(values(mapped[[i]], every), every, columns, False)
     return delta.reshape(grid.shape), gap.reshape(grid.shape)
@@ -1312,9 +1269,9 @@ def test_3d_field_matches_brute_force(f):
     for i in range(len(delta)):
         d = values(mapped[[i]], every)[0]
         assert delta[i] == d.min()
-        assert gap[i] == resolve_gap(src.points, d, EPS_CLUSTER, window, field.tol_unique)
+        assert gap[i] == resolve_flag(src.points, d, EPS_CLUSTER, window, field.tol_unique)
     # the cells about the ellipse's centre see two feet
-    assert np.count_nonzero(gap > field.tol_unique) > 0
+    assert np.count_nonzero(gap) > 0
 
 
 @given(
@@ -1572,13 +1529,13 @@ def test_one_usable_cpu_without_fork_or_affinity(monkeypatch, name):
 )
 def query_field(request):
     """A field of the complement of an ellipse, with the centres of its
-    cells in A and of its cells with a gap above tol_unique."""
+    cells in A and of its flagged cells."""
     f = {"E2": E2, "rotated M": QN, "weighted sum": WeightedSum(((0.5, E2), (1.0, QN)))}
     ell = Ellipsoid(np.diag([0.25, 1.0]), np.zeros(2))
     src = boundary_source([ell], 1024, region="complement")
     field = build_field(src, f[request.param], GridSpec([-2.4, -1.4], [2.4, 1.4], [96, 56]))
     centers = grid_centers(field.grid)
-    gapped = centers[field.gap.ravel() > field.tol_unique]
+    gapped = centers[field.gap.ravel()]
     assert len(gapped)
     return field, centers[src.membership(centers)], gapped
 
@@ -1592,7 +1549,7 @@ def query_field(request):
 @settings(max_examples=60, deadline=None)
 def test_project_matches_the_brute_force_reference(query_field, kind, pick, u, v):
     # every field of the result against a scan of every source, the pdist
-    # gap and per-axis central differences of the brute-force delta; the
+    # flag and per-axis central differences of the brute-force delta; the
     # cross-check runs on queries off A more than 2h from it
     field, in_a, gapped = query_field
     grid, h = field.grid, field.grid.h
@@ -1611,7 +1568,7 @@ def test_project_matches_the_brute_force_reference(query_field, kind, pick, u, v
         offset = h * (np.array([u, v]) - 0.5)
     x = np.clip(base + offset, grid.lo, grid.hi)
     res = project(field, x)
-    point, delta, gap, ambiguous, foot, dev = project_reference(field, x, WINDOW_CELLS)
+    point, delta, ambiguous, foot, dev = project_reference(field, x, WINDOW_CELLS)
     assert np.array_equal(res.point, point)
-    assert (res.delta, res.gap, res.ambiguous, res.foot_index) == (delta, gap, ambiguous, foot)
+    assert (res.delta, res.ambiguous, res.foot_index) == (delta, ambiguous, foot)
     assert res.grad_check_dev == dev

@@ -10,12 +10,13 @@ complement of two rotated ellipses under a rotated M.
 delta is the least of the field's own closed-form values F*(a - x) over
 every source a (``dual.batch_value_fast``, as ``DistanceField._nearest``
 takes them; under a rotated M, the Euclidean distances of the mapped
-points, as ``distance._pairwise_values`` takes them), and the gap is the
-pdist oracle ``resolve_gap`` on those values; neither goes through the field's blocks, tiles, candidate bounds or
-cluster analysis.  The checked cells are a seeded sample outside A, every
-cell with a gap above ``tol_unique``, and a seeded sample of cells on the
-borders of the coarse blocks and fine tiles, where a candidate bound is
-tightest.
+points, as ``distance._pairwise_values`` takes them), and the flag is the
+pdist oracle ``resolve_flag`` on those values: a near-minimizer cluster
+split into several single-linkage components at ``tol_unique``, or holding
+half the curve.  Neither goes through the field's blocks, tiles, candidate
+bounds or cluster analysis.  The checked cells are a seeded sample outside
+A, every flagged cell, and a seeded sample of cells on the borders of the
+coarse blocks and fine tiles, where a candidate bound is tightest.
 """
 
 from pathlib import Path
@@ -31,7 +32,7 @@ from wulffkit.distance import WINDOW_CELLS
 from wulffkit.scene import SUITE_ORDER
 from wulffkit.suites import RunCache
 
-from oracles import resolve_gap
+from oracles import resolve_flag
 from sampling import grid_centers, region_source
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,8 +56,8 @@ def _borders(n, block, side):
 
 
 def _checked_cells(field, rng):
-    """Flat indices of the cells to check: a sample outside A, every cell
-    with a gap above tol_unique, and a sample on block and tile borders."""
+    """Flat indices of the cells to check: a sample outside A, every flagged
+    cell, and a sample on block and tile borders."""
     grid = field.grid
     outside = ~field.source.membership(grid_centers(grid))
     lines = distance._axis_lines(field.dual, field.source.points, grid._axes())
@@ -69,8 +70,8 @@ def _checked_cells(field, rng):
         edge |= _borders(n, block, side).reshape(shape)
     pools = (np.flatnonzero(outside), np.flatnonzero(outside & edge.ravel()))
     sampled = [rng.choice(pool, min(SAMPLE, len(pool)), replace=False) for pool in pools]
-    gapped = np.flatnonzero(field.gap.ravel() > field.tol_unique)
-    return np.unique(np.concatenate(sampled + [gapped])), outside
+    flagged = np.flatnonzero(field.gap.ravel())
+    return np.unique(np.concatenate(sampled + [flagged])), outside
 
 
 def _matches_brute_force(field, rng, name, mapped=False):
@@ -79,7 +80,7 @@ def _matches_brute_force(field, rng, name, mapped=False):
     src, grid = field.source, field.grid
     cells, outside = _checked_cells(field, rng)
     centers = grid_centers(grid)
-    delta, gap = field.delta.ravel(), field.gap.ravel()
+    delta, flag = field.delta.ravel(), field.gap.ravel()
     window = WINDOW_CELLS * grid.h
     place, pairwise = distance._pairwise_values(field.dual, src.points)
     every = np.arange(len(src.points))
@@ -90,9 +91,9 @@ def _matches_brute_force(field, rng, name, mapped=False):
             values = field.dual.batch_value_fast(src.points - centers[i])
         assert outside[i], (name, i)
         assert delta[i] == values.min(), (name, type(field.f).__name__, i)
-        expected = resolve_gap(src.points, values, distance.EPS_CLUSTER, window, field.tol_unique)
-        assert gap[i] == expected, (name, type(field.f).__name__, i, gap[i], expected)
-    assert np.count_nonzero(gap > field.tol_unique) > 0
+        expected = resolve_flag(src.points, values, distance.EPS_CLUSTER, window, field.tol_unique)
+        assert flag[i] == expected, (name, type(field.f).__name__, i, flag[i], expected)
+    assert np.count_nonzero(flag) > 0
 
 
 @pytest.mark.parametrize("name", SCENES)

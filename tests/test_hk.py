@@ -155,6 +155,21 @@ def test_unequal_radii_still_wulff_union():
     assert verdict.min_radius_bound == pytest.approx(1.0)
 
 
+def test_nearly_equal_radii_are_not_equal():
+    # RADIUS_TOL = 0.02 called radii 1.0 and 1.019 equal, while each fitted
+    # radius is recovered within 1e-10
+    bodies = [
+        WulffBody(DQ, np.array([-3.0, 0.0]), 1.0),
+        WulffBody(DQ, np.array([3.0, 0.0]), 1.019),
+    ]
+    tabs = tables(bodies, Q2, 4096)
+    rep = hk_evaluate(tabs)
+    verdict = equality_classifier(rep, umbilicity(tabs), c=rep.h_max)
+    assert verdict.verdict == "wulff-union"
+    assert verdict.radii == pytest.approx([1.0, 1.019], rel=1e-10)
+    assert verdict.equal_radii is False
+
+
 def test_equal_radii_needs_a_ball_for_every_body():
     # a Wulff ball beside an ellipse: one fitted radius, which compared only
     # with itself read as equal radii
