@@ -67,10 +67,6 @@ def _eigvalsh_small(a):
     return np.stack([mid - disc, mid + disc], axis=1)
 
 
-def _min_eig_spd(a):
-    return _eigvalsh_small(a)[:, 0]
-
-
 def _wulff_shape_operators(a_tan, radius):
     """Shape operators of a Wulff boundary of the given radius, from the
     tangential Hessians a_tan of its integrand at the normals.
@@ -78,7 +74,7 @@ def _wulff_shape_operators(a_tan, radius):
     The Gauss map of a Wulff boundary inverts in closed form: x(u) = c + r
     grad F(u), so Dnu restricted to the tangent is (r D2F(nu)|tan)^-1.
     """
-    if np.any(_min_eig_spd(a_tan) <= 0):
+    if np.any(_eigvalsh_small(a_tan)[:, 0] <= 0):
         raise NonEllipticError("tangential Hessian not positive definite")
     b = np.linalg.inv(a_tan) / radius
     return 0.5 * (b + np.transpose(b, (0, 2, 1)))
@@ -97,7 +93,7 @@ def _shape_operators_bulk(body: StarBody, quad: SurfaceQuadrature, frames):
 
 
 def _kappa_from_ab(a, b):
-    if np.any(_min_eig_spd(a) <= 1e-14 * np.abs(a).max()):
+    if np.any(_eigvalsh_small(a)[:, 0] <= 1e-14 * np.abs(a).max()):
         raise NonEllipticError("tangential Hessian not positive definite")
     c = _sqrt_spd(a)
     sym = c @ b @ c

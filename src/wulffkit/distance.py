@@ -167,10 +167,6 @@ class GridSpec:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
-    def shape(self):
-        return self.cells
-
     def _axes(self):
         """Per grid axis, the centre coordinates of its cells."""
         return [
@@ -285,11 +281,6 @@ class DistanceField:
         offsets = np.concatenate([np.full((1, len(e)), -0.0), e, -e])
         reach = 2.0 * self.dual.grad_bound() * h
         return h, resolve, every, _columns(every, len(every)), offsets, reach
-
-    def _nearest(self, x, pts):
-        """Least F*(a - x) over the points a of ``pts``, per row of x, ignoring A."""
-        d = self.dual.batch_value_fast(_differences(pts, x))
-        return d.reshape(len(x), len(pts)).min(axis=1)
 
 
 def _differences(src, x):
@@ -737,11 +728,11 @@ def _plan_field(source: SourceSet, f: Integrand, grid: GridSpec) -> _FieldPlan:
     axes = grid._axes()
     tile_cells, scan = _block_scan(dual, pts, axes, grid.spacing, window_abs)
     resolve = _cluster_analysis(source, window_abs, tol_unique)
-    blocks = list(_boxes(tuple(slice(0, n) for n in grid.shape), BLOCK_CELLS))
+    blocks = list(_boxes(tuple(slice(0, n) for n in grid.cells), BLOCK_CELLS))
 
     # delta and flag of every cell, 0 and False on A, and the state of each
     # block, in mappings shared with the block workers
-    n_cells = math.prod(grid.shape)
+    n_cells = math.prod(grid.cells)
     out = mmap.mmap(-1, 9 * n_cells)
     delta = np.frombuffer(out, dtype=float, count=n_cells)
     gap = np.frombuffer(out, dtype=bool, offset=8 * n_cells)
@@ -773,7 +764,7 @@ def _plan_field(source: SourceSet, f: Integrand, grid: GridSpec) -> _FieldPlan:
             tilings[shape] = tiles
         # per cell of the block, its flat index in the grid
         ranges = np.ix_(*(np.arange(s.start, s.stop) for s in block))
-        flat = np.ravel_multi_index(ranges, grid.shape).ravel()
+        flat = np.ravel_multi_index(ranges, grid.cells).ravel()
         for tile, cells in tiles:
             rows = (~member[cells]).nonzero()[0]
             if len(rows):
@@ -793,8 +784,8 @@ def _plan_field(source: SourceSet, f: Integrand, grid: GridSpec) -> _FieldPlan:
         grid=grid,
         source=source,
         dual=dual,
-        delta=delta.reshape(grid.shape),
-        gap=gap.reshape(grid.shape),
+        delta=delta.reshape(grid.cells),
+        gap=gap.reshape(grid.cells),
         tol_unique=tol_unique,
     )
     return _FieldPlan(field, blocks, scan_block, state, owner=os.getpid())
@@ -904,11 +895,14 @@ def project(field: DistanceField, x) -> ProjectionResult:
     more than 2h away.  It reconstructs the foot as x - delta * grad F(grad
     delta) with grad delta from central differences at grid spacing; its
     deviation from the direct argmin is reported (expected <= 5h for unique
-    feet).  The query is ambiguous where its own near-minimizer cluster or
-    the field's cell holding it is flagged.  A query in A gets delta 0, is
-    not ambiguous, as the field stores, and gets no cross-check; its point
-    is still the nearest source sample.  x must be one point of ``grid.dim``
-    finite coordinates in the grid box.
+    feet).  A shifted point y's delta is 0 in A, and otherwise its least
+    F*(a - y) over the sources a within m + 2 lip h of x, which hold its
+    nearest ones (m the query's delta, lip = ``grad_bound()``).  The query
+    is ambiguous where its own near-minimizer cluster or the field's cell
+    holding it is flagged.  A query in A gets delta 0, is not ambiguous, as
+    the field stores, and gets no cross-check; its point is still the
+    nearest source sample.  x must be one point of ``grid.dim`` finite
+    coordinates in the grid box.
     """
     x = np.asarray(x, dtype=float)
     cell = field.grid.cell_of(x)  # raises unless x is one finite point in the box
@@ -930,9 +924,11 @@ def project(field: DistanceField, x) -> ProjectionResult:
     dev = None
     if cross_check:
         # F* is lip-Lipschitz, so a nearest source a of a shifted point y has
-        # F*(a - x) <= F*(a - y) + lip h <= F*(best - y) + lip h <= m + 2 lip h
-        near = d <= m + reach + 1e-12
-        shifted = np.where(member[1:], 0.0, field._nearest(probes[1:], source.points[near]))
+        # F*(a - x) <= F*(a - y) + lip h <= F*(best - y) + lip h <= m + 2 lip h,
+        # so y's least F*(a - y), ignoring A, is the least over those sources
+        pts = source.points[d <= m + reach + 1e-12]
+        d_near = field.dual.batch_value_fast(_differences(pts, probes[1:]))
+        shifted = np.where(member[1:], 0.0, d_near.reshape(-1, len(pts)).min(axis=1))
         grad = (shifted[: len(x)] - shifted[len(x) :]) / (2 * h)
         # the Euclidean norms as np.linalg.norm takes them, sqrt(v.v); grad
         # is a difference quotient of finite values, so it is finite, and

@@ -54,16 +54,11 @@ class TubeCurve:
 
 
 def _grid_margin(field: DistanceField) -> float:
-    """Smallest positive delta on the outermost cell layer of the box."""
+    """Smallest positive delta on the outermost cell layer of the box, read
+    from the first and last layer of each axis (a cell on two of them is
+    read twice, which leaves the least value as it is)."""
     d = field.delta
-    edge = np.zeros(d.shape, dtype=bool)
-    for axis in range(d.ndim):
-        sl = [slice(None)] * d.ndim
-        sl[axis] = 0
-        edge[tuple(sl)] = True
-        sl[axis] = -1
-        edge[tuple(sl)] = True
-    vals = d[edge]
+    vals = np.concatenate([np.take(d, [0, -1], axis=k).ravel() for k in range(d.ndim)])
     vals = vals[vals > 0]
     return float(vals.min()) if len(vals) else np.inf
 

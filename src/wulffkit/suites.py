@@ -311,7 +311,7 @@ def suite_wulff(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
         r_err = np.abs(dual.batch_value(x - body.center) - body.radius).max()
         worst_radius = max(worst_radius, float(r_err))
         write_csv(out / f"wulff_{bid}.csv", x=x, nu=nu)
-    res.check("boundary_on_conjugate_sphere", worst_radius, 1e-10 * max(1.0, r_max))
+    res.check("boundary_on_conjugate_sphere", worst_radius, 1e-10 * r_max)
     res.metrics["bodies"] = [bid for bid, _ in bodies]
     return res
 
@@ -341,7 +341,7 @@ def _curv_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteResul
     if isinstance(body, WulffBody):
         res.check(
             f"wulff_constant_curvature[{bid}]",
-            np.abs(table.kappa - 1.0 / body.radius).max(),
+            np.abs(table.kappa * body.radius - 1.0).max(),
             1e-10,
         )
         res.flag(f"wulff_verdict[{bid}]", umb.verdict == "wulff")
@@ -353,12 +353,12 @@ def _curv_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteResul
         res.check(
             f"wulff_center_recovery[{bid}]",
             np.linalg.norm(umb.center - body.center),
-            1e-10 * max(1.0, body.radius),
+            1e-10 * body.radius,
         )
         res.check(
             f"wulff_radius_recovery[{bid}]",
             abs(umb.radius - body.radius),
-            1e-10 * max(1.0, body.radius),
+            1e-10 * body.radius,
         )
     write_csv(out / f"curv_{bid}.csv", x=table.quad.points, kappaF=table.kappa, H=table.mean)
 

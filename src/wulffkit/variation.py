@@ -145,11 +145,6 @@ def _first_variation(dg, stress) -> float:
     return float(np.einsum("ni,ni->", dg.reshape(len(dg), -1), stress))
 
 
-def _flux(q: SurfaceQuadrature, gx):
-    """g(x).nu at every node."""
-    return np.einsum("ni,ni->n", gx, q.normals)
-
-
 def _node_monomials(q: SurfaceQuadrature, fields):
     """``_monomials`` of the nodes of q, once each field is checked to have
     the dimension of q."""
@@ -312,7 +307,7 @@ def criticality_residual(
     for g in fields:
         gx = g._values(mono)
         fv = _first_variation(g._jacobians(mono), table.weighted_stress)
-        flux = _flux(quad, gx)
+        flux = np.einsum("ni,ni->n", gx, quad.normals)
         dv = float((flux * quad.weights).sum())
         e_plus, e_minus = pushes.pair(table.f, g, mono, h)
         results.append(

@@ -6,8 +6,8 @@ scans.  Oracles stay independent of the implementations they check.  Two
 exceptions: ``rolling_ball_by_wulff_sample``, a second route through the
 library's boundary sampler and curvature table to a radius that the
 library itself reads off D^2F on a sphere grid, and ``volume_derivative``,
-the one-field flux route, which takes the library's node monomials and
-flux because the criticality pass must reproduce its bits.
+the one-field flux route, which takes the library's node monomials because
+the criticality pass must reproduce its bits.
 """
 
 from __future__ import annotations
@@ -67,9 +67,11 @@ def stress_tensor(f, nu):
 def volume_derivative(quad, g):
     """The flux of the field g through the boundary, sum (g(x).nu) w: the
     one-field route whose bits ``criticality_residual`` reports as
-    ``volume_derivative``."""
+    ``volume_derivative``, with each node's g(x).nu summed by the same
+    ``einsum``."""
     mono = variation._node_monomials(quad, [g])
-    return float((variation._flux(quad, g._values(mono)) * quad.weights).sum())
+    flux = np.einsum("ni,ni->n", g._values(mono), quad.normals)
+    return float((flux * quad.weights).sum())
 
 
 def value_grad_hess(f, x):

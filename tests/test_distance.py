@@ -154,7 +154,7 @@ def test_project_ellipse_minor_axis():
 def test_lipschitz_in_conjugate_norm(wulff_field):
     field, _ = wulff_field
     delta = field.delta
-    centers = grid_centers(field.grid).reshape(*field.grid.shape, 2)
+    centers = grid_centers(field.grid).reshape(*field.grid.cells, 2)
     slack = 2 * field.grid.h * field.dual.grad_bound()
     for axis in (0, 1):
         d1 = np.take(delta, range(1, delta.shape[axis]), axis=axis)
@@ -940,7 +940,7 @@ def _scan_everywhere(src, f, grid):
     """build_field with no membership, then delta zeroed and the flag
     cleared on A."""
     plain = build_field(SourceSet(points=src.points, inside=nowhere), f, grid)
-    member = src.membership(grid_centers(grid)).reshape(grid.shape)
+    member = src.membership(grid_centers(grid)).reshape(grid.cells)
     return np.where(member, 0.0, plain.delta), np.where(member, False, plain.gap)
 
 
@@ -1076,7 +1076,7 @@ def _lines_of_the_mapped_grid(f, src, grid):
     centers, sources = grid_centers(grid) @ l, src.points @ l
     lines = []
     for k in range(grid.dim):
-        coord = centers[:, k].reshape(grid.shape)
+        coord = centers[:, k].reshape(grid.cells)
         line = coord[tuple(slice(None) if j == k else slice(0, 1) for j in range(grid.dim))]
         if not (coord == line).all():
             return None
@@ -1116,8 +1116,8 @@ def test_block_centres_map_as_the_rows_of_the_whole_grid():
     grid = GridSpec([-2.3, -1.5], [2.3, 1.5], [460, 260])
     src = region_source(TWO_DISKS, 256, "complement")
     place, _values = distance._pairwise_values(DualNorm(QN), src.points)
-    axes, mapped = grid._axes(), place(grid_centers(grid)).reshape(*grid.shape, 2)
-    whole = tuple(slice(0, n) for n in grid.shape)
+    axes, mapped = grid._axes(), place(grid_centers(grid)).reshape(*grid.cells, 2)
+    whole = tuple(slice(0, n) for n in grid.cells)
     for target in (distance.BLOCK_CELLS, distance.TILE_CELLS):
         for box in distance._boxes(whole, target):
             assert np.array_equal(
@@ -1137,7 +1137,7 @@ def _per_cell_scan(src, field):
     delta, gap = np.zeros(len(centers)), np.zeros(len(centers), dtype=bool)
     for i in np.flatnonzero(~src.membership(centers)):
         (delta[i],), (gap[i],) = resolve(values(mapped[[i]], every), every, columns, False)
-    return delta.reshape(grid.shape), gap.reshape(grid.shape)
+    return delta.reshape(grid.cells), gap.reshape(grid.cells)
 
 
 @pytest.mark.parametrize("f", [E2, Q2], ids=["E2", "diagonal M"])
@@ -1194,9 +1194,9 @@ def test_tile_candidates_hold_every_near_minimizer(seed, name, sides, side, wind
         return near[:, np.setdiff1d(every, cand)].sum(), brute
 
     # a block anywhere in the grid, bounded over every source
-    corner = [rng.integers(0, n - k + 1) for n, k in zip(grid.shape, sides)]
+    corner = [rng.integers(0, n - k + 1) for n, k in zip(grid.cells, sides)]
     ends = np.add(corner, sides)
-    flat = np.arange(np.prod(grid.shape)).reshape(grid.shape)
+    flat = np.arange(np.prod(grid.cells)).reshape(grid.cells)
     block = flat[corner[0] : ends[0], corner[1] : ends[1]]
     whole = distance._box_keep(lines, [[c] for c in corner], ends[:, None], every, window)
     assert whole.shape == (1, 1, len(every))
@@ -1245,9 +1245,9 @@ def test_3d_tiles_match_the_per_cell_route(f):
     assert lines is not None and len(lines) == 3
     place, values = distance._pairwise_values(dual, src.points)
     mapped = place(grid_centers(grid))
-    flat = np.arange(np.prod(grid.shape)).reshape(grid.shape)
+    flat = np.arange(np.prod(grid.cells)).reshape(grid.cells)
     rng = np.random.default_rng(3)
-    whole = tuple(slice(0, n) for n in grid.shape)
+    whole = tuple(slice(0, n) for n in grid.cells)
     for box in distance._boxes(whole, distance.AXIS_TILE_CELLS):
         cells = flat[box].ravel()
         cand = np.sort(rng.choice(len(src.points), 50, replace=False))

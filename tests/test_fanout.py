@@ -652,7 +652,7 @@ def _planned(log_plan, log_scan):
 def _blocks(scene) -> int:
     """Coarse blocks of each of the scene's fields."""
     grid = scene.grid
-    whole = tuple(slice(0, n) for n in grid.shape)
+    whole = tuple(slice(0, n) for n in grid.cells)
     return len(list(distance._boxes(whole, distance.BLOCK_CELLS)))
 
 
@@ -792,7 +792,7 @@ def test_a_refused_block_refuses_its_field_alone(tmp_path, monkeypatch, capsys):
     # both, writes nothing, nor does the run write its report
     scene = ROOT / "scenes" / "wulff_d2.json"
     grid = load_scene(scene).grid
-    whole = tuple(slice(0, n) for n in grid.shape)
+    whole = tuple(slice(0, n) for n in grid.cells)
     boxes = list(distance._boxes(whole, distance.BLOCK_CELLS))
     refused = {distance._box_centers(grid._axes(), boxes[k])[0].tobytes(): k for k in (50, 30)}
     plan_field = distance._plan_field

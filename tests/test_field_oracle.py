@@ -8,7 +8,7 @@ a rotated M, a Wulff ball, 1024 sources, an h = 0.01 grid) and add the
 complement of two rotated ellipses under a rotated M.
 
 delta is the least of the field's own closed-form values F*(a - x) over
-every source a (``dual.batch_value_fast``, as ``DistanceField._nearest``
+every source a (``dual.batch_value_fast``, as ``project``'s cross-check
 takes them; under a rotated M, the Euclidean distances of the mapped
 points, as ``distance._pairwise_values`` takes them), and the flag is the
 pdist oracle ``resolve_flag`` on those values: a near-minimizer cluster
@@ -63,8 +63,8 @@ def _checked_cells(field, rng):
     lines = distance._axis_lines(field.dual, field.source.points, grid._axes())
     tile = distance.AXIS_TILE_CELLS if lines is not None else distance.TILE_CELLS
     block, side = distance._side(grid.dim, distance.BLOCK_CELLS), distance._side(grid.dim, tile)
-    edge = np.zeros(grid.shape, dtype=bool)
-    for k, n in enumerate(grid.shape):
+    edge = np.zeros(grid.cells, dtype=bool)
+    for k, n in enumerate(grid.cells):
         shape = [1] * grid.dim
         shape[k] = n
         edge |= _borders(n, block, side).reshape(shape)
