@@ -177,10 +177,10 @@ def curvature_table(body: StarBody, f: Integrand, quad: SurfaceQuadrature) -> Cu
 class UmbilicityReport:
     """Outcome of the constant-curvature / Wulff-ball fit.
 
-    verdict is one of "wulff", "umbilical-unresolved", "not-umbilical",
-    "hyperplane-like".  When umbilical, the recovered ball has
-    center = -c/lambda and radius = 1/|lambda| where c is the weighted mean
-    of grad F(nu(x)) - lambda x over the nodes.
+    verdict is one of "wulff", "umbilical-unresolved", "not-umbilical".
+    When umbilical, the recovered ball has center = -c/lambda and
+    radius = 1/|lambda| where c is the weighted mean of
+    grad F(nu(x)) - lambda x over the nodes.
     """
 
     lam: float
@@ -198,7 +198,10 @@ def umbilicity_classify(table: CurvatureTable) -> UmbilicityReport:
     umbilical, after which the affine relation grad F(nu(x)) = lambda x + c
     is fitted, grad F(nu) read from ``table.eta``, and its worst deviation
     reported as the dispersion.  The verdict is "wulff" when the dispersion,
-    which is dimensionless, is at most FIT_TOL = 1e-8.
+    which is dimensionless, is at most FIT_TOL = 1e-8.  Both tests are
+    relative, so a Wulff ball reads "wulff" at every radius; an umbilical
+    fit with lambda = 0 would need every kappa to be exactly 0, which no
+    closed body has, since the integral of F(nu) sigma_n is (n+1)|W| > 0.
     """
     quad = table.quad
     wsum = quad.weights.sum()
@@ -206,15 +209,11 @@ def umbilicity_classify(table: CurvatureTable) -> UmbilicityReport:
     residuals = np.abs(table.kappa - lam).max(axis=1)
     max_res = float(residuals.max())
     # Wulff balls spread by at most 1.3e-15 |lambda| over the same sweep as FIT_TOL
-    spread_tol = 1e-12 * max(abs(lam), 1e-30)
+    spread_tol = 1e-12 * abs(lam)
 
     if max_res > spread_tol:
         return UmbilicityReport(
             lam=lam, center=None, radius=None, dispersion=None, verdict="not-umbilical"
-        )
-    if abs(lam) < 1e-10:
-        return UmbilicityReport(
-            lam=lam, center=None, radius=None, dispersion=None, verdict="hyperplane-like"
         )
     affine = table.eta - lam * quad.points
     c = (quad.weights[:, None] * affine).sum(axis=0) / wsum

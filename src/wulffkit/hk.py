@@ -224,7 +224,6 @@ class ClassifierVerdict:
     radii: tuple
     centers: tuple
     equal_radii: Optional[bool]
-    min_radius_bound: float
 
 
 def equality_classifier(
@@ -261,10 +260,8 @@ def equality_classifier(
     elif any(u.verdict != "wulff" for u in umbilicity):
         failing = "umbilicity"
 
-    bound = float("nan")
     if failing is None:
-        n = len(centers[0]) - 1
-        bound = n / c
+        bound = (len(centers[0]) - 1) / c
         if any(r < bound * (1 - RADIUS_TOL) for r in radii):
             failing = "radius-bound"
 
@@ -277,5 +274,4 @@ def equality_classifier(
         radii=radii,
         centers=centers,
         equal_radii=equal,
-        min_radius_bound=bound,
     )

@@ -111,7 +111,7 @@ def _check_spd(m, name="matrix"):
         raise InputError(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InputError(f"{name} must have finite entries")
-    if not np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max())):
+    if not np.allclose(m, m.T, rtol=0, atol=1e-12 * np.abs(m).max()):
         raise InputError(f"{name} must be symmetric")
     sym = 0.5 * (m + m.T)
     try:

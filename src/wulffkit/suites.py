@@ -345,21 +345,21 @@ def _curv_body(scene: Scene, out: Path, cache: RunCache, k: int, res: SuiteResul
             1e-10,
         )
         res.flag(f"wulff_verdict[{bid}]", umb.verdict == "wulff")
-    # a fit without a ball (not umbilical, or hyperplane-like) fails the
-    # verdict above, and there is no centre or radius to recover
-    if isinstance(body, WulffBody) and umb.center is not None:
-        # both read at most 9.3e-15 on the shipped Wulff scenes and on
-        # weighted-2d and weighted-3d seeds 1-10, also at half resolution
-        res.check(
-            f"wulff_center_recovery[{bid}]",
-            np.linalg.norm(umb.center - body.center),
-            1e-10 * body.radius,
-        )
-        res.check(
-            f"wulff_radius_recovery[{bid}]",
-            abs(umb.radius - body.radius),
-            1e-10 * body.radius,
-        )
+        # a fit that is not umbilical fails the verdict above, and has no
+        # centre or radius to recover
+        if umb.center is not None:
+            # both read at most 9.3e-15 on the shipped Wulff scenes and on
+            # weighted-2d and weighted-3d seeds 1-10, also at half resolution
+            res.check(
+                f"wulff_center_recovery[{bid}]",
+                np.linalg.norm(umb.center - body.center),
+                1e-10 * body.radius,
+            )
+            res.check(
+                f"wulff_radius_recovery[{bid}]",
+                abs(umb.radius - body.radius),
+                1e-10 * body.radius,
+            )
     write_csv(out / f"curv_{bid}.csv", x=table.quad.points, kappaF=table.kappa, H=table.mean)
 
 

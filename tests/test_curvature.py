@@ -168,12 +168,13 @@ def test_umbilicity_rejects_ellipse():
     assert rep.center is None
 
 
-def test_umbilicity_hyperplane_like_for_vanishing_curvature():
-    # a nearly flat boundary: umbilical with |lambda| below the resolvable floor
+def test_umbilicity_reads_a_huge_circle_as_wulff():
+    # a circle of radius 1e12 has lambda = 1e-12, which an absolute
+    # |lambda| < 1e-10 called hyperplane-like, with no ball fitted
     huge = Ellipsoid(np.eye(2) / 1e24, np.zeros(2))
     rep = umbilicity_classify(sampling.table(huge, E2, 256))
-    assert rep.verdict == "hyperplane-like"
-    assert rep.radius is None
+    assert rep.verdict == "wulff"
+    assert rep.radius == pytest.approx(1e12, rel=1e-10)
 
 
 def test_weighted_sum_wulff_curvature():

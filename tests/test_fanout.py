@@ -356,9 +356,12 @@ def test_all_writes_the_serial_bytes(tmp_path, monkeypatch, scene):
     monkeypatch.setattr(fanout, "_usable_cpus", lambda: 3)
     fanned = cli.run("all", scene, tmp_path / "fanned")
     _no_child_left()
-    # one round of one worker per pretended CPU, but wulff_d3 runs its one
-    # body, dual and wulff in-process: three items, fewer than FAN_OUT_ITEMS
-    assert len(forks) == (0 if scene.stem == "wulff_d3" else 3)
+    # one round of one worker per pretended CPU, but a scene without a grid
+    # has an item per body, dual and wulff, and runs fewer than
+    # FAN_OUT_ITEMS of them in-process
+    parsed = load_scene(scene)
+    in_process = parsed.grid is None and len(parsed.bodies) < fanout.FAN_OUT_ITEMS - 2
+    assert len(forks) == (0 if in_process else 3)
     assert set(forks) <= {os.getpid()}
     assert fanned == serial == 0
     assert _tree(tmp_path / "fanned") == _tree(tmp_path / "serial")

@@ -2,15 +2,18 @@
 and fields whose F* prunes by the box extent bound (a rotated M, weighted
 sums), against a brute force over every source.
 
-The shipped scenes' fields all take the axis tables; the generated ones
-follow the weighted-sum benchmark scene's recipe (a weighted sum of |x| and
-a rotated M, a Wulff ball, 1024 sources, an h = 0.01 grid) and add the
-complement of two rotated ellipses under a rotated M.
+Of the shipped scenes, those under Euclidean or diagonal-quadratic F take
+the axis tables, and ``rotated_ellipse_d2`` and ``weighted_wulff_d2`` prune
+by the extent bound; the generated ones follow the weighted-sum benchmark
+scene's recipe (a weighted sum of |x| and a rotated M, a Wulff ball, 1024
+sources, an h = 0.01 grid) and add the complement of two rotated ellipses
+under a rotated M.
 
 delta is the least of the field's own closed-form values F*(a - x) over
 every source a (``dual.batch_value_fast``, as ``project``'s cross-check
 takes them; under a rotated M, the Euclidean distances of the mapped
-points, as ``distance._pairwise_values`` takes them), and the flag is the
+points, as ``distance._pairwise_values`` takes them, which can differ
+from ``batch_value_fast`` in the last bit), and the flag is the
 pdist oracle ``resolve_flag`` on those values: a near-minimizer cluster
 split into several single-linkage components at ``tol_unique``, or holding
 half the curve.  Neither goes through the field's blocks, tiles, candidate
@@ -74,11 +77,15 @@ def _checked_cells(field, rng):
     return np.unique(np.concatenate(sampled + [flagged])), outside
 
 
-def _matches_brute_force(field, rng, name, mapped=False):
-    """The checked cells of a field against the brute force; ``mapped``
-    takes each cell's values from ``_pairwise_values``."""
+def _matches_brute_force(field, rng, name):
+    """The checked cells of a field against the brute force; a quadratic
+    field without axis tables takes each cell's values from
+    ``_pairwise_values``, as the field does."""
     src, grid = field.source, field.grid
     cells, outside = _checked_cells(field, rng)
+    mapped = isinstance(field.f, QuadraticNorm) and (
+        distance._axis_lines(field.dual, src.points, grid._axes()) is None
+    )
     centers = grid_centers(grid)
     delta, flag = field.delta.ravel(), field.gap.ravel()
     window = WINDOW_CELLS * grid.h
@@ -147,4 +154,4 @@ def test_extent_bound_fields_match_brute_force_over_every_source(name):
     field = _rotated_ellipses() if name == "rotated M" else _weighted_ball(int(name[-1]))
     # these fields prune by the box extent bound, on tiles of TILE_CELLS
     assert distance._axis_lines(field.dual, field.source.points, field.grid._axes()) is None
-    _matches_brute_force(field, np.random.default_rng(len(name)), name, mapped=name == "rotated M")
+    _matches_brute_force(field, np.random.default_rng(len(name)), name)

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from wulffkit import (
     DomainError,
+    Ellipsoid,
     EuclideanNorm,
     InputError,
     QuadraticNorm,
@@ -212,3 +213,15 @@ def test_quadratic_validation():
         QuadraticNorm(np.diag([1.0, -1.0]))  # not positive definite
     with pytest.raises(InputError):
         EuclideanNorm(1)
+
+
+@pytest.mark.parametrize(
+    "make", [QuadraticNorm, lambda m: Ellipsoid(m, np.zeros(2))], ids=["quadratic", "ellipsoid"]
+)
+def test_symmetry_is_checked_relative_to_the_largest_entry(make):
+    # an asymmetry of 1e-21 against entries of 1e-20 is 10%, which an
+    # absolute bound of 1e-12 accepted and symmetrised away
+    with pytest.raises(InputError, match="symmetric"):
+        make(np.array([[1e-20, 1e-21], [0.0, 1e-20]]))
+    kept = make(np.array([[1e-20, 5e-22], [5e-22 * (1 + 1e-14), 1e-20]])).matrix
+    assert kept[0, 1] == kept[1, 0] == pytest.approx(5e-22, rel=1e-13)

@@ -66,8 +66,8 @@ def _known_failure(reason):
             "absolute coordinates"
         )),
         pytest.param(40, marks=_known_failure(
-            "wulff_verdict and wulff_criticality fail at 2^40: umbilicity_classify calls "
-            "|lambda| < 1e-10 hyperplane-like, and wulff_criticality is not traced"
+            "var fails at 2^40 as at 2^3: its fields are polynomials in absolute "
+            "coordinates, and wulff_criticality fails on most of them"
         )),
     ],
 )
@@ -80,6 +80,17 @@ def test_a_scaled_wulff_scene_keeps_its_verdicts(tmp_path, unscaled, name, k):
     flags_0 = {c: check["passed"] for c, check in checks_0.items()}
     moved = {c for c in flags.keys() | flags_0.keys() if flags.get(c) != flags_0.get(c)}
     assert code == 0 and not moved, f"exit {code}; checks moved: {sorted(moved)}"
+
+
+@pytest.mark.parametrize("name", WULFF)
+def test_curv_on_a_wulff_scene_scaled_up_keeps_its_verdicts(tmp_path, name):
+    # lambda = 2^-40 at 2^40: an absolute |lambda| < 1e-10 called the fit
+    # hyperplane-like, which failed wulff_verdict
+    (code_0, at_one), (code, scaled) = (_run(tmp_path, "curv", name, k) for k in (0, 40))
+    assert code == code_0 == 0
+    assert {c: check["passed"] for c, check in scaled.items()} == {
+        c: check["passed"] for c, check in at_one.items()
+    }
 
 
 @pytest.mark.parametrize("k", [-40, -20, 40])

@@ -639,16 +639,18 @@ def test_steiner_passes_on_a_scaled_down_wulff_scene(tmp_path):
     assert main(["steiner", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 0
 
 
-def test_curv_on_a_hyperplane_like_wulff_ball_fails_its_verdict(tmp_path, capsys):
-    # at radius 1e12, |lambda| < 1e-10 makes the fit hyperplane-like, with
-    # no centre or radius, and their recovery raised a raw TypeError
+def test_curv_on_a_huge_wulff_ball_passes(tmp_path, capsys):
+    # at radius 1e12, an absolute |lambda| < 1e-10 made the fit
+    # hyperplane-like, with no centre or radius, and curv exited 4
     scene = _wulff_scene(tmp_path, "wulff_d3", 1e12)
-    assert main(["curv", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 4
+    assert main(["curv", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
     [curv] = json.loads((tmp_path / "out" / "report.json").read_text())["suites"]
-    failed = [c["name"] for c in curv["checks"] if not c["passed"]]
-    assert failed == ["wulff_verdict[w3]"]
-    assert curv["metrics"]["umbilicity[w3]"]["verdict"] == "hyperplane-like"
+    assert all(c["passed"] for c in curv["checks"])
+    assert "wulff_radius_recovery[w3]" in {c["name"] for c in curv["checks"]}
+    umb = curv["metrics"]["umbilicity[w3]"]
+    assert umb["verdict"] == "wulff"
+    assert umb["radius"] == pytest.approx(1e12, rel=1e-10)
 
 
 def test_hk_command_on_wulff_scene(tmp_path):
