@@ -6,10 +6,10 @@ Reads the scene file SCENE and writes the same scene dilated by 2^K about
 the origin to OUT (default: standard output).  Lengths are multiplied by
 2^K: each body's centre, a Wulff body's radius, a superellipse's semi-axes,
 the grid bounds and ``steiner.reference_radius``.  An ellipsoid's matrix M
-of x^T M x <= 1 is multiplied by 4^-K and ``hk.c``, a curvature, by 2^-K.
-The integrand, a norm, and every count (resolution, cells, seed) stay as
-they are.  Each product is ``math.ldexp``, so a value that stays a normal
-double is scaled without rounding and K = 0 writes the scene's own values.
+of x^T M x <= 1 is multiplied by 4^-K.  The integrand, a norm, and every
+count (resolution, cells, seed) stay as they are.  Each product is
+``math.ldexp``, so a value that stays a normal double is scaled without
+rounding and K = 0 writes the scene's own values.
 Needs only the standard library.
 """
 
@@ -46,8 +46,6 @@ def scaled(raw: dict, k: int) -> dict:
         out["grid"]["bounds"] = _times(out["grid"]["bounds"], k)
     if out.get("steiner", {}).get("reference_radius") is not None:
         out["steiner"]["reference_radius"] = _times(out["steiner"]["reference_radius"], k)
-    if out.get("hk", {}).get("c") is not None:
-        out["hk"]["c"] = _times(out["hk"]["c"], -k)
     return out
 
 

@@ -62,11 +62,6 @@ def run(command: str, scene_path, out_dir, seed=None) -> int:
     if seed is not None:
         scene = reseed(scene, seed)
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create output directory {out}: {exc.strerror}") from None
-
     requested = [s for s in SUITE_ORDER if s in scene.suites] if command == "all" else [command]
     with np.errstate(over="call", invalid="call", divide="call", call=_float_error):
         results = run_suites(requested, scene, out)

@@ -18,12 +18,12 @@ holds for every caller: a node with H <= 0 violates the hypothesis and
 raises ``HypothesisViolationError``.  Equality of the outer terms forces
 every node to be umbilical and the body to be a Wulff ball; scenes of
 disjoint bodies classify as "wulff-union" when the ratio is 1 within
-EQUALITY_TOL, all nodes are umbilical, and every fitted radius clears n/c
-for the supplied curvature bound c within the relative slack RADIUS_TOL.
-Both tolerances are module constants, which no caller or scene sets.  The
-union is of disjoint open Wulff shapes, so ``refuse_overlaps`` accepts Wulff
-balls of one integrand whose closures touch, deciding each such pair in
-closed form from F* of its centres.
+EQUALITY_TOL and every body's fit is a Wulff ball.  The fitted radii are
+reported beside, with whether they agree within the relative slack
+RADIUS_TOL.  Both tolerances are module constants, which no caller or scene
+sets.  The union is of disjoint open Wulff shapes, so ``refuse_overlaps``
+accepts Wulff balls of one integrand whose closures touch, deciding each
+such pair in closed form from F* of its centres.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ __all__ = [
 # 6.7e-16 (the shipped scenes and the weighted benchmark seeds, at their
 # resolution and at half of it)
 EQUALITY_TOL = 1e-13
-# relative slack of equality_classifier's radius bound n/c and of its
-# equal-radii report; each fitted Wulff radius is recovered within 1e-10
+# relative slack of equality_classifier's equal-radii report; each fitted
+# Wulff radius is recovered within 1e-10
 RADIUS_TOL = 1e-10
 
 
@@ -180,7 +180,10 @@ def hk_row(table: CurvatureTable, index: int = 0) -> HKRow:
 def hk_report(rows: Sequence[HKRow], dim: int) -> HKReport:
     """The rows of disjoint bodies in R^dim, summed in body order, their ratio
     vol / (n/(n+1) * sum F(nu)/H w) and its verdict: "equality" when
-    |ratio - 1| <= EQUALITY_TOL = 1e-13 and "strict" otherwise."""
+    |ratio - 1| <= EQUALITY_TOL = 1e-13 and "strict" otherwise.  No rows
+    is an empty scene, which an ``InputError`` refuses."""
+    if not rows:
+        raise InputError("empty scene")
     n = dim - 1
     vol = sum(r.vol for r in rows)
     integral = sum(r.integral for r in rows)
@@ -227,51 +230,33 @@ class ClassifierVerdict:
 
 
 def equality_classifier(
-    report: HKReport,
-    umbilicity: Sequence[UmbilicityReport],
-    c: float,
-    h_max: Optional[float] = None,
+    report: HKReport, umbilicity: Sequence[UmbilicityReport]
 ) -> ClassifierVerdict:
-    """Decide "wulff-union" vs "strict" from the ratio, umbilicity, and radii.
+    """Decide "wulff-union" vs "strict" from the ratio and umbilicity.
 
-    Requires the report's "equality" verdict, every body umbilical with a clean
-    ball fit, and every fitted radius >= n/c within the relative slack
-    RADIUS_TOL = 1e-10.  Whether the radii are all equal within RADIUS_TOL is
-    reported alongside (the equality case admits unequal radii as long as
-    each clears n/c), and is None unless every body has a fitted ball.  The
-    curvature bound c must be positive and finite, and at least ``h_max``,
-    the bodies' largest mean curvature: by default the report's observed
-    H_max.
+    Requires the report's "equality" verdict and every body umbilical with
+    a clean ball fit; the first condition that fails is named.  The fitted
+    radii and centres are listed one per body, in body order, None where the
+    fit found no ball.  Whether the radii are all equal within the relative
+    slack RADIUS_TOL = 1e-10 is reported alongside (the equality case admits
+    unequal radii), and is None unless every body has a fitted ball.
     """
     if not umbilicity:
         raise InputError("classifier needs at least one umbilicity report")
-    # NaN fails both comparisons
-    if not 0.0 < c < np.inf:
-        raise InputError(f"curvature bound c must be positive and finite, got {c!r}")
-    h_max = report.h_max if h_max is None else h_max
-    if c < h_max * (1 - 1e-12):
-        raise InputError(f"curvature bound c={c} is below the bodies' H_max={h_max}")
-    radii = tuple(u.radius for u in umbilicity if u.radius is not None)
-    centers = tuple(u.center for u in umbilicity if u.center is not None)
-
+    radii = tuple(u.radius for u in umbilicity)
     failing = None
     if report.verdict != "equality":
         failing = "ratio"
     elif any(u.verdict != "wulff" for u in umbilicity):
         failing = "umbilicity"
 
-    if failing is None:
-        bound = (len(centers[0]) - 1) / c
-        if any(r < bound * (1 - RADIUS_TOL) for r in radii):
-            failing = "radius-bound"
-
     equal = None
-    if len(radii) == len(umbilicity):
+    if None not in radii:
         equal = bool(max(radii) - min(radii) <= RADIUS_TOL * max(radii))
     return ClassifierVerdict(
         verdict="wulff-union" if failing is None else "strict",
         failing_condition=failing,
         radii=radii,
-        centers=centers,
+        centers=tuple(u.center for u in umbilicity),
         equal_radii=equal,
     )

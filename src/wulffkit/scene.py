@@ -28,7 +28,7 @@ _PINNED_STEINER = {"lo_frac": LO_FRAC, "hi_frac": HI_FRAC, "samples": SAMPLES}
 _STEINER_KEYS = ("reference_radius", "source_resolution", *_PINNED_STEINER)
 # the keys of the scene root; a "tolerances" key gets a refusal of its own
 _ROOT_KEYS = (
-    "integrand", "bodies", "resolution", "grid", "seed", "suites", "steiner", "hk", "tolerances"
+    "integrand", "bodies", "resolution", "grid", "seed", "suites", "steiner", "tolerances"
 )
 
 
@@ -41,7 +41,6 @@ class Scene:
     grid: Optional[GridSpec]
     seed: int
     suites: tuple
-    hk_c: Optional[float]
     steiner: dict
 
     @property
@@ -282,13 +281,6 @@ def parse_scene(raw: dict) -> Scene:
             if value <= 0.0:
                 raise SceneError(f"{where}: expected a positive number, got {value!r}")
         steiner[key] = value
-
-    hk_c = None
-    value = _known(_section(raw, "hk", {}), ("c",), "hk").get("c")
-    if value is not None:
-        hk_c = _convert(float, value, "hk.c")
-        if hk_c <= 0.0:
-            raise SceneError(f"hk.c: expected a positive number, got {value!r}")
     return Scene(
         integrand=integrand,
         dual=dual,
@@ -297,7 +289,6 @@ def parse_scene(raw: dict) -> Scene:
         grid=grid,
         seed=_seed(raw.get("seed", 0)),
         suites=suites,
-        hk_c=hk_c,
         steiner=steiner,
     )
 

@@ -37,7 +37,7 @@ import numpy as np
 from . import distance as dist
 from . import steiner as st
 from .curvature import curvature_table, umbilicity_classify
-from .errors import WulffkitError
+from .errors import InputError, WulffkitError
 from .fanout import _fan_out
 from .hk import equality_classifier, hk_report, hk_row, node_overlaps, refuse_overlaps
 from .hypersurface import WulffBody, perimeter_F, sample_surface
@@ -373,16 +373,8 @@ def suite_hk(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
     res.check("ratio_at_most_one", report.ratio, 1.0 + 1e-3)
     res.check("volume_below_tube_integral", report.vol / report.mr_integral, 1.0 + 1e-3)
     res.check("tube_integral_below_rhs", report.mr_integral / rhs, 1.0 + 1e-3)
-    c, h_max = report.h_max, None
-    if scene.hk_c is not None:
-        # a Wulff body's H is n/r in closed form, so a defect of its table
-        # fails curv rather than refusing the scene's bound
-        c, h_max = scene.hk_c, max(
-            (scene.dim - 1) / body.radius if isinstance(body, WulffBody) else row.h_max
-            for (_, body), row in zip(scene.bodies, report.rows)
-        )
     umbilicity = [cache.umbilicity(body) for _, body in scene.bodies]
-    verdict = equality_classifier(report, umbilicity, c, h_max)
+    verdict = equality_classifier(report, umbilicity)
     res.metrics.update(
         {
             "vol": report.vol,
@@ -394,10 +386,9 @@ def suite_hk(scene: Scene, out: Path, cache: RunCache) -> SuiteResult:
             "hk_verdict": report.verdict,
             "class_verdict": verdict.verdict,
             "failing_condition": verdict.failing_condition,
-            "radii": [float(r) for r in verdict.radii],
-            "centers": [list(map(float, c)) for c in verdict.centers],
+            "radii": [None if r is None else float(r) for r in verdict.radii],
+            "centers": [None if c is None else list(map(float, c)) for c in verdict.centers],
             "equal_radii": verdict.equal_radii,
-            "curvature_bound": c,
         }
     )
     return res
@@ -598,12 +589,16 @@ def run_suites(names, scene: Scene, out: Path) -> list:
     first one in the order of ``names`` (of one suite, the first in body
     order) is raised once every suite has ended; the CSVs of later suites,
     and of later bodies, may have been written by then.  An unknown name is
-    refused before ``out`` is created.
+    refused before ``out`` is created, and an ``out`` that cannot be created
+    is refused with an ``InputError``.
     """
     for name in names:
         if name not in SUITE_ORDER:
             raise WulffkitError(f"unknown suite {name!r}")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out}: {exc.strerror}") from None
     cache = RunCache(scene)
     cache.fields(names)
     free = [name for name in names if name not in _READERS]

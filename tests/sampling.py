@@ -106,7 +106,6 @@ def scene(bodies, f, resolution, suites=("curv", "hk", "mr")):
         grid=None,
         seed=0,
         suites=tuple(suites),
-        hk_c=None,
         steiner={},
     )
 

@@ -265,6 +265,8 @@ def test_criterion_7_variation():
 
 def test_criterion_8_end_to_end_classification(tmp_path):
     start = time.perf_counter()
+    # per scene, the class verdict and each body's fitted centre and radius,
+    # in body order; None where the fit finds no ball
     expected = {
         "wulff_d2": ("wulff-union", [("w1", [0.0, 0.0], 1.0)]),
         "ball_d2": ("wulff-union", [("ball", [0.4, -0.2], 2.0)]),
@@ -272,8 +274,8 @@ def test_criterion_8_end_to_end_classification(tmp_path):
             "wulff-union",
             [("w1", [-2.8, 0.0], 1.0), ("w2", [2.8, 0.3], 1.3)],
         ),
-        "ellipse_d2": ("strict", []),
-        "superellipse_d2": ("strict", []),
+        "ellipse_d2": ("strict", [("ellipse", None, None)]),
+        "superellipse_d2": ("strict", [("super", None, None)]),
         "wulff_d3": ("wulff-union", [("w3", [0.0, 0.0, 0.0], 1.0)]),
         # two Wulff balls whose closures touch on a node of both
         "tangent_wulff_d2": (
@@ -281,12 +283,12 @@ def test_criterion_8_end_to_end_classification(tmp_path):
             [("w1", [0.0, 0.0], 1.0), ("w2", [3.999995293812345, 0.0030679585677709387], 1.0)],
         ),
         # the ellipse and the ellipsoid under a rotated quadratic F
-        "rotated_ellipse_d2": ("strict", []),
-        "rotated_ellipsoid_d3": ("strict", []),
+        "rotated_ellipse_d2": ("strict", [("ellipse", None, None)]),
+        "rotated_ellipsoid_d3": ("strict", [("e", None, None)]),
         # under 0.4 |x| + 0.6 sqrt(x'Mx), M rotated: a Wulff ball alone, and
         # one beside an ellipsoid, whose scene is strict
         "weighted_wulff_d2": ("wulff-union", [("w", [0.1, -0.2], 1.0)]),
-        "weighted_d3": ("strict", [("w", [0.0, 0.0, 0.0], 1.0)]),
+        "weighted_d3": ("strict", [("w", [0.0, 0.0, 0.0], 1.0), ("e", None, None)]),
         "equal_wulff_d3": (
             "wulff-union",
             [("w1", [0.0, 0.0, 0.0], 1.0), ("w2", [0.0, 3.0, 0.0], 1.0)],
@@ -308,15 +310,18 @@ def test_criterion_8_end_to_end_classification(tmp_path):
         if want_verdict == "strict":
             umb = [v["verdict"] for k, v in metrics["curv"].items() if k.startswith("umbilicity")]
             assert "not-umbilical" in umb
-        if want_bodies:
-            # equal_radii is None unless every body has a fitted ball, which
-            # no strict scene here has
-            equal = None if want_verdict == "strict" else len({r for *_, r in want_bodies}) == 1
-            assert metrics["hk"]["equal_radii"] is equal, f"{name}: equal_radii"
+        # equal_radii is None unless every body has a fitted ball
+        radii = [r for *_, r in want_bodies]
+        equal = None if None in radii else len(set(radii)) == 1
+        assert metrics["hk"]["equal_radii"] is equal, f"{name}: equal_radii"
+        assert len(metrics["hk"]["radii"]) == len(metrics["hk"]["centers"]) == len(want_bodies)
         for idx, (bid, center, radius) in enumerate(want_bodies):
-            got_c = np.asarray(metrics["hk"]["centers"][idx])
+            got_c = metrics["hk"]["centers"][idx]
             got_r = metrics["hk"]["radii"][idx]
-            assert np.linalg.norm(got_c - np.asarray(center)) <= 1e-3
+            if center is None:
+                assert got_c is None and got_r is None, f"{name}: {bid} has a ball"
+                continue
+            assert np.linalg.norm(np.asarray(got_c) - np.asarray(center)) <= 1e-3
             assert abs(got_r - radius) <= 1e-3
         summary.append(f"{name}:{verdict}")
     elapsed = time.perf_counter() - start

@@ -122,15 +122,15 @@ def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
         (("grid", "bounds"), [[0, "q"], [0, 1]]),
         (("seed",), "q"),
         (("seed",), -1),
-        (("hk",), {"c": "q"}),
+        (("steiner",), {"reference_radius": "q"}),
         (("tolerances",), {"tol_eq": "x"}),
         (("steiner",), {"samples": "many"}),
         (("bodies",), 5),
         # non-finite numbers, which Python's json reads as NaN and Infinity
         (("tolerances",), {"tol_eq": NAN}),
         (("tolerances",), {"tol_fit": -INF}),
-        (("hk",), {"c": NAN}),
-        (("hk",), {"c": INF}),
+        (("steiner",), {"reference_radius": NAN}),
+        (("steiner",), {"reference_radius": -INF}),
         (("steiner",), {"lo_frac": NAN}),
         (("steiner",), {"reference_radius": INF}),
         (("grid", "bounds"), [[-INF, 2.0], [-1.5, 1.5]]),
@@ -154,16 +154,16 @@ def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
         (("steiner",), {"samples": 40.5}),
         (("grid", "cells"), 100.5),
         (("grid", "cells"), [40, 30.5]),
-        # steiner window values off the pin, steiner.reference_radius and the hk section
+        # steiner window values off the pin, and other steiner keys
         (("steiner",), {"lo_frac": 0.0}),
         (("steiner",), {"lo_frac": -0.5}),
         (("steiner",), {"lo_frac": 0.9, "hi_frac": 0.05}),
         (("steiner",), {"hi_frac": 0.05}),
         (("steiner",), {"reference_radius": 0.0}),
         (("steiner",), {"reference_radius": -1.0}),
-        (("hk",), {"cc": 5}),
-        (("hk",), {"c": -1}),
-        (("hk",), {"c": 0}),
+        (("steiner",), {"reference_radiuss": 5}),
+        (("steiner",), {"source_resolution": -64}),
+        (("steiner",), {"source_resolution": 0}),
         # tube sample counts off the pin
         (("steiner",), {"samples": -1}),
         (("steiner",), {"samples": 0}),
@@ -173,7 +173,7 @@ def test_complement_source_is_sized_from_the_cached_quadrature(monkeypatch):
         (("seed",), True),
         (("tolerances",), {"tol_eq": True}),
         (("steiner",), {"hi_frac": True}),
-        (("hk",), {"c": True}),
+        (("steiner",), {"reference_radius": True}),
         (("grid", "cells"), [40, True]),
         (("bodies", 0, "radius"), True),
         (("integrand",), {"family": "weighted-sum", "terms": [
@@ -267,8 +267,9 @@ def test_booleans_in_arrays_name_the_field():
         ("steiner", {"lo_frac": -0.5}, "steiner.lo_frac"),
         ("steiner", {"hi_frac": 0.05}, "steiner.hi_frac"),
         ("steiner", {"reference_radius": 0.0}, "steiner.reference_radius"),
-        ("hk", {"cc": 5}, "hk.cc"),
-        ("hk", {"c": -1}, "hk.c"),
+        # the curvature bound hk.c could change no verdict, so hk is no scene key
+        ("hk", {"c": 1.0}, "hk: unknown key"),
+        ("steiner", {"source_resolution": 65}, "steiner.source_resolution"),
         ("steiner", {"samples": 5}, "steiner.samples"),
     ],
 )
@@ -299,11 +300,6 @@ def test_steiner_window_parses_only_at_the_pinned_values():
                     SceneError, match=rf"steiner\.{key}: the tube window is pinned in the library"
                 ):
                     parse_scene({**base, "steiner": {key: value}})
-
-
-def test_hk_c_may_be_null():
-    assert parse_scene({**BASE, "hk": {"c": None}}).hk_c is None
-    assert parse_scene({**BASE, "hk": {"c": 2}}).hk_c == 2.0
 
 
 @pytest.mark.parametrize(
@@ -447,7 +443,6 @@ SCENES_ANY = hst.one_of(
             | JSON,
             "steiner": _fields(["lo_frac", "samples", "reference_radius", "source_resolution"])
             | JSON,
-            "hk": _maybe({"c": 1.0}),
         },
     ),
 )
@@ -750,6 +745,30 @@ def test_unknown_suite_is_refused_before_the_run_starts(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_suites_refuses_an_output_directory_it_cannot_create(tmp_path):
+    # a path under a regular file raised a raw NotADirectoryError
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    scene = load_scene(SCENES / "wulff_d2.json")
+    with pytest.raises(InputError, match=f"^cannot create output directory {re.escape(str(out))}: "):
+        suites.run_suites(["dual"], scene, out)
+
+
+def test_hk_lists_radii_and_centres_by_body(tmp_path):
+    # with the ellipsoid listed first, the Wulff ball's radius sat at index 0
+    raw = json.loads((SCENES / "weighted_d3.json").read_text())
+    raw["bodies"].reverse()
+    scene = tmp_path / "reversed.json"
+    scene.write_text(json.dumps(raw))
+    assert run("hk", scene, tmp_path / "out") == 0
+    (report,) = json.loads((tmp_path / "out" / "report.json").read_text())["suites"]
+    metrics = report["metrics"]
+    assert metrics["radii"][0] is None and metrics["centers"][0] is None
+    assert metrics["radii"][1] == pytest.approx(1.0, rel=1e-10)
+    assert metrics["centers"][1] == pytest.approx([0.0, 0.0, 0.0], abs=1e-10)
+    assert metrics["equal_radii"] is None
+
+
 WEIGHTED_SCENE = {
     "integrand": {
         "family": "weighted-sum",
@@ -805,10 +824,9 @@ def test_every_wulff_check_moves_under_a_scaled_gradient(tmp_path, monkeypatch, 
 
 
 def test_a_curvature_defect_fails_curv_not_the_scene(tmp_path, monkeypatch):
-    # two_wulff_d2 sets hk.c = 1.0, which is n/r of its body w1: with kappa,
-    # H and sigma_k off by 1 + 1e-7 the tables' H_max exceeds c, but hk
-    # checks c against each Wulff body's closed-form n/r, so the defect
-    # fails curv (exit 4) instead of refusing the scene
+    # with kappa, H and sigma_k off by 1 + 1e-7 the tables' H_max exceeds
+    # n/r of body w1; hk reads no curvature bound that could refuse the
+    # scene, so the defect can only fail curv (exit 4)
     table = suites.curvature_table
 
     def scaled(body, f, quad):
@@ -931,14 +949,6 @@ def test_one_scaled_kappa_fails_trace_vs_eigensum(tmp_path, monkeypatch, name):
     failed = {c for c, check in checks.items() if not check["passed"]}
     assert failed == {f"trace_vs_eigensum[{bid}]"}
     assert 1e-10 < checks[f"trace_vs_eigensum[{bid}]"]["value"] < 1e-8
-
-def test_hk_c_below_a_wulff_body_n_over_r_is_refused(tmp_path, capsys):
-    raw = json.loads((SCENES / "two_wulff_d2.json").read_text())
-    raw["hk"]["c"] = 0.999  # below n/r = 1 of w1, above that of w2
-    scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(raw))
-    assert main(["hk", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: curvature bound c=0.999 is below the bodies' H_max=1.0\n"
 
 
 def test_all_skips_grid_suites_without_grid(tmp_path):
